@@ -267,8 +267,7 @@ def cmd_beta_sweep(cfg, hash_) -> dict:
                 d.space, d.num_labels,
                 tuple(ocfg.get("noise_grid", (0.05, 0.1, 0.2))))
             per_loss, per_beta = [], []
-            for b in betas:
-                _, h = oracle.lagrangian_complexity(d, fam, b)
+            for b, (_, h) in zip(betas, oracle.lagrangian_sweep(d, fam, betas)):
                 loss = oracle.empirical_loss(h, d)
                 rows.append((name, b, loss, loss / max(d.n, 1), h.code_length))
                 per_beta.append(b)

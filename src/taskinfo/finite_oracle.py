@@ -48,6 +48,7 @@ __all__ = [
     "mle",
     "complexity",
     "lagrangian_complexity",
+    "lagrangian_sweep",
     "structure_function",
     "beta_sufficient_statistics",
     "BetaStatistic",
@@ -109,7 +110,8 @@ class Hypothesis:
     pins: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        table = np.ascontiguousarray(np.asarray(self.table, dtype=np.float64))
+        # a private copy: freezing must not reach the caller's array
+        table = np.array(self.table, dtype=np.float64, order="C")
         if table.ndim != 2:
             raise ValueError("hypothesis table must be (M, K)")
         if (table < 0).any():
@@ -143,9 +145,9 @@ class Curve:
     complexity: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.abscissa, dtype=np.float64)
-        l = np.asarray(self.loss, dtype=np.float64)
-        c = np.asarray(self.complexity, dtype=np.float64)
+        a = np.array(self.abscissa, dtype=np.float64)
+        l = np.array(self.loss, dtype=np.float64)
+        c = np.array(self.complexity, dtype=np.float64)
         if not (a.shape == l.shape == c.shape) or a.ndim != 1:
             raise ValueError("curve columns must be equal-length 1-d arrays")
         if a.size > 1 and not (np.diff(a) > 0).all():
@@ -165,21 +167,28 @@ class Curve:
 
 
 @dataclass
-class _Rule:
-    name: str
-    cost: float
-    table: np.ndarray                 # (rows, K), rows = own space size
-    # for pair rules: ((left space, left rule), (right space, right rule)),
-    # both unpadded, used by child back-references one level up
-    children: tuple | None = None
+class _Rules:
+    """The rules over one space, in enumeration order, as arrays.
+
+    For pair rules, ``kid_src`` and ``kid_idx`` (R, 2) name the (left,
+    right) child as (position in ``sources``, rule index there); -1 marks a
+    rule that is not a pair. Child back-references one level up read them.
+    """
+
+    space: DiscreteSpace
+    names: list[str]
+    costs: np.ndarray                 # (R,)
+    tables: np.ndarray                # (R, space.size, K)
+    sources: tuple = ()
+    kid_src: np.ndarray | None = None
+    kid_idx: np.ndarray | None = None
 
 
-def _pad_rows(table: np.ndarray, rows: int) -> np.ndarray:
-    if table.shape[0] == rows:
-        return table
-    k = table.shape[1]
-    pad = np.full((rows - table.shape[0], k), 1.0 / k)
-    return np.vstack([table, pad])
+def _put_padded(dst: np.ndarray, src: np.ndarray) -> None:
+    """Write src (..., m, K) into dst (..., rows, K); rows past m are uniform."""
+    m, k = src.shape[-2:]
+    dst[..., :m, :] = src
+    dst[..., m:, :] = 1.0 / k
 
 
 class HypothesisFamily:
@@ -193,18 +202,18 @@ class HypothesisFamily:
 
     MAX_RULES = 400_000
 
-    def __init__(self, space: DiscreteSpace, num_labels: int, rules: list[_Rule],
+    def __init__(self, space: DiscreteSpace, num_labels: int, names: list[str],
+                 costs: np.ndarray, tables: np.ndarray,
                  noise_grid: tuple[float, ...], custom: bool = False):
-        if not rules:
+        if not names:
             raise NoHypothesisError("no hypothesis: family is empty")
         self.space = space
         self.num_labels = num_labels
         self.noise_grid = tuple(noise_grid)
         self.custom = custom
-        self.tables = np.ascontiguousarray(
-            np.stack([r.table for r in rules]).astype(np.float64))
-        self.costs = np.array([r.cost for r in rules], dtype=np.float64)
-        self.names = [r.name for r in rules]
+        self.tables = tables
+        self.costs = costs
+        self.names = names
         t = self.tables
         self.is_constant = (t == t[:, :1, :]).all(axis=(1, 2))
         self.is_deterministic = ((t == 0.0) | (t == 1.0)).all(axis=(1, 2))
@@ -216,7 +225,7 @@ class HypothesisFamily:
         return len(self.names)
 
     def kraft_sum(self) -> float:
-        return float(math.fsum(math.exp(-c) for c in self.costs))
+        return float(math.fsum(math.exp(-c) for c in self.costs.tolist()))
 
     def hypothesis(self, index_or_name) -> Hypothesis:
         """Base rule as a standalone Hypothesis (intrinsic code length)."""
@@ -242,11 +251,8 @@ class HypothesisFamily:
         if num_labels < 2:
             raise ValueError("family needs num_labels >= 2")
         rules = cls._rules_for_space(space, num_labels, tuple(noise_grid))
-        if len(rules) > cls.MAX_RULES:
-            raise ValueError(
-                f"family too large to enumerate ({len(rules)} rules); "
-                "use smaller domains")
-        return cls(space, num_labels, rules, tuple(noise_grid))
+        return cls(space, num_labels, rules.names, rules.costs, rules.tables,
+                   tuple(noise_grid))
 
     @classmethod
     def from_rules(cls, hypotheses, space: DiscreteSpace | None = None,
@@ -255,100 +261,127 @@ class HypothesisFamily:
         if not hs:
             raise NoHypothesisError("no hypothesis: family is empty")
         m, k = hs[0].table.shape
-        rules = [
-            _Rule(h.name or f"rule{i}", float(h.code_length), np.asarray(h.table))
-            for i, h in enumerate(hs)
-        ]
-        return cls(space or DiscreteSpace(m), num_labels or k, rules, (),
-                   custom=True)
+        return cls(space or DiscreteSpace(m), num_labels or k,
+                   [h.name or f"rule{i}" for i, h in enumerate(hs)],
+                   np.array([float(h.code_length) for h in hs]),
+                   np.stack([h.table for h in hs]), (), custom=True)
 
     @classmethod
-    def _rules_for_space(cls, space, k, noise_grid) -> list[_Rule]:
+    def _rules_for_space(cls, space, k, noise_grid) -> _Rules:
+        flat = cls._flat_rules(space, k, noise_grid)
         if space.parts is None:
-            return cls._flat_rules(space.size, k, noise_grid)
-
-        mmax = space.size // 2
-        rules = cls._flat_rules(space.size, k, noise_grid)
-        for r in rules:
-            r.cost += PAIR_FLAG
-            r.name = f"flat[{r.name}]"
+            cls._check_size(len(flat.names))
+            return flat
 
         left_part, right_part = space.parts
         left = cls._rules_for_space(left_part.space, k, noise_grid)
         right = cls._rules_for_space(right_part.space, k, noise_grid)
-        left_tables = [_pad_rows(r.table, mmax) for r in left]
-        right_tables = [_pad_rows(r.table, mmax) for r in right]
+        n_flat, n_left, n_right = len(flat.names), len(left.names), len(right.names)
+        n_same = n_left if left_part.space == right_part.space else 0
+        # child back-references: (a, which) for every pair rule a of the left
+        # part whose child `which` lies in the right part's space, a-major
+        if left.kid_src is None:
+            back_a = back_w = np.zeros(0, dtype=np.int64)
+        else:
+            on_right = np.array([src.space == right_part.space
+                                 for src in left.sources])
+            back_a, back_w = np.nonzero((left.kid_src >= 0) & on_right[left.kid_src])
+        total = n_flat + n_left * n_right + n_same + len(back_a)
+        cls._check_size(total)
 
+        mmax = space.size // 2
         base = PAIR_FLAG + PAIR_KIND
-        for a, at in zip(left, left_tables):
-            for b, bt in zip(right, right_tables):
-                rules.append(_Rule(
-                    f"pair({a.name}|{b.name})", base + a.cost + b.cost,
-                    np.vstack([at, bt]),
-                    children=((left_part.space, a), (right_part.space, b)),
-                ))
-        if left_part.space == right_part.space:
-            for a, at in zip(left, left_tables):
-                rules.append(_Rule(
-                    f"pair({a.name}|=)", base + a.cost,
-                    np.vstack([at, at]),
-                    children=((left_part.space, a), (right_part.space, a)),
-                ))
-        for a, at in zip(left, left_tables):
-            if a.children is None:
-                continue
-            for which, (child_space, child) in enumerate(a.children):
-                if child_space != right_part.space:
-                    continue
-                rules.append(_Rule(
-                    f"pair({a.name}|<{which}])", base + a.cost + PAIR_CHILD,
-                    np.vstack([at, _pad_rows(child.table, mmax)]),
-                    children=((left_part.space, a), (right_part.space, child)),
-                ))
-        return rules
+        tables = np.empty((total, space.size, k))
+        kid_src = np.full((total, 2), -1, dtype=np.int64)
+        kid_idx = np.full((total, 2), -1, dtype=np.int64)
+        left_idx = np.arange(n_left)
+
+        tables[:n_flat] = flat.tables
+        costs = [flat.costs + PAIR_FLAG]
+        names = [f"flat[{n}]" for n in flat.names]
+
+        lo, hi = n_flat, n_flat + n_left * n_right      # fresh: pair(a|b)
+        pairs = tables[lo:hi].reshape(n_left, n_right, space.size, k)
+        _put_padded(pairs[:, :, :mmax], left.tables[:, None])
+        _put_padded(pairs[:, :, mmax:], right.tables[None, :])
+        costs.append(((base + left.costs)[:, None] + right.costs[None, :]).ravel())
+        names += [f"pair({a}|{b})" for a in left.names for b in right.names]
+        kid_src[lo:hi] = (0, 1)
+        kid_idx[lo:hi, 0] = np.repeat(left_idx, n_right)
+        kid_idx[lo:hi, 1] = np.tile(np.arange(n_right), n_left)
+
+        lo, hi = hi, hi + n_same                        # same: pair(a|=)
+        if n_same:
+            _put_padded(tables[lo:hi, :mmax], left.tables)
+            _put_padded(tables[lo:hi, mmax:], left.tables)
+            costs.append(base + left.costs)
+            names += [f"pair({a}|=)" for a in left.names]
+            kid_src[lo:hi] = (0, 0)
+            kid_idx[lo:hi] = left_idx[:, None]
+
+        lo, hi = hi, total                              # back: pair(a|<w])
+        if hi > lo:
+            _put_padded(tables[lo:hi, :mmax], left.tables[back_a])
+            src = left.kid_src[back_a, back_w]
+            idx = left.kid_idx[back_a, back_w]
+            child = np.empty((hi - lo, right_part.space.size, k))
+            for j in np.unique(src):
+                child[src == j] = left.sources[j].tables[idx[src == j]]
+            _put_padded(tables[lo:hi, mmax:], child)
+            costs.append((base + left.costs[back_a]) + PAIR_CHILD)
+            names += [f"pair({left.names[a]}|<{w}])"
+                      for a, w in zip(back_a.tolist(), back_w.tolist())]
+            kid_src[lo:hi, 0] = 0
+            kid_idx[lo:hi, 0] = back_a
+            kid_src[lo:hi, 1] = 2 + src
+            kid_idx[lo:hi, 1] = idx
+        return _Rules(space, names, np.concatenate(costs), tables,
+                      (left, right) + left.sources, kid_src, kid_idx)
 
     @classmethod
-    def _flat_rules(cls, m, k, noise_grid) -> list[_Rule]:
-        bits = max(1, int(math.ceil(math.log2(m))) if m > 1 else 1)
+    def _check_size(cls, rules: int) -> None:
+        if rules > cls.MAX_RULES:
+            raise ValueError(
+                f"family too large to enumerate ({rules} rules); "
+                "use smaller domains")
+
+    @staticmethod
+    def _flat_rules(space, k, noise_grid) -> _Rules:
+        m, bits = space.size, space.bits
         nq = len(noise_grid)
         smooth_tag = math.log(1 + nq) if nq else 0.0
 
-        det: list[_Rule] = []
-        rules: list[_Rule] = [_Rule("uniform", _GROUP_TAG, np.full((m, k), 1.0 / k))]
-
         xs = np.arange(m)
+        names, costs, labels = [], [], []     # deterministic rules
         for c in range(k):
-            table = np.zeros((m, k))
-            table[:, c] = 1.0
-            det.append(_Rule(f"const{c}",
-                             _GROUP_TAG + math.log(k) + smooth_tag, table))
+            names.append(f"const{c}")
+            costs.append(_GROUP_TAG + math.log(k) + smooth_tag)
+            labels.append(np.full(m, c))
         for j in range(bits):
             for inv in (0, 1):
-                labels = ((xs >> j) & 1) ^ inv
-                table = np.zeros((m, k))
-                table[xs, labels] = 1.0
-                det.append(_Rule(
-                    f"bit{j}" + ("~inv" if inv else ""),
-                    _GROUP_TAG + math.log(bits) + LN2 + smooth_tag, table))
+                names.append(f"bit{j}" + ("~inv" if inv else ""))
+                costs.append(_GROUP_TAG + math.log(bits) + LN2 + smooth_tag)
+                labels.append(((xs >> j) & 1) ^ inv)
         for mask in range(2 ** bits):
+            par = np.zeros(m, dtype=np.int64)
+            for j in range(bits):
+                par ^= ((xs & mask) >> j) & 1
             for inv in (0, 1):
-                par = np.zeros(m, dtype=np.int64)
-                v = xs & mask
-                while v.any():
-                    par ^= v & 1
-                    v >>= 1
-                table = np.zeros((m, k))
-                table[xs, par ^ inv] = 1.0
-                det.append(_Rule(
-                    f"parity{mask:03d}" + ("~inv" if inv else ""),
-                    _GROUP_TAG + bits * LN2 + LN2 + smooth_tag, table))
+                names.append(f"parity{mask:03d}" + ("~inv" if inv else ""))
+                costs.append(_GROUP_TAG + bits * LN2 + LN2 + smooth_tag)
+                labels.append(par ^ inv)
+        det = np.zeros((len(names), m, k))
+        det[np.arange(len(names))[:, None], xs, np.array(labels)] = 1.0
+        noisy = [det * (1.0 - q) + (1.0 - det) * (q / (k - 1)) for q in noise_grid]
 
-        rules.extend(det)
-        for r in det:
-            for q in noise_grid:
-                table = r.table * (1.0 - q) + (1.0 - r.table) * (q / (k - 1))
-                rules.append(_Rule(f"{r.name}~q{q:g}", r.cost, table))
-        return rules
+        tables = np.concatenate(
+            [np.full((1, m, k), 1.0 / k), det]
+            + ([np.stack(noisy, axis=1).reshape(-1, m, k)] if nq else []))
+        return _Rules(
+            space,
+            ["uniform"] + names + [f"{n}~q{q:g}" for n in names for q in noise_grid],
+            np.array([_GROUP_TAG] + costs + [c for c in costs for _ in noise_grid]),
+            tables)
 
     def space_token(self) -> str:
         from .tasks import _union_spec
@@ -375,37 +408,71 @@ def save_family(fam: HypothesisFamily, path) -> None:
 
 
 def load_family(path) -> HypothesisFamily:
+    """Read a family file; malformed input raises ValueError("path:line: ...")."""
     from .tasks import _parse_union_spec
 
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "# taskinfo-family v1":
-        raise ValueError(f"{path}: not a taskinfo-family v1 file")
-    header: dict[str, str] = {}
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != "# taskinfo-family v1":
+        no = lines[0][0] if lines else 1
+        raise ValueError(f"{path}:{no}: not a taskinfo-family v1 file")
+    header: dict[str, tuple[int, str]] = {}
     rule_lines = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         if ln.startswith("rule\t"):
-            rule_lines.append(ln.split("\t"))
+            rule_lines.append((no, ln.split("\t")))
         else:
             key, _, value = ln.partition("=")
-            header[key] = value
-    space, _ = _parse_union_spec(header["space"])
-    k = int(header["labels"])
-    noise_grid = tuple(float(v) for v in header["noise_grid"].split(",") if v)
-    if header.get("custom") == "1":
-        hyps = []
-        for cells in rule_lines:
+            header[key] = (no, value)
+
+    def at(no, parse, *args):
+        try:
+            return parse(*args)
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}:{no}: {exc}") from None
+
+    def field(key, parse):
+        if key not in header:
+            raise ValueError(f"{path}:{lines[0][0]}: header has no {key}= line")
+        no, value = header[key]
+        return at(no, parse, value)
+
+    def discrete_space(value):
+        space = _parse_union_spec(value)[0]
+        if not isinstance(space, DiscreteSpace):
+            raise ValueError("a family needs a discrete space")
+        return space
+
+    space = field("space", discrete_space)
+    k = field("labels", int)
+    if k < 1:
+        raise ValueError(f"{path}:{header['labels'][0]}: labels must be >= 1")
+    noise_grid = field("noise_grid",
+                       lambda v: tuple(float(q) for q in v.split(",") if q))
+    custom = header.get("custom", (0, "0"))[1] == "1"
+    width = 5 if custom else 4
+    for no, cells in rule_lines:
+        if len(cells) < width:
+            raise ValueError(f"{path}:{no}: a rule line needs {width} "
+                             f"tab-separated fields, got {len(cells)}")
+
+    if custom:
+        def custom_rule(cells):
             flat = np.array([float(v) for v in cells[4].split(";")])
-            hyps.append(Hypothesis(flat.reshape(flat.size // k, k),
-                                   float(cells[2]), cells[3]))
-        return HypothesisFamily.from_rules(hyps, space, k)
-    fam = HypothesisFamily.for_space(space, k, noise_grid)
-    if len(fam) != int(header["rules"]):
-        raise ValueError(f"{path}: rule count mismatch with reconstruction")
-    for cells in rule_lines:
-        i = int(cells[1])
-        if fam.names[i] != cells[3] or float(cells[2]) != float(fam.costs[i]):
-            raise ValueError(f"{path}: rule {i} does not match reconstruction")
+            return Hypothesis(flat.reshape(flat.size // k, k), float(cells[2]),
+                              cells[3])
+
+        hyps = [at(no, custom_rule, cells) for no, cells in rule_lines]
+        return at(lines[0][0], HypothesisFamily.from_rules, hyps, space, k)
+    fam = at(header["space"][0], HypothesisFamily.for_space, space, k, noise_grid)
+    if len(fam) != field("rules", int):
+        raise ValueError(f"{path}:{header['rules'][0]}: rule count mismatch "
+                         "with reconstruction")
+    for no, cells in rule_lines:
+        i = at(no, int, cells[1])
+        if not (0 <= i < len(fam) and fam.names[i] == cells[3]
+                and at(no, float, cells[2]) == float(fam.costs[i])):
+            raise ValueError(f"{path}:{no}: rule {i} does not match reconstruction")
     return fam
 
 
@@ -421,6 +488,7 @@ def load_family(path) -> HypothesisFamily:
 # is re-evaluated exactly with fsum over per-sample terms.
 
 _APPROX_MARGIN = 1e-6
+_BLOCK = 1 << 22          # (candidate, sample) cells per exact re-check block
 
 
 class _Candidates:
@@ -462,7 +530,7 @@ class _Candidates:
             self.group_loss = np.einsum("gk,rgk->rg", counts, nl)
         else:
             self.group_loss = np.zeros((len(fam), 0))
-        mixed_total = self.group_loss[:, ~pure].sum(axis=1)
+        self.mixed_loss = self.group_loss[:, ~pure].sum(axis=1)
         pure_idx = np.flatnonzero(pure)
         pure_loss = self.group_loss[:, pure_idx]
         order = np.argsort(-pure_loss, axis=1, kind="stable")
@@ -470,40 +538,66 @@ class _Candidates:
         sorted_desc = np.take_along_axis(pure_loss, order, axis=1)
         rev_cumsum = np.cumsum(sorted_desc[:, ::-1], axis=1)[:, ::-1]
         suffix = np.concatenate([rev_cumsum, np.zeros((len(fam), 1))], axis=1)
-        self.approx_loss = mixed_total[:, None] + suffix   # (R, n_pure+1)
+        self.approx_loss = self.mixed_loss[:, None] + suffix   # (R, n_pure+1)
 
         self.ext = np.array(
             [extension_cost(u, s, self.k) for s in range(self.n_pure + 1)])
         self.cost = fam.costs[:, None] + self.ext[None, :]
 
-        self._nll_cache: dict[int, np.ndarray] = {}
-        self._exact_cache: dict[tuple[int, int], float] = {}
-
     # -- exact evaluation ---------------------------------------------------
 
-    def _per_sample_nll(self, r: int) -> np.ndarray:
-        got = self._nll_cache.get(r)
-        if got is None:
-            table = self.fam.tables[r]
-            got = np.array([
-                -math.log(p) if p > 0.0 else INF_NATS
-                for p in table[self.d.inputs, self.d.labels]
-            ]) if len(self.d) else np.zeros(0)
-            self._nll_cache[r] = got
-        return got
+    def _fsum_kept(self, ur: np.ndarray, ri: np.ndarray, pinned: np.ndarray
+                   ) -> np.ndarray:
+        """Exact loss of each candidate j: fsum of the per-sample -ln p under
+        rule ur[ri[j]] over the samples where pinned[j] is False.
 
-    def exact_loss(self, r: int, s: int, pin_groups=None) -> float:
-        """fsum of per-sample -ln p over samples outside the pinned groups."""
-        key = (r, s) if pin_groups is None else None
-        if key is not None and key in self._exact_cache:
-            return self._exact_cache[key]
-        if pin_groups is None:
-            pin_groups = self.pin_order[r, :s]
-        keep = ~np.isin(self.inverse, pin_groups)
-        value = math.fsum(self._per_sample_nll(r)[keep])
-        if key is not None:
-            self._exact_cache[key] = value
-        return value
+        -ln p is taken once per distinct table value. fsum is correctly
+        rounded, so candidates whose kept samples carry the same multiset of
+        values share one fsum: the multisets are grouped by a hash of their
+        sorted value codes, and every row is checked equal to its group's
+        first row, so a hash collision only costs an extra fsum.
+        """
+        p = self.fam.tables[ur[:, None], self.d.inputs, self.d.labels]
+        values, codes = np.unique(p, return_inverse=True)
+        nll = np.array([-math.log(v) if v > 0.0 else INF_NATS
+                        for v in values.tolist()])
+        dropped = np.asarray(len(values), dtype=np.min_scalar_type(len(values)))
+        codes = codes.reshape(p.shape).astype(dropped.dtype)
+        kept = np.where(pinned, dropped, codes[ri])
+        kept.sort(axis=1)
+        key = np.zeros(len(kept), dtype=np.uint64)
+        for col in kept.T:                    # polynomial hash, mod 2**64
+            key = key * np.uint64(0x9E3779B97F4A7C15) + col
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        clash = np.flatnonzero((kept != kept[first[group]]).any(axis=1))
+        group[clash] = len(first) + np.arange(len(clash))
+        sums = np.array([math.fsum(nll[row[row != dropped]].tolist())
+                         for row in kept[np.concatenate([first, clash])]])
+        return sums[group]
+
+    def exact_losses(self, rules: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Exact losses of the candidates (rules[j], counts[j]), each with its
+        canonical pin set. Candidates go in blocks of about _BLOCK
+        (candidate, sample) cells, which bounds the working memory."""
+        out = np.empty(len(rules))
+        step = max(1, _BLOCK // max(len(self.d), 1))
+        for lo in range(0, len(rules), step):
+            ur, ri = np.unique(rules[lo:lo + step], return_inverse=True)
+            # rank[i, g]: position of group g in rule ur[i]'s pin order;
+            # mixed groups rank past every pin count
+            rank = np.full((len(ur), self.u), self.n_pure,
+                           dtype=np.min_scalar_type(self.n_pure))
+            rank[np.arange(len(ur))[:, None], self.pin_order[ur]] = \
+                np.arange(self.n_pure)
+            pinned = rank[:, self.inverse][ri] < counts[lo:lo + step, None]
+            out[lo:lo + step] = self._fsum_kept(ur, ri, pinned)
+        return out
+
+    def exact_loss(self, r: int, pin_groups) -> float:
+        """Exact loss of rule r with the given pure groups pinned."""
+        pinned = np.isin(self.inverse, pin_groups)[None, :]
+        return float(self._fsum_kept(np.array([r]), np.zeros(1, dtype=np.intp),
+                                     pinned)[0])
 
     def pins_for(self, r: int, s: int, pin_groups=None) -> tuple:
         if pin_groups is None:
@@ -529,44 +623,24 @@ class _Candidates:
     def minimize(self, beta: float, cost_cap: float | None = None):
         """Exact min of loss + beta * cost, optionally under cost <= cap.
 
-        Returns (value, ties) where ties lists (value, cost, r, s) for every
-        candidate whose exact value is within TIE_ATOL of the minimum,
-        sorted by the tie-break key (cost, r, s).
+        Returns (value, (cost, r, s)): the first candidate, by the tie-break
+        key (cost, r, s), among those whose exact value is within TIE_ATOL
+        of the minimum; (inf, None) when no candidate is under the cap.
         """
         values = self.approx_loss + beta * self.cost
         if cost_cap is not None:
             values = np.where(self.cost <= cost_cap, values, np.inf)
         vmin = float(values.min())
         if not math.isfinite(vmin):
-            return math.inf, []
-        margin = _APPROX_MARGIN * (1.0 + abs(vmin)) + TIE_ATOL
-        short = np.argwhere(values <= vmin + margin)
-        exact = []
-        for r, s in short:
-            r, s = int(r), int(s)
-            val = self.exact_loss(r, s) + beta * float(self.cost[r, s])
-            exact.append((val, float(self.cost[r, s]), r, s))
-        best = min(e[0] for e in exact)
-        ties = sorted((e for e in exact if e[0] <= best + TIE_ATOL),
-                      key=lambda e: (e[1], e[2], e[3]))
-        return best, ties
-
-    def min_loss_under_cost(self, cap: float):
-        """Exact min loss among candidates with cost <= cap."""
-        losses = np.where(self.cost <= cap, self.approx_loss, np.inf)
-        lmin = float(losses.min())
-        if not math.isfinite(lmin):
             return math.inf, None
-        margin = _APPROX_MARGIN * (1.0 + abs(lmin)) + TIE_ATOL
-        short = np.argwhere(losses <= lmin + margin)
-        exact = []
-        for r, s in short:
-            r, s = int(r), int(s)
-            exact.append((self.exact_loss(r, s), float(self.cost[r, s]), r, s))
-        best = min(e[0] for e in exact)
-        ties = sorted((e for e in exact if e[0] <= best + TIE_ATOL),
-                      key=lambda e: (e[1], e[2], e[3]))
-        return best, ties[0]
+        margin = _APPROX_MARGIN * (1.0 + abs(vmin)) + TIE_ATOL
+        r, s = np.nonzero(values <= vmin + margin)
+        cost = self.cost[r, s]
+        exact = self.exact_losses(r, s) + beta * cost
+        best = float(exact.min())
+        tie = np.flatnonzero(exact <= best + TIE_ATOL)
+        j = tie[np.lexsort((s[tie], r[tie], cost[tie]))[0]]
+        return best, (float(cost[j]), int(r[j]), int(s[j]))
 
 
 def _report(value: float) -> float:
@@ -611,12 +685,21 @@ def mle(d: Dataset) -> Hypothesis:
 def lagrangian_complexity(d: Dataset, fam: HypothesisFamily, beta: float
                           ) -> tuple[float, Hypothesis]:
     """min over the extended family of loss + beta * code length."""
-    if beta < 0:
+    return lagrangian_sweep(d, fam, [beta])[0]
+
+
+def lagrangian_sweep(d: Dataset, fam: HypothesisFamily, betas
+                     ) -> list[tuple[float, Hypothesis]]:
+    """lagrangian_complexity at every beta, from one screening of d."""
+    betas = [float(b) for b in betas]
+    if any(b < 0 for b in betas):
         raise ValueError("beta must be >= 0")
     cand = _Candidates(d, fam)
-    value, ties = cand.minimize(beta)
-    _, _, r, s = ties[0]
-    return _report(value), cand.hypothesis_for(r, s)
+    out = []
+    for beta in betas:
+        value, (_, r, s) = cand.minimize(beta)
+        out.append((_report(value), cand.hypothesis_for(r, s)))
+    return out
 
 
 def complexity(d: Dataset, fam: HypothesisFamily) -> tuple[float, Hypothesis]:
@@ -632,13 +715,13 @@ def structure_function(d: Dataset, fam: HypothesisFamily, t_grid) -> Curve:
     cand = _Candidates(d, fam)
     losses, complexities = [], []
     for t in t_grid:
-        best, where = cand.min_loss_under_cost(float(t))
+        best, where = cand.minimize(0.0, cost_cap=float(t))
         if where is None:
             losses.append(math.inf)
             complexities.append(math.inf)
         else:
             losses.append(_report(best))
-            complexities.append(where[1])
+            complexities.append(where[0])
     return Curve(t_grid, np.array(losses), np.array(complexities))
 
 
@@ -674,7 +757,7 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
         cost = float(cand.cost[r, s])
         budget = limit - beta * cost    # max loss a variant may have
         for pin_groups in _pin_sets_within(cand, r, s, budget):
-            loss = cand.exact_loss(r, s, pin_groups)
+            loss = cand.exact_loss(r, pin_groups)
             if loss + beta * cost <= limit:
                 found.append((cost, r, s,
                               tuple(int(g) for g in sorted(pin_groups)),
@@ -695,32 +778,30 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
 def _pin_sets_within(cand: _Candidates, r: int, s: int, budget: float):
     """s-subsets of pure groups keeping the variant loss <= budget.
 
-    Approximate group losses guide a branch-and-bound walk over the groups
-    sorted by descending loss; callers re-check candidates exactly.
+    A variant's loss is the mixed groups' loss plus that of the pure groups
+    it leaves unpinned. A branch-and-bound walk picks the n_pure - s groups
+    to leave, from the smallest approximate loss up, so every sum it tests
+    is over small losses only and stays accurate when the pinned groups
+    carry INF_NATS. Callers re-check candidates exactly.
     """
-    if s == 0:
-        if cand.approx_loss[r, 0] <= budget + _APPROX_MARGIN * (1 + abs(budget)):
-            yield np.zeros(0, dtype=np.int64)
-        return
-    pure = cand.pin_order[r]              # sorted by descending group loss
-    glosses = cand.group_loss[r, pure]
-    total = float(cand.approx_loss[r, 0])  # loss with nothing pinned
-    slack = _APPROX_MARGIN * (1.0 + abs(budget)) + TIE_ATOL
-    need = total - budget - slack          # required pinned loss mass
+    order = cand.pin_order[r][::-1]        # pure groups by ascending loss
+    glosses = cand.group_loss[r, order]
+    leave = len(order) - s
+    room = (budget + _APPROX_MARGIN * (1.0 + abs(budget)) + TIE_ATOL
+            - float(cand.mixed_loss[r]))
     prefix = np.concatenate([[0.0], np.cumsum(glosses)])
-
     results: list[np.ndarray] = []
 
-    def rec(start: int, chosen: list[int], acc: float):
-        if len(chosen) == s:
-            if acc >= need:
-                results.append(pure[np.array(chosen, dtype=np.int64)])
+    def rec(start: int, left: list[int], acc: float):
+        if len(left) == leave:
+            if acc <= room:
+                results.append(np.delete(order, left))
             return
-        remaining = s - len(chosen)
+        remaining = leave - len(left)
         for i in range(start, len(glosses) - remaining + 1):
-            if acc + (prefix[i + remaining] - prefix[i]) < need:
+            if acc + (prefix[i + remaining] - prefix[i]) > room:
                 break
-            rec(i + 1, chosen + [i], acc + float(glosses[i]))
+            rec(i + 1, left + [i], acc + float(glosses[i]))
 
     rec(0, [], 0.0)
     yield from results
@@ -730,18 +811,20 @@ def critical_beta(d: Dataset, fam: HypothesisFamily, tol_bisect: float = 1e-3
                   ) -> float:
     """Largest beta at which the Lagrangian min is not constant-realized.
 
-    Found by bisection with exact Lagrangian evaluations. Returns 0.0 when
-    a constant rule already realizes the beta = 0 minimum.
+    Found by bisection with exact Lagrangian evaluations: the result is the
+    midpoint of the final bracket, within tol_bisect / 2 of the crossing.
+    Returns 0.0 when a constant rule already realizes the beta = 0 minimum.
     """
     if not fam.is_constant.any():
         raise ValueError("family contains no constant distributions")
     cand = _Candidates(d, fam)
-    const_rules = [int(r) for r in np.flatnonzero(fam.is_constant)]
+    const_rules = np.flatnonzero(fam.is_constant)
+    const_loss = cand.exact_losses(const_rules, np.zeros_like(const_rules)).tolist()
+    const_cost = cand.cost[const_rules, 0].tolist()
 
     def constant_realized(beta: float) -> bool:
         vmin, _ = cand.minimize(beta)
-        vconst = min(cand.exact_loss(r, 0) + beta * float(cand.cost[r, 0])
-                     for r in const_rules)
+        vconst = min(loss + beta * cost for loss, cost in zip(const_loss, const_cost))
         return vconst <= vmin + TIE_ATOL
 
     if constant_realized(0.0):
@@ -772,14 +855,13 @@ def deterministic_complexity(d: Dataset, fam: HypothesisFamily) -> float | None:
         return None
     u = cand.u
     best = None
-    for r in np.flatnonzero(fam.is_deterministic):
-        r = int(r)
-        hits = fam.tables[r][cand.xs, cand.majority] == 1.0
-        s_min = int((~hits).sum())
-        for s in range(s_min, u + 1):
-            c = float(fam.costs[r]) + extension_cost(u, s, cand.k)
-            if best is None or c < best:
-                best = c
+    det = np.flatnonzero(fam.is_deterministic)
+    if len(det):
+        # a rule must pin every input it misses and may pin more: its best
+        # price is the cheapest extension from its miss count up
+        misses = (fam.tables[det[:, None], cand.xs, cand.majority] != 1.0).sum(axis=1)
+        cheapest_from = np.minimum.accumulate(cand.ext[::-1])[::-1]
+        best = float((fam.costs[det] + cheapest_from[misses]).min())
     if u == d.space.size and u > 0:
         # every domain row is a training input: pinning all of them makes
         # any base rule one-hot and zero-loss
@@ -791,8 +873,8 @@ def deterministic_complexity(d: Dataset, fam: HypothesisFamily) -> float | None:
 
 def _minimal_statistic_cost(d: Dataset, fam: HypothesisFamily, beta: float
                             ) -> float:
-    _, ties = _Candidates(d, fam).minimize(beta)
-    return min(cost for _, cost, _, _ in ties)
+    _, (cost, _, _) = _Candidates(d, fam).minimize(beta)
+    return cost
 
 
 def oracle_distance(d1: Dataset, d2: Dataset, fam: HypothesisFamily,

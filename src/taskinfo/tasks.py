@@ -87,8 +87,9 @@ Space = DiscreteSpace | RealSpace
 # Dataset
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _freeze(a, dtype) -> np.ndarray:
+    """A read-only copy; the caller's own array stays writeable."""
+    a = np.array(a, dtype=dtype, order="C")
     a.flags.writeable = False
     return a
 
@@ -107,7 +108,7 @@ class Dataset:
     space: Space
 
     def __post_init__(self):
-        labels = _freeze(np.asarray(self.labels, dtype=np.int64))
+        labels = _freeze(self.labels, np.int64)
         if self.num_labels < 1:
             raise ValueError("invalid alphabet: num_labels must be >= 1")
         if labels.ndim != 1:
@@ -115,13 +116,13 @@ class Dataset:
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_labels):
             raise ValueError("label index outside 0..K-1")
         if isinstance(self.space, DiscreteSpace):
-            inputs = _freeze(np.asarray(self.inputs, dtype=np.int64))
+            inputs = _freeze(self.inputs, np.int64)
             if inputs.ndim != 1:
                 raise ValueError("discrete inputs must be a 1-d integer array")
             if inputs.size and (inputs.min() < 0 or inputs.max() >= self.space.size):
                 raise ValueError("discrete input outside 0..M-1")
         else:
-            inputs = _freeze(np.asarray(self.inputs, dtype=np.float64))
+            inputs = _freeze(self.inputs, np.float64)
             if inputs.ndim != 2 or inputs.shape[1] != self.space.dim:
                 raise ValueError("real inputs must be (N, dim)")
             if inputs.size and not np.isfinite(inputs).all():

@@ -48,6 +48,93 @@ def naive_min(d, fam, beta):
     return value, ties
 
 
+def naive_family(space, k, noise_grid=(0.05, 0.1, 0.2)):
+    """Structured family built one rule at a time: (names, costs, tables).
+
+    Mirrors the module docstring's enumeration with a table per rule and a
+    child record per pair rule, without the library's array builder.
+    """
+    rules = _naive_rules(space, k, tuple(noise_grid))
+    return ([r[0] for r in rules], np.array([r[1] for r in rules]),
+            np.stack([r[2] for r in rules]))
+
+
+def _pad_rows(table, rows):
+    k = table.shape[1]
+    return np.vstack([table, np.full((rows - table.shape[0], k), 1.0 / k)])
+
+
+def _naive_rules(space, k, noise_grid):
+    """[name, cost, table, children]; children of a pair rule are
+    ((left space, left rule), (right space, right rule))."""
+    rules = _naive_flat(space.size, k, noise_grid)
+    if space.parts is None:
+        return rules
+    mmax = space.size // 2
+    for r in rules:
+        r[0] = f"flat[{r[0]}]"
+        r[1] += fo.PAIR_FLAG
+    left_part, right_part = space.parts
+    left = _naive_rules(left_part.space, k, noise_grid)
+    right = _naive_rules(right_part.space, k, noise_grid)
+    base = fo.PAIR_FLAG + fo.PAIR_KIND
+    for a in left:
+        for b in right:
+            rules.append([f"pair({a[0]}|{b[0]})", base + a[1] + b[1],
+                          np.vstack([_pad_rows(a[2], mmax), _pad_rows(b[2], mmax)]),
+                          ((left_part.space, a), (right_part.space, b))])
+    if left_part.space == right_part.space:
+        for a in left:
+            rules.append([f"pair({a[0]}|=)", base + a[1],
+                          np.vstack([_pad_rows(a[2], mmax), _pad_rows(a[2], mmax)]),
+                          ((left_part.space, a), (right_part.space, a))])
+    for a in left:
+        for which, (child_space, child) in enumerate(a[3] or ()):
+            if child_space != right_part.space:
+                continue
+            rules.append([f"pair({a[0]}|<{which}])", base + a[1] + fo.PAIR_CHILD,
+                          np.vstack([_pad_rows(a[2], mmax),
+                                     _pad_rows(child[2], mmax)]),
+                          ((left_part.space, a), (right_part.space, child))])
+    return rules
+
+
+def _naive_flat(m, k, noise_grid):
+    bits = max(1, int(math.ceil(math.log2(m))) if m > 1 else 1)
+    smooth_tag = math.log(1 + len(noise_grid)) if noise_grid else 0.0
+    xs = np.arange(m)
+    det = []
+    for c in range(k):
+        table = np.zeros((m, k))
+        table[:, c] = 1.0
+        det.append([f"const{c}", fo._GROUP_TAG + math.log(k) + smooth_tag, table, None])
+    for j in range(bits):
+        for inv in (0, 1):
+            table = np.zeros((m, k))
+            table[xs, ((xs >> j) & 1) ^ inv] = 1.0
+            det.append([f"bit{j}" + ("~inv" if inv else ""),
+                        fo._GROUP_TAG + math.log(bits) + fo.LN2 + smooth_tag,
+                        table, None])
+    for mask in range(2 ** bits):
+        for inv in (0, 1):
+            par = np.zeros(m, dtype=np.int64)
+            v = xs & mask
+            while v.any():
+                par ^= v & 1
+                v >>= 1
+            table = np.zeros((m, k))
+            table[xs, par ^ inv] = 1.0
+            det.append([f"parity{mask:03d}" + ("~inv" if inv else ""),
+                        fo._GROUP_TAG + bits * fo.LN2 + fo.LN2 + smooth_tag,
+                        table, None])
+    rules = [["uniform", fo._GROUP_TAG, np.full((m, k), 1.0 / k), None]] + det
+    for name, cost, table, _ in det:
+        for q in noise_grid:
+            rules.append([f"{name}~q{q:g}", cost,
+                          table * (1.0 - q) + (1.0 - table) * (q / (k - 1)), None])
+    return rules
+
+
 def finite_difference_gradient(fn, vec, step=1e-5):
     """Central differences of a scalar function of a vector."""
     grad = np.zeros_like(vec)

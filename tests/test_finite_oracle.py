@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from taskinfo import finite_oracle as fo
 from taskinfo import tasks
@@ -17,6 +20,7 @@ from taskinfo.finite_oracle import (
     expected_complexity_trial,
     extension_cost,
     lagrangian_complexity,
+    lagrangian_sweep,
     load_family,
     mle,
     oracle_distance,
@@ -25,7 +29,7 @@ from taskinfo.finite_oracle import (
 )
 from taskinfo.tasks import Dataset, DiscreteSpace, disjoint_union
 
-from .reference import naive_candidates, naive_min
+from .reference import naive_candidates, naive_family, naive_min
 
 LN2 = math.log(2.0)
 
@@ -131,9 +135,56 @@ def test_family_contains_uniform_cheapest(fam8):
     assert fam8.costs.argmin() == 0
 
 
+def _union_space(left, right):
+    return DiscreteSpace(2 * max(left.size, right.size),
+                         parts=(tasks.UnionPart(left, 2), tasks.UnionPart(right, 2)))
+
+
+_D1, _D2, _D4 = DiscreteSpace(1), DiscreteSpace(2), DiscreteSpace(4)
+
+
+@pytest.mark.parametrize("space, k, noise_grid", [
+    # unions of unions: left pair rules have children in the right part's
+    # space, which exercises the pair(a|<0]) and pair(a|<1]) back-references
+    (_union_space(_union_space(_D4, _D2), _D4), 2, ()),
+    (_union_space(_union_space(_D4, _D2), _D4), 3, ()),
+    (_union_space(_union_space(_D2, _D2), _D2), 2, (0.1, 0.2)),
+    (_union_space(_union_space(_D2, _D1), _D2), 3, (0.1, 0.2)),
+    (_union_space(_union_space(_D1, _D2), _union_space(_D1, _D2)), 2, ()),
+])
+def test_family_builder_matches_rule_by_rule_reference(space, k, noise_grid):
+    fam = HypothesisFamily.for_space(space, k, noise_grid)
+    names, costs, tables = naive_family(space, k, noise_grid)
+    assert fam.names == names
+    assert fam.costs.tobytes() == costs.tobytes()
+    assert fam.tables.shape == tables.shape
+    assert fam.tables.tobytes() == tables.tobytes()
+    assert fam.kraft_sum() <= 1.0
+
+
+def test_family_builder_back_references_present():
+    a = DiscreteSpace(2)
+    fam = HypothesisFamily.for_space(_union_space(_union_space(a, a), a), 2, ())
+    assert "pair(pair(const0|bit0)|<0])" in fam.names
+    assert "pair(pair(const0|bit0)|<1])" in fam.names
+    assert "pair(pair(const0|=)|<1])" in fam.names
+
+
 def test_empty_family_rejected():
     with pytest.raises(NoHypothesisError):
         HypothesisFamily.from_rules([])
+
+
+def test_hypothesis_and_curve_leave_caller_arrays_writeable(fam8):
+    table = np.array([[0.5, 0.5], [0.25, 0.75]])
+    h = Hypothesis(table, 1.0)
+    assert table.flags.writeable and not h.table.flags.writeable
+    table[0, 0] = 0.0
+    assert h.table[0, 0] == 0.5
+    grid = np.array([5.0, 10.0])
+    d = tasks.generate_planted_task(6, fam8.hypothesis("bit0"), 0.0, seed=0)
+    curve = structure_function(d, fam8, grid)
+    assert grid.flags.writeable and not curve.abscissa.flags.writeable
 
 
 def test_hypothesis_invariants():
@@ -334,6 +385,88 @@ def test_bruteforce_equivalence_union():
     assert (got_h.rule_index, frozenset(got_h.pins)) in ties
 
 
+@st.composite
+def _tiny_tasks(draw):
+    """A tiny flat or union task with its family. Inputs repeat and labels
+    may disagree, so pure and mixed input groups both occur."""
+    k = draw(st.sampled_from([2, 3]))
+
+    def part(m):
+        n = draw(st.integers(0, 5))
+        xs = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        ys = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        return Dataset(np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64),
+                       k, DiscreteSpace(m))
+
+    if draw(st.booleans()):
+        d = part(draw(st.integers(2, 4)))
+        noise_grid = draw(st.sampled_from([(), (0.1,), (0.05, 0.2)]))
+    else:
+        d = disjoint_union(part(draw(st.integers(1, 2))),
+                           part(draw(st.integers(1, 2))))
+        noise_grid = draw(st.sampled_from([(), (0.1,)]))
+    perm = np.array(draw(st.permutations(range(d.n))), dtype=np.int64)
+    return d, HypothesisFamily.for_space(d.space, k, noise_grid), perm
+
+
+def _naive_structure_function(d, fam, t):
+    """(S(t), cost of the cheapest statistic within TIE_ATOL of it)."""
+    under = [(v, c) for v, c, _, _ in naive_candidates(d, fam, 0.0) if c <= t]
+    if not under:
+        return math.inf, math.inf
+    best = min(v for v, _ in under)
+    return best, min(c for v, c in under if v <= best + fo.TIE_ATOL)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_tiny_tasks(), st.sampled_from([0.3, 1.0, 2.5]))
+def test_bruteforce_random_tiny_tasks(task, beta):
+    # beta = 0 and a budget above the price of pinning every input both
+    # make every rule that pins all inputs tie at loss 0
+    d, fam, perm = task
+    shuffled = d.permuted(perm)
+    betas = [0.0, beta]
+    for b, (value, h), (value_s, h_s) in zip(
+            betas, lagrangian_sweep(d, fam, betas),
+            lagrangian_sweep(shuffled, fam, betas)):
+        naive_value, ties = naive_min(d, fam, b)
+        assert value == naive_value
+        assert h.identity() in ties
+        assert (value_s, h_s.identity()) == (value, h.identity())
+        assert lagrangian_complexity(d, fam, b)[1].identity() == h.identity()
+        stats = beta_sufficient_statistics(d, fam, b, tol=0.0)
+        assert {x.hypothesis.identity() for x in stats} == ties
+
+    cand_costs = sorted({c for _, c, _, _ in naive_candidates(d, fam, 0.0)})
+    t_grid = sorted({cand_costs[0] / 2, cand_costs[0],
+                     cand_costs[len(cand_costs) // 2], cand_costs[-1],
+                     cand_costs[-1] + 1.0})
+    curve = structure_function(d, fam, t_grid)
+    curve_s = structure_function(shuffled, fam, t_grid)
+    for t, loss, cost in zip(t_grid, curve.loss, curve.complexity):
+        assert (loss, cost) == _naive_structure_function(d, fam, t)
+    assert curve.loss.tobytes() == curve_s.loss.tobytes()
+    assert curve.complexity.tobytes() == curve_s.complexity.tobytes()
+    assert critical_beta(d, fam) == critical_beta(shuffled, fam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tiny_tasks())
+def test_batched_exact_losses_match_per_candidate_fsum(task):
+    d, fam, _ = task
+    cand = fo._Candidates(d, fam)
+    r, s = np.nonzero(np.ones(cand.cost.shape, dtype=bool))
+    got = cand.exact_losses(r, s)
+    for j in range(len(r)):
+        probs = fam.tables[r[j]][d.inputs, d.labels]
+        pinned = np.isin(cand.inverse, cand.pin_order[r[j], :s[j]])
+        want = math.fsum(-math.log(p) if p > 0.0 else fo.INF_NATS
+                         for p, pin in zip(probs, pinned) if not pin)
+        assert got[j] == want
+        assert cand.exact_loss(int(r[j]), cand.pin_order[r[j], :s[j]]) == want
+
+
 # ---------------------------------------------------------------------------
 # beta-sufficient statistics
 
@@ -388,6 +521,66 @@ def test_critical_beta_needs_constant_rules(fam8):
     d = tasks.generate_planted_task(5, fam8.hypothesis("bit0"), 0.0, seed=0)
     with pytest.raises(ValueError, match="constant"):
         critical_beta(d, fam)
+
+
+def test_family_load_missing_header_key_names_file_and_line(tmp_path, fam8):
+    path = tmp_path / "fam.txt"
+    save_family(fam8, path)
+    path.write_text("".join(ln for ln in path.read_text().splitlines(True)
+                            if not ln.startswith("space=")))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: .*space="):
+        load_family(path)
+
+
+def test_family_load_short_rule_line_names_file_and_line(tmp_path, fam8):
+    path = tmp_path / "fam.txt"
+    save_family(fam8, path)
+    lines = path.read_text().splitlines()
+    assert lines[7].startswith("rule\t")
+    lines[7] = "rule\t1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:8: .*fields"):
+        load_family(path)
+
+
+def test_family_load_bad_values_name_file_and_line(tmp_path, fam8):
+    path = tmp_path / "fam.txt"
+    save_family(fam8, path)
+    good = path.read_text()
+    for old, new, line in (("labels=2", "labels=two", 3),
+                           ("\t0\t", "\tzero\t", 7)):
+        path.write_text(good.replace(old, new, 1))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "):
+            load_family(path)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                          st.sampled_from(["del", "put", "ins"]),
+                          st.sampled_from(list("0123456789=.;,\t-:()|Kr\n"))),
+                min_size=1, max_size=4))
+def test_family_load_malformed_rules_raise_value_error_with_line(tmp_path, edits):
+    # edits stay in the rule lines: a digit typed into the header could ask
+    # for a domain whose family does not fit in memory
+    path = tmp_path / "fam.txt"
+    save_family(HypothesisFamily.for_space(DiscreteSpace(2), 2), path)
+    good = path.read_text()
+    start = good.index("\nrule\t") + 1
+    text = list(good[start:])
+    for pos, op, ch in edits:
+        i = pos % len(text)
+        if op == "del":
+            del text[i]
+        elif op == "put":
+            text[i] = ch
+        else:
+            text.insert(i, ch)
+    path.write_text(good[:start] + "".join(text))
+    try:
+        load_family(path)
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc))
 
 
 def test_family_load_rejects_tampered_file(tmp_path, fam8):

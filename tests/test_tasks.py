@@ -196,6 +196,19 @@ def test_dataset_validation():
         Dataset(np.array([[0.0], [np.inf]]), np.array([0, 1]), 2, RealSpace(1))
 
 
+
+def test_dataset_leaves_caller_arrays_writeable():
+    inputs, labels = np.array([0, 3, 1]), np.array([1, 0, 1])
+    d = Dataset(inputs, labels, 2, DiscreteSpace(4))
+    assert inputs.flags.writeable and labels.flags.writeable
+    assert not d.inputs.flags.writeable and not d.labels.flags.writeable
+    inputs[0] = 2
+    assert d.inputs[0] == 0
+    x = np.zeros((2, 3))
+    Dataset(x, np.array([0, 1]), 2, RealSpace(3))
+    assert x.flags.writeable
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_csv_roundtrip_discrete(tmp_path, seed):
     d = generate_random_label_task(10 + seed, DiscreteSpace(64), 2 + seed % 3,
