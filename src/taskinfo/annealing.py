@@ -43,7 +43,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PosteriorGrid:
-    """Finite statistic set: losses, complexities and a metric, all in NATS."""
+    """Finite statistic set: losses, complexities and a metric, all in NATS.
+
+    The arrays are copied, so the caller's arrays stay writeable. The metric
+    must be nonnegative with a zero diagonal, symmetric within 1e-9, and meet
+    the triangle inequality within 1e-9: no fl(d(i,j) - fl(d(i,k) + d(k,j)))
+    exceeds 1e-9. Checking that costs O(m^3) time and O(block * m) extra
+    memory (see ``_check_triangle``); node ids must be unique.
+    """
 
     losses: np.ndarray        # (m,) L(Q) per node
     kls: np.ndarray           # (m,) KL(Q||P) per node
@@ -51,25 +58,26 @@ class PosteriorGrid:
     node_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        losses = np.asarray(self.losses, dtype=np.float64)
-        kls = np.asarray(self.kls, dtype=np.float64)
-        metric = np.asarray(self.metric, dtype=np.float64)
+        losses = np.array(self.losses, dtype=np.float64)
+        kls = np.array(self.kls, dtype=np.float64)
+        metric = np.array(self.metric, dtype=np.float64)
         m = losses.shape[0]
         if kls.shape != (m,) or metric.shape != (m, m):
             raise ValueError("grid arrays must be (m,), (m,), (m, m)")
+        ids = self.node_ids or tuple(str(i) for i in range(m))
+        if len(ids) != m:
+            raise ValueError("need one node id per node")
+        if len(set(ids)) != m:
+            raise ValueError("node ids must be unique")
         if not (np.isfinite(losses).all() and np.isfinite(kls).all()
                 and np.isfinite(metric).all()):
             raise ValueError("grid values must be finite")
         if (metric < 0).any() or np.abs(np.diag(metric)).max(initial=0) > 0:
             raise ValueError("metric must be nonnegative with zero diagonal")
-        if np.abs(metric - metric.T).max(initial=0) > 1e-9:
+        symmetric = np.array_equal(metric, metric.T)
+        if not symmetric and np.abs(metric - metric.T).max() > 1e-9:
             raise ValueError("metric must be symmetric")
-        for k in range(m):
-            if (metric - (metric[:, k:k + 1] + metric[k:k + 1, :]) > 1e-9).any():
-                raise ValueError("metric violates the triangle inequality")
-        ids = self.node_ids or tuple(str(i) for i in range(m))
-        if len(ids) != m:
-            raise ValueError("need one node id per node")
+        _check_triangle(metric, symmetric)
         for arr in (losses, kls, metric):
             arr.flags.writeable = False
         object.__setattr__(self, "losses", losses)
@@ -90,6 +98,33 @@ class PosteriorGrid:
     @property
     def diameter(self) -> float:
         return float(self.metric.max(initial=0.0))
+
+
+_TRIANGLE_BLOCK = 64   # rows per min-plus block: d and t stay in cache
+
+
+def _check_triangle(metric: np.ndarray, symmetric: bool) -> None:
+    """Raise unless fl(M[i,j] - fl(M[i,k] + M[k,j])) <= 1e-9 for all i, j, k.
+
+    One blocked min-plus pass: for a block of rows, d[i,j] is the minimum
+    over k of fl(M[i,k] + M[k,j]). Rounding is monotone, so fl(a - s) never
+    grows with s, and some k violates the tolerance exactly when
+    fl(M[i,j] - d[i,j]) > 1e-9. An exactly symmetric metric has a symmetric
+    set of violations, so each block checks only the columns from its first
+    row on.
+    """
+    m = metric.shape[0]
+    for lo in range(0, m, _TRIANGLE_BLOCK):
+        hi = min(lo + _TRIANGLE_BLOCK, m)
+        first = lo if symmetric else 0
+        left, right = metric[lo:hi], metric[:, first:]
+        d = left[:, :1] + right[0]
+        t = np.empty_like(d)
+        for k in range(1, m):
+            np.add(left[:, k:k + 1], right[k], out=t)
+            np.minimum(d, t, out=d)
+        if (metric[lo:hi, first:] - d > 1e-9).any():
+            raise ValueError("metric violates the triangle inequality")
 
 
 @dataclass(frozen=True)
@@ -285,33 +320,46 @@ def load_grid(path, metric_path) -> PosteriorGrid:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "# taskinfo-grid v1":
         raise ValueError(f"{path}:1: expected '# taskinfo-grid v1' header")
-    ids, losses, kls = [], [], []
+    ids, losses, kls = {}, [], []     # ids: node id -> line
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip() or ln.startswith("#") or ln.startswith("node_id"):
             continue
         cells = ln.split(",")
         if len(cells) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(cells)}")
+        if cells[0] in ids:
+            raise ValueError(f"{path}:{lineno}: node id {cells[0]!r} repeats "
+                             f"line {ids[cells[0]]}")
         try:
-            ids.append(cells[0])
             losses.append(float(cells[1]))
             kls.append(float(cells[2]))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad number") from None
+        ids[cells[0]] = lineno
+    if not ids:
+        raise ValueError(f"{path}: no nodes")
     with open(metric_path, encoding="utf-8") as fh:
         mlines = fh.read().splitlines()
     if not mlines or mlines[0] != "# taskinfo-grid-metric v1":
         raise ValueError(f"{metric_path}:1: expected metric header")
-    rows = []
+    m = len(ids)
+    metric = np.empty((m, m))
+    r = 0
     for lineno, ln in enumerate(mlines[1:], start=2):
         if not ln.strip() or ln.startswith("#"):
             continue
+        cells = ln.split(",")
+        if r == m:
+            raise ValueError(f"{metric_path}:{lineno}: more than {m} metric rows")
+        if len(cells) != m:
+            raise ValueError(f"{metric_path}:{lineno}: expected {m} columns, "
+                             f"got {len(cells)}")
         try:
-            rows.append([float(v) for v in ln.split(",")])
+            metric[r] = np.fromiter(map(float, cells), np.float64, count=m)
         except ValueError:
             raise ValueError(f"{metric_path}:{lineno}: bad number") from None
-    metric = np.array(rows)
-    if metric.shape != (len(ids), len(ids)):
-        raise ValueError(f"{metric_path}: metric shape {metric.shape} does not "
-                         f"match {len(ids)} nodes")
+        r += 1
+    if r != m:
+        raise ValueError(f"{metric_path}: metric shape ({r}, {m}) does not "
+                         f"match {m} nodes")
     return PosteriorGrid(np.array(losses), np.array(kls), metric, tuple(ids))

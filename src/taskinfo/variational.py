@@ -281,6 +281,9 @@ class VariationalConfig:
     def __post_init__(self):
         if self.steps < 0 or self.learning_rate <= 0 or self.mc_samples < 1:
             raise ValueError("invalid variational config")
+        lr_lv = self.logvar_learning_rate
+        if lr_lv is not None and not lr_lv > 0:
+            raise ValueError("logvar_learning_rate must be None or > 0")
 
 
 @dataclass(frozen=True)
@@ -328,7 +331,8 @@ def optimize_gaussian(model, beta: float, prior: IsotropicPrior,
     lv = np.array(q.log_var)
     lam2 = prior.scale * prior.scale
     lr_mu = cfg.learning_rate
-    lr_lv = cfg.logvar_learning_rate or cfg.learning_rate
+    lr_lv = (cfg.learning_rate if cfg.logvar_learning_rate is None
+             else cfg.logvar_learning_rate)
     # steps follow the per-sample objective C_beta / n, so step sizes (and
     # the annealing dynamics) are comparable across dataset sizes
     denom = float(getattr(model, "n", 0) or 1)

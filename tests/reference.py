@@ -161,3 +161,15 @@ def gaussian_kl_quadrature(mu, var, lam, lo=-60.0, hi=60.0, points=400_001):
     logp = -0.5 * xs ** 2 / lam ** 2 - 0.5 * math.log(2 * math.pi * lam ** 2)
     integrand = q * (logq - logp)
     return float(np.trapezoid(integrand, xs))
+
+
+def naive_triangle_ok(metric):
+    """Triangle inequality within 1e-9, one intermediate node k at a time.
+
+    True unless some fl(M[i,j] - fl(M[i,k] + M[k,j])) exceeds 1e-9.
+    """
+    m = metric.shape[0]
+    for k in range(m):
+        if (metric - (metric[:, k:k + 1] + metric[k:k + 1, :]) > 1e-9).any():
+            return False
+    return True

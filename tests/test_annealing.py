@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskinfo.annealing import (
     AnnealSchedule,
@@ -16,6 +18,8 @@ from taskinfo.annealing import (
     shannon_information_estimate,
 )
 from taskinfo.rng import stream
+
+from .reference import naive_triangle_ok
 
 
 def line_grid(losses, kls, positions=None):
@@ -43,6 +47,78 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="zero diagonal|nonnegative"):
         PosteriorGrid(np.zeros(2), np.zeros(2), np.array([[0.5, 1.0],
                                                           [1.0, 0.0]]))
+
+
+def test_grid_leaves_caller_arrays_writeable():
+    losses, kls = np.array([1.0, 2.0]), np.array([0.5, 0.0])
+    metric = np.array([[0.0, 1.0], [1.0, 0.0]])
+    g = PosteriorGrid(losses, kls, metric)
+    for arr in (losses, kls, metric):
+        assert arr.flags.writeable
+    metric[0, 1] = 5.0
+    assert g.metric[0, 1] == 1.0
+    assert not g.metric.flags.writeable
+
+
+def test_grid_rejects_duplicate_node_ids():
+    with pytest.raises(ValueError, match="node ids must be unique"):
+        PosteriorGrid(np.zeros(2), np.zeros(2),
+                      np.array([[0.0, 1.0], [1.0, 0.0]]), ("a", "a"))
+
+
+def _planted_metric(m, seed, symmetric, planted):
+    """Euclidean metric of random points, with a violation near 1e-9.
+
+    planted is None or the excess of M[j, i] (j > i) over its shortest
+    two-step path. A metric that is not exactly symmetric gets up to 1e-12
+    of noise above the diagonal, and its planted M[i, j] stays below the
+    tolerance, so only (j, i) can violate.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, (m, 2))
+    metric = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    if not symmetric:
+        metric += np.triu(rng.uniform(0.0, 1e-12, (m, m)), 1)
+    if planted is not None and m >= 3:
+        i, j = rng.integers(0, m // 2), rng.integers(m // 2, m)
+        others = np.delete(np.arange(m), [i, j])
+        shortest = (metric[j, others] + metric[others, i]).min()
+        metric[j, i] = shortest + planted
+        metric[i, j] = metric[j, i] if symmetric else shortest + planted - 5e-10
+    return metric
+
+
+def test_triangle_tolerance_edges():
+    # 2e-9 - (5e-10 + 5e-10) is exactly 1e-9: allowed, and one ulp more is not
+    at_tol = np.array([[0.0, 2e-9, 5e-10], [2e-9, 0.0, 5e-10],
+                       [5e-10, 5e-10, 0.0]])
+    PosteriorGrid(np.zeros(3), np.zeros(3), at_tol)
+    over = at_tol.copy()
+    over[0, 1] = over[1, 0] = np.nextafter(2e-9, 1.0)
+    assert not naive_triangle_ok(over)
+    with pytest.raises(ValueError, match="triangle"):
+        PosteriorGrid(np.zeros(3), np.zeros(3), over)
+    # the only shortcut goes through the last node
+    with pytest.raises(ValueError, match="triangle"):
+        PosteriorGrid(np.zeros(3), np.zeros(3),
+                      np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0],
+                                [1.0, 1.0, 0.0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 63, 64, 65, 130]), st.integers(0, 2 ** 32 - 1),
+       st.booleans(),
+       st.sampled_from([None, 0.0, 0.999e-9, 1e-9, 1.001e-9, 1e-6]))
+def test_triangle_check_matches_naive_loop(m, seed, symmetric, planted):
+    metric = _planted_metric(m, seed, symmetric, planted)
+    assert np.array_equal(metric, metric.T) == (symmetric or m == 1)
+    try:
+        PosteriorGrid(np.zeros(m), np.zeros(m), metric)
+        ok = True
+    except ValueError as exc:
+        assert "triangle" in str(exc)
+        ok = False
+    assert ok == naive_triangle_ok(metric)
 
 
 def test_schedule_validation():
@@ -246,6 +322,36 @@ def test_grid_file_parse_error_carries_line_number(tmp_path):
         load_grid(p, mp)
     p.write_text("# taskinfo-grid v1\nnode_id,loss_nats,kl_nats\nn0,1.0,bad\n")
     with pytest.raises(ValueError, match=":3: bad number"):
+        load_grid(p, mp)
+
+
+def test_grid_file_metric_shape_errors(tmp_path):
+    g = staircase_grid()
+    p, mp = tmp_path / "grid.csv", tmp_path / "metric.csv"
+    save_grid(g, p, mp)
+    mp.write_text("# taskinfo-grid-metric v1\n0.0,1.0,2.0\n1.0,0.0\n"
+                  "2.0,1.0,0.0\n")
+    with pytest.raises(ValueError, match=r"metric\.csv:3: expected 3 columns, got 2"):
+        load_grid(p, mp)
+    mp.write_text("# taskinfo-grid-metric v1\n0.0,1.0,2.0\n1.0,0.0,1.0\n"
+                  "2.0,1.0,0.0\n0.0,0.0,0.0\n")
+    with pytest.raises(ValueError, match=r"metric\.csv:5: more than 3"):
+        load_grid(p, mp)
+    mp.write_text("# taskinfo-grid-metric v1\n0.0,1.0,2.0\n1.0,0.0,1.0\n")
+    with pytest.raises(ValueError, match=r"metric shape \(2, 3\) does not match"):
+        load_grid(p, mp)
+    p.write_text("# taskinfo-grid v1\nnode_id,loss_nats,kl_nats\n")
+    with pytest.raises(ValueError, match=r"grid\.csv: no nodes"):
+        load_grid(p, mp)
+
+
+def test_grid_file_duplicate_node_id_carries_line_number(tmp_path):
+    g = staircase_grid()
+    p, mp = tmp_path / "grid.csv", tmp_path / "metric.csv"
+    save_grid(g, p, mp)
+    p.write_text("# taskinfo-grid v1\nnode_id,loss_nats,kl_nats\n"
+                 "a,1.0,0.0\nb,2.0,0.0\na,3.0,0.0\n")
+    with pytest.raises(ValueError, match=r"grid\.csv:5: node id 'a' repeats line 3"):
         load_grid(p, mp)
 
 

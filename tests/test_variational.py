@@ -194,6 +194,14 @@ def test_closed_form_sigma_flat_direction_prior_variance():
     assert s[0] == pytest.approx(lam * lam, rel=1e-12)
 
 
+def test_config_rejects_nonpositive_logvar_learning_rate():
+    for bad in (-0.5, 0.0):
+        with pytest.raises(ValueError, match="logvar_learning_rate"):
+            VariationalConfig(logvar_learning_rate=bad)
+    assert VariationalConfig(logvar_learning_rate=None).logvar_learning_rate is None
+    assert VariationalConfig(logvar_learning_rate=0.3).logvar_learning_rate == 0.3
+
+
 def test_optimizer_divergence_raises(small_task):
     from taskinfo.models import TrainingDiverged
     arch = Architecture((3, 4, 2))
