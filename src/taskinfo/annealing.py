@@ -301,7 +301,19 @@ def gaussian_lattice_grid(h_diag, prior_scale: float, mu_grid, logsigma_grid
 
 
 def save_grid(g: PosteriorGrid, path, metric_path) -> None:
-    """Versioned CSV of (node_id, loss_nats, kl_nats) + dense metric file."""
+    """Versioned CSV of (node_id, loss_nats, kl_nats) + dense metric file.
+
+    Raises ValueError, before writing either file, for a node id that
+    load_grid would not read back as the same string, or as a distinct one.
+    """
+    seen = set()
+    for node in map(str, g.node_ids):
+        if (node in seen or "," in node or "".join(node.splitlines()) != node
+                or node.startswith(("#", "node_id"))):
+            raise ValueError(f"node id {node!r} does not survive a save/load "
+                             "round trip (comma, line break, leading '#' or "
+                             "'node_id', or a repeat as text)")
+        seen.add(node)
     lines = ["# taskinfo-grid v1", "node_id,loss_nats,kl_nats"]
     for i in range(len(g)):
         lines.append(f"{g.node_ids[i]},{float(g.losses[i])!r},"

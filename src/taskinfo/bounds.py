@@ -18,20 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .models import Architecture, TrainingDiverged
+from .rng import stream
 from .tasks import Dataset
 from .variational import (
     GaussianPosterior,
     IsotropicPrior,
+    MlpLossModel,
     VariationalConfig,
-    _log_softmax,
-    _mc_weights,
     kl_gaussian,
     optimize_posterior,
 )
-from .models import unflatten_params, _logits
 
 __all__ = [
     "BoundReport",
@@ -72,17 +69,15 @@ def pac_bayes_bound(train_loss_total: float, kl: float, n: int, beta: float,
 def clipped_expected_loss(q: GaussianPosterior, d: Dataset, mc: int,
                           seed: int) -> float:
     """E_Q of the total loss with per-sample CE clipped at ln K, rescaled to [0,1]."""
+    if mc < 1:
+        raise ValueError("mc must be >= 1")
     if d.n == 0:
         return 0.0
     lmax = math.log(d.num_labels)
-    ws, _ = _mc_weights(q, mc, seed, label="clipped-loss")
-    totals = np.empty(mc)
-    for i, w in enumerate(ws):
-        p = unflatten_params(w, q.arch)
-        logp = _log_softmax(_logits(p, d.inputs)[0])
-        per_sample = -logp[np.arange(d.n), d.labels]
-        totals[i] = np.minimum(per_sample, lmax).sum() / lmax
-    return float(totals.mean())
+    eps = stream(seed, "clipped-loss").standard_normal((mc, q.k))
+    totals, _ = MlpLossModel(q.arch, d).loss_and_grad(
+        q.mean + q.sigma * eps, grad=False, clip=lmax)
+    return float((totals / lmax).mean())
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,8 @@ class Architecture:
 
     @property
     def num_params(self) -> int:
-        k = 0
-        for n_in, n_out in zip(self.layer_widths[:-1], self.layer_widths[1:]):
-            k += n_in * n_out + n_out
-        return k
+        return sum(n_in * n_out + n_out for n_in, n_out in
+                   zip(self.layer_widths[:-1], self.layer_widths[1:]))
 
 
 @dataclass(frozen=True)
@@ -114,16 +112,21 @@ def flatten_params(p: MlpParams) -> np.ndarray:
 
 
 def unflatten_params(vec: np.ndarray, arch: Architecture) -> MlpParams:
-    ws, bs = [], []
-    pos = 0
-    for n_in, n_out in zip(arch.layer_widths[:-1], arch.layer_widths[1:]):
-        ws.append(vec[pos:pos + n_in * n_out].reshape(n_in, n_out))
-        pos += n_in * n_out
-        bs.append(vec[pos:pos + n_out])
-        pos += n_out
-    if pos != vec.size:
+    if vec.size != arch.num_params:
         raise ValueError("parameter vector length does not match architecture")
-    return MlpParams(tuple(ws), tuple(bs))
+    layers = _layer_views(vec.reshape(1, -1), arch.layer_widths)
+    return MlpParams(tuple(w[0] for w, _ in layers), tuple(b[0] for _, b in layers))
+
+
+def _layer_views(ws: np.ndarray, widths) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer views (weights (S, fan_in, fan_out), biases (S, fan_out)) of
+    S flat parameter vectors ws (S, P)."""
+    out, pos, s = [], 0, ws.shape[0]
+    for n_in, n_out in zip(widths[:-1], widths[1:]):
+        end = pos + n_in * n_out
+        out.append((ws[:, pos:end].reshape(s, n_in, n_out), ws[:, end:end + n_out]))
+        pos = end + n_out
+    return out
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -134,11 +137,7 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 def forward_batch(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Probabilities (N, K) for a batch of inputs (N, d)."""
-    h = x
-    for w, b in zip(p.weights[:-1], p.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    z = h @ p.weights[-1] + p.biases[-1]
-    return np.exp(_log_softmax(z))
+    return np.exp(_log_softmax(_logits(p, x)[0]))
 
 
 def forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -159,37 +158,65 @@ def _as_xy(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
 def dataset_loss(p: MlpParams, d: Dataset) -> float:
     """Total cross-entropy over the dataset in NATS."""
     x, y = _as_xy(d)
-    if d.n == 0:
-        return 0.0
-    logp = _log_softmax(_logits(p, x)[0])
-    return float(-logp[np.arange(d.n), y].sum())
+    return float(_block_loss_and_grad(p.architecture.layer_widths, x, y,
+                                      flatten_params(p)[None, :])[0])
 
 
 def _logits(p: MlpParams, x: np.ndarray):
     """Returns (logits, list of post-ReLU activations per hidden layer)."""
-    hs = [x]
-    h = x
+    hs, h = [x], x
     for w, b in zip(p.weights[:-1], p.biases[:-1]):
         h = np.maximum(h @ w + b, 0.0)
         hs.append(h)
     return h @ p.weights[-1] + p.biases[-1], hs
 
 
+def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None) -> np.ndarray:
+    """Total cross-entropy (S,) of S flat parameter vectors ws (S, P) on (x, y).
+
+    Fills grads (S, P) unless it is None. Activations are (draw, unit, sample)
+    arrays. The first layer is one GEMM of the S stacked weight matrices with
+    x, its weight gradient one GEMM delta @ x; deeper layers run np.matmul
+    over the draw axis. Per-sample losses are clipped at clip.
+    """
+    s, n, d1 = ws.shape[0], x.shape[0], widths[1]
+    layers = _layer_views(ws, widths)
+    z = (layers[0][0].transpose(0, 2, 1).reshape(s * d1, widths[0]) @ x.T).reshape(
+        s, d1, n) + layers[0][1][:, :, None]
+    hs = [x]
+    for w, b in layers[1:]:
+        hs.append(np.maximum(z, 0.0))
+        z = np.matmul(w.transpose(0, 2, 1), hs[-1]) + b[:, :, None]
+    z -= z.max(axis=1, keepdims=True)                      # log-softmax
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    rows = np.arange(n)
+    nll = -z[:, y, rows]
+    losses = (nll if clip is None else np.minimum(nll, clip)).sum(axis=1)
+    if grads is None:
+        return losses
+    delta = np.exp(z)
+    delta[:, y, rows] -= 1.0                               # d loss / d logits
+    if clip is not None:
+        delta *= (nll <= clip)[:, None, :]                 # clipped: flat
+    out = _layer_views(grads, widths)
+    for layer in range(len(layers) - 1, 0, -1):
+        out[layer][0][...] = np.matmul(hs[layer], delta.transpose(0, 2, 1))
+        out[layer][1][...] = delta.sum(axis=2)
+        delta = np.matmul(layers[layer][0], delta) * (hs[layer] > 0)
+    out[0][0][...] = (delta.reshape(s * d1, n) @ x).reshape(
+        s, d1, widths[0]).transpose(0, 2, 1)
+    out[0][1][...] = delta.sum(axis=2)
+    return losses
+
+
 def gradient_arrays(p: MlpParams, x: np.ndarray, y: np.ndarray
                     ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Backprop gradient of the summed cross-entropy over (x, y)."""
-    z, hs = _logits(p, x)
-    probs = np.exp(_log_softmax(z))
-    delta = probs
-    delta[np.arange(len(y)), y] -= 1.0         # d(total loss)/d logits
-    gws = [None] * len(p.weights)
-    gbs = [None] * len(p.biases)
-    for layer in range(len(p.weights) - 1, -1, -1):
-        gws[layer] = hs[layer].T @ delta
-        gbs[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ p.weights[layer].T) * (hs[layer] > 0)
-    return tuple(gws), tuple(gbs)
+    """Backprop gradient of the summed cross-entropy over (x, y) (one draw)."""
+    widths = p.architecture.layer_widths
+    grads = np.empty((1, p.num_params))
+    _block_loss_and_grad(widths, x, y, flatten_params(p)[None, :], grads)
+    layers = _layer_views(grads, widths)
+    return tuple(w[0] for w, _ in layers), tuple(b[0] for _, b in layers)
 
 
 def gradient(p: MlpParams, batch) -> MlpParams:
@@ -197,9 +224,7 @@ def gradient(p: MlpParams, batch) -> MlpParams:
     if isinstance(batch, Dataset):
         x, y = _as_xy(batch)
     else:
-        x, y = batch
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+        x, y = np.asarray(batch[0], np.float64), np.asarray(batch[1], np.int64)
     if len(y) == 0:
         raise ValueError("gradient needs a nonempty batch")
     gws, gbs = gradient_arrays(p, x, y)

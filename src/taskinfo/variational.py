@@ -10,6 +10,13 @@ log_var). The KL term is closed form; the expected loss is a Monte-Carlo
 mean over w = mu + sigma * eps with a seeded stream, so every estimate is a
 deterministic function of its seed.
 
+Every Monte-Carlo pass (optimizer steps, reports, expected_loss,
+mc_lagrangian_and_grads, bounds.clipped_expected_loss) hands all S draws as
+one (S, P) array to ``loss_and_grad``: one forward and one backward pass per
+block of draws (reparameterized, as in Blundell et al. 2015), or a loss-only
+forward pass. A block keeps n * (widest non-input layer) * draws within
+_BLOCK_CELLS, so activations and deltas take O(_BLOCK_CELLS) memory, not O(S).
+
 Curvature conventions: quadratic surrogates are written loss(w) =
 sum_i h_i (w_i - w0_i)^2, i.e. the expected-loss gap under N(mu, Sigma) is
 tr(h Sigma). With that convention the stationary covariance of the
@@ -28,12 +35,14 @@ from .models import (
     Architecture,
     MlpParams,
     TrainingDiverged,
+    _as_xy,
+    _block_loss_and_grad,
     _log_softmax,
     _logits,
     unflatten_params,
 )
 from .rng import stream
-from .tasks import Dataset, RealSpace
+from .tasks import Dataset
 from .finite_oracle import Curve
 
 __all__ = [
@@ -123,16 +132,16 @@ class FisherDiagonal:
 def kl_gaussian(q: GaussianPosterior, p: IsotropicPrior) -> float:
     """KL(N(mu, Sigma) || N(0, lambda^2 I)) with diagonal Sigma, in NATS."""
     lam2 = p.scale * p.scale
-    var = np.exp(q.log_var)
-    k = q.k
     return 0.5 * float(
-        (q.mean @ q.mean) / lam2 + var.sum() / lam2
-        + k * math.log(lam2) - q.log_var.sum() - k
+        (q.mean @ q.mean) / lam2 + np.exp(q.log_var).sum() / lam2
+        + q.k * math.log(lam2) - q.log_var.sum() - q.k
     )
 
 
 # ---------------------------------------------------------------------------
 # Loss models
+
+_BLOCK_CELLS = 16384    # per-block bound on n * (widest layer) * draws
 
 
 class MlpLossModel:
@@ -141,40 +150,29 @@ class MlpLossModel:
     exact_gaussian = False
 
     def __init__(self, arch: Architecture, d: Dataset):
-        if not isinstance(d.space, RealSpace):
-            raise ValueError("networks consume real-vector tasks "
-                             "(see tasks.as_real_vectors)")
+        self.x, self.y = _as_xy(d)
         if arch.input_dim != d.space.dim or arch.num_labels < d.num_labels:
             raise ValueError("architecture incompatible with dataset")
         self.arch = arch
-        self.x = d.inputs
-        self.y = d.labels
         self.n = d.n
+        self.block = max(1, _BLOCK_CELLS // (max(d.n, 1) * max(arch.layer_widths[1:])))
 
     @property
     def k(self) -> int:
         return self.arch.num_params
 
-    def loss_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        p = unflatten_params(w, self.arch)
-        z, hs = _logits(p, self.x)
-        logp = _log_softmax(z)
-        loss = float(-logp[np.arange(self.n), self.y].sum()) if self.n else 0.0
-        delta = np.exp(logp)
-        if self.n:
-            delta[np.arange(self.n), self.y] -= 1.0
-        grads = []
-        gws = [None] * len(p.weights)
-        gbs = [None] * len(p.biases)
-        for layer in range(len(p.weights) - 1, -1, -1):
-            gws[layer] = hs[layer].T @ delta
-            gbs[layer] = delta.sum(axis=0)
-            if layer > 0:
-                delta = (delta @ p.weights[layer].T) * (hs[layer] > 0)
-        for gw, gb in zip(gws, gbs):
-            grads.append(gw.ravel())
-            grads.append(gb)
-        return loss, np.concatenate(grads)
+    def loss_and_grad(self, ws: np.ndarray, grad: bool = True, clip=None):
+        """Losses (S,) and gradients (S, P), or None if not grad, at the S
+        weight draws ws (S, P); per-sample losses are clipped at ``clip``."""
+        if ws.ndim != 2 or ws.shape[1] != self.k:
+            raise ValueError(f"expected weight draws of shape (S, {self.k})")
+        losses, grads = np.empty(ws.shape[0]), (np.empty(ws.shape) if grad else None)
+        for lo in range(0, ws.shape[0], self.block):
+            block = slice(lo, lo + self.block)
+            losses[block] = _block_loss_and_grad(
+                self.arch.layer_widths, self.x, self.y, ws[block],
+                None if grads is None else grads[block], clip)
+        return losses, grads
 
 
 class QuadraticLossModel:
@@ -190,16 +188,15 @@ class QuadraticLossModel:
         self.h = np.asarray(h_diag, dtype=np.float64)
         if (self.h < 0).any():
             raise ValueError("curvatures must be nonnegative")
-        self.w0 = np.zeros_like(self.h) if w0 is None else \
-            np.asarray(w0, dtype=np.float64)
+        self.w0 = np.zeros_like(self.h) if w0 is None else np.asarray(w0, np.float64)
 
     @property
     def k(self) -> int:
         return self.h.shape[0]
 
-    def loss_and_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        delta = w - self.w0
-        return float(self.h @ (delta * delta)), 2.0 * self.h * delta
+    def loss_and_grad(self, ws: np.ndarray, grad: bool = True):
+        delta = ws - self.w0
+        return (delta * delta) @ self.h, (2.0 * self.h * delta if grad else None)
 
     def expected_loss(self, mean: np.ndarray, var: np.ndarray) -> float:
         delta = mean - self.w0
@@ -214,9 +211,17 @@ class QuadraticLossModel:
 # Monte-Carlo estimates
 
 
-def _mc_weights(q: GaussianPosterior, mc: int, seed: int, label="vi-mc"):
+def _mc_losses(model, q: GaussianPosterior, mc: int, seed: int, label="vi-mc"):
+    """Per-draw losses of mc reparameterized draws of Q (loss-only pass)."""
     eps = stream(seed, label).standard_normal((mc, q.k))
-    return q.mean[None, :] + q.sigma[None, :] * eps, eps
+    return model.loss_and_grad(q.mean + q.sigma * eps, grad=False)[0]
+
+
+def _mc_grads(model, mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray):
+    """Per-draw losses at w = mu + sigma * eps and the reparameterized
+    gradients of their mean with respect to mu and log_var."""
+    losses, grads = model.loss_and_grad(mu + sigma * eps)
+    return losses, grads.mean(axis=0), (grads * eps).mean(axis=0) * sigma * 0.5
 
 
 def expected_loss(q: GaussianPosterior, d: Dataset, mc_samples: int,
@@ -224,9 +229,7 @@ def expected_loss(q: GaussianPosterior, d: Dataset, mc_samples: int,
     """Reparameterized MC mean of the total dataset loss under Q."""
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    model = MlpLossModel(q.arch, d)
-    ws, _ = _mc_weights(q, mc_samples, seed)
-    return float(np.mean([model.loss_and_grad(w)[0] for w in ws]))
+    return float(_mc_losses(MlpLossModel(q.arch, d), q, mc_samples, seed).mean())
 
 
 def lagrangian(q: GaussianPosterior, d: Dataset, beta: float,
@@ -245,23 +248,11 @@ def mc_lagrangian_and_grads(model, q: GaussianPosterior, beta: float,
     differences of the value reproduce the returned gradients.
     """
     lam2 = p.scale * p.scale
-    sigma = q.sigma
-    ws, eps = _mc_weights(q, mc, seed)
-    losses = np.empty(mc)
-    gmu = np.zeros(q.k)
-    glv = np.zeros(q.k)
-    for i, w in enumerate(ws):
-        loss, grad = model.loss_and_grad(w)
-        losses[i] = loss
-        gmu += grad
-        glv += grad * eps[i]
-    gmu /= mc
-    glv = glv * sigma * 0.5 / mc
-    var = np.exp(q.log_var)
+    eps = stream(seed, "vi-mc").standard_normal((mc, q.k))
+    losses, gmu, glv = _mc_grads(model, q.mean, q.sigma, eps)
     value = float(losses.mean()) + beta * kl_gaussian(q, p)
-    gmu = gmu + beta * q.mean / lam2
-    glv = glv + beta * 0.5 * (var / lam2 - 1.0)
-    return value, gmu, glv
+    return (value, gmu + beta * q.mean / lam2,
+            glv + beta * 0.5 * (np.exp(q.log_var) / lam2 - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +272,11 @@ class VariationalConfig:
     def __post_init__(self):
         if self.steps < 0 or self.learning_rate <= 0 or self.mc_samples < 1:
             raise ValueError("invalid variational config")
-        lr_lv = self.logvar_learning_rate
-        if lr_lv is not None and not lr_lv > 0:
+        if self.report_mc < 1 or self.trace_every < 1:
+            raise ValueError("report_mc and trace_every must be >= 1")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError("grad_clip must be None or > 0")
+        if self.logvar_learning_rate is not None and not self.logvar_learning_rate > 0:
             raise ValueError("logvar_learning_rate must be None or > 0")
 
 
@@ -292,6 +286,8 @@ class VariationalResult:
     expected_loss: float     # report_mc estimate (exact for quadratics)
     kl: float
     trace: tuple[tuple[float, float], ...]   # (expected_loss, kl) snapshots
+    # std of the report draws / sqrt(report_mc); 0 if exact, nan for 1 draw
+    expected_loss_se: float
 
     def lagrangian_value(self, beta: float) -> float:
         return self.expected_loss + beta * self.kl
@@ -327,10 +323,8 @@ def optimize_gaussian(model, beta: float, prior: IsotropicPrior,
     if arch is None:
         arch = getattr(model, "arch", None) or vector_architecture(model.k)
     q = init if init is not None else prior_matched_posterior(arch, prior)
-    mu = np.array(q.mean)
-    lv = np.array(q.log_var)
+    mu, lv = np.array(q.mean), np.array(q.log_var)
     lam2 = prior.scale * prior.scale
-    lr_mu = cfg.learning_rate
     lr_lv = (cfg.learning_rate if cfg.logvar_learning_rate is None
              else cfg.logvar_learning_rate)
     # steps follow the per-sample objective C_beta / n, so step sizes (and
@@ -338,8 +332,7 @@ def optimize_gaussian(model, beta: float, prior: IsotropicPrior,
     denom = float(getattr(model, "n", 0) or 1)
     # sigma far above the prior scale is never optimal; clamping log_var
     # keeps bad MC draws from running away
-    lv_lo = math.log(lam2) - 46.0
-    lv_hi = math.log(lam2) + 4.6
+    lv_lo, lv_hi = math.log(lam2) - 46.0, math.log(lam2) + 4.6
     trace = []
     # overflow on a diverging run shows up as non-finite state and is
     # reported as TrainingDiverged
@@ -353,35 +346,21 @@ def optimize_gaussian(model, beta: float, prior: IsotropicPrior,
             else:
                 eps = stream(seed, "vi-step", step).standard_normal(
                     (cfg.mc_samples, mu.shape[0]))
-                ws = mu[None, :] + sigma[None, :] * eps
-                gmu = np.zeros_like(mu)
-                glv = np.zeros_like(lv)
-                acc = 0.0
-                for i in range(cfg.mc_samples):
-                    loss, grad = model.loss_and_grad(ws[i])
-                    acc += loss
-                    gmu += grad
-                    glv += grad * eps[i]
-                eloss = acc / cfg.mc_samples
-                gmu /= cfg.mc_samples
-                glv = glv * sigma * 0.5 / cfg.mc_samples
+                losses, gmu, glv = _mc_grads(model, mu, sigma, eps)
+                eloss = float(losses.mean())
             gmu = (gmu + beta * mu / lam2) / denom
             glv = (glv + beta * 0.5 * (var / lam2 - 1.0)) / denom
-            if cfg.grad_clip is not None:
-                norm = math.sqrt(float(gmu @ gmu + glv @ glv))
-                if norm > cfg.grad_clip:
-                    shrink = cfg.grad_clip / norm
-                    gmu = gmu * shrink
-                    glv = glv * shrink
-            mu -= lr_mu * gmu
+            norm = math.sqrt(float(gmu @ gmu + glv @ glv))
+            if cfg.grad_clip is not None and norm > cfg.grad_clip:
+                gmu, glv = gmu * (cfg.grad_clip / norm), glv * (cfg.grad_clip / norm)
+            mu -= cfg.learning_rate * gmu
             lv = np.clip(lv - lr_lv * glv, lv_lo, lv_hi)
             if not (np.isfinite(mu).all() and np.isfinite(lv).all()
                     and math.isfinite(eloss)):
                 raise TrainingDiverged(
                     f"posterior optimization diverged at step {step}",
                     last_params=GaussianPosterior(
-                        np.nan_to_num(mu),
-                        np.clip(np.nan_to_num(lv), -60, 60), arch),
+                        np.nan_to_num(mu), np.clip(np.nan_to_num(lv), -60, 60), arch),
                     trace=trace)
             if step % cfg.trace_every == 0 or step == cfg.steps - 1:
                 kl_now = kl_gaussian(GaussianPosterior(mu, lv, arch), prior)
@@ -389,12 +368,14 @@ def optimize_gaussian(model, beta: float, prior: IsotropicPrior,
     out = GaussianPosterior(mu, lv, arch)
     kl = kl_gaussian(out, prior)
     if model.exact_gaussian:
-        final = model.expected_loss(mu, np.exp(lv))
+        final, se = model.expected_loss(mu, np.exp(lv)), 0.0
     else:
-        ws, _ = _mc_weights(out, cfg.report_mc, seed, label="vi-report")
-        final = float(np.mean([model.loss_and_grad(w)[0] for w in ws]))
+        losses = _mc_losses(model, out, cfg.report_mc, seed, "vi-report")
+        final = float(losses.mean())
+        se = (float(losses.std(ddof=1)) / math.sqrt(cfg.report_mc)
+              if cfg.report_mc > 1 else math.nan)
     return VariationalResult(posterior=out, expected_loss=final, kl=kl,
-                             trace=tuple(trace))
+                             trace=tuple(trace), expected_loss_se=se)
 
 
 def optimize_posterior(d: Dataset, arch: Architecture, beta: float,
@@ -514,16 +495,15 @@ def structure_sweep(d: Dataset, arch: Architecture, beta_schedule,
         raise ValueError("beta schedule must be strictly decreasing")
     model = MlpLossModel(arch, d)
     q = prior_matched_posterior(arch, prior)
-    losses, kls, results = [], [], []
+    results = []
     for i, beta in enumerate(betas):
-        res = optimize_gaussian(model, beta, prior, cfg, init=q,
-                                seed=seed * 1009 + i, arch=arch)
-        q = res.posterior
-        losses.append(res.expected_loss)
-        kls.append(res.kl)
-        results.append(res)
-    return SweepResult(betas=np.array(betas), losses=np.array(losses),
-                       kls=np.array(kls), n=d.n, results=tuple(results))
+        results.append(optimize_gaussian(model, beta, prior, cfg, init=q,
+                                         seed=seed * 1009 + i, arch=arch))
+        q = results[-1].posterior
+    return SweepResult(betas=np.array(betas),
+                       losses=np.array([r.expected_loss for r in results]),
+                       kls=np.array([r.kl for r in results]), n=d.n,
+                       results=tuple(results))
 
 
 def crossing_beta(betas, losses_per_sample, level: float) -> float | None:

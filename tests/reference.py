@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 from taskinfo import finite_oracle as fo
+from taskinfo.models import _log_softmax, _logits, unflatten_params
+from taskinfo.rng import stream
 
 
 def naive_candidates(d, fam, beta):
@@ -173,3 +175,47 @@ def naive_triangle_ok(metric):
         if (metric - (metric[:, k:k + 1] + metric[k:k + 1, :]) > 1e-9).any():
             return False
     return True
+
+
+def naive_loss_and_grad(arch, x, y, w, clip=None):
+    """Total cross-entropy of one flat weight vector and its gradient, one
+    MlpParams and one backprop per draw. Per-sample losses above ``clip``
+    count as ``clip`` and get zero gradient."""
+    p = unflatten_params(w, arch)
+    z, hs = _logits(p, x)
+    logp = _log_softmax(z)
+    n = x.shape[0]
+    nll = -logp[np.arange(n), y]
+    loss = float((nll if clip is None else np.minimum(nll, clip)).sum()) if n else 0.0
+    delta = np.exp(logp)
+    if n:
+        delta[np.arange(n), y] -= 1.0
+    if clip is not None:
+        delta[nll > clip] = 0.0
+    grads = []
+    gws = [None] * len(p.weights)
+    gbs = [None] * len(p.biases)
+    for layer in range(len(p.weights) - 1, -1, -1):
+        gws[layer] = hs[layer].T @ delta
+        gbs[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ p.weights[layer].T) * (hs[layer] > 0)
+    for gw, gb in zip(gws, gbs):
+        grads.append(gw.ravel())
+        grads.append(gb)
+    return loss, np.concatenate(grads)
+
+
+def naive_clipped_expected_loss(q, d, mc, seed):
+    """bounds.clipped_expected_loss one draw at a time."""
+    if d.n == 0:
+        return 0.0
+    lmax = math.log(d.num_labels)
+    eps = stream(seed, "clipped-loss").standard_normal((mc, q.k))
+    totals = np.empty(mc)
+    for i, w in enumerate(q.mean[None, :] + q.sigma[None, :] * eps):
+        p = unflatten_params(w, q.arch)
+        logp = _log_softmax(_logits(p, d.inputs)[0])
+        per_sample = -logp[np.arange(d.n), d.labels]
+        totals[i] = np.minimum(per_sample, lmax).sum() / lmax
+    return float(totals.mean())

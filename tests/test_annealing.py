@@ -361,3 +361,61 @@ def test_grid_file_wrong_header(tmp_path):
     mp.write_text("junk\n")
     with pytest.raises(ValueError, match=":1: expected"):
         load_grid(p, mp)
+
+
+@pytest.mark.parametrize("bad", ["a,b", "x\ny", "x\r", "x\r\ny", "p q", "v\x0bt",
+                                 "\x1c", "#x", "node_id7", "node_id"])
+def test_save_grid_rejects_ids_that_do_not_round_trip(tmp_path, bad):
+    g = line_grid([1.0, 2.0], [0.0, 1.0])
+    g = PosteriorGrid(g.losses, g.kls, g.metric, ("ok", bad))
+    p, mp = tmp_path / "grid.csv", tmp_path / "metric.csv"
+    with pytest.raises(ValueError, match="node id"):
+        save_grid(g, p, mp)
+    assert not p.exists() and not mp.exists()
+
+
+def test_save_grid_rejects_ids_equal_as_text(tmp_path):
+    g = line_grid([1.0, 2.0], [0.0, 1.0])
+    g = PosteriorGrid(g.losses, g.kls, g.metric, (1, "1"))
+    p, mp = tmp_path / "grid.csv", tmp_path / "metric.csv"
+    with pytest.raises(ValueError, match="node id '1'"):
+        save_grid(g, p, mp)
+    assert not p.exists() and not mp.exists()
+
+
+def _naive_round_trip(ids, losses, kls, metric, directory):
+    """Writes the grid file format without any id check; True if load_grid
+    reads the same ids back."""
+    p, mp = directory / "naive.csv", directory / "naive_metric.csv"
+    p.write_text("# taskinfo-grid v1\nnode_id,loss_nats,kl_nats\n" + "".join(
+        f"{i},{float(a)!r},{float(b)!r}\n" for i, a, b in zip(ids, losses, kls)),
+        encoding="utf-8")
+    mp.write_text("# taskinfo-grid-metric v1\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in metric),
+        encoding="utf-8")
+    try:
+        return load_grid(p, mp).node_ids == tuple(ids)
+    except ValueError:
+        return False
+
+
+PIECES = ["a", "b", "#", ",", " ", "\n", "\r", "\x0c", "\x1d", "\x85", " ",
+          "node_id"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(ids=st.lists(st.lists(st.sampled_from(PIECES), max_size=3).map("".join),
+                    min_size=1, max_size=4, unique=True))
+def test_save_grid_round_trips_exactly_or_refuses(tmp_path_factory, ids):
+    tmp = tmp_path_factory.mktemp("grid")
+    m = len(ids)
+    g = line_grid(np.arange(m, dtype=float), np.zeros(m))
+    g = PosteriorGrid(g.losses, g.kls, g.metric, tuple(ids))
+    p, mp = tmp / "grid.csv", tmp / "metric.csv"
+    if _naive_round_trip(ids, g.losses, g.kls, g.metric, tmp):
+        save_grid(g, p, mp)
+        assert load_grid(p, mp).node_ids == tuple(ids)
+    else:
+        with pytest.raises(ValueError, match="node id"):
+            save_grid(g, p, mp)
+        assert not p.exists() and not mp.exists()

@@ -62,6 +62,14 @@ def test_clipped_expected_loss_bounded():
     assert 0.0 <= total <= d.n   # per-sample values rescaled into [0, 1]
 
 
+def test_clipped_expected_loss_rejects_no_draws():
+    d = tasks.generate_random_label_task(15, tasks.RealSpace(3), 2, seed=1)
+    q = prior_matched_posterior(Architecture((3, 2)), IsotropicPrior(1.0))
+    for mc in (0, -1):
+        with pytest.raises(ValueError, match="mc"):
+            clipped_expected_loss(q, d, mc, 0)
+
+
 def _generator(trial_seed):
     d = tasks.generate_random_label_task(60, tasks.RealSpace(24), 2,
                                          seed=trial_seed)

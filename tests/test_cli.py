@@ -279,3 +279,20 @@ def test_version_must_be_one(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "gen-task",
                       {"version": 2, "seed": 1, "task": RANDOM_TASK})
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", [{"trace_every": 0}, {"report_mc": 0},
+                                 {"grad_clip": -1.0}, {"grad_clip": 0.0}])
+def test_beta_sweep_bad_variational_opt_is_config_error(tmp_path, capsys, bad):
+    code, out = run_cli(tmp_path, "beta-sweep", {
+        "version": 1, "seed": 2, "engine": "variational",
+        "tasks": [{"name": "rand", "task": {
+            "type": "random_labels", "n": 8, "k": 2,
+            "domain": {"kind": "real", "dim": 4}, "seed": 3}}],
+        "betas": [1.0],
+        "variational": {"arch_hidden": [], "prior_scale": 1.0,
+                        "opt": {"steps": 5, "learning_rate": 0.5, **bad}},
+    })
+    assert code == 2
+    assert next(iter(bad)) in capsys.readouterr().err
+    assert not (out / "beta_sweep.csv").exists()

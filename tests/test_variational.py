@@ -202,6 +202,48 @@ def test_config_rejects_nonpositive_logvar_learning_rate():
     assert VariationalConfig(logvar_learning_rate=0.3).logvar_learning_rate == 0.3
 
 
+@pytest.mark.parametrize("bad", [{"report_mc": 0}, {"trace_every": 0},
+                                 {"grad_clip": -1.0}, {"grad_clip": 0.0}])
+def test_config_rejects_bad_report_trace_and_clip(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        VariationalConfig(**bad)
+
+
+def test_config_allows_no_grad_clip():
+    assert VariationalConfig(grad_clip=None).grad_clip is None
+
+
+def test_expected_loss_se_zero_for_exact_models():
+    model = QuadraticLossModel(np.linspace(0.5, 2.0, 4))
+    cfg = VariationalConfig(steps=20, learning_rate=0.05, report_mc=8)
+    res = optimize_gaussian(model, 1.0, IsotropicPrior(1.0), cfg, seed=0)
+    assert res.expected_loss_se == 0.0
+
+
+def test_expected_loss_se_shrinks_as_inverse_sqrt_report_mc(small_task):
+    arch = Architecture((3, 4, 2))
+    ses = []
+    for report_mc in (64, 256, 1024, 4096):
+        cfg = VariationalConfig(steps=30, learning_rate=0.05, mc_samples=4,
+                                report_mc=report_mc)
+        res = optimize_posterior(small_task, arch, 1.0, IsotropicPrior(1.0),
+                                 cfg, seed=3)
+        assert res.expected_loss_se > 0.0
+        ses.append(res.expected_loss_se)
+    # the same posterior each time: se * sqrt(report_mc) estimates one std
+    scaled = np.array(ses) * np.sqrt([64, 256, 1024, 4096])
+    assert scaled.max() / scaled.min() < 1.5
+    assert ses[-1] < ses[0] / 4
+
+
+def test_expected_loss_se_nan_for_a_single_report_draw(small_task):
+    cfg = VariationalConfig(steps=2, learning_rate=0.05, mc_samples=2,
+                            report_mc=1)
+    res = optimize_posterior(small_task, Architecture((3, 2)), 1.0,
+                             IsotropicPrior(1.0), cfg, seed=0)
+    assert math.isnan(res.expected_loss_se)
+
+
 def test_optimizer_divergence_raises(small_task):
     from taskinfo.models import TrainingDiverged
     arch = Architecture((3, 4, 2))
