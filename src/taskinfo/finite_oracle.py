@@ -17,6 +17,12 @@ Code lengths satisfy the Kraft budget sum exp(-len) <= 1, which is what
 makes the memorization price exactly one NAT of description per NAT of loss
 removed and puts the critical trade-off at beta = 1 for random labels.
 
+Union families are factored: a pair rule is kept as its two children, never
+as a table. Screening evaluates each part's family once on its half of the
+inputs and gathers the pair rules' rows by child index, and the table values
+a query needs (exact re-checks, returned hypotheses) are built per rule. The
+stacked (R, M, K) ``HypothesisFamily.tables`` are built only when read.
+
 All reported losses and minima are exact: candidates are screened with fast
 vectorized arithmetic, then every near-minimal candidate is re-evaluated with
 `math.fsum` over per-sample terms, so results are independent of sample
@@ -29,6 +35,7 @@ saturating sentinel INF_NATS, larger than any finite family value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +71,7 @@ __all__ = [
 INF_NATS = 1e30          # saturating stand-in for an infinite loss
 _INF_REPORT = 1e29       # anything above this is reported as math.inf
 TIE_ATOL = 1e-9          # argmin tie window (documented tie-break rule)
+_ROWS = 1 << 13          # rules per block when screening, bounds temporaries
 
 LN2 = math.log(2.0)
 _GROUP_TAG = math.log(4.0)   # four base-rule groups share the budget equally
@@ -166,29 +174,109 @@ class Curve:
 # Family construction
 
 
+def _dense_group_loss(tables: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(R, g) sum_k counts[g, k] * -ln tables[r, g, k]; INF_NATS where p = 0."""
+    nl = np.where(tables > 0, -np.log(np.maximum(tables, 1e-300)), INF_NATS)
+    return np.einsum("gk,rgk->rg", counts, nl)
+
+
 @dataclass
 class _Rules:
-    """The rules over one space, in enumeration order, as arrays.
+    """The rules over one space, in enumeration order.
 
-    For pair rules, ``kid_src`` and ``kid_idx`` (R, 2) name the (left,
-    right) child as (position in ``sources``, rule index there); -1 marks a
-    rule that is not a pair. Child back-references one level up read them.
+    A flat block (and a custom family) stores its ``tables`` (R, space.size,
+    K). A union stores none. Its first rules are its ``flat`` block; the
+    rest are pair rules, and row i of ``kid_idx`` (R - len(flat), 2) gives
+    pair rule len(flat) + i's left child as a rule of ``parts[0]``, the left
+    part's family, and its right child as a rule of ``parts[1]`` (a
+    back-referenced child lies in the right part's space, so it has the
+    same enumeration there). The left child fills rows [0, mmax), the right
+    child rows [mmax, 2 mmax), mmax = space.size // 2; rows past a child's
+    own space are uniform. Every table-valued query is answered from the
+    children.
     """
 
     space: DiscreteSpace
+    k: int
     names: list[str]
     costs: np.ndarray                 # (R,)
-    tables: np.ndarray                # (R, space.size, K)
-    sources: tuple = ()
-    kid_src: np.ndarray | None = None
+    tables: np.ndarray | None = None  # (R, space.size, K), flat rules only
+    flat: "_Rules | None" = None
+    parts: tuple = ()
     kid_idx: np.ndarray | None = None
 
+    def __len__(self) -> int:
+        return len(self.names)
 
-def _put_padded(dst: np.ndarray, src: np.ndarray) -> None:
-    """Write src (..., m, K) into dst (..., rows, K); rows past m are uniform."""
-    m, k = src.shape[-2:]
-    dst[..., :m, :] = src
-    dst[..., m:, :] = 1.0 / k
+    def cells(self, rules: np.ndarray, xs: np.ndarray, ys: np.ndarray
+              ) -> np.ndarray:
+        """(len(rules), len(xs)) table values p(ys[j] | xs[j]) of each rule."""
+        if self.tables is not None:
+            return self.tables[rules[:, None], xs, ys]
+        out = np.empty((len(rules), len(xs)))
+        flat = rules < len(self.flat)
+        out[flat] = self.flat.cells(rules[flat], xs, ys)
+        pair = np.flatnonzero(~flat)
+        kids = self.kid_idx[rules[pair] - len(self.flat)]
+        mmax = self.space.size // 2
+        for side, child in enumerate(self.parts):
+            at = np.flatnonzero((xs >= mmax) == bool(side))
+            local = xs[at] - side * mmax
+            inside = local < child.space.size
+            out[np.ix_(pair, at[~inside])] = 1.0 / self.k
+            out[np.ix_(pair, at[inside])] = child.cells(
+                kids[:, side], local[inside], ys[at[inside]])
+        return out
+
+    def group_loss(self, xs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """(R, g) losses of every rule on the groups with sorted distinct
+        inputs ``xs`` and label counts ``counts`` (g, K): the values of
+        `_dense_group_loss` over the full tables, bit for bit. A union
+        evaluates each part's family once on its half of the groups and
+        gathers the pair rules' rows by child index."""
+        if self.tables is not None:
+            return _dense_group_loss(self.tables[:, xs, :], counts)
+        out = np.empty((len(self), len(xs)))
+        nf = len(self.flat)
+        out[:nf] = self.flat.group_loss(xs, counts)
+        mmax = self.space.size // 2
+        split = int(np.searchsorted(xs, mmax))
+        halves = (slice(0, split), slice(split, None))
+        for side, (child, cols) in enumerate(zip(self.parts, halves)):
+            loss = child._padded_group_loss(xs[cols] - side * mmax, counts[cols],
+                                            self.k)
+            for lo in range(0, len(self.kid_idx), _ROWS):
+                kids = self.kid_idx[lo:lo + _ROWS, side]
+                out[nf + lo:nf + lo + len(kids), cols] = loss[kids]
+        return out
+
+    def _padded_group_loss(self, xs, counts, k) -> np.ndarray:
+        """group_loss where inputs past this space read the uniform row."""
+        inside = int(np.searchsorted(xs, self.space.size))
+        out = np.empty((len(self), len(xs)))
+        out[:, :inside] = self.group_loss(xs[:inside], counts[:inside])
+        out[:, inside:] = _dense_group_loss(
+            np.full((1, len(xs) - inside, k), 1.0 / k), counts[inside:])
+        return out
+
+    def facts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(is_constant, is_deterministic, first row (R, K)) of every rule."""
+        if self.tables is not None:
+            t = self.tables
+            return ((t == t[:, :1, :]).all(axis=(1, 2)),
+                    ((t == 0.0) | (t == 1.0)).all(axis=(1, 2)), t[:, 0, :])
+        const, det, row = self.flat.facts()
+        sides = []
+        for side, child in enumerate(self.parts):
+            c, d, r = (a[self.kid_idx[:, side]] for a in child.facts())
+            if child.space.size < self.space.size // 2:   # uniform padding
+                c &= (r == 1.0 / self.k).all(axis=1)
+                d[:] = False
+            sides.append((c, d, r))
+        (c0, d0, r0), (c1, d1, r1) = sides
+        return (np.concatenate([const, c0 & c1 & (r0 == r1).all(axis=1)]),
+                np.concatenate([det, d0 & d1]),
+                np.concatenate([row, r0]))
 
 
 class HypothesisFamily:
@@ -196,27 +284,27 @@ class HypothesisFamily:
 
     Build with :meth:`for_space` (structured rules as described in the
     module docstring) or :meth:`from_rules` (explicit custom rules). The
-    family exposes stacked ``tables`` (R, M, K), ``costs`` (R,) and
-    ``names``; list position is the enumeration order used for tie-breaking.
+    family exposes ``costs`` (R,), ``names``, ``is_constant`` and
+    ``is_deterministic``; list position is the enumeration order used for
+    tie-breaking. A union family from :meth:`for_space` is factored: it
+    keeps each pair rule as its two children and never stores the stacked
+    (R, M, K) ``tables``, which are built from the children on first read.
     """
 
     MAX_RULES = 400_000
 
-    def __init__(self, space: DiscreteSpace, num_labels: int, names: list[str],
-                 costs: np.ndarray, tables: np.ndarray,
-                 noise_grid: tuple[float, ...], custom: bool = False):
-        if not names:
+    def __init__(self, rules: _Rules, noise_grid: tuple[float, ...],
+                 custom: bool = False):
+        if not len(rules):
             raise NoHypothesisError("no hypothesis: family is empty")
-        self.space = space
-        self.num_labels = num_labels
+        self.space = rules.space
+        self.num_labels = rules.k
         self.noise_grid = tuple(noise_grid)
         self.custom = custom
-        self.tables = tables
-        self.costs = costs
-        self.names = names
-        t = self.tables
-        self.is_constant = (t == t[:, :1, :]).all(axis=(1, 2))
-        self.is_deterministic = ((t == 0.0) | (t == 1.0)).all(axis=(1, 2))
+        self._rules = rules
+        self.costs = rules.costs
+        self.names = rules.names
+        self.is_constant, self.is_deterministic, _ = rules.facts()
         kraft = self.kraft_sum()
         if kraft > 1.0 + 1e-9:
             raise ValueError(f"family violates the Kraft budget: {kraft:.6f} > 1")
@@ -225,7 +313,21 @@ class HypothesisFamily:
         return len(self.names)
 
     def kraft_sum(self) -> float:
-        return float(math.fsum(math.exp(-c) for c in self.costs.tolist()))
+        return float(math.fsum(map(math.exp, (-self.costs).tolist())))
+
+    def _tables_of(self, rules) -> np.ndarray:
+        """(len(rules), M, K) tables of the given rules, fresh arrays."""
+        m, k = self.space.size, self.num_labels
+        return self._rules.cells(np.asarray(rules, dtype=np.int64),
+                                 np.repeat(np.arange(m), k),
+                                 np.tile(np.arange(k), m)).reshape(-1, m, k)
+
+    @functools.cached_property
+    def tables(self) -> np.ndarray:
+        """Stacked (R, M, K) tables, read-only, built on first read."""
+        tables = self._tables_of(np.arange(len(self)))
+        tables.flags.writeable = False
+        return tables
 
     def hypothesis(self, index_or_name) -> Hypothesis:
         """Base rule as a standalone Hypothesis (intrinsic code length)."""
@@ -236,7 +338,8 @@ class HypothesisFamily:
                 raise KeyError(index_or_name) from None
         else:
             i = int(index_or_name)
-        return Hypothesis(table=self.tables[i], code_length=float(self.costs[i]),
+        return Hypothesis(table=self._tables_of([i])[0],
+                          code_length=float(self.costs[i]),
                           name=self.names[i], rule_index=i)
 
     def hypotheses(self) -> list[Hypothesis]:
@@ -250,9 +353,8 @@ class HypothesisFamily:
                   ) -> "HypothesisFamily":
         if num_labels < 2:
             raise ValueError("family needs num_labels >= 2")
-        rules = cls._rules_for_space(space, num_labels, tuple(noise_grid))
-        return cls(space, num_labels, rules.names, rules.costs, rules.tables,
-                   tuple(noise_grid))
+        return cls(cls._rules_for_space(space, num_labels, tuple(noise_grid)),
+                   noise_grid)
 
     @classmethod
     def from_rules(cls, hypotheses, space: DiscreteSpace | None = None,
@@ -261,82 +363,54 @@ class HypothesisFamily:
         if not hs:
             raise NoHypothesisError("no hypothesis: family is empty")
         m, k = hs[0].table.shape
-        return cls(space or DiscreteSpace(m), num_labels or k,
-                   [h.name or f"rule{i}" for i, h in enumerate(hs)],
-                   np.array([float(h.code_length) for h in hs]),
-                   np.stack([h.table for h in hs]), (), custom=True)
+        return cls(_Rules(space or DiscreteSpace(m), num_labels or k,
+                          [h.name or f"rule{i}" for i, h in enumerate(hs)],
+                          np.array([float(h.code_length) for h in hs]),
+                          np.stack([h.table for h in hs])), (), custom=True)
 
     @classmethod
     def _rules_for_space(cls, space, k, noise_grid) -> _Rules:
         flat = cls._flat_rules(space, k, noise_grid)
         if space.parts is None:
-            cls._check_size(len(flat.names))
+            cls._check_size(len(flat))
             return flat
 
         left_part, right_part = space.parts
         left = cls._rules_for_space(left_part.space, k, noise_grid)
         right = cls._rules_for_space(right_part.space, k, noise_grid)
-        n_flat, n_left, n_right = len(flat.names), len(left.names), len(right.names)
+        n_flat, n_left, n_right = len(flat), len(left), len(right)
         n_same = n_left if left_part.space == right_part.space else 0
         # child back-references: (a, which) for every pair rule a of the left
         # part whose child `which` lies in the right part's space, a-major
-        if left.kid_src is None:
-            back_a = back_w = np.zeros(0, dtype=np.int64)
-        else:
-            on_right = np.array([src.space == right_part.space
-                                 for src in left.sources])
-            back_a, back_w = np.nonzero((left.kid_src >= 0) & on_right[left.kid_src])
+        back_a = back_w = np.zeros(0, dtype=np.int64)
+        if left.flat is not None:
+            which = np.flatnonzero([p.space == right_part.space
+                                    for p in left_part.space.parts])
+            pairs = np.arange(len(left.flat), n_left)
+            back_a, back_w = pairs.repeat(len(which)), np.tile(which, len(pairs))
         total = n_flat + n_left * n_right + n_same + len(back_a)
         cls._check_size(total)
 
-        mmax = space.size // 2
         base = PAIR_FLAG + PAIR_KIND
-        tables = np.empty((total, space.size, k))
-        kid_src = np.full((total, 2), -1, dtype=np.int64)
-        kid_idx = np.full((total, 2), -1, dtype=np.int64)
         left_idx = np.arange(n_left)
-
-        tables[:n_flat] = flat.tables
-        costs = [flat.costs + PAIR_FLAG]
+        costs = [flat.costs + PAIR_FLAG,                 # fresh: pair(a|b)
+                 ((base + left.costs)[:, None] + right.costs[None, :]).ravel()]
         names = [f"flat[{n}]" for n in flat.names]
-
-        lo, hi = n_flat, n_flat + n_left * n_right      # fresh: pair(a|b)
-        pairs = tables[lo:hi].reshape(n_left, n_right, space.size, k)
-        _put_padded(pairs[:, :, :mmax], left.tables[:, None])
-        _put_padded(pairs[:, :, mmax:], right.tables[None, :])
-        costs.append(((base + left.costs)[:, None] + right.costs[None, :]).ravel())
         names += [f"pair({a}|{b})" for a in left.names for b in right.names]
-        kid_src[lo:hi] = (0, 1)
-        kid_idx[lo:hi, 0] = np.repeat(left_idx, n_right)
-        kid_idx[lo:hi, 1] = np.tile(np.arange(n_right), n_left)
-
-        lo, hi = hi, hi + n_same                        # same: pair(a|=)
-        if n_same:
-            _put_padded(tables[lo:hi, :mmax], left.tables)
-            _put_padded(tables[lo:hi, mmax:], left.tables)
+        kids = [np.stack([left_idx.repeat(n_right),
+                          np.tile(np.arange(n_right), n_left)], axis=1)]
+        if n_same:                                       # same: pair(a|=)
             costs.append(base + left.costs)
             names += [f"pair({a}|=)" for a in left.names]
-            kid_src[lo:hi] = (0, 0)
-            kid_idx[lo:hi] = left_idx[:, None]
-
-        lo, hi = hi, total                              # back: pair(a|<w])
-        if hi > lo:
-            _put_padded(tables[lo:hi, :mmax], left.tables[back_a])
-            src = left.kid_src[back_a, back_w]
-            idx = left.kid_idx[back_a, back_w]
-            child = np.empty((hi - lo, right_part.space.size, k))
-            for j in np.unique(src):
-                child[src == j] = left.sources[j].tables[idx[src == j]]
-            _put_padded(tables[lo:hi, mmax:], child)
+            kids.append(np.stack([left_idx, left_idx], axis=1))
+        if len(back_a):                                  # back: pair(a|<w])
             costs.append((base + left.costs[back_a]) + PAIR_CHILD)
             names += [f"pair({left.names[a]}|<{w}])"
                       for a, w in zip(back_a.tolist(), back_w.tolist())]
-            kid_src[lo:hi, 0] = 0
-            kid_idx[lo:hi, 0] = back_a
-            kid_src[lo:hi, 1] = 2 + src
-            kid_idx[lo:hi, 1] = idx
-        return _Rules(space, names, np.concatenate(costs), tables,
-                      (left, right) + left.sources, kid_src, kid_idx)
+            kids.append(np.stack([back_a, left.kid_idx[back_a - len(left.flat),
+                                                       back_w]], axis=1))
+        return _Rules(space, k, names, np.concatenate(costs), flat=flat,
+                      parts=(left, right), kid_idx=np.concatenate(kids))
 
     @classmethod
     def _check_size(cls, rules: int) -> None:
@@ -378,7 +452,7 @@ class HypothesisFamily:
             [np.full((1, m, k), 1.0 / k), det]
             + ([np.stack(noisy, axis=1).reshape(-1, m, k)] if nq else []))
         return _Rules(
-            space,
+            space, k,
             ["uniform"] + names + [f"{n}~q{q:g}" for n in names for q in noise_grid],
             np.array([_GROUP_TAG] + costs + [c for c in costs for _ in noise_grid]),
             tables)
@@ -491,6 +565,30 @@ _APPROX_MARGIN = 1e-6
 _BLOCK = 1 << 22          # (candidate, sample) cells per exact re-check block
 
 
+def _screen_margin(vmin: float) -> float:
+    """Width of the shortlist above the approximate minimum vmin."""
+    return _APPROX_MARGIN * (1.0 + abs(vmin)) + TIE_ATOL
+
+
+class _PinOrders:
+    """Canonical pin orders, computed for the rules asked for.
+
+    Indexes like an (R, n_pure) array: row r lists the pure groups by
+    decreasing loss under rule r, ties toward the smaller group index (a
+    stable argsort of the row).
+    """
+
+    def __init__(self, group_loss: np.ndarray, pure_idx: np.ndarray):
+        self.group_loss = group_loss
+        self.pure_idx = pure_idx
+
+    def __getitem__(self, key):
+        rules, cols = key if isinstance(key, tuple) else (key, slice(None))
+        loss = np.take(self.group_loss[rules], self.pure_idx, axis=-1)
+        order = np.argsort(-loss, axis=-1, kind="stable")
+        return self.pure_idx[order][..., cols]
+
+
 class _Candidates:
     def __init__(self, d: Dataset, fam: HypothesisFamily):
         if not isinstance(d.space, DiscreteSpace):
@@ -524,25 +622,43 @@ class _Candidates:
         self.n_pure = int(pure.sum())
 
         # approximate per-group losses (used for candidate selection only)
-        if u:
-            t = fam.tables[:, xs, :]
-            nl = np.where(t > 0, -np.log(np.maximum(t, 1e-300)), INF_NATS)
-            self.group_loss = np.einsum("gk,rgk->rg", counts, nl)
-        else:
-            self.group_loss = np.zeros((len(fam), 0))
-        self.mixed_loss = self.group_loss[:, ~pure].sum(axis=1)
-        pure_idx = np.flatnonzero(pure)
-        pure_loss = self.group_loss[:, pure_idx]
-        order = np.argsort(-pure_loss, axis=1, kind="stable")
-        self.pin_order = pure_idx[order]          # (R, n_pure) group indices
-        sorted_desc = np.take_along_axis(pure_loss, order, axis=1)
-        rev_cumsum = np.cumsum(sorted_desc[:, ::-1], axis=1)[:, ::-1]
-        suffix = np.concatenate([rev_cumsum, np.zeros((len(fam), 1))], axis=1)
-        self.approx_loss = self.mixed_loss[:, None] + suffix   # (R, n_pure+1)
+        self.group_loss = fam._rules.group_loss(xs, counts)
+        pure_idx, mixed_idx = np.flatnonzero(pure), np.flatnonzero(~pure)
+        self.pin_order = _PinOrders(self.group_loss, pure_idx)
+        # approx_loss[r, s]: the mixed loss plus the pure groups left after
+        # pinning the s largest, a suffix sum of the ascending losses
+        self.mixed_loss = np.empty(len(fam))
+        self.approx_loss = np.empty((len(fam), self.n_pure + 1))
+        for lo in range(0, len(fam), _ROWS):
+            block = self.group_loss[lo:lo + _ROWS]
+            mixed = np.take(block, mixed_idx, axis=1)
+            self.mixed_loss[lo:lo + _ROWS] = mixed.sum(axis=1)
+            ascending = np.take(block, pure_idx, axis=1)
+            ascending.sort(axis=1)
+            np.cumsum(ascending, axis=1, out=ascending)
+            self.approx_loss[lo:lo + _ROWS, :-1] = ascending[:, ::-1]
+        self.approx_loss[:, -1] = 0.0
+        self.approx_loss += self.mixed_loss[:, None]    # (R, n_pure+1)
 
         self.ext = np.array(
             [extension_cost(u, s, self.k) for s in range(self.n_pure + 1)])
-        self.cost = fam.costs[:, None] + self.ext[None, :]
+
+    @property
+    def cost(self) -> np.ndarray:
+        """(R, n_pure+1) code length of every candidate (r, s), built anew."""
+        return self.fam.costs[:, None] + self.ext[None, :]
+
+    def screens(self, beta: float, cost_cap: float | None = None):
+        """(first rule, values) for blocks of _ROWS rules: the approximate
+        loss + beta * cost of their candidates, inf above cost_cap."""
+        for lo in range(0, len(self.fam), _ROWS):
+            values = self.fam.costs[lo:lo + _ROWS, None] + self.ext[None, :]
+            over = None if cost_cap is None else ~(values <= cost_cap)
+            values *= beta
+            values += self.approx_loss[lo:lo + _ROWS]
+            if over is not None:
+                values[over] = np.inf
+            yield lo, values
 
     # -- exact evaluation ---------------------------------------------------
 
@@ -557,7 +673,7 @@ class _Candidates:
         sorted value codes, and every row is checked equal to its group's
         first row, so a hash collision only costs an extra fsum.
         """
-        p = self.fam.tables[ur[:, None], self.d.inputs, self.d.labels]
+        p = self.fam._rules.cells(ur, self.d.inputs, self.d.labels)
         values, codes = np.unique(p, return_inverse=True)
         nll = np.array([-math.log(v) if v > 0.0 else INF_NATS
                         for v in values.tolist()])
@@ -608,7 +724,7 @@ class _Candidates:
     def hypothesis_for(self, r: int, s: int, pin_groups=None) -> Hypothesis:
         if pin_groups is None:
             pin_groups = self.pin_order[r, :s]
-        table = np.array(self.fam.tables[r])
+        table = self.fam._tables_of([r])[0]
         pins = self.pins_for(r, s, pin_groups)
         for x, label in pins:
             table[x, :] = 0.0
@@ -627,15 +743,20 @@ class _Candidates:
         key (cost, r, s), among those whose exact value is within TIE_ATOL
         of the minimum; (inf, None) when no candidate is under the cap.
         """
-        values = self.approx_loss + beta * self.cost
-        if cost_cap is not None:
-            values = np.where(self.cost <= cost_cap, values, np.inf)
-        vmin = float(values.min())
+        vmin, near = math.inf, []
+        for lo, values in self.screens(beta, cost_cap):
+            vmin = min(vmin, float(values.min()))
+            # the threshold falls with vmin, so each block keeps a superset
+            # of its part of the final shortlist
+            if math.isfinite(vmin):
+                r, s = np.nonzero(values <= vmin + _screen_margin(vmin))
+                near.append((lo + r, s, values[r, s]))
         if not math.isfinite(vmin):
             return math.inf, None
-        margin = _APPROX_MARGIN * (1.0 + abs(vmin)) + TIE_ATOL
-        r, s = np.nonzero(values <= vmin + margin)
-        cost = self.cost[r, s]
+        r, s, v = (np.concatenate(a) for a in zip(*near))
+        close = v <= vmin + _screen_margin(vmin)
+        r, s = r[close], s[close]
+        cost = self.fam.costs[r] + self.ext[s]
         exact = self.exact_losses(r, s) + beta * cost
         best = float(exact.min())
         tie = np.flatnonzero(exact <= best + TIE_ATOL)
@@ -747,14 +868,13 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
     vmin, _ = cand.minimize(beta)
     limit = vmin + tol + TIE_ATOL
 
-    values = cand.approx_loss + beta * cand.cost
     margin = _APPROX_MARGIN * (1.0 + abs(limit))
-    short = np.argwhere(values <= limit + margin)
+    short = [(lo + r, s) for lo, values in cand.screens(beta)
+             for r, s in np.argwhere(values <= limit + margin).tolist()]
 
     found = []
     for r, s in short:
-        r, s = int(r), int(s)
-        cost = float(cand.cost[r, s])
+        cost = float(cand.fam.costs[r] + cand.ext[s])
         budget = limit - beta * cost    # max loss a variant may have
         for pin_groups in _pin_sets_within(cand, r, s, budget):
             loss = cand.exact_loss(r, pin_groups)
@@ -820,7 +940,7 @@ def critical_beta(d: Dataset, fam: HypothesisFamily, tol_bisect: float = 1e-3
     cand = _Candidates(d, fam)
     const_rules = np.flatnonzero(fam.is_constant)
     const_loss = cand.exact_losses(const_rules, np.zeros_like(const_rules)).tolist()
-    const_cost = cand.cost[const_rules, 0].tolist()
+    const_cost = (fam.costs[const_rules] + cand.ext[0]).tolist()
 
     def constant_realized(beta: float) -> bool:
         vmin, _ = cand.minimize(beta)
@@ -859,7 +979,7 @@ def deterministic_complexity(d: Dataset, fam: HypothesisFamily) -> float | None:
     if len(det):
         # a rule must pin every input it misses and may pin more: its best
         # price is the cheapest extension from its miss count up
-        misses = (fam.tables[det[:, None], cand.xs, cand.majority] != 1.0).sum(axis=1)
+        misses = (fam._rules.cells(det, cand.xs, cand.majority) != 1.0).sum(axis=1)
         cheapest_from = np.minimum.accumulate(cand.ext[::-1])[::-1]
         best = float((fam.costs[det] + cheapest_from[misses]).min())
     if u == d.space.size and u > 0:

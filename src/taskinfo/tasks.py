@@ -464,30 +464,69 @@ def save_dataset_csv(d: Dataset, path) -> None:
 
 
 def load_dataset_csv(path) -> Dataset:
+    """Read a dataset file; malformed input raises ValueError("path:line: ...")."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("# taskinfo-dataset v1"):
-        raise ValueError(f"{path}: not a taskinfo-dataset v1 file")
-    header = lines[0]
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("# taskinfo-dataset v1"):
+        no = lines[0][0] if lines else 1
+        raise ValueError(f"{path}:{no}: not a taskinfo-dataset v1 file")
+
+    def fail(no, message):
+        raise ValueError(f"{path}:{no}: {message}") from None
+
+    head, header = lines[0]
     fields = dict(
         part.strip().split("=", 1) for part in header.split(",")[1:] if "=" in part
     )
-    k = int(fields["K"])
+    for key in ("K", "input"):
+        if key not in fields:
+            fail(head, f"header has no {key}= field")
     kind, _, size = fields["input"].partition(":")
-    space: Space = (
-        DiscreteSpace(int(size)) if kind == "discrete" else RealSpace(int(size))
-    )
-    body = lines[1:]
-    for ln in body:
+    if kind not in ("discrete", "real"):
+        fail(head, f"unknown input kind {kind!r}")
+    try:
+        k = int(fields["K"])
+        space: Space = (
+            DiscreteSpace(int(size)) if kind == "discrete" else RealSpace(int(size))
+        )
+    except ValueError as exc:
+        fail(head, exc)
+    rows = []
+    for no, ln in lines[1:]:
         if ln.startswith("# union="):
-            space, _ = _parse_union_spec(ln[len("# union="):])
-            break
-    rows = [ln.split(",") for ln in body if not ln.startswith("#")]
-    if isinstance(space, DiscreteSpace):
-        inputs = np.array([int(r[0]) for r in rows], dtype=np.int64)
+            try:
+                space, _ = _parse_union_spec(ln[len("# union="):])
+            except (ValueError, IndexError) as exc:
+                fail(no, f"bad union spec: {exc}")
+        elif not ln.startswith("#"):
+            rows.append((no, ln))
+
+    discrete = isinstance(space, DiscreteSpace)
+    width = 2 if discrete else space.dim + 1
+    cells = [ln.split(",") for _, ln in rows]
+    for (no, _), row in zip(rows, cells):
+        if len(row) != width:
+            fail(no, f"expected {width} columns, got {len(row)}")
+    inputs = (np.empty(len(rows), dtype=np.int64) if discrete
+              else np.empty((len(rows), space.dim)))
+    labels = np.empty(len(rows), dtype=np.int64)
+    for i, ((no, _), row) in enumerate(zip(rows, cells)):
+        try:
+            labels[i] = int(row[-1])
+            inputs[i] = int(row[0]) if discrete else [float(v) for v in row[:-1]]
+        except (ValueError, OverflowError) as exc:
+            fail(no, exc)
+    if discrete:
+        bad = (inputs < 0) | (inputs >= space.size)
+        what = f"discrete input outside 0..{space.size - 1}"
     else:
-        inputs = np.array(
-            [[float(v) for v in r[:-1]] for r in rows], dtype=np.float64
-        ).reshape(len(rows), space.dim)
-    labels = np.array([int(r[-1]) for r in rows], dtype=np.int64)
-    return Dataset(inputs=inputs, labels=labels, num_labels=k, space=space)
+        bad = ~np.isfinite(inputs).all(axis=1)
+        what = "real input not finite"
+    for mask, message in ((bad, what), ((labels < 0) | (labels >= k),
+                                        f"label outside 0..{k - 1}")):
+        if mask.any():
+            fail(rows[int(np.argmax(mask))][0], message)
+    try:
+        return Dataset(inputs=inputs, labels=labels, num_labels=k, space=space)
+    except ValueError as exc:
+        fail(head, exc)

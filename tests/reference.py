@@ -50,6 +50,35 @@ def naive_min(d, fam, beta):
     return value, ties
 
 
+def dense_screening(d, tables):
+    """The oracle's candidate screen over dense (R, M, K) tables.
+
+    Group losses come from one einsum over the (R, u, K) slice of the
+    tables, pin orders from a stable argsort of every rule's pure-group
+    losses, and approximate losses from their suffix sums. Returns
+    (group_loss, pin_order, approx_loss).
+    """
+    xs, inverse = np.unique(d.inputs, return_inverse=True)
+    u, r, k = len(xs), tables.shape[0], tables.shape[2]
+    counts = np.zeros((u, k))
+    np.add.at(counts, (inverse, d.labels), 1.0)
+    pure = (counts > 0).sum(axis=1) == 1
+    if u:
+        t = tables[:, xs, :]
+        nl = np.where(t > 0, -np.log(np.maximum(t, 1e-300)), fo.INF_NATS)
+        group_loss = np.einsum("gk,rgk->rg", counts, nl)
+    else:
+        group_loss = np.zeros((r, 0))
+    mixed_loss = group_loss[:, ~pure].sum(axis=1)
+    pure_idx = np.flatnonzero(pure)
+    pure_loss = group_loss[:, pure_idx]
+    order = np.argsort(-pure_loss, axis=1, kind="stable")
+    sorted_desc = np.take_along_axis(pure_loss, order, axis=1)
+    rev_cumsum = np.cumsum(sorted_desc[:, ::-1], axis=1)[:, ::-1]
+    suffix = np.concatenate([rev_cumsum, np.zeros((r, 1))], axis=1)
+    return group_loss, pure_idx[order], mixed_loss[:, None] + suffix
+
+
 def naive_family(space, k, noise_grid=(0.05, 0.1, 0.2)):
     """Structured family built one rule at a time: (names, costs, tables).
 

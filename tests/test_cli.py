@@ -296,3 +296,21 @@ def test_beta_sweep_bad_variational_opt_is_config_error(tmp_path, capsys, bad):
     assert code == 2
     assert next(iter(bad)) in capsys.readouterr().err
     assert not (out / "beta_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("text, where", [
+    ("# taskinfo-dataset v1, K=2\n0,1\n", ":1: header has no input= field"),
+    ("# taskinfo-dataset v1, K=2, input=discrete:4\n0,1\nx,0\n", ":3: invalid literal"),
+    ("# taskinfo-dataset v1, K=2, input=discrete:4\n0,1,1\n", ":2: expected 2 columns"),
+    ("# taskinfo-dataset v1, K=2, input=discrete:4\n0,1\n\n9,0\n",
+     ":4: discrete input outside 0..3"),
+])
+def test_bad_task_file_is_config_error_naming_path_and_line(tmp_path, capsys,
+                                                            text, where):
+    path = tmp_path / "task.csv"
+    path.write_text(text)
+    code, out = run_cli(tmp_path, "gen-task", {
+        "version": 1, "seed": 1, "task": {"type": "file", "path": str(path)}})
+    assert code == 2
+    assert f"{path}{where}" in capsys.readouterr().err
+    assert not (out / "task.csv").exists()

@@ -1,0 +1,127 @@
+"""Factored union families against the dense screen they replace.
+
+A union family from ``HypothesisFamily.for_space`` keeps each pair rule as
+its two children. Its group losses, pin orders, approximate losses, tables
+and rule facts must equal, bit for bit, what the dense (R, M, K) tables of
+``reference.naive_family`` give.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from taskinfo import finite_oracle as fo
+from taskinfo import tasks
+from taskinfo.tasks import Dataset, DiscreteSpace
+
+from .reference import dense_screening, naive_family
+
+
+def _union(left, right):
+    return DiscreteSpace(2 * max(left.size, right.size),
+                         parts=(tasks.UnionPart(left, 2), tasks.UnionPart(right, 2)))
+
+
+@st.composite
+def _factored_tasks(draw):
+    """A union task with its family: unequal parts (padded rows), equal
+    parts (pair(a|=)), a union as the left part (pair(a|<w]) references)
+    or as the right part. Inputs fall anywhere in the union's domain, so
+    some land in padded rows."""
+    kind = draw(st.sampled_from(["pair", "same", "left-union", "right-union"]))
+    flat = kind in ("pair", "same")
+    # unions of unions grow fast: smaller parts and no noise grid
+    a, b = (DiscreteSpace(draw(st.integers(1, 4 if flat else 2))) for _ in range(2))
+    space = {"pair": lambda: _union(a, b),
+             "same": lambda: _union(a, a),
+             "left-union": lambda: _union(_union(a, b), draw(st.sampled_from([a, b]))),
+             "right-union": lambda: _union(a, _union(b, DiscreteSpace(1)))}[kind]()
+    k = draw(st.sampled_from([2, 3]))
+    noise_grid = draw(st.sampled_from([(), (0.1,), (0.05, 0.2)])) if flat else ()
+    n = draw(st.integers(0, 9))
+    xs = draw(st.lists(st.integers(0, space.size - 1), min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    d = Dataset(np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), k, space)
+    return d, fo.HypothesisFamily.for_space(space, k, noise_grid), noise_grid
+
+
+def _dense_twin(d, fam, tables):
+    """Candidates of ``fam`` whose screen is today's dense one."""
+    cand = fo._Candidates(d, fam)
+    cand.group_loss, cand.pin_order, cand.approx_loss = dense_screening(d, tables)
+    return cand
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_factored_tasks(), st.data())
+def test_factored_union_screen_matches_dense(task, data):
+    d, fam, noise_grid = task
+    names, costs, tables = naive_family(d.space, fam.num_labels, noise_grid)
+    assert fam.names == names
+    assert fam.costs.tobytes() == costs.tobytes()
+    assert "tables" not in vars(fam)      # nothing dense built so far
+
+    cand = fo._Candidates(d, fam)
+    dense = _dense_twin(d, fam, tables)
+    assert cand.group_loss.tobytes() == dense.group_loss.tobytes()
+    assert cand.approx_loss.tobytes() == dense.approx_loss.tobytes()
+    rules = np.arange(len(fam))
+    assert np.array_equal(cand.pin_order[rules], dense.pin_order)
+    r = data.draw(st.integers(0, len(fam) - 1))
+    s = data.draw(st.integers(0, cand.n_pure))
+    assert np.array_equal(cand.pin_order[r, :s], dense.pin_order[r, :s])
+
+    custom = fo._Candidates(d, fo.HypothesisFamily.from_rules(
+        [fo.Hypothesis(t, c, nm) for nm, c, t in zip(names, costs, tables)],
+        d.space, fam.num_labels))
+    cost = np.sort(cand.cost.ravel())
+    caps = [None, cost[0] / 2, cost[0], cost[len(cost) // 3], cost[-1]]
+    for beta in (0.0, 0.4, 1.0, 3.0):
+        for cap in caps:
+            want = dense.minimize(beta, cap)
+            assert cand.minimize(beta, cap) == want
+            assert custom.minimize(beta, cap) == want
+    assert "tables" not in vars(fam)
+
+    assert fam.tables.tobytes() == tables.tobytes()
+    assert np.array_equal(fam.is_constant,
+                          (tables == tables[:, :1, :]).all(axis=(1, 2)))
+    assert np.array_equal(fam.is_deterministic,
+                          ((tables == 0.0) | (tables == 1.0)).all(axis=(1, 2)))
+
+
+def test_union_queries_build_no_dense_tables():
+    a, b = DiscreteSpace(3), DiscreteSpace(2)
+    d = tasks.disjoint_union(
+        tasks.generate_random_label_task(3, a, 2, seed=0),
+        tasks.generate_random_label_task(2, b, 2, seed=1))
+    fam = fo.HypothesisFamily.for_space(d.space, 2)
+    fo.complexity(d, fam)
+    fo.structure_function(d, fam, [5.0, 10.0, 20.0])
+    fo.critical_beta(d, fam)
+    fo.beta_sufficient_statistics(d, fam, 1.0, tol=0.0)
+    fo.deterministic_complexity(d, fam)
+    fam.hypothesis("pair(bit0|const1)")
+    assert "tables" not in vars(fam)
+
+
+def test_union_distance_memory_guard():
+    # the 93,899-rule union of two 32-input tasks: a dense (R, M, K) table
+    # alone is 96 MB, and the dense screen peaked near 700 MB
+    space = DiscreteSpace(32)
+    fam = fo.HypothesisFamily.for_space(space, 2)
+    xs = np.random.default_rng(33).permutation(32)
+    plant = Dataset(xs, fam.hypothesis("parity011").table[xs].argmax(axis=1),
+                    2, space)
+    rand = tasks.generate_random_label_task(32, space, 2, seed=34)
+    tracemalloc.start()
+    try:
+        value = fo.oracle_distance(plant, rand, fam, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value) and value >= 0.0
+    assert peak <= 350e6, f"peak {peak / 1e6:.0f} MB"

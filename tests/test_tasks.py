@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskinfo import tasks
 from taskinfo.tasks import (
@@ -257,3 +260,56 @@ def test_subset_split_partitions():
     d = generate_random_label_task(20, RealSpace(3), 2, seed=0)
     train, test = tasks.subset_split(d, 0.75, seed=1)
     assert train.n == 15 and test.n == 5
+
+
+# ---------------------------------------------------------------------------
+# dataset file errors name the file and the line
+
+
+_HEADER = "# taskinfo-dataset v1, K=2, input=discrete:4"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("# taskinfo-dataset v1, input=discrete:4\n0,1\n", 1, "no K= field"),
+    ("# taskinfo-dataset v1, K=2\n0,1\n", 1, "no input= field"),
+    ("# taskinfo-dataset v1, K=two, input=discrete:4\n0,1\n", 1, "invalid literal"),
+    ("# taskinfo-dataset v1, K=2, input=ternary:4\n0,1\n", 1, "input kind"),
+    (_HEADER + "\n0,1\n\nx,1\n", 4, "invalid literal"),
+    (_HEADER + "\n0,1\n1,0.5\n", 3, "invalid literal"),
+    (_HEADER + "\n0,1\n1,0,1\n", 3, "expected 2 columns, got 3"),
+    (_HEADER + "\n0\n", 2, "expected 2 columns, got 1"),
+    (_HEADER + "\n0,1\n# a comment\n4,1\n", 4, r"discrete input outside 0\.\.3"),
+    (_HEADER + "\n-1,1\n", 2, r"discrete input outside 0\.\.3"),
+    (_HEADER + "\n0,1\n2,2\n", 3, r"label outside 0\.\.1"),
+    (_HEADER + "\n0,99999999999999999999\n", 2, "too large|int"),
+    ("# taskinfo-dataset v1, K=2, input=real:2\n0.5,1\n", 2, "expected 3 columns"),
+    ("# taskinfo-dataset v1, K=2, input=real:2\n0.5,nan,1\n", 2, "not finite"),
+    (_HEADER + "\n# union=(discrete:2,K=2\n0,1\n", 2, "bad union spec"),
+])
+def test_dataset_load_errors_name_file_and_line(tmp_path, text, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "
+                                         rf"(.*)({message})"):
+        load_dataset_csv(path)
+
+
+_row_lines = st.lists(
+    st.one_of(st.from_regex(r"-?[0-9]{1,3},-?[0-9]{1,2}", fullmatch=True),
+              st.text(alphabet="0123,.-x #e\t", max_size=8)),
+    max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_lines, st.sampled_from(["discrete:4", "real:2"]))
+def test_dataset_load_fuzzed_rows_raise_value_error_with_line(tmp_path_factory,
+                                                             rows, space):
+    path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+    path.write_text("\n".join([f"# taskinfo-dataset v1, K=2, input={space}"]
+                              + rows) + "\n")
+    try:
+        d = load_dataset_csv(path)
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}:[0-9]+: ", str(exc)), str(exc)
+    else:
+        assert d.n == sum(1 for r in rows if r.strip() and not r.startswith("#"))
