@@ -10,7 +10,8 @@ Commands (all driven by a versioned JSON config):
     taskinfo gen-task         --config cfg.json --out dir
 
 Common flags: --seed-override replaces the config's top-level seed; --jobs
-parallelizes independent distance-matrix entries. Every output embeds the
+is accepted and ignored, since distance-matrix fits every statistic once in
+one lockstep batch and starts no worker processes. Every output embeds the
 effective config hash and tool version in a comment header; writes are
 atomic (temp file + rename) and nothing is written if the run fails.
 Unknown config keys are rejected, and all randomness flows from explicit
@@ -26,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -288,16 +288,7 @@ def cmd_beta_sweep(cfg, hash_) -> dict:
     }
 
 
-def _matrix_entry(args):
-    (i, j, target, source, beta, arch, cfg, seeds) = args
-    try:
-        res = distance_mod.task_distance(source, target, beta, arch, cfg, seeds)
-    except distance_mod.DistanceUndefined:
-        return (i, j, None)
-    return (i, j, res)
-
-
-def cmd_distance_matrix(cfg, hash_, jobs: int = 1) -> dict:
+def cmd_distance_matrix(cfg, hash_) -> dict:
     _check_keys(cfg, "config",
                 ("version", "seed", "beta", "tasks", "arch_hidden",
                  "prior_scale"),
@@ -324,17 +315,7 @@ def cmd_distance_matrix(cfg, hash_, jobs: int = 1) -> dict:
     )
     arch = _arch(cfg["arch_hidden"], dims.pop() + 2, max(ks))
     seeds = [int(cfg["seed"]) * 131 + r for r in range(dcfg.replicates)]
-    work = [(i, j, target, source, beta, arch, dcfg, seeds)
-            for i, (_, target) in enumerate(named)
-            for j, (_, source) in enumerate(named)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_matrix_entry, work))
-    else:
-        done = [_matrix_entry(w) for w in work]
-    entries = {(i, j): res for i, j, res in done if res is not None}
-    matrix = distance_mod.distance_matrix(named, beta, arch, dcfg, seeds,
-                                          entries=entries)
+    matrix = distance_mod.distance_matrix(named, beta, arch, dcfg, seeds)
 
     names = matrix.names
     lines = [f"# taskinfo-distance-matrix v1, {_stamp(hash_)}, beta={beta!r}",
@@ -478,7 +459,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed-override", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help="ignored; "
+                       "distance-matrix starts no worker processes")
     args = parser.parse_args(argv)
 
     try:
@@ -499,11 +481,7 @@ def main(argv=None) -> int:
         if args.seed_override is not None:
             cfg = dict(cfg, seed=int(args.seed_override))
         hash_ = _config_hash(cfg)
-        command = _COMMANDS[args.command]
-        if args.command == "distance-matrix":
-            outputs = command(cfg, hash_, jobs=max(1, args.jobs))
-        else:
-            outputs = command(cfg, hash_)
+        outputs = _COMMANDS[args.command](cfg, hash_)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,11 @@ KL(Q_1||P), floored at zero. Posterior sets are approximated by seed
 replicates, filtered to those whose Lagrangian is within a slack of the
 best replicate (a stand-in for "sufficient"), with the raw pre-floor
 difference kept for diagnostics.
+
+All replicates of a call are fitted by one lockstep optimizer run
+(variational._optimize_many), each with its own seed, so a replicate gets
+the posterior it would get alone. distance_matrix fits each distinct
+(statistic dataset, seed) once for all its cells, within the call.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from .models import Architecture, SgdConfig, TrainingDiverged, sgd_train, datase
 from .tasks import Dataset, RealSpace, disjoint_union, subset_split
 from .variational import (
     IsotropicPrior,
+    MlpLossModel,
     VariationalConfig,
-    VariationalResult,
-    optimize_posterior,
+    _optimize_many,
 )
 
 __all__ = [
@@ -67,31 +72,11 @@ class TaskDistanceResult:
     spread_source: float
 
 
-def _statistic_kls(d: Dataset, arch: Architecture, beta: float,
-                   cfg: DistanceConfig, seeds) -> tuple[list[float], list[VariationalResult]]:
-    """KLs of replicates kept as approximate beta-sufficient statistics."""
-    results = []
-    for seed in seeds:
-        try:
-            results.append(optimize_posterior(
-                d, arch, beta, cfg.prior, cfg.opt, seed=int(seed)))
-        except TrainingDiverged:
-            warnings.warn(f"distance replicate (seed {seed}) diverged; dropped")
-    if not results:
-        raise DistanceUndefined("all replicates diverged")
-    best = min(r.lagrangian_value(beta) for r in results)
-    slack = abs(best) * cfg.lagrangian_slack + 1e-9
-    kept = [r for r in results if r.lagrangian_value(beta) <= best + slack]
-    return [r.kl for r in kept], kept
+def _statistics(d1: Dataset, d2: Dataset) -> tuple[Dataset, Dataset]:
+    """The source and union datasets of d_beta(d1 -> d2).
 
-
-def task_distance(d1: Dataset, d2: Dataset, beta: float, arch: Architecture,
-                  cfg: DistanceConfig, seeds) -> TaskDistanceResult:
-    """d_beta(d1 -> d2) via posteriors for d1 and for d1 u d2.
-
-    ``arch`` is the architecture used on the union task. The source
-    statistic is computed on d1 u d1 (zero-padded to the union input
-    width): that presentation carries exactly d1's information while
+    The source statistic is computed on d1 u d1, zero-padded to the union
+    input width: that presentation carries exactly d1's information while
     matching the union's origin-tag convention and sample scale, so the KL
     difference isolates the new information in d2 instead of presentation
     artifacts.
@@ -99,11 +84,52 @@ def task_distance(d1: Dataset, d2: Dataset, beta: float, arch: Architecture,
     if not (isinstance(d1.space, RealSpace) and isinstance(d2.space, RealSpace)):
         raise ValueError("variational distances need real-vector tasks "
                          "(see tasks.as_real_vectors)")
-    seeds = list(seeds)
-    du = disjoint_union(d1, d2)
-    source = _pad_width(disjoint_union(d1, d1), du.space.dim)
-    kls_source, _ = _statistic_kls(source, arch, beta, cfg, seeds)
-    kls_union, _ = _statistic_kls(du, arch, beta, cfg, seeds)
+    du, source = disjoint_union(d1, d2), disjoint_union(d1, d1)
+    if source.space.dim < du.space.dim:
+        inputs = np.zeros((source.n, du.space.dim))
+        inputs[:, : source.space.dim] = source.inputs
+        source = Dataset(inputs, source.labels, source.num_labels,
+                         RealSpace(du.space.dim))
+    return source, du
+
+
+def _fit(datasets, arch: Architecture, beta: float, cfg: DistanceConfig,
+         seeds) -> list[list]:
+    """Per dataset, its replicate fits (VariationalResult or TrainingDiverged).
+
+    Datasets of equal content share their fits: each distinct (content,
+    seed) is fitted once, and all of them in one lockstep optimizer call.
+    """
+    index, unique, rows = {}, [], []
+    for d in datasets:
+        key = (d.inputs.shape, d.inputs.tobytes(), d.labels.tobytes(), d.num_labels)
+        if key not in index:
+            index[key] = len(unique)
+            unique.append(d)
+        rows.append(index[key] * len(seeds))
+    fits = _optimize_many([MlpLossModel(arch, d) for d in unique for _ in seeds],
+                          [beta] * (len(unique) * len(seeds)), cfg.prior,
+                          cfg.opt, [seed for _ in unique for seed in seeds])
+    return [fits[row:row + len(seeds)] for row in rows]
+
+
+def _kept_kls(fits, seeds, beta: float, cfg: DistanceConfig) -> list[float]:
+    """KLs of replicates kept as approximate beta-sufficient statistics."""
+    for seed, res in zip(seeds, fits):
+        if isinstance(res, TrainingDiverged):
+            warnings.warn(f"distance replicate (seed {seed}) diverged; dropped")
+    results = [res for res in fits if not isinstance(res, TrainingDiverged)]
+    if not results:
+        raise DistanceUndefined("all replicates diverged")
+    best = min(r.lagrangian_value(beta) for r in results)
+    slack = abs(best) * cfg.lagrangian_slack + 1e-9
+    return [r.kl for r in results if r.lagrangian_value(beta) <= best + slack]
+
+
+def _distance(source_fits, union_fits, seeds, beta: float,
+              cfg: DistanceConfig) -> TaskDistanceResult:
+    kls_source = _kept_kls(source_fits, seeds, beta, cfg)
+    kls_union = _kept_kls(union_fits, seeds, beta, cfg)
     # max over source statistics of min over union statistics of the
     # difference = min(kl_union) - min(kl_source)
     kl_u = min(kls_union)
@@ -118,16 +144,18 @@ def task_distance(d1: Dataset, d2: Dataset, beta: float, arch: Architecture,
     )
 
 
-def _pad_width(d: Dataset, dim: int) -> Dataset:
-    if not isinstance(d.space, RealSpace):
-        raise ValueError("variational distances need real-vector tasks")
-    if d.space.dim == dim:
-        return d
-    if d.space.dim > dim:
-        raise ValueError("cannot pad a wider task down")
-    inputs = np.zeros((d.n, dim))
-    inputs[:, : d.space.dim] = d.inputs
-    return Dataset(inputs, d.labels, d.num_labels, RealSpace(dim))
+def task_distance(d1: Dataset, d2: Dataset, beta: float, arch: Architecture,
+                  cfg: DistanceConfig, seeds) -> TaskDistanceResult:
+    """d_beta(d1 -> d2) via posteriors for d1 and for d1 u d2.
+
+    ``arch`` is the architecture used on the union task; the source
+    statistic is fitted on d1 u d1 (see _statistics). The source and union
+    replicates are fitted together in one lockstep call (once if d1 u d1
+    and d1 u d2 are the same dataset).
+    """
+    seeds = [int(seed) for seed in seeds]
+    source_fits, union_fits = _fit(_statistics(d1, d2), arch, beta, cfg, seeds)
+    return _distance(source_fits, union_fits, seeds, beta, cfg)
 
 
 @dataclass(frozen=True)
@@ -144,39 +172,31 @@ class DistanceMatrix:
 
 
 def distance_matrix(named_tasks, beta: float, arch: Architecture,
-                    cfg: DistanceConfig, seeds, entries=None) -> DistanceMatrix:
+                    cfg: DistanceConfig, seeds) -> DistanceMatrix:
     """All ordered pairs of distances (diagonal included).
 
-    ``entries`` may carry precomputed TaskDistanceResult values keyed by
-    (target_index, source_index); missing pairs are computed here, so
-    callers can parallelize the independent entries.
+    Each cell equals task_distance for its pair, but a statistic shared by
+    several cells is fitted once: the cells' source and union datasets are
+    collected first, and every distinct one is fitted for every seed in one
+    lockstep call. Three tasks need 9 distinct statistics where the cells
+    name 18. A cell whose replicates all diverge is NaN.
     """
     named_tasks = list(named_tasks)
     if len(named_tasks) < 2:
         raise ValueError("distance matrix needs at least two tasks")
-    names = tuple(name for name, _ in named_tasks)
-    n = len(names)
-    values = np.full((n, n), math.nan)
-    pre = np.full((n, n), math.nan)
-    klu = np.full((n, n), math.nan)
-    kls = np.full((n, n), math.nan)
-    tau = np.full((n, n), math.nan)
-    entries = dict(entries or {})
-    for i, (_, target) in enumerate(named_tasks):
-        for j, (_, source) in enumerate(named_tasks):
-            res = entries.get((i, j))
-            if res is None:
-                try:
-                    res = task_distance(source, target, beta, arch, cfg, seeds)
-                except DistanceUndefined:
-                    continue
-            values[i, j] = res.value
-            pre[i, j] = res.pre_floor
-            klu[i, j] = res.kl_union
-            kls[i, j] = res.kl_source
-            tau[i, j] = res.tau
-    return DistanceMatrix(names=names, values=values, pre_floor=pre,
-                          kl_union=klu, kl_source=kls, tau=tau, beta=beta)
+    seeds = [int(seed) for seed in seeds]
+    n = len(named_tasks)
+    fits = _fit([d for _, target in named_tasks for _, source in named_tasks
+                 for d in _statistics(source, target)], arch, beta, cfg, seeds)
+    out = np.full((5, n, n), math.nan)
+    for cell in range(n * n):
+        try:
+            res = _distance(fits[2 * cell], fits[2 * cell + 1], seeds, beta, cfg)
+        except DistanceUndefined:
+            continue
+        out[:, cell // n, cell % n] = (res.value, res.pre_floor, res.kl_union,
+                                       res.kl_source, res.tau)
+    return DistanceMatrix(tuple(name for name, _ in named_tasks), *out, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ of (data, architecture, config, init).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -171,31 +172,50 @@ def _logits(p: MlpParams, x: np.ndarray):
     return h @ p.weights[-1] + p.biases[-1], hs
 
 
+@functools.lru_cache(maxsize=32)
+def _logit_offsets(s: int, k: int, n: int) -> np.ndarray:
+    """Flat offsets (s, n) of logit 0 of each (draw, sample) in an (s, k, n)
+    array; read-only, shared between calls."""
+    out = np.arange(s)[:, None] * (k * n) + np.arange(n)
+    out.flags.writeable = False
+    return out
+
+
 def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None) -> np.ndarray:
     """Total cross-entropy (S,) of S flat parameter vectors ws (S, P) on (x, y).
 
-    Fills grads (S, P) unless it is None. Activations are (draw, unit, sample)
-    arrays. The first layer is one GEMM of the S stacked weight matrices with
-    x, its weight gradient one GEMM delta @ x; deeper layers run np.matmul
-    over the draw axis. Per-sample losses are clipped at clip.
+    x and y may carry a leading run axis, x (R, n, d0) and y (R, n): then ws
+    holds S / R draws per run, ordered run-major, and each draw is scored on
+    its own run's data. Fills grads (S, P) unless it is None. Activations are
+    (draw, unit, sample) arrays. The first layer is one matmul over runs of
+    each run's stacked weight matrices with its x, its weight gradient one
+    matmul delta @ x; deeper layers run np.matmul over the draw axis.
+    Per-sample losses are clipped at clip.
     """
-    s, n, d1 = ws.shape[0], x.shape[0], widths[1]
+    if x.ndim == 2:
+        x, y = x[None], y[None]
+    r, n = x.shape[:2]
+    s, d1 = ws.shape[0], widths[1]
     layers = _layer_views(ws, widths)
-    z = (layers[0][0].transpose(0, 2, 1).reshape(s * d1, widths[0]) @ x.T).reshape(
-        s, d1, n) + layers[0][1][:, :, None]
+    z = np.matmul(layers[0][0].transpose(0, 2, 1).reshape(r, s // r * d1, widths[0]),
+                  x.transpose(0, 2, 1)).reshape(s, d1, n)
+    z += layers[0][1][:, :, None]
     hs = [x]
     for w, b in layers[1:]:
         hs.append(np.maximum(z, 0.0))
-        z = np.matmul(w.transpose(0, 2, 1), hs[-1]) + b[:, :, None]
+        z = np.matmul(w.transpose(0, 2, 1), hs[-1])
+        z += b[:, :, None]
     z -= z.max(axis=1, keepdims=True)                      # log-softmax
-    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
-    rows = np.arange(n)
-    nll = -z[:, y, rows]
+    e = np.exp(z)
+    z -= np.log(e.sum(axis=1, keepdims=True))
+    # flat index (draw, sample) of each sample's label logit
+    at = np.repeat(y * n, s // r, axis=0) + _logit_offsets(s, z.shape[1], n)
+    nll = -z.reshape(-1).take(at)
     losses = (nll if clip is None else np.minimum(nll, clip)).sum(axis=1)
     if grads is None:
         return losses
-    delta = np.exp(z)
-    delta[:, y, rows] -= 1.0                               # d loss / d logits
+    delta = np.exp(z, out=e)
+    delta.reshape(-1)[at] -= 1.0                           # d loss / d logits
     if clip is not None:
         delta *= (nll <= clip)[:, None, :]                 # clipped: flat
     out = _layer_views(grads, widths)
@@ -203,7 +223,7 @@ def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None) -> np.ndarray:
         out[layer][0][...] = np.matmul(hs[layer], delta.transpose(0, 2, 1))
         out[layer][1][...] = delta.sum(axis=2)
         delta = np.matmul(layers[layer][0], delta) * (hs[layer] > 0)
-    out[0][0][...] = (delta.reshape(s * d1, n) @ x).reshape(
+    out[0][0][...] = np.matmul(delta.reshape(r, s // r * d1, n), x).reshape(
         s, d1, widths[0]).transpose(0, 2, 1)
     out[0][1][...] = delta.sum(axis=2)
     return losses

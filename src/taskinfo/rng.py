@@ -5,9 +5,14 @@ streams keyed by an explicit integer seed plus a sequence of stream labels.
 The same (seed, labels) pair always yields the same stream, on every
 platform, which is what makes dataset generators, trainers and the CLI
 byte-reproducible.
+
+``_normal_into`` draws the same standard normals as ``stream(seed, *labels)``
+without building a Generator: it sets the key of one reused Philox and
+zeroes its counter, which is all a fresh stream holds.
 """
 
 import hashlib
+import threading
 
 import numpy as np
 
@@ -28,3 +33,22 @@ def stream(seed: int, *labels) -> np.random.Generator:
     statistically independent streams for the same seed.
     """
     return np.random.Generator(np.random.Philox(key=_key_from(seed, labels)))
+
+
+# One bit generator reused by _normal_into; the lock makes setting its
+# state and drawing from it one step.
+_PHILOX = np.random.Philox(0)
+_GENERATOR = np.random.Generator(_PHILOX)
+_LOCK = threading.Lock()
+
+
+def _normal_into(out: np.ndarray, seed: int, *labels) -> np.ndarray:
+    """Fill ``out`` with ``stream(seed, *labels).standard_normal(out.shape)``."""
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64),
+                       "key": _key_from(seed, labels)},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    with _LOCK:
+        _PHILOX.state = state
+        return _GENERATOR.standard_normal(out=out)

@@ -17,6 +17,19 @@ block of draws (reparameterized, as in Blundell et al. 2015), or a loss-only
 forward pass. A block keeps n * (widest non-input layer) * draws within
 _BLOCK_CELLS, so activations and deltas take O(_BLOCK_CELLS) memory, not O(S).
 
+Independent fits (distance replicates, PAC-Bayes trials) run in lockstep
+through the private _optimize_many: one optimizer loop steps R posteriors,
+each with its own beta, start and seed, on (R, P) state arrays (moment
+updates, gradient clip, log_var clamp, finiteness check, trace snapshots).
+Network runs of one architecture form a batch, and the runs of a batch that
+share n go through the kernel together: x stacked as (R, n, d0), draws
+run-major as (R * S, P). Each run draws its step noise from its own stream
+(seed, "vi-step", step), so it ends where it would alone, bit for bit; a run
+that diverges leaves the batch and is reported by itself. optimize_gaussian
+is the R = 1 case. A batch holds at most _LOCKSTEP_CELLS / (S * P) runs, so
+its per-step draws, weights and gradients take O(_LOCKSTEP_CELLS) memory on
+top of the kernel's blocks.
+
 Curvature conventions: quadratic surrogates are written loss(w) =
 sum_i h_i (w_i - w0_i)^2, i.e. the expected-loss gap under N(mu, Sigma) is
 tr(h Sigma). With that convention the stationary covariance of the
@@ -26,6 +39,7 @@ beta / (2 lambda^2)), which tends to (beta/2) h^-1 as lambda grows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +55,7 @@ from .models import (
     _logits,
     unflatten_params,
 )
-from .rng import stream
+from .rng import _normal_into, stream
 from .tasks import Dataset
 from .finite_oracle import Curve
 
@@ -131,10 +145,14 @@ class FisherDiagonal:
 
 def kl_gaussian(q: GaussianPosterior, p: IsotropicPrior) -> float:
     """KL(N(mu, Sigma) || N(0, lambda^2 I)) with diagonal Sigma, in NATS."""
-    lam2 = p.scale * p.scale
+    return _kl(q.mean, q.log_var, p.scale * p.scale)
+
+
+def _kl(mean: np.ndarray, log_var: np.ndarray, lam2: float) -> float:
+    k = mean.shape[0]
     return 0.5 * float(
-        (q.mean @ q.mean) / lam2 + np.exp(q.log_var).sum() / lam2
-        + q.k * math.log(lam2) - q.log_var.sum() - q.k
+        (mean @ mean) / lam2 + np.exp(log_var).sum() / lam2
+        + k * math.log(lam2) - log_var.sum() - k
     )
 
 
@@ -142,6 +160,7 @@ def kl_gaussian(q: GaussianPosterior, p: IsotropicPrior) -> float:
 # Loss models
 
 _BLOCK_CELLS = 16384    # per-block bound on n * (widest layer) * draws
+_LOCKSTEP_CELLS = 1 << 20   # per-batch bound on runs * mc_samples * P
 
 
 class MlpLossModel:
@@ -166,13 +185,28 @@ class MlpLossModel:
         weight draws ws (S, P); per-sample losses are clipped at ``clip``."""
         if ws.ndim != 2 or ws.shape[1] != self.k:
             raise ValueError(f"expected weight draws of shape (S, {self.k})")
-        losses, grads = np.empty(ws.shape[0]), (np.empty(ws.shape) if grad else None)
-        for lo in range(0, ws.shape[0], self.block):
-            block = slice(lo, lo + self.block)
-            losses[block] = _block_loss_and_grad(
-                self.arch.layer_widths, self.x, self.y, ws[block],
-                None if grads is None else grads[block], clip)
-        return losses, grads
+        return _runs_loss_and_grad(self.arch.layer_widths, self.x[None],
+                                   self.y[None], ws, self.block, grad, clip)
+
+
+def _runs_loss_and_grad(widths, x, y, ws, block, grad=True, clip=None):
+    """Losses (R*S,) and gradients (R*S, P), or None if not grad, of the
+    run-major weight draws ws (R*S, P) of R runs on their data x (R, n, d0),
+    y (R, n). A kernel call takes at most ``block`` draws: whole runs while
+    a run's S draws fit, else a slice of one run's draws."""
+    r = x.shape[0]
+    s = ws.shape[0] // r
+    losses, grads = np.empty(ws.shape[0]), (np.empty(ws.shape) if grad else None)
+    per = max(1, block // max(s, 1))
+    for r0 in range(0, r, per):
+        r1 = min(r, r0 + per)
+        step = max(1, min(s, block) * (r1 - r0))
+        for lo in range(r0 * s, r1 * s, step):
+            rows = slice(lo, min(lo + step, r1 * s))
+            losses[rows] = _block_loss_and_grad(
+                widths, x[r0:r1], y[r0:r1], ws[rows],
+                None if grads is None else grads[rows], clip)
+    return losses, grads
 
 
 class QuadraticLossModel:
@@ -213,15 +247,19 @@ class QuadraticLossModel:
 
 def _mc_losses(model, q: GaussianPosterior, mc: int, seed: int, label="vi-mc"):
     """Per-draw losses of mc reparameterized draws of Q (loss-only pass)."""
-    eps = stream(seed, label).standard_normal((mc, q.k))
+    eps = _normal_into(np.empty((mc, q.k)), seed, label)
     return model.loss_and_grad(q.mean + q.sigma * eps, grad=False)[0]
 
 
-def _mc_grads(model, mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray):
-    """Per-draw losses at w = mu + sigma * eps and the reparameterized
-    gradients of their mean with respect to mu and log_var."""
-    losses, grads = model.loss_and_grad(mu + sigma * eps)
-    return losses, grads.mean(axis=0), (grads * eps).mean(axis=0) * sigma * 0.5
+def _mc_grads(loss_and_grad, mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray):
+    """Per-draw losses (R, S) at w = mu + sigma * eps of R runs, with
+    mu, sigma (R, P) and eps (R, S, P), and the reparameterized gradients
+    (R, P) of each run's mean loss with respect to mu and log_var."""
+    losses, grads = loss_and_grad(
+        (mu[:, None] + sigma[:, None] * eps).reshape(-1, mu.shape[1]))
+    grads, s = grads.reshape(eps.shape), eps.shape[1]
+    return (losses.reshape(eps.shape[:2]), np.add.reduce(grads, axis=1) / s,
+            np.add.reduce(grads * eps, axis=1) / s * sigma * 0.5)
 
 
 def expected_loss(q: GaussianPosterior, d: Dataset, mc_samples: int,
@@ -249,10 +287,11 @@ def mc_lagrangian_and_grads(model, q: GaussianPosterior, beta: float,
     """
     lam2 = p.scale * p.scale
     eps = stream(seed, "vi-mc").standard_normal((mc, q.k))
-    losses, gmu, glv = _mc_grads(model, q.mean, q.sigma, eps)
+    losses, gmu, glv = _mc_grads(model.loss_and_grad, q.mean[None],
+                                 q.sigma[None], eps[None])
     value = float(losses.mean()) + beta * kl_gaussian(q, p)
-    return (value, gmu + beta * q.mean / lam2,
-            glv + beta * 0.5 * (np.exp(q.log_var) / lam2 - 1.0))
+    return (value, gmu[0] + beta * q.mean / lam2,
+            glv[0] + beta * 0.5 * (np.exp(q.log_var) / lam2 - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -317,65 +356,161 @@ def optimize_gaussian(model, beta: float, prior: IsotropicPrior,
 
     Quadratic models run on their exact Gaussian expectations; network
     models use reparameterized MC gradients with per-step seeded draws.
+    Raises TrainingDiverged if the state leaves the finite range.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
     if arch is None:
         arch = getattr(model, "arch", None) or vector_architecture(model.k)
-    q = init if init is not None else prior_matched_posterior(arch, prior)
-    mu, lv = np.array(q.mean), np.array(q.log_var)
+    q = (prior_matched_posterior(arch, prior) if init is None
+         else GaussianPosterior(init.mean, init.log_var, arch))
+    res = _optimize_many([model], [beta], prior, cfg, [seed], [q])[0]
+    if isinstance(res, TrainingDiverged):
+        raise res
+    return res
+
+
+def _optimize_many(models, betas, prior: IsotropicPrior, cfg: VariationalConfig,
+                   seeds, inits=None) -> list:
+    """Fit R independent posteriors in lockstep.
+
+    Run i descends the Lagrangian of models[i] at betas[i] from inits[i]
+    (default: the prior) with the step draws of stream(seeds[i], "vi-step",
+    step), as it would alone. Returns, per run, its VariationalResult or the
+    TrainingDiverged that stopped it; a diverged run leaves its batch and
+    the others go on. Network runs of one architecture step as one batch of
+    at most _LOCKSTEP_CELLS / (mc_samples * P) runs, and the runs of a
+    batch that share n share each kernel call; any other model runs alone.
+    """
+    if any(b < 0 for b in betas):
+        raise ValueError("beta must be >= 0")
+    if inits is None:
+        inits = [prior_matched_posterior(m.arch, prior) for m in models]
+    batches = {}
+    for i, m in enumerate(models):
+        key = m.arch.layer_widths if isinstance(m, MlpLossModel) else i
+        batches.setdefault(key, []).append(i)
+    out = [None] * len(models)
+    for runs in batches.values():
+        runs.sort(key=lambda i: getattr(models[i], "n", 0))
+        per = max(1, _LOCKSTEP_CELLS // (cfg.mc_samples * models[runs[0]].k))
+        for lo in range(0, len(runs), per):
+            idx = runs[lo:lo + per]
+            results = _lockstep([models[i] for i in idx], [betas[i] for i in idx],
+                                prior, cfg, [seeds[i] for i in idx],
+                                [inits[i] for i in idx])
+            for i, res in zip(idx, results):
+                out[i] = res
+    return out
+
+
+def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
+    """One batch of _optimize_many, its network runs in order of n. The
+    state arrays carry a leading run axis, and each span of runs with
+    equal n goes through the kernel as one run-axis batch."""
+    mu = np.array([q.mean for q in inits])
+    lv = np.array([q.log_var for q in inits])
+    beta = np.array(betas, dtype=np.float64)[:, None]
+    half_beta = beta * 0.5
     lam2 = prior.scale * prior.scale
     lr_lv = (cfg.learning_rate if cfg.logvar_learning_rate is None
              else cfg.logvar_learning_rate)
     # steps follow the per-sample objective C_beta / n, so step sizes (and
     # the annealing dynamics) are comparable across dataset sizes
-    denom = float(getattr(model, "n", 0) or 1)
+    denom = np.array([float(getattr(m, "n", 0) or 1) for m in models])[:, None]
     # sigma far above the prior scale is never optimal; clamping log_var
     # keeps bad MC draws from running away
     lv_lo, lv_hi = math.log(lam2) - 46.0, math.log(lam2) + 4.6
-    trace = []
+    exact, net = models[0].exact_gaussian, isinstance(models[0], MlpLossModel)
+    live = list(range(len(models)))          # batch index of each row
+    spans = []                               # [batch indices, x, y] per n
+    if net:
+        for _, rows in itertools.groupby(live, key=lambda i: models[i].n):
+            rows = list(rows)
+            spans.append([rows, np.stack([models[i].x for i in rows]),
+                          np.stack([models[i].y for i in rows])])
+    s = cfg.mc_samples
+
+    def evaluate(ws):
+        if not net:
+            return models[0].loss_and_grad(ws)
+        parts, lo = [], 0
+        for rows, x, y in spans:
+            m, hi = models[rows[0]], lo + len(rows) * s
+            parts.append(_runs_loss_and_grad(m.arch.layer_widths, x, y,
+                                              ws[lo:hi], m.block))
+            lo = hi
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    traces = [[] for _ in models]
+    out = [None] * len(models)
+    eps = np.empty((len(models), s, mu.shape[1]))
     # overflow on a diverging run shows up as non-finite state and is
     # reported as TrainingDiverged
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(cfg.steps):
             sigma = np.exp(0.5 * lv)
             var = sigma * sigma
-            if model.exact_gaussian:
-                eloss = model.expected_loss(mu, var)
-                gmu, glv = model.expected_grads(mu, var)
+            if exact:
+                eloss = np.array([models[0].expected_loss(mu[0], var[0])])
+                gmu, glv = (g[None] for g in models[0].expected_grads(mu[0], var[0]))
             else:
-                eps = stream(seed, "vi-step", step).standard_normal(
-                    (cfg.mc_samples, mu.shape[0]))
-                losses, gmu, glv = _mc_grads(model, mu, sigma, eps)
-                eloss = float(losses.mean())
+                for row, i in enumerate(live):
+                    _normal_into(eps[row], seeds[i], "vi-step", step)
+                losses, gmu, glv = _mc_grads(evaluate, mu, sigma, eps[:len(live)])
+                eloss = np.add.reduce(losses, axis=1) / s
             gmu = (gmu + beta * mu / lam2) / denom
-            glv = (glv + beta * 0.5 * (var / lam2 - 1.0)) / denom
-            norm = math.sqrt(float(gmu @ gmu + glv @ glv))
-            if cfg.grad_clip is not None and norm > cfg.grad_clip:
-                gmu, glv = gmu * (cfg.grad_clip / norm), glv * (cfg.grad_clip / norm)
-            mu -= cfg.learning_rate * gmu
-            lv = np.clip(lv - lr_lv * glv, lv_lo, lv_hi)
+            glv = (glv + half_beta * (var / lam2 - 1.0)) / denom
+            if cfg.grad_clip is not None:
+                norm = np.sqrt(np.matmul(gmu[:, None], gmu[:, :, None])
+                               + np.matmul(glv[:, None], glv[:, :, None]))[:, 0]
+                scale = np.where(norm > cfg.grad_clip, cfg.grad_clip / norm, 1.0)
+                gmu, glv = gmu * scale, glv * scale
+            mu = mu - cfg.learning_rate * gmu
+            lv = np.minimum(np.maximum(lv - lr_lv * glv, lv_lo), lv_hi)
+            ok = None
             if not (np.isfinite(mu).all() and np.isfinite(lv).all()
-                    and math.isfinite(eloss)):
-                raise TrainingDiverged(
-                    f"posterior optimization diverged at step {step}",
-                    last_params=GaussianPosterior(
-                        np.nan_to_num(mu), np.clip(np.nan_to_num(lv), -60, 60), arch),
-                    trace=trace)
+                    and np.isfinite(eloss).all()):
+                ok = (np.isfinite(mu).all(axis=1) & np.isfinite(lv).all(axis=1)
+                      & np.isfinite(eloss))
+                for row in np.flatnonzero(~ok):
+                    i = live[row]
+                    out[i] = TrainingDiverged(
+                        f"posterior optimization diverged at step {step}",
+                        last_params=GaussianPosterior(
+                            np.nan_to_num(mu[row]),
+                            np.clip(np.nan_to_num(lv[row]), -60, 60),
+                            inits[i].arch),
+                        trace=traces[i])
             if step % cfg.trace_every == 0 or step == cfg.steps - 1:
-                kl_now = kl_gaussian(GaussianPosterior(mu, lv, arch), prior)
-                trace.append((float(eloss), float(kl_now)))
-    out = GaussianPosterior(mu, lv, arch)
-    kl = kl_gaussian(out, prior)
-    if model.exact_gaussian:
-        final, se = model.expected_loss(mu, np.exp(lv)), 0.0
-    else:
-        losses = _mc_losses(model, out, cfg.report_mc, seed, "vi-report")
-        final = float(losses.mean())
-        se = (float(losses.std(ddof=1)) / math.sqrt(cfg.report_mc)
-              if cfg.report_mc > 1 else math.nan)
-    return VariationalResult(posterior=out, expected_loss=final, kl=kl,
-                             trace=tuple(trace), expected_loss_se=se)
+                for row, i in enumerate(live):
+                    if ok is None or ok[row]:
+                        traces[i].append((float(eloss[row]),
+                                          _kl(mu[row], lv[row], lam2)))
+            if ok is not None:
+                mu, lv, beta, half_beta, denom = (
+                    a[ok] for a in (mu, lv, beta, half_beta, denom))
+                lo = 0
+                for span in spans:
+                    keep = ok[lo:lo + len(span[0])]
+                    lo += len(span[0])
+                    span[:] = ([i for i, k in zip(span[0], keep) if k],
+                               span[1][keep], span[2][keep])
+                spans = [span for span in spans if span[0]]
+                live = [i for row, i in enumerate(live) if ok[row]]
+                if not live:
+                    break
+    for row, i in enumerate(live):
+        q = GaussianPosterior(mu[row], lv[row], inits[i].arch)
+        if exact:
+            final, se = models[i].expected_loss(q.mean, np.exp(q.log_var)), 0.0
+        else:
+            losses = _mc_losses(models[i], q, cfg.report_mc, seeds[i], "vi-report")
+            final = float(losses.mean())
+            se = (float(losses.std(ddof=1)) / math.sqrt(cfg.report_mc)
+                  if cfg.report_mc > 1 else math.nan)
+        out[i] = VariationalResult(posterior=q, expected_loss=final,
+                                   kl=kl_gaussian(q, prior),
+                                   trace=tuple(traces[i]), expected_loss_se=se)
+    return out
 
 
 def optimize_posterior(d: Dataset, arch: Architecture, beta: float,

@@ -11,8 +11,15 @@ import math
 import numpy as np
 
 from taskinfo import finite_oracle as fo
-from taskinfo.models import _log_softmax, _logits, unflatten_params
+from taskinfo.models import TrainingDiverged, _log_softmax, _logits, unflatten_params
 from taskinfo.rng import stream
+from taskinfo.variational import (
+    GaussianPosterior,
+    VariationalResult,
+    kl_gaussian,
+    prior_matched_posterior,
+    vector_architecture,
+)
 
 
 def naive_candidates(d, fam, beta):
@@ -248,3 +255,62 @@ def naive_clipped_expected_loss(q, d, mc, seed):
         per_sample = -logp[np.arange(d.n), d.labels]
         totals[i] = np.minimum(per_sample, lmax).sum() / lmax
     return float(totals.mean())
+
+
+def reference_optimize(model, beta, prior, cfg, init=None, seed=0, arch=None):
+    """variational.optimize_gaussian as a per-run loop, one step at a time:
+    the optimizer before lockstep runs. Returns a VariationalResult or
+    raises TrainingDiverged."""
+    if arch is None:
+        arch = getattr(model, "arch", None) or vector_architecture(model.k)
+    q = init if init is not None else prior_matched_posterior(arch, prior)
+    mu, lv = np.array(q.mean), np.array(q.log_var)
+    lam2 = prior.scale * prior.scale
+    lr_lv = (cfg.learning_rate if cfg.logvar_learning_rate is None
+             else cfg.logvar_learning_rate)
+    denom = float(getattr(model, "n", 0) or 1)
+    lv_lo, lv_hi = math.log(lam2) - 46.0, math.log(lam2) + 4.6
+    trace = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps):
+            sigma = np.exp(0.5 * lv)
+            var = sigma * sigma
+            if model.exact_gaussian:
+                eloss = model.expected_loss(mu, var)
+                gmu, glv = model.expected_grads(mu, var)
+            else:
+                eps = stream(seed, "vi-step", step).standard_normal(
+                    (cfg.mc_samples, mu.shape[0]))
+                losses, grads = model.loss_and_grad(mu + sigma * eps)
+                gmu = grads.mean(axis=0)
+                glv = (grads * eps).mean(axis=0) * sigma * 0.5
+                eloss = float(losses.mean())
+            gmu = (gmu + beta * mu / lam2) / denom
+            glv = (glv + beta * 0.5 * (var / lam2 - 1.0)) / denom
+            norm = math.sqrt(float(gmu @ gmu + glv @ glv))
+            if cfg.grad_clip is not None and norm > cfg.grad_clip:
+                gmu, glv = gmu * (cfg.grad_clip / norm), glv * (cfg.grad_clip / norm)
+            mu -= cfg.learning_rate * gmu
+            lv = np.clip(lv - lr_lv * glv, lv_lo, lv_hi)
+            if not (np.isfinite(mu).all() and np.isfinite(lv).all()
+                    and math.isfinite(eloss)):
+                raise TrainingDiverged(
+                    f"posterior optimization diverged at step {step}",
+                    last_params=GaussianPosterior(
+                        np.nan_to_num(mu), np.clip(np.nan_to_num(lv), -60, 60), arch),
+                    trace=trace)
+            if step % cfg.trace_every == 0 or step == cfg.steps - 1:
+                kl_now = kl_gaussian(GaussianPosterior(mu, lv, arch), prior)
+                trace.append((float(eloss), float(kl_now)))
+    out = GaussianPosterior(mu, lv, arch)
+    if model.exact_gaussian:
+        final, se = model.expected_loss(mu, np.exp(lv)), 0.0
+    else:
+        eps = stream(seed, "vi-report").standard_normal((cfg.report_mc, out.k))
+        losses = model.loss_and_grad(out.mean + out.sigma * eps, grad=False)[0]
+        final = float(losses.mean())
+        se = (float(losses.std(ddof=1)) / math.sqrt(cfg.report_mc)
+              if cfg.report_mc > 1 else math.nan)
+    return VariationalResult(posterior=out, expected_loss=final,
+                             kl=kl_gaussian(out, prior), trace=tuple(trace),
+                             expected_loss_se=se)

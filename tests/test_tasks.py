@@ -313,3 +313,31 @@ def test_dataset_load_fuzzed_rows_raise_value_error_with_line(tmp_path_factory,
         assert re.match(rf"{re.escape(str(path))}:[0-9]+: ", str(exc)), str(exc)
     else:
         assert d.n == sum(1 for r in rows if r.strip() and not r.startswith("#"))
+
+
+def _random_task(draw_seed, kind, n, size, k):
+    rng = np.random.default_rng(draw_seed)
+    if kind == "discrete":
+        return Dataset(rng.integers(0, size, size=n), rng.integers(0, k, size=n),
+                       k, DiscreteSpace(size))
+    return Dataset(rng.normal(size=(n, size)), rng.integers(0, k, size=n), k,
+                   RealSpace(size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["discrete", "real"]),
+       n=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+       size=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       k=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       nest=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_split_union_inverts_disjoint_union_exactly(kind, n, size, k, nest, seed):
+    a = _random_task(seed, kind, n[0], size[0], k[0])
+    b = _random_task(seed + 1, kind, n[1], size[1], k[1])
+    if nest:                                   # a is itself a union
+        a = disjoint_union(a, _random_task(seed + 2, kind, n[1], size[0], k[1]))
+    for got, want in zip(split_union(disjoint_union(a, b)), (a, b)):
+        assert got.space == want.space and got.num_labels == want.num_labels
+        assert got.inputs.dtype == want.inputs.dtype
+        assert got.inputs.shape == want.inputs.shape
+        assert np.array_equal(got.inputs, want.inputs)
+        assert np.array_equal(got.labels, want.labels)
