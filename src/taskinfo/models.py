@@ -3,8 +3,10 @@
 The model class p_w(y|x) is an MLP with ReLU hidden layers and a softmax
 output. Losses are totals in NATS (sums over the dataset, not means), so
 they plug directly into the complexity Lagrangians. Everything is plain
-numpy with explicit backpropagation; training is a deterministic function
-of (data, architecture, config, init).
+numpy with explicit backpropagation in one blocked kernel,
+_block_loss_and_grad, which serves the MC evaluator, the lockstep optimizer,
+the Fisher diagonal, SGD and forward_batch. Training is a deterministic
+function of (data, architecture, config, init).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "forward_batch",
     "dataset_loss",
     "gradient",
-    "gradient_arrays",
     "sgd_train",
     "save_loss_trace_csv",
     "save_params",
@@ -130,15 +131,11 @@ def _layer_views(ws: np.ndarray, widths) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
-    shifted = z - zmax
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def forward_batch(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Probabilities (N, K) for a batch of inputs (N, d)."""
-    return np.exp(_log_softmax(_logits(p, x)[0]))
+    z, _ = _forward(p.architecture.layer_widths, np.asarray(x, np.float64)[None],
+                    flatten_params(p)[None])
+    return np.exp(z[0].T)
 
 
 def forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -149,10 +146,12 @@ def forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
     return forward_batch(p, x[None, :])[0]
 
 
-def _as_xy(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def _as_xy(d: Dataset, arch=None) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(d.space, RealSpace):
         raise ValueError("networks consume real-vector tasks "
                          "(see tasks.as_real_vectors)")
+    if arch and (arch.input_dim != d.space.dim or arch.num_labels < d.num_labels):
+        raise ValueError("architecture incompatible with dataset")
     return d.inputs, d.labels
 
 
@@ -161,15 +160,6 @@ def dataset_loss(p: MlpParams, d: Dataset) -> float:
     x, y = _as_xy(d)
     return float(_block_loss_and_grad(p.architecture.layer_widths, x, y,
                                       flatten_params(p)[None, :])[0])
-
-
-def _logits(p: MlpParams, x: np.ndarray):
-    """Returns (logits, list of post-ReLU activations per hidden layer)."""
-    hs, h = [x], x
-    for w, b in zip(p.weights[:-1], p.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-        hs.append(h)
-    return h @ p.weights[-1] + p.biases[-1], hs
 
 
 @functools.lru_cache(maxsize=32)
@@ -181,19 +171,10 @@ def _logit_offsets(s: int, k: int, n: int) -> np.ndarray:
     return out
 
 
-def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None) -> np.ndarray:
-    """Total cross-entropy (S,) of S flat parameter vectors ws (S, P) on (x, y).
-
-    x and y may carry a leading run axis, x (R, n, d0) and y (R, n): then ws
-    holds S / R draws per run, ordered run-major, and each draw is scored on
-    its own run's data. Fills grads (S, P) unless it is None. Activations are
-    (draw, unit, sample) arrays. The first layer is one matmul over runs of
-    each run's stacked weight matrices with its x, its weight gradient one
-    matmul delta @ x; deeper layers run np.matmul over the draw axis.
-    Per-sample losses are clipped at clip.
-    """
-    if x.ndim == 2:
-        x, y = x[None], y[None]
+def _forward(widths, x, ws):
+    """Log-softmax (S, K, n) and the input of each layer, as (draw, unit,
+    sample) arrays: the first layer is one matmul over runs of each run's
+    stacked weight matrices with its x, deeper layers matmul per draw."""
     r, n = x.shape[:2]
     s, d1 = ws.shape[0], widths[1]
     layers = _layer_views(ws, widths)
@@ -206,37 +187,49 @@ def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None) -> np.ndarray:
         z = np.matmul(w.transpose(0, 2, 1), hs[-1])
         z += b[:, :, None]
     z -= z.max(axis=1, keepdims=True)                      # log-softmax
-    e = np.exp(z)
-    z -= np.log(e.sum(axis=1, keepdims=True))
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z, hs
+
+
+def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None, sq_weight=None):
+    """Total cross-entropy (S,) of S flat parameter vectors ws (S, P) on (x, y).
+
+    x and y may carry a leading run axis, x (R, n, d0) and y (R, n): then ws
+    holds S / R draws per run, ordered run-major, and each draw is scored on
+    its own run's data. Per-sample losses are clipped at clip. Fills grads
+    (S, P) unless it is None, or with sq_weight (R, n) the squared per-sample
+    gradients sum_i w_i g_i^2: g_i is linear in sample i's delta, so the
+    delta is scaled by sqrt(w_i) and both factors of each product squared.
+    """
+    if x.ndim == 2:
+        x, y = x[None], y[None]
+    r, n = x.shape[:2]
+    s, d1 = ws.shape[0], widths[1]
+    z, hs = _forward(widths, x, ws)
     # flat index (draw, sample) of each sample's label logit
     at = np.repeat(y * n, s // r, axis=0) + _logit_offsets(s, z.shape[1], n)
     nll = -z.reshape(-1).take(at)
     losses = (nll if clip is None else np.minimum(nll, clip)).sum(axis=1)
     if grads is None:
         return losses
-    delta = np.exp(z, out=e)
+    delta = np.exp(z, out=z)
     delta.reshape(-1)[at] -= 1.0                           # d loss / d logits
     if clip is not None:
         delta *= (nll <= clip)[:, None, :]                 # clipped: flat
-    out = _layer_views(grads, widths)
+    if sq_weight is not None:
+        delta *= np.sqrt(np.repeat(sq_weight, s // r, axis=0))[:, None, :]
+    sq = np.square if sq_weight is not None else (lambda a: a)
+    layers, out = _layer_views(ws, widths), _layer_views(grads, widths)
     for layer in range(len(layers) - 1, 0, -1):
-        out[layer][0][...] = np.matmul(hs[layer], delta.transpose(0, 2, 1))
-        out[layer][1][...] = delta.sum(axis=2)
+        d2 = sq(delta)
+        out[layer][0][...] = np.matmul(sq(hs[layer]), d2.transpose(0, 2, 1))
+        out[layer][1][...] = d2.sum(axis=2)
         delta = np.matmul(layers[layer][0], delta) * (hs[layer] > 0)
-    out[0][0][...] = np.matmul(delta.reshape(r, s // r * d1, n), x).reshape(
+    d2 = sq(delta)
+    out[0][0][...] = np.matmul(d2.reshape(r, s // r * d1, n), sq(x)).reshape(
         s, d1, widths[0]).transpose(0, 2, 1)
-    out[0][1][...] = delta.sum(axis=2)
+    out[0][1][...] = d2.sum(axis=2)
     return losses
-
-
-def gradient_arrays(p: MlpParams, x: np.ndarray, y: np.ndarray
-                    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Backprop gradient of the summed cross-entropy over (x, y) (one draw)."""
-    widths = p.architecture.layer_widths
-    grads = np.empty((1, p.num_params))
-    _block_loss_and_grad(widths, x, y, flatten_params(p)[None, :], grads)
-    layers = _layer_views(grads, widths)
-    return tuple(w[0] for w, _ in layers), tuple(b[0] for _, b in layers)
 
 
 def gradient(p: MlpParams, batch) -> MlpParams:
@@ -247,8 +240,10 @@ def gradient(p: MlpParams, batch) -> MlpParams:
         x, y = np.asarray(batch[0], np.float64), np.asarray(batch[1], np.int64)
     if len(y) == 0:
         raise ValueError("gradient needs a nonempty batch")
-    gws, gbs = gradient_arrays(p, x, y)
-    return MlpParams(gws, gbs)
+    arch = p.architecture
+    grads = np.empty((1, arch.num_params))
+    _block_loss_and_grad(arch.layer_widths, x, y, flatten_params(p)[None], grads)
+    return unflatten_params(grads[0], arch)
 
 
 class TrainingDiverged(RuntimeError):
@@ -296,10 +291,11 @@ def sgd_train(d: Dataset, arch: Architecture, cfg: SgdConfig,
     TrainingDiverged (with the last finite state) if the loss leaves the
     finite range.
     """
-    x, y = _as_xy(d)
-    if arch.input_dim != d.inputs.shape[1] or arch.num_labels < d.num_labels:
-        raise ValueError("architecture incompatible with dataset")
+    x, y = _as_xy(d, arch)
     params = init if isinstance(init, MlpParams) else init_params(arch, init)
+    arch = params.architecture             # an MlpParams init brings its own
+    w = flatten_params(params)[None]       # the state: one flat (1, P) row
+    grads = np.empty_like(w)
     batch = min(cfg.batch_size, max(1, d.n))
     lr = cfg.learning_rate
     trace = []
@@ -311,23 +307,20 @@ def sgd_train(d: Dataset, arch: Architecture, cfg: SgdConfig,
             order = stream(cfg.seed, "sgd-shuffle", epoch).permutation(d.n)
             for start in range(0, d.n, batch):
                 idx = order[start:start + batch]
-                gws, gbs = gradient_arrays(params, x[idx], y[idx])
-                ws = tuple(w - lr * (gw + cfg.weight_decay * w)
-                           for w, gw in zip(params.weights, gws))
-                bs = tuple(b - lr * (gb + cfg.weight_decay * b)
-                           for b, gb in zip(params.biases, gbs))
-                if any(not np.isfinite(a).all() for a in ws + bs):
+                _block_loss_and_grad(arch.layer_widths, x[idx], y[idx], w, grads)
+                stepped = w - lr * (grads + cfg.weight_decay * w)
+                if not np.isfinite(stepped).all():
                     raise TrainingDiverged(
                         f"training diverged at epoch {epoch}",
-                        last_params=params, trace=trace)
-                params = MlpParams(ws, bs)
-            loss = dataset_loss(params, d)
+                        last_params=unflatten_params(w[0], arch), trace=trace)
+                w = stepped
+            loss = float(_block_loss_and_grad(arch.layer_widths, x, y, w)[0])
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}",
-                    last_params=params, trace=trace)
+                    last_params=unflatten_params(w[0], arch), trace=trace)
             trace.append(loss)
-    return TrainResult(params=params, loss_trace=tuple(trace))
+    return TrainResult(params=unflatten_params(w[0], arch), loss_trace=tuple(trace))
 
 
 def save_loss_trace_csv(trace, path) -> None:
@@ -356,20 +349,42 @@ def save_params(p: MlpParams, path, extra: dict | None = None) -> None:
 
 
 def load_params(path) -> tuple[MlpParams, dict]:
+    """Read a checkpoint; malformed input raises ValueError("path:line: ...")."""
+    return _read_params(path)
+
+
+def _read_params(path, sized=()) -> tuple[MlpParams, dict]:
+    """load_params; each extra key in ``sized`` must hold one value per parameter."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "# taskinfo-params v1":
-        raise ValueError(f"{path}: not a taskinfo-params v1 file")
-    fields = dict(ln.partition("=")[::2] for ln in lines[1:])
-    widths = tuple(int(w) for w in fields.pop("widths").split(","))
-    arch = Architecture(widths)
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != "# taskinfo-params v1":
+        no = lines[0][0] if lines else 1
+        raise ValueError(f"{path}:{no}: not a taskinfo-params v1 file")
+    fields = {}
+    for no, ln in lines[1:]:
+        key, _, value = ln.partition("=")
+        fields[key] = (no, value)
+
+    def field(key, shape=None):
+        if key not in fields:
+            raise ValueError(f"{path}:{lines[0][0]}: no {key}= line")
+        no, value = fields.pop(key)
+        try:
+            if key == "widths":
+                return Architecture(tuple(int(w) for w in value.split(",")))
+            vec = np.array([float(v) for v in value.split(";")])
+            if not np.isfinite(vec).all():
+                raise ValueError("values must be finite")
+            return vec if shape is None else vec.reshape(shape)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{no}: {exc}") from None
+
+    arch = field("widths")
     ws, bs = [], []
     for layer, (n_in, n_out) in enumerate(
             zip(arch.layer_widths[:-1], arch.layer_widths[1:])):
-        w = np.array([float(v) for v in fields.pop(f"W{layer}").split(";")])
-        b = np.array([float(v) for v in fields.pop(f"b{layer}").split(";")])
-        ws.append(w.reshape(n_in, n_out))
-        bs.append(b)
-    extra = {key: np.array([float(v) for v in val.split(";")])
-             for key, val in fields.items()}
+        ws.append(field(f"W{layer}", (n_in, n_out)))
+        bs.append(field(f"b{layer}", n_out))
+    extra = {key: field(key, arch.num_params) for key in sized}
+    extra.update((key, field(key)) for key in list(fields))
     return MlpParams(tuple(ws), tuple(bs)), extra

@@ -16,6 +16,9 @@ one (S, P) array to ``loss_and_grad``: one forward and one backward pass per
 block of draws (reparameterized, as in Blundell et al. 2015), or a loss-only
 forward pass. A block keeps n * (widest non-input layer) * draws within
 _BLOCK_CELLS, so activations and deltas take O(_BLOCK_CELLS) memory, not O(S).
+fisher_diagonal asks the same kernel for sum_i w_i g_i^2 of the per-sample
+gradients, one run of one draw per label: each label c with w_i = p_w(c|x_i)
+(exact), or the labels drawn from the model with w_i = 1 (sampled).
 
 Independent fits (distance replicates, PAC-Bayes trials) run in lockstep
 through the private _optimize_many: one optimizer loop steps R posteriors,
@@ -51,8 +54,9 @@ from .models import (
     TrainingDiverged,
     _as_xy,
     _block_loss_and_grad,
-    _log_softmax,
-    _logits,
+    _read_params,
+    flatten_params,
+    forward_batch,
     unflatten_params,
 )
 from .rng import _normal_into, stream
@@ -169,9 +173,7 @@ class MlpLossModel:
     exact_gaussian = False
 
     def __init__(self, arch: Architecture, d: Dataset):
-        self.x, self.y = _as_xy(d)
-        if arch.input_dim != d.space.dim or arch.num_labels < d.num_labels:
-            raise ValueError("architecture incompatible with dataset")
+        self.x, self.y = _as_xy(d, arch)
         self.arch = arch
         self.n = d.n
         self.block = max(1, _BLOCK_CELLS // (max(d.n, 1) * max(arch.layer_widths[1:])))
@@ -544,41 +546,24 @@ def fisher_diagonal(p: MlpParams, d: Dataset, mode: str = "exact",
     mode "exact" takes the label expectation in closed form (K backward
     passes); mode "sampled" draws one label per sample from the model.
     """
-    x, y_data = d.inputs, d.labels
-    n = d.n
-    if n == 0:
-        return FisherDiagonal(np.zeros(p.num_params), 0)
-    z, hs = _logits(p, x)
-    probs = np.exp(_log_softmax(z))
-    k_out = probs.shape[1]
-
-    if mode == "sampled":
-        rng = stream(seed, "fisher-sample")
-        cdf = np.cumsum(probs, axis=1)
-        draws = (rng.random((n, 1)) > cdf).sum(axis=1)
-        draws = np.minimum(draws, k_out - 1)
-        label_sets = [(draws, np.ones(n))]
-    elif mode == "exact":
-        label_sets = [(np.full(n, c), probs[:, c]) for c in range(k_out)]
-    else:
+    if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown fisher mode {mode!r}")
-
-    acc = [np.zeros_like(w) for w in p.weights], \
-          [np.zeros_like(b) for b in p.biases]
-    for labels, weight in label_sets:
-        # per-sample gradient of ln p(labels | x); delta at the logits
-        delta = -probs.copy()
-        delta[np.arange(n), labels] += 1.0
-        for layer in range(len(p.weights) - 1, -1, -1):
-            h = hs[layer]
-            acc[0][layer] += np.einsum("i,ia,ib->ab", weight, h * h,
-                                       delta * delta)
-            acc[1][layer] += weight @ (delta * delta)
-            if layer > 0:
-                delta = (delta @ p.weights[layer].T) * (hs[layer] > 0)
-    flat = np.concatenate([a.ravel() for pair in zip(acc[0], acc[1])
-                           for a in pair])
-    return FisherDiagonal(entries=flat / n, n=n)
+    model = MlpLossModel(p.architecture, d)        # validates d against p
+    probs = forward_batch(p, model.x).T            # (K, n)
+    if mode == "sampled":
+        u = stream(seed, "fisher-sample").random(d.n)
+        draws = (u > np.cumsum(probs, axis=0)).sum(axis=0)
+        labels, weights = np.minimum(draws, len(probs) - 1)[None], np.ones((1, d.n))
+    else:
+        labels, weights = np.repeat(np.arange(len(probs))[:, None], d.n, axis=1), probs
+    x = np.broadcast_to(model.x, (len(labels),) + model.x.shape)
+    ws = np.broadcast_to(flatten_params(p), (len(labels), p.num_params))
+    sq = np.empty(ws.shape)
+    for lo in range(0, len(labels), model.block):  # runs of one draw each
+        part = slice(lo, lo + model.block)
+        _block_loss_and_grad(model.arch.layer_widths, x[part], labels[part],
+                             ws[part], sq[part], sq_weight=weights[part])
+    return FisherDiagonal(entries=sq.sum(axis=0) / max(d.n, 1), n=d.n)  # 0 if n = 0
 
 
 def fim_trace(p: MlpParams, d: Dataset) -> float:
@@ -672,8 +657,7 @@ def save_posterior(q: GaussianPosterior, path) -> None:
 
 
 def load_posterior(path) -> GaussianPosterior:
-    from .models import flatten_params, load_params
-    params, extra = load_params(path)
+    params, extra = _read_params(path, sized=("log_var",))
     return GaussianPosterior(flatten_params(params), extra["log_var"],
                              params.architecture)
 

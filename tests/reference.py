@@ -11,9 +11,19 @@ import math
 import numpy as np
 
 from taskinfo import finite_oracle as fo
-from taskinfo.models import TrainingDiverged, _log_softmax, _logits, unflatten_params
+from taskinfo.models import (
+    MlpParams,
+    TrainingDiverged,
+    _block_loss_and_grad,
+    _layer_views,
+    dataset_loss,
+    flatten_params,
+    init_params,
+    unflatten_params,
+)
 from taskinfo.rng import stream
 from taskinfo.variational import (
+    FisherDiagonal,
     GaussianPosterior,
     VariationalResult,
     kl_gaussian,
@@ -213,6 +223,21 @@ def naive_triangle_ok(metric):
     return True
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    zmax = z.max(axis=1, keepdims=True)
+    shifted = z - zmax
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _logits(p: MlpParams, x: np.ndarray):
+    """Returns (logits, list of post-ReLU activations per hidden layer)."""
+    hs, h = [x], x
+    for w, b in zip(p.weights[:-1], p.biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+        hs.append(h)
+    return h @ p.weights[-1] + p.biases[-1], hs
+
+
 def naive_loss_and_grad(arch, x, y, w, clip=None):
     """Total cross-entropy of one flat weight vector and its gradient, one
     MlpParams and one backprop per draw. Per-sample losses above ``clip``
@@ -314,3 +339,89 @@ def reference_optimize(model, beta, prior, cfg, init=None, seed=0, arch=None):
     return VariationalResult(posterior=out, expected_loss=final,
                              kl=kl_gaussian(out, prior), trace=tuple(trace),
                              expected_loss_se=se)
+
+
+def reference_fisher_diagonal(p, d, mode="exact", seed=0):
+    """variational.fisher_diagonal as its own per-layer backprop over the
+    (sample, unit) activations, one pass per label set: the Fisher diagonal
+    before it ran through the blocked kernel."""
+    x, y_data = d.inputs, d.labels
+    n = d.n
+    if n == 0:
+        return FisherDiagonal(np.zeros(p.num_params), 0)
+    z, hs = _logits(p, x)
+    probs = np.exp(_log_softmax(z))
+    k_out = probs.shape[1]
+
+    if mode == "sampled":
+        rng = stream(seed, "fisher-sample")
+        cdf = np.cumsum(probs, axis=1)
+        draws = (rng.random((n, 1)) > cdf).sum(axis=1)
+        draws = np.minimum(draws, k_out - 1)
+        label_sets = [(draws, np.ones(n))]
+    elif mode == "exact":
+        label_sets = [(np.full(n, c), probs[:, c]) for c in range(k_out)]
+    else:
+        raise ValueError(f"unknown fisher mode {mode!r}")
+
+    acc = [np.zeros_like(w) for w in p.weights], \
+          [np.zeros_like(b) for b in p.biases]
+    for labels, weight in label_sets:
+        # per-sample gradient of ln p(labels | x); delta at the logits
+        delta = -probs.copy()
+        delta[np.arange(n), labels] += 1.0
+        for layer in range(len(p.weights) - 1, -1, -1):
+            h = hs[layer]
+            acc[0][layer] += np.einsum("i,ia,ib->ab", weight, h * h,
+                                       delta * delta)
+            acc[1][layer] += weight @ (delta * delta)
+            if layer > 0:
+                delta = (delta @ p.weights[layer].T) * (hs[layer] > 0)
+    flat = np.concatenate([a.ravel() for pair in zip(acc[0], acc[1])
+                           for a in pair])
+    return FisherDiagonal(entries=flat / n, n=n)
+
+
+def _gradient_arrays(p, x, y):
+    """Backprop gradient of the summed cross-entropy over (x, y) (one draw)."""
+    widths = p.architecture.layer_widths
+    grads = np.empty((1, p.num_params))
+    _block_loss_and_grad(widths, x, y, flatten_params(p)[None, :], grads)
+    layers = _layer_views(grads, widths)
+    return tuple(w[0] for w, _ in layers), tuple(b[0] for _, b in layers)
+
+
+def reference_sgd_train(d, arch, cfg, init=0):
+    """models.sgd_train with one MlpParams per minibatch and a per-layer
+    update, as before it stepped one flat vector. Returns (params, trace)
+    or raises TrainingDiverged."""
+    x, y = d.inputs, d.labels
+    params = init if isinstance(init, MlpParams) else init_params(arch, init)
+    batch = min(cfg.batch_size, max(1, d.n))
+    lr = cfg.learning_rate
+    trace = []
+    # overflow shows up as non-finite state and is reported as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            if epoch in cfg.decay_epochs:
+                lr *= cfg.decay_factor
+            order = stream(cfg.seed, "sgd-shuffle", epoch).permutation(d.n)
+            for start in range(0, d.n, batch):
+                idx = order[start:start + batch]
+                gws, gbs = _gradient_arrays(params, x[idx], y[idx])
+                ws = tuple(w - lr * (gw + cfg.weight_decay * w)
+                           for w, gw in zip(params.weights, gws))
+                bs = tuple(b - lr * (gb + cfg.weight_decay * b)
+                           for b, gb in zip(params.biases, gbs))
+                if any(not np.isfinite(a).all() for a in ws + bs):
+                    raise TrainingDiverged(
+                        f"training diverged at epoch {epoch}",
+                        last_params=params, trace=trace)
+                params = MlpParams(ws, bs)
+            loss = dataset_loss(params, d)
+            if not math.isfinite(loss):
+                raise TrainingDiverged(
+                    f"training diverged at epoch {epoch}",
+                    last_params=params, trace=trace)
+            trace.append(loss)
+    return params, tuple(trace)

@@ -451,6 +451,45 @@ def test_bruteforce_random_tiny_tasks(task, beta):
     assert critical_beta(d, fam) == critical_beta(shuffled, fam)
 
 
+@st.composite
+def _duality_tasks(draw):
+    """A task on DiscreteSpace(4 or 8), flat or the union of two halves,
+    with n <= 8 samples and K in 2-3, and its family."""
+    k, m = draw(st.sampled_from([2, 3])), draw(st.sampled_from([4, 8]))
+
+    def part(size, n_max):
+        n = draw(st.integers(0, n_max))
+        xs = draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+        ys = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        return Dataset(np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64),
+                       k, DiscreteSpace(size))
+
+    if draw(st.booleans()):
+        d = part(m, 8)
+    else:
+        d = disjoint_union(part(m // 2, 4), part(m // 2, 4))
+    return d, HypothesisFamily.for_space(d.space, k)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_duality_tasks(),
+       st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4))
+def test_legendre_duality_of_structure_function_and_lagrangian(task, betas):
+    # on a t grid holding every candidate code length, the Lagrangian is
+    # the Legendre transform of the structure function:
+    # L(beta) = min_t S(t) + beta t, and S(t) >= L(beta) - beta t everywhere
+    d, fam = task
+    u = len(np.unique(d.inputs))
+    t = np.unique([c + extension_cost(u, s, fam.num_labels)
+                   for c in fam.costs for s in range(u + 1)])
+    s_t = structure_function(d, fam, t).loss
+    for beta, (value, _) in zip(betas, lagrangian_sweep(d, fam, betas)):
+        atol = fo.TIE_ATOL + 1e-12 * abs(value)
+        assert abs((s_t + beta * t).min() - value) <= atol
+        assert (s_t >= value - beta * t - atol).all()
+
+
 @settings(max_examples=30, deadline=None)
 @given(_tiny_tasks())
 def test_batched_exact_losses_match_per_candidate_fsum(task):

@@ -1,0 +1,126 @@
+"""The Fisher diagonal, SGD, gradient and forward_batch all run on the one
+blocked kernel (models._block_loss_and_grad); each is checked here against
+its own per-layer implementation in reference.py."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from taskinfo import tasks
+from taskinfo.models import (
+    Architecture,
+    MlpParams,
+    SgdConfig,
+    TrainingDiverged,
+    forward_batch,
+    gradient,
+    init_params,
+    sgd_train,
+)
+from taskinfo.variational import fisher_diagonal
+
+from .reference import (
+    _gradient_arrays,
+    _log_softmax,
+    _logits,
+    reference_fisher_diagonal,
+    reference_sgd_train,
+)
+
+RTOL = 1e-12
+
+
+def _close(a, b):
+    return a.shape == b.shape and bool((np.abs(a - b) <= RTOL * np.abs(b)).all())
+
+
+def _same(a: MlpParams, b: MlpParams):
+    return all(np.array_equal(u, v) for u, v in
+               zip(a.weights + a.biases, b.weights + b.biases))
+
+
+def _setup(hidden, d_in, k, n, scale, seed):
+    """A network scaled by ``scale`` and a random task; also the caller's
+    arrays, with copies to check them against after the calls."""
+    rng = np.random.default_rng(seed)
+    arch = Architecture((d_in, *hidden, k))
+    p0 = init_params(arch, seed)
+    arrays = ([w * scale for w in p0.weights]
+              + [rng.normal(size=b.shape) for b in p0.biases])
+    arrays += [rng.normal(size=(n, d_in)), rng.integers(0, k, size=n)]
+    layers = len(p0.weights)
+    p = MlpParams(tuple(arrays[:layers]), tuple(arrays[layers:2 * layers]))
+    d = tasks.Dataset(arrays[-2], arrays[-1], k, tasks.RealSpace(d_in))
+    return arch, p, d, arrays, [a.copy() for a in arrays]
+
+
+_nets = dict(hidden=st.lists(st.integers(1, 5), min_size=0, max_size=2),
+             d_in=st.integers(1, 5), k=st.integers(2, 4),
+             n=st.sampled_from([0, 1, 7, 40]),
+             scale=st.sampled_from([0.1, 1.0, 4.0]),
+             seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_nets)
+def test_fisher_forward_and_gradient_match_per_layer_reference(
+        hidden, d_in, k, n, scale, seed):
+    arch, p, d, arrays, before = _setup(hidden, d_in, k, n, scale, seed)
+    for mode in ("exact", "sampled"):
+        got = fisher_diagonal(p, d, mode=mode, seed=seed)
+        want = reference_fisher_diagonal(p, d, mode=mode, seed=seed)
+        assert got.n == want.n == n
+        assert _close(got.entries, want.entries), mode
+    assert _close(forward_batch(p, d.inputs),
+                  np.exp(_log_softmax(_logits(p, d.inputs)[0])))
+    if n:
+        g = gradient(p, d)
+        gws, gbs = _gradient_arrays(p, d.inputs, d.labels)
+        assert _same(g, MlpParams(gws, gbs))
+    for a, b in zip(arrays, before):
+        assert a.flags.writeable and np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_nets, batch=st.integers(1, 50), epochs=st.integers(0, 3),
+       lr=st.sampled_from([0.01, 0.3, 1e200]), wd=st.sampled_from([0.0, 0.1]),
+       decay=st.sampled_from([(), (1,)]), init_seed=st.booleans())
+def test_sgd_train_matches_per_layer_loop_bit_for_bit(
+        hidden, d_in, k, n, scale, seed, batch, epochs, lr, wd, decay, init_seed):
+    arch, p, d, arrays, before = _setup(hidden, d_in, k, n, scale, seed)
+    cfg = SgdConfig(learning_rate=lr, batch_size=batch, epochs=epochs,
+                    weight_decay=wd, decay_epochs=decay, decay_factor=0.5,
+                    seed=seed % 1000)
+    init = seed % 7 if init_seed else p
+    try:
+        want = reference_sgd_train(d, arch, cfg, init=init)
+    except TrainingDiverged as exc:
+        want = exc
+    if isinstance(want, TrainingDiverged):
+        with pytest.raises(TrainingDiverged) as info:
+            sgd_train(d, arch, cfg, init=init)
+        assert str(info.value) == str(want)
+        assert _same(info.value.last_params, want.last_params)
+        assert info.value.trace == want.trace
+    else:
+        got = sgd_train(d, arch, cfg, init=init)
+        assert _same(got.params, want[0]) and got.loss_trace == want[1]
+    for a, b in zip(arrays, before):
+        assert a.flags.writeable and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("batch, wd", [(40, 0.0), (7, 0.1)])
+def test_sgd_diverging_runs_keep_the_last_finite_state(batch, wd):
+    # one step per epoch: the loss overflows first; several steps with weight
+    # decay: a step overflows first
+    arch, p, d, _, _ = _setup([4], 3, 2, 40, 1.0, 5)
+    cfg = SgdConfig(learning_rate=1e200, batch_size=batch, epochs=3,
+                    weight_decay=wd, seed=0)
+    with pytest.raises(TrainingDiverged) as got:
+        sgd_train(d, arch, cfg, init=p)
+    with pytest.raises(TrainingDiverged) as want:
+        reference_sgd_train(d, arch, cfg, init=p)
+    assert str(got.value) == str(want.value)
+    assert _same(got.value.last_params, want.value.last_params)
+    assert got.value.trace == want.value.trace

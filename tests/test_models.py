@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from taskinfo import tasks
 from taskinfo.models import (
@@ -212,6 +215,73 @@ def test_checkpoint_roundtrip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(back.weights, p.weights))
     assert all(np.array_equal(a, b) for a, b in zip(back.biases, p.biases))
     assert np.array_equal(extra["log_var"], np.array([-1.5, 2.25]))
+
+
+
+def _posterior_file(path):
+    """A (2, 2) posterior: header, widths, log_var, W0, b0 on lines 1-5."""
+    from taskinfo.variational import GaussianPosterior, save_posterior
+    arch = Architecture((2, 2))
+    q = GaussianPosterior(np.arange(6) / 7.0, -np.arange(6) / 3.0, arch)
+    save_posterior(q, path)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda ls: ["# taskinfo-params v2"] + ls[1:], 1, "not a taskinfo-params v1"),
+    (lambda ls: [ls[0]] + ls[2:], 1, "no widths= line"),
+    (lambda ls: ls[:3] + ls[4:], 1, "no W0= line"),
+    (lambda ls: ls[:1] + ["widths=2"] + ls[2:], 2, "at least input and output"),
+    (lambda ls: ls[:3] + [ls[3].rsplit(";", 1)[0]] + ls[4:], 4, "cannot reshape"),
+    (lambda ls: ls[:4] + ["b0=0.5;x"], 5, "could not convert"),
+    (lambda ls: ls[:4] + ["b0=0.5;1e999"], 5, "finite"),
+], ids=["header", "no-widths", "no-W0", "one-width", "short-W0", "not-a-number",
+        "overflow"])
+def test_params_load_errors_name_file_and_line(tmp_path, edit, line, message):
+    path = tmp_path / "q.txt"
+    path.write_text("\n".join(edit(_posterior_file(path))) + "\n")
+    with pytest.raises(ValueError,
+                       match=rf"^{re.escape(str(path))}:{line}: .*{message}"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda ls: ls[:2] + ls[3:], 1, "no log_var= line"),
+    (lambda ls: ls[:2] + ["log_var=0.5;0.25"] + ls[3:], 3, "cannot reshape"),
+], ids=["no-log_var", "short-log_var"])
+def test_posterior_load_errors_name_file_and_line(tmp_path, edit, line, message):
+    from taskinfo.variational import load_posterior
+    path = tmp_path / "q.txt"
+    path.write_text("\n".join(edit(_posterior_file(path))) + "\n")
+    with pytest.raises(ValueError,
+                       match=rf"^{re.escape(str(path))}:{line}: .*{message}"):
+        load_posterior(path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                          st.sampled_from(["del", "put", "ins"]),
+                          st.sampled_from(list("0123456789=.;,-e\nWbwidthslog_vr"))),
+                min_size=1, max_size=4))
+def test_params_load_fuzzed_lines_raise_value_error_with_line(tmp_path, edits):
+    from taskinfo.variational import load_posterior
+    path = tmp_path / "q.txt"
+    text = list("\n".join(_posterior_file(path)) + "\n")
+    for pos, op, ch in edits:
+        i = pos % len(text)
+        if op == "del":
+            del text[i]
+        elif op == "put":
+            text[i] = ch
+        else:
+            text.insert(i, ch)
+    path.write_text("".join(text))
+    for load in (load_params, load_posterior):
+        try:
+            load(path)
+        except ValueError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
 
 
 def test_flatten_unflatten_roundtrip():

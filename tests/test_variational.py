@@ -323,6 +323,32 @@ def test_fisher_sampled_mode_approximates_exact(small_task):
     assert np.abs(sampled - exact).max() < 0.15 * max(exact.max(), 1e-3)
 
 
+def test_fisher_unknown_mode_raises_on_an_empty_dataset():
+    d = tasks.Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2,
+                      tasks.RealSpace(2))
+    with pytest.raises(ValueError, match="unknown fisher mode 'bogus'"):
+        fisher_diagonal(init_params(Architecture((2, 2)), seed=0), d, mode="bogus")
+
+
+def test_fisher_rejects_a_discrete_dataset():
+    d = tasks.Dataset(np.array([0, 1, 2]), np.array([0, 1, 0]), 2,
+                      tasks.DiscreteSpace(3))
+    with pytest.raises(ValueError, match="networks consume real-vector tasks"):
+        fisher_diagonal(init_params(Architecture((3, 2)), seed=0), d)
+
+
+@pytest.mark.parametrize("widths", [(4, 2), (3, 2, 2)])
+def test_fisher_rejects_an_architecture_that_does_not_fit(small_task, widths):
+    # small_task has 3 inputs and 2 labels: a 4-input net or a 2-label net
+    # on 3 labels must fail as MlpLossModel does, not inside a matmul
+    d = small_task if widths[0] == 4 else tasks.Dataset(
+        small_task.inputs, np.arange(small_task.n) % 3, 3, small_task.space)
+    with pytest.raises(ValueError, match="architecture incompatible with dataset"):
+        MlpLossModel(Architecture(widths), d)
+    with pytest.raises(ValueError, match="architecture incompatible with dataset"):
+        fisher_diagonal(init_params(Architecture(widths), seed=0), d)
+
+
 def test_fisher_hessian_relation_logistic_regression():
     # at the optimum of a multinomial logistic regression, N F = Hessian
     d = tasks.generate_random_label_task(40, tasks.RealSpace(3), 2, seed=6)
