@@ -259,6 +259,12 @@ class _Rules:
             np.full((1, len(xs) - inside, k), 1.0 / k), counts[inside:])
         return out
 
+    def peak(self) -> float:
+        """Largest table value of any rule (a union's padding is 1/K)."""
+        if self.tables is not None:
+            return float(self.tables.max(initial=0.0))
+        return max(self.flat.peak(), *(child.peak() for child in self.parts))
+
     def facts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(is_constant, is_deterministic, first row (R, K)) of every rule."""
         if self.tables is not None:
@@ -642,6 +648,8 @@ class _Candidates:
 
         self.ext = np.array(
             [extension_cost(u, s, self.k) for s in range(self.n_pure + 1)])
+        # exact_losses' zero rule needs every term -ln p to be >= 0
+        self.unit_bounded = fam._rules.peak() <= 1.0
 
     @property
     def cost(self) -> np.ndarray:
@@ -659,6 +667,29 @@ class _Candidates:
             if over is not None:
                 values[over] = np.inf
             yield lo, values
+
+    def frontier(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cost, approx) of the candidates on the (cost, approx_loss) Pareto
+        frontier, the constant rules unpinned (s = 0) left out.
+
+        For each pin count s, the rules in stable cost order keep the points
+        where the running minimum of approx_loss[:, s] strictly drops. Every
+        other candidate has a frontier point of no larger cost and approx,
+        so for any beta >= 0 the frontier holds the minimum of
+        approx + beta * cost over all candidates but those constants.
+        """
+        order = np.argsort(self.fam.costs, kind="stable")
+        costs = self.fam.costs[order]
+        cost, approx = [], []
+        for s in range(self.n_pure + 1):
+            col = self.approx_loss[order, s]
+            if s == 0:
+                col[self.fam.is_constant[order]] = np.inf
+            run = np.minimum.accumulate(col)
+            drop = run < np.concatenate([[np.inf], run[:-1]])
+            cost.append(costs[drop] + self.ext[s])
+            approx.append(run[drop])
+        return np.concatenate(cost), np.concatenate(approx)
 
     # -- exact evaluation ---------------------------------------------------
 
@@ -695,18 +726,30 @@ class _Candidates:
         """Exact losses of the candidates (rules[j], counts[j]), each with its
         canonical pin set. Candidates go in blocks of about _BLOCK
         (candidate, sample) cells, which bounds the working memory."""
-        out = np.empty(len(rules))
+        # Zero rule. When no table value exceeds 1, approx_loss[r, s] is a
+        # float sum of terms count * -ln p >= 0 (INF_NATS at p == 0), and
+        # such a sum is 0.0 only when every term is. A kept pure group's
+        # term is 0 only at p == 1.0 (-ln p > 0 for every float p < 1). A
+        # mixed group counts two labels of one row, which cannot both have
+        # p == 1.0, so its term is > 0. Hence approx_loss[r, s] == 0.0
+        # exactly when every kept sample has p == 1.0, and the exact loss is
+        # math.fsum of -ln 1.0 terms, 0.0: those rows skip the fsum.
+        out = np.zeros(len(rules))
+        todo = np.arange(len(rules))
+        if self.unit_bounded:
+            todo = np.flatnonzero(self.approx_loss[rules, counts] != 0.0)
         step = max(1, _BLOCK // max(len(self.d), 1))
-        for lo in range(0, len(rules), step):
-            ur, ri = np.unique(rules[lo:lo + step], return_inverse=True)
+        for lo in range(0, len(todo), step):
+            at = todo[lo:lo + step]
+            ur, ri = np.unique(rules[at], return_inverse=True)
             # rank[i, g]: position of group g in rule ur[i]'s pin order;
             # mixed groups rank past every pin count
             rank = np.full((len(ur), self.u), self.n_pure,
                            dtype=np.min_scalar_type(self.n_pure))
             rank[np.arange(len(ur))[:, None], self.pin_order[ur]] = \
                 np.arange(self.n_pure)
-            pinned = rank[:, self.inverse][ri] < counts[lo:lo + step, None]
-            out[lo:lo + step] = self._fsum_kept(ur, ri, pinned)
+            pinned = rank[:, self.inverse][ri] < counts[at, None]
+            out[at] = self._fsum_kept(ur, ri, pinned)
         return out
 
     def exact_loss(self, r: int, pin_groups) -> float:
@@ -931,9 +974,19 @@ def critical_beta(d: Dataset, fam: HypothesisFamily, tol_bisect: float = 1e-3
                   ) -> float:
     """Largest beta at which the Lagrangian min is not constant-realized.
 
-    Found by bisection with exact Lagrangian evaluations: the result is the
-    midpoint of the final bracket, within tol_bisect / 2 of the crossing.
-    Returns 0.0 when a constant rule already realizes the beta = 0 minimum.
+    Found by bisection: the result is the midpoint of the final bracket,
+    within tol_bisect / 2 of the crossing. Returns 0.0 when a constant rule
+    already realizes the beta = 0 minimum.
+
+    Each midpoint compares v_const, the exact value of the best constant
+    rule, with v_other, the minimum of approx + beta * cost over the
+    candidates' Pareto frontier (`_Candidates.frontier`), which leaves the
+    unpinned constant rules out. With m = `_screen_margin`(v_other), the
+    bound on the approximation error that `_Candidates.minimize` assumes,
+    v_const > v_other + m + TIE_ATOL means "not realized" and
+    v_other - m >= v_const means "realized". Only the midpoints in between
+    run the exact Lagrangian minimum, so the bracket and the result are
+    those of an exact evaluation at every midpoint.
     """
     if not fam.is_constant.any():
         raise ValueError("family contains no constant distributions")
@@ -941,10 +994,17 @@ def critical_beta(d: Dataset, fam: HypothesisFamily, tol_bisect: float = 1e-3
     const_rules = np.flatnonzero(fam.is_constant)
     const_loss = cand.exact_losses(const_rules, np.zeros_like(const_rules)).tolist()
     const_cost = (fam.costs[const_rules] + cand.ext[0]).tolist()
+    f_cost, f_approx = cand.frontier()
 
     def constant_realized(beta: float) -> bool:
-        vmin, _ = cand.minimize(beta)
         vconst = min(loss + beta * cost for loss, cost in zip(const_loss, const_cost))
+        v_other = float((f_cost * beta + f_approx).min(initial=np.inf))
+        margin = _screen_margin(v_other)
+        if vconst > v_other + margin + TIE_ATOL:
+            return False
+        if v_other - margin >= vconst:
+            return True
+        vmin, _ = cand.minimize(beta)
         return vconst <= vmin + TIE_ATOL
 
     if constant_realized(0.0):

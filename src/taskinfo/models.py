@@ -293,7 +293,9 @@ def sgd_train(d: Dataset, arch: Architecture, cfg: SgdConfig,
     """
     x, y = _as_xy(d, arch)
     params = init if isinstance(init, MlpParams) else init_params(arch, init)
-    arch = params.architecture             # an MlpParams init brings its own
+    if params.architecture != arch:
+        raise ValueError(f"init has architecture {params.architecture.layer_widths}, "
+                         f"not {arch.layer_widths}")
     w = flatten_params(params)[None]       # the state: one flat (1, P) row
     grads = np.empty_like(w)
     batch = min(cfg.batch_size, max(1, d.n))
@@ -363,6 +365,8 @@ def _read_params(path, sized=()) -> tuple[MlpParams, dict]:
     fields = {}
     for no, ln in lines[1:]:
         key, _, value = ln.partition("=")
+        if key in fields:
+            raise ValueError(f"{path}:{no}: repeats {key}= of line {fields[key][0]}")
         fields[key] = (no, value)
 
     def field(key, shape=None):

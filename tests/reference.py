@@ -96,6 +96,74 @@ def dense_screening(d, tables):
     return group_loss, pure_idx[order], mixed_loss[:, None] + suffix
 
 
+def reference_exact_losses(cand, rules, counts):
+    """_Candidates.exact_losses with every row re-checked by fsum, the
+    zero-approx rows too."""
+    out = np.empty(len(rules))
+    step = max(1, fo._BLOCK // max(len(cand.d), 1))
+    for lo in range(0, len(rules), step):
+        ur, ri = np.unique(rules[lo:lo + step], return_inverse=True)
+        rank = np.full((len(ur), cand.u), cand.n_pure,
+                       dtype=np.min_scalar_type(cand.n_pure))
+        rank[np.arange(len(ur))[:, None], cand.pin_order[ur]] = \
+            np.arange(cand.n_pure)
+        pinned = rank[:, cand.inverse][ri] < counts[lo:lo + step, None]
+        out[lo:lo + step] = cand._fsum_kept(ur, ri, pinned)
+    return out
+
+
+def reference_minimize(cand, beta, cost_cap=None):
+    """_Candidates.minimize with every shortlisted row re-checked by fsum:
+    (value, (cost, r, s)), or (inf, None) when nothing is under the cap."""
+    vmin, near = math.inf, []
+    for lo, values in cand.screens(beta, cost_cap):
+        vmin = min(vmin, float(values.min()))
+        if math.isfinite(vmin):
+            r, s = np.nonzero(values <= vmin + fo._screen_margin(vmin))
+            near.append((lo + r, s, values[r, s]))
+    if not math.isfinite(vmin):
+        return math.inf, None
+    r, s, v = (np.concatenate(a) for a in zip(*near))
+    close = v <= vmin + fo._screen_margin(vmin)
+    r, s = r[close], s[close]
+    cost = cand.fam.costs[r] + cand.ext[s]
+    exact = reference_exact_losses(cand, r, s) + beta * cost
+    best = float(exact.min())
+    tie = np.flatnonzero(exact <= best + fo.TIE_ATOL)
+    j = tie[np.lexsort((s[tie], r[tie], cost[tie]))[0]]
+    return best, (float(cost[j]), int(r[j]), int(s[j]))
+
+
+def reference_critical_beta(d, fam, tol_bisect=1e-3):
+    """critical_beta with an exact Lagrangian minimum at every midpoint."""
+    cand = fo._Candidates(d, fam)
+    const_rules = np.flatnonzero(fam.is_constant)
+    const_loss = reference_exact_losses(
+        cand, const_rules, np.zeros_like(const_rules)).tolist()
+    const_cost = (fam.costs[const_rules] + cand.ext[0]).tolist()
+
+    def constant_realized(beta):
+        vmin, _ = reference_minimize(cand, beta)
+        vconst = min(loss + beta * cost for loss, cost in zip(const_loss, const_cost))
+        return vconst <= vmin + fo.TIE_ATOL
+
+    if constant_realized(0.0):
+        return 0.0
+    hi = 1.0
+    while not constant_realized(hi):
+        hi *= 2.0
+        if hi > 2.0 ** 40:
+            raise RuntimeError("failed to bracket the critical beta")
+    lo = 0.0
+    while hi - lo > tol_bisect:
+        mid = 0.5 * (lo + hi)
+        if constant_realized(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def naive_family(space, k, noise_grid=(0.05, 0.1, 0.2)):
     """Structured family built one rule at a time: (names, costs, tables).
 

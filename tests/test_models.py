@@ -157,6 +157,14 @@ def test_sgd_zero_epochs_returns_init():
     assert res.loss_trace == ()
 
 
+def test_sgd_rejects_init_of_another_architecture():
+    d = tasks.generate_random_label_task(5, tasks.RealSpace(3), 2, seed=0)
+    init = init_params(Architecture((3, 5, 2)), seed=0)
+    with pytest.raises(ValueError, match=r"\(3, 5, 2\), not \(3, 2\)"):
+        sgd_train(d, Architecture((3, 2)),
+                  SgdConfig(learning_rate=0.1, batch_size=5, epochs=1), init=init)
+
+
 def test_sgd_descends_on_logistic_regression():
     d = tasks.generate_random_label_task(40, tasks.RealSpace(4), 2, seed=3)
     arch = Architecture((4, 2))
@@ -235,8 +243,9 @@ def _posterior_file(path):
     (lambda ls: ls[:3] + [ls[3].rsplit(";", 1)[0]] + ls[4:], 4, "cannot reshape"),
     (lambda ls: ls[:4] + ["b0=0.5;x"], 5, "could not convert"),
     (lambda ls: ls[:4] + ["b0=0.5;1e999"], 5, "finite"),
+    (lambda ls: ls + ["W0=9;9;9;9"], 6, "repeats W0= of line 4"),
 ], ids=["header", "no-widths", "no-W0", "one-width", "short-W0", "not-a-number",
-        "overflow"])
+        "overflow", "repeated-W0"])
 def test_params_load_errors_name_file_and_line(tmp_path, edit, line, message):
     path = tmp_path / "q.txt"
     path.write_text("\n".join(edit(_posterior_file(path))) + "\n")
@@ -248,7 +257,8 @@ def test_params_load_errors_name_file_and_line(tmp_path, edit, line, message):
 @pytest.mark.parametrize("edit, line, message", [
     (lambda ls: ls[:2] + ls[3:], 1, "no log_var= line"),
     (lambda ls: ls[:2] + ["log_var=0.5;0.25"] + ls[3:], 3, "cannot reshape"),
-], ids=["no-log_var", "short-log_var"])
+    (lambda ls: ls + [ls[2]], 6, "repeats log_var= of line 3"),
+], ids=["no-log_var", "short-log_var", "repeated-log_var"])
 def test_posterior_load_errors_name_file_and_line(tmp_path, edit, line, message):
     from taskinfo.variational import load_posterior
     path = tmp_path / "q.txt"

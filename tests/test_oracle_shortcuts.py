@@ -1,0 +1,144 @@
+"""The exact oracle's shortcuts give the outputs of the exhaustive paths.
+
+`_Candidates.exact_losses` skips the fsum of candidates whose approximate
+loss is exactly 0, and `critical_beta` decides most bisection midpoints
+from the candidates' Pareto frontier. The references in `reference.py`
+re-check every shortlisted row and run an exact minimum at every midpoint.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from taskinfo import finite_oracle as fo
+from taskinfo import tasks
+from taskinfo.finite_oracle import HypothesisFamily, critical_beta, structure_function
+from taskinfo.tasks import Dataset, DiscreteSpace, disjoint_union
+
+from .reference import (
+    reference_critical_beta,
+    reference_exact_losses,
+    reference_minimize,
+)
+
+
+@st.composite
+def _oracle_tasks(draw):
+    """A tiny flat or union task and its family. Each part's labels are
+    random or come noiselessly from a deterministic rule of the part's
+    family, which makes large zero-loss tie sets."""
+    k = draw(st.sampled_from([2, 3]))
+
+    def part(m):
+        n = draw(st.integers(0, 6))
+        xs = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)),
+                      dtype=np.int64)
+        if draw(st.booleans()):
+            fam = HypothesisFamily.for_space(DiscreteSpace(m), k, ())
+            rule = draw(st.sampled_from(np.flatnonzero(fam.is_deterministic).tolist()))
+            ys = fam.tables[rule][xs].argmax(axis=1)
+        else:
+            ys = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                        max_size=n)), dtype=np.int64)
+        return Dataset(xs, ys, k, DiscreteSpace(m))
+
+    if draw(st.booleans()):
+        d = part(draw(st.integers(2, 4)))
+    else:
+        d = disjoint_union(part(draw(st.integers(1, 2))), part(draw(st.integers(1, 2))))
+    noise_grid = draw(st.sampled_from([(), (0.1,), (0.05, 0.2)]))
+    return d, HypothesisFamily.for_space(d.space, k, noise_grid)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_oracle_tasks(), st.sampled_from([0.3, 1.0, 2.5]))
+def test_shortcuts_match_exhaustive_references(task, beta):
+    d, fam = task
+    cand = fo._Candidates(d, fam)
+    for b in (0.0, beta):
+        assert cand.minimize(b) == reference_minimize(cand, b)
+    costs = np.unique(cand.cost)
+    # below every code length, at a middle one, at the all-pinned price of
+    # the dearest rule and above it
+    t_grid = [costs[0] / 2, costs[len(costs) // 2], costs[-1], costs[-1] + 1.0]
+    curve = structure_function(d, fam, t_grid)
+    for t, loss, cost in zip(t_grid, curve.loss, curve.complexity):
+        value, where = reference_minimize(cand, 0.0, cost_cap=t)
+        assert cand.minimize(0.0, cost_cap=t) == (value, where)
+        assert (loss, cost) == ((np.inf, np.inf) if where is None
+                                else (fo._report(value), where[0]))
+    assert critical_beta(d, fam) == reference_critical_beta(d, fam)
+
+
+def _oracle_union(seed):
+    """The union of a noiseless parity011 task (16 inputs, 32 samples) and a
+    random-label task (8 inputs, 8 samples), with its 16,698-rule family."""
+    rule = HypothesisFamily.for_space(DiscreteSpace(16), 2).hypothesis("parity011")
+    d = disjoint_union(
+        tasks.generate_planted_task(32, rule, 0.0, 10 * seed + 1),
+        tasks.generate_random_label_task(8, DiscreteSpace(8), 2, 10 * seed + 2))
+    return d, HypothesisFamily.for_space(d.space, 2)
+
+
+@pytest.fixture(scope="module")
+def union3():
+    return _oracle_union(3)
+
+
+def test_critical_beta_matches_reference_on_planted_random_union(union3):
+    d, fam = union3
+    assert critical_beta(d, fam) == reference_critical_beta(d, fam)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Records (rows, zero-approx rows) of every exact_losses call and the
+    rows of every fsum re-check."""
+    calls, fsum_rows = [], []
+    exact_losses, fsum_kept = fo._Candidates.exact_losses, fo._Candidates._fsum_kept
+
+    def exact_spy(self, rules, counts):
+        calls.append((len(rules), int((self.approx_loss[rules, counts] == 0.0).sum())))
+        return exact_losses(self, rules, counts)
+
+    def fsum_spy(self, ur, ri, pinned):
+        fsum_rows.append(len(ri))
+        return fsum_kept(self, ur, ri, pinned)
+
+    monkeypatch.setattr(fo._Candidates, "exact_losses", exact_spy)
+    monkeypatch.setattr(fo._Candidates, "_fsum_kept", fsum_spy)
+    return calls, fsum_rows
+
+
+def test_critical_beta_probes_few_exact_minima(union3, spy):
+    calls, _ = spy
+    critical_beta(*union3)
+    # one call prices the constant rules; each other is an exact probe
+    assert 1 <= len(calls) <= 3
+
+
+@pytest.mark.parametrize("t", [33.0, 36.0])
+def test_structure_function_skips_zero_loss_ties(union3, spy, t):
+    calls, fsum_rows = spy
+    structure_function(*union3, [t])
+    rows, zero = map(sum, zip(*calls))
+    assert zero > 10_000                 # the tie set is there ...
+    assert sum(fsum_rows) == rows - zero  # ... and none of it is re-checked
+
+
+def test_zero_rule_off_when_a_table_value_exceeds_one():
+    # row sums within 1e-12 of 1 admit a value above 1, whose -ln p < 0
+    # could cancel a positive term in the approximate sum
+    over = np.array([[1.0 + 4e-13, 0.0], [1.0, 0.0]])
+    fam = HypothesisFamily.from_rules([
+        fo.Hypothesis(np.full((2, 2), 0.5), 1.0, "uniform"),
+        fo.Hypothesis(over, 1.0, "over")])
+    d = Dataset(np.array([0, 1, 1]), np.array([0, 0, 0]), 2, DiscreteSpace(2))
+    cand = fo._Candidates(d, fam)
+    assert not cand.unit_bounded
+    r, s = np.nonzero(np.ones(cand.cost.shape, dtype=bool))
+    assert (cand.exact_losses(r, s) == reference_exact_losses(cand, r, s)).all()
+    assert fo._Candidates(d, HypothesisFamily.for_space(DiscreteSpace(2), 2)
+                          ).unit_bounded
