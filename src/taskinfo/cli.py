@@ -80,6 +80,16 @@ def _build_domain(spec, path) -> tasks_mod.DiscreteSpace | tasks_mod.RealSpace:
     raise ConfigError(f"{path}.kind: unknown domain kind {spec['kind']!r}")
 
 
+def _family(space, k, obj, path) -> oracle.HypothesisFamily:
+    """The oracle family for ``space`` at the noise grid of ``obj``."""
+    try:
+        noise_grid = tuple(obj.get("noise_grid", (0.05, 0.1, 0.2)))
+        oracle._check_noise_grid(noise_grid)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.noise_grid: {exc}") from None
+    return oracle.HypothesisFamily.for_space(space, k, noise_grid)
+
+
 def build_task(spec, path="task") -> tasks_mod.Dataset:
     """Recursive task builder shared by every command."""
     if not isinstance(spec, dict) or "type" not in spec:
@@ -93,9 +103,8 @@ def build_task(spec, path="task") -> tasks_mod.Dataset:
     if t == "planted":
         _check_keys(spec, path, ("type", "n", "k", "domain_size", "rule", "seed"),
                     ("noise", "noise_grid"))
-        fam = oracle.HypothesisFamily.for_space(
-            tasks_mod.DiscreteSpace(int(spec["domain_size"])), int(spec["k"]),
-            tuple(spec.get("noise_grid", (0.05, 0.1, 0.2))))
+        fam = _family(tasks_mod.DiscreteSpace(int(spec["domain_size"])),
+                      int(spec["k"]), spec, path)
         try:
             rule = fam.hypothesis(spec["rule"])
         except KeyError:
@@ -186,8 +195,7 @@ def cmd_structure_fn(cfg, hash_) -> dict:
         t_grid = [float(t) for t in ocfg["t_grid"]]
         if not t_grid:
             raise ConfigError("oracle.t_grid: must be a nonempty increasing list")
-        fam = oracle.HypothesisFamily.for_space(
-            d.space, d.num_labels, tuple(ocfg.get("noise_grid", (0.05, 0.1, 0.2))))
+        fam = _family(d.space, d.num_labels, ocfg, "oracle")
         curve = oracle.structure_function(d, fam, t_grid)
         xlabel = "code length budget t (NATS)"
     elif cfg["engine"] == "variational":
@@ -263,9 +271,7 @@ def cmd_beta_sweep(cfg, hash_) -> dict:
         ocfg = cfg.get("oracle", {})
         _check_keys(ocfg, "oracle", (), ("noise_grid",))
         for name, d in named:
-            fam = oracle.HypothesisFamily.for_space(
-                d.space, d.num_labels,
-                tuple(ocfg.get("noise_grid", (0.05, 0.1, 0.2))))
+            fam = _family(d.space, d.num_labels, ocfg, "oracle")
             per_loss, per_beta = [], []
             for b, (_, h) in zip(betas, oracle.lagrangian_sweep(d, fam, betas)):
                 loss = oracle.empirical_loss(h, d)

@@ -88,6 +88,14 @@ def _ln_choose(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _check_noise_grid(noise_grid) -> None:
+    """Raise ValueError naming the first noise level that is not a finite
+    number in [0, 1]."""
+    for q in noise_grid:
+        if not (math.isfinite(q) and 0.0 <= q <= 1.0):
+            raise ValueError(f"noise level {q!r} is not a number in [0, 1]")
+
+
 def extension_cost(u: int, s: int, k: int) -> float:
     """Extra code length for pinning s of u distinct training inputs.
 
@@ -185,12 +193,15 @@ class _Rules:
     """The rules over one space, in enumeration order.
 
     A flat block (and a custom family) stores its ``tables`` (R, space.size,
-    K). A union stores none. Its first rules are its ``flat`` block; the
-    rest are pair rules, and row i of ``kid_idx`` (R - len(flat), 2) gives
-    pair rule len(flat) + i's left child as a rule of ``parts[0]``, the left
-    part's family, and its right child as a rule of ``parts[1]`` (a
-    back-referenced child lies in the right part's space, so it has the
-    same enumeration there). The left child fills rows [0, mmax), the right
+    K) and its ``listed`` names. A union stores neither. Its first rules are
+    its ``flat`` block; the rest are pair rules, and row i of ``kid_idx``
+    (R - len(flat), 2) gives pair rule len(flat) + i's left child as a rule
+    of ``parts[0]``, the left part's family, and its right child as a rule
+    of ``parts[1]`` (a back-referenced child lies in the right part's space,
+    so it has the same enumeration there). The pair rules come fresh
+    (every left child with every right child), then ``n_same`` pair(a|=),
+    then the back-references, ``back_w`` naming which child of the left
+    pair each one points at. The left child fills rows [0, mmax), the right
     child rows [mmax, 2 mmax), mmax = space.size // 2; rows past a child's
     own space are uniform. Every table-valued query is answered from the
     children.
@@ -198,15 +209,43 @@ class _Rules:
 
     space: DiscreteSpace
     k: int
-    names: list[str]
     costs: np.ndarray                 # (R,)
     tables: np.ndarray | None = None  # (R, space.size, K), flat rules only
+    listed: list[str] | None = None   # names, flat rules only
     flat: "_Rules | None" = None
     parts: tuple = ()
     kid_idx: np.ndarray | None = None
+    n_same: int = 0
+    back_w: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.names)
+        return len(self.costs)
+
+    @functools.cached_property
+    def names(self) -> list[str]:
+        """Every rule's name; a union's list is built on first read."""
+        if self.kid_idx is None:
+            return self.listed
+        left, right = (part.names for part in self.parts)
+        back = self.kid_idx[len(left) * len(right) + self.n_same:, 0].tolist()
+        return ([f"flat[{n}]" for n in self.flat.names]
+                + [f"pair({a}|{b})" for a in left for b in right]
+                + [f"pair({a}|=)" for a in left[:self.n_same]]
+                + [f"pair({left[a]}|<{w}])"
+                   for a, w in zip(back, self.back_w.tolist())])
+
+    def name(self, i: int) -> str:
+        """names[i], built alone."""
+        if self.kid_idx is None:
+            return self.listed[i]
+        if i < len(self.flat):
+            return f"flat[{self.flat.name(i)}]"
+        left, right = self.parts
+        a, b = self.kid_idx[i - len(self.flat)].tolist()
+        back = i - len(self.flat) - len(left) * len(right) - self.n_same
+        tail = (right.name(b) if back < -self.n_same else "=" if back < 0
+                else f"<{self.back_w[back]}]")
+        return f"pair({left.name(a)}|{tail})"
 
     def cells(self, rules: np.ndarray, xs: np.ndarray, ys: np.ndarray
               ) -> np.ndarray:
@@ -231,23 +270,45 @@ class _Rules:
     def group_loss(self, xs: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """(R, g) losses of every rule on the groups with sorted distinct
         inputs ``xs`` and label counts ``counts`` (g, K): the values of
-        `_dense_group_loss` over the full tables, bit for bit. A union
-        evaluates each part's family once on its half of the groups and
-        gathers the pair rules' rows by child index."""
+        `_dense_group_loss` over the full tables, bit for bit."""
         if self.tables is not None:
             return _dense_group_loss(self.tables[:, xs, :], counts)
-        out = np.empty((len(self), len(xs)))
-        nf = len(self.flat)
-        out[:nf] = self.flat.group_loss(xs, counts)
+        return self.group_rows(self.group_parts(xs, counts), np.arange(len(self)))
+
+    def group_parts(self, xs: np.ndarray, counts: np.ndarray) -> tuple:
+        """(flat, sides): what `group_rows` reads for the groups (xs, counts).
+
+        ``flat`` holds the group losses of the rules with tables: the flat
+        block of a union, every rule otherwise. A union evaluates each
+        part's family once on its half of the groups: ``sides`` holds, per
+        part, (the columns of that half, the part's group losses there).
+        """
+        if self.tables is not None:
+            return self.group_loss(xs, counts), ()
         mmax = self.space.size // 2
         split = int(np.searchsorted(xs, mmax))
         halves = (slice(0, split), slice(split, None))
-        for side, (child, cols) in enumerate(zip(self.parts, halves)):
-            loss = child._padded_group_loss(xs[cols] - side * mmax, counts[cols],
-                                            self.k)
-            for lo in range(0, len(self.kid_idx), _ROWS):
-                kids = self.kid_idx[lo:lo + _ROWS, side]
-                out[nf + lo:nf + lo + len(kids), cols] = loss[kids]
+        return self.flat.group_loss(xs, counts), tuple(
+            (cols, child._padded_group_loss(xs[cols] - side * mmax, counts[cols],
+                                            self.k))
+            for side, (child, cols) in enumerate(zip(self.parts, halves)))
+
+    def group_rows(self, parts: tuple, rules: np.ndarray) -> np.ndarray:
+        """Rows ``rules`` of `group_loss`, from `group_parts`: a pair rule's
+        row is gathered from its children's rows by child index."""
+        flat_loss, sides = parts
+        if not sides:
+            return flat_loss[rules]
+        nf = len(flat_loss)
+        out = np.empty((len(rules), flat_loss.shape[1]))
+        flat = rules < nf
+        out[flat] = flat_loss[rules[flat]]
+        pair = np.flatnonzero(~flat)
+        for lo in range(0, len(pair), _ROWS):
+            at = pair[lo:lo + _ROWS]
+            kids = self.kid_idx[rules[at] - nf]
+            for side, (cols, loss) in enumerate(sides):
+                out[at, cols] = loss[kids[:, side]]
         return out
 
     def _padded_group_loss(self, xs, counts, k) -> np.ndarray:
@@ -309,14 +370,18 @@ class HypothesisFamily:
         self.custom = custom
         self._rules = rules
         self.costs = rules.costs
-        self.names = rules.names
         self.is_constant, self.is_deterministic, _ = rules.facts()
         kraft = self.kraft_sum()
         if kraft > 1.0 + 1e-9:
             raise ValueError(f"family violates the Kraft budget: {kraft:.6f} > 1")
 
     def __len__(self) -> int:
-        return len(self.names)
+        return len(self.costs)
+
+    @property
+    def names(self) -> list[str]:
+        """Rule names in enumeration order; a union's are built on first read."""
+        return self._rules.names
 
     def kraft_sum(self) -> float:
         return float(math.fsum(map(math.exp, (-self.costs).tolist())))
@@ -346,7 +411,7 @@ class HypothesisFamily:
             i = int(index_or_name)
         return Hypothesis(table=self._tables_of([i])[0],
                           code_length=float(self.costs[i]),
-                          name=self.names[i], rule_index=i)
+                          name=self._rules.name(i), rule_index=i)
 
     def hypotheses(self) -> list[Hypothesis]:
         return [self.hypothesis(i) for i in range(len(self))]
@@ -359,6 +424,7 @@ class HypothesisFamily:
                   ) -> "HypothesisFamily":
         if num_labels < 2:
             raise ValueError("family needs num_labels >= 2")
+        _check_noise_grid(noise_grid)
         return cls(cls._rules_for_space(space, num_labels, tuple(noise_grid)),
                    noise_grid)
 
@@ -370,9 +436,10 @@ class HypothesisFamily:
             raise NoHypothesisError("no hypothesis: family is empty")
         m, k = hs[0].table.shape
         return cls(_Rules(space or DiscreteSpace(m), num_labels or k,
-                          [h.name or f"rule{i}" for i, h in enumerate(hs)],
                           np.array([float(h.code_length) for h in hs]),
-                          np.stack([h.table for h in hs])), (), custom=True)
+                          np.stack([h.table for h in hs]),
+                          [h.name or f"rule{i}" for i, h in enumerate(hs)]),
+                   (), custom=True)
 
     @classmethod
     def _rules_for_space(cls, space, k, noise_grid) -> _Rules:
@@ -401,22 +468,18 @@ class HypothesisFamily:
         left_idx = np.arange(n_left)
         costs = [flat.costs + PAIR_FLAG,                 # fresh: pair(a|b)
                  ((base + left.costs)[:, None] + right.costs[None, :]).ravel()]
-        names = [f"flat[{n}]" for n in flat.names]
-        names += [f"pair({a}|{b})" for a in left.names for b in right.names]
         kids = [np.stack([left_idx.repeat(n_right),
                           np.tile(np.arange(n_right), n_left)], axis=1)]
         if n_same:                                       # same: pair(a|=)
             costs.append(base + left.costs)
-            names += [f"pair({a}|=)" for a in left.names]
             kids.append(np.stack([left_idx, left_idx], axis=1))
         if len(back_a):                                  # back: pair(a|<w])
             costs.append((base + left.costs[back_a]) + PAIR_CHILD)
-            names += [f"pair({left.names[a]}|<{w}])"
-                      for a, w in zip(back_a.tolist(), back_w.tolist())]
             kids.append(np.stack([back_a, left.kid_idx[back_a - len(left.flat),
                                                        back_w]], axis=1))
-        return _Rules(space, k, names, np.concatenate(costs), flat=flat,
-                      parts=(left, right), kid_idx=np.concatenate(kids))
+        return _Rules(space, k, np.concatenate(costs), flat=flat,
+                      parts=(left, right), kid_idx=np.concatenate(kids),
+                      n_same=n_same, back_w=back_w)
 
     @classmethod
     def _check_size(cls, rules: int) -> None:
@@ -459,9 +522,9 @@ class HypothesisFamily:
             + ([np.stack(noisy, axis=1).reshape(-1, m, k)] if nq else []))
         return _Rules(
             space, k,
-            ["uniform"] + names + [f"{n}~q{q:g}" for n in names for q in noise_grid],
             np.array([_GROUP_TAG] + costs + [c for c in costs for _ in noise_grid]),
-            tables)
+            tables,
+            ["uniform"] + names + [f"{n}~q{q:g}" for n in names for q in noise_grid])
 
     def space_token(self) -> str:
         from .tasks import _union_spec
@@ -527,8 +590,12 @@ def load_family(path) -> HypothesisFamily:
     k = field("labels", int)
     if k < 1:
         raise ValueError(f"{path}:{header['labels'][0]}: labels must be >= 1")
-    noise_grid = field("noise_grid",
-                       lambda v: tuple(float(q) for q in v.split(",") if q))
+    def noise_levels(value):
+        levels = tuple(float(q) for q in value.split(",") if q)
+        _check_noise_grid(levels)
+        return levels
+
+    noise_grid = field("noise_grid", noise_levels)
     custom = header.get("custom", (0, "0"))[1] == "1"
     width = 5 if custom else 4
     for no, cells in rule_lines:
@@ -576,26 +643,59 @@ def _screen_margin(vmin: float) -> float:
     return _APPROX_MARGIN * (1.0 + abs(vmin)) + TIE_ATOL
 
 
+def _pair_slack(floor: np.ndarray) -> np.ndarray:
+    """Float slack of a child floor: summation order can put a screened
+    value a few ulps below its exact lower bound, never 1e-9 relative."""
+    return 1e-9 * (1.0 + np.abs(floor))
+
+
+def _suffix_losses(group: np.ndarray, pure_idx: np.ndarray,
+                   mixed_idx: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """(rows, n_pure+1) approximate losses from group-loss rows, written to
+    ``out`` when given: column s is the mixed groups' loss plus that of the
+    pure groups left after pinning the s largest, a suffix sum of the
+    ascending losses. Each row's values depend on that row alone."""
+    if out is None:
+        out = np.empty((len(group), len(pure_idx) + 1))
+    ascending = np.take(group, pure_idx, axis=1)
+    ascending.sort(axis=1)
+    np.cumsum(ascending, axis=1, out=ascending)
+    out[:, :-1] = ascending[:, ::-1]
+    out[:, -1] = 0.0
+    out += np.take(group, mixed_idx, axis=1).sum(axis=1)[:, None]
+    return out
+
+
 class _PinOrders:
     """Canonical pin orders, computed for the rules asked for.
 
     Indexes like an (R, n_pure) array: row r lists the pure groups by
     decreasing loss under rule r, ties toward the smaller group index (a
-    stable argsort of the row).
+    stable argsort of the row). ``rows(rules)`` gives the group losses.
     """
 
-    def __init__(self, group_loss: np.ndarray, pure_idx: np.ndarray):
-        self.group_loss = group_loss
+    def __init__(self, rows, pure_idx: np.ndarray):
+        self.rows = rows
         self.pure_idx = pure_idx
 
     def __getitem__(self, key):
         rules, cols = key if isinstance(key, tuple) else (key, slice(None))
-        loss = np.take(self.group_loss[rules], self.pure_idx, axis=-1)
-        order = np.argsort(-loss, axis=-1, kind="stable")
-        return self.pure_idx[order][..., cols]
+        loss = np.take(self.rows(np.atleast_1d(rules)), self.pure_idx, axis=-1)
+        order = self.pure_idx[np.argsort(-loss, axis=-1, kind="stable")]
+        return order[0, cols] if np.ndim(rules) == 0 else order[:, cols]
 
 
 class _Candidates:
+    """The candidates (rule, pin count) of one dataset under one family.
+
+    Rows of group and approximate losses are built for the rules a query
+    asks for. An uncapped `minimize` screens the rules with tables, then
+    only the pair rules that a bound from their children cannot rule out
+    (`_pair_floor`). The R-wide ``group_loss`` and ``approx_loss`` are
+    built on first read, for the consumers that scan every rule.
+    """
+
     def __init__(self, d: Dataset, fam: HypothesisFamily):
         if not isinstance(d.space, DiscreteSpace):
             raise ValueError("the oracle works on discrete input spaces")
@@ -627,46 +727,109 @@ class _Candidates:
         self.u = u
         self.n_pure = int(pure.sum())
 
-        # approximate per-group losses (used for candidate selection only)
-        self.group_loss = fam._rules.group_loss(xs, counts)
-        pure_idx, mixed_idx = np.flatnonzero(pure), np.flatnonzero(~pure)
-        self.pin_order = _PinOrders(self.group_loss, pure_idx)
-        # approx_loss[r, s]: the mixed loss plus the pure groups left after
-        # pinning the s largest, a suffix sum of the ascending losses
-        self.mixed_loss = np.empty(len(fam))
-        self.approx_loss = np.empty((len(fam), self.n_pure + 1))
-        for lo in range(0, len(fam), _ROWS):
-            block = self.group_loss[lo:lo + _ROWS]
-            mixed = np.take(block, mixed_idx, axis=1)
-            self.mixed_loss[lo:lo + _ROWS] = mixed.sum(axis=1)
-            ascending = np.take(block, pure_idx, axis=1)
-            ascending.sort(axis=1)
-            np.cumsum(ascending, axis=1, out=ascending)
-            self.approx_loss[lo:lo + _ROWS, :-1] = ascending[:, ::-1]
-        self.approx_loss[:, -1] = 0.0
-        self.approx_loss += self.mixed_loss[:, None]    # (R, n_pure+1)
+        # approximate per-group losses (used for candidate selection only):
+        # the flat rules' rows and, for a union, each part's rows
+        self._parts = fam._rules.group_parts(xs, counts)
+        self._n_flat = len(self._parts[0])
+        self._pure_idx, self._mixed_idx = np.flatnonzero(pure), np.flatnonzero(~pure)
+        self.pin_order = _PinOrders(self._group_rows, self._pure_idx)
 
         self.ext = np.array(
             [extension_cost(u, s, self.k) for s in range(self.n_pure + 1)])
         # exact_losses' zero rule needs every term -ln p to be >= 0
         self.unit_bounded = fam._rules.peak() <= 1.0
 
+    def _group_rows(self, rules: np.ndarray) -> np.ndarray:
+        """group_loss[rules], built for those rules only."""
+        return self.fam._rules.group_rows(self._parts, rules)
+
+    def _approx_rows(self, rules: np.ndarray) -> np.ndarray:
+        """approx_loss[rules], built for those rules only, bit for bit."""
+        out = np.empty((len(rules), self.n_pure + 1))
+        for lo in range(0, len(rules), _ROWS):
+            _suffix_losses(self._group_rows(rules[lo:lo + _ROWS]), self._pure_idx,
+                           self._mixed_idx, out[lo:lo + _ROWS])
+        return out
+
+    @functools.cached_property
+    def group_loss(self) -> np.ndarray:
+        """(R, u) loss of every rule on every input group, built on first read."""
+        return self._group_rows(np.arange(len(self.fam)))
+
+    @functools.cached_property
+    def _flat_approx(self) -> np.ndarray:
+        """approx_loss rows of the rules with tables (every rule but pairs)."""
+        return self._approx_rows(np.arange(self._n_flat))
+
+    @functools.cached_property
+    def approx_loss(self) -> np.ndarray:
+        """(R, n_pure+1) approximate loss of every candidate (r, s), built on
+        first read."""
+        if self._n_flat == len(self.fam):
+            return self._flat_approx
+        return self._approx_rows(np.arange(len(self.fam)))
+
+    @functools.cached_property
+    def _kid_rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per side of a union: (the approximate loss rows of the side's part
+        family over the side's groups, ln C(u_side, s) + s ln K)."""
+        out = []
+        for cols, loss in self._parts[1]:
+            pure = self.pure[cols]
+            ext = np.array([_ln_choose(len(pure), s) + s * math.log(self.k)
+                            for s in range(int(pure.sum()) + 1)])
+            out.append((_suffix_losses(loss, np.flatnonzero(pure),
+                                       np.flatnonzero(~pure)), ext))
+        return out
+
+    def _pair_floor(self, beta: float) -> np.ndarray:
+        """Lower bound, per pair rule p = (a, b), on approx + beta * cost
+        over all its pin counts.
+
+        The union's groups split into the two sides, and a pair's group
+        losses on a side are its child's. Its top-s pins are the top sa
+        pins of the left side and the top sb of the right, sa + sb = s, so
+        approx(p, s) = A_a(sa) + B_b(sb), the children's approximate rows.
+        By Vandermonde C(u, s) >= C(u_L, sa) C(u_R, sb), so for beta >= 0
+
+            approx(p, s) + beta * (cost_p + ext(s))
+                >= beta * (cost_p + ln(u+1)) + f_a + g_b,
+
+        f_a = min_sa A_a(sa) + beta * (ln C(u_L, sa) + sa ln K), g_b alike.
+        """
+        f, g = ((rows + beta * ext).min(axis=1) for rows, ext in self._kid_rows)
+        kids = self.fam._rules.kid_idx
+        return (beta * (self.fam.costs[self._n_flat:] + math.log(self.u + 1))
+                + f[kids[:, 0]] + g[kids[:, 1]])
+
     @property
     def cost(self) -> np.ndarray:
         """(R, n_pure+1) code length of every candidate (r, s), built anew."""
         return self.fam.costs[:, None] + self.ext[None, :]
 
-    def screens(self, beta: float, cost_cap: float | None = None):
-        """(first rule, values) for blocks of _ROWS rules: the approximate
-        loss + beta * cost of their candidates, inf above cost_cap."""
-        for lo in range(0, len(self.fam), _ROWS):
-            values = self.fam.costs[lo:lo + _ROWS, None] + self.ext[None, :]
+    def _screen(self, rules: np.ndarray, approx: np.ndarray | None, beta: float,
+                cost_cap: float | None = None):
+        """(rules, approx, values) for blocks of _ROWS of ``rules``: their
+        approx_loss rows (``approx``, or built per block when None) and the
+        approximate loss + beta * cost, inf above cost_cap."""
+        for lo in range(0, len(rules), _ROWS):
+            at = rules[lo:lo + _ROWS]
+            rows = self._approx_rows(at) if approx is None else approx[lo:lo + _ROWS]
+            values = self.fam.costs[at, None] + self.ext[None, :]
             over = None if cost_cap is None else ~(values <= cost_cap)
             values *= beta
-            values += self.approx_loss[lo:lo + _ROWS]
+            values += rows
             if over is not None:
                 values[over] = np.inf
-            yield lo, values
+            yield at, rows, values
+
+    def screens(self, beta: float, cost_cap: float | None = None):
+        """(first rule, values) for blocks of _ROWS rules, every rule: the
+        approximate loss + beta * cost of their candidates, inf above
+        cost_cap."""
+        for at, _, values in self._screen(np.arange(len(self.fam)),
+                                          self.approx_loss, beta, cost_cap):
+            yield int(at[0]), values
 
     def frontier(self) -> tuple[np.ndarray, np.ndarray]:
         """(cost, approx) of the candidates on the (cost, approx_loss) Pareto
@@ -722,9 +885,11 @@ class _Candidates:
                          for row in kept[np.concatenate([first, clash])]])
         return sums[group]
 
-    def exact_losses(self, rules: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    def exact_losses(self, rules: np.ndarray, counts: np.ndarray,
+                     approx: np.ndarray | None = None) -> np.ndarray:
         """Exact losses of the candidates (rules[j], counts[j]), each with its
-        canonical pin set. Candidates go in blocks of about _BLOCK
+        canonical pin set; ``approx`` holds their approx_loss values when
+        the caller has them. Candidates go in blocks of about _BLOCK
         (candidate, sample) cells, which bounds the working memory."""
         # Zero rule. When no table value exceeds 1, approx_loss[r, s] is a
         # float sum of terms count * -ln p >= 0 (INF_NATS at p == 0), and
@@ -737,7 +902,10 @@ class _Candidates:
         out = np.zeros(len(rules))
         todo = np.arange(len(rules))
         if self.unit_bounded:
-            todo = np.flatnonzero(self.approx_loss[rules, counts] != 0.0)
+            if approx is None:
+                ur, ri = np.unique(rules, return_inverse=True)
+                approx = self._approx_rows(ur)[ri, counts]
+            todo = np.flatnonzero(approx != 0.0)
         step = max(1, _BLOCK // max(len(self.d), 1))
         for lo in range(0, len(todo), step):
             at = todo[lo:lo + step]
@@ -773,7 +941,7 @@ class _Candidates:
             table[x, :] = 0.0
             table[x, label] = 1.0
         cost = float(self.fam.costs[r] + self.ext[s])
-        name = self.fam.names[r] + (f"+pin{len(pins)}" if pins else "")
+        name = self.fam._rules.name(r) + (f"+pin{len(pins)}" if pins else "")
         return Hypothesis(table=table, code_length=cost, name=name,
                           rule_index=r, pins=pins)
 
@@ -785,22 +953,40 @@ class _Candidates:
         Returns (value, (cost, r, s)): the first candidate, by the tie-break
         key (cost, r, s), among those whose exact value is within TIE_ATOL
         of the minimum; (inf, None) when no candidate is under the cap.
+
+        A capped screen scans every rule. An uncapped one scans the rules
+        with tables, then the pair rules whose `_pair_floor`, less its
+        float slack, is not above the threshold so far: every other pair's
+        values lie above that threshold, which only falls, so the result
+        is that of a full screen.
         """
         vmin, near = math.inf, []
-        for lo, values in self.screens(beta, cost_cap):
-            vmin = min(vmin, float(values.min()))
-            # the threshold falls with vmin, so each block keeps a superset
-            # of its part of the final shortlist
-            if math.isfinite(vmin):
-                r, s = np.nonzero(values <= vmin + _screen_margin(vmin))
-                near.append((lo + r, s, values[r, s]))
+
+        def screen(rules, approx=None):
+            nonlocal vmin
+            for at, rows, values in self._screen(rules, approx, beta, cost_cap):
+                vmin = min(vmin, float(values.min()))
+                # the threshold falls with vmin, so each block keeps a
+                # superset of its part of the final shortlist
+                if math.isfinite(vmin):
+                    r, s = np.nonzero(values <= vmin + _screen_margin(vmin))
+                    near.append((at[r], s, rows[r, s], values[r, s]))
+
+        if cost_cap is not None:
+            screen(np.arange(len(self.fam)), self.approx_loss)
+        else:
+            screen(np.arange(self._n_flat), self._flat_approx)
+            if self._n_flat < len(self.fam):
+                floor = self._pair_floor(beta)
+                keep = floor - _pair_slack(floor) <= vmin + _screen_margin(vmin)
+                screen(self._n_flat + np.flatnonzero(keep))
         if not math.isfinite(vmin):
             return math.inf, None
-        r, s, v = (np.concatenate(a) for a in zip(*near))
+        r, s, a, v = (np.concatenate(x) for x in zip(*near))
         close = v <= vmin + _screen_margin(vmin)
         r, s = r[close], s[close]
         cost = self.fam.costs[r] + self.ext[s]
-        exact = self.exact_losses(r, s) + beta * cost
+        exact = self.exact_losses(r, s, a[close]) + beta * cost
         best = float(exact.min())
         tie = np.flatnonzero(exact <= best + TIE_ATOL)
         j = tie[np.lexsort((s[tie], r[tie], cost[tie]))[0]]
@@ -948,10 +1134,10 @@ def _pin_sets_within(cand: _Candidates, r: int, s: int, budget: float):
     carry INF_NATS. Callers re-check candidates exactly.
     """
     order = cand.pin_order[r][::-1]        # pure groups by ascending loss
-    glosses = cand.group_loss[r, order]
+    glosses = cand._group_rows(np.array([r]))[0, order]
     leave = len(order) - s
-    room = (budget + _APPROX_MARGIN * (1.0 + abs(budget)) + TIE_ATOL
-            - float(cand.mixed_loss[r]))
+    mixed = cand._approx_rows(np.array([r]))[0, -1]     # nothing left unpinned
+    room = budget + _APPROX_MARGIN * (1.0 + abs(budget)) + TIE_ATOL - float(mixed)
     prefix = np.concatenate([[0.0], np.cumsum(glosses)])
     results: list[np.ndarray] = []
 

@@ -112,6 +112,37 @@ def test_structure_fn_empty_grid_is_config_error(tmp_path, capsys):
     assert "t_grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", [1.5, -0.5, math.nan])
+def test_oracle_noise_level_outside_unit_interval_is_config_error(
+        tmp_path, capsys, level):
+    code, _ = run_cli(tmp_path, "structure-fn", {
+        "version": 1, "seed": 3, "engine": "oracle", "task": RANDOM_TASK,
+        "oracle": {"t_grid": [1.0, 2.0], "noise_grid": [0.1, level]},
+    })
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "oracle.noise_grid" in err and f"noise level {level!r}" in err
+    code, _ = run_cli(tmp_path, "beta-sweep", {
+        "version": 1, "seed": 3, "engine": "oracle", "betas": [1.0],
+        "tasks": [{"name": "a", "task": RANDOM_TASK}],
+        "oracle": {"noise_grid": [level]},
+    })
+    assert code == 2
+    assert "oracle.noise_grid" in capsys.readouterr().err
+
+
+def test_planted_task_noise_level_outside_unit_interval_is_config_error(
+        tmp_path, capsys):
+    planted = {"type": "planted", "n": 4, "k": 2, "domain_size": 8,
+               "rule": "bit0", "seed": 1, "noise_grid": [2.0]}
+    code, _ = run_cli(tmp_path, "gen-task", {
+        "version": 1, "seed": 1,
+        "task": {"type": "union", "left": RANDOM_TASK, "right": planted}})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "task.right.noise_grid" in err and "noise level 2.0" in err
+
+
 def test_unknown_keys_rejected(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "gen-task",
                       {"version": 1, "seed": 1, "task": RANDOM_TASK,

@@ -3,7 +3,9 @@
 A union family from ``HypothesisFamily.for_space`` keeps each pair rule as
 its two children. Its group losses, pin orders, approximate losses, tables
 and rule facts must equal, bit for bit, what the dense (R, M, K) tables of
-``reference.naive_family`` give.
+``reference.naive_family`` give. An uncapped Lagrangian minimum builds rows
+only for the pair rules that a bound from their children cannot rule out;
+it must still return what a full screen returns.
 """
 
 import tracemalloc
@@ -16,7 +18,7 @@ from taskinfo import finite_oracle as fo
 from taskinfo import tasks
 from taskinfo.tasks import Dataset, DiscreteSpace
 
-from .reference import dense_screening, naive_family
+from .reference import dense_screening, naive_family, reference_minimize
 
 
 def _union(left, right):
@@ -60,6 +62,8 @@ def _dense_twin(d, fam, tables):
 def test_factored_union_screen_matches_dense(task, data):
     d, fam, noise_grid = task
     names, costs, tables = naive_family(d.space, fam.num_labels, noise_grid)
+    assert "names" not in vars(fam._rules)      # built on first read ...
+    assert [fam._rules.name(i) for i in range(len(fam))] == names  # ... or alone
     assert fam.names == names
     assert fam.costs.tobytes() == costs.tobytes()
     assert "tables" not in vars(fam)      # nothing dense built so far
@@ -81,7 +85,9 @@ def test_factored_union_screen_matches_dense(task, data):
     caps = [None, cost[0] / 2, cost[0], cost[len(cost) // 3], cost[-1]]
     for beta in (0.0, 0.4, 1.0, 3.0):
         for cap in caps:
-            want = dense.minimize(beta, cap)
+            # the full screen over the dense tables
+            want = reference_minimize(dense, beta, cap)
+            assert dense.minimize(beta, cap) == want
             assert cand.minimize(beta, cap) == want
             assert custom.minimize(beta, cap) == want
     assert "tables" not in vars(fam)
@@ -91,6 +97,46 @@ def test_factored_union_screen_matches_dense(task, data):
                           (tables == tables[:, :1, :]).all(axis=(1, 2)))
     assert np.array_equal(fam.is_deterministic,
                           ((tables == 0.0) | (tables == 1.0)).all(axis=(1, 2)))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_factored_tasks(), st.data())
+def test_pair_floor_bounds_every_pair_and_pruning_keeps_the_minimum(task, data):
+    d, fam, _ = task
+    cand = fo._Candidates(d, fam)
+    betas = (0.0, 0.4, 1.0, 3.0)
+    checked = []
+
+    def exact_spy(rules, counts, approx=None):
+        checked.append(sorted(zip(rules.tolist(), counts.tolist())))
+        return fo._Candidates.exact_losses(cand, rules, counts, approx)
+
+    cand.exact_losses = exact_spy
+    got = [cand.minimize(beta) for beta in betas]
+    assert "approx_loss" not in vars(cand)       # no R-wide rows built
+    assert "group_loss" not in vars(cand)
+    assert got == [reference_minimize(cand, beta) for beta in betas]
+    # the pruned screen re-checks exactly the full screen's shortlist
+    for beta, shortlist in zip(betas, checked):
+        values = np.concatenate([v for _, v in cand.screens(beta)])
+        vmin = float(values.min())
+        r, s = np.nonzero(values <= vmin + fo._screen_margin(vmin))
+        assert shortlist == sorted(zip(r.tolist(), s.tolist()))
+    nf = len(fam._rules.flat)
+    rules = np.arange(len(fam))
+    for beta in betas:
+        screened = np.concatenate([values for _, values in cand.screens(beta)])
+        best = screened[nf:].min(axis=1)         # each pair's min over s
+        floor = cand._pair_floor(beta)
+        assert (floor - fo._pair_slack(floor) <= best).all()
+    # rows built for a subset of rules are the full table's rows
+    some = np.sort(data.draw(st.lists(st.sampled_from(rules.tolist()),
+                                      min_size=1, max_size=12)))
+    assert (cand._approx_rows(some).tobytes()
+            == cand.approx_loss[some].tobytes())
+    assert (cand._group_rows(some).tobytes()
+            == cand.group_loss[some].tobytes())
 
 
 def test_union_queries_build_no_dense_tables():
@@ -125,3 +171,35 @@ def test_union_distance_memory_guard():
         tracemalloc.stop()
     assert np.isfinite(value) and value >= 0.0
     assert peak <= 350e6, f"peak {peak / 1e6:.0f} MB"
+
+
+def test_union_distance_builds_rows_only_for_unpruned_pairs(monkeypatch):
+    # the benchmark's oracle_distance at seed 3: the union family has
+    # 93,899 rules, of which 93,330 are pairs
+    built, rows = [], []
+    init, group_rows = fo._Candidates.__init__, fo._Candidates._group_rows
+
+    def init_spy(self, d, fam):
+        built.append(self)
+        init(self, d, fam)
+
+    def rows_spy(self, rules):
+        rows.append((self, len(rules)))
+        return group_rows(self, rules)
+
+    monkeypatch.setattr(fo._Candidates, "__init__", init_spy)
+    monkeypatch.setattr(fo._Candidates, "_group_rows", rows_spy)
+    space = DiscreteSpace(32)
+    fam = fo.HypothesisFamily.for_space(space, 2)
+    xs = np.random.default_rng(33).permutation(32)
+    plant = Dataset(xs, fam.hypothesis("parity011").table[xs].argmax(axis=1),
+                    2, space)
+    rand = tasks.generate_random_label_task(32, space, 2, seed=34)
+    value = fo.oracle_distance(plant, rand, fam, 1.0)
+    assert repr(value) == "3.8559335387771014"
+    union = [c for c in built if len(c.fam) == 93_899]
+    assert len(union) == 1
+    cand = union[0]
+    assert "approx_loss" not in vars(cand) and "group_loss" not in vars(cand)
+    assert "names" not in vars(cand.fam._rules)
+    assert sum(n for c, n in rows if c is cand) < len(cand.fam) // 20

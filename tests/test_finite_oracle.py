@@ -155,6 +155,7 @@ _D1, _D2, _D4 = DiscreteSpace(1), DiscreteSpace(2), DiscreteSpace(4)
 def test_family_builder_matches_rule_by_rule_reference(space, k, noise_grid):
     fam = HypothesisFamily.for_space(space, k, noise_grid)
     names, costs, tables = naive_family(space, k, noise_grid)
+    assert [fam._rules.name(i) for i in range(len(fam))] == names
     assert fam.names == names
     assert fam.costs.tobytes() == costs.tobytes()
     assert fam.tables.shape == tables.shape
@@ -168,6 +169,23 @@ def test_family_builder_back_references_present():
     assert "pair(pair(const0|bit0)|<0])" in fam.names
     assert "pair(pair(const0|bit0)|<1])" in fam.names
     assert "pair(pair(const0|=)|<1])" in fam.names
+
+
+@pytest.mark.parametrize("level", [1.5, -0.1, math.nan, math.inf, -math.inf])
+def test_family_rejects_noise_level_outside_unit_interval(level):
+    with pytest.raises(ValueError, match=re.escape(f"noise level {level!r}")):
+        HypothesisFamily.for_space(DiscreteSpace(4), 2, (0.1, level))
+    space = _union_space(DiscreteSpace(2), DiscreteSpace(2))
+    with pytest.raises(ValueError, match="noise level"):
+        HypothesisFamily.for_space(space, 2, (level,))
+
+
+def test_family_accepts_noise_levels_zero_and_one():
+    fam = HypothesisFamily.for_space(DiscreteSpace(4), 3, (0.0, 1.0))
+    assert fam.noise_grid == (0.0, 1.0)
+    assert (fam.tables >= 0).all()
+    d = Dataset(np.array([0, 1, 2]), np.array([0, 2, 1]), 3, DiscreteSpace(4))
+    assert math.isfinite(complexity(d, fam)[0])
 
 
 def test_empty_family_rejected():
@@ -587,6 +605,7 @@ def test_family_load_bad_values_name_file_and_line(tmp_path, fam8):
     save_family(fam8, path)
     good = path.read_text()
     for old, new, line in (("labels=2", "labels=two", 3),
+                           ("noise_grid=0.05", "noise_grid=1.05", 4),
                            ("\t0\t", "\tzero\t", 7)):
         path.write_text(good.replace(old, new, 1))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "):

@@ -99,9 +99,12 @@ def spy(monkeypatch):
     calls, fsum_rows = [], []
     exact_losses, fsum_kept = fo._Candidates.exact_losses, fo._Candidates._fsum_kept
 
-    def exact_spy(self, rules, counts):
-        calls.append((len(rules), int((self.approx_loss[rules, counts] == 0.0).sum())))
-        return exact_losses(self, rules, counts)
+    def exact_spy(self, rules, counts, approx=None):
+        want = self.approx_loss[rules, counts]
+        if approx is not None:      # the screened values are the table's
+            assert approx.tobytes() == want.tobytes()
+        calls.append((len(rules), int((want == 0.0).sum())))
+        return exact_losses(self, rules, counts, approx)
 
     def fsum_spy(self, ur, ri, pinned):
         fsum_rows.append(len(ri))
