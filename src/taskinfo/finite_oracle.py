@@ -19,9 +19,11 @@ removed and puts the critical trade-off at beta = 1 for random labels.
 
 Union families are factored: a pair rule is kept as its two children, never
 as a table. Screening evaluates each part's family once on its half of the
-inputs and gathers the pair rules' rows by child index, and the table values
-a query needs (exact re-checks, returned hypotheses) are built per rule. The
-stacked (R, M, K) ``HypothesisFamily.tables`` are built only when read.
+inputs and gathers the pair rules' rows by child index. A Lagrangian minimum
+gathers rows only for the pair rules that a lower bound from their children
+cannot rule out. The table values a query needs (exact re-checks, returned
+hypotheses) are built per rule, and the stacked (R, M, K)
+``HypothesisFamily.tables`` only when read.
 
 All reported losses and minima are exact: candidates are screened with fast
 vectorized arithmetic, then every near-minimal candidate is re-evaluated with

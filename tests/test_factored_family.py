@@ -117,21 +117,18 @@ def test_pair_floor_bounds_every_pair_and_pruning_keeps_the_minimum(task, data):
     assert "approx_loss" not in vars(cand)       # no R-wide rows built
     assert "group_loss" not in vars(cand)
     assert got == [reference_minimize(cand, beta) for beta in betas]
-    # the pruned screen re-checks exactly the full screen's shortlist
+    nf = len(fam._rules.flat)
     for beta, shortlist in zip(betas, checked):
         values = np.concatenate([v for _, v in cand.screens(beta)])
+        # the pruned screen re-checks exactly the full screen's shortlist
         vmin = float(values.min())
         r, s = np.nonzero(values <= vmin + fo._screen_margin(vmin))
         assert shortlist == sorted(zip(r.tolist(), s.tolist()))
-    nf = len(fam._rules.flat)
-    rules = np.arange(len(fam))
-    for beta in betas:
-        screened = np.concatenate([values for _, values in cand.screens(beta)])
-        best = screened[nf:].min(axis=1)         # each pair's min over s
+        # and the floor bounds each pair's minimum over its pin counts
         floor = cand._pair_floor(beta)
-        assert (floor - fo._pair_slack(floor) <= best).all()
+        assert (floor - fo._pair_slack(floor) <= values[nf:].min(axis=1)).all()
     # rows built for a subset of rules are the full table's rows
-    some = np.sort(data.draw(st.lists(st.sampled_from(rules.tolist()),
+    some = np.sort(data.draw(st.lists(st.integers(0, len(fam) - 1),
                                       min_size=1, max_size=12)))
     assert (cand._approx_rows(some).tobytes()
             == cand.approx_loss[some].tobytes())
@@ -174,7 +171,7 @@ def test_union_distance_memory_guard():
 
 
 def test_union_distance_builds_rows_only_for_unpruned_pairs(monkeypatch):
-    # the benchmark's oracle_distance at seed 3: the union family has
+    # perfbench oracle-union's oracle_distance at seed 3: the union family has
     # 93,899 rules, of which 93,330 are pairs
     built, rows = [], []
     init, group_rows = fo._Candidates.__init__, fo._Candidates._group_rows
