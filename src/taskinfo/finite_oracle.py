@@ -228,13 +228,7 @@ class _Rules:
         """Every rule's name; a union's list is built on first read."""
         if self.kid_idx is None:
             return self.listed
-        left, right = (part.names for part in self.parts)
-        back = self.kid_idx[len(left) * len(right) + self.n_same:, 0].tolist()
-        return ([f"flat[{n}]" for n in self.flat.names]
-                + [f"pair({a}|{b})" for a in left for b in right]
-                + [f"pair({a}|=)" for a in left[:self.n_same]]
-                + [f"pair({left[a]}|<{w}])"
-                   for a, w in zip(back, self.back_w.tolist())])
+        return [self.name(i) for i in range(len(self))]
 
     def name(self, i: int) -> str:
         """names[i], built alone."""
@@ -681,10 +675,14 @@ class _PinOrders:
         self.rows = rows
         self.pure_idx = pure_idx
 
+    def of(self, group: np.ndarray) -> np.ndarray:
+        """The pin orders of the given group-loss rows."""
+        loss = np.take(group, self.pure_idx, axis=-1)
+        return self.pure_idx[np.argsort(-loss, axis=-1, kind="stable")]
+
     def __getitem__(self, key):
         rules, cols = key if isinstance(key, tuple) else (key, slice(None))
-        loss = np.take(self.rows(np.atleast_1d(rules)), self.pure_idx, axis=-1)
-        order = self.pure_idx[np.argsort(-loss, axis=-1, kind="stable")]
+        order = self.of(self.rows(np.atleast_1d(rules)))
         return order[0, cols] if np.ndim(rules) == 0 else order[:, cols]
 
 
@@ -778,7 +776,8 @@ class _Candidates:
         out = []
         for cols, loss in self._parts[1]:
             pure = self.pure[cols]
-            ext = np.array([_ln_choose(len(pure), s) + s * math.log(self.k)
+            u = len(pure)
+            ext = np.array([extension_cost(u, s, self.k) - math.log(u + 1)
                             for s in range(int(pure.sum()) + 1)])
             out.append((_suffix_losses(loss, np.flatnonzero(pure),
                                        np.flatnonzero(~pure)), ext))
@@ -950,7 +949,8 @@ class _Candidates:
     # -- exact minimization over candidates ----------------------------------
 
     def minimize(self, beta: float, cost_cap: float | None = None):
-        """Exact min of loss + beta * cost, optionally under cost <= cap.
+        """Exact min of loss + beta * cost, optionally under cost <= cap,
+        for beta >= 0 (the public callers reject beta < 0).
 
         Returns (value, (cost, r, s)): the first candidate, by the tie-break
         key (cost, r, s), among those whose exact value is within TIE_ATOL
@@ -1093,6 +1093,8 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
     exactly the argmin set (up to the TIE_ATOL float-tie window). The
     beta-minimal members (smallest code length) are flagged.
     """
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
     if tol < 0:
         raise ValueError("tol must be >= 0")
     cand = _Candidates(d, fam)
@@ -1135,11 +1137,12 @@ def _pin_sets_within(cand: _Candidates, r: int, s: int, budget: float):
     is over small losses only and stays accurate when the pinned groups
     carry INF_NATS. Callers re-check candidates exactly.
     """
-    order = cand.pin_order[r][::-1]        # pure groups by ascending loss
-    glosses = cand._group_rows(np.array([r]))[0, order]
+    group = cand._group_rows(np.array([r]))[0]
+    order = cand.pin_order.of(group)[::-1]     # pure groups by ascending loss
+    glosses = group[order]
     leave = len(order) - s
-    mixed = cand._approx_rows(np.array([r]))[0, -1]     # nothing left unpinned
-    room = budget + _APPROX_MARGIN * (1.0 + abs(budget)) + TIE_ATOL - float(mixed)
+    room = (budget + _APPROX_MARGIN * (1.0 + abs(budget)) + TIE_ATOL
+            - float(cand.approx_loss[r, -1]))
     prefix = np.concatenate([[0.0], np.cumsum(glosses)])
     results: list[np.ndarray] = []
 
@@ -1253,6 +1256,8 @@ def oracle_distance(d1: Dataset, d2: Dataset, fam: HypothesisFamily,
     zero. ``fam`` is the family for d1; the union family is derived with
     the same pricing.
     """
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
     c1 = _minimal_statistic_cost(d1, fam, beta)
     du = disjoint_union(d1, d2)
     fam_u = HypothesisFamily.for_space(du.space, du.num_labels, fam.noise_grid)

@@ -741,6 +741,17 @@ def test_oracle_distance_nonnegative(plain_fam8):
     assert oracle_distance(d2, d1, plain_fam8, 1.0) >= 0.0
 
 
+def test_negative_beta_is_rejected(plain_fam8):
+    # the Lagrangian is defined for beta >= 0, as lagrangian_sweep requires
+    d = tasks.generate_planted_task(20, plain_fam8.hypothesis("bit0"), 0.0, seed=3)
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        oracle_distance(d, d, plain_fam8, -0.5)
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        beta_sufficient_statistics(d, plain_fam8, -0.5, tol=0.0)
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        fo.lagrangian_sweep(d, plain_fam8, [1.0, -0.5])
+
+
 # ---------------------------------------------------------------------------
 # expected complexity trials
 
