@@ -184,6 +184,22 @@ def _curve_csv(curve: oracle.Curve, hash_) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _t_grid(grid, path) -> list[float]:
+    """A nonempty, strictly increasing list of finite numbers."""
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError(f"{path}: must be a nonempty increasing list")
+    for t in grid:
+        try:
+            finite = not isinstance(t, bool) and math.isfinite(t)
+        except (TypeError, OverflowError):       # a string, list, huge int ...
+            finite = False
+        if not finite:
+            raise ConfigError(f"{path}: {t!r} is not a finite number")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{path}: must be strictly increasing")
+    return [float(t) for t in grid]
+
+
 def cmd_structure_fn(cfg, hash_) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "engine", "task"),
                 ("oracle", "variational"))
@@ -192,9 +208,7 @@ def cmd_structure_fn(cfg, hash_) -> dict:
     if cfg["engine"] == "oracle":
         ocfg = cfg.get("oracle", {})
         _check_keys(ocfg, "oracle", ("t_grid",), ("noise_grid",))
-        t_grid = [float(t) for t in ocfg["t_grid"]]
-        if not t_grid:
-            raise ConfigError("oracle.t_grid: must be a nonempty increasing list")
+        t_grid = _t_grid(ocfg["t_grid"], "oracle.t_grid")
         fam = _family(d.space, d.num_labels, ocfg, "oracle")
         curve = oracle.structure_function(d, fam, t_grid)
         xlabel = "code length budget t (NATS)"

@@ -690,7 +690,7 @@ class _Candidates:
     """The candidates (rule, pin count) of one dataset under one family.
 
     Rows of group and approximate losses are built for the rules a query
-    asks for. An uncapped `minimize` screens the rules with tables, then
+    asks for. A minimum, capped or not, screens the rules with tables, then
     only the pair rules that a bound from their children cannot rule out
     (`_pair_floor`). The R-wide ``group_loss`` and ``approx_loss`` are
     built on first read, for the consumers that scan every rule.
@@ -808,28 +808,23 @@ class _Candidates:
         """(R, n_pure+1) code length of every candidate (r, s), built anew."""
         return self.fam.costs[:, None] + self.ext[None, :]
 
-    def _screen(self, rules: np.ndarray, approx: np.ndarray | None, beta: float,
-                cost_cap: float | None = None):
+    def _screen(self, rules: np.ndarray, approx: np.ndarray | None, beta: float):
         """(rules, approx, values) for blocks of _ROWS of ``rules``: their
         approx_loss rows (``approx``, or built per block when None) and the
-        approximate loss + beta * cost, inf above cost_cap."""
+        approximate loss + beta * cost."""
         for lo in range(0, len(rules), _ROWS):
             at = rules[lo:lo + _ROWS]
             rows = self._approx_rows(at) if approx is None else approx[lo:lo + _ROWS]
             values = self.fam.costs[at, None] + self.ext[None, :]
-            over = None if cost_cap is None else ~(values <= cost_cap)
             values *= beta
             values += rows
-            if over is not None:
-                values[over] = np.inf
             yield at, rows, values
 
-    def screens(self, beta: float, cost_cap: float | None = None):
+    def screens(self, beta: float):
         """(first rule, values) for blocks of _ROWS rules, every rule: the
-        approximate loss + beta * cost of their candidates, inf above
-        cost_cap."""
+        approximate loss + beta * cost of their candidates."""
         for at, _, values in self._screen(np.arange(len(self.fam)),
-                                          self.approx_loss, beta, cost_cap):
+                                          self.approx_loss, beta):
             yield int(at[0]), values
 
     def frontier(self) -> tuple[np.ndarray, np.ndarray]:
@@ -955,44 +950,68 @@ class _Candidates:
         Returns (value, (cost, r, s)): the first candidate, by the tie-break
         key (cost, r, s), among those whose exact value is within TIE_ATOL
         of the minimum; (inf, None) when no candidate is under the cap.
-
-        A capped screen scans every rule. An uncapped one scans the rules
-        with tables, then the pair rules whose `_pair_floor`, less its
-        float slack, is not above the threshold so far: every other pair's
-        values lie above that threshold, which only falls, so the result
-        is that of a full screen.
         """
-        vmin, near = math.inf, []
+        return self.capped_minima(beta, [math.inf if cost_cap is None
+                                         else cost_cap])[0]
+
+    def capped_minima(self, beta: float, t_grid) -> list:
+        """[minimize(beta, cost_cap=t) for t in t_grid], t_grid strictly
+        increasing without NaN, from one screen and one exact re-check.
+
+        A candidate's bucket, searchsorted(t_grid, cost, "left"), is the
+        first j with cost <= t_grid[j]. The minimum under t_grid[j] runs
+        over buckets 0..j, so its threshold vmin + margin falls with j, and
+        from block to block: a block keeps the candidates under their
+        bucket's threshold so far, a superset of every t's shortlist. The
+        rules with tables go first, then the pair rules whose `_pair_floor`,
+        less its float slack, is not above thr[0], the largest threshold:
+        every other pair's values lie above every t's final threshold.
+        """
+        t_grid = np.asarray(t_grid, dtype=np.float64)
+        n = len(t_grid)
+        bmin = np.full(n + 1, np.inf)     # minimum value per bucket
+
+        def thresholds():                 # bucket n, over every t: -inf
+            vmin = np.minimum.accumulate(bmin[:n])
+            return np.append(vmin + _screen_margin(vmin), -np.inf)
+
+        thr = thresholds()
+        near = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),) * 2]
 
         def screen(rules, approx=None):
-            nonlocal vmin
-            for at, rows, values in self._screen(rules, approx, beta, cost_cap):
-                vmin = min(vmin, float(values.min()))
-                # the threshold falls with vmin, so each block keeps a
-                # superset of its part of the final shortlist
-                if math.isfinite(vmin):
-                    r, s = np.nonzero(values <= vmin + _screen_margin(vmin))
-                    near.append((at[r], s, rows[r, s], values[r, s]))
+            nonlocal thr
+            order = np.argsort(self.fam.costs[rules], kind="stable")
+            for at, rows, values in self._screen(
+                    rules[order], None if approx is None else approx[order], beta):
+                # a block in cost order: each distinct cost is one run of rows
+                ucost, first, cls = np.unique(self.fam.costs[at], return_index=True,
+                                              return_inverse=True)
+                bucket = np.searchsorted(t_grid, ucost[:, None] + self.ext[None, :])
+                np.minimum.at(bmin, bucket, np.minimum.reduceat(values, first))
+                thr = thresholds()
+                r, s = np.nonzero(values <= thr[bucket][cls])
+                near.append((at[r], s, bucket[cls[r], s], rows[r, s], values[r, s]))
 
-        if cost_cap is not None:
-            screen(np.arange(len(self.fam)), self.approx_loss)
-        else:
-            screen(np.arange(self._n_flat), self._flat_approx)
-            if self._n_flat < len(self.fam):
-                floor = self._pair_floor(beta)
-                keep = floor - _pair_slack(floor) <= vmin + _screen_margin(vmin)
-                screen(self._n_flat + np.flatnonzero(keep))
-        if not math.isfinite(vmin):
-            return math.inf, None
-        r, s, a, v = (np.concatenate(x) for x in zip(*near))
-        close = v <= vmin + _screen_margin(vmin)
-        r, s = r[close], s[close]
+        screen(np.arange(self._n_flat), self._flat_approx)
+        if self._n_flat < len(self.fam):
+            floor = self._pair_floor(beta)
+            screen(self._n_flat + np.flatnonzero(floor - _pair_slack(floor) <= thr[0]))
+        r, s, b, a, v = (np.concatenate(x) for x in zip(*near))
+        close = v <= thr[b]
+        r, s, b, v = r[close], s[close], b[close], v[close]
         cost = self.fam.costs[r] + self.ext[s]
         exact = self.exact_losses(r, s, a[close]) + beta * cost
-        best = float(exact.min())
-        tie = np.flatnonzero(exact <= best + TIE_ATOL)
-        j = tie[np.lexsort((s[tie], r[tie], cost[tie]))[0]]
-        return best, (float(cost[j]), int(r[j]), int(s[j]))
+        out = []
+        for j in range(n):
+            at = np.flatnonzero((b <= j) & (v <= thr[j]))
+            if not len(at):
+                out.append((math.inf, None))
+                continue
+            best = float(exact[at].min())
+            tie = at[exact[at] <= best + TIE_ATOL]
+            k = tie[np.lexsort((s[tie], r[tie], cost[tie]))[0]]
+            out.append((best, (float(cost[k]), int(r[k]), int(s[k]))))
+        return out
 
 
 def _report(value: float) -> float:
@@ -1060,20 +1079,23 @@ def complexity(d: Dataset, fam: HypothesisFamily) -> tuple[float, Hypothesis]:
 
 
 def structure_function(d: Dataset, fam: HypothesisFamily, t_grid) -> Curve:
-    """S(t) = min loss among hypotheses of code length <= t."""
+    """S(t) = min loss among hypotheses of code length <= t.
+
+    t_grid must be strictly increasing. A hypothesis is under t when its
+    code length is <= t, the boundary included; t = +inf is allowed (the
+    unconstrained minimum), NaN is rejected. Every t comes from one screen
+    of the candidates (`_Candidates.capped_minima`). Where no hypothesis is
+    under t, S(t) and its complexity are inf.
+    """
     t_grid = np.asarray(t_grid, dtype=np.float64)
+    if np.isnan(t_grid).any():
+        raise ValueError("t_grid must not contain NaN")
     if t_grid.size > 1 and not (np.diff(t_grid) > 0).all():
         raise ValueError("t_grid must be strictly increasing")
-    cand = _Candidates(d, fam)
     losses, complexities = [], []
-    for t in t_grid:
-        best, where = cand.minimize(0.0, cost_cap=float(t))
-        if where is None:
-            losses.append(math.inf)
-            complexities.append(math.inf)
-        else:
-            losses.append(_report(best))
-            complexities.append(where[0])
+    for best, where in _Candidates(d, fam).capped_minima(0.0, t_grid):
+        losses.append(math.inf if where is None else _report(best))
+        complexities.append(math.inf if where is None else where[0])
     return Curve(t_grid, np.array(losses), np.array(complexities))
 
 

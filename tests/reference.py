@@ -116,7 +116,11 @@ def reference_minimize(cand, beta, cost_cap=None):
     """_Candidates.minimize with every shortlisted row re-checked by fsum:
     (value, (cost, r, s)), or (inf, None) when nothing is under the cap."""
     vmin, near = math.inf, []
-    for lo, values in cand.screens(beta, cost_cap):
+    for lo, values in cand.screens(beta):
+        if cost_cap is not None:
+            at = np.arange(lo, lo + len(values))
+            over = ~(cand.fam.costs[at, None] + cand.ext[None, :] <= cost_cap)
+            values[over] = np.inf
         vmin = min(vmin, float(values.min()))
         if math.isfinite(vmin):
             r, s = np.nonzero(values <= vmin + fo._screen_margin(vmin))

@@ -112,6 +112,22 @@ def test_structure_fn_empty_grid_is_config_error(tmp_path, capsys):
     assert "t_grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, why", [
+    (["a"], "'a' is not a finite number"),
+    ([math.nan], "nan is not a finite number"),
+    ([math.inf], "inf is not a finite number"),
+    ([3.0, 1.0], "must be strictly increasing"),
+])
+def test_structure_fn_bad_grid_is_config_error(tmp_path, capsys, grid, why):
+    code, out = run_cli(tmp_path, "structure-fn", {
+        "version": 1, "seed": 3, "engine": "oracle", "task": RANDOM_TASK,
+        "oracle": {"t_grid": grid},
+    })
+    assert code == 2
+    assert f"config error: oracle.t_grid: {why}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("level", [1.5, -0.5, math.nan])
 def test_oracle_noise_level_outside_unit_interval_is_config_error(
         tmp_path, capsys, level):

@@ -136,6 +136,21 @@ def test_pair_floor_bounds_every_pair_and_pruning_keeps_the_minimum(task, data):
             == cand.group_loss[some].tobytes())
 
 
+def test_many_caps_keep_the_pairs_a_small_cap_needs():
+    # under the cap t the minimum is a pair rule whose child floor lies
+    # above the threshold under +inf: pruning by the threshold of the largest
+    # cap rather than the smallest would lose it
+    space = _union(DiscreteSpace(2), DiscreteSpace(3))
+    d = Dataset(np.array([1, 5, 3, 1, 1, 2, 4, 1, 1, 0]),
+                np.array([1, 0, 1, 0, 0, 0, 1, 1, 0, 0]), 2, space)
+    fam = fo.HypothesisFamily.for_space(space, 2, ())
+    cand = fo._Candidates(d, fam)
+    t = float(cand.cost[31, 0])
+    want = [reference_minimize(cand, 0.4, cap) for cap in (t, np.inf)]
+    assert want[0][1][1:] == (31, 0) and 31 >= len(fam._rules.flat)
+    assert cand.capped_minima(0.4, [t, np.inf]) == want
+
+
 def test_union_queries_build_no_dense_tables():
     a, b = DiscreteSpace(3), DiscreteSpace(2)
     d = tasks.disjoint_union(
@@ -151,15 +166,21 @@ def test_union_queries_build_no_dense_tables():
     assert "tables" not in vars(fam)
 
 
-def test_union_distance_memory_guard():
-    # the 93,899-rule union of two 32-input tasks: a dense (R, M, K) table
-    # alone is 96 MB, and the dense screen peaked near 700 MB
+def _distance_tasks():
+    """perfbench oracle-union's oracle_distance tasks at seed 3 and their
+    family: parity011 on all 32 inputs, random labels on 32 inputs."""
     space = DiscreteSpace(32)
     fam = fo.HypothesisFamily.for_space(space, 2)
     xs = np.random.default_rng(33).permutation(32)
     plant = Dataset(xs, fam.hypothesis("parity011").table[xs].argmax(axis=1),
                     2, space)
-    rand = tasks.generate_random_label_task(32, space, 2, seed=34)
+    return plant, tasks.generate_random_label_task(32, space, 2, seed=34), fam
+
+
+def test_union_distance_memory_guard():
+    # the 93,899-rule union of two 32-input tasks: a dense (R, M, K) table
+    # alone is 96 MB, and the dense screen peaked near 700 MB
+    plant, rand, fam = _distance_tasks()
     tracemalloc.start()
     try:
         value = fo.oracle_distance(plant, rand, fam, 1.0)
@@ -186,12 +207,7 @@ def test_union_distance_builds_rows_only_for_unpruned_pairs(monkeypatch):
 
     monkeypatch.setattr(fo._Candidates, "__init__", init_spy)
     monkeypatch.setattr(fo._Candidates, "_group_rows", rows_spy)
-    space = DiscreteSpace(32)
-    fam = fo.HypothesisFamily.for_space(space, 2)
-    xs = np.random.default_rng(33).permutation(32)
-    plant = Dataset(xs, fam.hypothesis("parity011").table[xs].argmax(axis=1),
-                    2, space)
-    rand = tasks.generate_random_label_task(32, space, 2, seed=34)
+    plant, rand, fam = _distance_tasks()
     value = fo.oracle_distance(plant, rand, fam, 1.0)
     assert repr(value) == "3.8559335387771014"
     union = [c for c in built if len(c.fam) == 93_899]
@@ -200,3 +216,26 @@ def test_union_distance_builds_rows_only_for_unpruned_pairs(monkeypatch):
     assert "approx_loss" not in vars(cand) and "group_loss" not in vars(cand)
     assert "names" not in vars(cand.fam._rules)
     assert sum(n for c, n in rows if c is cand) < len(cand.fam) // 20
+
+
+def test_union_structure_function_memory_guard():
+    # the same 93,899-rule union, 64 samples, under the workload's 12-point
+    # t grid: one screen serves every t and builds the pair rules' rows block
+    # by block; the R-wide approximate losses alone would be 49 MB
+    plant, rand, _ = _distance_tasks()
+    d = tasks.disjoint_union(plant, rand)
+    fam = fo.HypothesisFamily.for_space(d.space, 2)
+    t_grid = [3.0 * i for i in range(1, 13)]
+    tracemalloc.start()
+    try:
+        curve = fo.structure_function(d, fam, t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6, f"peak {peak / 1e6:.1f} MB"
+    cand = fo._Candidates(d, fam)
+    for j in (0, 2, len(t_grid) - 1):       # nothing fits, the first fit, the last
+        value, where = reference_minimize(cand, 0.0, cost_cap=t_grid[j])
+        assert (curve.loss[j], curve.complexity[j]) == (
+            (np.inf, np.inf) if where is None else (fo._report(value), where[0]))
+    assert np.isinf(curve.loss[0]) and np.isfinite(curve.loss[2])

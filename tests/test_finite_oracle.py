@@ -322,6 +322,21 @@ def test_structure_function_requires_increasing_grid(fam8, rand50):
         structure_function(rand50, fam8, [2.0, 1.0])
 
 
+@pytest.mark.parametrize("grid", [[math.nan], [1.0, math.nan], [math.nan, 5.0]])
+def test_structure_function_rejects_nan_t(fam8, rand50, grid):
+    with pytest.raises(ValueError, match="t_grid"):
+        structure_function(rand50, fam8, grid)
+
+
+def test_structure_function_infinite_t_is_the_unconstrained_minimum(fam8, fam64,
+                                                                   rand50):
+    d = tasks.generate_planted_task(40, fam8.hypothesis("parity003"), 0.0,
+                                    seed=5)
+    assert structure_function(d, fam8, [5.0, math.inf]).loss[1] == 0.0
+    curve = structure_function(rand50, fam64, [math.inf])
+    assert curve.loss[0] == lagrangian_complexity(rand50, fam64, 0.0)[0]
+
+
 def test_lagrangian_beta_zero_is_min_loss(fam8):
     d = tasks.generate_planted_task(30, fam8.hypothesis("bit1"), 0.0, seed=7)
     value, h = lagrangian_complexity(d, fam8, 0.0)

@@ -1,9 +1,11 @@
 """The exact oracle's shortcuts give the outputs of the exhaustive paths.
 
 `_Candidates.exact_losses` skips the fsum of candidates whose approximate
-loss is exactly 0, and `critical_beta` decides most bisection midpoints
-from the candidates' Pareto frontier. The references in `reference.py`
-re-check every shortlisted row and run an exact minimum at every midpoint.
+loss is exactly 0, `critical_beta` decides most bisection midpoints from
+the candidates' Pareto frontier, and `structure_function` serves its whole
+t grid from one screen and one exact re-check. The references in
+`reference.py` re-check every shortlisted row, run an exact minimum at
+every midpoint and screen every t on its own.
 """
 
 import numpy as np
@@ -70,6 +72,68 @@ def test_shortcuts_match_exhaustive_references(task, beta):
         assert (loss, cost) == ((np.inf, np.inf) if where is None
                                 else (fo._report(value), where[0]))
     assert critical_beta(d, fam) == reference_critical_beta(d, fam)
+
+
+def _capped_references(cand, beta, t_grid):
+    return [reference_minimize(cand, beta, cost_cap=t) for t in t_grid]
+
+
+def _curve_rows(curve):
+    return list(zip(curve.loss.tolist(), curve.complexity.tolist()))
+
+
+def _reference_rows(refs):
+    return [(np.inf, np.inf) if where is None else (fo._report(value), where[0])
+            for value, where in refs]
+
+
+def _shortlists(cand, beta, t_grid):
+    """The union over t in t_grid of the full screen's shortlists under
+    cost <= t: the candidates whose value is within the screen margin of
+    the approximate minimum."""
+    values = np.concatenate([v for _, v in cand.screens(beta)])
+    out = set()
+    for t in t_grid:
+        capped = np.where(cand.cost <= t, values, np.inf)
+        vmin = float(capped.min())
+        if np.isfinite(vmin):
+            r, s = np.nonzero(capped <= vmin + fo._screen_margin(vmin))
+            out |= set(zip(r.tolist(), s.tolist()))
+    return out
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_oracle_tasks(), st.data())
+def test_grid_screen_matches_per_t_references(task, data):
+    d, fam = task
+    cand = fo._Candidates(d, fam)
+    checked = []
+
+    def exact_spy(rules, counts, approx=None):
+        checked.append(list(zip(rules.tolist(), counts.tolist())))
+        return fo._Candidates.exact_losses(cand, rules, counts, approx)
+
+    cand.exact_losses = exact_spy
+    costs = np.unique(cand.cost)
+    # code lengths exactly at t (the cost <= t boundary) or one ulp to
+    # either side of it, a t below every code length, and +inf
+    at = data.draw(st.lists(st.integers(0, len(costs) - 1), min_size=1, max_size=6))
+    ulps = data.draw(st.lists(st.sampled_from([-np.inf, 0.0, np.inf]),
+                              min_size=len(at), max_size=len(at)))
+    picks = [c if u == 0.0 else np.nextafter(c, u) for c, u in zip(costs[at], ulps)]
+    t_grid = np.unique(np.concatenate([[costs[0] / 2], picks, [np.inf]]))
+    for beta in (0.0, 0.4):
+        want = _capped_references(cand, beta, t_grid)
+        checked.clear()
+        assert cand.capped_minima(beta, t_grid) == want
+        # one exact re-check, of the union of the shortlists, each row once
+        assert len(checked) == 1 and len(set(checked[0])) == len(checked[0])
+        assert set(checked[0]) == _shortlists(cand, beta, t_grid)
+        assert [cand.minimize(beta, cost_cap=t) for t in t_grid] == want
+        if beta == 0.0:
+            assert _curve_rows(structure_function(d, fam, t_grid)) == \
+                _reference_rows(want)
 
 
 def _oracle_union(seed):
@@ -145,3 +209,34 @@ def test_zero_rule_off_when_a_table_value_exceeds_one():
     assert (cand.exact_losses(r, s) == reference_exact_losses(cand, r, s)).all()
     assert fo._Candidates(d, HypothesisFamily.for_space(DiscreteSpace(2), 2)
                           ).unit_bounded
+
+
+WORKLOAD_T_GRID = [3.0 * i for i in range(1, 13)]    # perfbench oracle-union
+
+
+def test_grid_screen_matches_references_on_planted_random_union(union3):
+    d, fam = union3
+    cand = fo._Candidates(d, fam)
+    want = _capped_references(cand, 0.0, WORKLOAD_T_GRID)
+    assert _curve_rows(structure_function(d, fam, WORKLOAD_T_GRID)) == \
+        _reference_rows(want)
+    assert cand.capped_minima(0.4, WORKLOAD_T_GRID) == \
+        _capped_references(cand, 0.4, WORKLOAD_T_GRID)
+
+
+def test_structure_function_rechecks_each_shortlisted_candidate_once(
+        union3, monkeypatch):
+    checked = []
+    exact_losses = fo._Candidates.exact_losses
+
+    def exact_spy(self, rules, counts, approx=None):
+        checked.append(list(zip(rules.tolist(), counts.tolist())))
+        return exact_losses(self, rules, counts, approx)
+
+    monkeypatch.setattr(fo._Candidates, "exact_losses", exact_spy)
+    structure_function(*union3, WORKLOAD_T_GRID)
+    assert len(checked) == 1
+    assert len(set(checked[0])) == len(checked[0])
+    # and what it re-checks is the union of the full screens' shortlists
+    assert set(checked[0]) == _shortlists(fo._Candidates(*union3), 0.0,
+                                          WORKLOAD_T_GRID)
