@@ -96,6 +96,171 @@ def dense_screening(d, tables):
     return group_loss, pure_idx[order], mixed_loss[:, None] + suffix
 
 
+SCREEN_REL = 1e-6    # the screen's relative window, restated on its own
+
+
+def screen_margin(vmin):
+    """Width of the exact re-check window above an approximate minimum:
+    1e-6 relative plus TIE_ATOL, stated here apart from the library's
+    `_screen_margin` so that a change to either shows."""
+    return SCREEN_REL * (1.0 + abs(vmin)) + fo.TIE_ATOL
+
+
+# The R-wide screen that the oracle's pruned screens replace: one row per
+# rule and one column per pin count. A value set on the candidates under
+# the member's name (a dense twin's tables) is used as it stands.
+
+
+def group_loss(cand):
+    """(R, u) loss of every rule on every input group."""
+    if "group_loss" not in vars(cand):
+        cand.group_loss = cand._group_rows(np.arange(len(cand.fam)))
+    return cand.group_loss
+
+
+def approx_loss(cand):
+    """(R, n_pure+1) approximate loss of every candidate (r, s)."""
+    if "approx_loss" not in vars(cand):
+        cand.approx_loss = cand._approx_rows(np.arange(len(cand.fam)))
+    return cand.approx_loss
+
+
+def screens(cand, beta):
+    """(first rule, values) for blocks of _ROWS rules, every rule: the
+    approximate loss + beta * cost of their candidates, in the float
+    operations of the oracle's screen."""
+    approx = approx_loss(cand)
+    for lo in range(0, len(cand.fam), fo._ROWS):
+        values = cand.fam.costs[lo:lo + fo._ROWS, None] + cand.ext[None, :]
+        values *= beta
+        values += approx[lo:lo + fo._ROWS]
+        yield lo, values
+
+
+def frontier(cand):
+    """(cost, approx) of the candidates on the (cost, approx_loss) Pareto
+    frontier, the constant rules unpinned (s = 0) left out.
+
+    For each pin count s, the rules in stable cost order keep the points
+    where the running minimum of approx_loss[:, s] strictly drops. Every
+    other candidate has a frontier point of no larger cost and approx, so
+    for any beta >= 0 the frontier holds the minimum of approx + beta * cost
+    over all candidates but those constants.
+    """
+    order = np.argsort(cand.fam.costs, kind="stable")
+    costs = cand.fam.costs[order]
+    cost, approx = [], []
+    for s in range(cand.n_pure + 1):
+        col = approx_loss(cand)[order, s]
+        if s == 0:
+            col[cand.fam.is_constant[order]] = np.inf
+        run = np.minimum.accumulate(col)
+        drop = run < np.concatenate([[np.inf], run[:-1]])
+        cost.append(costs[drop] + cand.ext[s])
+        approx.append(run[drop])
+    return np.concatenate(cost), np.concatenate(approx)
+
+
+def frontier_critical_beta(d, fam, tol_bisect=1e-3):
+    """critical_beta deciding each midpoint from the R-wide frontier: "not
+    realized" when the best constant's exact value lies more than the
+    margin plus TIE_ATOL above the frontier's minimum, "realized" when that
+    minimum less the margin is not below it, the exact minimum otherwise."""
+    cand = fo._Candidates(d, fam)
+    const_rules = np.flatnonzero(fam.is_constant)
+    const_loss = cand.exact_losses(const_rules, np.zeros_like(const_rules)).tolist()
+    const_cost = (fam.costs[const_rules] + cand.ext[0]).tolist()
+    f_cost, f_approx = frontier(cand)
+
+    def constant_realized(beta):
+        vconst = min(loss + beta * cost for loss, cost in zip(const_loss, const_cost))
+        v_other = float((f_cost * beta + f_approx).min(initial=np.inf))
+        margin = screen_margin(v_other)
+        if vconst > v_other + margin + fo.TIE_ATOL:
+            return False
+        if v_other - margin >= vconst:
+            return True
+        vmin, _ = cand.minimize(beta)
+        return vconst <= vmin + fo.TIE_ATOL
+
+    return _bisect_crossing(constant_realized, tol_bisect)
+
+
+def screened_beta_sufficient_statistics(d, fam, beta, tol, max_results=10_000):
+    """beta_sufficient_statistics shortlisting every candidate of the R-wide
+    screen within limit + 1e-6 (1 + |limit|), limit = min + tol + TIE_ATOL."""
+    cand = fo._Candidates(d, fam)
+    vmin, _ = cand.minimize(beta)
+    limit = vmin + tol + fo.TIE_ATOL
+    margin = SCREEN_REL * (1.0 + abs(limit))
+    found = []
+    for lo, values in screens(cand, beta):
+        for r, s in np.argwhere(values <= limit + margin).tolist():
+            r += lo
+            cost = float(fam.costs[r] + cand.ext[s])
+            for pin_groups in _pin_sets_within(cand, r, s, limit - beta * cost):
+                loss = cand.exact_loss(r, pin_groups)
+                if loss + beta * cost <= limit:
+                    found.append((cost, r, s, tuple(int(g) for g in sorted(pin_groups)),
+                                  loss + beta * cost))
+                    if len(found) > max_results:
+                        raise fo.NoHypothesisError(
+                            "too many sufficient statistics to enumerate")
+    found.sort(key=lambda e: (e[1], e[2], e[3]))
+    min_cost = min(e[0] for e in found)
+    return [fo.BetaStatistic(
+        cand.hypothesis_for(r, s, np.array(pins, dtype=np.int64)), fo._report(value),
+        is_minimal=cost <= min_cost + fo.TIE_ATOL)
+        for cost, r, s, pins, value in found]
+
+
+def _pin_sets_within(cand, r, s, budget):
+    """s-subsets of pure groups whose variant's approximate loss is within
+    the screen's window of ``budget``, by a branch-and-bound walk over the
+    groups to leave unpinned, from the smallest loss up."""
+    group = group_loss(cand)[r]
+    order = cand.pin_order[r][::-1]
+    glosses = group[order]
+    leave = len(order) - s
+    room = (budget + SCREEN_REL * (1.0 + abs(budget)) + fo.TIE_ATOL
+            - float(approx_loss(cand)[r, -1]))
+    prefix = np.concatenate([[0.0], np.cumsum(glosses)])
+    results = []
+
+    def rec(start, left, acc):
+        if len(left) == leave:
+            if acc <= room:
+                results.append(np.delete(order, left))
+            return
+        remaining = leave - len(left)
+        for i in range(start, len(glosses) - remaining + 1):
+            if acc + (prefix[i + remaining] - prefix[i]) > room:
+                break
+            rec(i + 1, left + [i], acc + float(glosses[i]))
+
+    rec(0, [], 0.0)
+    return results
+
+
+def _bisect_crossing(constant_realized, tol_bisect):
+    """critical_beta's bracket and bisection around a realized test."""
+    if constant_realized(0.0):
+        return 0.0
+    hi = 1.0
+    while not constant_realized(hi):
+        hi *= 2.0
+        if hi > 2.0 ** 40:
+            raise RuntimeError("failed to bracket the critical beta")
+    lo = 0.0
+    while hi - lo > tol_bisect:
+        mid = 0.5 * (lo + hi)
+        if constant_realized(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def reference_exact_losses(cand, rules, counts):
     """_Candidates.exact_losses with every row re-checked by fsum, the
     zero-approx rows too."""
@@ -113,22 +278,23 @@ def reference_exact_losses(cand, rules, counts):
 
 
 def reference_minimize(cand, beta, cost_cap=None):
-    """_Candidates.minimize with every shortlisted row re-checked by fsum:
-    (value, (cost, r, s)), or (inf, None) when nothing is under the cap."""
+    """_Candidates.minimize from the R-wide screen, every shortlisted row
+    re-checked by fsum: (value, (cost, r, s)), or (inf, None) when nothing
+    is under the cap."""
     vmin, near = math.inf, []
-    for lo, values in cand.screens(beta):
+    for lo, values in screens(cand, beta):
         if cost_cap is not None:
             at = np.arange(lo, lo + len(values))
             over = ~(cand.fam.costs[at, None] + cand.ext[None, :] <= cost_cap)
             values[over] = np.inf
         vmin = min(vmin, float(values.min()))
         if math.isfinite(vmin):
-            r, s = np.nonzero(values <= vmin + fo._screen_margin(vmin))
+            r, s = np.nonzero(values <= vmin + screen_margin(vmin))
             near.append((lo + r, s, values[r, s]))
     if not math.isfinite(vmin):
         return math.inf, None
     r, s, v = (np.concatenate(a) for a in zip(*near))
-    close = v <= vmin + fo._screen_margin(vmin)
+    close = v <= vmin + screen_margin(vmin)
     r, s = r[close], s[close]
     cost = cand.fam.costs[r] + cand.ext[s]
     exact = reference_exact_losses(cand, r, s) + beta * cost
@@ -151,21 +317,7 @@ def reference_critical_beta(d, fam, tol_bisect=1e-3):
         vconst = min(loss + beta * cost for loss, cost in zip(const_loss, const_cost))
         return vconst <= vmin + fo.TIE_ATOL
 
-    if constant_realized(0.0):
-        return 0.0
-    hi = 1.0
-    while not constant_realized(hi):
-        hi *= 2.0
-        if hi > 2.0 ** 40:
-            raise RuntimeError("failed to bracket the critical beta")
-    lo = 0.0
-    while hi - lo > tol_bisect:
-        mid = 0.5 * (lo + hi)
-        if constant_realized(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect_crossing(constant_realized, tol_bisect)
 
 
 def naive_family(space, k, noise_grid=(0.05, 0.1, 0.2)):

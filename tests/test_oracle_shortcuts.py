@@ -19,9 +19,12 @@ from taskinfo.finite_oracle import HypothesisFamily, critical_beta, structure_fu
 from taskinfo.tasks import Dataset, DiscreteSpace, disjoint_union
 
 from .reference import (
+    approx_loss,
     reference_critical_beta,
     reference_exact_losses,
     reference_minimize,
+    screen_margin,
+    screens,
 )
 
 
@@ -91,13 +94,13 @@ def _shortlists(cand, beta, t_grid):
     """The union over t in t_grid of the full screen's shortlists under
     cost <= t: the candidates whose value is within the screen margin of
     the approximate minimum."""
-    values = np.concatenate([v for _, v in cand.screens(beta)])
+    values = np.concatenate([v for _, v in screens(cand, beta)])
     out = set()
     for t in t_grid:
         capped = np.where(cand.cost <= t, values, np.inf)
         vmin = float(capped.min())
         if np.isfinite(vmin):
-            r, s = np.nonzero(capped <= vmin + fo._screen_margin(vmin))
+            r, s = np.nonzero(capped <= vmin + screen_margin(vmin))
             out |= set(zip(r.tolist(), s.tolist()))
     return out
 
@@ -164,7 +167,7 @@ def spy(monkeypatch):
     exact_losses, fsum_kept = fo._Candidates.exact_losses, fo._Candidates._fsum_kept
 
     def exact_spy(self, rules, counts, approx=None):
-        want = self.approx_loss[rules, counts]
+        want = approx_loss(self)[rules, counts]
         if approx is not None:      # the screened values are the table's
             assert approx.tobytes() == want.tobytes()
         calls.append((len(rules), int((want == 0.0).sum())))
