@@ -28,7 +28,6 @@ from .reference import (
     approx_loss,
     naive_candidates,
     naive_min,
-    reference_critical_beta,
     reference_minimize,
     screen_margin,
     screened_beta_sufficient_statistics,
@@ -286,38 +285,38 @@ def test_candidate_on_the_margin_edge(edge):
 
 
 def _misordered(counts, ulps):
-    """A constant rule C (cost 1) and a rule Y (cost 2) on three inputs. Each
-    input has counts[x] samples of label 0, which both rules give about
-    1e-300 (near 690.8 nats each), and one of label 1, at 1.0. Y's
-    probability at input x is C's moved by ulps[x] ulps, which moves its
-    loss by a few TIE_ATOL; above 1.6e7 nats one rounding of the
-    approximate sum is worth more than TIE_ATOL."""
+    """A constant rule C (cost 1) and a rule Y (cost 4e4) on three inputs.
+    Input x has counts[x] samples of label 0, which both rules give about
+    1e-300 (690.8 nats each), and one of label 1, at 1.0. Y's probability
+    at input x is C's moved by ulps[x] ulps, which moves its loss by a few
+    TIE_ATOL; above 1.6e7 nats one rounding of the approximate sum is worth
+    more than TIE_ATOL. Y's cost puts every bisection midpoint of
+    critical_beta but beta = 0 far outside the screen margin."""
     xs = np.repeat(np.arange(3), np.asarray(counts) + 1)
     ys = np.concatenate([np.repeat([0, 1], [c, 1]) for c in counts])
     d = Dataset(xs, ys, 2, DiscreteSpace(3))
     p = 1e-300 * (1.0 + np.array(ulps) * 2.0 ** -52)
     fam = HypothesisFamily.from_rules([
         fo.Hypothesis(np.tile([1e-300, 1.0], (3, 1)), 1.0, "C"),
-        fo.Hypothesis(np.stack([p, 1.0 - p], axis=1), 2.0, "Y")])
+        fo.Hypothesis(np.stack([p, 1.0 - p], axis=1), 4e4, "Y")])
     cand = fo._Candidates(d, fam)
-    (ac, ay), (ec, ey) = approx_loss(cand)[:, 0], cand.exact_losses(
-        np.array([0, 1]), np.zeros(2, dtype=np.int64))
+    (ay, ec, ey) = (approx_loss(cand)[1, 0], *cand.exact_losses(
+        np.array([0, 1]), np.zeros(2, dtype=np.int64)))
     assert cand.n_pure == 0
-    return d, fam, ac, ay, ec, ey
+    return d, fam, cand, ay, ec, ey
 
 
 def test_approximation_error_above_tie_atol_stays_in_the_margin():
-    # Y is the exact minimum, by more than TIE_ATOL, yet its approximate
-    # loss is not below C's exact loss: critical_beta must find the
-    # constant not realized at beta = 0 (a "realized" test without the
+    # Y is the exact minimum at beta = 0, by more than TIE_ATOL, yet its
+    # approximate loss is not below C's exact loss: critical_beta must find
+    # the constant not realized at beta = 0 (a "realized" test without the
     # margin would stop there), and Y must be in the tol = 0 set (a window
     # without the margin would leave it out)
-    d, fam, ac, ay, ec, ey = _misordered([22277, 17178, 19518], [341, 1033, 165])
+    d, fam, cand, ay, ec, ey = _misordered([2782, 9050, 13418], [1179, 1179, -54])
     assert ay >= ec > ey + fo.TIE_ATOL
-    cand = fo._Candidates(d, fam)
-    assert cand.minimize(0.0) == (ey, (2.0 + cand.ext[0], 1, 0))
-    beta = fo.critical_beta(d, fam)
-    assert beta == reference_critical_beta(d, fam) == 2.0 ** -11
+    assert cand.minimize(0.0) == (ey, (4e4 + cand.ext[0], 1, 0))
+    # realized at every midpoint past 0: hi halves from 1 to 2^-10
+    assert fo.critical_beta(d, fam) == 2.0 ** -11
     stats = fo.beta_sufficient_statistics(d, fam, 0.0, tol=0.0)
     assert [x.hypothesis.name for x in stats] == ["Y"]
 
@@ -327,9 +326,9 @@ def test_approximation_error_below_tie_atol_stays_in_the_margin():
     # yet exactly the two tie within TIE_ATOL, so the constant realizes the
     # beta = 0 minimum: a "not realized" test without the margin would
     # bisect instead
-    d, fam, ac, ay, ec, ey = _misordered([8915, 8535, 8882], [-1262, 1970, -2708])
+    d, fam, cand, ay, ec, ey = _misordered([2782, 9050, 13418], [1970, -2708, 1761])
     assert ay + fo.TIE_ATOL < ec <= ey + fo.TIE_ATOL
-    assert fo.critical_beta(d, fam) == reference_critical_beta(d, fam) == 0.0
+    assert fo.critical_beta(d, fam) == 0.0
 
 
 def test_tol_window_edge_of_beta_sufficient_statistics(monkeypatch):
