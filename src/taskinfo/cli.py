@@ -80,18 +80,26 @@ def _build_domain(spec, path) -> tasks_mod.DiscreteSpace | tasks_mod.RealSpace:
     raise ConfigError(f"{path}.kind: unknown domain kind {spec['kind']!r}")
 
 
-def _family(space, k, obj, path) -> oracle.HypothesisFamily:
-    """The oracle family for ``space`` at the noise grid of ``obj``."""
+def _family(space, k, obj, path, families=None) -> oracle.HypothesisFamily:
+    """The oracle family for ``space`` at the noise grid of ``obj``, taken
+    from or put into ``families`` when given."""
     try:
         noise_grid = tuple(obj.get("noise_grid", (0.05, 0.1, 0.2)))
         oracle._check_noise_grid(noise_grid)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.noise_grid: {exc}") from None
-    return oracle.HypothesisFamily.for_space(space, k, noise_grid)
+    if families is None:
+        return oracle.HypothesisFamily.for_space(space, k, noise_grid)
+    key = (space.size, k, noise_grid)
+    if key not in families:
+        families[key] = oracle.HypothesisFamily.for_space(space, k, noise_grid)
+    return families[key]
 
 
-def build_task(spec, path="task") -> tasks_mod.Dataset:
-    """Recursive task builder shared by every command."""
+def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
+    """Recursive task builder shared by every command. A command that builds
+    many tasks passes one ``families`` dict, so that each planted rule's
+    family is built once per command."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"{path}: expected a task object with a 'type'")
     t = spec["type"]
@@ -104,7 +112,7 @@ def build_task(spec, path="task") -> tasks_mod.Dataset:
         _check_keys(spec, path, ("type", "n", "k", "domain_size", "rule", "seed"),
                     ("noise", "noise_grid"))
         fam = _family(tasks_mod.DiscreteSpace(int(spec["domain_size"])),
-                      int(spec["k"]), spec, path)
+                      int(spec["k"]), spec, path, families)
         try:
             rule = fam.hypothesis(spec["rule"])
         except KeyError:
@@ -115,8 +123,8 @@ def build_task(spec, path="task") -> tasks_mod.Dataset:
     if t == "union":
         _check_keys(spec, path, ("type", "left", "right"))
         return tasks_mod.disjoint_union(
-            build_task(spec["left"], f"{path}.left"),
-            build_task(spec["right"], f"{path}.right"))
+            build_task(spec["left"], f"{path}.left", families),
+            build_task(spec["right"], f"{path}.right", families))
     if t == "transform":
         _check_keys(spec, path, ("type", "base", "transform"))
         tspec = dict(spec["transform"])
@@ -126,13 +134,13 @@ def build_task(spec, path="task") -> tasks_mod.Dataset:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}.transform: {exc}") from None
         return tasks_mod.apply_transform(
-            build_task(spec["base"], f"{path}.base"), tr)
+            build_task(spec["base"], f"{path}.base", families), tr)
     if t == "as_real":
         _check_keys(spec, path, ("type", "base"))
-        return tasks_mod.as_real_vectors(build_task(spec["base"], f"{path}.base"))
+        return tasks_mod.as_real_vectors(build_task(spec["base"], f"{path}.base", families))
     if t == "subset_classes":
         _check_keys(spec, path, ("type", "base", "labels"))
-        base = build_task(spec["base"], f"{path}.base")
+        base = build_task(spec["base"], f"{path}.base", families)
         keep = np.isin(base.labels, np.asarray(spec["labels"], dtype=np.int64))
         return tasks_mod.Dataset(base.inputs[keep], base.labels[keep],
                                  base.num_labels, base.space)
@@ -382,12 +390,13 @@ def cmd_pac_bayes(cfg, hash_) -> dict:
     elif cfg["mode"] == "trials":
         spec = cfg["task"]
         n_train, n_test = int(cfg["n_train"]), int(cfg["n_test"])
+        families = {}
 
         def generator(trial_seed):
             full_spec = dict(spec)
             full_spec["n"] = n_train + n_test
             full_spec["seed"] = trial_seed
-            d = tasks_mod.as_real_vectors(build_task(full_spec))
+            d = tasks_mod.as_real_vectors(build_task(full_spec, families=families))
             return tasks_mod.subset_split(d, n_train / (n_train + n_test),
                                           seed=trial_seed)
 

@@ -19,10 +19,9 @@ removed and puts the critical trade-off at beta = 1 for random labels.
 
 Union families are factored: a pair rule is kept as its two children, never
 as a table. Screening evaluates each part's family once on its half of the
-inputs and gathers the pair rules' rows by child index. A Lagrangian minimum
-gathers rows only for the pair rules that a lower bound from their children
-cannot rule out. The table values a query needs (exact re-checks, returned
-hypotheses) are built per rule, and the stacked (R, M, K)
+inputs, and every query gathers rows, by child index, only for the pair
+rules that a lower bound from their children cannot rule out. Table values
+are built per rule as a query needs them, the stacked (R, M, K)
 ``HypothesisFamily.tables`` only when read.
 
 All reported losses and minima are exact: candidates are screened with fast
@@ -38,6 +37,7 @@ saturating sentinel INF_NATS, larger than any finite family value.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -75,6 +75,7 @@ _INF_REPORT = 1e29       # anything above this is reported as math.inf
 TIE_ATOL = 1e-9          # argmin tie window (documented tie-break rule)
 _ROWS = 1 << 13          # rules per block when screening, bounds temporaries
 
+_U = 2.0 ** -53           # unit roundoff of a float
 LN2 = math.log(2.0)
 _GROUP_TAG = math.log(4.0)   # four base-rule groups share the budget equally
 PAIR_FLAG = LN2              # union families: flat rules vs pair rules
@@ -88,6 +89,11 @@ class NoHypothesisError(ValueError):
 
 def _ln_choose(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _exp_fsum(costs: np.ndarray) -> float:
+    """math.fsum of math.exp(-c) over the costs."""
+    return float(math.fsum(map(math.exp, (-costs).tolist())))
 
 
 def _check_noise_grid(noise_grid) -> None:
@@ -322,6 +328,22 @@ class _Rules:
             return float(self.tables.max(initial=0.0))
         return max(self.flat.peak(), *(child.peak() for child in self.parts))
 
+    def kraft(self) -> tuple[float, float]:
+        """(sum of exp(-cost), a bound on its relative float error). A union's
+        fresh pairs cost PAIR_FLAG + PAIR_KIND plus their children's costs, so
+        their block is a product of the parts' sums, whose bound adds the
+        parts' bounds, the roundings of exp, of two products and of each
+        fresh cost's two additions (each within u of the largest cost)."""
+        if self.kid_idx is None:
+            return _exp_fsum(self.costs), 3 * _U
+        (left, (kl, el)), (right, (kr, er)) = ((p, p.kraft()) for p in self.parts)
+        base = PAIR_FLAG + PAIR_KIND
+        n = len(self.flat)
+        rest = np.delete(self.costs, slice(n, n + len(left) * len(right)))
+        err = el + er + (4 + 2 * (base + left.costs.max() + right.costs.max())) * _U
+        return (math.fsum([_exp_fsum(rest), math.exp(-base) * kl * kr]),
+                max(3 * _U, err) + _U)
+
     def facts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(is_constant, is_deterministic, first row (R, K)) of every rule."""
         if self.tables is not None:
@@ -330,16 +352,23 @@ class _Rules:
                     ((t == 0.0) | (t == 1.0)).all(axis=(1, 2)), t[:, 0, :])
         const, det, row = self.flat.facts()
         sides = []
-        for side, child in enumerate(self.parts):
-            c, d, r = (a[self.kid_idx[:, side]] for a in child.facts())
+        for child in self.parts:
+            c, d, r = child.facts()
             if child.space.size < self.space.size // 2:   # uniform padding
-                c &= (r == 1.0 / self.k).all(axis=1)
-                d[:] = False
+                c = c & (r == 1.0 / self.k).all(axis=1)
+                d = np.zeros_like(d)
             sides.append((c, d, r))
         (c0, d0, r0), (c1, d1, r1) = sides
-        return (np.concatenate([const, c0 & c1 & (r0 == r1).all(axis=1)]),
-                np.concatenate([det, d0 & d1]),
-                np.concatenate([row, r0]))
+        # the fresh pairs, every left child with every right child, come as
+        # outer products of their children's facts; the rest by child index
+        ia, ib = np.flatnonzero(c0), np.flatnonzero(c1)
+        fresh_c = np.zeros((len(c0), len(c1)), dtype=bool)
+        fresh_c[np.ix_(ia, ib)] = (r0[ia, None, :] == r1[ib]).all(axis=2)
+        a, b = self.kid_idx[len(c0) * len(c1):].T
+        return (np.concatenate([const, fresh_c.ravel(),
+                                c0[a] & c1[b] & (r0[a] == r1[b]).all(axis=1)]),
+                np.concatenate([det, (d0[:, None] & d1).ravel(), d0[a] & d1[b]]),
+                np.concatenate([row, r0.repeat(len(c1), axis=0), r0[a]]))
 
 
 class HypothesisFamily:
@@ -367,9 +396,11 @@ class HypothesisFamily:
         self._rules = rules
         self.costs = rules.costs
         self.is_constant, self.is_deterministic, _ = rules.facts()
-        kraft = self.kraft_sum()
-        if kraft > 1.0 + 1e-9:
-            raise ValueError(f"family violates the Kraft budget: {kraft:.6f} > 1")
+        kraft, rel = rules.kraft()    # rule by rule where its bound straddles 1
+        if (kraft * (1.0 + 2 * (rel + 3 * _U)) > 1.0 + 1e-9
+                and self.kraft_sum() > 1.0 + 1e-9):
+            raise ValueError(
+                f"family violates the Kraft budget: {self.kraft_sum():.6f} > 1")
 
     def __len__(self) -> int:
         return len(self.costs)
@@ -380,7 +411,8 @@ class HypothesisFamily:
         return self._rules.names
 
     def kraft_sum(self) -> float:
-        return float(math.fsum(map(math.exp, (-self.costs).tolist())))
+        """sum of exp(-cost), rule by rule."""
+        return _exp_fsum(self.costs)
 
     def _tables_of(self, rules) -> np.ndarray:
         """(len(rules), M, K) tables of the given rules, fresh arrays."""
@@ -690,10 +722,9 @@ class _Candidates:
     """The candidates (rule, pin count) of one dataset under one family.
 
     Rows of group and approximate losses are built for the rules a query
-    asks for. A minimum, capped or not, screens the rules with tables, then
-    only the pair rules that a bound from their children cannot rule out
-    (`_pair_floor`). The R-wide ``group_loss`` and ``approx_loss`` are
-    built on first read, for the consumers that scan every rule.
+    asks for, never for every rule of a union. Every query screens the
+    rules with tables, then only the pair rules that a bound from their
+    children cannot rule out (`_pair_floor`, `_pairs_within`).
     """
 
     def __init__(self, d: Dataset, fam: HypothesisFamily):
@@ -740,11 +771,12 @@ class _Candidates:
         self.unit_bounded = fam._rules.peak() <= 1.0
 
     def _group_rows(self, rules: np.ndarray) -> np.ndarray:
-        """group_loss[rules], built for those rules only."""
+        """(len(rules), u) loss of the given rules on every input group."""
         return self.fam._rules.group_rows(self._parts, rules)
 
     def _approx_rows(self, rules: np.ndarray) -> np.ndarray:
-        """approx_loss[rules], built for those rules only, bit for bit."""
+        """(len(rules), n_pure+1) approximate loss of the given rules'
+        candidates (r, s), per row as `_suffix_losses` builds it."""
         out = np.empty((len(rules), self.n_pure + 1))
         for lo in range(0, len(rules), _ROWS):
             _suffix_losses(self._group_rows(rules[lo:lo + _ROWS]), self._pure_idx,
@@ -752,22 +784,10 @@ class _Candidates:
         return out
 
     @functools.cached_property
-    def group_loss(self) -> np.ndarray:
-        """(R, u) loss of every rule on every input group, built on first read."""
-        return self._group_rows(np.arange(len(self.fam)))
-
-    @functools.cached_property
     def _flat_approx(self) -> np.ndarray:
-        """approx_loss rows of the rules with tables (every rule but pairs)."""
+        """Approximate loss rows of the rules with tables (every rule but
+        pairs)."""
         return self._approx_rows(np.arange(self._n_flat))
-
-    @functools.cached_property
-    def approx_loss(self) -> np.ndarray:
-        """(R, n_pure+1) approximate loss of every candidate (r, s), built on
-        first read."""
-        if self._n_flat == len(self.fam):
-            return self._flat_approx
-        return self._approx_rows(np.arange(len(self.fam)))
 
     @functools.cached_property
     def _kid_rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -783,7 +803,7 @@ class _Candidates:
                                        np.flatnonzero(~pure)), ext))
         return out
 
-    def _pair_floor(self, beta: float) -> np.ndarray:
+    def _pair_floor(self, beta: float, pairs: slice = slice(None)) -> np.ndarray:
         """Lower bound, per pair rule p = (a, b), on approx + beta * cost
         over all its pin counts.
 
@@ -797,58 +817,44 @@ class _Candidates:
                 >= beta * (cost_p + ln(u+1)) + f_a + g_b,
 
         f_a = min_sa A_a(sa) + beta * (ln C(u_L, sa) + sa ln K), g_b alike.
+        ``pairs`` slices the pair rules (0 is the first pair).
         """
         f, g = ((rows + beta * ext).min(axis=1) for rows, ext in self._kid_rows)
-        kids = self.fam._rules.kid_idx
-        return (beta * (self.fam.costs[self._n_flat:] + math.log(self.u + 1))
+        kids = self.fam._rules.kid_idx[pairs]
+        return (beta * (self.fam.costs[self._n_flat:][pairs] + math.log(self.u + 1))
                 + f[kids[:, 0]] + g[kids[:, 1]])
 
-    @property
-    def cost(self) -> np.ndarray:
-        """(R, n_pure+1) code length of every candidate (r, s), built anew."""
-        return self.fam.costs[:, None] + self.ext[None, :]
+    def _least_pair_floor(self, beta: float) -> float:
+        """min(_pair_floor(beta)) up to float rounding, which `_pair_slack`
+        covers. The fresh pairs, every left child with every right child,
+        cost PAIR_FLAG + PAIR_KIND plus their children's costs, so the least
+        floor among them is the sum of each side's least term."""
+        left, right = self.fam._rules.parts
+        f, g = ((rows + beta * ext).min(axis=1) for rows, ext in self._kid_rows)
+        least = (beta * (PAIR_FLAG + PAIR_KIND + math.log(self.u + 1))
+                 + (beta * left.costs + f).min() + (beta * right.costs + g).min())
+        rest = self._pair_floor(beta, slice(len(left) * len(right), None))
+        return float(min(least, rest.min(initial=np.inf)))
+
+    def _pairs_within(self, beta: float, bound: float) -> np.ndarray:
+        """The pair rules whose `_pair_floor`, less its float slack, is not
+        above ``bound``: every other pair's values at beta lie above it."""
+        floor = self._pair_floor(beta) if self._n_flat < len(self.fam) else np.zeros(0)
+        return self._n_flat + np.flatnonzero(floor - _pair_slack(floor) <= bound)
 
     def _screen(self, rules: np.ndarray, approx: np.ndarray | None, beta: float):
-        """(rules, approx, values) for blocks of _ROWS of ``rules``: their
-        approx_loss rows (``approx``, or built per block when None) and the
-        approximate loss + beta * cost."""
+        """(rules, approx, values) for blocks of _ROWS of ``rules`` in stable
+        cost order: their approximate loss rows (``approx``, aligned with
+        ``rules``, or built per block when None) and approx + beta * cost."""
+        order = np.argsort(self.fam.costs[rules], kind="stable")
         for lo in range(0, len(rules), _ROWS):
-            at = rules[lo:lo + _ROWS]
-            rows = self._approx_rows(at) if approx is None else approx[lo:lo + _ROWS]
+            at = rules[order[lo:lo + _ROWS]]
+            rows = (self._approx_rows(at) if approx is None
+                    else approx[order[lo:lo + _ROWS]])
             values = self.fam.costs[at, None] + self.ext[None, :]
             values *= beta
             values += rows
             yield at, rows, values
-
-    def screens(self, beta: float):
-        """(first rule, values) for blocks of _ROWS rules, every rule: the
-        approximate loss + beta * cost of their candidates."""
-        for at, _, values in self._screen(np.arange(len(self.fam)),
-                                          self.approx_loss, beta):
-            yield int(at[0]), values
-
-    def frontier(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cost, approx) of the candidates on the (cost, approx_loss) Pareto
-        frontier, the constant rules unpinned (s = 0) left out.
-
-        For each pin count s, the rules in stable cost order keep the points
-        where the running minimum of approx_loss[:, s] strictly drops. Every
-        other candidate has a frontier point of no larger cost and approx,
-        so for any beta >= 0 the frontier holds the minimum of
-        approx + beta * cost over all candidates but those constants.
-        """
-        order = np.argsort(self.fam.costs, kind="stable")
-        costs = self.fam.costs[order]
-        cost, approx = [], []
-        for s in range(self.n_pure + 1):
-            col = self.approx_loss[order, s]
-            if s == 0:
-                col[self.fam.is_constant[order]] = np.inf
-            run = np.minimum.accumulate(col)
-            drop = run < np.concatenate([[np.inf], run[:-1]])
-            cost.append(costs[drop] + self.ext[s])
-            approx.append(run[drop])
-        return np.concatenate(cost), np.concatenate(approx)
 
     # -- exact evaluation ---------------------------------------------------
 
@@ -980,9 +986,7 @@ class _Candidates:
 
         def screen(rules, approx=None):
             nonlocal thr
-            order = np.argsort(self.fam.costs[rules], kind="stable")
-            for at, rows, values in self._screen(
-                    rules[order], None if approx is None else approx[order], beta):
+            for at, rows, values in self._screen(rules, approx, beta):
                 # a block in cost order: each distinct cost is one run of rows
                 ucost, first, cls = np.unique(self.fam.costs[at], return_index=True,
                                               return_inverse=True)
@@ -993,9 +997,7 @@ class _Candidates:
                 near.append((at[r], s, bucket[cls[r], s], rows[r, s], values[r, s]))
 
         screen(np.arange(self._n_flat), self._flat_approx)
-        if self._n_flat < len(self.fam):
-            floor = self._pair_floor(beta)
-            screen(self._n_flat + np.flatnonzero(floor - _pair_slack(floor) <= thr[0]))
+        screen(self._pairs_within(beta, thr[0]))
         r, s, b, a, v = (np.concatenate(x) for x in zip(*near))
         close = v <= thr[b]
         r, s, b, v = r[close], s[close], b[close], v[close]
@@ -1122,32 +1124,30 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
     cand = _Candidates(d, fam)
     vmin, _ = cand.minimize(beta)
     limit = vmin + tol + TIE_ATOL
-
-    margin = _APPROX_MARGIN * (1.0 + abs(limit))
-    short = [(lo + r, s) for lo, values in cand.screens(beta)
-             for r, s in np.argwhere(values <= limit + margin).tolist()]
-
+    # the screen of `minimize`, at limit plus the margin of approximation
+    bound = limit + _APPROX_MARGIN * (1.0 + abs(limit))
     found = []
-    for r, s in short:
-        cost = float(cand.fam.costs[r] + cand.ext[s])
-        budget = limit - beta * cost    # max loss a variant may have
-        for pin_groups in _pin_sets_within(cand, r, s, budget):
-            loss = cand.exact_loss(r, pin_groups)
-            if loss + beta * cost <= limit:
-                found.append((cost, r, s,
-                              tuple(int(g) for g in sorted(pin_groups)),
-                              loss + beta * cost))
-                if len(found) > max_results:
-                    raise NoHypothesisError(
-                        "too many sufficient statistics to enumerate")
+    for at, _, values in itertools.chain(
+            cand._screen(np.arange(cand._n_flat), cand._flat_approx, beta),
+            cand._screen(cand._pairs_within(beta, bound), None, beta)):
+        for j, s in zip(*np.nonzero(values <= bound)):
+            r, s = int(at[j]), int(s)
+            cost = float(cand.fam.costs[r] + cand.ext[s])
+            budget = limit - beta * cost    # max loss a variant may have
+            for pin_groups in _pin_sets_within(cand, r, s, budget):
+                loss = cand.exact_loss(r, pin_groups)
+                if loss + beta * cost <= limit:
+                    found.append((cost, r, s,
+                                  tuple(int(g) for g in sorted(pin_groups)),
+                                  loss + beta * cost))
+                    if len(found) > max_results:
+                        raise NoHypothesisError(
+                            "too many sufficient statistics to enumerate")
     found.sort(key=lambda e: (e[1], e[2], e[3]))
     min_cost = min(e[0] for e in found)
-    out = []
-    for cost, r, s, pin_groups, value in found:
-        h = cand.hypothesis_for(r, s, np.array(pin_groups, dtype=np.int64))
-        out.append(BetaStatistic(h, _report(value),
-                                 is_minimal=cost <= min_cost + TIE_ATOL))
-    return out
+    return [BetaStatistic(cand.hypothesis_for(r, s, np.array(pins, dtype=np.int64)),
+                          _report(value), is_minimal=cost <= min_cost + TIE_ATOL)
+            for cost, r, s, pins, value in found]
 
 
 def _pin_sets_within(cand: _Candidates, r: int, s: int, budget: float):
@@ -1159,12 +1159,12 @@ def _pin_sets_within(cand: _Candidates, r: int, s: int, budget: float):
     is over small losses only and stays accurate when the pinned groups
     carry INF_NATS. Callers re-check candidates exactly.
     """
-    group = cand._group_rows(np.array([r]))[0]
-    order = cand.pin_order.of(group)[::-1]     # pure groups by ascending loss
-    glosses = group[order]
+    group = cand._group_rows(np.array([r]))
+    mixed = _suffix_losses(group, cand._pure_idx, cand._mixed_idx)[0, -1]
+    order = cand.pin_order.of(group[0])[::-1]  # pure groups by ascending loss
+    glosses = group[0, order]
     leave = len(order) - s
-    room = (budget + _APPROX_MARGIN * (1.0 + abs(budget)) + TIE_ATOL
-            - float(cand.approx_loss[r, -1]))
+    room = budget + _APPROX_MARGIN * (1.0 + abs(budget)) + TIE_ATOL - float(mixed)
     prefix = np.concatenate([[0.0], np.cumsum(glosses)])
     results: list[np.ndarray] = []
 
@@ -1188,34 +1188,39 @@ def critical_beta(d: Dataset, fam: HypothesisFamily, tol_bisect: float = 1e-3
     """Largest beta at which the Lagrangian min is not constant-realized.
 
     Found by bisection: the result is the midpoint of the final bracket,
-    within tol_bisect / 2 of the crossing. Returns 0.0 when a constant rule
-    already realizes the beta = 0 minimum.
+    within tol_bisect / 2 of the crossing (tol_bisect finite and > 0).
+    Returns 0.0 when a constant rule already realizes the beta = 0 minimum.
 
-    Each midpoint compares v_const, the exact value of the best constant
-    rule, with v_other, the minimum of approx + beta * cost over the
-    candidates' Pareto frontier (`_Candidates.frontier`), which leaves the
-    unpinned constant rules out. With m = `_screen_margin`(v_other), the
-    bound on the approximation error that `_Candidates.minimize` assumes,
-    v_const > v_other + m + TIE_ATOL means "not realized" and
-    v_other - m >= v_const means "realized". Only the midpoints in between
-    run the exact Lagrangian minimum, so the bracket and the result are
-    those of an exact evaluation at every midpoint.
+    At each midpoint, with v_const the best constant's exact value and m =
+    `_screen_margin` the approximation error that `minimize` allows,
+    v_const > v + m + TIE_ATOL means "not realized" (v: the least value of
+    a rule with a table but the unpinned constants), and w - m >= v_const
+    "realized" (w: the least of v and of `_least_pair_floor` less its
+    slack). The midpoints in between run the exact minimum, so the result
+    is that of an exact evaluation at every midpoint.
     """
+    if not (math.isfinite(tol_bisect) and tol_bisect > 0):
+        raise ValueError(f"tol_bisect must be finite and > 0, got {tol_bisect!r}")
     if not fam.is_constant.any():
         raise ValueError("family contains no constant distributions")
     cand = _Candidates(d, fam)
     const_rules = np.flatnonzero(fam.is_constant)
     const_loss = cand.exact_losses(const_rules, np.zeros_like(const_rules)).tolist()
     const_cost = (fam.costs[const_rules] + cand.ext[0]).tolist()
-    f_cost, f_approx = cand.frontier()
+    flat = np.arange(cand._n_flat)
+    flat_approx = cand._flat_approx.copy()
+    flat_approx[fam.is_constant[flat], 0] = np.inf
 
     def constant_realized(beta: float) -> bool:
         vconst = min(loss + beta * cost for loss, cost in zip(const_loss, const_cost))
-        v_other = float((f_cost * beta + f_approx).min(initial=np.inf))
-        margin = _screen_margin(v_other)
-        if vconst > v_other + margin + TIE_ATOL:
+        v_flat = min(float(v.min()) for *_, v in cand._screen(flat, flat_approx, beta))
+        if vconst > v_flat + _screen_margin(v_flat) + TIE_ATOL:
             return False
-        if v_other - margin >= vconst:
+        low = v_flat
+        if len(flat) < len(fam):
+            floor = cand._least_pair_floor(beta)
+            low = min(low, floor - _pair_slack(floor))
+        if low - _screen_margin(low) >= vconst:
             return True
         vmin, _ = cand.minimize(beta)
         return vconst <= vmin + TIE_ATOL
@@ -1264,12 +1269,6 @@ def deterministic_complexity(d: Dataset, fam: HypothesisFamily) -> float | None:
     return best
 
 
-def _minimal_statistic_cost(d: Dataset, fam: HypothesisFamily, beta: float
-                            ) -> float:
-    _, (cost, _, _) = _Candidates(d, fam).minimize(beta)
-    return cost
-
-
 def oracle_distance(d1: Dataset, d2: Dataset, fam: HypothesisFamily,
                     beta: float) -> float:
     """Asymmetric distance d(d1 -> d2) through the disjoint union.
@@ -1280,10 +1279,10 @@ def oracle_distance(d1: Dataset, d2: Dataset, fam: HypothesisFamily,
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    c1 = _minimal_statistic_cost(d1, fam, beta)
+    c1 = _Candidates(d1, fam).minimize(beta)[1][0]
     du = disjoint_union(d1, d2)
     fam_u = HypothesisFamily.for_space(du.space, du.num_labels, fam.noise_grid)
-    c12 = _minimal_statistic_cost(du, fam_u, beta)
+    c12 = _Candidates(du, fam_u).minimize(beta)[1][0]
     return max(0.0, c12 - c1)
 
 

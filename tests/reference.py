@@ -111,6 +111,11 @@ def screen_margin(vmin):
 # the member's name (a dense twin's tables) is used as it stands.
 
 
+def candidate_costs(cand):
+    """(R, n_pure+1) code length of every candidate (r, s)."""
+    return cand.fam.costs[:, None] + cand.ext[None, :]
+
+
 def group_loss(cand):
     """(R, u) loss of every rule on every input group."""
     if "group_loss" not in vars(cand):

@@ -237,6 +237,29 @@ def test_pac_bayes_bound_mode_zero(tmp_path):
     assert ",0.0," in read(out / "pac_bayes.csv").splitlines()[2]
 
 
+def test_pac_bayes_trials_build_the_planted_family_once(tmp_path, monkeypatch):
+    # the probe and every trial plant the same rule: one family per command
+    from taskinfo import finite_oracle
+
+    built = []
+    for_space = finite_oracle.HypothesisFamily.for_space.__func__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return for_space(cls, *args, **kwargs)
+
+    monkeypatch.setattr(finite_oracle.HypothesisFamily, "for_space", classmethod(spy))
+    code, out = run_cli(tmp_path, "pac-bayes", {
+        "version": 1, "seed": 0, "mode": "trials",
+        "task": {"type": "planted", "n": 0, "k": 2, "domain_size": 16,
+                 "rule": "bit0", "noise": 0.1, "seed": 0},
+        "n_train": 12, "n_test": 12, "trials": 3, "beta": 1.0, "delta": 0.05,
+        "opt": {"steps": 3, "mc_samples": 2, "report_mc": 4}})
+    assert code == 0
+    assert len(built) == 1
+    assert len(read(out / "pac_bayes.csv").splitlines()) == 6
+
+
 def test_pac_bayes_invalid_beta_is_config_error(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "pac-bayes", {
         "version": 1, "seed": 0, "mode": "bound", "train_loss_total": 0.0,

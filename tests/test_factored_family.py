@@ -11,6 +11,7 @@ it must still return what a full screen returns.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +21,14 @@ from taskinfo.tasks import Dataset, DiscreteSpace
 
 from .reference import (
     approx_loss,
+    candidate_costs,
     dense_screening,
+    frontier_critical_beta,
     group_loss,
     naive_family,
     reference_minimize,
     screen_margin,
+    screened_beta_sufficient_statistics,
     screens,
 )
 
@@ -89,7 +93,7 @@ def test_factored_union_screen_matches_dense(task, data):
     custom = fo._Candidates(d, fo.HypothesisFamily.from_rules(
         [fo.Hypothesis(t, c, nm) for nm, c, t in zip(names, costs, tables)],
         d.space, fam.num_labels))
-    cost = np.sort(cand.cost.ravel())
+    cost = np.sort(candidate_costs(cand).ravel())
     caps = [None, cost[0] / 2, cost[0], cost[len(cost) // 3], cost[-1]]
     for beta in (0.0, 0.4, 1.0, 3.0):
         for cap in caps:
@@ -153,7 +157,7 @@ def test_many_caps_keep_the_pairs_a_small_cap_needs():
                 np.array([1, 0, 1, 0, 0, 0, 1, 1, 0, 0]), 2, space)
     fam = fo.HypothesisFamily.for_space(space, 2, ())
     cand = fo._Candidates(d, fam)
-    t = float(cand.cost[31, 0])
+    t = float(candidate_costs(cand)[31, 0])
     want = [reference_minimize(cand, 0.4, cap) for cap in (t, np.inf)]
     assert want[0][1][1:] == (31, 0) and 31 >= len(fam._rules.flat)
     assert cand.capped_minima(0.4, [t, np.inf]) == want
@@ -247,3 +251,60 @@ def test_union_structure_function_memory_guard():
         assert (curve.loss[j], curve.complexity[j]) == (
             (np.inf, np.inf) if where is None else (fo._report(value), where[0]))
     assert np.isinf(curve.loss[0]) and np.isfinite(curve.loss[2])
+
+
+@pytest.fixture(scope="module")
+def union2x32():
+    """The 93,899-rule union of oracle_distance's two 32-input tasks, 64
+    samples, and its family."""
+    plant, rand, _ = _distance_tasks()
+    d = tasks.disjoint_union(plant, rand)
+    return d, fo.HypothesisFamily.for_space(d.space, 2)
+
+
+def _traced(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_union_critical_beta_and_statistics_build_no_r_wide_rows(union2x32, monkeypatch):
+    # both queries screen the rules with tables and the pairs their child
+    # floor keeps: the R-wide approximate losses alone would be 49 MB
+    d, fam = union2x32
+    built, kept = [], []
+    approx_rows, pairs_within = fo._Candidates._approx_rows, fo._Candidates._pairs_within
+
+    def rows_spy(self, rules):
+        built.append(len(rules))
+        return approx_rows(self, rules)
+
+    def pairs_spy(self, beta, bound):
+        out = pairs_within(self, beta, bound)
+        kept.append(len(out))
+        return out
+
+    monkeypatch.setattr(fo._Candidates, "_approx_rows", rows_spy)
+    monkeypatch.setattr(fo._Candidates, "_pairs_within", pairs_spy)
+    n_flat = len(fam._rules.flat)
+    # critical_beta also prices the constant rules, pairs among them, once
+    for query, extra in ((lambda: fo.critical_beta(d, fam), fam.is_constant.sum()),
+                         (lambda: fo.beta_sufficient_statistics(d, fam, 1.0, tol=0.0), 0)):
+        built.clear()
+        kept.clear()
+        _, peak = _traced(query)
+        assert peak <= 10e6, f"peak {peak / 1e6:.1f} MB"
+        assert sum(built) == n_flat + extra + sum(kept)
+        assert sum(kept) < len(fam) // 50
+
+
+def test_union_critical_beta_and_statistics_match_the_r_wide_screen(union2x32):
+    d, fam = union2x32
+    assert fo.critical_beta(d, fam) == frontier_critical_beta(d, fam)
+    stats = fo.beta_sufficient_statistics(d, fam, 1.0, tol=0.0)
+    want = screened_beta_sufficient_statistics(d, fam, 1.0, tol=0.0)
+    assert [(x.hypothesis.identity(), x.value, x.is_minimal) for x in stats] == \
+        [(x.hypothesis.identity(), x.value, x.is_minimal) for x in want]

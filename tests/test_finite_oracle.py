@@ -29,7 +29,7 @@ from taskinfo.finite_oracle import (
 )
 from taskinfo.tasks import Dataset, DiscreteSpace, disjoint_union
 
-from .reference import naive_candidates, naive_family, naive_min
+from .reference import candidate_costs, naive_candidates, naive_family, naive_min
 
 LN2 = math.log(2.0)
 
@@ -118,6 +118,37 @@ def test_family_kraft_budget(fam8, fam64):
             tasks.generate_random_label_task(2, DiscreteSpace(4), 2, seed=1),
         ).space, 2)
     assert u.kraft_sum() <= 1.0 + 1e-12
+
+
+def _union_space(left, right):
+    return DiscreteSpace(2 * max(left.size, right.size),
+                         parts=(tasks.UnionPart(left, 2), tasks.UnionPart(right, 2)))
+
+
+@pytest.mark.parametrize("space", [
+    DiscreteSpace(64),
+    _union_space(DiscreteSpace(16), DiscreteSpace(8)),
+    _union_space(DiscreteSpace(8), DiscreteSpace(8)),
+    _union_space(_union_space(DiscreteSpace(4), DiscreteSpace(2)), DiscreteSpace(4)),
+    _union_space(DiscreteSpace(3), _union_space(DiscreteSpace(2), DiscreteSpace(1))),
+], ids=["flat", "union", "equal-parts", "nested-left", "nested-right"])
+def test_factored_kraft_sum_matches_rule_by_rule(space):
+    # a union's fresh pairs sum as a product of their parts' sums
+    fam = HypothesisFamily.for_space(space, 3, (0.1, 0.3))
+    kraft, rel = fam._rules.kraft()
+    assert kraft == pytest.approx(fam.kraft_sum(), rel=1e-12, abs=0.0)
+    assert abs(kraft - fam.kraft_sum()) <= 2 * rel * kraft
+    assert rel < 1e-13
+
+
+def test_custom_family_over_the_kraft_budget_is_rejected(fam8):
+    rules = [fo.Hypothesis(fam8.hypothesis(name).table, cost, name)
+             for name, cost in [("const0", math.log(2.0)), ("const1", math.log(2.0)),
+                                ("bit0", math.log(4.0))]]
+    with pytest.raises(ValueError, match=r"Kraft budget: 1\.250000 > 1"):
+        HypothesisFamily.from_rules(rules)
+    # a budget met with equality is kept
+    HypothesisFamily.from_rules(rules[:2])
 
 
 def test_extended_family_kraft_budget(fam8):
@@ -528,7 +559,7 @@ def test_legendre_duality_of_structure_function_and_lagrangian(task, betas):
 def test_batched_exact_losses_match_per_candidate_fsum(task):
     d, fam, _ = task
     cand = fo._Candidates(d, fam)
-    r, s = np.nonzero(np.ones(cand.cost.shape, dtype=bool))
+    r, s = np.nonzero(np.ones(candidate_costs(cand).shape, dtype=bool))
     got = cand.exact_losses(r, s)
     for j in range(len(r)):
         probs = fam.tables[r[j]][d.inputs, d.labels]
@@ -593,6 +624,18 @@ def test_critical_beta_needs_constant_rules(fam8):
     d = tasks.generate_planted_task(5, fam8.hypothesis("bit0"), 0.0, seed=0)
     with pytest.raises(ValueError, match="constant"):
         critical_beta(d, fam)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_critical_beta_rejects_tolerance_that_never_ends(fam8, tol):
+    # the bisection stops once the bracket is narrower than tol_bisect: at
+    # 0 or below it never would, NaN stopped at once, inf before a step
+    d = disjoint_union(
+        tasks.generate_random_label_task(6, DiscreteSpace(8), 2, seed=0),
+        tasks.generate_random_label_task(3, DiscreteSpace(4), 2, seed=1))
+    fam = HypothesisFamily.for_space(d.space, 2)
+    with pytest.raises(ValueError, match="tol_bisect"):
+        critical_beta(d, fam, tol_bisect=tol)
 
 
 def test_family_load_missing_header_key_names_file_and_line(tmp_path, fam8):

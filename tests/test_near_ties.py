@@ -26,6 +26,7 @@ from taskinfo.tasks import Dataset, DiscreteSpace, disjoint_union
 from .reference import (
     SCREEN_REL,
     approx_loss,
+    candidate_costs,
     naive_candidates,
     naive_min,
     reference_minimize,
@@ -86,7 +87,7 @@ def _plant_beta(cand, kind, side, frac, ulps, brk):
     the screen margin, a few ulps above it, or on either side of the
     margin's edge by one float step of beta."""
     bstar, i, j = brk
-    c, a = cand.cost.ravel(), approx_loss(cand).ravel()
+    c, a = candidate_costs(cand).ravel(), approx_loss(cand).ravel()
     lo, hi = (i, j) if side == "below" else (j, i)
     away = 0.0 if side == "below" else math.inf
     slope = c[i] - c[j]
@@ -165,7 +166,7 @@ def _planted_tasks(draw):
             rules.append(fo.Hypothesis(table, cost, f"r{r}"))
         fam = HypothesisFamily.from_rules(rules, d.space, k)
     cand = fo._Candidates(d, fam)
-    brks = _breakpoints(cand.cost, approx_loss(cand))
+    brks = _breakpoints(candidate_costs(cand), approx_loss(cand))
     if not brks:
         return d, fam, draw(st.sampled_from([0.0, 0.5])), None
     nf = len(fam._rules.flat) if fam._rules.flat is not None else len(fam)
@@ -204,7 +205,7 @@ def test_planted_near_ties_match_references(task):
     assert got[0] == value
     assert (got[1][1], frozenset(cand.pins_for(got[1][1], got[1][2]))) in ties
     # the breakpoint's code lengths on the t grid: cost == t admits it
-    costs = cand.cost.ravel()
+    costs = candidate_costs(cand).ravel()
     t_grid = np.unique([costs[x] for x in brk[1:]] if brk else [1.0]).tolist()
     t_grid.append(math.inf)
     checked.clear()
@@ -212,7 +213,7 @@ def test_planted_near_ties_match_references(task):
     assert cand.capped_minima(beta, t_grid) == want
     values = _values(cand, beta)
     assert set(checked[0]) == set().union(
-        *(_shortlist(values, cand.cost <= t) for t in t_grid))
+        *(_shortlist(values, candidate_costs(cand) <= t) for t in t_grid))
     stats = fo.beta_sufficient_statistics(d, fam, beta, tol=0.0)
     assert {x.hypothesis.identity() for x in stats} == ties
 
@@ -227,7 +228,7 @@ def _flat_pair_union():
                 DiscreteSpace(1)))
     fam = HypothesisFamily.for_space(d.space, 2, (0.05, 0.2))
     cand = fo._Candidates(d, fam)
-    brk = next(b for b in _breakpoints(cand.cost, approx_loss(cand)) if b[2] == 0)
+    brk = next(b for b in _breakpoints(candidate_costs(cand), approx_loss(cand)) if b[2] == 0)
     assert cand.n_pure == 0 and brk[1] >= len(fam._rules.flat)
     return d, fam, cand, brk
 
@@ -262,10 +263,10 @@ def test_tie_window_prefers_the_cheaper_of_two_near_equal_values():
     d, fam, cand, brk = _flat_pair_union()
     beta = _plant_beta(cand, "tie", "below", 0.5, 0, brk)
     exact = cand.exact_losses(np.array(brk[1:]), np.zeros(2, dtype=np.int64))
-    value = exact + beta * cand.cost.ravel()[list(brk[1:])]
+    value = exact + beta * candidate_costs(cand).ravel()[list(brk[1:])]
     assert 0 < value[1] - value[0] <= fo.TIE_ATOL
     got = _check_screen(cand, beta)
-    assert got == (value[0], (cand.cost[0, 0], 0, 0))
+    assert got == (value[0], (candidate_costs(cand)[0, 0], 0, 0))
     naive_value, ties = naive_min(d, fam, beta)
     assert naive_value == value[0] and {(0, frozenset()), (brk[1], frozenset())} <= ties
 

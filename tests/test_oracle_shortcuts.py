@@ -15,15 +15,23 @@ from hypothesis import strategies as st
 
 from taskinfo import finite_oracle as fo
 from taskinfo import tasks
-from taskinfo.finite_oracle import HypothesisFamily, critical_beta, structure_function
+from taskinfo.finite_oracle import (
+    HypothesisFamily,
+    beta_sufficient_statistics,
+    critical_beta,
+    structure_function,
+)
 from taskinfo.tasks import Dataset, DiscreteSpace, disjoint_union
 
 from .reference import (
     approx_loss,
+    candidate_costs,
+    frontier_critical_beta,
     reference_critical_beta,
     reference_exact_losses,
     reference_minimize,
     screen_margin,
+    screened_beta_sufficient_statistics,
     screens,
 )
 
@@ -64,7 +72,7 @@ def test_shortcuts_match_exhaustive_references(task, beta):
     cand = fo._Candidates(d, fam)
     for b in (0.0, beta):
         assert cand.minimize(b) == reference_minimize(cand, b)
-    costs = np.unique(cand.cost)
+    costs = np.unique(candidate_costs(cand))
     # below every code length, at a middle one, at the all-pinned price of
     # the dearest rule and above it
     t_grid = [costs[0] / 2, costs[len(costs) // 2], costs[-1], costs[-1] + 1.0]
@@ -75,6 +83,24 @@ def test_shortcuts_match_exhaustive_references(task, beta):
         assert (loss, cost) == ((np.inf, np.inf) if where is None
                                 else (fo._report(value), where[0]))
     assert critical_beta(d, fam) == reference_critical_beta(d, fam)
+
+
+def _statistics(stats):
+    return [(x.hypothesis.identity(), x.hypothesis.name, x.hypothesis.code_length,
+             x.value, x.is_minimal) for x in stats]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_oracle_tasks(), st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.2]))
+def test_pruned_queries_match_the_r_wide_screen(task, beta, tol):
+    # critical_beta and beta_sufficient_statistics screen the rules with
+    # tables and the pairs their child floor keeps; the references scan the
+    # R-wide approximate losses
+    d, fam = task
+    assert critical_beta(d, fam) == frontier_critical_beta(d, fam)
+    assert _statistics(beta_sufficient_statistics(d, fam, beta, tol)) == \
+        _statistics(screened_beta_sufficient_statistics(d, fam, beta, tol))
 
 
 def _capped_references(cand, beta, t_grid):
@@ -97,7 +123,7 @@ def _shortlists(cand, beta, t_grid):
     values = np.concatenate([v for _, v in screens(cand, beta)])
     out = set()
     for t in t_grid:
-        capped = np.where(cand.cost <= t, values, np.inf)
+        capped = np.where(candidate_costs(cand) <= t, values, np.inf)
         vmin = float(capped.min())
         if np.isfinite(vmin):
             r, s = np.nonzero(capped <= vmin + screen_margin(vmin))
@@ -118,7 +144,7 @@ def test_grid_screen_matches_per_t_references(task, data):
         return fo._Candidates.exact_losses(cand, rules, counts, approx)
 
     cand.exact_losses = exact_spy
-    costs = np.unique(cand.cost)
+    costs = np.unique(candidate_costs(cand))
     # code lengths exactly at t (the cost <= t boundary) or one ulp to
     # either side of it, a t below every code length, and +inf
     at = data.draw(st.lists(st.integers(0, len(costs) - 1), min_size=1, max_size=6))
@@ -157,6 +183,15 @@ def union3():
 def test_critical_beta_matches_reference_on_planted_random_union(union3):
     d, fam = union3
     assert critical_beta(d, fam) == reference_critical_beta(d, fam)
+
+
+def test_pruned_queries_match_the_r_wide_screen_on_workload_unions():
+    # perfbench oracle-union's critical_beta task at seeds 0-31
+    for seed in range(32):
+        d, fam = _oracle_union(seed)
+        assert critical_beta(d, fam) == frontier_critical_beta(d, fam), seed
+        assert _statistics(beta_sufficient_statistics(d, fam, 1.0, 0.0)) == \
+            _statistics(screened_beta_sufficient_statistics(d, fam, 1.0, 0.0)), seed
 
 
 @pytest.fixture
@@ -208,7 +243,7 @@ def test_zero_rule_off_when_a_table_value_exceeds_one():
     d = Dataset(np.array([0, 1, 1]), np.array([0, 0, 0]), 2, DiscreteSpace(2))
     cand = fo._Candidates(d, fam)
     assert not cand.unit_bounded
-    r, s = np.nonzero(np.ones(cand.cost.shape, dtype=bool))
+    r, s = np.nonzero(np.ones(candidate_costs(cand).shape, dtype=bool))
     assert (cand.exact_losses(r, s) == reference_exact_losses(cand, r, s)).all()
     assert fo._Candidates(d, HypothesisFamily.for_space(DiscreteSpace(2), 2)
                           ).unit_bounded
