@@ -137,7 +137,8 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
             build_task(spec["base"], f"{path}.base", families), tr)
     if t == "as_real":
         _check_keys(spec, path, ("type", "base"))
-        return tasks_mod.as_real_vectors(build_task(spec["base"], f"{path}.base", families))
+        return tasks_mod.as_real_vectors(
+            build_task(spec["base"], f"{path}.base", families))
     if t == "subset_classes":
         _check_keys(spec, path, ("type", "base", "labels"))
         base = build_task(spec["base"], f"{path}.base", families)

@@ -271,12 +271,14 @@ def _traced(fn):
         tracemalloc.stop()
 
 
-def test_union_critical_beta_and_statistics_build_no_r_wide_rows(union2x32, monkeypatch):
+def test_union_critical_beta_and_statistics_build_no_r_wide_rows(union2x32,
+                                                                  monkeypatch):
     # both queries screen the rules with tables and the pairs their child
     # floor keeps: the R-wide approximate losses alone would be 49 MB
     d, fam = union2x32
     built, kept = [], []
-    approx_rows, pairs_within = fo._Candidates._approx_rows, fo._Candidates._pairs_within
+    approx_rows = fo._Candidates._approx_rows
+    pairs_within = fo._Candidates._pairs_within
 
     def rows_spy(self, rules):
         built.append(len(rules))
@@ -291,8 +293,9 @@ def test_union_critical_beta_and_statistics_build_no_r_wide_rows(union2x32, monk
     monkeypatch.setattr(fo._Candidates, "_pairs_within", pairs_spy)
     n_flat = len(fam._rules.flat)
     # critical_beta also prices the constant rules, pairs among them, once
-    for query, extra in ((lambda: fo.critical_beta(d, fam), fam.is_constant.sum()),
-                         (lambda: fo.beta_sufficient_statistics(d, fam, 1.0, tol=0.0), 0)):
+    queries = [(lambda: fo.critical_beta(d, fam), fam.is_constant.sum()),
+               (lambda: fo.beta_sufficient_statistics(d, fam, 1.0, tol=0.0), 0)]
+    for query, extra in queries:
         built.clear()
         kept.clear()
         _, peak = _traced(query)

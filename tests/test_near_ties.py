@@ -223,12 +223,14 @@ def _flat_pair_union():
     uniform rule at beta near 0.225. Every input group is mixed, so each
     candidate is a rule (no pins)."""
     d = disjoint_union(
-        Dataset(np.zeros(4, dtype=np.int64), np.array([1, 0, 1, 0]), 2, DiscreteSpace(1)),
+        Dataset(np.zeros(4, dtype=np.int64), np.array([1, 0, 1, 0]), 2,
+                DiscreteSpace(1)),
         Dataset(np.zeros(5, dtype=np.int64), np.array([0, 0, 0, 0, 1]), 2,
                 DiscreteSpace(1)))
     fam = HypothesisFamily.for_space(d.space, 2, (0.05, 0.2))
     cand = fo._Candidates(d, fam)
-    brk = next(b for b in _breakpoints(candidate_costs(cand), approx_loss(cand)) if b[2] == 0)
+    brk = next(b for b in _breakpoints(candidate_costs(cand), approx_loss(cand))
+               if b[2] == 0)
     assert cand.n_pure == 0 and brk[1] >= len(fam._rules.flat)
     return d, fam, cand, brk
 
