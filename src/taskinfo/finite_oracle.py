@@ -396,7 +396,7 @@ class HypothesisFamily:
         self._rules = rules
         self.costs = rules.costs
         self.is_constant, self.is_deterministic, _ = rules.facts()
-        kraft, rel = rules.kraft()    # rule by rule where its bound straddles 1
+        kraft, rel = rules.kraft()    # kraft_sum() decides where the bound spans 1
         if (kraft * (1.0 + 2 * (rel + 3 * _U)) > 1.0 + 1e-9
                 and self.kraft_sum() > 1.0 + 1e-9):
             raise ValueError(
@@ -785,8 +785,7 @@ class _Candidates:
 
     @functools.cached_property
     def _flat_approx(self) -> np.ndarray:
-        """Approximate loss rows of the rules with tables (every rule but
-        pairs)."""
+        """Approximate loss rows of the rules with tables (all but pairs)."""
         return self._approx_rows(np.arange(self._n_flat))
 
     @functools.cached_property
@@ -1207,17 +1206,18 @@ def critical_beta(d: Dataset, fam: HypothesisFamily, tol_bisect: float = 1e-3
     const_rules = np.flatnonzero(fam.is_constant)
     const_loss = cand.exact_losses(const_rules, np.zeros_like(const_rules)).tolist()
     const_cost = (fam.costs[const_rules] + cand.ext[0]).tolist()
-    flat = np.arange(cand._n_flat)
+    nf = cand._n_flat
+    flat_cost = fam.costs[:nf, None] + cand.ext[None, :]
     flat_approx = cand._flat_approx.copy()
-    flat_approx[fam.is_constant[flat], 0] = np.inf
+    flat_approx[fam.is_constant[:nf], 0] = np.inf      # the unpinned constants
 
     def constant_realized(beta: float) -> bool:
         vconst = min(loss + beta * cost for loss, cost in zip(const_loss, const_cost))
-        v_flat = min(float(v.min()) for *_, v in cand._screen(flat, flat_approx, beta))
+        v_flat = float((flat_cost * beta + flat_approx).min())
         if vconst > v_flat + _screen_margin(v_flat) + TIE_ATOL:
             return False
         low = v_flat
-        if len(flat) < len(fam):
+        if nf < len(fam):
             floor = cand._least_pair_floor(beta)
             low = min(low, floor - _pair_slack(floor))
         if low - _screen_margin(low) >= vconst:
