@@ -7,7 +7,7 @@ task puts no candidate near the edge of any of them, so these tests plant
 candidates there. Two candidates that meet at a breakpoint of the
 Lagrangian envelope differ at beta by a gap that beta sets: choosing beta
 puts the gap inside the tie window, inside the margin, or within an ulp of
-the margin's edge. A custom family with losses near 1e7 nats, where one
+the margin's edge. A custom family with losses near 1.7e7 nats, where one
 float rounding is worth more than TIE_ATOL, lets the approximate losses
 misorder two candidates.
 """
