@@ -3,9 +3,9 @@
 A union family from ``HypothesisFamily.for_space`` keeps each pair rule as
 its two children. Its group losses, pin orders, approximate losses, tables
 and rule facts must equal, bit for bit, what the dense (R, M, K) tables of
-``reference.naive_family`` give. An uncapped Lagrangian minimum builds rows
-only for the pair rules that a bound from their children cannot rule out;
-it must still return what a full screen returns.
+``reference.naive_family`` give. Every query builds rows only for the
+pair rules that a bound from their children cannot rule out; it must
+still return what a full screen returns.
 """
 
 import tracemalloc

@@ -2,10 +2,12 @@
 
 `_Candidates.exact_losses` skips the fsum of candidates whose approximate
 loss is exactly 0, `critical_beta` decides most bisection midpoints from
-the candidates' Pareto frontier, and `structure_function` serves its whole
-t grid from one screen and one exact re-check. The references in
-`reference.py` re-check every shortlisted row, run an exact minimum at
-every midpoint and screen every t on its own.
+the rules with tables and the pairs' least child floor,
+`beta_sufficient_statistics` shortlists from the pruned screen, and
+`structure_function` serves its whole t grid from one screen and one
+exact re-check. The references in `reference.py` re-check every
+shortlisted row, run an exact minimum at every midpoint, scan the R-wide
+screen and its Pareto frontier, and screen every t on its own.
 """
 
 import numpy as np
