@@ -478,7 +478,8 @@ class HypothesisFamily:
 
         left_part, right_part = space.parts
         left = cls._rules_for_space(left_part.space, k, noise_grid)
-        right = cls._rules_for_space(right_part.space, k, noise_grid)
+        right = (left if right_part.space == left_part.space
+                 else cls._rules_for_space(right_part.space, k, noise_grid))
         n_flat, n_left, n_right = len(flat), len(left), len(right)
         n_same = n_left if left_part.space == right_part.space else 0
         # child back-references: (a, which) for every pair rule a of the left
@@ -519,40 +520,33 @@ class HypothesisFamily:
     @staticmethod
     def _flat_rules(space, k, noise_grid) -> _Rules:
         m, bits = space.size, space.bits
-        nq = len(noise_grid)
-        smooth_tag = math.log(1 + nq) if nq else 0.0
+        q = np.array(noise_grid, dtype=np.float64).reshape(-1, 1, 1)
+        smooth_tag = math.log(1 + len(q)) if len(q) else 0.0
 
-        xs = np.arange(m)
-        names, costs, labels = [], [], []     # deterministic rules
-        for c in range(k):
-            names.append(f"const{c}")
-            costs.append(_GROUP_TAG + math.log(k) + smooth_tag)
-            labels.append(np.full(m, c))
-        for j in range(bits):
-            for inv in (0, 1):
-                names.append(f"bit{j}" + ("~inv" if inv else ""))
-                costs.append(_GROUP_TAG + math.log(bits) + LN2 + smooth_tag)
-                labels.append(((xs >> j) & 1) ^ inv)
-        for mask in range(2 ** bits):
-            par = np.zeros(m, dtype=np.int64)
-            for j in range(bits):
-                par ^= ((xs & mask) >> j) & 1
-            for inv in (0, 1):
-                names.append(f"parity{mask:03d}" + ("~inv" if inv else ""))
-                costs.append(_GROUP_TAG + bits * LN2 + LN2 + smooth_tag)
-                labels.append(par ^ inv)
+        # deterministic rules: constants, bits and parities, each bit and
+        # parity also inverted; parity[mask, x] is that of popcount(x & mask)
+        xs, shifts, inv = np.arange(m), np.arange(bits), np.array([[0], [1]])
+        parity = np.bitwise_xor.reduce(
+            (xs & np.arange(2 ** bits)[:, None])[..., None] >> shifts & 1, axis=2)
+        labels = np.concatenate([
+            np.repeat(np.arange(k)[:, None], m, axis=1),
+            ((xs >> shifts[:, None] & 1)[:, None] ^ inv).reshape(-1, m),
+            (parity[:, None] ^ inv).reshape(-1, m)])
+        names = ([f"const{c}" for c in range(k)]
+                 + [f"bit{j}{t}" for j in range(bits) for t in ("", "~inv")]
+                 + [f"parity{mask:03d}{t}" for mask in range(2 ** bits)
+                    for t in ("", "~inv")])
+        costs = np.repeat([_GROUP_TAG + math.log(k) + smooth_tag,
+                           _GROUP_TAG + math.log(bits) + LN2 + smooth_tag,
+                           _GROUP_TAG + bits * LN2 + LN2 + smooth_tag],
+                          [k, 2 * bits, 2 ** (bits + 1)])
         det = np.zeros((len(names), m, k))
-        det[np.arange(len(names))[:, None], xs, np.array(labels)] = 1.0
-        noisy = [det * (1.0 - q) + (1.0 - det) * (q / (k - 1)) for q in noise_grid]
-
-        tables = np.concatenate(
-            [np.full((1, m, k), 1.0 / k), det]
-            + ([np.stack(noisy, axis=1).reshape(-1, m, k)] if nq else []))
+        det[np.arange(len(names))[:, None], xs, labels] = 1.0
+        noisy = det[:, None] * (1.0 - q) + (1.0 - det[:, None]) * (q / (k - 1))
         return _Rules(
-            space, k,
-            np.array([_GROUP_TAG] + costs + [c for c in costs for _ in noise_grid]),
-            tables,
-            ["uniform"] + names + [f"{n}~q{q:g}" for n in names for q in noise_grid])
+            space, k, np.concatenate([[_GROUP_TAG], costs, costs.repeat(len(q))]),
+            np.concatenate([np.full((1, m, k), 1.0 / k), det, noisy.reshape(-1, m, k)]),
+            ["uniform"] + names + [f"{n}~q{v:g}" for n in names for v in noise_grid])
 
     def space_token(self) -> str:
         from .tasks import _union_spec
@@ -695,6 +689,13 @@ def _suffix_losses(group: np.ndarray, pure_idx: np.ndarray,
     return out
 
 
+def _multiset_keys(kept: np.ndarray) -> np.ndarray:
+    """A polynomial hash, mod 2**64, of each row of unsigned codes."""
+    powers = np.full(kept.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64)
+    powers[:1] = 1
+    return kept.astype(np.uint64) @ np.cumprod(powers)[::-1]
+
+
 class _PinOrders:
     """Canonical pin orders, computed for the rules asked for.
 
@@ -744,19 +745,10 @@ class _Candidates:
         u = len(xs)
         counts = np.zeros((u, self.k), dtype=np.float64)
         np.add.at(counts, (inverse, d.labels), 1.0)
-        if u:
-            majority = counts.argmax(axis=1).astype(np.int64)
-            pure = counts.sum(axis=1) == counts[np.arange(u), majority]
-        else:
-            majority = np.zeros(0, dtype=np.int64)
-            pure = np.zeros(0, dtype=bool)
-        self.xs = xs
-        self.inverse = inverse
-        self.counts = counts
-        self.majority = majority
-        self.pure = pure
-        self.u = u
-        self.n_pure = int(pure.sum())
+        majority = counts.argmax(axis=1)
+        pure = counts.sum(axis=1) == counts[np.arange(u), majority]
+        self.xs, self.inverse, self.counts, self.u = xs, inverse, counts, u
+        self.majority, self.pure, self.n_pure = majority, pure, int(pure.sum())
 
         # approximate per-group losses (used for candidate selection only):
         # the flat rules' rows and, for a union, each part's rows
@@ -802,26 +794,42 @@ class _Candidates:
                                        np.flatnonzero(~pure)), ext))
         return out
 
-    def _pair_floor(self, beta: float, pairs: slice = slice(None)) -> np.ndarray:
-        """Lower bound, per pair rule p = (a, b), on approx + beta * cost
-        over all its pin counts.
+    def _pair_floor(self, beta: float, pairs=slice(None), caps=(math.inf,)
+                    ) -> np.ndarray:
+        """(len(pairs), len(caps)) lower bounds on approx + beta * cost over
+        the candidates of each pair rule p = (a, b) under each cap; NaN
+        where a cap admits none. ``pairs`` indexes the pair rules.
 
-        The union's groups split into the two sides, and a pair's group
-        losses on a side are its child's. Its top-s pins are the top sa
-        pins of the left side and the top sb of the right, sa + sb = s, so
-        approx(p, s) = A_a(sa) + B_b(sb), the children's approximate rows.
-        By Vandermonde C(u, s) >= C(u_L, sa) C(u_R, sb), so for beta >= 0
-
-            approx(p, s) + beta * (cost_p + ext(s))
-                >= beta * (cost_p + ln(u+1)) + f_a + g_b,
-
-        f_a = min_sa A_a(sa) + beta * (ln C(u_L, sa) + sa ln K), g_b alike.
-        ``pairs`` slices the pair rules (0 is the first pair).
+        A pair's group losses on a side are its child's, and its top-s pins
+        are the top sa pins of the left side and the top sb of the right,
+        sa + sb = s, so approx(p, s) = A_a(sa) + B_b(sb), the children's
+        rows. By Vandermonde C(u, s) >= C(u_L, sa) C(u_R, sb), so for beta
+        >= 0 and every s <= S, approx(p, s) + beta * (cost_p + ext(s)) >=
+        beta * (cost_p + ln(u+1)) + f_a(S) + g_b(S), f_a(S) the least A_a(sa)
+        + beta * (ln C(u_L, sa) + sa ln K) over sa <= S, g_b alike. S is the
+        largest s that the cap admits by the buckets' float expression
+        cost_p + ext(s) <= cap (n_pure under +inf). ext is not monotone in
+        s, so the admitted s need not run from 0 to S, but none exceeds S.
         """
-        f, g = ((rows + beta * ext).min(axis=1) for rows, ext in self._kid_rows)
+        caps = np.asarray(caps, dtype=np.float64)
+        cost = self.fam.costs[self._n_flat:][pairs]
+        top = self.n_pure                 # (caps, pairs) when a cap is finite
+        if np.isfinite(caps).any():
+            ucost, cls = np.unique(cost, return_inverse=True)
+            fits = ucost[:, None] + self.ext <= caps[:, None, None]
+            top = np.where(fits.any(axis=2),
+                           self.n_pure - fits[..., ::-1].argmax(axis=2), -1)[:, cls]
         kids = self.fam._rules.kid_idx[pairs]
-        return (beta * (self.fam.costs[self._n_flat:][pairs] + math.log(self.u + 1))
-                + f[kids[:, 0]] + g[kids[:, 1]])
+        floor = beta * (cost + math.log(self.u + 1))
+        for side, (rows, ext) in enumerate(self._kid_rows):
+            value = rows + beta * ext
+            floor = floor + (
+                value.min(axis=1)[kids[:, side]] if np.ndim(top) == 0 else
+                np.take(np.minimum.accumulate(value, axis=1), kids[:, side]
+                        * value.shape[1] + np.clip(top, 0, value.shape[1] - 1)))
+        if np.ndim(top):
+            floor = np.where(top < 0, np.nan, floor)
+        return np.atleast_2d(floor).T
 
     def _least_pair_floor(self, beta: float) -> float:
         """min(_pair_floor(beta)) up to float rounding, which `_pair_slack`
@@ -835,11 +843,32 @@ class _Candidates:
         rest = self._pair_floor(beta, slice(len(left) * len(right), None))
         return float(min(least, rest.min(initial=np.inf)))
 
-    def _pairs_within(self, beta: float, bound: float) -> np.ndarray:
-        """The pair rules whose `_pair_floor`, less its float slack, is not
-        above ``bound``: every other pair's values at beta lie above it."""
-        floor = self._pair_floor(beta) if self._n_flat < len(self.fam) else np.zeros(0)
-        return self._n_flat + np.flatnonzero(floor - _pair_slack(floor) <= bound)
+    def _pairs_within(self, beta: float, caps, bounds):
+        """Blocks of the pair rules whose `_pair_floor` under some cap (caps
+        ascend), less its slack, is within that cap's live bound, bounds():
+        the rest lie above it. The pairs whose least floor, under the last
+        cap, is within the bound of the first cap admitting their cheapest
+        candidate (s = 0) come by ascending floor, each block tested again
+        against the bounds as they fall."""
+        caps = np.asarray(caps, dtype=np.float64)
+        if self._n_flat == len(self.fam) or not len(caps):
+            return
+        least = self._pair_floor(beta, slice(None), caps[-1:])[:, 0]
+        least -= _pair_slack(least)
+        bound = bounds()
+        if len(caps) > 1:
+            bound = np.append(bound, -np.inf)[np.searchsorted(
+                caps, self.fam.costs[self._n_flat:] + self.ext[0])]
+        kept = np.flatnonzero(least <= bound)
+        kept = kept[np.argsort(least[kept], kind="stable")]
+        lo, step = 0, 64          # blocks double: the first ones lower the bounds
+        while lo < len(kept):
+            at, lo, step = kept[lo:lo + step], lo + step, min(2 * step, _ROWS)
+            if least[at[0]] > np.max(bounds()):
+                return
+            floor = self._pair_floor(beta, at, caps)
+            floor -= _pair_slack(floor)
+            yield self._n_flat + at[(floor <= bounds()).any(axis=1)]
 
     def _screen(self, rules: np.ndarray, approx: np.ndarray | None, beta: float):
         """(rules, approx, values) for blocks of _ROWS of ``rules`` in stable
@@ -876,10 +905,8 @@ class _Candidates:
         codes = codes.reshape(p.shape).astype(dropped.dtype)
         kept = np.where(pinned, dropped, codes[ri])
         kept.sort(axis=1)
-        key = np.zeros(len(kept), dtype=np.uint64)
-        for col in kept.T:                    # polynomial hash, mod 2**64
-            key = key * np.uint64(0x9E3779B97F4A7C15) + col
-        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        _, first, group = np.unique(_multiset_keys(kept), return_index=True,
+                                    return_inverse=True)
         clash = np.flatnonzero((kept != kept[first[group]]).any(axis=1))
         group[clash] = len(first) + np.arange(len(clash))
         sums = np.array([math.fsum(nll[row[row != dropped]].tolist())
@@ -963,20 +990,30 @@ class _Candidates:
         """[minimize(beta, cost_cap=t) for t in t_grid], t_grid strictly
         increasing without NaN, from one screen and one exact re-check.
 
-        A candidate's bucket, searchsorted(t_grid, cost, "left"), is the
-        first j with cost <= t_grid[j]. The minimum under t_grid[j] runs
-        over buckets 0..j, so its threshold vmin + margin falls with j, and
-        from block to block: a block keeps the candidates under their
-        bucket's threshold so far, a superset of every t's shortlist. The
-        rules with tables go first, then the pair rules whose `_pair_floor`,
-        less its float slack, is not above thr[0], the largest threshold:
-        every other pair's values lie above every t's final threshold.
+        A candidate's bucket, searchsorted(caps, cost, "left"), is the
+        first j with cost <= caps[j]. The minimum under t_grid[j] runs over
+        buckets 0..j, so its threshold vmin + margin falls with j, and from
+        block to block: a block keeps the candidates under their bucket's
+        threshold so far, a superset of every t's shortlist. The rules with
+        tables go first, then the pair rules whose capped floor keeps them
+        within some cap's live threshold (`_pairs_within`).
+
+        caps[j] = min(t_grid[j], c*), the zero cap, at beta = 0 with no
+        table value above 1; caps = t_grid otherwise. c* is the least cost
+        of a candidate with tables whose approximate loss is exactly 0.0.
+        Its exact loss is then 0 (the zero rule of `exact_losses`), the
+        least any candidate has, so the minimum under every t >= c* is 0
+        and each dearer candidate loses the (cost, r, s) tie-break to it.
         """
         t_grid = np.asarray(t_grid, dtype=np.float64)
-        n = len(t_grid)
+        n, caps = len(t_grid), t_grid
+        if beta == 0 and self.unit_bounded:           # the zero cap
+            r, s = np.nonzero(self._flat_approx == 0.0)
+            c_zero = (self.fam.costs[r] + self.ext[s]).min(initial=np.inf)
+            caps = np.minimum(caps, c_zero)
         bmin = np.full(n + 1, np.inf)     # minimum value per bucket
 
-        def thresholds():                 # bucket n, over every t: -inf
+        def thresholds():                 # bucket n, over every cap: -inf
             vmin = np.minimum.accumulate(bmin[:n])
             return np.append(vmin + _screen_margin(vmin), -np.inf)
 
@@ -989,14 +1026,15 @@ class _Candidates:
                 # a block in cost order: each distinct cost is one run of rows
                 ucost, first, cls = np.unique(self.fam.costs[at], return_index=True,
                                               return_inverse=True)
-                bucket = np.searchsorted(t_grid, ucost[:, None] + self.ext[None, :])
+                bucket = np.searchsorted(caps, ucost[:, None] + self.ext[None, :])
                 np.minimum.at(bmin, bucket, np.minimum.reduceat(values, first))
                 thr = thresholds()
                 r, s = np.nonzero(values <= thr[bucket][cls])
                 near.append((at[r], s, bucket[cls[r], s], rows[r, s], values[r, s]))
 
         screen(np.arange(self._n_flat), self._flat_approx)
-        screen(self._pairs_within(beta, thr[0]))
+        for pairs in self._pairs_within(beta, caps, lambda: thr[:n]):
+            screen(pairs)
         r, s, b, a, v = (np.concatenate(x) for x in zip(*near))
         close = v <= thr[b]
         r, s, b, v = r[close], s[close], b[close], v[close]
@@ -1084,20 +1122,21 @@ def structure_function(d: Dataset, fam: HypothesisFamily, t_grid) -> Curve:
 
     t_grid must be strictly increasing. A hypothesis is under t when its
     code length is <= t, the boundary included; t = +inf is allowed (the
-    unconstrained minimum), NaN is rejected. Every t comes from one screen
-    of the candidates (`_Candidates.capped_minima`). Where no hypothesis is
-    under t, S(t) and its complexity are inf.
+    unconstrained minimum), NaN is rejected. Where no hypothesis is under
+    t, S(t) and its complexity are inf. One screen serves every t
+    (`_Candidates.capped_minima`): a pair rule is screened only where its
+    children's rows, at the most pins that t pays for, reach t's
+    shortlist; and once t pays for c*, the cheapest zero-loss statistic
+    with a table, S(t) = 0 at complexity c*, so nothing dearer is screened.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.isnan(t_grid).any():
         raise ValueError("t_grid must not contain NaN")
     if t_grid.size > 1 and not (np.diff(t_grid) > 0).all():
         raise ValueError("t_grid must be strictly increasing")
-    losses, complexities = [], []
-    for best, where in _Candidates(d, fam).capped_minima(0.0, t_grid):
-        losses.append(math.inf if where is None else _report(best))
-        complexities.append(math.inf if where is None else where[0])
-    return Curve(t_grid, np.array(losses), np.array(complexities))
+    rows = [(math.inf, math.inf) if where is None else (_report(best), where[0])
+            for best, where in _Candidates(d, fam).capped_minima(0.0, t_grid)]
+    return Curve(t_grid, *np.array(rows, dtype=np.float64).reshape(-1, 2).T)
 
 
 @dataclass(frozen=True)
@@ -1128,7 +1167,8 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
     found = []
     for at, _, values in itertools.chain(
             cand._screen(np.arange(cand._n_flat), cand._flat_approx, beta),
-            cand._screen(cand._pairs_within(beta, bound), None, beta)):
+            *(cand._screen(pairs, None, beta)
+              for pairs in cand._pairs_within(beta, [math.inf], lambda: bound))):
         for j, s in zip(*np.nonzero(values <= bound)):
             r, s = int(at[j]), int(s)
             cost = float(cand.fam.costs[r] + cand.ext[s])

@@ -412,6 +412,42 @@ def _naive_flat(m, k, noise_grid):
     return rules
 
 
+def loop_flat_rules(space, k, noise_grid):
+    """HypothesisFamily's flat rules built one rule at a time, as before the
+    array builder: (names, costs, tables)."""
+    m, bits = space.size, space.bits
+    nq = len(noise_grid)
+    smooth_tag = math.log(1 + nq) if nq else 0.0
+    xs = np.arange(m)
+    names, costs, labels = [], [], []     # deterministic rules
+    for c in range(k):
+        names.append(f"const{c}")
+        costs.append(fo._GROUP_TAG + math.log(k) + smooth_tag)
+        labels.append(np.full(m, c))
+    for j in range(bits):
+        for inv in (0, 1):
+            names.append(f"bit{j}" + ("~inv" if inv else ""))
+            costs.append(fo._GROUP_TAG + math.log(bits) + fo.LN2 + smooth_tag)
+            labels.append(((xs >> j) & 1) ^ inv)
+    for mask in range(2 ** bits):
+        par = np.zeros(m, dtype=np.int64)
+        for j in range(bits):
+            par ^= ((xs & mask) >> j) & 1
+        for inv in (0, 1):
+            names.append(f"parity{mask:03d}" + ("~inv" if inv else ""))
+            costs.append(fo._GROUP_TAG + bits * fo.LN2 + fo.LN2 + smooth_tag)
+            labels.append(par ^ inv)
+    det = np.zeros((len(names), m, k))
+    det[np.arange(len(names))[:, None], xs, np.array(labels)] = 1.0
+    noisy = [det * (1.0 - q) + (1.0 - det) * (q / (k - 1)) for q in noise_grid]
+    tables = np.concatenate(
+        [np.full((1, m, k), 1.0 / k), det]
+        + ([np.stack(noisy, axis=1).reshape(-1, m, k)] if nq else []))
+    return (["uniform"] + names + [f"{n}~q{q:g}" for n in names for q in noise_grid],
+            np.array([fo._GROUP_TAG] + costs + [c for c in costs for _ in noise_grid]),
+            tables)
+
+
 def finite_difference_gradient(fn, vec, step=1e-5):
     """Central differences of a scalar function of a vector."""
     grad = np.zeros_like(vec)

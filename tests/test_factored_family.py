@@ -3,11 +3,13 @@
 A union family from ``HypothesisFamily.for_space`` keeps each pair rule as
 its two children. Its group losses, pin orders, approximate losses, tables
 and rule facts must equal, bit for bit, what the dense (R, M, K) tables of
-``reference.naive_family`` give. Every query builds rows only for the
-pair rules that a bound from their children cannot rule out; it must
-still return what a full screen returns.
+``reference.naive_family`` give, and the array-built flat rules those of
+``reference.loop_flat_rules``. Every query builds rows only for the pair
+rules that a bound from their children cannot rule out; it must still
+return what a full screen returns.
 """
 
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -25,6 +27,7 @@ from .reference import (
     dense_screening,
     frontier_critical_beta,
     group_loss,
+    loop_flat_rules,
     naive_family,
     reference_minimize,
     screen_margin,
@@ -130,14 +133,22 @@ def test_pair_floor_bounds_every_pair_and_pruning_keeps_the_minimum(task, data):
     assert "group_loss" not in vars(cand)
     assert got == [reference_minimize(cand, beta) for beta in betas]
     nf = len(fam._rules.flat)
+    costs = candidate_costs(cand)
+    zero = approx_loss(cand)[:nf] == 0.0
+    c_zero = costs[:nf][zero].min(initial=np.inf)
     for beta, shortlist in zip(betas, checked):
         values = np.concatenate([v for _, v in screens(cand, beta)])
-        # the pruned screen re-checks exactly the full screen's shortlist
+        # the pruned screen re-checks exactly the full screen's shortlist,
+        # at beta = 0 less the candidates dearer than the cheapest rule with
+        # a table and a pin count whose approximate loss is 0.0
         vmin = float(values.min())
         r, s = np.nonzero(values <= vmin + screen_margin(vmin))
+        if beta == 0.0:
+            keep = costs[r, s] <= c_zero
+            r, s = r[keep], s[keep]
         assert shortlist == sorted(zip(r.tolist(), s.tolist()))
         # and the floor bounds each pair's minimum over its pin counts
-        floor = cand._pair_floor(beta)
+        floor = cand._pair_floor(beta)[:, 0]
         assert (floor - fo._pair_slack(floor) <= values[nf:].min(axis=1)).all()
     # rows built for a subset of rules are the full table's rows
     some = np.sort(data.draw(st.lists(st.integers(0, len(fam) - 1),
@@ -146,6 +157,27 @@ def test_pair_floor_bounds_every_pair_and_pruning_keeps_the_minimum(task, data):
             == approx_loss(cand)[some].tobytes())
     assert (cand._group_rows(some).tobytes()
             == group_loss(cand)[some].tobytes())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 64])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("noise_grid", [(), (0.1,), (0.05, 0.1, 0.2), (0.0, 1.0)])
+def test_flat_rules_match_the_rule_by_rule_builder(m, k, noise_grid):
+    rules = fo.HypothesisFamily._flat_rules(DiscreteSpace(m), k, noise_grid)
+    names, costs, tables = loop_flat_rules(DiscreteSpace(m), k, noise_grid)
+    assert rules.listed == names
+    assert rules.costs.tobytes() == costs.tobytes()
+    assert rules.tables.tobytes() == tables.tobytes()
+
+
+def test_union_of_equal_parts_builds_the_part_family_once():
+    space = _union(DiscreteSpace(4), DiscreteSpace(4))
+    fam = fo.HypothesisFamily.for_space(space, 2)
+    left, right = fam._rules.parts
+    assert left is right
+    names, costs, tables = naive_family(space, 2)
+    assert fam.names == names and fam.costs.tobytes() == costs.tobytes()
+    assert fam.tables.tobytes() == tables.tobytes()
 
 
 def test_many_caps_keep_the_pairs_a_small_cap_needs():
@@ -230,21 +262,29 @@ def test_union_distance_builds_rows_only_for_unpruned_pairs(monkeypatch):
     assert sum(n for c, n in rows if c is cand) < len(cand.fam) // 20
 
 
-def test_union_structure_function_memory_guard():
+def test_union_structure_function_memory_guard(union2x32, monkeypatch):
     # the same 93,899-rule union, 64 samples, under the workload's 12-point
-    # t grid: one screen serves every t and builds the pair rules' rows block
-    # by block; the R-wide approximate losses alone would be 49 MB
-    plant, rand, _ = _distance_tasks()
-    d = tasks.disjoint_union(plant, rand)
-    fam = fo.HypothesisFamily.for_space(d.space, 2)
+    # t grid: one screen serves every t, and each t's cap-aware pair floor
+    # leaves few of the 93,330 pair rules to screen; the R-wide approximate
+    # losses alone would be 49 MB
+    d, fam = union2x32
     t_grid = [3.0 * i for i in range(1, 13)]
-    tracemalloc.start()
-    try:
-        curve = fo.structure_function(d, fam, t_grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40e6, f"peak {peak / 1e6:.1f} MB"
+    built = []
+    approx_rows = fo._Candidates._approx_rows
+
+    def rows_spy(self, rules):
+        built.append(int((rules >= self._n_flat).sum()))
+        return approx_rows(self, rules)
+
+    monkeypatch.setattr(fo._Candidates, "_approx_rows", rows_spy)
+    curve, peak = _traced(lambda: fo.structure_function(d, fam, t_grid))
+    monkeypatch.undo()
+    assert peak <= 23e6, f"peak {peak / 1e6:.1f} MB"
+    assert sum(built) <= 10_000
+    # and it takes at most five complexity calls (best of three each)
+    best = [min(timeit.repeat(fn, number=1, repeat=3)) for fn in (
+        lambda: fo.structure_function(d, fam, t_grid), lambda: fo.complexity(d, fam))]
+    assert best[0] <= 5 * best[1], best
     cand = fo._Candidates(d, fam)
     for j in (0, 2, len(t_grid) - 1):       # nothing fits, the first fit, the last
         value, where = reference_minimize(cand, 0.0, cost_cap=t_grid[j])
@@ -284,10 +324,10 @@ def test_union_critical_beta_and_statistics_build_no_r_wide_rows(union2x32,
         built.append(len(rules))
         return approx_rows(self, rules)
 
-    def pairs_spy(self, beta, bound):
-        out = pairs_within(self, beta, bound)
-        kept.append(len(out))
-        return out
+    def pairs_spy(self, beta, caps, bounds):
+        for pairs in pairs_within(self, beta, caps, bounds):
+            kept.append(len(pairs))
+            yield pairs
 
     monkeypatch.setattr(fo._Candidates, "_approx_rows", rows_spy)
     monkeypatch.setattr(fo._Candidates, "_pairs_within", pairs_spy)

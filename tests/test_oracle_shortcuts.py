@@ -5,7 +5,8 @@ loss is exactly 0, `critical_beta` decides most bisection midpoints from
 the rules with tables and the pairs' least child floor,
 `beta_sufficient_statistics` shortlists from the pruned screen, and
 `structure_function` serves its whole t grid from one screen and one
-exact re-check. The references in `reference.py` re-check every
+exact re-check, which at beta = 0 skips every candidate dearer than the
+cheapest zero-loss one. The references in `reference.py` re-check every
 shortlisted row, run an exact minimum at every midpoint, scan the R-wide
 screen and its Pareto frontier, and screen every t on its own.
 """
@@ -133,6 +134,22 @@ def _shortlists(cand, beta, t_grid):
     return out
 
 
+def _rechecked(cand, beta, t_grid):
+    """_shortlists less the candidates that a zero-loss candidate beats on
+    cost: at beta = 0 with no table value above 1, those dearer than the
+    cheapest rule with a table and a pin count whose approximate loss is
+    exactly 0.0 (its exact loss is 0, the least there is)."""
+    out = _shortlists(cand, beta, t_grid)
+    if beta == 0.0 and cand.fam._rules.peak() <= 1.0:
+        costs = candidate_costs(cand)
+        rules = cand.fam._rules
+        nf = len(rules.flat if rules.flat is not None else rules)
+        zero = approx_loss(cand)[:nf] == 0.0
+        c_zero = costs[:nf][zero].min(initial=np.inf)
+        out = {(r, s) for r, s in out if costs[r, s] <= c_zero}
+    return out
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_oracle_tasks(), st.data())
@@ -158,9 +175,10 @@ def test_grid_screen_matches_per_t_references(task, data):
         want = _capped_references(cand, beta, t_grid)
         checked.clear()
         assert cand.capped_minima(beta, t_grid) == want
-        # one exact re-check, of the union of the shortlists, each row once
+        # one exact re-check, of the union of the shortlists, each row once;
+        # at beta = 0, none that a zero-loss candidate beats on cost
         assert len(checked) == 1 and len(set(checked[0])) == len(checked[0])
-        assert set(checked[0]) == _shortlists(cand, beta, t_grid)
+        assert set(checked[0]) == _rechecked(cand, beta, t_grid)
         assert [cand.minimize(beta, cost_cap=t) for t in t_grid] == want
         if beta == 0.0:
             assert _curve_rows(structure_function(d, fam, t_grid)) == \
@@ -229,10 +247,19 @@ def test_critical_beta_probes_few_exact_minima(union3, spy):
 @pytest.mark.parametrize("t", [33.0, 36.0])
 def test_structure_function_skips_zero_loss_ties(union3, spy, t):
     calls, fsum_rows = spy
-    structure_function(*union3, [t])
-    rows, zero = map(sum, zip(*calls))
-    assert zero > 10_000                 # the tie set is there ...
-    assert sum(fsum_rows) == rows - zero  # ... and none of it is re-checked
+    d, fam = union3
+    curve = structure_function(d, fam, [t])
+    (rows, zero), fsums = map(sum, zip(*calls)), sum(fsum_rows)
+    cand = fo._Candidates(d, fam)
+    assert _curve_rows(curve) == _reference_rows(
+        [reference_minimize(cand, 0.0, cost_cap=t)])
+    ties = {(r, s) for r, s in _shortlists(cand, 0.0, [t])
+            if approx_loss(cand)[r, s] == 0.0}
+    assert len(ties) > 10_000              # the tie set is there ...
+    # ... only its members no dearer than the cheapest zero-loss rule with
+    # a table are re-checked, and none of them by fsum
+    assert rows == len(_rechecked(cand, 0.0, [t])) < 100
+    assert fsums == rows - zero
 
 
 def test_zero_rule_off_when_a_table_value_exceeds_one():
@@ -249,6 +276,18 @@ def test_zero_rule_off_when_a_table_value_exceeds_one():
     assert (cand.exact_losses(r, s) == reference_exact_losses(cand, r, s)).all()
     assert fo._Candidates(d, HypothesisFamily.for_space(DiscreteSpace(2), 2)
                           ).unit_bounded
+
+
+def test_exact_losses_when_every_multiset_key_collides(union3, monkeypatch):
+    # the multiset hash only groups rows for one fsum each; every row is
+    # checked against its group's first, so a hash that maps every row to
+    # one key gives the same losses
+    cand = fo._Candidates(*union3)
+    r, s = np.divmod(np.arange(300 * (cand.n_pure + 1)), cand.n_pure + 1)
+    want = reference_exact_losses(cand, r, s)
+    monkeypatch.setattr(fo, "_multiset_keys",
+                        lambda kept: np.zeros(len(kept), dtype=np.uint64))
+    assert cand.exact_losses(r, s).tobytes() == want.tobytes()
 
 
 WORKLOAD_T_GRID = [3.0 * i for i in range(1, 13)]    # perfbench oracle-union
@@ -277,6 +316,7 @@ def test_structure_function_rechecks_each_shortlisted_candidate_once(
     structure_function(*union3, WORKLOAD_T_GRID)
     assert len(checked) == 1
     assert len(set(checked[0])) == len(checked[0])
-    # and what it re-checks is the union of the full screens' shortlists
-    assert set(checked[0]) == _shortlists(fo._Candidates(*union3), 0.0,
-                                          WORKLOAD_T_GRID)
+    # and what it re-checks is the union of the full screens' shortlists,
+    # less the candidates that a zero-loss candidate beats on cost
+    assert set(checked[0]) == _rechecked(fo._Candidates(*union3), 0.0,
+                                         WORKLOAD_T_GRID)
