@@ -236,6 +236,13 @@ class _Rules:
             return self.listed
         return [self.name(i) for i in range(len(self))]
 
+    @functools.cached_property
+    def pair_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the distinct pair costs c, (2, pairs) index into each side's
+        (children, len(c)) array of each pair's (child, cost) cell)."""
+        c, cls = np.unique(self.costs[len(self.flat):], return_inverse=True)
+        return c, np.ascontiguousarray((self.kid_idx * len(c) + cls[:, None]).T)
+
     def name(self, i: int) -> str:
         """names[i], built alone."""
         if self.kid_idx is None:
@@ -532,10 +539,9 @@ class HypothesisFamily:
             np.repeat(np.arange(k)[:, None], m, axis=1),
             ((xs >> shifts[:, None] & 1)[:, None] ^ inv).reshape(-1, m),
             (parity[:, None] ^ inv).reshape(-1, m)])
-        names = ([f"const{c}" for c in range(k)]
-                 + [f"bit{j}{t}" for j in range(bits) for t in ("", "~inv")]
-                 + [f"parity{mask:03d}{t}" for mask in range(2 ** bits)
-                    for t in ("", "~inv")])
+        names = [f"const{c}" for c in range(k)] + [
+            f"{rule}{t}" for rule in [f"bit{j}" for j in range(bits)]
+            + [f"parity{mask:03d}" for mask in range(2 ** bits)] for t in ("", "~inv")]
         costs = np.repeat([_GROUP_TAG + math.log(k) + smooth_tag,
                            _GROUP_TAG + math.log(bits) + LN2 + smooth_tag,
                            _GROUP_TAG + bits * LN2 + LN2 + smooth_tag],
@@ -745,10 +751,19 @@ class _Candidates:
         u = len(xs)
         counts = np.zeros((u, self.k), dtype=np.float64)
         np.add.at(counts, (inverse, d.labels), 1.0)
-        majority = counts.argmax(axis=1)
-        pure = counts.sum(axis=1) == counts[np.arange(u), majority]
-        self.xs, self.inverse, self.counts, self.u = xs, inverse, counts, u
-        self.majority, self.pure, self.n_pure = majority, pure, int(pure.sum())
+        if u:
+            majority = counts.argmax(axis=1).astype(np.int64)
+            pure = counts.sum(axis=1) == counts[np.arange(u), majority]
+        else:
+            majority = np.zeros(0, dtype=np.int64)
+            pure = np.zeros(0, dtype=bool)
+        self.xs = xs
+        self.inverse = inverse
+        self.counts = counts
+        self.majority = majority
+        self.pure = pure
+        self.u = u
+        self.n_pure = int(pure.sum())
 
         # approximate per-group losses (used for candidate selection only):
         # the flat rules' rows and, for a union, each part's rows
@@ -797,39 +812,29 @@ class _Candidates:
     def _pair_floor(self, beta: float, pairs=slice(None), caps=(math.inf,)
                     ) -> np.ndarray:
         """(len(pairs), len(caps)) lower bounds on approx + beta * cost over
-        the candidates of each pair rule p = (a, b) under each cap; NaN
-        where a cap admits none. ``pairs`` indexes the pair rules.
+        the candidates of pair rule p = (a, b) under each cap, NaN where a
+        cap admits none; ``pairs`` indexes the pair rules.
 
-        A pair's group losses on a side are its child's, and its top-s pins
-        are the top sa pins of the left side and the top sb of the right,
-        sa + sb = s, so approx(p, s) = A_a(sa) + B_b(sb), the children's
-        rows. By Vandermonde C(u, s) >= C(u_L, sa) C(u_R, sb), so for beta
-        >= 0 and every s <= S, approx(p, s) + beta * (cost_p + ext(s)) >=
-        beta * (cost_p + ln(u+1)) + f_a(S) + g_b(S), f_a(S) the least A_a(sa)
-        + beta * (ln C(u_L, sa) + sa ln K) over sa <= S, g_b alike. S is the
-        largest s that the cap admits by the buckets' float expression
-        cost_p + ext(s) <= cap (n_pure under +inf). ext is not monotone in
-        s, so the admitted s need not run from 0 to S, but none exceeds S.
+        A pair's top-s pins are the top sa of its left child's side and the
+        top sb of its right's, sa + sb = s, so approx(p, s) = A_a(sa) +
+        B_b(sb), and C(u, s) >= C(u_L, sa) C(u_R, sb) (Vandermonde). For
+        beta >= 0 and s <= S, approx + beta * cost >= beta * (cost_p +
+        ln(u+1)) + f_a(S) + g_b(S), f_a(S) the least A_a(sa) + beta * (ln
+        C(u_L, sa) + sa ln K) over sa <= S, g_b alike. S is the largest s
+        with cost_p + ext(s) <= cap, as the buckets test it; ext is not
+        monotone, so an s below S may be unadmitted, but none above is.
         """
-        caps = np.asarray(caps, dtype=np.float64)
-        cost = self.fam.costs[self._n_flat:][pairs]
-        top = self.n_pure                 # (caps, pairs) when a cap is finite
-        if np.isfinite(caps).any():
-            ucost, cls = np.unique(cost, return_inverse=True)
-            fits = ucost[:, None] + self.ext <= caps[:, None, None]
-            top = np.where(fits.any(axis=2),
-                           self.n_pure - fits[..., ::-1].argmax(axis=2), -1)[:, cls]
-        kids = self.fam._rules.kid_idx[pairs]
+        ucost, cells = self.fam._rules.pair_cells
+        fits = ucost[:, None] + self.ext <= np.reshape(caps, (-1, 1, 1))
+        top = (fits * np.arange(1, self.n_pure + 2)).max(axis=2).T - 1   # S or -1
+        cost = self.fam.costs[self._n_flat:][pairs, None]
         floor = beta * (cost + math.log(self.u + 1))
         for side, (rows, ext) in enumerate(self._kid_rows):
-            value = rows + beta * ext
-            floor = floor + (
-                value.min(axis=1)[kids[:, side]] if np.ndim(top) == 0 else
-                np.take(np.minimum.accumulate(value, axis=1), kids[:, side]
-                        * value.shape[1] + np.clip(top, 0, value.shape[1] - 1)))
-        if np.ndim(top):
-            floor = np.where(top < 0, np.nan, floor)
-        return np.atleast_2d(floor).T
+            prefix = np.minimum.accumulate(rows + beta * ext, axis=1)
+            least = prefix[:, np.clip(top, 0, prefix.shape[1] - 1)]
+            least = np.where(top < 0, np.nan, least).reshape(-1, len(caps))
+            floor = floor + np.take(least, cells[side, pairs], axis=0)
+        return floor
 
     def _least_pair_floor(self, beta: float) -> float:
         """min(_pair_floor(beta)) up to float rounding, which `_pair_slack`
@@ -844,12 +849,10 @@ class _Candidates:
         return float(min(least, rest.min(initial=np.inf)))
 
     def _pairs_within(self, beta: float, caps, bounds):
-        """Blocks of the pair rules whose `_pair_floor` under some cap (caps
-        ascend), less its slack, is within that cap's live bound, bounds():
-        the rest lie above it. The pairs whose least floor, under the last
-        cap, is within the bound of the first cap admitting their cheapest
-        candidate (s = 0) come by ascending floor, each block tested again
-        against the bounds as they fall."""
+        """Blocks of the pair rules whose `_pair_floor` less its slack is
+        within the live bound, bounds(), of some cap (caps ascend): those
+        whose least floor is within the bound of the first cap admitting
+        their s = 0, by ascending floor, re-tested cap by cap per block."""
         caps = np.asarray(caps, dtype=np.float64)
         if self._n_flat == len(self.fam) or not len(caps):
             return
@@ -866,9 +869,8 @@ class _Candidates:
             at, lo, step = kept[lo:lo + step], lo + step, min(2 * step, _ROWS)
             if least[at[0]] > np.max(bounds()):
                 return
-            floor = self._pair_floor(beta, at, caps)
-            floor -= _pair_slack(floor)
-            yield self._n_flat + at[(floor <= bounds()).any(axis=1)]
+            f = self._pair_floor(beta, at, caps)
+            yield self._n_flat + at[(f - _pair_slack(f) <= bounds()).any(axis=1)]
 
     def _screen(self, rules: np.ndarray, approx: np.ndarray | None, beta: float):
         """(rules, approx, values) for blocks of _ROWS of ``rules`` in stable
@@ -995,15 +997,12 @@ class _Candidates:
         buckets 0..j, so its threshold vmin + margin falls with j, and from
         block to block: a block keeps the candidates under their bucket's
         threshold so far, a superset of every t's shortlist. The rules with
-        tables go first, then the pair rules whose capped floor keeps them
-        within some cap's live threshold (`_pairs_within`).
-
-        caps[j] = min(t_grid[j], c*), the zero cap, at beta = 0 with no
-        table value above 1; caps = t_grid otherwise. c* is the least cost
-        of a candidate with tables whose approximate loss is exactly 0.0.
-        Its exact loss is then 0 (the zero rule of `exact_losses`), the
-        least any candidate has, so the minimum under every t >= c* is 0
-        and each dearer candidate loses the (cost, r, s) tie-break to it.
+        tables go first, then the pairs whose capped floor reaches some
+        cap's live threshold (`_pairs_within`). caps = min(t_grid, c*) at
+        beta = 0 with no table value above 1, else t_grid; c*, the least
+        cost of a candidate with a table and approximate loss exactly 0.0,
+        has exact loss 0 (`exact_losses`' zero rule), the least there is,
+        so from c* on the minimum is 0 and dearer candidates lose the tie.
         """
         t_grid = np.asarray(t_grid, dtype=np.float64)
         n, caps = len(t_grid), t_grid
@@ -1125,18 +1124,19 @@ def structure_function(d: Dataset, fam: HypothesisFamily, t_grid) -> Curve:
     unconstrained minimum), NaN is rejected. Where no hypothesis is under
     t, S(t) and its complexity are inf. One screen serves every t
     (`_Candidates.capped_minima`): a pair rule is screened only where its
-    children's rows, at the most pins that t pays for, reach t's
-    shortlist; and once t pays for c*, the cheapest zero-loss statistic
-    with a table, S(t) = 0 at complexity c*, so nothing dearer is screened.
+    children's rows, at the most pins t pays for, reach t's shortlist; from
+    c*, the cheapest zero-loss statistic with a table, S(t) = 0 at c*.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.isnan(t_grid).any():
         raise ValueError("t_grid must not contain NaN")
     if t_grid.size > 1 and not (np.diff(t_grid) > 0).all():
         raise ValueError("t_grid must be strictly increasing")
-    rows = [(math.inf, math.inf) if where is None else (_report(best), where[0])
-            for best, where in _Candidates(d, fam).capped_minima(0.0, t_grid)]
-    return Curve(t_grid, *np.array(rows, dtype=np.float64).reshape(-1, 2).T)
+    losses, complexities = [], []
+    for best, where in _Candidates(d, fam).capped_minima(0.0, t_grid):
+        losses.append(math.inf if where is None else _report(best))
+        complexities.append(math.inf if where is None else where[0])
+    return Curve(t_grid, np.array(losses), np.array(complexities))
 
 
 @dataclass(frozen=True)

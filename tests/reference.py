@@ -130,6 +130,26 @@ def approx_loss(cand):
     return cand.approx_loss
 
 
+def zero_cost(cand):
+    """c*: the least cost of a candidate with a table (not a pair rule's)
+    whose approximate loss is exactly 0.0; inf when there is none."""
+    rules = cand.fam._rules
+    nf = len(rules.flat if rules.flat is not None else rules)
+    zero = approx_loss(cand)[:nf] == 0.0
+    return candidate_costs(cand)[:nf][zero].min(initial=np.inf)
+
+
+def unbeaten(cand, beta, shortlist):
+    """The (r, s) of ``shortlist`` that no zero-loss candidate beats on
+    cost: at beta = 0 with no table value above 1, those no dearer than c*
+    (`zero_cost`), whose exact loss, 0, is the least there is."""
+    shortlist = set(shortlist)
+    if beta != 0.0 or cand.fam._rules.peak() > 1.0:
+        return shortlist
+    costs, c_zero = candidate_costs(cand), zero_cost(cand)
+    return {(r, s) for r, s in shortlist if costs[r, s] <= c_zero}
+
+
 def screens(cand, beta):
     """(first rule, values) for blocks of _ROWS rules, every rule: the
     approximate loss + beta * cost of their candidates, in the float

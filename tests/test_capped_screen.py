@@ -24,7 +24,13 @@ from taskinfo import tasks
 from taskinfo.finite_oracle import HypothesisFamily, structure_function
 from taskinfo.tasks import Dataset, DiscreteSpace, disjoint_union
 
-from .reference import approx_loss, candidate_costs, reference_minimize, screens
+from .reference import (
+    approx_loss,
+    candidate_costs,
+    reference_minimize,
+    screens,
+    zero_cost,
+)
 
 
 @st.composite
@@ -55,21 +61,12 @@ def _union_tasks(draw):
     return d, HypothesisFamily.for_space(d.space, k, noise_grid)
 
 
-def _zero_cost(cand):
-    """c*: the least cost of a candidate with a table whose approximate loss
-    is exactly 0.0 (inf when there is none)."""
-    rules = cand.fam._rules
-    nf = len(rules.flat if rules.flat is not None else rules)
-    zero = approx_loss(cand)[:nf] == 0.0
-    return candidate_costs(cand)[:nf][zero].min(initial=np.inf)
-
-
 def _crossing_grid(cand, data):
     """A t grid that crosses c* and the all-pinned prices: c* and the
     floats next to it, the all-pinned price of a drawn rule, drawn
     candidate costs exactly, one below every cost and +inf."""
     costs = candidate_costs(cand)
-    c_zero = _zero_cost(cand)
+    c_zero = zero_cost(cand)
     rule = data.draw(st.integers(0, len(costs) - 1))
     picks = [costs.min() / 2, np.inf, costs[rule, -1]]
     if np.isfinite(c_zero):
@@ -162,7 +159,7 @@ def test_pair_candidate_priced_at_the_zero_cap():
     d, fam = _union_of((3, [1, 1, 2, 1, 0], [0, 0, 1, 0, 1]),
                        (1, [0, 0, 0, 0], [0, 0, 0, 0]), (0.1,))
     cand = fo._Candidates(d, fam)
-    c_zero = _zero_cost(cand)
+    c_zero = zero_cost(cand)
     nf = len(fam._rules.flat)
     assert (candidate_costs(cand)[nf:] == c_zero).any()
     t_grid = [np.nextafter(c_zero, -np.inf), c_zero, np.nextafter(c_zero, np.inf),
@@ -188,7 +185,7 @@ def test_zero_cap_needs_table_values_at_most_one():
     d, fam = _custom([("one", 1.0, [1.0, 0.0]), ("over", 2.0, [1.0 + 4e-13, 0.0])],
                      5000)
     cand = fo._Candidates(d, fam)
-    assert not cand.unit_bounded and _zero_cost(cand) == 1.0 + cand.ext[0]
+    assert not cand.unit_bounded and zero_cost(cand) == 1.0 + cand.ext[0]
     t_grid = [1.0 + cand.ext[0], 2.0 + cand.ext[0]]
     got = cand.capped_minima(0.0, t_grid)
     assert got == _references(cand, 0.0, t_grid)
@@ -204,7 +201,7 @@ def test_zero_cap_takes_exact_zeros_only():
     cand = fo._Candidates(d, fam)
     loss = approx_loss(cand)[0, 0]
     assert fo.TIE_ATOL < loss <= fo._screen_margin(0.0)
-    assert cand.unit_bounded and _zero_cost(cand) == 1.5 + cand.ext[0]
+    assert cand.unit_bounded and zero_cost(cand) == 1.5 + cand.ext[0]
     t_grid = [1.0 + cand.ext[0], 1.5 + cand.ext[0], np.inf]
     got = cand.capped_minima(0.0, t_grid)
     assert got == _references(cand, 0.0, t_grid)
@@ -257,5 +254,5 @@ def test_workload_union_structure_function_screens_few_pairs(seed, monkeypatch):
     curve = structure_function(d, fam, t_grid)
     assert sum(built) <= 100
     cand = fo._Candidates(d, fam)
-    assert math.isfinite(_zero_cost(cand)) and _zero_cost(cand) <= t_grid[-1]
+    assert math.isfinite(zero_cost(cand)) and zero_cost(cand) <= t_grid[-1]
     assert _curve_rows(curve) == _reference_rows(_references(cand, 0.0, t_grid))

@@ -36,6 +36,7 @@ from .reference import (
     screen_margin,
     screened_beta_sufficient_statistics,
     screens,
+    unbeaten,
 )
 
 
@@ -134,22 +135,6 @@ def _shortlists(cand, beta, t_grid):
     return out
 
 
-def _rechecked(cand, beta, t_grid):
-    """_shortlists less the candidates that a zero-loss candidate beats on
-    cost: at beta = 0 with no table value above 1, those dearer than the
-    cheapest rule with a table and a pin count whose approximate loss is
-    exactly 0.0 (its exact loss is 0, the least there is)."""
-    out = _shortlists(cand, beta, t_grid)
-    if beta == 0.0 and cand.fam._rules.peak() <= 1.0:
-        costs = candidate_costs(cand)
-        rules = cand.fam._rules
-        nf = len(rules.flat if rules.flat is not None else rules)
-        zero = approx_loss(cand)[:nf] == 0.0
-        c_zero = costs[:nf][zero].min(initial=np.inf)
-        out = {(r, s) for r, s in out if costs[r, s] <= c_zero}
-    return out
-
-
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_oracle_tasks(), st.data())
@@ -178,7 +163,7 @@ def test_grid_screen_matches_per_t_references(task, data):
         # one exact re-check, of the union of the shortlists, each row once;
         # at beta = 0, none that a zero-loss candidate beats on cost
         assert len(checked) == 1 and len(set(checked[0])) == len(checked[0])
-        assert set(checked[0]) == _rechecked(cand, beta, t_grid)
+        assert set(checked[0]) == unbeaten(cand, beta, _shortlists(cand, beta, t_grid))
         assert [cand.minimize(beta, cost_cap=t) for t in t_grid] == want
         if beta == 0.0:
             assert _curve_rows(structure_function(d, fam, t_grid)) == \
@@ -258,7 +243,7 @@ def test_structure_function_skips_zero_loss_ties(union3, spy, t):
     assert len(ties) > 10_000              # the tie set is there ...
     # ... only its members no dearer than the cheapest zero-loss rule with
     # a table are re-checked, and none of them by fsum
-    assert rows == len(_rechecked(cand, 0.0, [t])) < 100
+    assert rows == len(unbeaten(cand, 0.0, _shortlists(cand, 0.0, [t]))) < 100
     assert fsums == rows - zero
 
 
@@ -318,5 +303,6 @@ def test_structure_function_rechecks_each_shortlisted_candidate_once(
     assert len(set(checked[0])) == len(checked[0])
     # and what it re-checks is the union of the full screens' shortlists,
     # less the candidates that a zero-loss candidate beats on cost
-    assert set(checked[0]) == _rechecked(fo._Candidates(*union3), 0.0,
-                                         WORKLOAD_T_GRID)
+    cand = fo._Candidates(*union3)
+    assert set(checked[0]) == unbeaten(cand, 0.0,
+                                       _shortlists(cand, 0.0, WORKLOAD_T_GRID))
