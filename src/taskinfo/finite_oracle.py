@@ -225,6 +225,7 @@ class _Rules:
     kid_idx: np.ndarray | None = None
     n_same: int = 0
     back_w: np.ndarray | None = None
+    pair_costs: tuple = ()            # (distinct pair costs, each pair's index)
 
     def __len__(self) -> int:
         return len(self.costs)
@@ -235,13 +236,6 @@ class _Rules:
         if self.kid_idx is None:
             return self.listed
         return [self.name(i) for i in range(len(self))]
-
-    @functools.cached_property
-    def pair_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(the distinct pair costs c, (2, pairs) index into each side's
-        (children, len(c)) array of each pair's (child, cost) cell)."""
-        c, cls = np.unique(self.costs[len(self.flat):], return_inverse=True)
-        return c, np.ascontiguousarray((self.kid_idx * len(c) + cls[:, None]).T)
 
     def name(self, i: int) -> str:
         """names[i], built alone."""
@@ -500,22 +494,26 @@ class HypothesisFamily:
         total = n_flat + n_left * n_right + n_same + len(back_a)
         cls._check_size(total)
 
-        base = PAIR_FLAG + PAIR_KIND
+        # few distinct pair costs (kind + children's): group[i] is pair i's
         left_idx = np.arange(n_left)
-        costs = [flat.costs + PAIR_FLAG,                 # fresh: pair(a|b)
-                 ((base + left.costs)[:, None] + right.costs[None, :]).ravel()]
+        lc, li = np.unique(PAIR_FLAG + PAIR_KIND + left.costs, return_inverse=True)
+        rc, ri = np.unique(right.costs, return_inverse=True)
+        group = [(li[:, None] * len(rc) + ri).ravel()]  # fresh: pair(a|b)
         kids = [np.stack([left_idx.repeat(n_right),
                           np.tile(np.arange(n_right), n_left)], axis=1)]
         if n_same:                                       # same: pair(a|=)
-            costs.append(base + left.costs)
+            group.append(li + len(lc) * len(rc))
             kids.append(np.stack([left_idx, left_idx], axis=1))
         if len(back_a):                                  # back: pair(a|<w])
-            costs.append((base + left.costs[back_a]) + PAIR_CHILD)
+            group.append(li[back_a] + len(lc) * (len(rc) + 1))
             kids.append(np.stack([back_a, left.kid_idx[back_a - len(left.flat),
                                                        back_w]], axis=1))
-        return _Rules(space, k, np.concatenate(costs), flat=flat,
-                      parts=(left, right), kid_idx=np.concatenate(kids),
-                      n_same=n_same, back_w=back_w)
+        cost, at = np.unique(np.concatenate([(lc[:, None] + rc).ravel(), lc,
+                                             lc + PAIR_CHILD]), return_inverse=True)
+        group = at.astype(np.min_scalar_type(len(cost)))[np.concatenate(group)]
+        return _Rules(space, k, np.concatenate([flat.costs + PAIR_FLAG, cost[group]]),
+                      flat=flat, parts=(left, right), kid_idx=np.concatenate(kids),
+                      n_same=n_same, back_w=back_w, pair_costs=(cost, group))
 
     @classmethod
     def _check_size(cls, rules: int) -> None:
@@ -529,7 +527,6 @@ class HypothesisFamily:
         m, bits = space.size, space.bits
         q = np.array(noise_grid, dtype=np.float64).reshape(-1, 1, 1)
         smooth_tag = math.log(1 + len(q)) if len(q) else 0.0
-
         # deterministic rules: constants, bits and parities, each bit and
         # parity also inverted; parity[mask, x] is that of popcount(x & mask)
         xs, shifts, inv = np.arange(m), np.arange(bits), np.array([[0], [1]])
@@ -776,6 +773,7 @@ class _Candidates:
             [extension_cost(u, s, self.k) for s in range(self.n_pure + 1)])
         # exact_losses' zero rule needs every term -ln p to be >= 0
         self.unit_bounded = fam._rules.peak() <= 1.0
+        self._floor_tables = (None, None)
 
     def _group_rows(self, rules: np.ndarray) -> np.ndarray:
         """(len(rules), u) loss of the given rules on every input group."""
@@ -812,28 +810,30 @@ class _Candidates:
     def _pair_floor(self, beta: float, pairs=slice(None), caps=(math.inf,)
                     ) -> np.ndarray:
         """(len(pairs), len(caps)) lower bounds on approx + beta * cost over
-        the candidates of pair rule p = (a, b) under each cap, NaN where a
-        cap admits none; ``pairs`` indexes the pair rules.
-
-        A pair's top-s pins are the top sa of its left child's side and the
-        top sb of its right's, sa + sb = s, so approx(p, s) = A_a(sa) +
-        B_b(sb), and C(u, s) >= C(u_L, sa) C(u_R, sb) (Vandermonde). For
+        the candidates of the pair rules ``pairs`` under each cap, NaN where
+        a cap admits none. Pair p = (a, b) pins the top sa of its left
+        child's side and the top sb of its right's, sa + sb = s, so approx(p,
+        s) = A_a(sa) + B_b(sb), and C(u, s) >= C(u_L, sa) C(u_R, sb). For
         beta >= 0 and s <= S, approx + beta * cost >= beta * (cost_p +
         ln(u+1)) + f_a(S) + g_b(S), f_a(S) the least A_a(sa) + beta * (ln
         C(u_L, sa) + sa ln K) over sa <= S, g_b alike. S is the largest s
         with cost_p + ext(s) <= cap, as the buckets test it; ext is not
         monotone, so an s below S may be unadmitted, but none above is.
         """
-        ucost, cells = self.fam._rules.pair_cells
-        fits = ucost[:, None] + self.ext <= np.reshape(caps, (-1, 1, 1))
-        top = (fits * np.arange(1, self.n_pure + 2)).max(axis=2).T - 1   # S or -1
-        cost = self.fam.costs[self._n_flat:][pairs, None]
-        floor = beta * (cost + math.log(self.u + 1))
-        for side, (rows, ext) in enumerate(self._kid_rows):
-            prefix = np.minimum.accumulate(rows + beta * ext, axis=1)
-            least = prefix[:, np.clip(top, 0, prefix.shape[1] - 1)]
-            least = np.where(top < 0, np.nan, least).reshape(-1, len(caps))
-            floor = floor + np.take(least, cells[side, pairs], axis=0)
+        ucost, cls = self.fam._rules.pair_costs
+        key = (beta, tuple(np.ravel(caps)))
+        if self._floor_tables[0] != key:        # tables kept for the last key
+            fits = ucost[:, None] + self.ext <= np.reshape(caps, (-1, 1, 1))
+            top = (fits * np.arange(1, self.n_pure + 2)).max(axis=2).T - 1  # S, -1
+            f, g = (np.minimum.accumulate(rows + beta * ext, axis=1)
+                    [:, np.clip(top, 0, len(ext) - 1)] for rows, ext in self._kid_rows)
+            f += beta * (ucost[:, None] + math.log(self.u + 1))
+            f[:, top < 0] = np.nan
+            self._floor_tables = key, [t.reshape(-1, len(key[1])) for t in (f, g)]
+        (f, g), kids = self._floor_tables[1], self.fam._rules.kid_idx[pairs]
+        at = kids[:, 0] * len(ucost) + cls[pairs]   # row child * len(ucost) + cost
+        floor = np.take(f, at, axis=0)
+        floor += np.take(g, np.add(kids[:, 1] * len(ucost), cls[pairs], out=at), axis=0)
         return floor
 
     def _least_pair_floor(self, beta: float) -> float:
