@@ -18,6 +18,8 @@ minimizes the expected information.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +50,10 @@ class PosteriorGrid:
     The arrays are copied, so the caller's arrays stay writeable. The metric
     must be nonnegative with a zero diagonal, symmetric within 1e-9, and meet
     the triangle inequality within 1e-9: no fl(d(i,j) - fl(d(i,k) + d(k,j)))
-    exceeds 1e-9. Checking that costs O(m^3) time and O(block * m) extra
-    memory (see ``_check_triangle``); node ids must be unique.
+    exceeds 1e-9. Checking that costs O(m^3) time and O(workers * block * m)
+    extra memory (see ``_check_triangle``); a violation names its first pair
+    (i, j) in row-major order, its shortcut node k and the excess. Node ids
+    must be unique.
     """
 
     losses: np.ndarray        # (m,) L(Q) per node
@@ -77,7 +81,13 @@ class PosteriorGrid:
         symmetric = np.array_equal(metric, metric.T)
         if not symmetric and np.abs(metric - metric.T).max() > 1e-9:
             raise ValueError("metric must be symmetric")
-        _check_triangle(metric, symmetric)
+        hit = _check_triangle(metric, symmetric)
+        if hit is not None:
+            i, j, k = (ids[n] for n in hit[:3])
+            raise _TriangleError(
+                f"metric violates the triangle inequality: d({i!r}, {j!r}) "
+                f"exceeds d({i!r}, {k!r}) + d({k!r}, {j!r}) by {hit[3]:.6g}",
+                row=hit[0])
         for arr in (losses, kls, metric):
             arr.flags.writeable = False
         object.__setattr__(self, "losses", losses)
@@ -100,31 +110,102 @@ class PosteriorGrid:
         return float(self.metric.max(initial=0.0))
 
 
-_TRIANGLE_BLOCK = 64   # rows per min-plus block: d and t stay in cache
+class _TriangleError(ValueError):
+    """A triangle violation; ``row`` is the metric row of its pair's first node."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
-def _check_triangle(metric: np.ndarray, symmetric: bool) -> None:
-    """Raise unless fl(M[i,j] - fl(M[i,k] + M[k,j])) <= 1e-9 for all i, j, k.
+# Rows per min-plus block: a block's d and t stay in cache, and each block is
+# one task for a worker thread.
+_TRIANGLE_BLOCK = 64
+
+
+def _cores() -> int:
+    """CPUs this process may run on: the triangle check's worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _block_violation(metric: np.ndarray, lo: int, symmetric: bool):
+    """First violating (i, j) in row-major order among the block's checked
+    cells (rows lo to lo + block, columns from ``first`` on), or None."""
+    m = metric.shape[0]
+    hi = min(lo + _TRIANGLE_BLOCK, m)
+    first = lo if symmetric else 0
+    left, right = metric[lo:hi], metric[:, first:]
+    d = left[:, :1] + right[0]
+    t = np.empty_like(d)
+    for k in range(1, m):
+        np.add(left[:, k:k + 1], right[k], out=t)
+        np.minimum(d, t, out=d)
+    bad = np.flatnonzero(metric[lo:hi, first:] - d > 1e-9)
+    if not bad.size:
+        return None
+    i, j = divmod(int(bad[0]), m - first)
+    return lo + i, first + j
+
+
+def _check_triangle(metric: np.ndarray, symmetric: bool):
+    """First (i, j, k, excess) with fl(M[i,j] - fl(M[i,k] + M[k,j])) > 1e-9,
+    or None when the metric meets the triangle inequality within 1e-9.
 
     One blocked min-plus pass: for a block of rows, d[i,j] is the minimum
     over k of fl(M[i,k] + M[k,j]). Rounding is monotone, so fl(a - s) never
     grows with s, and some k violates the tolerance exactly when
-    fl(M[i,j] - d[i,j]) > 1e-9. An exactly symmetric metric has a symmetric
-    set of violations, so each block checks only the columns from its first
-    row on.
+    fl(M[i,j] - d[i,j]) > 1e-9; k is the first k that attains d[i,j]. An
+    exactly symmetric metric has a symmetric set of violations, so each
+    block checks only the columns from its first row on, and the first
+    violation in row-major order is among the checked cells.
+
+    The blocks run on one worker per core: the calling thread and
+    min(cores, blocks) - 1 threads, and numpy releases the GIL inside each add
+    and minimum. The threaded check is exact. Each block has its own d and t
+    and the same arithmetic whichever thread runs it, and workers take blocks
+    in row order and take none after a violation is found. So every block
+    before a violating one has been checked, and the first violating block,
+    hence the pair reported, is the same for any number of workers. Worker
+    threads call only numpy and private helpers, and all of them have ended
+    when this returns or raises.
     """
     m = metric.shape[0]
-    for lo in range(0, m, _TRIANGLE_BLOCK):
-        hi = min(lo + _TRIANGLE_BLOCK, m)
-        first = lo if symmetric else 0
-        left, right = metric[lo:hi], metric[:, first:]
-        d = left[:, :1] + right[0]
-        t = np.empty_like(d)
-        for k in range(1, m):
-            np.add(left[:, k:k + 1], right[k], out=t)
-            np.minimum(d, t, out=d)
-        if (metric[lo:hi, first:] - d > 1e-9).any():
-            raise ValueError("metric violates the triangle inequality")
+    starts = range(0, m, _TRIANGLE_BLOCK)
+    todo = iter(starts)
+    found, errors = [], []      # (i, j) of violating blocks; worker exceptions
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return None if found or errors else next(todo, None)
+
+    def work():
+        try:
+            for lo in iter(take, None):
+                hit = _block_violation(metric, lo, symmetric)
+                if hit is not None:
+                    found.append(hit)
+        except BaseException as exc:     # re-raised by the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(_cores(), len(starts)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    if not found:
+        return None
+    i, j = min(found)
+    sums = metric[i] + metric[:, j]
+    k = int(np.argmin(sums))
+    return i, j, k, float(metric[i, j] - sums[k])
 
 
 @dataclass(frozen=True)
@@ -328,6 +409,12 @@ def save_grid(g: PosteriorGrid, path, metric_path) -> None:
 
 
 def load_grid(path, metric_path) -> PosteriorGrid:
+    """Read the files that save_grid writes.
+
+    Every error is a ValueError that names its file, and its line where one
+    line is at fault; a triangle violation names the line of its first node's
+    metric row.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "# taskinfo-grid v1":
@@ -343,10 +430,13 @@ def load_grid(path, metric_path) -> PosteriorGrid:
             raise ValueError(f"{path}:{lineno}: node id {cells[0]!r} repeats "
                              f"line {ids[cells[0]]}")
         try:
-            losses.append(float(cells[1]))
-            kls.append(float(cells[2]))
+            loss, kl = float(cells[1]), float(cells[2])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad number") from None
+        if not (math.isfinite(loss) and math.isfinite(kl)):
+            raise ValueError(f"{path}:{lineno}: loss and KL must be finite")
+        losses.append(loss)
+        kls.append(kl)
         ids[cells[0]] = lineno
     if not ids:
         raise ValueError(f"{path}: no nodes")
@@ -356,7 +446,7 @@ def load_grid(path, metric_path) -> PosteriorGrid:
         raise ValueError(f"{metric_path}:1: expected metric header")
     m = len(ids)
     metric = np.empty((m, m))
-    r = 0
+    r, row_lines = 0, []              # row_lines: metric row -> line
     for lineno, ln in enumerate(mlines[1:], start=2):
         if not ln.strip() or ln.startswith("#"):
             continue
@@ -371,7 +461,13 @@ def load_grid(path, metric_path) -> PosteriorGrid:
         except ValueError:
             raise ValueError(f"{metric_path}:{lineno}: bad number") from None
         r += 1
+        row_lines.append(lineno)
     if r != m:
         raise ValueError(f"{metric_path}: metric shape ({r}, {m}) does not "
                          f"match {m} nodes")
-    return PosteriorGrid(np.array(losses), np.array(kls), metric, tuple(ids))
+    try:
+        return PosteriorGrid(np.array(losses), np.array(kls), metric, tuple(ids))
+    except _TriangleError as exc:
+        raise ValueError(f"{metric_path}:{row_lines[exc.row]}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{metric_path}: {exc}") from None

@@ -508,6 +508,22 @@ def naive_triangle_ok(metric):
     return True
 
 
+def first_triangle_violation(metric):
+    """(i, j, k) of the first pair (i, j) in row-major order that violates
+    the triangle inequality by more than 1e-9, or None.
+
+    k is the first node with the least fl(M[i,k] + M[k,j]), one cell at a time.
+    """
+    m = metric.shape[0]
+    for i in range(m):
+        for j in range(m):
+            sums = [float(metric[i, k]) + float(metric[k, j]) for k in range(m)]
+            k = sums.index(min(sums))
+            if float(metric[i, j]) - sums[k] > 1e-9:
+                return i, j, k
+    return None
+
+
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     zmax = z.max(axis=1, keepdims=True)
     shifted = z - zmax

@@ -1,10 +1,13 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskinfo import annealing
 from taskinfo.annealing import (
     AnnealSchedule,
     PosteriorGrid,
@@ -19,7 +22,7 @@ from taskinfo.annealing import (
 )
 from taskinfo.rng import stream
 
-from .reference import naive_triangle_ok
+from .reference import first_triangle_violation, naive_triangle_ok
 
 
 def line_grid(losses, kls, positions=None):
@@ -119,6 +122,142 @@ def test_triangle_check_matches_naive_loop(m, seed, symmetric, planted):
         assert "triangle" in str(exc)
         ok = False
     assert ok == naive_triangle_ok(metric)
+
+
+def test_triangle_error_names_the_first_pair_and_its_shortcut():
+    metric = np.array([[0.0, 1.0, 9.0, 1.0],
+                       [1.0, 0.0, 1.0, 9.0],
+                       [9.0, 1.0, 0.0, 1.0],
+                       [1.0, 9.0, 1.0, 0.0]])
+    assert first_triangle_violation(metric) == (0, 2, 1)
+    with pytest.raises(ValueError, match=r"triangle inequality: d\('a', 'c'\) "
+                       r"exceeds d\('a', 'b'\) \+ d\('b', 'c'\) by 7$"):
+        PosteriorGrid(np.zeros(4), np.zeros(4), metric, ("a", "b", "c", "d"))
+
+
+def _multi_planted_metric(m, seed, symmetric, count):
+    """Euclidean metric of random points with up to ``count`` planted
+    violations near 1e-9, anywhere in the matrix (see _planted_metric)."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 1.0, (m, 2))
+    metric = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    if not symmetric:
+        metric += np.triu(rng.uniform(0.0, 1e-12, (m, m)), 1)
+    for _ in range(count):
+        a, b = rng.choice(m, 2, replace=False)
+        others = np.delete(np.arange(m), [a, b])
+        excess = rng.choice([0.999e-9, 1e-9, 1.001e-9, 1e-6])
+        metric[a, b] = (metric[a, others] + metric[others, b]).min() + excess
+        metric[b, a] = metric[a, b] if symmetric else metric[a, b] - 5e-10
+    return metric
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 20), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.integers(0, 4))
+def test_triangle_check_finds_the_first_violation_for_any_worker_count(
+        m, seed, symmetric, count):
+    metric = _multi_planted_metric(m, seed, symmetric, count)
+    exact = np.array_equal(metric, metric.T)
+    expected = first_triangle_violation(metric)
+    assert (expected is None) == naive_triangle_ok(metric)
+    ids = tuple(f"n{i}" for i in range(m))
+    for cores in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(annealing, "_TRIANGLE_BLOCK", 2)
+            mp.setattr(annealing, "_cores", lambda: cores)
+            hit = annealing._check_triangle(metric, exact)
+            assert (hit is None if expected is None else hit[:3] == expected)
+            if expected is None:
+                PosteriorGrid(np.zeros(m), np.zeros(m), metric, ids)
+                continue
+            i, j, k = (ids[n] for n in expected)
+            assert hit[3] > 1e-9
+            with pytest.raises(ValueError, match=f"triangle inequality: "
+                               f"d\\('{i}', '{j}'\\) exceeds d\\('{i}', '{k}'\\)"):
+                PosteriorGrid(np.zeros(m), np.zeros(m), metric, ids)
+
+
+def test_triangle_check_reports_the_first_block_when_a_later_one_ends_first(
+        monkeypatch):
+    done = []
+    block = annealing._block_violation
+
+    def slow_first_block(metric, lo, symmetric):
+        if lo == 0:
+            time.sleep(0.2)
+        hit = block(metric, lo, symmetric)
+        done.append((lo, hit))
+        return hit
+
+    monkeypatch.setattr(annealing, "_block_violation", slow_first_block)
+    monkeypatch.setattr(annealing, "_TRIANGLE_BLOCK", 2)
+    monkeypatch.setattr(annealing, "_cores", lambda: 3)
+    metric = _multi_planted_metric(20, 5, True, 0)
+    metric[1, 9] = metric[9, 1] = metric[2, 7] = metric[7, 2] = 5.0
+    assert first_triangle_violation(metric)[:2] == (1, 9)
+    assert annealing._check_triangle(metric, True)[:3] == \
+        first_triangle_violation(metric)
+    assert done[0][0] == 2 and done[0][1] is not None and done[-1][0] == 0
+
+
+def test_triangle_check_leaves_no_thread_running(monkeypatch):
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(annealing.threading, "Thread", Spy)
+    monkeypatch.setattr(annealing, "_TRIANGLE_BLOCK", 2)
+    monkeypatch.setattr(annealing, "_cores", lambda: 3)
+    before = threading.active_count()
+    metric = _multi_planted_metric(20, 5, True, 0)
+    PosteriorGrid(np.zeros(20), np.zeros(20), metric)
+    assert threading.active_count() == before
+    metric[3, 17] = metric[17, 3] = 5.0
+    with pytest.raises(ValueError, match="triangle"):
+        PosteriorGrid(np.zeros(20), np.zeros(20), metric)
+    assert threading.active_count() == before
+    assert len(started) == 4 and not any(t.is_alive() for t in started)
+
+
+def test_triangle_check_reraises_a_worker_error(monkeypatch):
+    block = annealing._block_violation
+
+    def failing(metric, lo, symmetric):
+        if lo == 6:
+            raise MemoryError("block 6")
+        return block(metric, lo, symmetric)
+
+    monkeypatch.setattr(annealing, "_block_violation", failing)
+    monkeypatch.setattr(annealing, "_TRIANGLE_BLOCK", 2)
+    before = threading.active_count()
+    metric = _multi_planted_metric(20, 5, True, 0)
+    for cores in (1, 3):
+        monkeypatch.setattr(annealing, "_cores", lambda: cores)
+        with pytest.raises(MemoryError, match="block 6"):
+            PosteriorGrid(np.zeros(20), np.zeros(20), metric)
+        assert threading.active_count() == before
+
+
+def test_triangle_check_takes_no_block_after_a_violation(monkeypatch):
+    taken = []
+    block = annealing._block_violation
+
+    def spy(metric, lo, symmetric):
+        taken.append(lo)
+        return block(metric, lo, symmetric)
+
+    monkeypatch.setattr(annealing, "_block_violation", spy)
+    monkeypatch.setattr(annealing, "_TRIANGLE_BLOCK", 2)
+    monkeypatch.setattr(annealing, "_cores", lambda: 1)
+    metric = _multi_planted_metric(20, 5, True, 0)
+    metric[5, 11] = metric[11, 5] = 5.0
+    with pytest.raises(ValueError, match="triangle"):
+        PosteriorGrid(np.zeros(20), np.zeros(20), metric)
+    assert taken == [0, 2, 4]
 
 
 def test_schedule_validation():
@@ -342,6 +481,48 @@ def test_grid_file_metric_shape_errors(tmp_path):
         load_grid(p, mp)
     p.write_text("# taskinfo-grid v1\nnode_id,loss_nats,kl_nats\n")
     with pytest.raises(ValueError, match=r"grid\.csv: no nodes"):
+        load_grid(p, mp)
+
+
+def test_grid_file_validation_errors_name_the_metric_file(tmp_path):
+    g = line_grid([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    g = PosteriorGrid(g.losses, g.kls, g.metric, ("a", "b", "c"))
+    p, mp = tmp_path / "grid.csv", tmp_path / "metric.csv"
+    save_grid(g, p, mp)
+    mp.write_text("# taskinfo-grid-metric v1\n0.0,1.0,2.0\n# comment\n"
+                  "1.0,0.0,1.0\n\n2.0,1.0,0.0\n")
+    assert load_grid(p, mp).node_ids == ("a", "b", "c")
+    mp.write_text(mp.read_text().replace("2.0,1.0,0.0", "3.5,1.0,0.0")
+                  .replace("0.0,1.0,2.0", "0.0,1.0,3.5"))
+    # row c is on line 6; (a, c) on line 2 is the first violating pair
+    with pytest.raises(ValueError, match=r"metric\.csv:2: metric violates the "
+                       r"triangle inequality: d\('a', 'c'\) exceeds "
+                       r"d\('a', 'b'\) \+ d\('b', 'c'\) by 1\.5$"):
+        load_grid(p, mp)
+    mp.write_text("# taskinfo-grid-metric v1\n0.0,1.0,2.0\n1.0,0.0,1.0\n"
+                  "2.0,1.5,0.0\n")
+    with pytest.raises(ValueError, match=r"metric\.csv: metric must be symmetric"):
+        load_grid(p, mp)
+    mp.write_text("# taskinfo-grid-metric v1\n0.0,1.0,2.0\n1.0,0.0,1.0\n"
+                  "2.0,1.0,nan\n")
+    with pytest.raises(ValueError, match=r"metric\.csv: grid values must be finite"):
+        load_grid(p, mp)
+    p.write_text("# taskinfo-grid v1\nnode_id,loss_nats,kl_nats\n"
+                 "a,1.0,0.0\nb,inf,0.0\nc,3.0,0.0\n")
+    with pytest.raises(ValueError, match=r"grid\.csv:4: loss and KL must be finite"):
+        load_grid(p, mp)
+
+
+def test_grid_file_triangle_error_gives_the_line_of_the_first_node(tmp_path):
+    # symmetric within 1e-9, but only d(c, a) exceeds the path through b by
+    # more than 1e-9: its row, c, is on line 5
+    g = line_grid([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    p, mp = tmp_path / "grid.csv", tmp_path / "metric.csv"
+    save_grid(PosteriorGrid(g.losses, g.kls, g.metric, ("a", "b", "c")), p, mp)
+    mp.write_text("# taskinfo-grid-metric v1\n0.0,1.0,2.0000000006\n"
+                  "1.0,0.0,1.0\n# c\n2.0000000015,1.0,0.0\n")
+    with pytest.raises(ValueError, match=r"metric\.csv:5: .*triangle.*"
+                       r"d\('c', 'a'\) exceeds d\('c', 'b'\) \+ d\('b', 'a'\)"):
         load_grid(p, mp)
 
 

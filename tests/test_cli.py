@@ -297,6 +297,25 @@ def test_anneal_malformed_grid_reports_line(tmp_path, capsys):
     assert ":3" in capsys.readouterr().err
 
 
+def test_anneal_triangle_violation_reports_metric_line(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    metric = tmp_path / "metric.csv"
+    grid.write_text("# taskinfo-grid v1\nnode_id,loss_nats,kl_nats\n"
+                    "a,1.0,0.0\nb,2.0,0.0\nc,3.0,0.0\n")
+    metric.write_text("# taskinfo-grid-metric v1\n0.0,1.0,1.0\n\n"
+                      "1.0,0.0,2.5\n1.0,2.5,0.0\n")
+    code, _ = run_cli(tmp_path, "anneal", {
+        "version": 1, "seed": 0,
+        "grid": {"path": str(grid), "metric_path": str(metric)},
+        "schedule": {"betas": [1.0], "epsilon": 1.0},
+        "start": 0,
+    })
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "metric.csv:4: metric violates the triangle inequality: " \
+           "d('b', 'c') exceeds d('b', 'a') + d('a', 'c') by 0.5" in err
+
+
 def test_distance_matrix_duplicate_tasks(tmp_path):
     task = {"type": "as_real", "base": {
         "type": "planted", "n": 60, "k": 2, "domain_size": 64,
