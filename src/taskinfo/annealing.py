@@ -132,8 +132,8 @@ def _cores() -> int:
 
 
 def _block_violation(metric: np.ndarray, lo: int, symmetric: bool):
-    """First violating (i, j) in row-major order among the block's checked
-    cells (rows lo to lo + block, columns from ``first`` on), or None."""
+    """First violating (i, j) in row-major order among the checked cells of
+    the block of rows from lo (columns from lo on when symmetric), or None."""
     m = metric.shape[0]
     hi = min(lo + _TRIANGLE_BLOCK, m)
     first = lo if symmetric else 0

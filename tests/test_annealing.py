@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 
@@ -199,6 +200,37 @@ def test_triangle_check_reports_the_first_block_when_a_later_one_ends_first(
     assert annealing._check_triangle(metric, True)[:3] == \
         first_triangle_violation(metric)
     assert done[0][0] == 2 and done[0][1] is not None and done[-1][0] == 0
+
+
+def test_triangle_check_stress_more_workers_than_cores(monkeypatch):
+    # a lost update of the shared block queue would take a block twice or
+    # skip one before the first violation
+    taken = []
+    block = annealing._block_violation
+
+    def spy(metric, lo, symmetric):
+        taken.append(lo)
+        return block(metric, lo, symmetric)
+
+    monkeypatch.setattr(annealing, "_block_violation", spy)
+    monkeypatch.setattr(annealing, "_TRIANGLE_BLOCK", 2)
+    monkeypatch.setattr(annealing, "_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(20):
+            metric = _multi_planted_metric(30, seed, seed % 2 == 0, seed % 4)
+            taken.clear()
+            hit = annealing._check_triangle(metric, seed % 2 == 0)
+            expected = first_triangle_violation(metric)
+            assert len(taken) == len(set(taken))
+            if expected is None:
+                assert hit is None and sorted(taken) == list(range(0, 30, 2))
+            else:
+                assert hit[:3] == expected
+                assert set(range(0, expected[0] + 1, 2)) <= set(taken)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_triangle_check_leaves_no_thread_running(monkeypatch):
@@ -499,6 +531,13 @@ def test_grid_file_validation_errors_name_the_metric_file(tmp_path):
                        r"triangle inequality: d\('a', 'c'\) exceeds "
                        r"d\('a', 'b'\) \+ d\('b', 'c'\) by 1\.5$"):
         load_grid(p, mp)
+    # symmetric within 1e-9, but only d(c, a) exceeds the path through b by
+    # more than 1e-9: its row, c, is on line 5
+    mp.write_text("# taskinfo-grid-metric v1\n0.0,1.0,2.0000000006\n"
+                  "1.0,0.0,1.0\n# c\n2.0000000015,1.0,0.0\n")
+    with pytest.raises(ValueError, match=r"metric\.csv:5: .*triangle.*"
+                       r"d\('c', 'a'\) exceeds d\('c', 'b'\) \+ d\('b', 'a'\)"):
+        load_grid(p, mp)
     mp.write_text("# taskinfo-grid-metric v1\n0.0,1.0,2.0\n1.0,0.0,1.0\n"
                   "2.0,1.5,0.0\n")
     with pytest.raises(ValueError, match=r"metric\.csv: metric must be symmetric"):
@@ -510,19 +549,6 @@ def test_grid_file_validation_errors_name_the_metric_file(tmp_path):
     p.write_text("# taskinfo-grid v1\nnode_id,loss_nats,kl_nats\n"
                  "a,1.0,0.0\nb,inf,0.0\nc,3.0,0.0\n")
     with pytest.raises(ValueError, match=r"grid\.csv:4: loss and KL must be finite"):
-        load_grid(p, mp)
-
-
-def test_grid_file_triangle_error_gives_the_line_of_the_first_node(tmp_path):
-    # symmetric within 1e-9, but only d(c, a) exceeds the path through b by
-    # more than 1e-9: its row, c, is on line 5
-    g = line_grid([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
-    p, mp = tmp_path / "grid.csv", tmp_path / "metric.csv"
-    save_grid(PosteriorGrid(g.losses, g.kls, g.metric, ("a", "b", "c")), p, mp)
-    mp.write_text("# taskinfo-grid-metric v1\n0.0,1.0,2.0000000006\n"
-                  "1.0,0.0,1.0\n# c\n2.0000000015,1.0,0.0\n")
-    with pytest.raises(ValueError, match=r"metric\.csv:5: .*triangle.*"
-                       r"d\('c', 'a'\) exceeds d\('c', 'b'\) \+ d\('b', 'a'\)"):
         load_grid(p, mp)
 
 
