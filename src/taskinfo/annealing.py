@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .rng import stream
 
 __all__ = [
@@ -388,24 +389,20 @@ def save_grid(g: PosteriorGrid, path, metric_path) -> None:
     load_grid would not read back as the same string, or as a distinct one.
     """
     seen = set()
-    for node in map(str, g.node_ids):
+    for node in map(str, g.node_ids):    # splitlines: textio's line rule
         if (node in seen or "," in node or "".join(node.splitlines()) != node
                 or node.startswith(("#", "node_id"))):
             raise ValueError(f"node id {node!r} does not survive a save/load "
                              "round trip (comma, line break, leading '#' or "
                              "'node_id', or a repeat as text)")
         seen.add(node)
-    lines = ["# taskinfo-grid v1", "node_id,loss_nats,kl_nats"]
+    lines = [textio.header("grid"), "node_id,loss_nats,kl_nats"]
+    rows = [textio.header("grid-metric")]
     for i in range(len(g)):
-        lines.append(f"{g.node_ids[i]},{float(g.losses[i])!r},"
-                     f"{float(g.kls[i])!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    rows = ["# taskinfo-grid-metric v1"]
-    for i in range(len(g)):
+        lines.append(f"{g.node_ids[i]},{float(g.losses[i])!r},{float(g.kls[i])!r}")
         rows.append(",".join(repr(float(v)) for v in g.metric[i]))
-    with open(metric_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    textio.write(path, textio.join(lines))
+    textio.write(metric_path, textio.join(rows))
 
 
 def load_grid(path, metric_path) -> PosteriorGrid:
@@ -415,59 +412,51 @@ def load_grid(path, metric_path) -> PosteriorGrid:
     line is at fault; a triangle violation names the line of its first node's
     metric row.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "# taskinfo-grid v1":
-        raise ValueError(f"{path}:1: expected '# taskinfo-grid v1' header")
+    _, _, rows = textio.read(path, "grid")
     ids, losses, kls = {}, [], []     # ids: node id -> line
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.strip() or ln.startswith("#") or ln.startswith("node_id"):
+    for no, ln in rows:
+        if ln.startswith(("#", "node_id")):
             continue
         cells = ln.split(",")
         if len(cells) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(cells)}")
+            textio.fail(path, no, f"expected 3 columns, got {len(cells)}")
         if cells[0] in ids:
-            raise ValueError(f"{path}:{lineno}: node id {cells[0]!r} repeats "
-                             f"line {ids[cells[0]]}")
+            textio.fail(path, no, f"node id {cells[0]!r} repeats line {ids[cells[0]]}")
         try:
             loss, kl = float(cells[1]), float(cells[2])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad number") from None
+            textio.fail(path, no, "bad number")
         if not (math.isfinite(loss) and math.isfinite(kl)):
-            raise ValueError(f"{path}:{lineno}: loss and KL must be finite")
+            textio.fail(path, no, "loss and KL must be finite")
         losses.append(loss)
         kls.append(kl)
-        ids[cells[0]] = lineno
+        ids[cells[0]] = no
     if not ids:
         raise ValueError(f"{path}: no nodes")
-    with open(metric_path, encoding="utf-8") as fh:
-        mlines = fh.read().splitlines()
-    if not mlines or mlines[0] != "# taskinfo-grid-metric v1":
-        raise ValueError(f"{metric_path}:1: expected metric header")
+    _, _, mrows = textio.read(metric_path, "grid-metric")
     m = len(ids)
     metric = np.empty((m, m))
     r, row_lines = 0, []              # row_lines: metric row -> line
-    for lineno, ln in enumerate(mlines[1:], start=2):
-        if not ln.strip() or ln.startswith("#"):
+    for no, ln in mrows:
+        if ln.startswith("#"):
             continue
         cells = ln.split(",")
         if r == m:
-            raise ValueError(f"{metric_path}:{lineno}: more than {m} metric rows")
+            textio.fail(metric_path, no, f"more than {m} metric rows")
         if len(cells) != m:
-            raise ValueError(f"{metric_path}:{lineno}: expected {m} columns, "
-                             f"got {len(cells)}")
+            textio.fail(metric_path, no, f"expected {m} columns, got {len(cells)}")
         try:
             metric[r] = np.fromiter(map(float, cells), np.float64, count=m)
         except ValueError:
-            raise ValueError(f"{metric_path}:{lineno}: bad number") from None
+            textio.fail(metric_path, no, "bad number")
         r += 1
-        row_lines.append(lineno)
+        row_lines.append(no)
     if r != m:
         raise ValueError(f"{metric_path}: metric shape ({r}, {m}) does not "
                          f"match {m} nodes")
     try:
         return PosteriorGrid(np.array(losses), np.array(kls), metric, tuple(ids))
     except _TriangleError as exc:
-        raise ValueError(f"{metric_path}:{row_lines[exc.row]}: {exc}") from None
+        textio.fail(metric_path, row_lines[exc.row], exc)
     except ValueError as exc:
         raise ValueError(f"{metric_path}: {exc}") from None

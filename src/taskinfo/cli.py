@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from . import distance as distance_mod
 from . import finite_oracle as oracle
 from . import svg
 from . import tasks as tasks_mod
+from . import textio
 from . import variational as vi
 from .models import Architecture
 
@@ -170,27 +170,15 @@ def _arch(hidden, input_dim: int, k: int) -> Architecture:
 
 def cmd_gen_task(cfg, hash_) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "task"), ("filename",))
-    d = build_task(cfg["task"])
-    name = cfg.get("filename", "task.csv")
-    tmp = tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False)
-    try:
-        tmp.close()
-        tasks_mod.save_dataset_csv(d, tmp.name)
-        with open(tmp.name, encoding="utf-8") as fh:
-            body = fh.read()
-    finally:
-        os.unlink(tmp.name)
-    lines = body.splitlines()
+    lines = tasks_mod._dataset_lines(build_task(cfg["task"]))
     lines.insert(1, f"# {_stamp(hash_)}")
-    return {name: "\n".join(lines) + "\n"}
+    return {cfg.get("filename", "task.csv"): textio.join(lines)}
 
 
-def _curve_csv(curve: oracle.Curve, hash_) -> str:
-    lines = [f"# taskinfo-curve v1, {_stamp(hash_)}",
-             "t_or_beta,loss_nats,complexity_nats"]
-    for a, l, c in zip(curve.abscissa, curve.loss, curve.complexity):
-        lines.append(f"{float(a)!r},{float(l)!r},{float(c)!r}")
-    return "\n".join(lines) + "\n"
+def _csv(kind: str, hash_, columns: str, rows, *fields: str) -> str:
+    """A CLI table: the stamped taskinfo-<kind> header, the column names,
+    then the rows."""
+    return textio.join([textio.header(kind, _stamp(hash_), *fields), columns, *rows])
 
 
 def _t_grid(grid, path) -> list[float]:
@@ -241,27 +229,22 @@ def cmd_structure_fn(cfg, hash_) -> dict:
         curve = oracle.Curve(
             np.array([p[0] for p in pts]), np.array([p[1] for p in pts]),
             np.array([p[0] for p in pts]))
-        out["sweep.csv"] = _sweep_csv(sweep, hash_)
+        out["sweep.csv"] = _csv(
+            "sweep", hash_, "beta,expected_loss_nats,kl_nats,loss_per_sample_nats",
+            (f"{float(sweep.betas[i])!r},{float(sweep.losses[i])!r},"
+             f"{float(sweep.kls[i])!r},{float(sweep.losses[i] / max(sweep.n, 1))!r}"
+             for i in np.argsort(sweep.betas)))
         xlabel = "information in the parameters t = KL (NATS)"
     else:
         raise ConfigError(f"engine: unknown engine {cfg['engine']!r}")
-    out["structure_fn.csv"] = _curve_csv(curve, hash_)
+    out["structure_fn.csv"] = _csv(
+        "curve", hash_, "t_or_beta,loss_nats,complexity_nats",
+        (f"{float(a)!r},{float(l)!r},{float(c)!r}"
+         for a, l, c in zip(curve.abscissa, curve.loss, curve.complexity)))
     out["structure_fn.svg"] = svg.line_plot(
         [("S(t)", curve.abscissa.tolist(), curve.loss.tolist())],
         "structure function", xlabel, "loss (NATS)", comment=_stamp(hash_))
     return out
-
-
-def _sweep_csv(sweep: vi.SweepResult, hash_) -> str:
-    lines = [f"# taskinfo-sweep v1, {_stamp(hash_)}",
-             "beta,expected_loss_nats,kl_nats,loss_per_sample_nats"]
-    order = np.argsort(sweep.betas)
-    for i in order:
-        lines.append(
-            f"{float(sweep.betas[i])!r},{float(sweep.losses[i])!r},"
-            f"{float(sweep.kls[i])!r},"
-            f"{float(sweep.losses[i] / max(sweep.n, 1))!r}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_beta_sweep(cfg, hash_) -> dict:
@@ -304,13 +287,12 @@ def cmd_beta_sweep(cfg, hash_) -> dict:
             series.append((name, per_beta, per_loss))
     else:
         raise ConfigError(f"engine: unknown engine {cfg['engine']!r}")
-    lines = [f"# taskinfo-beta-sweep v1, {_stamp(hash_)}",
-             "task,beta,loss_nats,loss_per_sample_nats,complexity_nats"]
-    for name, b, lo, lps, c in rows:
-        lines.append(f"{name},{float(b)!r},{float(lo)!r},{float(lps)!r},"
-                     f"{float(c)!r}")
     return {
-        "beta_sweep.csv": "\n".join(lines) + "\n",
+        "beta_sweep.csv": _csv(
+            "beta-sweep", hash_,
+            "task,beta,loss_nats,loss_per_sample_nats,complexity_nats",
+            (f"{name},{float(b)!r},{float(lo)!r},{float(lps)!r},{float(c)!r}"
+             for name, b, lo, lps, c in rows)),
         "beta_sweep.svg": svg.line_plot(
             series, "loss vs beta", "beta", "loss per sample (NATS)",
             logx=True, comment=_stamp(hash_)),
@@ -347,27 +329,20 @@ def cmd_distance_matrix(cfg, hash_) -> dict:
     matrix = distance_mod.distance_matrix(named, beta, arch, dcfg, seeds)
 
     names = matrix.names
-    lines = [f"# taskinfo-distance-matrix v1, {_stamp(hash_)}, beta={beta!r}",
-             "target\\source," + ",".join(names)]
-    for i, name in enumerate(names):
-        cells = ",".join(repr(float(v)) for v in matrix.values[i])
-        lines.append(f"{name},{cells}")
     sidecar = {
         "beta": beta,
         "config_hash": hash_,
         "tool": f"taskinfo-{__version__}",
         "names": list(names),
-        "tau": [[None if math.isnan(v) else v for v in row]
-                for row in matrix.tau.tolist()],
-        "pre_floor": [[None if math.isnan(v) else v for v in row]
-                      for row in matrix.pre_floor.tolist()],
-        "kl_union": [[None if math.isnan(v) else v for v in row]
-                     for row in matrix.kl_union.tolist()],
-        "kl_source": [[None if math.isnan(v) else v for v in row]
-                      for row in matrix.kl_source.tolist()],
     }
+    for key in ("tau", "pre_floor", "kl_union", "kl_source"):    # NaN -> null
+        sidecar[key] = [[None if math.isnan(v) else v for v in row]
+                        for row in getattr(matrix, key).tolist()]
     return {
-        "distance_matrix.csv": "\n".join(lines) + "\n",
+        "distance_matrix.csv": _csv(
+            "distance-matrix", hash_, "target\\source," + ",".join(names),
+            (f"{name}," + ",".join(repr(float(v)) for v in matrix.values[i])
+             for i, name in enumerate(names)), f"beta={beta!r}"),
         "distance_matrix.json": json.dumps(sidecar, indent=2, sort_keys=True)
         + "\n",
         "distance_matrix.svg": svg.heatmap(
@@ -381,13 +356,12 @@ def cmd_pac_bayes(cfg, hash_) -> dict:
                 ("train_loss_total", "kl", "n", "beta", "delta", "task",
                  "n_train", "n_test", "trials", "arch_hidden", "prior_scale",
                  "opt"))
-    lines = [f"# taskinfo-pac-bayes v1, {_stamp(hash_)}",
-             "trial,train_term,kl_nats,bound,test_loss,covered"]
+    rows = []
     if cfg["mode"] == "bound":
         rep = bounds_mod.pac_bayes_bound(
             float(cfg["train_loss_total"]), float(cfg["kl"]), int(cfg["n"]),
             float(cfg["beta"]), float(cfg["delta"]))
-        lines.append(f"0,{rep.train_term!r},{rep.kl!r},{rep.bound_value!r},,")
+        rows.append(f"0,{rep.train_term!r},{rep.kl!r},{rep.bound_value!r},,")
     elif cfg["mode"] == "trials":
         spec = cfg["task"]
         n_train, n_test = int(cfg["n_train"]), int(cfg["n_test"])
@@ -411,12 +385,13 @@ def cmd_pac_bayes(cfg, hash_) -> dict:
             cfg=_variational_config(cfg.get("opt", {}), "opt"))
         for row in report.rows:
             trial, train_term, kl, bound, test_loss, covered = row
-            lines.append(f"{trial},{train_term!r},{kl!r},{bound!r},"
-                         f"{test_loss!r},{int(covered)}")
-        lines.append(f"# coverage={report.coverage!r}")
+            rows.append(f"{trial},{train_term!r},{kl!r},{bound!r},"
+                        f"{test_loss!r},{int(covered)}")
+        rows.append(f"# coverage={report.coverage!r}")
     else:
         raise ConfigError(f"mode: unknown mode {cfg['mode']!r}")
-    return {"pac_bayes.csv": "\n".join(lines) + "\n"}
+    return {"pac_bayes.csv": _csv(
+        "pac-bayes", hash_, "trial,train_term,kl_nats,bound,test_loss,covered", rows)}
 
 
 def cmd_anneal(cfg, hash_) -> dict:
@@ -427,9 +402,7 @@ def cmd_anneal(cfg, hash_) -> dict:
     if "path" in gspec:
         try:
             grid = anneal_mod.load_grid(gspec["path"], gspec["metric_path"])
-        except FileNotFoundError as exc:
-            raise ConfigError(f"grid: {exc}") from None
-        except ValueError as exc:
+        except (FileNotFoundError, ValueError) as exc:
             raise ConfigError(f"grid: {exc}") from None
     else:
         grid = anneal_mod.PosteriorGrid(
@@ -446,11 +419,10 @@ def cmd_anneal(cfg, hash_) -> dict:
             raise ConfigError(f"start: unknown node id {start!r}")
         start = grid.node_ids.index(start)
     result = anneal_mod.anneal(grid, schedule, int(start))
-    lines = [f"# taskinfo-anneal v1, {_stamp(hash_)}",
-             "step,beta,node_id,lagrangian_nats"]
-    for step, (beta, node, lagr) in enumerate(result.trajectory):
-        lines.append(f"{step},{beta!r},{grid.node_ids[node]},{lagr!r}")
-    return {"anneal_trajectory.csv": "\n".join(lines) + "\n"}
+    return {"anneal_trajectory.csv": _csv(
+        "anneal", hash_, "step,beta,node_id,lagrangian_nats",
+        (f"{step},{beta!r},{grid.node_ids[node]},{lagr!r}"
+         for step, (beta, node, lagr) in enumerate(result.trajectory)))}
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +436,6 @@ _COMMANDS = {
     "anneal": cmd_anneal,
     "gen-task": cmd_gen_task,
 }
-
-
-def _write_atomic(path: str, content: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".taskinfo-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def main(argv=None) -> int:
@@ -524,7 +483,7 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     for filename, content in sorted(outputs.items()):
-        _write_atomic(os.path.join(args.out, filename), content)
+        textio.write(os.path.join(args.out, filename), content)
         print(os.path.join(args.out, filename))
     return 0
 

@@ -43,7 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tasks import Dataset, DiscreteSpace, disjoint_union, generate_planted_task
+from . import textio
+from .tasks import (Dataset, DiscreteSpace, _parse_union_spec, _union_spec,
+                    disjoint_union, generate_planted_task)
 
 __all__ = [
     "INF_NATS",
@@ -551,16 +553,12 @@ class HypothesisFamily:
             np.concatenate([np.full((1, m, k), 1.0 / k), det, noisy.reshape(-1, m, k)]),
             ["uniform"] + names + [f"{n}~q{v:g}" for n in names for v in noise_grid])
 
-    def space_token(self) -> str:
-        from .tasks import _union_spec
-        return _union_spec(self.space)
-
 
 def save_family(fam: HypothesisFamily, path) -> None:
     """Write the versioned family description file."""
     lines = [
-        "# taskinfo-family v1",
-        f"space={fam.space_token()}",
+        textio.header("family"),
+        f"space={_union_spec(fam.space)}",
         f"labels={fam.num_labels}",
         "noise_grid=" + ",".join(repr(q) for q in fam.noise_grid),
         f"custom={int(fam.custom)}",
@@ -571,80 +569,61 @@ def save_family(fam: HypothesisFamily, path) -> None:
         if fam.custom:
             cells.append(";".join(repr(float(v)) for v in fam.tables[i].ravel()))
         lines.append("\t".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textio.write(path, textio.join(lines))
 
 
 def load_family(path) -> HypothesisFamily:
     """Read a family file; malformed input raises ValueError("path:line: ...")."""
-    from .tasks import _parse_union_spec
-
-    with open(path, encoding="utf-8") as fh:
-        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
-    if not lines or lines[0][1] != "# taskinfo-family v1":
-        no = lines[0][0] if lines else 1
-        raise ValueError(f"{path}:{no}: not a taskinfo-family v1 file")
-    header: dict[str, tuple[int, str]] = {}
-    rule_lines = []
-    for no, ln in lines[1:]:
-        if ln.startswith("rule\t"):
-            rule_lines.append((no, ln.split("\t")))
-        else:
-            key, _, value = ln.partition("=")
-            header[key] = (no, value)
-
-    def at(no, parse, *args):
-        try:
-            return parse(*args)
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}:{no}: {exc}") from None
-
-    def field(key, parse):
+    head, _, rows = textio.read(path, "family")
+    rule_lines = [(no, ln.split("\t")) for no, ln in rows if ln.startswith("rule\t")]
+    header = textio.fields(path, [r for r in rows if not r[1].startswith("rule\t")])
+    for key in ("space", "labels", "noise_grid"):
         if key not in header:
-            raise ValueError(f"{path}:{lines[0][0]}: header has no {key}= line")
-        no, value = header[key]
-        return at(no, parse, value)
-
-    def discrete_space(value):
-        space = _parse_union_spec(value)[0]
+            textio.fail(path, head, f"header has no {key}= line")
+    no, value = header["space"]
+    with textio.at(path, no):
+        space, _ = _parse_union_spec(value)
         if not isinstance(space, DiscreteSpace):
             raise ValueError("a family needs a discrete space")
-        return space
-
-    space = field("space", discrete_space)
-    k = field("labels", int)
-    if k < 1:
-        raise ValueError(f"{path}:{header['labels'][0]}: labels must be >= 1")
-    def noise_levels(value):
-        levels = tuple(float(q) for q in value.split(",") if q)
-        _check_noise_grid(levels)
-        return levels
-
-    noise_grid = field("noise_grid", noise_levels)
+    no, value = header["labels"]
+    with textio.at(path, no):
+        k = int(value)
+        if k < 1:
+            raise ValueError("labels must be >= 1")
+    no, value = header["noise_grid"]
+    with textio.at(path, no):
+        noise_grid = tuple(float(q) for q in value.split(",") if q)
+        _check_noise_grid(noise_grid)
     custom = header.get("custom", (0, "0"))[1] == "1"
     width = 5 if custom else 4
     for no, cells in rule_lines:
         if len(cells) < width:
-            raise ValueError(f"{path}:{no}: a rule line needs {width} "
-                             f"tab-separated fields, got {len(cells)}")
+            textio.fail(path, no, f"a rule line needs {width} tab-separated "
+                                  f"fields, got {len(cells)}")
 
     if custom:
-        def custom_rule(cells):
-            flat = np.array([float(v) for v in cells[4].split(";")])
-            return Hypothesis(flat.reshape(flat.size // k, k), float(cells[2]),
-                              cells[3])
-
-        hyps = [at(no, custom_rule, cells) for no, cells in rule_lines]
-        return at(lines[0][0], HypothesisFamily.from_rules, hyps, space, k)
-    fam = at(header["space"][0], HypothesisFamily.for_space, space, k, noise_grid)
-    if len(fam) != field("rules", int):
-        raise ValueError(f"{path}:{header['rules'][0]}: rule count mismatch "
-                         "with reconstruction")
+        hyps = []
+        for no, cells in rule_lines:
+            with textio.at(path, no):
+                flat = np.array([float(v) for v in cells[4].split(";")])
+                hyps.append(Hypothesis(flat.reshape(flat.size // k, k),
+                                       float(cells[2]), cells[3]))
+        with textio.at(path, head):
+            return HypothesisFamily.from_rules(hyps, space, k)
+    with textio.at(path, header["space"][0]):
+        fam = HypothesisFamily.for_space(space, k, noise_grid)
+    if "rules" not in header:
+        textio.fail(path, head, "header has no rules= line")
+    no, value = header["rules"]
+    with textio.at(path, no):
+        if len(fam) != int(value):
+            raise ValueError("rule count mismatch with reconstruction")
     for no, cells in rule_lines:
-        i = at(no, int, cells[1])
-        if not (0 <= i < len(fam) and fam.names[i] == cells[3]
-                and at(no, float, cells[2]) == float(fam.costs[i])):
-            raise ValueError(f"{path}:{no}: rule {i} does not match reconstruction")
+        with textio.at(path, no):
+            i = int(cells[1])
+            if not (0 <= i < len(fam) and fam.names[i] == cells[3]
+                    and float(cells[2]) == float(fam.costs[i])):
+                raise ValueError(f"rule {i} does not match reconstruction")
     return fam
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .rng import stream
 from .tasks import Dataset, RealSpace
 
@@ -327,11 +328,10 @@ def sgd_train(d: Dataset, arch: Architecture, cfg: SgdConfig,
 
 def save_loss_trace_csv(trace, path) -> None:
     """Per-epoch loss trace as CSV (epoch, loss_nats)."""
-    lines = ["# taskinfo-loss-trace v1", "epoch,loss_nats"]
+    lines = [textio.header("loss-trace"), "epoch,loss_nats"]
     for epoch, loss in enumerate(trace):
         lines.append(f"{epoch},{float(loss)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textio.write(path, textio.join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +339,14 @@ def save_loss_trace_csv(trace, path) -> None:
 
 
 def save_params(p: MlpParams, path, extra: dict | None = None) -> None:
-    lines = ["# taskinfo-params v1",
+    lines = [textio.header("params"),
              "widths=" + ",".join(str(w) for w in p.architecture.layer_widths)]
     for key, vec in (extra or {}).items():
         lines.append(f"{key}=" + ";".join(repr(float(v)) for v in vec))
     for layer, (w, b) in enumerate(zip(p.weights, p.biases)):
         lines.append(f"W{layer}=" + ";".join(repr(float(v)) for v in w.ravel()))
         lines.append(f"b{layer}=" + ";".join(repr(float(v)) for v in b))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textio.write(path, textio.join(lines))
 
 
 def load_params(path) -> tuple[MlpParams, dict]:
@@ -357,38 +356,29 @@ def load_params(path) -> tuple[MlpParams, dict]:
 
 def _read_params(path, sized=()) -> tuple[MlpParams, dict]:
     """load_params; each extra key in ``sized`` must hold one value per parameter."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
-    if not lines or lines[0][1] != "# taskinfo-params v1":
-        no = lines[0][0] if lines else 1
-        raise ValueError(f"{path}:{no}: not a taskinfo-params v1 file")
-    fields = {}
-    for no, ln in lines[1:]:
-        key, _, value = ln.partition("=")
-        if key in fields:
-            raise ValueError(f"{path}:{no}: repeats {key}= of line {fields[key][0]}")
-        fields[key] = (no, value)
-
-    def field(key, shape=None):
+    head, _, rows = textio.read(path, "params")
+    fields = textio.fields(path, rows)
+    if "widths" not in fields:
+        textio.fail(path, head, "no widths= line")
+    no, value = fields.pop("widths")
+    with textio.at(path, no):
+        arch = Architecture(tuple(int(w) for w in value.split(",")))
+    widths = arch.layer_widths
+    shapes = {}
+    for layer, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+        shapes[f"W{layer}"], shapes[f"b{layer}"] = (n_in, n_out), n_out
+    shapes.update((key, arch.num_params) for key in sized)
+    shapes.update((key, None) for key in fields if key not in shapes)
+    values = {}
+    for key, shape in shapes.items():
         if key not in fields:
-            raise ValueError(f"{path}:{lines[0][0]}: no {key}= line")
-        no, value = fields.pop(key)
-        try:
-            if key == "widths":
-                return Architecture(tuple(int(w) for w in value.split(",")))
+            textio.fail(path, head, f"no {key}= line")
+        no, value = fields[key]
+        with textio.at(path, no):
             vec = np.array([float(v) for v in value.split(";")])
             if not np.isfinite(vec).all():
                 raise ValueError("values must be finite")
-            return vec if shape is None else vec.reshape(shape)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{no}: {exc}") from None
-
-    arch = field("widths")
-    ws, bs = [], []
-    for layer, (n_in, n_out) in enumerate(
-            zip(arch.layer_widths[:-1], arch.layer_widths[1:])):
-        ws.append(field(f"W{layer}", (n_in, n_out)))
-        bs.append(field(f"b{layer}", n_out))
-    extra = {key: field(key, arch.num_params) for key in sized}
-    extra.update((key, field(key)) for key in list(fields))
-    return MlpParams(tuple(ws), tuple(bs)), extra
+            values[key] = vec if shape is None else vec.reshape(shape)
+    layers = range(len(widths) - 1)
+    return (MlpParams(tuple(values.pop(f"W{i}") for i in layers),
+                      tuple(values.pop(f"b{i}") for i in layers)), values)

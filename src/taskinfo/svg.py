@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from . import textio
+
 __all__ = ["line_plot", "heatmap"]
 
 _W, _H = 640, 440
@@ -117,7 +119,7 @@ def line_plot(series, title: str, xlabel: str, ylabel: str,
                      f'font-family="sans-serif" font-size="11" '
                      f'fill="{color}">{name}</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return textio.join(parts)
 
 
 def heatmap(values, row_labels, col_labels, title: str,
@@ -166,4 +168,4 @@ def heatmap(values, row_labels, col_labels, title: str,
                          f'text-anchor="middle" font-family="sans-serif" '
                          f'font-size="10">{text}</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return textio.join(parts)

@@ -16,10 +16,12 @@ space so the parts can be recovered exactly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import textio
 from .rng import stream
 
 __all__ = [
@@ -214,6 +216,16 @@ def generate_planted_task(n: int, rule, noise: float, seed: int) -> Dataset:
 # Disjoint union
 
 
+def _union_space(left: UnionPart, right: UnionPart) -> Space:
+    """The input space of the disjoint union of two parts."""
+    a, b = left.space, right.space
+    if isinstance(a, DiscreteSpace) != isinstance(b, DiscreteSpace):
+        raise ValueError("disjoint union requires a shared input kind")
+    if isinstance(a, DiscreteSpace):
+        return DiscreteSpace(2 * max(a.size, b.size), parts=(left, right))
+    return RealSpace(max(a.dim, b.dim) + 2, parts=(left, right))
+
+
 def disjoint_union(d1: Dataset, d2: Dataset) -> Dataset:
     """Concatenate two tasks, tagging every input with its origin.
 
@@ -222,17 +234,14 @@ def disjoint_union(d1: Dataset, d2: Dataset) -> Dataset:
     inputs are zero-padded to the larger dimension and a one-hot origin
     pair is appended. ``split_union`` inverts the construction exactly.
     """
-    if isinstance(d1.space, DiscreteSpace) != isinstance(d2.space, DiscreteSpace):
-        raise ValueError("disjoint union requires a shared input kind")
+    space = _union_space(UnionPart(d1.space, d1.num_labels),
+                         UnionPart(d2.space, d2.num_labels))
     k = max(d1.num_labels, d2.num_labels)
-    parts = (UnionPart(d1.space, d1.num_labels), UnionPart(d2.space, d2.num_labels))
     labels = np.concatenate([d1.labels, d2.labels])
-    if isinstance(d1.space, DiscreteSpace):
-        mmax = max(d1.space.size, d2.space.size)
-        inputs = np.concatenate([d1.inputs, d2.inputs + mmax])
-        space = DiscreteSpace(2 * mmax, parts=parts)
+    if isinstance(space, DiscreteSpace):
+        inputs = np.concatenate([d1.inputs, d2.inputs + space.size // 2])
     else:
-        dmax = max(d1.space.dim, d2.space.dim)
+        dmax = space.dim - 2
         x1 = np.zeros((len(d1), dmax + 2))
         x1[:, : d1.space.dim] = d1.inputs
         x1[:, dmax] = 1.0
@@ -240,7 +249,6 @@ def disjoint_union(d1: Dataset, d2: Dataset) -> Dataset:
         x2[:, : d2.space.dim] = d2.inputs
         x2[:, dmax + 1] = 1.0
         inputs = np.concatenate([x1, x2])
-        space = RealSpace(dmax + 2, parts=parts)
     return Dataset(inputs=inputs, labels=labels, num_labels=k, space=space)
 
 
@@ -395,62 +403,42 @@ def _union_spec(space: Space) -> str:
     )
 
 
-def _parse_union_spec(text: str, pos: int = 0):
-    """Recursive parser for the `# union=` header; returns (space, end)."""
-    if text[pos] == "(":
-        mid = _find_split(text, pos)
-        left_space, lp = _parse_union_spec(text, pos + 1)
-        lk = int(text[lp + len(",K="):mid])
-        right_space, rp = _parse_union_spec(text, mid + 1)
-        rk = int(text[rp + len(",K="):_find_close(text, rp)])
-        end = _find_close(text, rp) + 1
-        parts = (UnionPart(left_space, lk), UnionPart(right_space, rk))
-        if isinstance(left_space, DiscreteSpace):
-            size = 2 * max(left_space.size, right_space.size)
-            return DiscreteSpace(size, parts=parts), end
-        dim = max(left_space.dim, right_space.dim) + 2
-        return RealSpace(dim, parts=parts), end
-    kind, _, rest = text[pos:].partition(":")
-    num = ""
-    for ch in rest:
-        if ch.isdigit():
-            num += ch
-        else:
-            break
-    end = pos + len(kind) + 1 + len(num)
-    if kind == "discrete":
-        return DiscreteSpace(int(num)), end
-    if kind == "real":
-        return RealSpace(int(num)), end
-    raise ValueError(f"bad union spec near {text[pos:pos+20]!r}")
+_MAX_UNION_DEPTH = 64
+_SPACE_TOKEN = re.compile(r"(discrete|real):([0-9]+)")
+_PART_END = re.compile(r",K=([0-9]+)([|)])")
 
 
-def _find_split(text: str, start: int) -> int:
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-        elif text[i] == "|" and depth == 1:
-            return i
-    raise ValueError("unbalanced union spec")
+def _parse_union_spec(text: str, pos: int = 0, depth: int = 0) -> tuple[Space, int]:
+    """(space, end) of the `# union=` spec at text[pos:], read in one pass;
+    ValueError on a malformed spec, on parts of two kinds, and on unions
+    nested deeper than _MAX_UNION_DEPTH."""
+    m = _SPACE_TOKEN.match(text, pos)
+    if m is not None:
+        kind = DiscreteSpace if m[1] == "discrete" else RealSpace
+        space, pos = kind(int(m[2])), m.end()
+    elif not text.startswith("(", pos):
+        raise ValueError(f"bad union spec near {text[pos:pos + 20]!r}")
+    elif depth == _MAX_UNION_DEPTH:
+        raise ValueError(f"unions nested deeper than {_MAX_UNION_DEPTH}")
+    else:
+        parts = []
+        for close in "|)":      # pos is at "(", then at "|"
+            part, pos = _parse_union_spec(text, pos + 1, depth + 1)
+            m = _PART_END.match(text, pos)
+            if m is None or m[2] != close:
+                raise ValueError(f"bad union spec near {text[pos:pos + 20]!r}")
+            parts.append(UnionPart(part, int(m[1])))
+            pos = m.end() - 1
+        space, pos = _union_space(*parts), pos + 1
+    if depth == 0 and pos != len(text):
+        raise ValueError(f"bad union spec near {text[pos:pos + 20]!r}")
+    return space, pos
 
 
-def _find_close(text: str, start: int) -> int:
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            if depth == 0:
-                return i
-            depth -= 1
-    raise ValueError("unbalanced union spec")
-
-
-def save_dataset_csv(d: Dataset, path) -> None:
-    lines = [f"# taskinfo-dataset v1, K={d.num_labels}, input={_space_token(d.space)}"]
+def _dataset_lines(d: Dataset) -> list[str]:
+    """The lines of d's dataset file, header first."""
+    lines = [textio.header("dataset", f"K={d.num_labels}",
+                           f"input={_space_token(d.space)}")]
     if d.space.parts is not None:
         lines.append(f"# union={_union_spec(d.space)}")
     if isinstance(d.space, DiscreteSpace):
@@ -459,45 +447,39 @@ def save_dataset_csv(d: Dataset, path) -> None:
     else:
         for row, y in zip(d.inputs, d.labels):
             lines.append(",".join(repr(float(v)) for v in row) + f",{y}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return lines
+
+
+def save_dataset_csv(d: Dataset, path) -> None:
+    textio.write(path, textio.join(_dataset_lines(d)))
 
 
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset file; malformed input raises ValueError("path:line: ...")."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("# taskinfo-dataset v1"):
-        no = lines[0][0] if lines else 1
-        raise ValueError(f"{path}:{no}: not a taskinfo-dataset v1 file")
-
-    def fail(no, message):
-        raise ValueError(f"{path}:{no}: {message}") from None
-
-    head, header = lines[0]
+    head, header, lines = textio.read(path, "dataset")
     fields = dict(
         part.strip().split("=", 1) for part in header.split(",")[1:] if "=" in part
     )
     for key in ("K", "input"):
         if key not in fields:
-            fail(head, f"header has no {key}= field")
+            textio.fail(path, head, f"header has no {key}= field")
     kind, _, size = fields["input"].partition(":")
     if kind not in ("discrete", "real"):
-        fail(head, f"unknown input kind {kind!r}")
-    try:
+        textio.fail(path, head, f"unknown input kind {kind!r}")
+    with textio.at(path, head):
         k = int(fields["K"])
-        space: Space = (
-            DiscreteSpace(int(size)) if kind == "discrete" else RealSpace(int(size))
-        )
-    except ValueError as exc:
-        fail(head, exc)
+        space: Space = (DiscreteSpace if kind == "discrete" else RealSpace)(int(size))
     rows = []
-    for no, ln in lines[1:]:
+    for no, ln in lines:
         if ln.startswith("# union="):
             try:
-                space, _ = _parse_union_spec(ln[len("# union="):])
-            except (ValueError, IndexError) as exc:
-                fail(no, f"bad union spec: {exc}")
+                union, _ = _parse_union_spec(ln[len("# union="):])
+            except ValueError as exc:
+                textio.fail(path, no, f"bad union spec: {exc}")
+            if _space_token(union) != _space_token(space):
+                textio.fail(path, no, f"union spec gives input={_space_token(union)}"
+                                      f", the header input={fields['input']}")
+            space = union
         elif not ln.startswith("#"):
             rows.append((no, ln))
 
@@ -506,7 +488,7 @@ def load_dataset_csv(path) -> Dataset:
     cells = [ln.split(",") for _, ln in rows]
     for (no, _), row in zip(rows, cells):
         if len(row) != width:
-            fail(no, f"expected {width} columns, got {len(row)}")
+            textio.fail(path, no, f"expected {width} columns, got {len(row)}")
     inputs = (np.empty(len(rows), dtype=np.int64) if discrete
               else np.empty((len(rows), space.dim)))
     labels = np.empty(len(rows), dtype=np.int64)
@@ -515,7 +497,7 @@ def load_dataset_csv(path) -> Dataset:
             labels[i] = int(row[-1])
             inputs[i] = int(row[0]) if discrete else [float(v) for v in row[:-1]]
         except (ValueError, OverflowError) as exc:
-            fail(no, exc)
+            textio.fail(path, no, exc)
     if discrete:
         bad = (inputs < 0) | (inputs >= space.size)
         what = f"discrete input outside 0..{space.size - 1}"
@@ -525,8 +507,6 @@ def load_dataset_csv(path) -> Dataset:
     for mask, message in ((bad, what), ((labels < 0) | (labels >= k),
                                         f"label outside 0..{k - 1}")):
         if mask.any():
-            fail(rows[int(np.argmax(mask))][0], message)
-    try:
+            textio.fail(path, rows[int(np.argmax(mask))][0], message)
+    with textio.at(path, head):
         return Dataset(inputs=inputs, labels=labels, num_labels=k, space=space)
-    except ValueError as exc:
-        fail(head, exc)

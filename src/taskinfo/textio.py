@@ -1,0 +1,98 @@
+"""The envelope every taskinfo text file shares, read and written here.
+
+Datasets, families, checkpoints, loss traces, statistic grids and the CLI's
+outputs are UTF-8 text; each format's loader and writer keep only their rows.
+
+- Header: the first non-blank line is ``# taskinfo-<kind> v1``, alone or
+  followed by ``, `` and the format's own header fields (``header``).
+- Lines: ``str.splitlines()`` splits the text, so ``\\r``, ``\\x0c``,
+  ``\\x1c``, ``\\x85`` and the other Unicode line breaks end a line as
+  ``\\n`` does. Lines are numbered from 1 in that split, and a writer
+  refuses a value that it would break (``annealing.save_grid``).
+- Blank lines are skipped anywhere. After the header, a line that starts
+  with ``#`` is a comment: ``read`` keeps it for a format that reads one
+  (the dataset's ``# union=``), and the formats skip the rest.
+- Errors: a malformed line raises ``ValueError("path:line: message")``
+  (``fail``); a fault of the whole file names the path alone.
+- Writes: lines are joined by ``\\n`` with one after the last (``join``).
+  ``write`` puts the text in a new ``.taskinfo-*`` file beside the target
+  and renames it over the target, so the target holds its old bytes or all
+  of the new ones, and a failed write leaves no temporary file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import secrets
+from typing import NoReturn
+
+__all__ = ["header", "read", "fields", "fail", "at", "join", "write"]
+
+
+def header(kind: str, *fields: str) -> str:
+    """The header line of a taskinfo-<kind> file, with its own fields."""
+    return ", ".join((f"# taskinfo-{kind} v1", *fields))
+
+
+def fail(path, no: int, message) -> NoReturn:
+    """Raise the loader error ValueError("path:no: message")."""
+    raise ValueError(f"{path}:{no}: {message}") from None
+
+
+@contextlib.contextmanager
+def at(path, no: int):
+    """Raise a ValueError, IndexError or OverflowError of the block as
+    fail(path, no, error): the parse of line ``no`` failed."""
+    try:
+        yield
+    except (ValueError, IndexError, OverflowError) as exc:
+        fail(path, no, exc)
+
+
+def read(path, kind: str) -> tuple[int, str, list[tuple[int, str]]]:
+    """(header line number, header, [(line number, line), ...]) of a
+    ``taskinfo-<kind> v1`` file; the rows are its non-blank lines after the
+    header, comments included."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    tag = header(kind)
+    if not lines or not (lines[0][1] == tag or lines[0][1].startswith(tag + ", ")):
+        fail(path, lines[0][0] if lines else 1,
+             f"expected a '{tag}' header; not a taskinfo-{kind} v1 file")
+    return lines[0][0], lines[0][1], lines[1:]
+
+
+def fields(path, rows) -> dict[str, tuple[int, str]]:
+    """key -> (line number, value) of the ``key=value`` rows, comments left
+    out; a key given twice fails on its second line."""
+    out: dict[str, tuple[int, str]] = {}
+    for no, ln in rows:
+        if ln.startswith("#"):
+            continue
+        key, _, value = ln.partition("=")
+        if key in out:
+            fail(path, no, f"repeats {key}= of line {out[key][0]}")
+        out[key] = (no, value)
+    return out
+
+
+def join(lines) -> str:
+    """File text: the lines joined by newlines, with a final newline."""
+    return "\n".join(lines) + "\n"
+
+
+def write(path, text: str) -> None:
+    """Write text to path atomically: a new ``.taskinfo-*`` file beside it,
+    made as open() makes one (mode 0o666 less the umask), then os.replace."""
+    tmp = os.path.join(os.path.dirname(path), f".taskinfo-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

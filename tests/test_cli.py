@@ -51,11 +51,50 @@ def test_gen_task_union_keeps_structure(tmp_path):
     assert left.n == 4 and right.num_labels == 3
 
 
-def test_gen_task_byte_identical_rerun(tmp_path):
-    cfg = {"version": 1, "seed": 1, "task": RANDOM_TASK}
-    _, out1 = run_cli(tmp_path, "gen-task", cfg, out="o1")
-    _, out2 = run_cli(tmp_path, "gen-task", cfg, out="o2")
-    assert read(out1 / "task.csv") == read(out2 / "task.csv")
+def _planted(rule, seed):
+    return {"type": "as_real", "base": {
+        "type": "planted", "n": 40, "k": 2, "domain_size": 64,
+        "rule": rule, "noise": 0.1, "seed": seed}}
+
+
+# (command, config, extra flags of the second run): one small config per
+# command; distance-matrix reruns with --jobs 2, which must change nothing
+RERUNS = {
+    "gen-task": ({"version": 1, "seed": 1, "task": RANDOM_TASK}, ()),
+    "structure-fn": ({"version": 1, "seed": 3, "engine": "oracle",
+                      "task": RANDOM_TASK,
+                      "oracle": {"t_grid": [5.0, 10.0, 20.0]}}, ()),
+    "beta-sweep": ({"version": 1, "seed": 2, "engine": "oracle",
+                    "tasks": [{"name": "rand", "task": RANDOM_TASK}],
+                    "betas": [0.5, 1.0, 2.0]}, ()),
+    "distance-matrix": ({"version": 1, "seed": 1, "beta": 0.5,
+                         "tasks": [{"name": "a", "task": _planted("bit0", 4)},
+                                   {"name": "b", "task": _planted("bit3", 5)}],
+                         "arch_hidden": [], "prior_scale": 1.0, "replicates": 2,
+                         "opt": {"steps": 60, "learning_rate": 1.0,
+                                 "mc_samples": 2, "report_mc": 32}},
+                        ("--jobs", "2")),
+    "pac-bayes": ({"version": 1, "seed": 0, "mode": "bound",
+                   "train_loss_total": 3.0, "kl": 2.0, "n": 50, "beta": 1.0,
+                   "delta": 0.1}, ()),
+    "anneal": ({"version": 1, "seed": 0,
+                "grid": {"losses": [10.0, 4.0, 0.0], "kls": [0.0, 2.0, 8.0],
+                         "metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+                "schedule": {"betas": [10.0, 2.0, 0.25], "epsilon": 1.0},
+                "start": 0}, ()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUNS))
+def test_cli_rerun_is_byte_identical(tmp_path, command):
+    cfg, extra = RERUNS[command]
+    code1, out1 = run_cli(tmp_path, command, cfg, out="o1")
+    code2, out2 = run_cli(tmp_path, command, cfg, out="o2", extra=extra)
+    assert code1 == code2 == 0
+    files = sorted(p.name for p in out1.iterdir())
+    assert files and files == sorted(p.name for p in out2.iterdir())
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_seed_override_changes_hash_and_data(tmp_path):
@@ -92,15 +131,6 @@ def test_structure_fn_oracle_memorization_law(tmp_path):
             seen += 1
     assert seen >= 5
     assert (out / "structure_fn.svg").exists()
-
-
-def test_structure_fn_rerun_byte_identical(tmp_path):
-    cfg = {"version": 1, "seed": 3, "engine": "oracle", "task": RANDOM_TASK,
-           "oracle": {"t_grid": [5.0, 10.0, 20.0]}}
-    _, out1 = run_cli(tmp_path, "structure-fn", cfg, out="o1")
-    _, out2 = run_cli(tmp_path, "structure-fn", cfg, out="o2")
-    assert read(out1 / "structure_fn.csv") == read(out2 / "structure_fn.csv")
-    assert read(out1 / "structure_fn.svg") == read(out2 / "structure_fn.svg")
 
 
 def test_structure_fn_empty_grid_is_config_error(tmp_path, capsys):
@@ -334,27 +364,6 @@ def test_distance_matrix_duplicate_tasks(tmp_path):
     taus = np.array(sidecar["tau"], dtype=float)
     assert (values <= taus + 1e-9).all()   # identical tasks: all entries ~ 0
     assert (out / "distance_matrix.svg").exists()
-
-
-def test_distance_matrix_parallel_matches_serial(tmp_path):
-    task_a = {"type": "as_real", "base": {
-        "type": "planted", "n": 40, "k": 2, "domain_size": 64,
-        "rule": "bit0", "noise": 0.1, "seed": 4}}
-    task_b = {"type": "as_real", "base": {
-        "type": "planted", "n": 40, "k": 2, "domain_size": 64,
-        "rule": "bit3", "noise": 0.1, "seed": 5}}
-    cfg = {
-        "version": 1, "seed": 1, "beta": 0.5,
-        "tasks": [{"name": "a", "task": task_a}, {"name": "b", "task": task_b}],
-        "arch_hidden": [], "prior_scale": 1.0, "replicates": 2,
-        "opt": {"steps": 60, "learning_rate": 1.0, "mc_samples": 2,
-                "report_mc": 32},
-    }
-    _, out1 = run_cli(tmp_path, "distance-matrix", cfg, out="serial")
-    _, out2 = run_cli(tmp_path, "distance-matrix", cfg, out="parallel",
-                      extra=["--jobs", "2"])
-    assert read(out1 / "distance_matrix.csv") == \
-        read(out2 / "distance_matrix.csv")
 
 
 def test_output_headers_carry_hash_and_version(tmp_path):

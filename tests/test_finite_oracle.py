@@ -664,7 +664,10 @@ def test_family_load_bad_values_name_file_and_line(tmp_path, fam8):
     good = path.read_text()
     for old, new, line in (("labels=2", "labels=two", 3),
                            ("noise_grid=0.05", "noise_grid=1.05", 4),
-                           ("\t0\t", "\tzero\t", 7)):
+                           ("\t0\t", "\tzero\t", 7),
+                           ("space=discrete:8",
+                            "space=(discrete:2,K=2|real:2,K=2)", 2),
+                           ("labels=2", "labels=2\nlabels=2", 4)):
         path.write_text(good.replace(old, new, 1))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "):
             load_family(path)

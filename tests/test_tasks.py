@@ -285,6 +285,13 @@ _HEADER = "# taskinfo-dataset v1, K=2, input=discrete:4"
     ("# taskinfo-dataset v1, K=2, input=real:2\n0.5,1\n", 2, "expected 3 columns"),
     ("# taskinfo-dataset v1, K=2, input=real:2\n0.5,nan,1\n", 2, "not finite"),
     (_HEADER + "\n# union=(discrete:2,K=2\n0,1\n", 2, "bad union spec"),
+    (_HEADER + "\n# union=(discrete:2,K=2|real:2,K=2)\n0,1\n", 2,
+     "shared input kind"),
+    pytest.param(_HEADER + "\n# union=" + "(" * 2000 + "discrete:1"
+                 + ",K=2|discrete:1,K=2)" * 2000 + "\n0,1\n", 2,
+                 "nested deeper", id="union-nested-2000-deep"),
+    (_HEADER + "\n# union=(discrete:8,K=2|discrete:8,K=2)\n15,1\n", 2,
+     "input=discrete:16, the header input=discrete:4"),
 ])
 def test_dataset_load_errors_name_file_and_line(tmp_path, text, line, message):
     path = tmp_path / "bad.csv"
