@@ -20,16 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .models import Architecture, TrainingDiverged
-from .rng import _normal_into
 from .tasks import Dataset
 from .variational import (
     GaussianPosterior,
     IsotropicPrior,
     MlpLossModel,
     VariationalConfig,
+    _mc_losses,
     _optimize_many,
 )
 
@@ -77,9 +75,7 @@ def clipped_expected_loss(q: GaussianPosterior, d: Dataset, mc: int,
     if d.n == 0:
         return 0.0
     lmax = math.log(d.num_labels)
-    eps = _normal_into(np.empty((mc, q.k)), seed, "clipped-loss")
-    totals, _ = MlpLossModel(q.arch, d).loss_and_grad(
-        q.mean + q.sigma * eps, grad=False, clip=lmax)
+    totals = _mc_losses(MlpLossModel(q.arch, d), q, mc, seed, "clipped-loss", lmax)
     return float((totals / lmax).mean())
 
 

@@ -4,16 +4,15 @@ Commands (all driven by a versioned JSON config):
 
     taskinfo structure-fn     --config cfg.json --out dir
     taskinfo beta-sweep       --config cfg.json --out dir
-    taskinfo distance-matrix  --config cfg.json --out dir [--jobs N]
+    taskinfo distance-matrix  --config cfg.json --out dir
     taskinfo pac-bayes        --config cfg.json --out dir
     taskinfo anneal           --config cfg.json --out dir
     taskinfo gen-task         --config cfg.json --out dir
 
-Common flags: --seed-override replaces the config's top-level seed; --jobs
-is accepted and ignored, since distance-matrix fits every statistic once in
-one lockstep batch and starts no worker processes. Every output embeds the
-effective config hash and tool version in a comment header; writes are
-atomic (temp file + rename) and nothing is written if the run fails.
+Common flag: --seed-override replaces the config's top-level seed. Every
+output embeds the effective config hash and tool version in a comment
+header; writes are atomic (temp file + rename) and nothing is written if
+the run fails.
 Unknown config keys are rejected, and all randomness flows from explicit
 config seeds through named counter-based (Philox) streams.
 """
@@ -164,6 +163,25 @@ def _arch(hidden, input_dim: int, k: int) -> Architecture:
     return Architecture((input_dim, *[int(h) for h in hidden], k))
 
 
+def _named_tasks(cfg) -> list:
+    """(name, task) for every entry of the config's ``tasks`` list."""
+    named = []
+    for i, entry in enumerate(cfg["tasks"]):
+        _check_keys(entry, f"tasks[{i}]", ("name", "task"))
+        named.append((entry["name"], build_task(entry["task"], f"tasks[{i}].task")))
+    return named
+
+
+def _variational_sweep(d, betas, vcfg, seed: int) -> vi.SweepResult:
+    """structure_sweep of d as real vectors under the ``variational``
+    config's architecture, prior and optimizer."""
+    dd = tasks_mod.as_real_vectors(d)
+    arch = _arch(vcfg["arch_hidden"], dd.space.dim, dd.num_labels)
+    return vi.structure_sweep(
+        dd, arch, betas, vi.IsotropicPrior(float(vcfg["prior_scale"])),
+        _variational_config(vcfg.get("opt", {}), "variational.opt"), seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # Commands: each returns {filename: content}; caller writes atomically.
 
@@ -216,12 +234,7 @@ def cmd_structure_fn(cfg, hash_) -> dict:
         betas = [float(b) for b in vcfg["betas"]]
         if not betas:
             raise ConfigError("variational.betas: must be nonempty")
-        dd = tasks_mod.as_real_vectors(d)
-        arch = _arch(vcfg["arch_hidden"], dd.space.dim, dd.num_labels)
-        sweep = vi.structure_sweep(
-            dd, arch, betas, vi.IsotropicPrior(float(vcfg["prior_scale"])),
-            _variational_config(vcfg.get("opt", {}), "variational.opt"),
-            seed=int(cfg["seed"]))
+        sweep = _variational_sweep(d, betas, vcfg, int(cfg["seed"]))
         pts = []
         for kl, loss in sweep.tradeoff_points():
             if not pts or kl > pts[-1][0]:     # Curve wants strict increase
@@ -253,22 +266,14 @@ def cmd_beta_sweep(cfg, hash_) -> dict:
     betas = [float(b) for b in cfg["betas"]]
     if not betas:
         raise ConfigError("betas: must be nonempty")
-    named = []
-    for i, entry in enumerate(cfg["tasks"]):
-        _check_keys(entry, f"tasks[{i}]", ("name", "task"))
-        named.append((entry["name"], build_task(entry["task"], f"tasks[{i}].task")))
+    named = _named_tasks(cfg)
     rows = []
     series = []
     if cfg["engine"] == "variational":
         vcfg = cfg.get("variational", {})
         _check_keys(vcfg, "variational", ("arch_hidden", "prior_scale"), ("opt",))
         for name, d in named:
-            dd = tasks_mod.as_real_vectors(d)
-            arch = _arch(vcfg["arch_hidden"], dd.space.dim, dd.num_labels)
-            sweep = vi.structure_sweep(
-                dd, arch, betas, vi.IsotropicPrior(float(vcfg["prior_scale"])),
-                _variational_config(vcfg.get("opt", {}), "variational.opt"),
-                seed=int(cfg["seed"]))
+            sweep = _variational_sweep(d, betas, vcfg, int(cfg["seed"]))
             for b, lo, kl in zip(sweep.betas, sweep.losses, sweep.kls):
                 rows.append((name, b, lo, lo / max(d.n, 1), kl))
             series.append((name, list(sweep.betas),
@@ -304,12 +309,7 @@ def cmd_distance_matrix(cfg, hash_) -> dict:
                 ("version", "seed", "beta", "tasks", "arch_hidden",
                  "prior_scale"),
                 ("replicates", "opt", "lagrangian_slack", "tau_fraction"))
-    named = []
-    for i, entry in enumerate(cfg["tasks"]):
-        _check_keys(entry, f"tasks[{i}]", ("name", "task"))
-        named.append((entry["name"],
-                      tasks_mod.as_real_vectors(
-                          build_task(entry["task"], f"tasks[{i}].task"))))
+    named = [(name, tasks_mod.as_real_vectors(d)) for name, d in _named_tasks(cfg)]
     if len(named) < 2:
         raise ConfigError("tasks: distance matrix needs at least two tasks")
     dims = {d.space.dim for _, d in named}
@@ -448,8 +448,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed-override", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1, help="ignored; "
-                       "distance-matrix starts no worker processes")
     args = parser.parse_args(argv)
 
     try:

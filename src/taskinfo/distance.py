@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -226,15 +226,8 @@ def finetune_correlate(d1: Dataset, d2: Dataset, arch: Architecture,
                                      cfg.split_seed)
     pre = sgd_train(d1, arch, cfg.pretrain, init=cfg.init_seed)
     fine = sgd_train(d2_train, arch, cfg.finetune, init=pre.params)
-    scratch_cfg = SgdConfig(
-        learning_rate=cfg.pretrain.learning_rate,
-        batch_size=cfg.pretrain.batch_size,
-        epochs=cfg.pretrain.epochs + cfg.finetune.epochs,
-        weight_decay=cfg.pretrain.weight_decay,
-        decay_epochs=cfg.pretrain.decay_epochs,
-        decay_factor=cfg.pretrain.decay_factor,
-        seed=cfg.pretrain.seed,
-    )
+    scratch_cfg = replace(
+        cfg.pretrain, epochs=cfg.pretrain.epochs + cfg.finetune.epochs)
     scratch = sgd_train(d2_train, arch, scratch_cfg, init=cfg.init_seed)
     n = max(d2_test.n, 1)
     return (dataset_loss(fine.params, d2_test) / n,

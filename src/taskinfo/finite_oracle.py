@@ -37,7 +37,6 @@ saturating sentinel INF_NATS, larger than any finite family value.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -198,182 +197,6 @@ def _dense_group_loss(tables: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.einsum("gk,rgk->rg", counts, nl)
 
 
-@dataclass
-class _Rules:
-    """The rules over one space, in enumeration order.
-
-    A flat block (and a custom family) stores its ``tables`` (R, space.size,
-    K) and its ``listed`` names. A union stores neither. Its first rules are
-    its ``flat`` block; the rest are pair rules, and row i of ``kid_idx``
-    (R - len(flat), 2) gives pair rule len(flat) + i's left child as a rule
-    of ``parts[0]``, the left part's family, and its right child as a rule
-    of ``parts[1]`` (a back-referenced child lies in the right part's space,
-    so it has the same enumeration there). The pair rules come fresh
-    (every left child with every right child), then ``n_same`` pair(a|=),
-    then the back-references, ``back_w`` naming which child of the left
-    pair each one points at. The left child fills rows [0, mmax), the right
-    child rows [mmax, 2 mmax), mmax = space.size // 2; rows past a child's
-    own space are uniform. Every table-valued query is answered from the
-    children.
-    """
-
-    space: DiscreteSpace
-    k: int
-    costs: np.ndarray                 # (R,)
-    tables: np.ndarray | None = None  # (R, space.size, K), flat rules only
-    listed: list[str] | None = None   # names, flat rules only
-    flat: "_Rules | None" = None
-    parts: tuple = ()
-    kid_idx: np.ndarray | None = None
-    n_same: int = 0
-    back_w: np.ndarray | None = None
-    pair_costs: tuple = ()            # (distinct pair costs, each pair's index)
-
-    def __len__(self) -> int:
-        return len(self.costs)
-
-    @functools.cached_property
-    def names(self) -> list[str]:
-        """Every rule's name; a union's list is built on first read."""
-        if self.kid_idx is None:
-            return self.listed
-        return [self.name(i) for i in range(len(self))]
-
-    def name(self, i: int) -> str:
-        """names[i], built alone."""
-        if self.kid_idx is None:
-            return self.listed[i]
-        if i < len(self.flat):
-            return f"flat[{self.flat.name(i)}]"
-        left, right = self.parts
-        a, b = self.kid_idx[i - len(self.flat)].tolist()
-        back = i - len(self.flat) - len(left) * len(right) - self.n_same
-        tail = (right.name(b) if back < -self.n_same else "=" if back < 0
-                else f"<{self.back_w[back]}]")
-        return f"pair({left.name(a)}|{tail})"
-
-    def cells(self, rules: np.ndarray, xs: np.ndarray, ys: np.ndarray
-              ) -> np.ndarray:
-        """(len(rules), len(xs)) table values p(ys[j] | xs[j]) of each rule."""
-        if self.tables is not None:
-            return self.tables[rules[:, None], xs, ys]
-        out = np.empty((len(rules), len(xs)))
-        flat = rules < len(self.flat)
-        out[flat] = self.flat.cells(rules[flat], xs, ys)
-        pair = np.flatnonzero(~flat)
-        kids = self.kid_idx[rules[pair] - len(self.flat)]
-        mmax = self.space.size // 2
-        for side, child in enumerate(self.parts):
-            at = np.flatnonzero((xs >= mmax) == bool(side))
-            local = xs[at] - side * mmax
-            inside = local < child.space.size
-            out[np.ix_(pair, at[~inside])] = 1.0 / self.k
-            out[np.ix_(pair, at[inside])] = child.cells(
-                kids[:, side], local[inside], ys[at[inside]])
-        return out
-
-    def group_loss(self, xs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """(R, g) losses of every rule on the groups with sorted distinct
-        inputs ``xs`` and label counts ``counts`` (g, K): the values of
-        `_dense_group_loss` over the full tables, bit for bit."""
-        if self.tables is not None:
-            return _dense_group_loss(self.tables[:, xs, :], counts)
-        return self.group_rows(self.group_parts(xs, counts), np.arange(len(self)))
-
-    def group_parts(self, xs: np.ndarray, counts: np.ndarray) -> tuple:
-        """(flat, sides): what `group_rows` reads for the groups (xs, counts).
-
-        ``flat`` holds the group losses of the rules with tables: the flat
-        block of a union, every rule otherwise. A union evaluates each
-        part's family once on its half of the groups: ``sides`` holds, per
-        part, (the columns of that half, the part's group losses there).
-        """
-        if self.tables is not None:
-            return self.group_loss(xs, counts), ()
-        mmax = self.space.size // 2
-        split = int(np.searchsorted(xs, mmax))
-        halves = (slice(0, split), slice(split, None))
-        return self.flat.group_loss(xs, counts), tuple(
-            (cols, child._padded_group_loss(xs[cols] - side * mmax, counts[cols],
-                                            self.k))
-            for side, (child, cols) in enumerate(zip(self.parts, halves)))
-
-    def group_rows(self, parts: tuple, rules: np.ndarray) -> np.ndarray:
-        """Rows ``rules`` of `group_loss`, from `group_parts`: a pair rule's
-        row is gathered from its children's rows by child index."""
-        flat_loss, sides = parts
-        if not sides:
-            return flat_loss[rules]
-        nf = len(flat_loss)
-        out = np.empty((len(rules), flat_loss.shape[1]))
-        flat = rules < nf
-        out[flat] = flat_loss[rules[flat]]
-        pair = np.flatnonzero(~flat)
-        for lo in range(0, len(pair), _ROWS):
-            at = pair[lo:lo + _ROWS]
-            kids = self.kid_idx[rules[at] - nf]
-            for side, (cols, loss) in enumerate(sides):
-                out[at, cols] = loss[kids[:, side]]
-        return out
-
-    def _padded_group_loss(self, xs, counts, k) -> np.ndarray:
-        """group_loss where inputs past this space read the uniform row."""
-        inside = int(np.searchsorted(xs, self.space.size))
-        out = np.empty((len(self), len(xs)))
-        out[:, :inside] = self.group_loss(xs[:inside], counts[:inside])
-        out[:, inside:] = _dense_group_loss(
-            np.full((1, len(xs) - inside, k), 1.0 / k), counts[inside:])
-        return out
-
-    def peak(self) -> float:
-        """Largest table value of any rule (a union's padding is 1/K)."""
-        if self.tables is not None:
-            return float(self.tables.max(initial=0.0))
-        return max(self.flat.peak(), *(child.peak() for child in self.parts))
-
-    def kraft(self) -> tuple[float, float]:
-        """(sum of exp(-cost), a bound on its relative float error). A union's
-        fresh pairs cost PAIR_FLAG + PAIR_KIND plus their children's costs, so
-        their block is a product of the parts' sums, whose bound adds the
-        parts' bounds, the roundings of exp, of two products and of each
-        fresh cost's two additions (each within u of the largest cost)."""
-        if self.kid_idx is None:
-            return _exp_fsum(self.costs), 3 * _U
-        (left, (kl, el)), (right, (kr, er)) = ((p, p.kraft()) for p in self.parts)
-        base = PAIR_FLAG + PAIR_KIND
-        n = len(self.flat)
-        rest = np.delete(self.costs, slice(n, n + len(left) * len(right)))
-        err = el + er + (4 + 2 * (base + left.costs.max() + right.costs.max())) * _U
-        return (math.fsum([_exp_fsum(rest), math.exp(-base) * kl * kr]),
-                max(3 * _U, err) + _U)
-
-    def facts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(is_constant, is_deterministic, first row (R, K)) of every rule."""
-        if self.tables is not None:
-            t = self.tables
-            return ((t == t[:, :1, :]).all(axis=(1, 2)),
-                    ((t == 0.0) | (t == 1.0)).all(axis=(1, 2)), t[:, 0, :])
-        const, det, row = self.flat.facts()
-        sides = []
-        for child in self.parts:
-            c, d, r = child.facts()
-            if child.space.size < self.space.size // 2:   # uniform padding
-                c = c & (r == 1.0 / self.k).all(axis=1)
-                d = np.zeros_like(d)
-            sides.append((c, d, r))
-        (c0, d0, r0), (c1, d1, r1) = sides
-        # the fresh pairs, every left child with every right child, come as
-        # outer products of their children's facts; the rest by child index
-        ia, ib = np.flatnonzero(c0), np.flatnonzero(c1)
-        fresh_c = np.zeros((len(c0), len(c1)), dtype=bool)
-        fresh_c[np.ix_(ia, ib)] = (r0[ia, None, :] == r1[ib]).all(axis=2)
-        a, b = self.kid_idx[len(c0) * len(c1):].T
-        return (np.concatenate([const, fresh_c.ravel(),
-                                c0[a] & c1[b] & (r0[a] == r1[b]).all(axis=1)]),
-                np.concatenate([det, (d0[:, None] & d1).ravel(), d0[a] & d1[b]]),
-                np.concatenate([row, r0.repeat(len(c1), axis=0), r0[a]]))
-
-
 class HypothesisFamily:
     """Enumerable hypothesis family over a discrete input space.
 
@@ -381,37 +204,65 @@ class HypothesisFamily:
     module docstring) or :meth:`from_rules` (explicit custom rules). The
     family exposes ``costs`` (R,), ``names``, ``is_constant`` and
     ``is_deterministic``; list position is the enumeration order used for
-    tie-breaking. A union family from :meth:`for_space` is factored: it
-    keeps each pair rule as its two children and never stores the stacked
-    (R, M, K) ``tables``, which are built from the children on first read.
+    tie-breaking.
+
+    A flat family (and a custom one) stores its ``tables`` (R, space.size,
+    K) and ``names``. A union from :meth:`for_space` is factored and stores
+    neither; both are built from its children on first read. Its first
+    rules are its ``_flat`` block; the rest are pair rules, and row i of
+    ``_kids`` (R - len(_flat), 2) gives pair rule len(_flat) + i's left
+    child as a rule of ``_parts[0]``, the left part's family, and its right
+    child as a rule of ``_parts[1]`` (a back-referenced child lies in the
+    right part's space, so it has the same enumeration there). The pair
+    rules come fresh (every left child with every right child), then
+    ``_n_same`` pair(a|=), then the back-references, ``_back_w`` naming
+    which child of the left pair each one points at; ``_pair_costs`` holds
+    the distinct pair costs and each pair's index into them. The left child
+    fills rows [0, mmax), the right child rows [mmax, 2 mmax), mmax =
+    space.size // 2; rows past a child's own space are uniform. Every
+    table-valued query is answered from the children.
     """
 
     MAX_RULES = 400_000
 
-    def __init__(self, rules: _Rules, noise_grid: tuple[float, ...],
-                 custom: bool = False):
-        if not len(rules):
-            raise NoHypothesisError("no hypothesis: family is empty")
-        self.space = rules.space
-        self.num_labels = rules.k
-        self.noise_grid = tuple(noise_grid)
-        self.custom = custom
-        self._rules = rules
-        self.costs = rules.costs
-        self.is_constant, self.is_deterministic, _ = rules.facts()
-        kraft, rel = rules.kraft()    # kraft_sum() decides where the bound spans 1
+    def __init__(self, space: DiscreteSpace, num_labels: int, costs: np.ndarray,
+                 tables: np.ndarray | None = None, names: list | None = None, *,
+                 noise_grid=(), custom=False, flat=None, parts=(), kids=None,
+                 n_same=0, back_w=None, pair_costs=()):
+        self.space, self.num_labels, self.costs = space, num_labels, costs
+        self.noise_grid, self.custom = tuple(noise_grid), custom
+        if tables is not None:
+            tables.flags.writeable = False
+            self.tables, self.names = tables, names
+        self._flat, self._parts, self._kids = flat, parts, kids
+        self._n_same, self._back_w, self._pair_costs = n_same, back_w, pair_costs
+
+    def _checked(self) -> "HypothesisFamily":
+        """Set the rule facts and check the Kraft budget: once, for the
+        family a caller builds, not for its flat block or parts."""
+        self.is_constant, self.is_deterministic, _ = self._facts()
+        kraft, rel = self._kraft()    # kraft_sum() decides where the bound spans 1
         if (kraft * (1.0 + 2 * (rel + 3 * _U)) > 1.0 + 1e-9
                 and self.kraft_sum() > 1.0 + 1e-9):
             raise ValueError(
                 f"family violates the Kraft budget: {self.kraft_sum():.6f} > 1")
+        return self
 
     def __len__(self) -> int:
         return len(self.costs)
 
-    @property
+    @functools.cached_property
     def names(self) -> list[str]:
         """Rule names in enumeration order; a union's are built on first read."""
-        return self._rules.names
+        return [self._name(i) for i in range(len(self))]
+
+    @functools.cached_property
+    def tables(self) -> np.ndarray:
+        """Stacked (R, M, K) tables, read-only; a union's are built on first
+        read."""
+        tables = self._tables_of(np.arange(len(self)))
+        tables.flags.writeable = False
+        return tables
 
     def kraft_sum(self) -> float:
         """sum of exp(-cost), rule by rule."""
@@ -420,16 +271,9 @@ class HypothesisFamily:
     def _tables_of(self, rules) -> np.ndarray:
         """(len(rules), M, K) tables of the given rules, fresh arrays."""
         m, k = self.space.size, self.num_labels
-        return self._rules.cells(np.asarray(rules, dtype=np.int64),
-                                 np.repeat(np.arange(m), k),
-                                 np.tile(np.arange(k), m)).reshape(-1, m, k)
-
-    @functools.cached_property
-    def tables(self) -> np.ndarray:
-        """Stacked (R, M, K) tables, read-only, built on first read."""
-        tables = self._tables_of(np.arange(len(self)))
-        tables.flags.writeable = False
-        return tables
+        return self._cells(np.asarray(rules, dtype=np.int64),
+                           np.repeat(np.arange(m), k),
+                           np.tile(np.arange(k), m)).reshape(-1, m, k)
 
     def hypothesis(self, index_or_name) -> Hypothesis:
         """Base rule as a standalone Hypothesis (intrinsic code length)."""
@@ -442,10 +286,146 @@ class HypothesisFamily:
             i = int(index_or_name)
         return Hypothesis(table=self._tables_of([i])[0],
                           code_length=float(self.costs[i]),
-                          name=self._rules.name(i), rule_index=i)
+                          name=self._name(i), rule_index=i)
 
     def hypotheses(self) -> list[Hypothesis]:
         return [self.hypothesis(i) for i in range(len(self))]
+
+    # -- the rule store -----------------------------------------------------
+
+    def _name(self, i: int) -> str:
+        """names[i], built alone."""
+        if self._kids is None:
+            return self.names[i]
+        if i < len(self._flat):
+            return f"flat[{self._flat._name(i)}]"
+        left, right = self._parts
+        a, b = self._kids[i - len(self._flat)].tolist()
+        back = i - len(self._flat) - len(left) * len(right) - self._n_same
+        tail = (right._name(b) if back < -self._n_same else "=" if back < 0
+                else f"<{self._back_w[back]}]")
+        return f"pair({left._name(a)}|{tail})"
+
+    def _cells(self, rules: np.ndarray, xs: np.ndarray, ys: np.ndarray
+               ) -> np.ndarray:
+        """(len(rules), len(xs)) table values p(ys[j] | xs[j]) of each rule."""
+        if self._kids is None:
+            return self.tables[rules[:, None], xs, ys]
+        out = np.empty((len(rules), len(xs)))
+        flat = rules < len(self._flat)
+        out[flat] = self._flat._cells(rules[flat], xs, ys)
+        pair = np.flatnonzero(~flat)
+        kids = self._kids[rules[pair] - len(self._flat)]
+        mmax = self.space.size // 2
+        for side, child in enumerate(self._parts):
+            at = np.flatnonzero((xs >= mmax) == bool(side))
+            local = xs[at] - side * mmax
+            inside = local < child.space.size
+            out[np.ix_(pair, at[~inside])] = 1.0 / self.num_labels
+            out[np.ix_(pair, at[inside])] = child._cells(
+                kids[:, side], local[inside], ys[at[inside]])
+        return out
+
+    def _group_loss(self, xs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """(R, g) losses of every rule on the groups with sorted distinct
+        inputs ``xs`` and label counts ``counts`` (g, K): the values of
+        `_dense_group_loss` over the full tables, bit for bit."""
+        if self._kids is None:
+            return _dense_group_loss(self.tables[:, xs, :], counts)
+        return self._group_rows(self._group_parts(xs, counts), np.arange(len(self)))
+
+    def _group_parts(self, xs: np.ndarray, counts: np.ndarray) -> tuple:
+        """(flat, sides): what `_group_rows` reads for the groups (xs, counts).
+
+        ``flat`` holds the group losses of the rules with tables: the flat
+        block of a union, every rule otherwise. A union evaluates each
+        part's family once on its half of the groups: ``sides`` holds, per
+        part, (the columns of that half, the part's group losses there).
+        """
+        if self._kids is None:
+            return self._group_loss(xs, counts), ()
+        mmax = self.space.size // 2
+        split = int(np.searchsorted(xs, mmax))
+        halves = (slice(0, split), slice(split, None))
+        return self._flat._group_loss(xs, counts), tuple(
+            (cols, child._padded_group_loss(xs[cols] - side * mmax, counts[cols]))
+            for side, (child, cols) in enumerate(zip(self._parts, halves)))
+
+    def _group_rows(self, parts: tuple, rules: np.ndarray) -> np.ndarray:
+        """Rows ``rules`` of `_group_loss`, from `_group_parts`: a pair rule's
+        row is gathered from its children's rows by child index."""
+        flat_loss, sides = parts
+        if not sides:
+            return flat_loss[rules]
+        nf = len(flat_loss)
+        out = np.empty((len(rules), flat_loss.shape[1]))
+        flat = rules < nf
+        out[flat] = flat_loss[rules[flat]]
+        pair = np.flatnonzero(~flat)
+        for lo in range(0, len(pair), _ROWS):
+            at = pair[lo:lo + _ROWS]
+            kids = self._kids[rules[at] - nf]
+            for side, (cols, loss) in enumerate(sides):
+                out[at, cols] = loss[kids[:, side]]
+        return out
+
+    def _padded_group_loss(self, xs, counts) -> np.ndarray:
+        """_group_loss where inputs past this space read the uniform row."""
+        inside = int(np.searchsorted(xs, self.space.size))
+        k = self.num_labels
+        out = np.empty((len(self), len(xs)))
+        out[:, :inside] = self._group_loss(xs[:inside], counts[:inside])
+        out[:, inside:] = _dense_group_loss(
+            np.full((1, len(xs) - inside, k), 1.0 / k), counts[inside:])
+        return out
+
+    def _peak(self) -> float:
+        """Largest table value of any rule (a union's padding is 1/K)."""
+        if self._kids is None:
+            return float(self.tables.max(initial=0.0))
+        return max(self._flat._peak(), *(child._peak() for child in self._parts))
+
+    def _kraft(self) -> tuple[float, float]:
+        """(sum of exp(-cost), a bound on its relative float error). A union's
+        fresh pairs cost PAIR_FLAG + PAIR_KIND plus their children's costs, so
+        their block is a product of the parts' sums, whose bound adds the
+        parts' bounds, the roundings of exp, of two products and of each
+        fresh cost's two additions (each within u of the largest cost)."""
+        if self._kids is None:
+            return _exp_fsum(self.costs), 3 * _U
+        (left, (kl, el)), (right, (kr, er)) = ((p, p._kraft()) for p in self._parts)
+        base = PAIR_FLAG + PAIR_KIND
+        n = len(self._flat)
+        rest = np.delete(self.costs, slice(n, n + len(left) * len(right)))
+        err = el + er + (4 + 2 * (base + left.costs.max() + right.costs.max())) * _U
+        return (math.fsum([_exp_fsum(rest), math.exp(-base) * kl * kr]),
+                max(3 * _U, err) + _U)
+
+    def _facts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(is_constant, is_deterministic, first row (R, K)) of every rule."""
+        if self._kids is None:
+            t = self.tables
+            return ((t == t[:, :1, :]).all(axis=(1, 2)),
+                    ((t == 0.0) | (t == 1.0)).all(axis=(1, 2)), t[:, 0, :])
+        const, det, row = self._flat._facts()
+        sides = []
+        for child in self._parts:
+            c, d, r = child._facts()
+            if child.space.size < self.space.size // 2:   # uniform padding
+                c = c & (r == 1.0 / self.num_labels).all(axis=1)
+                d = np.zeros_like(d)
+            sides.append((c, d, r))
+        (c0, d0, r0), (c1, d1, r1) = sides
+        # the fresh pairs, every left child with every right child, come as
+        # outer products of their children's facts; the rest by child index
+        ia, ib = np.flatnonzero(c0), np.flatnonzero(c1)
+        fresh_c = np.zeros((len(c0), len(c1)), dtype=bool)
+        fresh_c[np.ix_(ia, ib)] = (r0[ia, None, :] == r1[ib]).all(axis=2)
+        a, b = self._kids[len(c0) * len(c1):].T
+        return (np.concatenate([const, fresh_c.ravel(),
+                                c0[a] & c1[b] & (r0[a] == r1[b]).all(axis=1)]),
+                np.concatenate([det, (d0[:, None] & d1).ravel(), d0[a] & d1[b]]),
+                np.concatenate([row, r0.repeat(len(c1), axis=0), r0[a]]))
 
     # -- construction -------------------------------------------------------
 
@@ -456,8 +436,7 @@ class HypothesisFamily:
         if num_labels < 2:
             raise ValueError("family needs num_labels >= 2")
         _check_noise_grid(noise_grid)
-        return cls(cls._rules_for_space(space, num_labels, tuple(noise_grid)),
-                   noise_grid)
+        return cls._build(space, num_labels, tuple(noise_grid))._checked()
 
     @classmethod
     def from_rules(cls, hypotheses, space: DiscreteSpace | None = None,
@@ -466,32 +445,32 @@ class HypothesisFamily:
         if not hs:
             raise NoHypothesisError("no hypothesis: family is empty")
         m, k = hs[0].table.shape
-        return cls(_Rules(space or DiscreteSpace(m), num_labels or k,
-                          np.array([float(h.code_length) for h in hs]),
-                          np.stack([h.table for h in hs]),
-                          [h.name or f"rule{i}" for i, h in enumerate(hs)]),
-                   (), custom=True)
+        return cls(space or DiscreteSpace(m), num_labels or k,
+                   np.array([float(h.code_length) for h in hs]),
+                   np.stack([h.table for h in hs]),
+                   [h.name or f"rule{i}" for i, h in enumerate(hs)],
+                   custom=True)._checked()
 
     @classmethod
-    def _rules_for_space(cls, space, k, noise_grid) -> _Rules:
+    def _build(cls, space, k, noise_grid) -> "HypothesisFamily":
         flat = cls._flat_rules(space, k, noise_grid)
         if space.parts is None:
             cls._check_size(len(flat))
             return flat
 
         left_part, right_part = space.parts
-        left = cls._rules_for_space(left_part.space, k, noise_grid)
+        left = cls._build(left_part.space, k, noise_grid)
         right = (left if right_part.space == left_part.space
-                 else cls._rules_for_space(right_part.space, k, noise_grid))
+                 else cls._build(right_part.space, k, noise_grid))
         n_flat, n_left, n_right = len(flat), len(left), len(right)
         n_same = n_left if left_part.space == right_part.space else 0
         # child back-references: (a, which) for every pair rule a of the left
         # part whose child `which` lies in the right part's space, a-major
         back_a = back_w = np.zeros(0, dtype=np.int64)
-        if left.flat is not None:
+        if left._flat is not None:
             which = np.flatnonzero([p.space == right_part.space
                                     for p in left_part.space.parts])
-            pairs = np.arange(len(left.flat), n_left)
+            pairs = np.arange(len(left._flat), n_left)
             back_a, back_w = pairs.repeat(len(which)), np.tile(which, len(pairs))
         total = n_flat + n_left * n_right + n_same + len(back_a)
         cls._check_size(total)
@@ -508,14 +487,15 @@ class HypothesisFamily:
             kids.append(np.stack([left_idx, left_idx], axis=1))
         if len(back_a):                                  # back: pair(a|<w])
             group.append(li[back_a] + len(lc) * (len(rc) + 1))
-            kids.append(np.stack([back_a, left.kid_idx[back_a - len(left.flat),
-                                                       back_w]], axis=1))
+            kids.append(np.stack([back_a, left._kids[back_a - len(left._flat),
+                                                     back_w]], axis=1))
         cost, at = np.unique(np.concatenate([(lc[:, None] + rc).ravel(), lc,
                                              lc + PAIR_CHILD]), return_inverse=True)
         group = at.astype(np.min_scalar_type(len(cost)))[np.concatenate(group)]
-        return _Rules(space, k, np.concatenate([flat.costs + PAIR_FLAG, cost[group]]),
-                      flat=flat, parts=(left, right), kid_idx=np.concatenate(kids),
-                      n_same=n_same, back_w=back_w, pair_costs=(cost, group))
+        return cls(space, k, np.concatenate([flat.costs + PAIR_FLAG, cost[group]]),
+                   noise_grid=noise_grid, flat=flat, parts=(left, right),
+                   kids=np.concatenate(kids), n_same=n_same, back_w=back_w,
+                   pair_costs=(cost, group))
 
     @classmethod
     def _check_size(cls, rules: int) -> None:
@@ -524,8 +504,8 @@ class HypothesisFamily:
                 f"family too large to enumerate ({rules} rules); "
                 "use smaller domains")
 
-    @staticmethod
-    def _flat_rules(space, k, noise_grid) -> _Rules:
+    @classmethod
+    def _flat_rules(cls, space, k, noise_grid) -> "HypothesisFamily":
         m, bits = space.size, space.bits
         q = np.array(noise_grid, dtype=np.float64).reshape(-1, 1, 1)
         smooth_tag = math.log(1 + len(q)) if len(q) else 0.0
@@ -548,10 +528,11 @@ class HypothesisFamily:
         det = np.zeros((len(names), m, k))
         det[np.arange(len(names))[:, None], xs, labels] = 1.0
         noisy = det[:, None] * (1.0 - q) + (1.0 - det[:, None]) * (q / (k - 1))
-        return _Rules(
+        return cls(
             space, k, np.concatenate([[_GROUP_TAG], costs, costs.repeat(len(q))]),
             np.concatenate([np.full((1, m, k), 1.0 / k), det, noisy.reshape(-1, m, k)]),
-            ["uniform"] + names + [f"{n}~q{v:g}" for n in names for v in noise_grid])
+            ["uniform"] + names + [f"{n}~q{v:g}" for n in names for v in noise_grid],
+            noise_grid=noise_grid)
 
 
 def save_family(fam: HypothesisFamily, path) -> None:
@@ -745,7 +726,7 @@ class _Candidates:
 
         # approximate per-group losses (used for candidate selection only):
         # the flat rules' rows and, for a union, each part's rows
-        self._parts = fam._rules.group_parts(xs, counts)
+        self._parts = fam._group_parts(xs, counts)
         self._n_flat = len(self._parts[0])
         self._pure_idx, self._mixed_idx = np.flatnonzero(pure), np.flatnonzero(~pure)
         self.pin_order = _PinOrders(self._group_rows, self._pure_idx)
@@ -753,12 +734,12 @@ class _Candidates:
         self.ext = np.array(
             [extension_cost(u, s, self.k) for s in range(self.n_pure + 1)])
         # exact_losses' zero rule needs every term -ln p to be >= 0
-        self.unit_bounded = fam._rules.peak() <= 1.0
+        self.unit_bounded = fam._peak() <= 1.0
         self._floor_tables = (None, None)
 
     def _group_rows(self, rules: np.ndarray) -> np.ndarray:
         """(len(rules), u) loss of the given rules on every input group."""
-        return self.fam._rules.group_rows(self._parts, rules)
+        return self.fam._group_rows(self._parts, rules)
 
     def _approx_rows(self, rules: np.ndarray) -> np.ndarray:
         """(len(rules), n_pure+1) approximate loss of the given rules'
@@ -801,7 +782,7 @@ class _Candidates:
         with cost_p + ext(s) <= cap, as the buckets test it; ext is not
         monotone, so an s below S may be unadmitted, but none above is.
         """
-        ucost, cls = self.fam._rules.pair_costs
+        ucost, cls = self.fam._pair_costs
         key = (beta, tuple(np.ravel(caps)))
         if self._floor_tables[0] != key:        # tables kept for the last key
             fits = ucost[:, None] + self.ext <= np.reshape(caps, (-1, 1, 1))
@@ -811,7 +792,7 @@ class _Candidates:
             f += beta * (ucost[:, None] + math.log(self.u + 1))
             f[:, top < 0] = np.nan
             self._floor_tables = key, [t.reshape(-1, len(key[1])) for t in (f, g)]
-        (f, g), kids = self._floor_tables[1], self.fam._rules.kid_idx[pairs]
+        (f, g), kids = self._floor_tables[1], self.fam._kids[pairs]
         at = kids[:, 0] * len(ucost) + cls[pairs]   # row child * len(ucost) + cost
         floor = np.take(f, at, axis=0)
         floor += np.take(g, np.add(kids[:, 1] * len(ucost), cls[pairs], out=at), axis=0)
@@ -822,7 +803,7 @@ class _Candidates:
         covers. The fresh pairs, every left child with every right child,
         cost PAIR_FLAG + PAIR_KIND plus their children's costs, so the least
         floor among them is the sum of each side's least term."""
-        left, right = self.fam._rules.parts
+        left, right = self.fam._parts
         f, g = ((rows + beta * ext).min(axis=1) for rows, ext in self._kid_rows)
         least = (beta * (PAIR_FLAG + PAIR_KIND + math.log(self.u + 1))
                  + (beta * left.costs + f).min() + (beta * right.costs + g).min())
@@ -853,6 +834,13 @@ class _Candidates:
             f = self._pair_floor(beta, at, caps)
             yield self._n_flat + at[(f - _pair_slack(f) <= bounds()).any(axis=1)]
 
+    def _screens(self, beta: float, caps, bounds):
+        """`_screen`'s blocks of the rules with tables, then of the pairs
+        that `_pairs_within` keeps, which reads bounds() between blocks."""
+        yield from self._screen(np.arange(self._n_flat), self._flat_approx, beta)
+        for pairs in self._pairs_within(beta, caps, bounds):
+            yield from self._screen(pairs, None, beta)
+
     def _screen(self, rules: np.ndarray, approx: np.ndarray | None, beta: float):
         """(rules, approx, values) for blocks of _ROWS of ``rules`` in stable
         cost order: their approximate loss rows (``approx``, aligned with
@@ -880,7 +868,7 @@ class _Candidates:
         sorted value codes, and every row is checked equal to its group's
         first row, so a hash collision only costs an extra fsum.
         """
-        p = self.fam._rules.cells(ur, self.d.inputs, self.d.labels)
+        p = self.fam._cells(ur, self.d.inputs, self.d.labels)
         values, codes = np.unique(p, return_inverse=True)
         nll = np.array([-math.log(v) if v > 0.0 else INF_NATS
                         for v in values.tolist()])
@@ -952,26 +940,23 @@ class _Candidates:
             table[x, :] = 0.0
             table[x, label] = 1.0
         cost = float(self.fam.costs[r] + self.ext[s])
-        name = self.fam._rules.name(r) + (f"+pin{len(pins)}" if pins else "")
+        name = self.fam._name(r) + (f"+pin{len(pins)}" if pins else "")
         return Hypothesis(table=table, code_length=cost, name=name,
                           rule_index=r, pins=pins)
 
     # -- exact minimization over candidates ----------------------------------
 
-    def minimize(self, beta: float, cost_cap: float | None = None):
-        """Exact min of loss + beta * cost, optionally under cost <= cap,
-        for beta >= 0 (the public callers reject beta < 0).
-
-        Returns (value, (cost, r, s)): the first candidate, by the tie-break
-        key (cost, r, s), among those whose exact value is within TIE_ATOL
-        of the minimum; (inf, None) when no candidate is under the cap.
-        """
-        return self.capped_minima(beta, [math.inf if cost_cap is None
-                                         else cost_cap])[0]
+    def minimize(self, beta: float):
+        """Exact min of loss + beta * cost for beta >= 0 (the public callers
+        reject beta < 0): capped_minima's one uncapped case."""
+        return self.capped_minima(beta, [math.inf])[0]
 
     def capped_minima(self, beta: float, t_grid) -> list:
-        """[minimize(beta, cost_cap=t) for t in t_grid], t_grid strictly
-        increasing without NaN, from one screen and one exact re-check.
+        """The exact min of loss + beta * cost under cost <= t, for each t
+        of t_grid (strictly increasing, no NaN), from one screen and one
+        exact re-check. Each is (value, (cost, r, s)): the first candidate,
+        by the tie-break key (cost, r, s), among those whose exact value is
+        within TIE_ATOL of the minimum; (inf, None) when none is under t.
 
         A candidate's bucket, searchsorted(caps, cost, "left"), is the
         first j with cost <= caps[j]. The minimum under t_grid[j] runs over
@@ -999,22 +984,15 @@ class _Candidates:
 
         thr = thresholds()
         near = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),) * 2]
-
-        def screen(rules, approx=None):
-            nonlocal thr
-            for at, rows, values in self._screen(rules, approx, beta):
-                # a block in cost order: each distinct cost is one run of rows
-                ucost, first, cls = np.unique(self.fam.costs[at], return_index=True,
-                                              return_inverse=True)
-                bucket = np.searchsorted(caps, ucost[:, None] + self.ext[None, :])
-                np.minimum.at(bmin, bucket, np.minimum.reduceat(values, first))
-                thr = thresholds()
-                r, s = np.nonzero(values <= thr[bucket][cls])
-                near.append((at[r], s, bucket[cls[r], s], rows[r, s], values[r, s]))
-
-        screen(np.arange(self._n_flat), self._flat_approx)
-        for pairs in self._pairs_within(beta, caps, lambda: thr[:n]):
-            screen(pairs)
+        for at, rows, values in self._screens(beta, caps, lambda: thr[:n]):
+            # a block in cost order: each distinct cost is one run of rows
+            ucost, first, cls = np.unique(self.fam.costs[at], return_index=True,
+                                          return_inverse=True)
+            bucket = np.searchsorted(caps, ucost[:, None] + self.ext[None, :])
+            np.minimum.at(bmin, bucket, np.minimum.reduceat(values, first))
+            thr = thresholds()
+            r, s = np.nonzero(values <= thr[bucket][cls])
+            near.append((at[r], s, bucket[cls[r], s], rows[r, s], values[r, s]))
         r, s, b, a, v = (np.concatenate(x) for x in zip(*near))
         close = v <= thr[b]
         r, s, b, v = r[close], s[close], b[close], v[close]
@@ -1146,14 +1124,13 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
     # the screen of `minimize`, at limit plus the margin of approximation
     bound = limit + _APPROX_MARGIN * (1.0 + abs(limit))
     found = []
-    for at, _, values in itertools.chain(
-            cand._screen(np.arange(cand._n_flat), cand._flat_approx, beta),
-            *(cand._screen(pairs, None, beta)
-              for pairs in cand._pairs_within(beta, [math.inf], lambda: bound))):
+    for at, _, values in cand._screens(beta, [math.inf], lambda: bound):
         for j, s in zip(*np.nonzero(values <= bound)):
             r, s = int(at[j]), int(s)
             cost = float(cand.fam.costs[r] + cand.ext[s])
-            budget = limit - beta * cost    # max loss a variant may have
+            # the max loss a variant may have; limit holds loss + beta * cost
+            # rounded to its ulp, which the subtraction cannot give back
+            budget = limit - beta * cost + math.ulp(limit)
             for pin_groups in _pin_sets_within(cand, r, s, budget):
                 loss = cand.exact_loss(r, pin_groups)
                 if loss + beta * cost <= limit:
@@ -1278,7 +1255,7 @@ def deterministic_complexity(d: Dataset, fam: HypothesisFamily) -> float | None:
     if len(det):
         # a rule must pin every input it misses and may pin more: its best
         # price is the cheapest extension from its miss count up
-        misses = (fam._rules.cells(det, cand.xs, cand.majority) != 1.0).sum(axis=1)
+        misses = (fam._cells(det, cand.xs, cand.majority) != 1.0).sum(axis=1)
         cheapest_from = np.minimum.accumulate(cand.ext[::-1])[::-1]
         best = float((fam.costs[det] + cheapest_from[misses]).min())
     if u == d.space.size and u > 0:

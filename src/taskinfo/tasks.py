@@ -479,6 +479,9 @@ def load_dataset_csv(path) -> Dataset:
             if _space_token(union) != _space_token(space):
                 textio.fail(path, no, f"union spec gives input={_space_token(union)}"
                                       f", the header input={fields['input']}")
+            k_union = max((p.num_labels for p in union.parts or ()), default=k)
+            if k_union != k:
+                textio.fail(path, no, f"union spec gives K={k_union}, the header K={k}")
             space = union
         elif not ln.startswith("#"):
             rows.append((no, ln))

@@ -11,14 +11,17 @@ mean over w = mu + sigma * eps with a seeded stream, so every estimate is a
 deterministic function of its seed.
 
 Every Monte-Carlo pass (optimizer steps, reports, expected_loss,
-mc_lagrangian_and_grads, bounds.clipped_expected_loss) hands all S draws as
-one (S, P) array to ``loss_and_grad``: one forward and one backward pass per
-block of draws (reparameterized, as in Blundell et al. 2015), or a loss-only
-forward pass. A block keeps n * (widest non-input layer) * draws within
-_BLOCK_CELLS, so activations and deltas take O(_BLOCK_CELLS) memory, not O(S).
-fisher_diagonal asks the same kernel for sum_i w_i g_i^2 of the per-sample
-gradients, one run of one draw per label: each label c with w_i = p_w(c|x_i)
-(exact), or the labels drawn from the model with w_i = 1 (sampled).
+mc_lagrangian_and_grads, bounds.clipped_expected_loss) draws its normals
+with rng._normal_into and hands all S draws as one (S, P) array to
+``loss_and_grad`` (_mc_losses for a loss-only pass, _mc_grads with
+gradients): one forward and one backward pass per block of draws
+(reparameterized, as in Blundell et al. 2015), or a loss-only forward pass.
+A block keeps n * (widest non-input layer) * draws within _BLOCK_CELLS, so
+activations and deltas take O(_BLOCK_CELLS) memory, not O(S).
+fisher_diagonal asks the same blocks (_runs_loss_and_grad) for sum_i w_i
+g_i^2 of the per-sample gradients, one run of one draw per label: each
+label c with w_i = p_w(c|x_i) (exact), or the labels drawn from the model
+with w_i = 1 (sampled).
 
 Independent fits (distance replicates, PAC-Bayes trials) run in lockstep
 through the private _optimize_many: one optimizer loop steps R posteriors,
@@ -191,11 +194,13 @@ class MlpLossModel:
                                    self.y[None], ws, self.block, grad, clip)
 
 
-def _runs_loss_and_grad(widths, x, y, ws, block, grad=True, clip=None):
+def _runs_loss_and_grad(widths, x, y, ws, block, grad=True, clip=None,
+                        sq_weight=None):
     """Losses (R*S,) and gradients (R*S, P), or None if not grad, of the
     run-major weight draws ws (R*S, P) of R runs on their data x (R, n, d0),
-    y (R, n). A kernel call takes at most ``block`` draws: whole runs while
-    a run's S draws fit, else a slice of one run's draws."""
+    y (R, n); with sq_weight (R, n), the kernel's weighted squared gradients.
+    A kernel call takes at most ``block`` draws: whole runs while a run's S
+    draws fit, else a slice of one run's draws."""
     r = x.shape[0]
     s = ws.shape[0] // r
     losses, grads = np.empty(ws.shape[0]), (np.empty(ws.shape) if grad else None)
@@ -207,7 +212,8 @@ def _runs_loss_and_grad(widths, x, y, ws, block, grad=True, clip=None):
             rows = slice(lo, min(lo + step, r1 * s))
             losses[rows] = _block_loss_and_grad(
                 widths, x[r0:r1], y[r0:r1], ws[rows],
-                None if grads is None else grads[rows], clip)
+                None if grads is None else grads[rows], clip,
+                None if sq_weight is None else sq_weight[r0:r1])
     return losses, grads
 
 
@@ -247,10 +253,12 @@ class QuadraticLossModel:
 # Monte-Carlo estimates
 
 
-def _mc_losses(model, q: GaussianPosterior, mc: int, seed: int, label="vi-mc"):
-    """Per-draw losses of mc reparameterized draws of Q (loss-only pass)."""
+def _mc_losses(model, q: GaussianPosterior, mc: int, seed: int, label="vi-mc",
+               clip=None):
+    """Per-draw losses of mc reparameterized draws of Q (loss-only pass),
+    per-sample losses clipped at ``clip``."""
     eps = _normal_into(np.empty((mc, q.k)), seed, label)
-    return model.loss_and_grad(q.mean + q.sigma * eps, grad=False)[0]
+    return model.loss_and_grad(q.mean + q.sigma * eps, grad=False, clip=clip)[0]
 
 
 def _mc_grads(loss_and_grad, mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray):
@@ -288,7 +296,7 @@ def mc_lagrangian_and_grads(model, q: GaussianPosterior, beta: float,
     differences of the value reproduce the returned gradients.
     """
     lam2 = p.scale * p.scale
-    eps = stream(seed, "vi-mc").standard_normal((mc, q.k))
+    eps = _normal_into(np.empty((mc, q.k)), seed, "vi-mc")
     losses, gmu, glv = _mc_grads(model.loss_and_grad, q.mean[None],
                                  q.sigma[None], eps[None])
     value = float(losses.mean()) + beta * kl_gaussian(q, p)
@@ -352,16 +360,14 @@ def prior_matched_posterior(arch: Architecture, prior: IsotropicPrior
 def optimize_gaussian(model, beta: float, prior: IsotropicPrior,
                       cfg: VariationalConfig,
                       init: GaussianPosterior | None = None,
-                      seed: int = 0,
-                      arch: Architecture | None = None) -> VariationalResult:
+                      seed: int = 0) -> VariationalResult:
     """Gradient descent on the Lagrangian over (mu, log_var).
 
     Quadratic models run on their exact Gaussian expectations; network
     models use reparameterized MC gradients with per-step seeded draws.
     Raises TrainingDiverged if the state leaves the finite range.
     """
-    if arch is None:
-        arch = getattr(model, "arch", None) or vector_architecture(model.k)
+    arch = getattr(model, "arch", None) or vector_architecture(model.k)
     q = (prior_matched_posterior(arch, prior) if init is None
          else GaussianPosterior(init.mean, init.log_var, arch))
     res = _optimize_many([model], [beta], prior, cfg, [seed], [q])[0]
@@ -521,7 +527,7 @@ def optimize_posterior(d: Dataset, arch: Architecture, beta: float,
                        seed: int = 0) -> VariationalResult:
     """Optimize Q(w|D) for a network on a dataset (see optimize_gaussian)."""
     return optimize_gaussian(MlpLossModel(arch, d), beta, prior, cfg,
-                             init=init, seed=seed, arch=arch)
+                             init=init, seed=seed)
 
 
 def closed_form_sigma(h_diag: np.ndarray, beta: float, lam: float) -> np.ndarray:
@@ -558,11 +564,8 @@ def fisher_diagonal(p: MlpParams, d: Dataset, mode: str = "exact",
         labels, weights = np.repeat(np.arange(len(probs))[:, None], d.n, axis=1), probs
     x = np.broadcast_to(model.x, (len(labels),) + model.x.shape)
     ws = np.broadcast_to(flatten_params(p), (len(labels), p.num_params))
-    sq = np.empty(ws.shape)
-    for lo in range(0, len(labels), model.block):  # runs of one draw each
-        part = slice(lo, lo + model.block)
-        _block_loss_and_grad(model.arch.layer_widths, x[part], labels[part],
-                             ws[part], sq[part], sq_weight=weights[part])
+    _, sq = _runs_loss_and_grad(model.arch.layer_widths, x, labels, ws,
+                                model.block, sq_weight=weights)  # one draw a run
     return FisherDiagonal(entries=sq.sum(axis=0) / max(d.n, 1), n=d.n)  # 0 if n = 0
 
 
@@ -618,7 +621,7 @@ def structure_sweep(d: Dataset, arch: Architecture, beta_schedule,
     results = []
     for i, beta in enumerate(betas):
         results.append(optimize_gaussian(model, beta, prior, cfg, init=q,
-                                         seed=seed * 1009 + i, arch=arch))
+                                         seed=seed * 1009 + i))
         q = results[-1].posterior
     return SweepResult(betas=np.array(betas),
                        losses=np.array([r.expected_loss for r in results]),

@@ -133,8 +133,8 @@ def approx_loss(cand):
 def zero_cost(cand):
     """c*: the least cost of a candidate with a table (not a pair rule's)
     whose approximate loss is exactly 0.0; inf when there is none."""
-    rules = cand.fam._rules
-    nf = len(rules.flat if rules.flat is not None else rules)
+    fam = cand.fam
+    nf = len(fam._flat if fam._flat is not None else fam)
     zero = approx_loss(cand)[:nf] == 0.0
     return candidate_costs(cand)[:nf][zero].min(initial=np.inf)
 
@@ -144,7 +144,7 @@ def unbeaten(cand, beta, shortlist):
     cost: at beta = 0 with no table value above 1, those no dearer than c*
     (`zero_cost`), whose exact loss, 0, is the least there is."""
     shortlist = set(shortlist)
-    if beta != 0.0 or cand.fam._rules.peak() > 1.0:
+    if beta != 0.0 or cand.fam._peak() > 1.0:
         return shortlist
     costs, c_zero = candidate_costs(cand), zero_cost(cand)
     return {(r, s) for r, s in shortlist if costs[r, s] <= c_zero}

@@ -108,7 +108,7 @@ def _check_capped_floor(cand, beta, caps):
     """Under each cap, a pair's floor less its slack is at most the value of
     every candidate the cap admits, whatever pin counts those are, and is
     NaN exactly when the cap admits none."""
-    nf = len(cand.fam._rules.flat)
+    nf = len(cand.fam._flat)
     costs = candidate_costs(cand)[nf:]
     values = np.concatenate([v for _, v in screens(cand, beta)])[nf:]
     floor = cand._pair_floor(beta, slice(None), caps)
@@ -125,7 +125,7 @@ def _check_capped_floor(cand, beta, caps):
 def test_capped_floor_bounds_the_candidates_each_cap_admits(task, data, beta):
     d, fam = task
     cand = fo._Candidates(d, fam)
-    costs = np.unique(candidate_costs(cand)[len(fam._rules.flat):])
+    costs = np.unique(candidate_costs(cand)[len(fam._flat):])
     caps = data.draw(st.lists(st.sampled_from(costs.tolist()), min_size=1, max_size=5))
     _check_capped_floor(cand, beta, np.unique(caps + [np.inf]))
 
@@ -140,7 +140,7 @@ def test_capped_floor_past_a_gap_in_the_admitted_pin_counts():
     cand = fo._Candidates(d, fam)
     ext = cand.ext
     assert cand.n_pure == 3 and ext[1] < ext[3] < ext[2]
-    costs = candidate_costs(cand)[len(fam._rules.flat):]
+    costs = candidate_costs(cand)[len(fam._flat):]
     gap = (costs[:, 3] <= costs[:, 2]) & (costs[:, 3] > costs[:, 1])
     caps = np.unique(costs[gap, 3])
     for beta in (0.0, 0.4):
@@ -160,7 +160,7 @@ def test_pair_candidate_priced_at_the_zero_cap():
                        (1, [0, 0, 0, 0], [0, 0, 0, 0]), (0.1,))
     cand = fo._Candidates(d, fam)
     c_zero = zero_cost(cand)
-    nf = len(fam._rules.flat)
+    nf = len(fam._flat)
     assert (candidate_costs(cand)[nf:] == c_zero).any()
     t_grid = [np.nextafter(c_zero, -np.inf), c_zero, np.nextafter(c_zero, np.inf),
               c_zero + 1.0]

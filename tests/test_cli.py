@@ -58,7 +58,7 @@ def _planted(rule, seed):
 
 
 # (command, config, extra flags of the second run): one small config per
-# command; distance-matrix reruns with --jobs 2, which must change nothing
+# command
 RERUNS = {
     "gen-task": ({"version": 1, "seed": 1, "task": RANDOM_TASK}, ()),
     "structure-fn": ({"version": 1, "seed": 3, "engine": "oracle",
@@ -73,7 +73,7 @@ RERUNS = {
                          "arch_hidden": [], "prior_scale": 1.0, "replicates": 2,
                          "opt": {"steps": 60, "learning_rate": 1.0,
                                  "mc_samples": 2, "report_mc": 32}},
-                        ("--jobs", "2")),
+                        ()),
     "pac-bayes": ({"version": 1, "seed": 0, "mode": "bound",
                    "train_loss_total": 3.0, "kl": 2.0, "n": 50, "beta": 1.0,
                    "delta": 0.1}, ()),

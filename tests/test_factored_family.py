@@ -78,8 +78,8 @@ def _dense_twin(d, fam, tables):
 def test_factored_union_screen_matches_dense(task, data):
     d, fam, noise_grid = task
     names, costs, tables = naive_family(d.space, fam.num_labels, noise_grid)
-    assert "names" not in vars(fam._rules)      # built on first read ...
-    assert [fam._rules.name(i) for i in range(len(fam))] == names  # ... or alone
+    assert "names" not in vars(fam)      # built on first read ...
+    assert [fam._name(i) for i in range(len(fam))] == names  # ... or alone
     assert fam.names == names
     assert fam.costs.tobytes() == costs.tobytes()
     assert "tables" not in vars(fam)      # nothing dense built so far
@@ -98,14 +98,14 @@ def test_factored_union_screen_matches_dense(task, data):
         [fo.Hypothesis(t, c, nm) for nm, c, t in zip(names, costs, tables)],
         d.space, fam.num_labels))
     cost = np.sort(candidate_costs(cand).ravel())
-    caps = [None, cost[0] / 2, cost[0], cost[len(cost) // 3], cost[-1]]
+    caps = [np.inf, cost[0] / 2, cost[0], cost[len(cost) // 3], cost[-1]]
     for beta in (0.0, 0.4, 1.0, 3.0):
         for cap in caps:
             # the full screen over the dense tables
             want = reference_minimize(dense, beta, cap)
-            assert dense.minimize(beta, cap) == want
-            assert cand.minimize(beta, cap) == want
-            assert custom.minimize(beta, cap) == want
+            assert dense.capped_minima(beta, [cap]) == [want]
+            assert cand.capped_minima(beta, [cap]) == [want]
+            assert custom.capped_minima(beta, [cap]) == [want]
     assert "tables" not in vars(fam)
 
     assert fam.tables.tobytes() == tables.tobytes()
@@ -133,7 +133,7 @@ def test_pair_floor_bounds_every_pair_and_pruning_keeps_the_minimum(task, data):
     assert "approx_loss" not in vars(cand)       # no R-wide rows built
     assert "group_loss" not in vars(cand)
     assert got == [reference_minimize(cand, beta) for beta in betas]
-    nf = len(fam._rules.flat)
+    nf = len(fam._flat)
     for beta, shortlist in zip(betas, checked):
         values = np.concatenate([v for _, v in screens(cand, beta)])
         # the pruned screen re-checks exactly the full screen's shortlist,
@@ -159,7 +159,7 @@ def test_pair_floor_bounds_every_pair_and_pruning_keeps_the_minimum(task, data):
 def test_flat_rules_match_the_rule_by_rule_builder(m, k, noise_grid):
     rules = fo.HypothesisFamily._flat_rules(DiscreteSpace(m), k, noise_grid)
     names, costs, tables = loop_flat_rules(DiscreteSpace(m), k, noise_grid)
-    assert rules.listed == names
+    assert rules.names == names
     assert rules.costs.tobytes() == costs.tobytes()
     assert rules.tables.tobytes() == tables.tobytes()
 
@@ -167,7 +167,7 @@ def test_flat_rules_match_the_rule_by_rule_builder(m, k, noise_grid):
 def test_union_of_equal_parts_builds_the_part_family_once():
     space = _union(DiscreteSpace(4), DiscreteSpace(4))
     fam = fo.HypothesisFamily.for_space(space, 2)
-    left, right = fam._rules.parts
+    left, right = fam._parts
     assert left is right
     names, costs, tables = naive_family(space, 2)
     assert fam.names == names and fam.costs.tobytes() == costs.tobytes()
@@ -185,7 +185,7 @@ def test_many_caps_keep_the_pairs_a_small_cap_needs():
     cand = fo._Candidates(d, fam)
     t = float(candidate_costs(cand)[31, 0])
     want = [reference_minimize(cand, 0.4, cap) for cap in (t, np.inf)]
-    assert want[0][1][1:] == (31, 0) and 31 >= len(fam._rules.flat)
+    assert want[0][1][1:] == (31, 0) and 31 >= len(fam._flat)
     assert cand.capped_minima(0.4, [t, np.inf]) == want
 
 
@@ -252,7 +252,7 @@ def test_union_distance_builds_rows_only_for_unpruned_pairs(monkeypatch):
     assert len(union) == 1
     cand = union[0]
     assert "approx_loss" not in vars(cand) and "group_loss" not in vars(cand)
-    assert "names" not in vars(cand.fam._rules)
+    assert "names" not in vars(cand.fam)
     assert sum(n for c, n in rows if c is cand) < len(cand.fam) // 20
 
 
@@ -332,7 +332,7 @@ def test_union_critical_beta_and_statistics_build_no_r_wide_rows(union2x32,
 
     monkeypatch.setattr(fo._Candidates, "_approx_rows", rows_spy)
     monkeypatch.setattr(fo._Candidates, "_pairs_within", pairs_spy)
-    n_flat = len(fam._rules.flat)
+    n_flat = len(fam._flat)
     # critical_beta also prices the constant rules, pairs among them, once
     queries = [(lambda: fo.critical_beta(d, fam), fam.is_constant.sum()),
                (lambda: fo.beta_sufficient_statistics(d, fam, 1.0, tol=0.0), 0)]

@@ -135,7 +135,7 @@ def _union_space(left, right):
 def test_factored_kraft_sum_matches_rule_by_rule(space):
     # a union's fresh pairs sum as a product of their parts' sums
     fam = HypothesisFamily.for_space(space, 3, (0.1, 0.3))
-    kraft, rel = fam._rules.kraft()
+    kraft, rel = fam._kraft()
     assert kraft == pytest.approx(fam.kraft_sum(), rel=1e-12, abs=0.0)
     assert abs(kraft - fam.kraft_sum()) <= 2 * rel * kraft
     assert rel < 1e-13
@@ -186,7 +186,7 @@ _D1, _D2, _D4 = DiscreteSpace(1), DiscreteSpace(2), DiscreteSpace(4)
 def test_family_builder_matches_rule_by_rule_reference(space, k, noise_grid):
     fam = HypothesisFamily.for_space(space, k, noise_grid)
     names, costs, tables = naive_family(space, k, noise_grid)
-    assert [fam._rules.name(i) for i in range(len(fam))] == names
+    assert [fam._name(i) for i in range(len(fam))] == names
     assert fam.names == names
     assert fam.costs.tobytes() == costs.tobytes()
     assert fam.tables.shape == tables.shape

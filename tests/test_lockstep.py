@@ -95,9 +95,9 @@ def test_optimize_many_matches_per_run_loop(hidden, d_in, k, data, size, mc,
     cells = variational._LOCKSTEP_CELLS if lockstep_cells is None else lockstep_cells
     calls, kernel = [], variational._block_loss_and_grad
 
-    def spy(widths, x, y, ws, grads=None, clip=None):
+    def spy(widths, x, y, ws, grads=None, clip=None, sq_weight=None):
         calls.append(ws.shape[0])
-        return kernel(widths, x, y, ws, grads, clip)
+        return kernel(widths, x, y, ws, grads, clip, sq_weight)
 
     with mock.patch.object(variational, "_LOCKSTEP_CELLS", cells), \
             mock.patch.object(variational, "_block_loss_and_grad", spy):

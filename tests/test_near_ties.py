@@ -170,7 +170,7 @@ def _planted_tasks(draw):
     brks = _breakpoints(candidate_costs(cand), approx_loss(cand))
     if not brks:
         return d, fam, draw(st.sampled_from([0.0, 0.5])), None
-    nf = len(fam._rules.flat) if fam._rules.flat is not None else len(fam)
+    nf = len(fam._flat) if fam._flat is not None else len(fam)
     n_s = cand.n_pure + 1
     mixed = [b for b in brks if (b[1] // n_s < nf) != (b[2] // n_s < nf)]
     brk = draw(st.sampled_from(mixed or brks))
@@ -233,7 +233,7 @@ def _flat_pair_union():
     cand = fo._Candidates(d, fam)
     brk = next(b for b in _breakpoints(candidate_costs(cand), approx_loss(cand))
                if b[2] == 0)
-    assert cand.n_pure == 0 and brk[1] >= len(fam._rules.flat)
+    assert cand.n_pure == 0 and brk[1] >= len(fam._flat)
     return d, fam, cand, brk
 
 
@@ -255,7 +255,7 @@ def test_pair_within_the_margin_above_a_flat_minimum_is_rechecked():
     values = _values(cand, beta)
     vmin = float(values.min())
     pair = brk[1]
-    floor = cand._pair_floor(beta)[pair - len(fam._rules.flat)]
+    floor = cand._pair_floor(beta)[pair - len(fam._flat)]
     assert values.argmin() == 0 and floor - fo._pair_slack(floor) > vmin
     assert (pair, 0) in _shortlist(values)
     _check_screen(cand, beta)
@@ -377,3 +377,14 @@ def test_tol_window_edge_of_beta_sufficient_statistics(monkeypatch):
     naive = {(r, pins) for v, _, r, pins in naive_candidates(d, fam, beta)
              if v <= limit}
     assert {x.hypothesis.identity() for x in stats} == naive
+
+
+@pytest.mark.parametrize("beta", [2592480341136260.5, 6.241523437322818e24])
+def test_statistics_at_a_beta_where_the_cost_term_swamps_the_loss(beta):
+    # loss + beta * cost rounds the loss away, and limit - beta * cost left
+    # no budget for the minimizer's own pin set
+    d = Dataset(np.array([0, 1]), np.array([0, 0]), 2, DiscreteSpace(2))
+    for noise_grid in [(), (0.05, 0.1, 0.2)]:
+        fam = HypothesisFamily.for_space(DiscreteSpace(2), 2, noise_grid)
+        stats = fo.beta_sufficient_statistics(d, fam, beta, tol=0.0)
+        assert {x.hypothesis.identity() for x in stats} == naive_min(d, fam, beta)[1]

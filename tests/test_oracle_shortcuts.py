@@ -83,7 +83,7 @@ def test_shortcuts_match_exhaustive_references(task, beta):
     curve = structure_function(d, fam, t_grid)
     for t, loss, cost in zip(t_grid, curve.loss, curve.complexity):
         value, where = reference_minimize(cand, 0.0, cost_cap=t)
-        assert cand.minimize(0.0, cost_cap=t) == (value, where)
+        assert cand.capped_minima(0.0, [t]) == [(value, where)]
         assert (loss, cost) == ((np.inf, np.inf) if where is None
                                 else (fo._report(value), where[0]))
     assert critical_beta(d, fam) == reference_critical_beta(d, fam)
@@ -164,7 +164,7 @@ def test_grid_screen_matches_per_t_references(task, data):
         # at beta = 0, none that a zero-loss candidate beats on cost
         assert len(checked) == 1 and len(set(checked[0])) == len(checked[0])
         assert set(checked[0]) == unbeaten(cand, beta, _shortlists(cand, beta, t_grid))
-        assert [cand.minimize(beta, cost_cap=t) for t in t_grid] == want
+        assert [cand.capped_minima(beta, [t])[0] for t in t_grid] == want
         if beta == 0.0:
             assert _curve_rows(structure_function(d, fam, t_grid)) == \
                 _reference_rows(want)
