@@ -207,10 +207,10 @@ class HypothesisFamily:
     tie-breaking.
 
     A flat family (and a custom one) stores its ``tables`` (R, space.size,
-    K) and ``names``. A union from :meth:`for_space` is factored and stores
-    neither; both are built from its children on first read. Its first
-    rules are its ``_flat`` block; the rest are pair rules, and row i of
-    ``_kids`` (R - len(_flat), 2) gives pair rule len(_flat) + i's left
+    K) and ``names``. A union from :meth:`for_space` is factored: it stores
+    neither, and answers every table-valued query from its children. Its
+    first rules are its ``_flat`` block; the rest are pair rules, and row i
+    of ``_kids`` (R - len(_flat), 2) gives pair rule len(_flat) + i's left
     child as a rule of ``_parts[0]``, the left part's family, and its right
     child as a rule of ``_parts[1]`` (a back-referenced child lies in the
     right part's space, so it has the same enumeration there). The pair
@@ -219,8 +219,7 @@ class HypothesisFamily:
     which child of the left pair each one points at; ``_pair_costs`` holds
     the distinct pair costs and each pair's index into them. The left child
     fills rows [0, mmax), the right child rows [mmax, 2 mmax), mmax =
-    space.size // 2; rows past a child's own space are uniform. Every
-    table-valued query is answered from the children.
+    space.size // 2; rows past a child's own space are uniform.
     """
 
     MAX_RULES = 400_000
@@ -238,8 +237,7 @@ class HypothesisFamily:
         self._n_same, self._back_w, self._pair_costs = n_same, back_w, pair_costs
 
     def _checked(self) -> "HypothesisFamily":
-        """Set the rule facts and check the Kraft budget: once, for the
-        family a caller builds, not for its flat block or parts."""
+        """Set the rule facts and check the Kraft budget (not for the parts)."""
         self.is_constant, self.is_deterministic, _ = self._facts()
         kraft, rel = self._kraft()    # kraft_sum() decides where the bound spans 1
         if (kraft * (1.0 + 2 * (rel + 3 * _U)) > 1.0 + 1e-9
@@ -258,8 +256,7 @@ class HypothesisFamily:
 
     @functools.cached_property
     def tables(self) -> np.ndarray:
-        """Stacked (R, M, K) tables, read-only; a union's are built on first
-        read."""
+        """Stacked (R, M, K) tables, read-only; a union's built on first read."""
         tables = self._tables_of(np.arange(len(self)))
         tables.flags.writeable = False
         return tables
@@ -348,7 +345,8 @@ class HypothesisFamily:
         split = int(np.searchsorted(xs, mmax))
         halves = (slice(0, split), slice(split, None))
         return self._flat._group_loss(xs, counts), tuple(
-            (cols, child._padded_group_loss(xs[cols] - side * mmax, counts[cols]))
+            (cols, child._padded_group_loss(xs[cols] - side * mmax, counts[cols],
+                                            self.num_labels))
             for side, (child, cols) in enumerate(zip(self._parts, halves)))
 
     def _group_rows(self, parts: tuple, rules: np.ndarray) -> np.ndarray:
@@ -369,10 +367,9 @@ class HypothesisFamily:
                 out[at, cols] = loss[kids[:, side]]
         return out
 
-    def _padded_group_loss(self, xs, counts) -> np.ndarray:
+    def _padded_group_loss(self, xs, counts, k) -> np.ndarray:
         """_group_loss where inputs past this space read the uniform row."""
         inside = int(np.searchsorted(xs, self.space.size))
-        k = self.num_labels
         out = np.empty((len(self), len(xs)))
         out[:, :inside] = self._group_loss(xs[:inside], counts[:inside])
         out[:, inside:] = _dense_group_loss(
@@ -834,17 +831,18 @@ class _Candidates:
             f = self._pair_floor(beta, at, caps)
             yield self._n_flat + at[(f - _pair_slack(f) <= bounds()).any(axis=1)]
 
-    def _screens(self, beta: float, caps, bounds):
-        """`_screen`'s blocks of the rules with tables, then of the pairs
-        that `_pairs_within` keeps, which reads bounds() between blocks."""
-        yield from self._screen(np.arange(self._n_flat), self._flat_approx, beta)
+    def _screens(self, beta: float, caps, bounds, visit) -> None:
+        """`_screen` the rules with tables, then the pairs that `_pairs_within`
+        keeps, which reads bounds() between blocks. A block is freed when
+        visit returns, not held while the next pair floors are built."""
+        self._screen(np.arange(self._n_flat), self._flat_approx, beta, visit)
         for pairs in self._pairs_within(beta, caps, bounds):
-            yield from self._screen(pairs, None, beta)
+            self._screen(pairs, None, beta, visit)
 
-    def _screen(self, rules: np.ndarray, approx: np.ndarray | None, beta: float):
-        """(rules, approx, values) for blocks of _ROWS of ``rules`` in stable
-        cost order: their approximate loss rows (``approx``, aligned with
-        ``rules``, or built per block when None) and approx + beta * cost."""
+    def _screen(self, rules, approx, beta: float, visit) -> None:
+        """visit(rules, approx, values) per block of _ROWS of ``rules`` in
+        stable cost order: approximate loss rows (``approx`` aligned with
+        ``rules``, or built per block when None), approx + beta * cost."""
         order = np.argsort(self.fam.costs[rules], kind="stable")
         for lo in range(0, len(rules), _ROWS):
             at = rules[order[lo:lo + _ROWS]]
@@ -853,7 +851,7 @@ class _Candidates:
             values = self.fam.costs[at, None] + self.ext[None, :]
             values *= beta
             values += rows
-            yield at, rows, values
+            visit(at, rows, values)
 
     # -- exact evaluation ---------------------------------------------------
 
@@ -932,8 +930,6 @@ class _Candidates:
             (int(self.xs[g]), int(self.majority[g])) for g in pin_groups))
 
     def hypothesis_for(self, r: int, s: int, pin_groups=None) -> Hypothesis:
-        if pin_groups is None:
-            pin_groups = self.pin_order[r, :s]
         table = self.fam._tables_of([r])[0]
         pins = self.pins_for(r, s, pin_groups)
         for x, label in pins:
@@ -947,8 +943,7 @@ class _Candidates:
     # -- exact minimization over candidates ----------------------------------
 
     def minimize(self, beta: float):
-        """Exact min of loss + beta * cost for beta >= 0 (the public callers
-        reject beta < 0): capped_minima's one uncapped case."""
+        """Exact min of loss + beta * cost, beta >= 0: capped_minima at inf."""
         return self.capped_minima(beta, [math.inf])[0]
 
     def capped_minima(self, beta: float, t_grid) -> list:
@@ -984,7 +979,9 @@ class _Candidates:
 
         thr = thresholds()
         near = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),) * 2]
-        for at, rows, values in self._screens(beta, caps, lambda: thr[:n]):
+
+        def keep(at, rows, values):
+            nonlocal thr
             # a block in cost order: each distinct cost is one run of rows
             ucost, first, cls = np.unique(self.fam.costs[at], return_index=True,
                                           return_inverse=True)
@@ -993,6 +990,8 @@ class _Candidates:
             thr = thresholds()
             r, s = np.nonzero(values <= thr[bucket][cls])
             near.append((at[r], s, bucket[cls[r], s], rows[r, s], values[r, s]))
+
+        self._screens(beta, caps, lambda: thr[:n], keep)
         r, s, b, a, v = (np.concatenate(x) for x in zip(*near))
         close = v <= thr[b]
         r, s, b, v = r[close], s[close], b[close], v[close]
@@ -1124,7 +1123,8 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
     # the screen of `minimize`, at limit plus the margin of approximation
     bound = limit + _APPROX_MARGIN * (1.0 + abs(limit))
     found = []
-    for at, _, values in cand._screens(beta, [math.inf], lambda: bound):
+
+    def keep(at, _, values):
         for j, s in zip(*np.nonzero(values <= bound)):
             r, s = int(at[j]), int(s)
             cost = float(cand.fam.costs[r] + cand.ext[s])
@@ -1140,6 +1140,8 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
                     if len(found) > max_results:
                         raise NoHypothesisError(
                             "too many sufficient statistics to enumerate")
+
+    cand._screens(beta, [math.inf], lambda: bound, keep)
     found.sort(key=lambda e: (e[1], e[2], e[3]))
     min_cost = min(e[0] for e in found)
     return [BetaStatistic(cand.hypothesis_for(r, s, np.array(pins, dtype=np.int64)),
