@@ -726,7 +726,8 @@ class _Candidates:
         self._parts = fam._group_parts(xs, counts)
         self._n_flat = len(self._parts[0])
         self._pure_idx, self._mixed_idx = np.flatnonzero(pure), np.flatnonzero(~pure)
-        self.pin_order = _PinOrders(self._group_rows, self._pure_idx)
+        self.pin_order = _PinOrders(functools.partial(fam._group_rows, self._parts),
+                                    self._pure_idx)  # self._group_rows: a cycle
 
         self.ext = np.array(
             [extension_cost(u, s, self.k) for s in range(self.n_pure + 1)])
@@ -833,8 +834,7 @@ class _Candidates:
 
     def _screens(self, beta: float, caps, bounds, visit) -> None:
         """`_screen` the rules with tables, then the pairs that `_pairs_within`
-        keeps, which reads bounds() between blocks. A block is freed when
-        visit returns, not held while the next pair floors are built."""
+        keeps under the live bounds(); a block is freed when visit returns."""
         self._screen(np.arange(self._n_flat), self._flat_approx, beta, visit)
         for pairs in self._pairs_within(beta, caps, bounds):
             self._screen(pairs, None, beta, visit)

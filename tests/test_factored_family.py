@@ -9,6 +9,7 @@ rules that a bound from their children cannot rule out; it must still
 return what a full screen returns.
 """
 
+import gc
 import timeit
 import tracemalloc
 
@@ -227,6 +228,22 @@ def test_union_distance_memory_guard():
         tracemalloc.stop()
     assert np.isfinite(value) and value >= 0.0
     assert peak <= 350e6, f"peak {peak / 1e6:.0f} MB"
+
+
+def test_queries_leave_no_reference_cycles():
+    # a _Candidates in a reference cycle keeps its union family and rows
+    # alive until the cyclic collector runs, several MB per oracle_distance
+    plant, rand, fam = _distance_tasks()
+    gc.collect()
+    gc.disable()
+    try:
+        fo.oracle_distance(plant, rand, fam, 1.0)
+        fo.structure_function(plant, fam, [5.0, 20.0])
+        fo.critical_beta(plant, fam)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_union_distance_builds_rows_only_for_unpruned_pairs(monkeypatch):
