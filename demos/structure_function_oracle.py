@@ -10,7 +10,7 @@ and compares three tasks:
   * the planted task with randomized labels -- structure destroyed, the
                       curve returns to the memorization line.
 
-Writes structure_function.svg next to this script.
+Writes structure_function.svg into the working directory.
 """
 
 import math

@@ -651,13 +651,6 @@ def _suffix_losses(group: np.ndarray, pure_idx: np.ndarray,
     return out
 
 
-def _multiset_keys(kept: np.ndarray) -> np.ndarray:
-    """A polynomial hash, mod 2**64, of each row of unsigned codes."""
-    powers = np.full(kept.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64)
-    powers[:1] = 1
-    return kept.astype(np.uint64) @ np.cumprod(powers)[::-1]
-
-
 class _PinOrders:
     """Canonical pin orders, computed for the rules asked for.
 
@@ -731,7 +724,7 @@ class _Candidates:
 
         self.ext = np.array(
             [extension_cost(u, s, self.k) for s in range(self.n_pure + 1)])
-        # exact_losses' zero rule needs every term -ln p to be >= 0
+        # the zero cap needs every term -ln p to be >= 0
         self.unit_bounded = fam._peak() <= 1.0
         self._floor_tables = (None, None)
 
@@ -840,81 +833,48 @@ class _Candidates:
             self._screen(pairs, None, beta, visit)
 
     def _screen(self, rules, approx, beta: float, visit) -> None:
-        """visit(rules, approx, values) per block of _ROWS of ``rules`` in
-        stable cost order: approximate loss rows (``approx`` aligned with
-        ``rules``, or built per block when None), approx + beta * cost."""
+        """visit(rules, values) per block of _ROWS of ``rules`` in stable cost
+        order, values = approx + beta * cost; the approximate loss rows are
+        ``approx`` (aligned with ``rules``) or, when None, built per block."""
         order = np.argsort(self.fam.costs[rules], kind="stable")
         for lo in range(0, len(rules), _ROWS):
             at = rules[order[lo:lo + _ROWS]]
-            rows = (self._approx_rows(at) if approx is None
-                    else approx[order[lo:lo + _ROWS]])
             values = self.fam.costs[at, None] + self.ext[None, :]
             values *= beta
-            values += rows
-            visit(at, rows, values)
+            values += (self._approx_rows(at) if approx is None
+                       else approx[order[lo:lo + _ROWS]])
+            visit(at, values)
 
     # -- exact evaluation ---------------------------------------------------
 
     def _fsum_kept(self, ur: np.ndarray, ri: np.ndarray, pinned: np.ndarray
                    ) -> np.ndarray:
         """Exact loss of each candidate j: fsum of the per-sample -ln p under
-        rule ur[ri[j]] over the samples where pinned[j] is False.
-
-        -ln p is taken once per distinct table value. fsum is correctly
-        rounded, so candidates whose kept samples carry the same multiset of
-        values share one fsum: the multisets are grouped by a hash of their
-        sorted value codes, and every row is checked equal to its group's
-        first row, so a hash collision only costs an extra fsum.
-        """
+        rule ur[ri[j]] over the samples where pinned[j] is False. -ln p is
+        taken once per distinct table value."""
         p = self.fam._cells(ur, self.d.inputs, self.d.labels)
         values, codes = np.unique(p, return_inverse=True)
         nll = np.array([-math.log(v) if v > 0.0 else INF_NATS
-                        for v in values.tolist()])
-        dropped = np.asarray(len(values), dtype=np.min_scalar_type(len(values)))
-        codes = codes.reshape(p.shape).astype(dropped.dtype)
-        kept = np.where(pinned, dropped, codes[ri])
-        kept.sort(axis=1)
-        _, first, group = np.unique(_multiset_keys(kept), return_index=True,
-                                    return_inverse=True)
-        clash = np.flatnonzero((kept != kept[first[group]]).any(axis=1))
-        group[clash] = len(first) + np.arange(len(clash))
-        sums = np.array([math.fsum(nll[row[row != dropped]].tolist())
-                         for row in kept[np.concatenate([first, clash])]])
-        return sums[group]
+                        for v in values.tolist()])[codes.reshape(p.shape)]
+        return np.array([math.fsum(nll[i][keep].tolist())
+                         for i, keep in zip(ri.tolist(), ~pinned)])
 
-    def exact_losses(self, rules: np.ndarray, counts: np.ndarray,
-                     approx: np.ndarray | None = None) -> np.ndarray:
+    def exact_losses(self, rules: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Exact losses of the candidates (rules[j], counts[j]), each with its
-        canonical pin set; ``approx`` holds their approx_loss values when
-        the caller has them. Candidates go in blocks of about _BLOCK
+        canonical pin set. Candidates go in blocks of about _BLOCK
         (candidate, sample) cells, which bounds the working memory."""
-        # Zero rule. When no table value exceeds 1, approx_loss[r, s] is a
-        # float sum of terms count * -ln p >= 0 (INF_NATS at p == 0), and
-        # such a sum is 0.0 only when every term is. A kept pure group's
-        # term is 0 only at p == 1.0 (-ln p > 0 for every float p < 1). A
-        # mixed group counts two labels of one row, which cannot both have
-        # p == 1.0, so its term is > 0. Hence approx_loss[r, s] == 0.0
-        # exactly when every kept sample has p == 1.0, and the exact loss is
-        # math.fsum of -ln 1.0 terms, 0.0: those rows skip the fsum.
         out = np.zeros(len(rules))
-        todo = np.arange(len(rules))
-        if self.unit_bounded:
-            if approx is None:
-                ur, ri = np.unique(rules, return_inverse=True)
-                approx = self._approx_rows(ur)[ri, counts]
-            todo = np.flatnonzero(approx != 0.0)
         step = max(1, _BLOCK // max(len(self.d), 1))
-        for lo in range(0, len(todo), step):
-            at = todo[lo:lo + step]
-            ur, ri = np.unique(rules[at], return_inverse=True)
+        for lo in range(0, len(rules), step):
+            ur, ri = np.unique(rules[lo:lo + step], return_inverse=True)
             # rank[i, g]: position of group g in rule ur[i]'s pin order;
             # mixed groups rank past every pin count
             rank = np.full((len(ur), self.u), self.n_pure,
                            dtype=np.min_scalar_type(self.n_pure))
             rank[np.arange(len(ur))[:, None], self.pin_order[ur]] = \
                 np.arange(self.n_pure)
-            pinned = rank[:, self.inverse][ri] < counts[at, None]
-            out[at] = self._fsum_kept(ur, ri, pinned)
+            pinned = rank[:, self.inverse][ri] < counts[lo:lo + step, None]
+            out[lo:lo + step] = self._fsum_kept(ur, ri, pinned)
         return out
 
     def exact_loss(self, r: int, pin_groups) -> float:
@@ -962,12 +922,19 @@ class _Candidates:
         cap's live threshold (`_pairs_within`). caps = min(t_grid, c*) at
         beta = 0 with no table value above 1, else t_grid; c*, the least
         cost of a candidate with a table and approximate loss exactly 0.0,
-        has exact loss 0 (`exact_losses`' zero rule), the least there is,
-        so from c* on the minimum is 0 and dearer candidates lose the tie.
+        has exact loss 0 (see the zero cap), the least there is, so from c*
+        on the minimum is 0 and dearer candidates lose the tie.
         """
         t_grid = np.asarray(t_grid, dtype=np.float64)
         n, caps = len(t_grid), t_grid
-        if beta == 0 and self.unit_bounded:           # the zero cap
+        if beta == 0 and self.unit_bounded:
+            # The zero cap. With no table value above 1, an approximate loss
+            # is a float sum of terms count * -ln p >= 0 (INF_NATS at p ==
+            # 0), 0.0 only when every term is. A kept pure group's term is 0
+            # only at p == 1.0 (-ln p > 0 for every float p < 1); a mixed
+            # group counts two labels of one row, which cannot both be 1.0.
+            # So an approximate loss of 0.0 means every kept sample has p ==
+            # 1.0, and the exact loss, an fsum of -ln 1.0 terms, is 0.0.
             r, s = np.nonzero(self._flat_approx == 0.0)
             c_zero = (self.fam.costs[r] + self.ext[s]).min(initial=np.inf)
             caps = np.minimum(caps, c_zero)
@@ -978,9 +945,9 @@ class _Candidates:
             return np.append(vmin + _screen_margin(vmin), -np.inf)
 
         thr = thresholds()
-        near = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),) * 2]
+        near = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
 
-        def keep(at, rows, values):
+        def keep(at, values):
             nonlocal thr
             # a block in cost order: each distinct cost is one run of rows
             ucost, first, cls = np.unique(self.fam.costs[at], return_index=True,
@@ -989,14 +956,14 @@ class _Candidates:
             np.minimum.at(bmin, bucket, np.minimum.reduceat(values, first))
             thr = thresholds()
             r, s = np.nonzero(values <= thr[bucket][cls])
-            near.append((at[r], s, bucket[cls[r], s], rows[r, s], values[r, s]))
+            near.append((at[r], s, bucket[cls[r], s], values[r, s]))
 
         self._screens(beta, caps, lambda: thr[:n], keep)
-        r, s, b, a, v = (np.concatenate(x) for x in zip(*near))
+        r, s, b, v = (np.concatenate(x) for x in zip(*near))
         close = v <= thr[b]
         r, s, b, v = r[close], s[close], b[close], v[close]
         cost = self.fam.costs[r] + self.ext[s]
-        exact = self.exact_losses(r, s, a[close]) + beta * cost
+        exact = self.exact_losses(r, s) + beta * cost
         out = []
         for j in range(n):
             at = np.flatnonzero((b <= j) & (v <= thr[j]))
@@ -1124,7 +1091,7 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
     bound = limit + _APPROX_MARGIN * (1.0 + abs(limit))
     found = []
 
-    def keep(at, _, values):
+    def keep(at, values):
         for j, s in zip(*np.nonzero(values <= bound)):
             r, s = int(at[j]), int(s)
             cost = float(cand.fam.costs[r] + cand.ext[s])
@@ -1153,33 +1120,32 @@ def _pin_sets_within(cand: _Candidates, r: int, s: int, budget: float):
     """s-subsets of pure groups keeping the variant loss <= budget.
 
     A variant's loss is the mixed groups' loss plus that of the pure groups
-    it leaves unpinned. A branch-and-bound walk picks the n_pure - s groups
-    to leave, from the smallest approximate loss up, so every sum it tests
-    is over small losses only and stays accurate when the pinned groups
-    carry INF_NATS. Callers re-check candidates exactly.
+    it leaves unpinned. A depth-first branch-and-bound walk picks the
+    n_pure - s groups to leave, from the smallest approximate loss up, so
+    every sum it tests is over small losses only and stays accurate when
+    the pinned groups carry INF_NATS. Callers re-check candidates exactly.
     """
-    group = cand._group_rows(np.array([r]))
-    mixed = _suffix_losses(group, cand._pure_idx, cand._mixed_idx)[0, -1]
-    order = cand.pin_order.of(group[0])[::-1]  # pure groups by ascending loss
-    glosses = group[0, order]
+    group = cand._group_rows(np.array([r]))[0]
+    order = cand.pin_order.of(group)[::-1]  # pure groups by ascending loss
+    glosses = group[order].tolist()
     leave = len(order) - s
-    room = budget + _APPROX_MARGIN * (1.0 + abs(budget)) + TIE_ATOL - float(mixed)
+    room = (budget + _APPROX_MARGIN * (1.0 + abs(budget)) + TIE_ATOL
+            - float(group[cand._mixed_idx].sum()))
     prefix = np.concatenate([[0.0], np.cumsum(glosses)])
-    results: list[np.ndarray] = []
-
-    def rec(start: int, left: list[int], acc: float):
+    stack = [(0, [], 0.0)]      # (first group to try, groups left, their loss)
+    while stack:
+        start, left, acc = stack.pop()
         if len(left) == leave:
             if acc <= room:
-                results.append(np.delete(order, left))
-            return
+                yield np.delete(order, left)
+            continue
         remaining = leave - len(left)
+        branches = []
         for i in range(start, len(glosses) - remaining + 1):
             if acc + (prefix[i + remaining] - prefix[i]) > room:
                 break
-            rec(i + 1, left + [i], acc + float(glosses[i]))
-
-    rec(0, [], 0.0)
-    yield from results
+            branches.append((i + 1, left + [i], acc + glosses[i]))
+        stack.extend(reversed(branches))
 
 
 def critical_beta(d: Dataset, fam: HypothesisFamily, tol_bisect: float = 1e-3

@@ -410,8 +410,9 @@ _PART_END = re.compile(r",K=([0-9]+)([|)])")
 
 def _parse_union_spec(text: str, pos: int = 0, depth: int = 0) -> tuple[Space, int]:
     """(space, end) of the `# union=` spec at text[pos:], read in one pass;
-    ValueError on a malformed spec, on parts of two kinds, and on unions
-    nested deeper than _MAX_UNION_DEPTH."""
+    ValueError on a malformed spec, on parts of two kinds, on a union part
+    whose K is not the largest K of its own parts, and on unions nested
+    deeper than _MAX_UNION_DEPTH."""
     m = _SPACE_TOKEN.match(text, pos)
     if m is not None:
         kind = DiscreteSpace if m[1] == "discrete" else RealSpace
@@ -427,7 +428,10 @@ def _parse_union_spec(text: str, pos: int = 0, depth: int = 0) -> tuple[Space, i
             m = _PART_END.match(text, pos)
             if m is None or m[2] != close:
                 raise ValueError(f"bad union spec near {text[pos:pos + 20]!r}")
-            parts.append(UnionPart(part, int(m[1])))
+            k, k_parts = int(m[1]), [p.num_labels for p in part.parts or ()]
+            if k_parts and k != max(k_parts):
+                raise ValueError(f"a part has K={k}, its own parts K={max(k_parts)}")
+            parts.append(UnionPart(part, k))
             pos = m.end() - 1
         space, pos = _union_space(*parts), pos + 1
     if depth == 0 and pos != len(text):

@@ -95,3 +95,16 @@ def test_bound_validation_rejects_empty_trials():
     with pytest.raises(ValueError, match="empty trial set"):
         bound_validation_trial(_generator, Architecture((24, 2)), 1.0, 0.1,
                                trials=0, seed=0)
+
+
+def test_bound_validation_diverged_trials_give_nan_rows():
+    # an exploding step size diverges every trial: each row is NaN and
+    # uncovered, and the coverage counts them as misses
+    report = bound_validation_trial(
+        _generator, Architecture((24, 2)), beta=1.0, delta=0.5, trials=2,
+        seed=0, cfg=VariationalConfig(steps=50, learning_rate=1e12, mc_samples=2,
+                                      report_mc=8, grad_clip=None))
+    assert report.coverage == 0.0
+    for trial, row in enumerate(report.rows):
+        assert row[0] == trial and row[5] is False
+        assert all(math.isnan(v) for v in row[1:5])

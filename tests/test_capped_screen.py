@@ -216,9 +216,9 @@ def test_zero_cap_only_at_beta_zero():
     checked = []
     exact_losses = cand.exact_losses
 
-    def spy(rules, counts, approx=None):
+    def spy(rules, counts):
         checked.append(sorted(zip(rules.tolist(), counts.tolist())))
-        return exact_losses(rules, counts, approx)
+        return exact_losses(rules, counts)
 
     cand.exact_losses = spy
     for beta, want in ((0.0, [(0, 0)]), (0.4, [(0, 0), (1, 0)])):

@@ -412,3 +412,76 @@ def test_bad_task_file_is_config_error_naming_path_and_line(tmp_path, capsys,
     assert code == 2
     assert f"{path}{where}" in capsys.readouterr().err
     assert not (out / "task.csv").exists()
+
+
+
+def _gen_task(tmp_path, task, out="out"):
+    code, out_dir = run_cli(tmp_path, "gen-task",
+                            {"version": 1, "seed": 1, "task": task}, out=out)
+    return code, out_dir / "task.csv"
+
+
+def test_transform_task_applies_the_transform(tmp_path):
+    base = dict(RANDOM_TASK, k=3)
+    code, path = _gen_task(tmp_path, {
+        "type": "transform", "base": base,
+        "transform": {"kind": "label_permutation", "permutation": [2, 0, 1]}})
+    assert code == 0
+    _, plain = _gen_task(tmp_path, base, "plain")
+    d, want = load_dataset_csv(path), load_dataset_csv(plain)
+    assert np.array_equal(d.inputs, want.inputs)
+    assert np.array_equal(d.labels, np.array([2, 0, 1])[want.labels])
+
+
+@pytest.mark.parametrize("transform, why", [
+    ({"kind": "twirl"}, "unknown transform kind 'twirl'"),
+    ({"kind": "subset", "seed": 1}, "subset needs fraction"),
+    ({"kind": "subset", "fraction": 0.5, "spin": 1}, "spin"),
+])
+def test_bad_transform_is_config_error(tmp_path, capsys, transform, why):
+    code, path = _gen_task(tmp_path, {"type": "transform", "base": RANDOM_TASK,
+                                      "transform": transform})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: task.transform: " in err and why in err
+    assert not path.exists()
+
+
+def test_subset_classes_task_keeps_the_listed_labels(tmp_path):
+    base = dict(RANDOM_TASK, k=3, n=30)
+    code, path = _gen_task(tmp_path, {"type": "subset_classes", "base": base,
+                                      "labels": [0, 2]})
+    assert code == 0
+    _, plain = _gen_task(tmp_path, base, "plain")
+    d, full = load_dataset_csv(path), load_dataset_csv(plain)
+    keep = full.labels != 1
+    assert 0 < d.n < full.n and d.num_labels == 3
+    assert np.array_equal(d.inputs, full.inputs[keep])
+    assert np.array_equal(d.labels, full.labels[keep])
+
+
+@pytest.mark.parametrize("command, config", [
+    ("structure-fn", {"version": 1, "seed": 3, "engine": "quantum",
+                      "task": RANDOM_TASK}),
+    ("beta-sweep", {"version": 1, "seed": 3, "engine": "quantum", "betas": [1.0],
+                    "tasks": [{"name": "a", "task": RANDOM_TASK}]}),
+])
+def test_unknown_engine_is_config_error(tmp_path, capsys, command, config):
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 2
+    assert "config error: engine: unknown engine 'quantum'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_runtime_failure_exits_one_and_writes_nothing(tmp_path, capsys,
+                                                      monkeypatch):
+    # a library error that is not a ValueError or a KeyError is a runtime
+    # failure, not a config error
+    def fail(*args):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setattr("taskinfo.finite_oracle.structure_function", fail)
+    code, out = run_cli(tmp_path, "structure-fn", RERUNS["structure-fn"][0])
+    assert code == 1
+    assert "error: RuntimeError: planted failure" in capsys.readouterr().err
+    assert not out.exists()

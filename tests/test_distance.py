@@ -114,6 +114,25 @@ def test_distance_undefined_when_all_replicates_diverge():
             task_distance(full, sub, 0.5, ARCH, bad, seeds=[0, 1])
 
 
+
+def test_narrower_source_is_zero_padded_to_the_union_width():
+    # d(d1 -> d2) with d1 on 3 inputs and d2 on 5: the source statistic
+    # d1 u d1 has 5 columns and is padded with zeros to the union's 7
+    from taskinfo.distance import _statistics
+    d1 = tasks.generate_random_label_task(12, tasks.RealSpace(3), 2, seed=1)
+    d2 = tasks.generate_random_label_task(12, tasks.RealSpace(5), 2, seed=2)
+    source, du = _statistics(d1, d2)
+    plain = tasks.disjoint_union(d1, d1)
+    assert source.space.dim == du.space.dim == 7
+    assert np.array_equal(source.inputs[:, :5], plain.inputs)
+    assert not source.inputs[:, 5:].any()
+    assert np.array_equal(source.labels, plain.labels)
+    cfg = DistanceConfig(replicates=1, prior=IsotropicPrior(1.0),
+                         opt=VariationalConfig(steps=20, learning_rate=0.5,
+                                               mc_samples=2, report_mc=16))
+    res = task_distance(d1, d2, 0.5, Architecture((7, 2)), cfg, seeds=[0])
+    assert math.isfinite(res.value) and res.value >= 0.0
+
 # ---------------------------------------------------------------------------
 # fine-tuning correlate
 

@@ -125,9 +125,9 @@ def test_pair_floor_bounds_every_pair_and_pruning_keeps_the_minimum(task, data):
     betas = (0.0, 0.4, 1.0, 3.0)
     checked = []
 
-    def exact_spy(rules, counts, approx=None):
+    def exact_spy(rules, counts):
         checked.append(sorted(zip(rules.tolist(), counts.tolist())))
-        return fo._Candidates.exact_losses(cand, rules, counts, approx)
+        return fo._Candidates.exact_losses(cand, rules, counts)
 
     cand.exact_losses = exact_spy
     got = [cand.minimize(beta) for beta in betas]
@@ -240,6 +240,7 @@ def test_queries_leave_no_reference_cycles():
         fo.oracle_distance(plant, rand, fam, 1.0)
         fo.structure_function(plant, fam, [5.0, 20.0])
         fo.critical_beta(plant, fam)
+        fo.beta_sufficient_statistics(plant, fam, 1.0, tol=0.0)
         unreachable = gc.collect()
     finally:
         gc.enable()
@@ -350,15 +351,14 @@ def test_union_critical_beta_and_statistics_build_no_r_wide_rows(union2x32,
     monkeypatch.setattr(fo._Candidates, "_approx_rows", rows_spy)
     monkeypatch.setattr(fo._Candidates, "_pairs_within", pairs_spy)
     n_flat = len(fam._flat)
-    # critical_beta also prices the constant rules, pairs among them, once
-    queries = [(lambda: fo.critical_beta(d, fam), fam.is_constant.sum()),
-               (lambda: fo.beta_sufficient_statistics(d, fam, 1.0, tol=0.0), 0)]
-    for query, extra in queries:
+    queries = [lambda: fo.critical_beta(d, fam),
+               lambda: fo.beta_sufficient_statistics(d, fam, 1.0, tol=0.0)]
+    for query in queries:
         built.clear()
         kept.clear()
         _, peak = _traced(query)
         assert peak <= 10e6, f"peak {peak / 1e6:.1f} MB"
-        assert sum(built) == n_flat + extra + sum(kept)
+        assert sum(built) == n_flat + sum(kept)
         assert sum(kept) < len(fam) // 50
 
 

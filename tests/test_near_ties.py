@@ -183,9 +183,9 @@ def _planted_tasks(draw):
 def _spy(cand, log):
     exact_losses = fo._Candidates.exact_losses
 
-    def spy(rules, counts, approx=None):
+    def spy(rules, counts):
         log.append(list(zip(rules.tolist(), counts.tolist())))
-        return exact_losses(cand, rules, counts, approx)
+        return exact_losses(cand, rules, counts)
 
     cand.exact_losses = spy
 

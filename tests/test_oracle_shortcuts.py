@@ -1,14 +1,13 @@
 """The exact oracle's shortcuts give the outputs of the exhaustive paths.
 
-`_Candidates.exact_losses` skips the fsum of candidates whose approximate
-loss is exactly 0, `critical_beta` decides most bisection midpoints from
-the rules with tables and the pairs' least child floor,
-`beta_sufficient_statistics` shortlists from the pruned screen, and
-`structure_function` serves its whole t grid from one screen and one
-exact re-check, which at beta = 0 skips every candidate dearer than the
-cheapest zero-loss one. The references in `reference.py` re-check every
-shortlisted row, run an exact minimum at every midpoint, scan the R-wide
-screen and its Pareto frontier, and screen every t on its own.
+`critical_beta` decides most bisection midpoints from the rules with
+tables and the pairs' least child floor, `beta_sufficient_statistics`
+shortlists from the pruned screen, and `structure_function` serves its
+whole t grid from one screen and one exact re-check, which at beta = 0
+skips every candidate dearer than the cheapest zero-loss one. The
+references in `reference.py` re-check every shortlisted row, run an exact
+minimum at every midpoint, scan the R-wide screen and its Pareto frontier,
+and screen every t on its own.
 """
 
 import numpy as np
@@ -143,9 +142,9 @@ def test_grid_screen_matches_per_t_references(task, data):
     cand = fo._Candidates(d, fam)
     checked = []
 
-    def exact_spy(rules, counts, approx=None):
+    def exact_spy(rules, counts):
         checked.append(list(zip(rules.tolist(), counts.tolist())))
-        return fo._Candidates.exact_losses(cand, rules, counts, approx)
+        return fo._Candidates.exact_losses(cand, rules, counts)
 
     cand.exact_losses = exact_spy
     costs = np.unique(candidate_costs(cand))
@@ -201,17 +200,14 @@ def test_pruned_queries_match_the_r_wide_screen_on_workload_unions():
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Records (rows, zero-approx rows) of every exact_losses call and the
-    rows of every fsum re-check."""
+    """Records the rows of every exact_losses call and of every fsum
+    re-check."""
     calls, fsum_rows = [], []
     exact_losses, fsum_kept = fo._Candidates.exact_losses, fo._Candidates._fsum_kept
 
-    def exact_spy(self, rules, counts, approx=None):
-        want = approx_loss(self)[rules, counts]
-        if approx is not None:      # the screened values are the table's
-            assert approx.tobytes() == want.tobytes()
-        calls.append((len(rules), int((want == 0.0).sum())))
-        return exact_losses(self, rules, counts, approx)
+    def exact_spy(self, rules, counts):
+        calls.append(len(rules))
+        return exact_losses(self, rules, counts)
 
     def fsum_spy(self, ur, ri, pinned):
         fsum_rows.append(len(ri))
@@ -234,7 +230,7 @@ def test_structure_function_skips_zero_loss_ties(union3, spy, t):
     calls, fsum_rows = spy
     d, fam = union3
     curve = structure_function(d, fam, [t])
-    (rows, zero), fsums = map(sum, zip(*calls)), sum(fsum_rows)
+    rows, fsums = sum(calls), sum(fsum_rows)
     cand = fo._Candidates(d, fam)
     assert _curve_rows(curve) == _reference_rows(
         [reference_minimize(cand, 0.0, cost_cap=t)])
@@ -242,9 +238,9 @@ def test_structure_function_skips_zero_loss_ties(union3, spy, t):
             if approx_loss(cand)[r, s] == 0.0}
     assert len(ties) > 10_000              # the tie set is there ...
     # ... only its members no dearer than the cheapest zero-loss rule with
-    # a table are re-checked, and none of them by fsum
+    # a table are re-checked, each by fsum
     assert rows == len(unbeaten(cand, 0.0, _shortlists(cand, 0.0, [t]))) < 100
-    assert fsums == rows - zero
+    assert fsums == rows
 
 
 def test_zero_rule_off_when_a_table_value_exceeds_one():
@@ -261,18 +257,6 @@ def test_zero_rule_off_when_a_table_value_exceeds_one():
     assert (cand.exact_losses(r, s) == reference_exact_losses(cand, r, s)).all()
     assert fo._Candidates(d, HypothesisFamily.for_space(DiscreteSpace(2), 2)
                           ).unit_bounded
-
-
-def test_exact_losses_when_every_multiset_key_collides(union3, monkeypatch):
-    # the multiset hash only groups rows for one fsum each; every row is
-    # checked against its group's first, so a hash that maps every row to
-    # one key gives the same losses
-    cand = fo._Candidates(*union3)
-    r, s = np.divmod(np.arange(300 * (cand.n_pure + 1)), cand.n_pure + 1)
-    want = reference_exact_losses(cand, r, s)
-    monkeypatch.setattr(fo, "_multiset_keys",
-                        lambda kept: np.zeros(len(kept), dtype=np.uint64))
-    assert cand.exact_losses(r, s).tobytes() == want.tobytes()
 
 
 WORKLOAD_T_GRID = [3.0 * i for i in range(1, 13)]    # perfbench oracle-union
@@ -293,9 +277,9 @@ def test_structure_function_rechecks_each_shortlisted_candidate_once(
     checked = []
     exact_losses = fo._Candidates.exact_losses
 
-    def exact_spy(self, rules, counts, approx=None):
+    def exact_spy(self, rules, counts):
         checked.append(list(zip(rules.tolist(), counts.tolist())))
-        return exact_losses(self, rules, counts, approx)
+        return exact_losses(self, rules, counts)
 
     monkeypatch.setattr(fo._Candidates, "exact_losses", exact_spy)
     structure_function(*union3, WORKLOAD_T_GRID)

@@ -294,6 +294,9 @@ _HEADER = "# taskinfo-dataset v1, K=2, input=discrete:4"
      "input=discrete:16, the header input=discrete:4"),
     ("# taskinfo-dataset v1, K=5, input=discrete:4\n"
      "# union=(discrete:2,K=2|discrete:2,K=2)\n0,4\n", 2, "K=2, the header K=5"),
+    ("# taskinfo-dataset v1, K=2, input=discrete:8\n# union=((discrete:2,K=3|"
+     "discrete:2,K=2),K=2|(discrete:2,K=2|discrete:2,K=2),K=2)\n0,1\n", 2,
+     "a part has K=2, its own parts K=3"),
 ])
 def test_dataset_load_errors_name_file_and_line(tmp_path, text, line, message):
     path = tmp_path / "bad.csv"
