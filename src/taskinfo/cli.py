@@ -70,12 +70,23 @@ def _stamp(hash_: str) -> str:
 # Task specs
 
 
+def _number(spec: dict, key: str, path: str, kind=int):
+    """spec[key] as an int (or as ``kind``), else a ConfigError naming it."""
+    if key not in spec:
+        raise ConfigError(f"{path}: missing keys {[key]}")
+    try:
+        return kind(spec[key])
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path}.{key}: expected {what}") from None
+
+
 def _build_domain(spec, path) -> tasks_mod.DiscreteSpace | tasks_mod.RealSpace:
     _check_keys(spec, path, ("kind",), ("size", "dim"))
     if spec["kind"] == "discrete":
-        return tasks_mod.DiscreteSpace(int(spec["size"]))
+        return tasks_mod.DiscreteSpace(_number(spec, "size", path))
     if spec["kind"] == "real":
-        return tasks_mod.RealSpace(int(spec["dim"]))
+        return tasks_mod.RealSpace(_number(spec, "dim", path))
     raise ConfigError(f"{path}.kind: unknown domain kind {spec['kind']!r}")
 
 
@@ -105,20 +116,23 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
     if t == "random_labels":
         _check_keys(spec, path, ("type", "n", "k", "domain", "seed"))
         return tasks_mod.generate_random_label_task(
-            int(spec["n"]), _build_domain(spec["domain"], f"{path}.domain"),
-            int(spec["k"]), int(spec["seed"]))
+            _number(spec, "n", path), _build_domain(spec["domain"], f"{path}.domain"),
+            _number(spec, "k", path), _number(spec, "seed", path))
     if t == "planted":
         _check_keys(spec, path, ("type", "n", "k", "domain_size", "rule", "seed"),
                     ("noise", "noise_grid"))
-        fam = _family(tasks_mod.DiscreteSpace(int(spec["domain_size"])),
-                      int(spec["k"]), spec, path, families)
+        fam = _family(tasks_mod.DiscreteSpace(_number(spec, "domain_size", path)),
+                      _number(spec, "k", path), spec, path, families)
         try:
             rule = fam.hypothesis(spec["rule"])
-        except KeyError:
-            raise ConfigError(f"{path}.rule: no family rule {spec['rule']!r}")
+        except (KeyError, IndexError):
+            raise ConfigError(f"{path}.rule: no family rule {spec['rule']!r}") from None
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}.rule: expected a rule name") from None
         return tasks_mod.generate_planted_task(
-            int(spec["n"]), rule, float(spec.get("noise", 0.0)),
-            int(spec["seed"]))
+            _number(spec, "n", path), rule,
+            _number(spec, "noise", path, float) if "noise" in spec else 0.0,
+            _number(spec, "seed", path))
     if t == "union":
         _check_keys(spec, path, ("type", "left", "right"))
         return tasks_mod.disjoint_union(
@@ -126,6 +140,8 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
             build_task(spec["right"], f"{path}.right", families))
     if t == "transform":
         _check_keys(spec, path, ("type", "base", "transform"))
+        if not isinstance(spec["transform"], dict):
+            raise ConfigError(f"{path}.transform: expected an object")
         tspec = dict(spec["transform"])
         kind = tspec.pop("kind", None)
         try:
@@ -140,12 +156,18 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
             build_task(spec["base"], f"{path}.base", families))
     if t == "subset_classes":
         _check_keys(spec, path, ("type", "base", "labels"))
+        try:
+            labels = np.asarray(spec["labels"], dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{path}.labels: expected a list of integers") from None
         base = build_task(spec["base"], f"{path}.base", families)
-        keep = np.isin(base.labels, np.asarray(spec["labels"], dtype=np.int64))
+        keep = np.isin(base.labels, labels)
         return tasks_mod.Dataset(base.inputs[keep], base.labels[keep],
                                  base.num_labels, base.space)
     if t == "file":
         _check_keys(spec, path, ("type", "path"))
+        if not isinstance(spec["path"], str):
+            raise ConfigError(f"{path}.path: expected a file name")
         if not os.path.exists(spec["path"]):
             raise ConfigError(f"{path}.path: no such task file {spec['path']!r}")
         return tasks_mod.load_dataset_csv(spec["path"])

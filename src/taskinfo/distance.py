@@ -75,11 +75,14 @@ class TaskDistanceResult:
 def _statistics(d1: Dataset, d2: Dataset) -> tuple[Dataset, Dataset]:
     """The source and union datasets of d_beta(d1 -> d2).
 
-    The source statistic is computed on d1 u d1, zero-padded to the union
-    input width: that presentation carries exactly d1's information while
-    matching the union's origin-tag convention and sample scale, so the KL
-    difference isolates the new information in d2 instead of presentation
-    artifacts.
+    The source statistic is computed on d1 u d1, which carries exactly
+    d1's information at the union's sample scale, so the KL difference
+    isolates the new information in d2 instead of presentation artifacts.
+    When d2 is wider than d1, d1 u d1 is zero-padded to the union's input
+    width by appending zero columns: its origin tags stay at columns
+    d1.dim and d1.dim + 1, where the union d1 u d2 holds d2's wider inputs,
+    and the union's tag columns (its last two) read 0 in the source. When
+    both tasks have one width, the two layouts agree.
     """
     if not (isinstance(d1.space, RealSpace) and isinstance(d2.space, RealSpace)):
         raise ValueError("variational distances need real-vector tasks "

@@ -11,7 +11,6 @@ function of (data, architecture, config, init).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -134,8 +133,9 @@ def _layer_views(ws: np.ndarray, widths) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def forward_batch(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Probabilities (N, K) for a batch of inputs (N, d)."""
-    z, _ = _forward(p.architecture.layer_widths, np.asarray(x, np.float64)[None],
-                    flatten_params(p)[None])
+    widths, ws = p.architecture.layer_widths, flatten_params(p)[None]
+    xt = np.ascontiguousarray(np.asarray(x, np.float64).T)[None]
+    z, _ = _forward(widths, xt, ws, _layer_views(ws, widths))
     return np.exp(z[0].T)
 
 
@@ -163,36 +163,41 @@ def dataset_loss(p: MlpParams, d: Dataset) -> float:
                                       flatten_params(p)[None, :])[0])
 
 
-@functools.lru_cache(maxsize=32)
-def _logit_offsets(s: int, k: int, n: int) -> np.ndarray:
-    """Flat offsets (s, n) of logit 0 of each (draw, sample) in an (s, k, n)
-    array; read-only, shared between calls."""
-    out = np.arange(s)[:, None] * (k * n) + np.arange(n)
-    out.flags.writeable = False
-    return out
+def _block_constants(widths, y, ws, grads=None):
+    """What a kernel call on labels y (R, n) and S rows ws (S, P) needs
+    beside the data, for a caller that calls it on the same arrays again:
+    the flat index (draw, sample) of each sample's label logit in an (S, K,
+    n) array, and the layer views of ws and of grads (or None)."""
+    (r, n), s, k = y.shape, ws.shape[0], widths[-1]
+    at = (np.repeat(y * n, s // r, axis=0)
+          + np.arange(s)[:, None] * (k * n) + np.arange(n))
+    return (at, _layer_views(ws, widths),
+            None if grads is None else _layer_views(grads, widths))
 
 
-def _forward(widths, x, ws):
+def _forward(widths, xt, ws, layers):
     """Log-softmax (S, K, n) and the input of each layer, as (draw, unit,
-    sample) arrays: the first layer is one matmul over runs of each run's
-    stacked weight matrices with its x, deeper layers matmul per draw."""
-    r, n = x.shape[:2]
+    sample) arrays, of the S rows ws (S, P) with layer views ``layers`` on
+    the inputs xt (R, d0, n): the first layer is one matmul over runs of
+    each run's stacked weight matrices with its contiguous xt, deeper
+    layers matmul per draw."""
+    r, n = xt.shape[0], xt.shape[2]
     s, d1 = ws.shape[0], widths[1]
-    layers = _layer_views(ws, widths)
     z = np.matmul(layers[0][0].transpose(0, 2, 1).reshape(r, s // r * d1, widths[0]),
-                  x.transpose(0, 2, 1)).reshape(s, d1, n)
+                  xt).reshape(s, d1, n)
     z += layers[0][1][:, :, None]
-    hs = [x]
+    hs = [xt]
     for w, b in layers[1:]:
         hs.append(np.maximum(z, 0.0))
         z = np.matmul(w.transpose(0, 2, 1), hs[-1])
         z += b[:, :, None]
-    z -= z.max(axis=1, keepdims=True)                      # log-softmax
-    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)       # log-softmax
+    z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
     return z, hs
 
 
-def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None, sq_weight=None):
+def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None, sq_weight=None,
+                         xt=None, consts=None):
     """Total cross-entropy (S,) of S flat parameter vectors ws (S, P) on (x, y).
 
     x and y may carry a leading run axis, x (R, n, d0) and y (R, n): then ws
@@ -201,16 +206,21 @@ def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None, sq_weight=None
     (S, P) unless it is None, or with sq_weight (R, n) the squared per-sample
     gradients sum_i w_i g_i^2: g_i is linear in sample i's delta, so the
     delta is scaled by sqrt(w_i) and both factors of each product squared.
+    xt is x as a contiguous (R, d0, n) array, the forward matmul's operand,
+    and consts is _block_constants(widths, y, ws, grads); each is built here
+    when None, and a caller that calls again on the same arrays builds them
+    once.
     """
     if x.ndim == 2:
         x, y = x[None], y[None]
+    if xt is None:
+        xt = np.ascontiguousarray(x.transpose(0, 2, 1))
+    at, layers, out = _block_constants(widths, y, ws, grads) if consts is None else consts
     r, n = x.shape[:2]
     s, d1 = ws.shape[0], widths[1]
-    z, hs = _forward(widths, x, ws)
-    # flat index (draw, sample) of each sample's label logit
-    at = np.repeat(y * n, s // r, axis=0) + _logit_offsets(s, z.shape[1], n)
+    z, hs = _forward(widths, xt, ws, layers)
     nll = -z.reshape(-1).take(at)
-    losses = (nll if clip is None else np.minimum(nll, clip)).sum(axis=1)
+    losses = np.add.reduce(nll if clip is None else np.minimum(nll, clip), axis=1)
     if grads is None:
         return losses
     delta = np.exp(z, out=z)
@@ -220,16 +230,15 @@ def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None, sq_weight=None
     if sq_weight is not None:
         delta *= np.sqrt(np.repeat(sq_weight, s // r, axis=0))[:, None, :]
     sq = np.square if sq_weight is not None else (lambda a: a)
-    layers, out = _layer_views(ws, widths), _layer_views(grads, widths)
     for layer in range(len(layers) - 1, 0, -1):
         d2 = sq(delta)
         out[layer][0][...] = np.matmul(sq(hs[layer]), d2.transpose(0, 2, 1))
-        out[layer][1][...] = d2.sum(axis=2)
+        np.add.reduce(d2, axis=2, out=out[layer][1])
         delta = np.matmul(layers[layer][0], delta) * (hs[layer] > 0)
     d2 = sq(delta)
     out[0][0][...] = np.matmul(d2.reshape(r, s // r * d1, n), sq(x)).reshape(
         s, d1, widths[0]).transpose(0, 2, 1)
-    out[0][1][...] = d2.sum(axis=2)
+    np.add.reduce(d2, axis=2, out=out[0][1])
     return losses
 
 

@@ -25,11 +25,16 @@ with w_i = 1 (sampled).
 
 Independent fits (distance replicates, PAC-Bayes trials) run in lockstep
 through the private _optimize_many: one optimizer loop steps R posteriors,
-each with its own beta, start and seed, on (R, P) state arrays (moment
-updates, gradient clip, log_var clamp, finiteness check, trace snapshots).
-Network runs of one architecture form a batch, and the runs of a batch that
-share n go through the kernel together: x stacked as (R, n, d0), draws
-run-major as (R * S, P). Each run draws its step noise from its own stream
+each with its own beta, start and seed, on one (R, 2, P) state array of
+means and log-variances (moment updates, gradient clip, log_var clamp,
+finiteness check, trace snapshots), updated in place in the order of
+operations of a run alone. Network runs of one architecture form a batch,
+and the runs of a batch that share n go through the kernel together: x
+stacked as (R, n, d0) and, for the forward matmul, as a contiguous (R, d0,
+n) copy (a one-run span reads its model's own x and xt), draws run-major
+as (R * S, P). Each span's kernel calls, with their label offsets and layer
+views, are bound once per set of live runs to preallocated draw, loss and
+gradient buffers. Each run draws its step noise from its own stream
 (seed, "vi-step", step), so it ends where it would alone, bit for bit; a run
 that diverges leaves the batch and is reported by itself. optimize_gaussian
 is the R = 1 case. A batch holds at most _LOCKSTEP_CELLS / (S * P) runs, so
@@ -56,6 +61,7 @@ from .models import (
     MlpParams,
     TrainingDiverged,
     _as_xy,
+    _block_constants,
     _block_loss_and_grad,
     _read_params,
     flatten_params,
@@ -177,6 +183,7 @@ class MlpLossModel:
 
     def __init__(self, arch: Architecture, d: Dataset):
         self.x, self.y = _as_xy(d, arch)
+        self.xt = np.ascontiguousarray(self.x.T)     # the forward matmul's operand
         self.arch = arch
         self.n = d.n
         self.block = max(1, _BLOCK_CELLS // (max(d.n, 1) * max(arch.layer_widths[1:])))
@@ -191,30 +198,46 @@ class MlpLossModel:
         if ws.ndim != 2 or ws.shape[1] != self.k:
             raise ValueError(f"expected weight draws of shape (S, {self.k})")
         return _runs_loss_and_grad(self.arch.layer_widths, self.x[None],
-                                   self.y[None], ws, self.block, grad, clip)
+                                   self.xt[None], self.y[None], ws, self.block,
+                                   grad, clip)
 
 
-def _runs_loss_and_grad(widths, x, y, ws, block, grad=True, clip=None,
+def _runs_loss_and_grad(widths, x, xt, y, ws, block, grad=True, clip=None,
                         sq_weight=None):
     """Losses (R*S,) and gradients (R*S, P), or None if not grad, of the
     run-major weight draws ws (R*S, P) of R runs on their data x (R, n, d0),
-    y (R, n); with sq_weight (R, n), the kernel's weighted squared gradients.
-    A kernel call takes at most ``block`` draws: whole runs while a run's S
-    draws fit, else a slice of one run's draws."""
+    y (R, n), with xt x as a contiguous (R, d0, n) array; with sq_weight
+    (R, n), the kernel's weighted squared gradients."""
+    losses, grads = np.empty(ws.shape[0]), (np.empty(ws.shape) if grad else None)
+    _run_blocks(widths, x, xt, y, ws, block, losses, grads, clip, sq_weight)()
+    return losses, grads
+
+
+def _run_blocks(widths, x, xt, y, ws, block, losses, grads=None, clip=None,
+                sq_weight=None):
+    """The kernel calls of _runs_loss_and_grad bound to the caller's arrays:
+    returns a function that fills losses (R*S,) and, unless None, grads
+    (R*S, P) from what ws holds when it is called. A kernel call takes at
+    most ``block`` draws: whole runs while a run's S draws fit, else a slice
+    of one run's draws. Each call's constants are built here, once."""
     r = x.shape[0]
     s = ws.shape[0] // r
-    losses, grads = np.empty(ws.shape[0]), (np.empty(ws.shape) if grad else None)
-    per = max(1, block // max(s, 1))
+    calls, per = [], max(1, block // max(s, 1))
     for r0 in range(0, r, per):
         r1 = min(r, r0 + per)
         step = max(1, min(s, block) * (r1 - r0))
         for lo in range(r0 * s, r1 * s, step):
             rows = slice(lo, min(lo + step, r1 * s))
-            losses[rows] = _block_loss_and_grad(
-                widths, x[r0:r1], y[r0:r1], ws[rows],
-                None if grads is None else grads[rows], clip,
-                None if sq_weight is None else sq_weight[r0:r1])
-    return losses, grads
+            g = None if grads is None else grads[rows]
+            calls.append((rows, (
+                x[r0:r1], y[r0:r1], ws[rows], g, clip,
+                None if sq_weight is None else sq_weight[r0:r1], xt[r0:r1],
+                _block_constants(widths, y[r0:r1], ws[rows], g))))
+
+    def run():
+        for rows, args in calls:
+            losses[rows] = _block_loss_and_grad(widths, *args)
+    return run
 
 
 class QuadraticLossModel:
@@ -261,15 +284,18 @@ def _mc_losses(model, q: GaussianPosterior, mc: int, seed: int, label="vi-mc",
     return model.loss_and_grad(q.mean + q.sigma * eps, grad=False, clip=clip)[0]
 
 
-def _mc_grads(loss_and_grad, mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray):
-    """Per-draw losses (R, S) at w = mu + sigma * eps of R runs, with
-    mu, sigma (R, P) and eps (R, S, P), and the reparameterized gradients
-    (R, P) of each run's mean loss with respect to mu and log_var."""
-    losses, grads = loss_and_grad(
-        (mu[:, None] + sigma[:, None] * eps).reshape(-1, mu.shape[1]))
-    grads, s = grads.reshape(eps.shape), eps.shape[1]
-    return (losses.reshape(eps.shape[:2]), np.add.reduce(grads, axis=1) / s,
-            np.add.reduce(grads * eps, axis=1) / s * sigma * 0.5)
+def _mc_grads(grads: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
+              g: np.ndarray) -> None:
+    """The reparameterized gradients of each of R runs' mean loss with
+    respect to mu (into g[:, 0]) and log_var (into g[:, 1]), g (R, 2, P),
+    from the gradients grads (R, S, P) at its draws w = mu + sigma * eps,
+    eps (R, S, P), sigma (R, P). grads is overwritten."""
+    np.add.reduce(grads, axis=1, out=g[:, 0])
+    grads *= eps
+    np.add.reduce(grads, axis=1, out=g[:, 1])
+    g /= eps.shape[1]
+    g[:, 1] *= sigma
+    g[:, 1] *= 0.5
 
 
 def expected_loss(q: GaussianPosterior, d: Dataset, mc_samples: int,
@@ -297,11 +323,12 @@ def mc_lagrangian_and_grads(model, q: GaussianPosterior, beta: float,
     """
     lam2 = p.scale * p.scale
     eps = _normal_into(np.empty((mc, q.k)), seed, "vi-mc")
-    losses, gmu, glv = _mc_grads(model.loss_and_grad, q.mean[None],
-                                 q.sigma[None], eps[None])
+    losses, grads = model.loss_and_grad(q.mean + q.sigma * eps)
+    g = np.empty((1, 2, q.k))
+    _mc_grads(grads[None], eps[None], q.sigma[None], g)
     value = float(losses.mean()) + beta * kl_gaussian(q, p)
-    return (value, gmu[0] + beta * q.mean / lam2,
-            glv[0] + beta * 0.5 * (np.exp(q.log_var) / lam2 - 1.0))
+    return (value, g[0, 0] + beta * q.mean / lam2,
+            g[0, 1] + beta * 0.5 * (np.exp(q.log_var) / lam2 - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -412,73 +439,99 @@ def _optimize_many(models, betas, prior: IsotropicPrior, cfg: VariationalConfig,
 
 def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
     """One batch of _optimize_many, its network runs in order of n. The
-    state arrays carry a leading run axis, and each span of runs with
-    equal n goes through the kernel as one run-axis batch."""
-    mu = np.array([q.mean for q in inits])
-    lv = np.array([q.log_var for q in inits])
+    state (run, mu or log_var, parameter) carries a leading run axis, and
+    each span of runs with equal n goes through the kernel as one run-axis
+    batch. Every per-step array is allocated once per set of live runs and
+    updated in place, in the order of operations of a run alone."""
+    state = np.array([(q.mean, q.log_var) for q in inits])
     beta = np.array(betas, dtype=np.float64)[:, None]
     half_beta = beta * 0.5
     lam2 = prior.scale * prior.scale
     lr_lv = (cfg.learning_rate if cfg.logvar_learning_rate is None
              else cfg.logvar_learning_rate)
+    lrs = np.array([[cfg.learning_rate], [lr_lv]])
     # steps follow the per-sample objective C_beta / n, so step sizes (and
     # the annealing dynamics) are comparable across dataset sizes
-    denom = np.array([float(getattr(m, "n", 0) or 1) for m in models])[:, None]
+    denom = np.array([float(getattr(m, "n", 0) or 1) for m in models])[:, None, None]
     # sigma far above the prior scale is never optimal; clamping log_var
     # keeps bad MC draws from running away
     lv_lo, lv_hi = math.log(lam2) - 46.0, math.log(lam2) + 4.6
     exact, net = models[0].exact_gaussian, isinstance(models[0], MlpLossModel)
-    live = list(range(len(models)))          # batch index of each row
-    spans = []                               # [batch indices, x, y] per n
-    if net:
-        for _, rows in itertools.groupby(live, key=lambda i: models[i].n):
-            rows = list(rows)
-            spans.append([rows, np.stack([models[i].x for i in rows]),
-                          np.stack([models[i].y for i in rows])])
-    s = cfg.mc_samples
+    s, k = cfg.mc_samples, state.shape[2]
 
-    def evaluate(ws):
+    def bind(live):
+        """The step arrays of the live runs, and their loss and gradient
+        function: for networks, the kernel calls of each span of equal n,
+        bound to the draw buffer ws."""
+        r = len(live)
+        ws, eps = np.empty((r, s, k)), np.empty((r, s, k))
+        arrays = (ws, eps, np.empty((r, 2, k)), np.empty((r, k)),
+                  np.empty((r, k)), np.empty((r, k)))
         if not net:
-            return models[0].loss_and_grad(ws)
-        parts, lo = [], 0
-        for rows, x, y in spans:
-            m, hi = models[rows[0]], lo + len(rows) * s
-            parts.append(_runs_loss_and_grad(m.arch.layer_widths, x, y,
-                                              ws[lo:hi], m.block))
+            return arrays + (models[0].loss_and_grad,)
+        losses, grads, runs, lo = np.empty(r * s), np.empty((r * s, k)), [], 0
+        for _, rows in itertools.groupby(live, key=lambda i: models[i].n):
+            span = [models[i] for i in rows]
+            m, hi = span[0], lo + len(span) * s
+            if len(span) == 1:
+                x, xt, y = m.x[None], m.xt[None], m.y[None]
+            else:
+                x, xt, y = (np.stack([getattr(mi, a) for mi in span])
+                            for a in ("x", "xt", "y"))
+            runs.append(_run_blocks(m.arch.layer_widths, x, xt, y,
+                                    ws.reshape(-1, k)[lo:hi], m.block,
+                                    losses[lo:hi], grads[lo:hi]))
             lo = hi
-        return tuple(np.concatenate(part) for part in zip(*parts))
 
+        def evaluate(_):
+            for run in runs:
+                run()
+            return losses, grads
+        return arrays + (evaluate,)
+
+    live = list(range(len(models)))          # batch index of each row
+    ws, eps, g, sigma, var, tmp, evaluate = bind(live)
+    mu, lv, gmu, glv = state[:, 0], state[:, 1], g[:, 0], g[:, 1]
     traces = [[] for _ in models]
     out = [None] * len(models)
-    eps = np.empty((len(models), s, mu.shape[1]))
     # overflow on a diverging run shows up as non-finite state and is
     # reported as TrainingDiverged
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(cfg.steps):
-            sigma = np.exp(0.5 * lv)
-            var = sigma * sigma
+            np.multiply(lv, 0.5, out=sigma)
+            np.exp(sigma, out=sigma)
+            np.multiply(sigma, sigma, out=var)
             if exact:
                 eloss = np.array([models[0].expected_loss(mu[0], var[0])])
-                gmu, glv = (g[None] for g in models[0].expected_grads(mu[0], var[0]))
+                g[0] = models[0].expected_grads(mu[0], var[0])
             else:
                 for row, i in enumerate(live):
                     _normal_into(eps[row], seeds[i], "vi-step", step)
-                losses, gmu, glv = _mc_grads(evaluate, mu, sigma, eps[:len(live)])
-                eloss = np.add.reduce(losses, axis=1) / s
-            gmu = (gmu + beta * mu / lam2) / denom
-            glv = (glv + half_beta * (var / lam2 - 1.0)) / denom
+                np.multiply(sigma[:, None], eps, out=ws)
+                ws += mu[:, None]
+                losses, grads = evaluate(ws.reshape(-1, k))
+                _mc_grads(grads.reshape(ws.shape), eps, sigma, g)
+                eloss = np.add.reduce(losses.reshape(len(live), s), axis=1) / s
+            np.multiply(beta, mu, out=tmp)
+            tmp /= lam2
+            gmu += tmp
+            np.divide(var, lam2, out=tmp)
+            tmp -= 1.0
+            tmp *= half_beta
+            glv += tmp
+            g /= denom
             if cfg.grad_clip is not None:
                 norm = np.sqrt(np.matmul(gmu[:, None], gmu[:, :, None])
-                               + np.matmul(glv[:, None], glv[:, :, None]))[:, 0]
-                scale = np.where(norm > cfg.grad_clip, cfg.grad_clip / norm, 1.0)
-                gmu, glv = gmu * scale, glv * scale
-            mu = mu - cfg.learning_rate * gmu
-            lv = np.minimum(np.maximum(lv - lr_lv * glv, lv_lo), lv_hi)
-            ok = None
-            if not (np.isfinite(mu).all() and np.isfinite(lv).all()
-                    and np.isfinite(eloss).all()):
-                ok = (np.isfinite(mu).all(axis=1) & np.isfinite(lv).all(axis=1)
-                      & np.isfinite(eloss))
+                               + np.matmul(glv[:, None], glv[:, :, None]))
+                over = norm > cfg.grad_clip
+                if over.any():
+                    g *= np.where(over, cfg.grad_clip / norm, 1.0)
+            g *= lrs
+            state -= g
+            np.maximum(lv, lv_lo, out=lv)
+            np.minimum(lv, lv_hi, out=lv)
+            ok = _finite_rows(state, eloss)
+            if ok is not None:
                 for row in np.flatnonzero(~ok):
                     i = live[row]
                     out[i] = TrainingDiverged(
@@ -494,18 +547,13 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
                         traces[i].append((float(eloss[row]),
                                           _kl(mu[row], lv[row], lam2)))
             if ok is not None:
-                mu, lv, beta, half_beta, denom = (
-                    a[ok] for a in (mu, lv, beta, half_beta, denom))
-                lo = 0
-                for span in spans:
-                    keep = ok[lo:lo + len(span[0])]
-                    lo += len(span[0])
-                    span[:] = ([i for i, k in zip(span[0], keep) if k],
-                               span[1][keep], span[2][keep])
-                spans = [span for span in spans if span[0]]
+                state, beta, half_beta, denom = (
+                    a[ok] for a in (state, beta, half_beta, denom))
                 live = [i for row, i in enumerate(live) if ok[row]]
                 if not live:
                     break
+                ws, eps, g, sigma, var, tmp, evaluate = bind(live)
+                mu, lv, gmu, glv = state[:, 0], state[:, 1], g[:, 0], g[:, 1]
     for row, i in enumerate(live):
         q = GaussianPosterior(mu[row], lv[row], inits[i].arch)
         if exact:
@@ -519,6 +567,18 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
                                    kl=kl_gaussian(q, prior),
                                    trace=tuple(traces[i]), expected_loss_se=se)
     return out
+
+
+def _finite_rows(state: np.ndarray, eloss: np.ndarray):
+    """None when every run's state (R, ...) and expected loss (R,) are
+    finite, else the mask (R,) of the runs that are. One sum decides the
+    common case: an inf or NaN entry makes the sum inf or NaN, so a finite
+    sum proves every entry finite; a sum that overflows on finite entries
+    falls through to the per-run check."""
+    if math.isfinite(float(state.sum()) + float(eloss.sum())):
+        return None
+    ok = np.isfinite(state.reshape(len(state), -1)).all(axis=1) & np.isfinite(eloss)
+    return None if ok.all() else ok
 
 
 def optimize_posterior(d: Dataset, arch: Architecture, beta: float,
@@ -562,9 +622,9 @@ def fisher_diagonal(p: MlpParams, d: Dataset, mode: str = "exact",
         labels, weights = np.minimum(draws, len(probs) - 1)[None], np.ones((1, d.n))
     else:
         labels, weights = np.repeat(np.arange(len(probs))[:, None], d.n, axis=1), probs
-    x = np.broadcast_to(model.x, (len(labels),) + model.x.shape)
+    x, xt = (np.broadcast_to(a, (len(labels),) + a.shape) for a in (model.x, model.xt))
     ws = np.broadcast_to(flatten_params(p), (len(labels), p.num_params))
-    _, sq = _runs_loss_and_grad(model.arch.layer_widths, x, labels, ws,
+    _, sq = _runs_loss_and_grad(model.arch.layer_widths, x, xt, labels, ws,
                                 model.block, sq_weight=weights)  # one draw a run
     return FisherDiagonal(entries=sq.sum(axis=0) / max(d.n, 1), n=d.n)  # 0 if n = 0
 

@@ -287,18 +287,25 @@ def _bisect_crossing(constant_realized, tol_bisect):
 
 
 def reference_exact_losses(cand, rules, counts):
-    """_Candidates.exact_losses with every row re-checked by fsum, the
-    zero-approx rows too."""
+    """Exact loss of each candidate (rules[j], counts[j]) by definition: the
+    rule's table (fam.hypothesis(r).table, built here for all the distinct
+    rules at once), the samples of the first counts[j] groups of its pin
+    order left out, and one math.fsum of the per-sample -ln p (INF_NATS
+    where p = 0) over the rest."""
+    distinct = np.unique(rules)
+    tables = dict(zip(distinct.tolist(), cand.fam._tables_of(distinct)))
+    orders = dict(zip(distinct.tolist(), cand.pin_order[distinct].tolist()))
+    samples = list(zip(cand.d.inputs.tolist(), cand.d.labels.tolist(),
+                       cand.inverse.tolist()))
     out = np.empty(len(rules))
-    step = max(1, fo._BLOCK // max(len(cand.d), 1))
-    for lo in range(0, len(rules), step):
-        ur, ri = np.unique(rules[lo:lo + step], return_inverse=True)
-        rank = np.full((len(ur), cand.u), cand.n_pure,
-                       dtype=np.min_scalar_type(cand.n_pure))
-        rank[np.arange(len(ur))[:, None], cand.pin_order[ur]] = \
-            np.arange(cand.n_pure)
-        pinned = rank[:, cand.inverse][ri] < counts[lo:lo + step, None]
-        out[lo:lo + step] = cand._fsum_kept(ur, ri, pinned)
+    for j, (r, count) in enumerate(zip(rules.tolist(), counts.tolist())):
+        pinned = set(orders[r][:count])
+        terms = []
+        for x, y, g in samples:
+            if g not in pinned:
+                p = float(tables[r][x, y])
+                terms.append(-math.log(p) if p > 0.0 else fo.INF_NATS)
+        out[j] = math.fsum(terms)
     return out
 
 

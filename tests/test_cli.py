@@ -447,6 +447,34 @@ def test_bad_transform_is_config_error(tmp_path, capsys, transform, why):
     assert not path.exists()
 
 
+PLANTED_TASK = {"type": "planted", "n": 20, "k": 2, "domain_size": 8,
+                "rule": "bit0", "seed": 1}
+
+
+@pytest.mark.parametrize("task, field, why", [
+    (dict(RANDOM_TASK, n=[20]), "task.n", "expected an integer"),
+    (dict(RANDOM_TASK, k={}), "task.k", "expected an integer"),
+    (dict(RANDOM_TASK, seed=None), "task.seed", "expected an integer"),
+    (dict(RANDOM_TASK, domain={"kind": "discrete", "size": [32]}),
+     "task.domain.size", "expected an integer"),
+    (dict(PLANTED_TASK, domain_size=None), "task.domain_size", "expected an integer"),
+    (dict(PLANTED_TASK, noise=[0.1]), "task.noise", "expected a number"),
+    (dict(PLANTED_TASK, rule=["bit0"]), "task.rule", "expected a rule name"),
+    (dict(PLANTED_TASK, rule=10 ** 6), "task.rule", "no family rule 1000000"),
+    ({"type": "transform", "base": RANDOM_TASK, "transform": [1]},
+     "task.transform", "expected an object"),
+    ({"type": "subset_classes", "base": RANDOM_TASK, "labels": None},
+     "task.labels", "expected a list of integers"),
+    ({"type": "file", "path": 7}, "task.path", "expected a file name"),
+])
+def test_wrong_typed_task_field_is_config_error_naming_it(tmp_path, capsys, task,
+                                                          field, why):
+    code, path = _gen_task(tmp_path, task)
+    assert code == 2
+    assert f"config error: {field}: {why}" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_subset_classes_task_keeps_the_listed_labels(tmp_path):
     base = dict(RANDOM_TASK, k=3, n=30)
     code, path = _gen_task(tmp_path, {"type": "subset_classes", "base": base,

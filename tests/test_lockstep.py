@@ -1,6 +1,7 @@
 """The lockstep optimizer, its draw helper and the distance statistic cache,
 against per-run references."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -19,6 +20,7 @@ from taskinfo.variational import (
     MlpLossModel,
     QuadraticLossModel,
     VariationalConfig,
+    _finite_rows,
     _optimize_many,
     optimize_gaussian,
 )
@@ -95,9 +97,9 @@ def test_optimize_many_matches_per_run_loop(hidden, d_in, k, data, size, mc,
     cells = variational._LOCKSTEP_CELLS if lockstep_cells is None else lockstep_cells
     calls, kernel = [], variational._block_loss_and_grad
 
-    def spy(widths, x, y, ws, grads=None, clip=None, sq_weight=None):
+    def spy(widths, x, y, ws, *args, **kwargs):
         calls.append(ws.shape[0])
-        return kernel(widths, x, y, ws, grads, clip, sq_weight)
+        return kernel(widths, x, y, ws, *args, **kwargs)
 
     with mock.patch.object(variational, "_LOCKSTEP_CELLS", cells), \
             mock.patch.object(variational, "_block_loss_and_grad", spy):
@@ -146,6 +148,62 @@ def test_one_diverging_run_leaves_the_others_as_solo_runs():
     for row in (0, 2, 3):
         assert not isinstance(got[row], TrainingDiverged)
         _assert_same_fit(got[row], _solo(models[row], 0.5, prior, cfg, row))
+
+
+def _assert_same_outcome(got, want):
+    """The same fit, or the same divergence (message, trace, last state)."""
+    if not isinstance(want, TrainingDiverged):
+        _assert_same_fit(got, want)
+        return
+    assert isinstance(got, TrainingDiverged) and str(got) == str(want)
+    assert got.trace == want.trace
+    assert np.array_equal(got.last_params.mean, want.last_params.mean)
+    assert np.array_equal(got.last_params.log_var, want.last_params.log_var)
+
+
+@pytest.mark.parametrize("clip, scales", [
+    (None, [1.0, 30.0, 1e155, 1.0, 1e307]),   # diverge at steps 1 and 0
+    (2.0, [1.0, 30.0, 1e3, 1.0, 1e307]),      # two clipped runs, one diverges
+])
+def test_optimize_many_matches_per_run_loop_at_a_wide_first_layer(clip, scales):
+    # at 512 inputs the contiguous and the strided first-layer operand round
+    # differently, so this checks that every run reads the same operand alone
+    # and in a span: five runs share n = 200, one more has n = 150
+    rng = np.random.default_rng(17)
+    arch = Architecture((512, 2))
+    ds = [_task(rng, 200, 512, 2, scale) for scale in scales] + [_task(rng, 150, 512, 2)]
+    models = [MlpLossModel(arch, d) for d in ds]
+    betas, seeds = [1.0, 0.5, 0.5, 0.1, 1.0, 2.0], [0, 1, 2, 3, 4, 5]
+    prior = IsotropicPrior(1.0)
+    cfg = VariationalConfig(steps=6, learning_rate=1.0, mc_samples=2, report_mc=8,
+                            grad_clip=clip, trace_every=2)
+    got = _optimize_many(models, betas, prior, cfg, seeds)
+    want = [_solo(m, b, prior, cfg, s) for m, b, s in zip(models, betas, seeds)]
+    assert isinstance(want[4], TrainingDiverged)
+    assert isinstance(want[2], TrainingDiverged) == (clip is None)
+    for res, ref in zip(got, want):
+        _assert_same_outcome(res, ref)
+    if clip is not None:                   # runs 1 and 2 were clipped, run 0 not
+        free = dataclasses.replace(cfg, grad_clip=None)
+        for row, clipped in ((0, False), (1, True), (2, True)):
+            res = _solo(models[row], betas[row], prior, free, seeds[row])
+            assert _close(got[row].posterior.mean, res.posterior.mean) != clipped
+
+
+def test_finite_rows_sums_once_and_checks_runs_only_when_the_sum_is_not():
+    big = np.full((3, 2, 4), 1e308)        # finite, but the sum overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(big.sum())
+        assert _finite_rows(big, np.zeros(3)) is None
+        assert _finite_rows(np.zeros((3, 2, 4)), np.full(3, 1e308)) is None
+        nan = big.copy()
+        nan[1, 1, 2] = np.nan
+        assert _finite_rows(nan, np.zeros(3)).tolist() == [True, False, True]
+        signed = np.zeros((3, 2, 4))
+        signed[0, 0, 0], signed[2, 1, 3] = np.inf, -np.inf    # sum is NaN
+        assert _finite_rows(signed, np.zeros(3)).tolist() == [False, True, False]
+        loss = np.array([0.0, 0.0, np.inf])
+        assert _finite_rows(np.zeros((3, 2, 4)), loss).tolist() == [True, True, False]
 
 
 def test_optimize_gaussian_raises_what_the_runner_reports():
