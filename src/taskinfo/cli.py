@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -71,14 +72,19 @@ def _stamp(hash_: str) -> str:
 
 
 def _number(spec: dict, key: str, path: str, kind=int):
-    """spec[key] as an int (or as ``kind``), else a ConfigError naming it."""
+    """spec[key], a JSON integer (kind int) or number (kind float), as
+    ``kind``; anything else is a ConfigError naming the field."""
     if key not in spec:
         raise ConfigError(f"{path}: missing keys {[key]}")
-    try:
-        return kind(spec[key])
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{path}.{key}: expected {what}") from None
+    value = spec[key]
+    if not isinstance(value, bool) and isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{path}.{key}: expected {what}")
 
 
 def _build_domain(spec, path) -> tasks_mod.DiscreteSpace | tasks_mod.RealSpace:
@@ -156,12 +162,13 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
             build_task(spec["base"], f"{path}.base", families))
     if t == "subset_classes":
         _check_keys(spec, path, ("type", "base", "labels"))
-        try:
-            labels = np.asarray(spec["labels"], dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{path}.labels: expected a list of integers") from None
+        labels = spec["labels"]
+        if not (isinstance(labels, list) and all(
+                isinstance(c, numbers.Integral) and not isinstance(c, bool)
+                for c in labels)):
+            raise ConfigError(f"{path}.labels: expected a list of integers")
         base = build_task(spec["base"], f"{path}.base", families)
-        keep = np.isin(base.labels, labels)
+        keep = np.isin(base.labels, [c for c in labels if 0 <= c < base.num_labels])
         return tasks_mod.Dataset(base.inputs[keep], base.labels[keep],
                                  base.num_labels, base.space)
     if t == "file":

@@ -453,17 +453,22 @@ PLANTED_TASK = {"type": "planted", "n": 20, "k": 2, "domain_size": 8,
 
 @pytest.mark.parametrize("task, field, why", [
     (dict(RANDOM_TASK, n=[20]), "task.n", "expected an integer"),
+    (dict(RANDOM_TASK, n=20.5), "task.n", "expected an integer"),
+    (dict(RANDOM_TASK, k=True), "task.k", "expected an integer"),
     (dict(RANDOM_TASK, k={}), "task.k", "expected an integer"),
     (dict(RANDOM_TASK, seed=None), "task.seed", "expected an integer"),
     (dict(RANDOM_TASK, domain={"kind": "discrete", "size": [32]}),
      "task.domain.size", "expected an integer"),
     (dict(PLANTED_TASK, domain_size=None), "task.domain_size", "expected an integer"),
     (dict(PLANTED_TASK, noise=[0.1]), "task.noise", "expected a number"),
+    (dict(PLANTED_TASK, noise="0.1"), "task.noise", "expected a number"),
     (dict(PLANTED_TASK, rule=["bit0"]), "task.rule", "expected a rule name"),
     (dict(PLANTED_TASK, rule=10 ** 6), "task.rule", "no family rule 1000000"),
     ({"type": "transform", "base": RANDOM_TASK, "transform": [1]},
      "task.transform", "expected an object"),
     ({"type": "subset_classes", "base": RANDOM_TASK, "labels": None},
+     "task.labels", "expected a list of integers"),
+    ({"type": "subset_classes", "base": RANDOM_TASK, "labels": [0.5]},
      "task.labels", "expected a list of integers"),
     ({"type": "file", "path": 7}, "task.path", "expected a file name"),
 ])
