@@ -74,8 +74,14 @@ def clipped_expected_loss(q: GaussianPosterior, d: Dataset, mc: int,
         raise ValueError("mc must be >= 1")
     if d.n == 0:
         return 0.0
+    return _clipped_loss(MlpLossModel(q.arch, d), q, d, mc, seed)
+
+
+def _clipped_loss(model: MlpLossModel, q: GaussianPosterior, d: Dataset, mc: int,
+                  seed: int) -> float:
+    """clipped_expected_loss on the loss model of a nonempty d."""
     lmax = math.log(d.num_labels)
-    totals = _mc_losses(MlpLossModel(q.arch, d), q, mc, seed, "clipped-loss", lmax)
+    totals = _mc_losses(model, q, mc, seed, "clipped-loss", lmax)
     return float((totals / lmax).mean())
 
 
@@ -98,19 +104,23 @@ def bound_validation_trial(task_generator, arch: Architecture, beta: float,
     """
     if trials < 1:
         raise ValueError("empty trial set: trials must be >= 1")
+    if mc_eval < 1:
+        raise ValueError("mc must be >= 1")
     prior = prior or IsotropicPrior(1.0)
     cfg = cfg or VariationalConfig(steps=200, learning_rate=0.05, mc_samples=4)
     splits = [task_generator(seed * 7919 + trial) for trial in range(trials)]
-    fits = _optimize_many([MlpLossModel(arch, train) for train, _ in splits],
-                          [beta] * trials, prior, cfg,
+    models = [MlpLossModel(arch, train) for train, _ in splits]
+    fits = _optimize_many(models, [beta] * trials, prior, cfg,
                           [seed * 31 + trial for trial in range(trials)])
     rows = []
-    for trial, ((train, test), res) in enumerate(zip(splits, fits)):
+    for trial, ((train, test), model, res) in enumerate(zip(splits, models, fits)):
         if isinstance(res, TrainingDiverged):
             rows.append((trial, math.nan, math.nan, math.nan, math.nan, False))
             continue
         q = res.posterior
-        train_term = clipped_expected_loss(q, train, mc_eval, seed * 17 + trial)
+        # the train term is scored on the loss model the fit ran on
+        train_term = (_clipped_loss(model, q, train, mc_eval, seed * 17 + trial)
+                      if train.n else 0.0)
         report = pac_bayes_bound(train_term, res.kl, train.n, beta, delta)
         test_total = clipped_expected_loss(q, test, mc_eval, seed * 23 + trial)
         test_per_sample = test_total / max(test.n, 1)

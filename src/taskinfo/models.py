@@ -123,19 +123,36 @@ def unflatten_params(vec: np.ndarray, arch: Architecture) -> MlpParams:
 def _layer_views(ws: np.ndarray, widths) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer views (weights (S, fan_in, fan_out), biases (S, fan_out)) of
     S flat parameter vectors ws (S, P)."""
+    return [(block[:, :-1], block[:, -1]) for block in _layer_blocks(ws, widths)]
+
+
+def _layer_blocks(ws: np.ndarray, widths) -> list[np.ndarray]:
+    """Per-layer views (S, fan_in + 1, fan_out) of S flat parameter vectors
+    ws (S, P): a layer's weight rows and then its bias row, as the flat row
+    stores them."""
     out, pos, s = [], 0, ws.shape[0]
     for n_in, n_out in zip(widths[:-1], widths[1:]):
-        end = pos + n_in * n_out
-        out.append((ws[:, pos:end].reshape(s, n_in, n_out), ws[:, end:end + n_out]))
-        pos = end + n_out
+        end = pos + (n_in + 1) * n_out
+        out.append(ws[:, pos:end].reshape(s, n_in + 1, n_out))
+        pos = end
     return out
+
+
+def _augment(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs x (..., n, d0) with a ones column appended, (..., n, d0 + 1),
+    and the same as a contiguous (..., d0 + 1, n) array: the operands that
+    carry each first-layer bias inside the GEMM."""
+    xa = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    xa[..., :-1] = x
+    xa[..., -1] = 1.0
+    return xa, np.ascontiguousarray(np.swapaxes(xa, -1, -2))
 
 
 def forward_batch(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Probabilities (N, K) for a batch of inputs (N, d)."""
     widths, ws = p.architecture.layer_widths, flatten_params(p)[None]
-    xt = np.ascontiguousarray(np.asarray(x, np.float64).T)[None]
-    z, _ = _forward(widths, xt, ws, _layer_views(ws, widths))
+    _, xt = _augment(np.asarray(x, np.float64)[None])
+    z, _ = _forward(widths, xt, ws, _layer_blocks(ws, widths))
     return np.exp(z[0].T)
 
 
@@ -167,30 +184,36 @@ def _block_constants(widths, y, ws, grads=None):
     """What a kernel call on labels y (R, n) and S rows ws (S, P) needs
     beside the data, for a caller that calls it on the same arrays again:
     the flat index (draw, sample) of each sample's label logit in an (S, K,
-    n) array, and the layer views of ws and of grads (or None)."""
+    n) array, the (S, K, n) one-hot of the labels (None without grads), and
+    the layer blocks of ws and of grads (or None)."""
     (r, n), s, k = y.shape, ws.shape[0], widths[-1]
     at = (np.repeat(y * n, s // r, axis=0)
           + np.arange(s)[:, None] * (k * n) + np.arange(n))
-    return (at, _layer_views(ws, widths),
-            None if grads is None else _layer_views(grads, widths))
+    if grads is None:
+        return at, None, _layer_blocks(ws, widths), None
+    onehot = np.zeros((s, k, n))
+    onehot.reshape(-1)[at] = 1.0
+    return at, onehot, _layer_blocks(ws, widths), _layer_blocks(grads, widths)
 
 
 def _forward(widths, xt, ws, layers):
     """Log-softmax (S, K, n) and the input of each layer, as (draw, unit,
-    sample) arrays, of the S rows ws (S, P) with layer views ``layers`` on
-    the inputs xt (R, d0, n): the first layer is one matmul over runs of
-    each run's stacked weight matrices with its contiguous xt, deeper
-    layers matmul per draw."""
+    sample) arrays with a ones row after the units, of the S rows ws (S, P)
+    with layer blocks ``layers`` on the augmented inputs xt (R, d0 + 1, n):
+    each layer's bias row rides in its GEMM. The first layer is one matmul
+    over runs of each run's stacked weight blocks with its contiguous xt,
+    deeper layers matmul per draw."""
     r, n = xt.shape[0], xt.shape[2]
     s, d1 = ws.shape[0], widths[1]
-    z = np.matmul(layers[0][0].transpose(0, 2, 1).reshape(r, s // r * d1, widths[0]),
+    z = np.matmul(layers[0].transpose(0, 2, 1).reshape(r, s // r * d1, widths[0] + 1),
                   xt).reshape(s, d1, n)
-    z += layers[0][1][:, :, None]
     hs = [xt]
-    for w, b in layers[1:]:
-        hs.append(np.maximum(z, 0.0))
-        z = np.matmul(w.transpose(0, 2, 1), hs[-1])
-        z += b[:, :, None]
+    for d, block in zip(widths[1:], layers[1:]):
+        h = np.empty((s, d + 1, n))
+        np.maximum(z, 0.0, out=h[:, :d])
+        h[:, d] = 1.0
+        hs.append(h)
+        z = np.matmul(block.transpose(0, 2, 1), h)
     z -= np.maximum.reduce(z, axis=1, keepdims=True)       # log-softmax
     z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
     return z, hs
@@ -202,29 +225,36 @@ def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None, sq_weight=None
 
     x and y may carry a leading run axis, x (R, n, d0) and y (R, n): then ws
     holds S / R draws per run, ordered run-major, and each draw is scored on
-    its own run's data. Per-sample losses are clipped at clip. Fills grads
-    (S, P) unless it is None, or with sq_weight (R, n) the squared per-sample
-    gradients sum_i w_i g_i^2: g_i is linear in sample i's delta, so the
-    delta is scaled by sqrt(w_i) and both factors of each product squared.
-    xt is x as a contiguous (R, d0, n) array, the forward matmul's operand,
-    and consts is _block_constants(widths, y, ws, grads); each is built here
-    when None, and a caller that calls again on the same arrays builds them
-    once.
+    its own run's data. x may come augmented, (R, n, d0 + 1) with a ones
+    last column (see _augment), with xt its contiguous (R, d0 + 1, n)
+    transpose (built here when None); plain x is augmented here. Per-sample
+    losses are clipped at clip. Fills grads (S, P) unless it is None, or
+    with sq_weight (R, n) the squared per-sample gradients sum_i w_i g_i^2:
+    g_i is linear in sample i's delta, so the delta is scaled by sqrt(w_i)
+    and both factors of each product squared. consts is
+    _block_constants(widths, y, ws, grads), built here when None; a caller
+    that calls again on the same arrays builds it once.
     """
     if x.ndim == 2:
         x, y = x[None], y[None]
-    if xt is None:
+    if x.shape[2] == widths[0]:
+        x, xt = _augment(x)
+    elif xt is None:
         xt = np.ascontiguousarray(x.transpose(0, 2, 1))
-    at, layers, out = _block_constants(widths, y, ws, grads) if consts is None else consts
+    at, onehot, layers, out = (_block_constants(widths, y, ws, grads)
+                               if consts is None else consts)
     r, n = x.shape[:2]
     s, d1 = ws.shape[0], widths[1]
     z, hs = _forward(widths, xt, ws, layers)
-    nll = -z.reshape(-1).take(at)
-    losses = np.add.reduce(nll if clip is None else np.minimum(nll, clip), axis=1)
+    logp = z.reshape(-1).take(at)
+    if clip is None:
+        losses = np.negative(np.add.reduce(logp, axis=1))
+    else:
+        nll = np.negative(logp, out=logp)
+        losses = np.add.reduce(np.minimum(nll, clip), axis=1)
     if grads is None:
         return losses
-    delta = np.exp(z, out=z)
-    delta.reshape(-1)[at] -= 1.0                           # d loss / d logits
+    delta = np.subtract(np.exp(z, out=z), onehot, out=z)   # d loss / d logits
     if clip is not None:
         delta *= (nll <= clip)[:, None, :]                 # clipped: flat
     if sq_weight is not None:
@@ -232,13 +262,11 @@ def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None, sq_weight=None
     sq = np.square if sq_weight is not None else (lambda a: a)
     for layer in range(len(layers) - 1, 0, -1):
         d2 = sq(delta)
-        out[layer][0][...] = np.matmul(sq(hs[layer]), d2.transpose(0, 2, 1))
-        np.add.reduce(d2, axis=2, out=out[layer][1])
-        delta = np.matmul(layers[layer][0], delta) * (hs[layer] > 0)
-    d2 = sq(delta)
-    out[0][0][...] = np.matmul(d2.reshape(r, s // r * d1, n), sq(x)).reshape(
-        s, d1, widths[0]).transpose(0, 2, 1)
-    np.add.reduce(d2, axis=2, out=out[0][1])
+        np.matmul(sq(hs[layer]), d2.transpose(0, 2, 1), out=out[layer])
+        delta = np.matmul(layers[layer][:, :-1], delta)
+        delta *= hs[layer][:, :-1] > 0
+    out[0].transpose(0, 2, 1)[...] = np.matmul(
+        sq(delta).reshape(r, s // r * d1, n), sq(x)).reshape(s, d1, widths[0] + 1)
     return losses
 
 
@@ -302,6 +330,7 @@ def sgd_train(d: Dataset, arch: Architecture, cfg: SgdConfig,
     finite range.
     """
     x, y = _as_xy(d, arch)
+    xa, xt = _augment(x)                   # the kernel's operands, built once
     params = init if isinstance(init, MlpParams) else init_params(arch, init)
     if params.architecture != arch:
         raise ValueError(f"init has architecture {params.architecture.layer_widths}, "
@@ -319,14 +348,15 @@ def sgd_train(d: Dataset, arch: Architecture, cfg: SgdConfig,
             order = stream(cfg.seed, "sgd-shuffle", epoch).permutation(d.n)
             for start in range(0, d.n, batch):
                 idx = order[start:start + batch]
-                _block_loss_and_grad(arch.layer_widths, x[idx], y[idx], w, grads)
+                _block_loss_and_grad(arch.layer_widths, xa[idx], y[idx], w, grads)
                 stepped = w - lr * (grads + cfg.weight_decay * w)
                 if not np.isfinite(stepped).all():
                     raise TrainingDiverged(
                         f"training diverged at epoch {epoch}",
                         last_params=unflatten_params(w[0], arch), trace=trace)
                 w = stepped
-            loss = float(_block_loss_and_grad(arch.layer_widths, x, y, w)[0])
+            loss = float(_block_loss_and_grad(arch.layer_widths, xa, y, w,
+                                              xt=xt[None])[0])
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}",

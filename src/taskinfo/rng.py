@@ -8,7 +8,8 @@ byte-reproducible.
 
 ``_normal_into`` draws the same standard normals as ``stream(seed, *labels)``
 without building a Generator: it sets the key of one reused Philox and
-zeroes its counter, which is all a fresh stream holds.
+zeroes its counter, which is all a fresh stream holds, from one state
+template that only its key changes in.
 """
 
 import hashlib
@@ -35,20 +36,22 @@ def stream(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key_from(seed, labels)))
 
 
-# One bit generator reused by _normal_into; the lock makes setting its
-# state and drawing from it one step.
+# One bit generator reused by _normal_into, and the state of a fresh
+# stream with its key left to fill in; the lock makes setting the key and
+# the state and drawing from it one step.
 _PHILOX = np.random.Philox(0)
 _GENERATOR = np.random.Generator(_PHILOX)
+_FRESH = {"bit_generator": "Philox",
+          "state": {"counter": np.zeros(4, np.uint64), "key": None},
+          "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+          "has_uint32": 0, "uinteger": 0}
 _LOCK = threading.Lock()
 
 
 def _normal_into(out: np.ndarray, seed: int, *labels) -> np.ndarray:
     """Fill ``out`` with ``stream(seed, *labels).standard_normal(out.shape)``."""
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, np.uint64),
-                       "key": _key_from(seed, labels)},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
+    key = _key_from(seed, labels)
     with _LOCK:
-        _PHILOX.state = state
+        _FRESH["state"]["key"] = key
+        _PHILOX.state = _FRESH
         return _GENERATOR.standard_normal(out=out)

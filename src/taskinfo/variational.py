@@ -61,6 +61,7 @@ from .models import (
     MlpParams,
     TrainingDiverged,
     _as_xy,
+    _augment,
     _block_constants,
     _block_loss_and_grad,
     _read_params,
@@ -182,8 +183,10 @@ class MlpLossModel:
     exact_gaussian = False
 
     def __init__(self, arch: Architecture, d: Dataset):
-        self.x, self.y = _as_xy(d, arch)
-        self.xt = np.ascontiguousarray(self.x.T)     # the forward matmul's operand
+        x, self.y = _as_xy(d, arch)
+        # the kernel's operands: x with a ones column, and its transpose
+        self.xa, self.xt = _augment(x)
+        self.x = self.xa[:, :-1]
         self.arch = arch
         self.n = d.n
         self.block = max(1, _BLOCK_CELLS // (max(d.n, 1) * max(arch.layer_widths[1:])))
@@ -197,7 +200,7 @@ class MlpLossModel:
         weight draws ws (S, P); per-sample losses are clipped at ``clip``."""
         if ws.ndim != 2 or ws.shape[1] != self.k:
             raise ValueError(f"expected weight draws of shape (S, {self.k})")
-        return _runs_loss_and_grad(self.arch.layer_widths, self.x[None],
+        return _runs_loss_and_grad(self.arch.layer_widths, self.xa[None],
                                    self.xt[None], self.y[None], ws, self.block,
                                    grad, clip)
 
@@ -205,9 +208,10 @@ class MlpLossModel:
 def _runs_loss_and_grad(widths, x, xt, y, ws, block, grad=True, clip=None,
                         sq_weight=None):
     """Losses (R*S,) and gradients (R*S, P), or None if not grad, of the
-    run-major weight draws ws (R*S, P) of R runs on their data x (R, n, d0),
-    y (R, n), with xt x as a contiguous (R, d0, n) array; with sq_weight
-    (R, n), the kernel's weighted squared gradients."""
+    run-major weight draws ws (R*S, P) of R runs on their augmented inputs x
+    (R, n, d0 + 1) and labels y (R, n), with xt x as a contiguous (R, d0 +
+    1, n) array; with sq_weight (R, n), the kernel's weighted squared
+    gradients."""
     losses, grads = np.empty(ws.shape[0]), (np.empty(ws.shape) if grad else None)
     _run_blocks(widths, x, xt, y, ws, block, losses, grads, clip, sq_weight)()
     return losses, grads
@@ -280,8 +284,10 @@ def _mc_losses(model, q: GaussianPosterior, mc: int, seed: int, label="vi-mc",
                clip=None):
     """Per-draw losses of mc reparameterized draws of Q (loss-only pass),
     per-sample losses clipped at ``clip``."""
-    eps = _normal_into(np.empty((mc, q.k)), seed, label)
-    return model.loss_and_grad(q.mean + q.sigma * eps, grad=False, clip=clip)[0]
+    ws = _normal_into(np.empty((mc, q.k)), seed, label)
+    ws *= q.sigma          # the draws mean + sigma * eps, in the noise's buffer
+    ws += q.mean
+    return model.loss_and_grad(ws, grad=False, clip=clip)[0]
 
 
 def _mc_grads(grads: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
@@ -474,10 +480,10 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
             span = [models[i] for i in rows]
             m, hi = span[0], lo + len(span) * s
             if len(span) == 1:
-                x, xt, y = m.x[None], m.xt[None], m.y[None]
+                x, xt, y = m.xa[None], m.xt[None], m.y[None]
             else:
                 x, xt, y = (np.stack([getattr(mi, a) for mi in span])
-                            for a in ("x", "xt", "y"))
+                            for a in ("xa", "xt", "y"))
             runs.append(_run_blocks(m.arch.layer_widths, x, xt, y,
                                     ws.reshape(-1, k)[lo:hi], m.block,
                                     losses[lo:hi], grads[lo:hi]))
@@ -555,7 +561,8 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
                 ws, eps, g, sigma, var, tmp, evaluate = bind(live)
                 mu, lv, gmu, glv = state[:, 0], state[:, 1], g[:, 0], g[:, 1]
     for row, i in enumerate(live):
-        q = GaussianPosterior(mu[row], lv[row], inits[i].arch)
+        # copies, so a kept posterior does not hold the batch's state
+        q = GaussianPosterior(mu[row].copy(), lv[row].copy(), inits[i].arch)
         if exact:
             final, se = models[i].expected_loss(q.mean, np.exp(q.log_var)), 0.0
         else:
@@ -622,7 +629,7 @@ def fisher_diagonal(p: MlpParams, d: Dataset, mode: str = "exact",
         labels, weights = np.minimum(draws, len(probs) - 1)[None], np.ones((1, d.n))
     else:
         labels, weights = np.repeat(np.arange(len(probs))[:, None], d.n, axis=1), probs
-    x, xt = (np.broadcast_to(a, (len(labels),) + a.shape) for a in (model.x, model.xt))
+    x, xt = (np.broadcast_to(a, (len(labels),) + a.shape) for a in (model.xa, model.xt))
     ws = np.broadcast_to(flatten_params(p), (len(labels), p.num_params))
     _, sq = _runs_loss_and_grad(model.arch.layer_widths, x, xt, labels, ws,
                                 model.block, sq_weight=weights)  # one draw a run

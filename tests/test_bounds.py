@@ -1,9 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from taskinfo import tasks
+from taskinfo import bounds, tasks
 from taskinfo.bounds import (
     bound_validation_trial,
     clipped_expected_loss,
@@ -13,7 +14,9 @@ from taskinfo.models import Architecture
 from taskinfo.variational import (
     GaussianPosterior,
     IsotropicPrior,
+    MlpLossModel,
     VariationalConfig,
+    _optimize_many,
     prior_matched_posterior,
 )
 
@@ -108,3 +111,38 @@ def test_bound_validation_diverged_trials_give_nan_rows():
     for trial, row in enumerate(report.rows):
         assert row[0] == trial and row[5] is False
         assert all(math.isnan(v) for v in row[1:5])
+
+
+def test_bound_validation_scores_the_train_term_on_the_fit_model():
+    # one loss model per trial's train split (the fit's) and one per test
+    # split; the rows are those of separate clipped_expected_loss calls
+    arch, beta, delta, trials, seed = Architecture((24, 2)), 1.0, 0.5, 3, 4
+    cfg = VariationalConfig(steps=20, learning_rate=0.5, mc_samples=2, report_mc=8)
+    built = []
+
+    class Counted(MlpLossModel):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    with mock.patch.object(bounds, "MlpLossModel", Counted):
+        report = bound_validation_trial(_generator, arch, beta, delta, trials,
+                                        seed, cfg=cfg, mc_eval=16)
+    assert len(built) == 2 * trials
+    splits = [_generator(seed * 7919 + t) for t in range(trials)]
+    fits = _optimize_many([MlpLossModel(arch, train) for train, _ in splits],
+                          [beta] * trials, IsotropicPrior(1.0), cfg,
+                          [seed * 31 + t for t in range(trials)])
+    for t, ((train, test), res, row) in enumerate(zip(splits, fits, report.rows)):
+        q = res.posterior
+        train_term = clipped_expected_loss(q, train, 16, seed * 17 + t)
+        bound = pac_bayes_bound(train_term, res.kl, train.n, beta, delta).bound_value
+        test_loss = clipped_expected_loss(q, test, 16, seed * 23 + t) / test.n
+        assert row == (t, train_term, res.kl, bound, test_loss, test_loss <= bound)
+
+
+def test_bound_validation_rejects_no_eval_draws_before_fitting():
+    with mock.patch.object(bounds, "_optimize_many", side_effect=AssertionError), \
+            pytest.raises(ValueError, match="mc"):
+        bound_validation_trial(_generator, Architecture((24, 2)), 1.0, 0.5,
+                               trials=2, seed=0, mc_eval=0)

@@ -13,6 +13,9 @@ from taskinfo.models import (
     MlpParams,
     SgdConfig,
     TrainingDiverged,
+    _augment,
+    _block_constants,
+    _block_loss_and_grad,
     forward_batch,
     gradient,
     init_params,
@@ -124,3 +127,50 @@ def test_sgd_diverging_runs_keep_the_last_finite_state(batch, wd):
     assert str(got.value) == str(want.value)
     assert _same(got.value.last_params, want.value.last_params)
     assert got.value.trace == want.value.trace
+
+
+def _bits(a):
+    return None if a is None else a.tobytes()
+
+
+@pytest.mark.parametrize("d0", [1, 7, 512])
+@pytest.mark.parametrize("hidden", [(), (3, 5)])
+@pytest.mark.parametrize("mode", ["clip", "sq_weight", "loss", "grad"])
+def test_plain_and_augmented_inputs_give_identical_kernel_outputs(d0, hidden, mode):
+    # two runs of three draws each; the kernel augments plain x itself
+    rng = np.random.default_rng(d0 + len(hidden))
+    widths, r, s, n = (d0, *hidden, 3), 2, 3, 11
+    x, y = rng.normal(size=(r, n, d0)), rng.integers(0, 3, size=(r, n))
+    ws = rng.normal(size=(r * s, Architecture(widths).num_params))
+    kw = {"clip": dict(clip=0.7), "sq_weight": dict(sq_weight=rng.random((r, n))),
+          "loss": {}, "grad": {}}[mode]
+    xa, xt = _augment(x)
+    assert xa.shape == (r, n, d0 + 1) and xt.shape == (r, d0 + 1, n)
+    assert np.array_equal(xa[..., -1], np.ones((r, n)))
+    assert np.array_equal(xt, xa.transpose(0, 2, 1)) and xt.flags.c_contiguous
+    before = [a.copy() for a in (x, y, ws)]
+    outs = []
+    for xs, extra in ((x, {}), (xa, {}), (xa, {"xt": xt})):
+        grads = None if mode == "loss" else np.empty(ws.shape)
+        losses = _block_loss_and_grad(widths, xs, y, ws, grads, **kw, **extra)
+        outs.append((_bits(losses), _bits(grads)))
+    assert outs[0] == outs[1] == outs[2]
+    for a, b in zip((x, y, ws), before):
+        assert a.flags.writeable and np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 5), r=st.integers(1, 3), s=st.integers(1, 3),
+       n=st.integers(0, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_hot_subtraction_gives_the_scatters_delta_bits(k, r, s, n, seed):
+    rng = np.random.default_rng(seed)
+    widths = (2, k)
+    y = rng.integers(0, k, size=(r, n))
+    ws = np.empty((r * s, Architecture(widths).num_params))
+    at, onehot, _, _ = _block_constants(widths, y, ws, np.empty(ws.shape))
+    z = rng.normal(size=(r * s, k, n)) * rng.choice([1e-3, 1.0, 30.0])
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    scatter = np.exp(z)
+    scatter.reshape(-1)[at] -= 1.0
+    assert np.subtract(np.exp(z), onehot).tobytes() == scatter.tobytes()
+    assert _block_constants(widths, y, ws)[1] is None      # loss-only: no one-hot

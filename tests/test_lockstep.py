@@ -206,6 +206,24 @@ def test_finite_rows_sums_once_and_checks_runs_only_when_the_sum_is_not():
         assert _finite_rows(np.zeros((3, 2, 4)), loss).tolist() == [True, True, False]
 
 
+def test_lockstep_results_own_their_arrays():
+    # a kept posterior must not hold the batch's (R, 2, P) state alive
+    rng = np.random.default_rng(2)
+    models = [MlpLossModel(Architecture((3, 2)), _task(rng, 10, 3, 2)) for _ in range(4)]
+    cfg = VariationalConfig(steps=3, learning_rate=0.1, mc_samples=2, report_mc=4)
+    fits = _optimize_many(models, [0.5] * 4, IsotropicPrior(1.0), cfg, [1, 2, 3, 4])
+
+    def owner(a):
+        while a.base is not None:
+            a = a.base
+        return a
+    arrays = [a for res in fits for a in (res.posterior.mean, res.posterior.log_var)]
+    for i, a in enumerate(arrays):
+        assert owner(a).nbytes == a.nbytes
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(owner(a), owner(b))
+
+
 def test_optimize_gaussian_raises_what_the_runner_reports():
     d = _task(np.random.default_rng(1), 8, 3, 2)
     cfg = VariationalConfig(steps=50, learning_rate=1e12, mc_samples=2,
