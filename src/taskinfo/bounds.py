@@ -118,7 +118,7 @@ def bound_validation_trial(task_generator, arch: Architecture, beta: float,
             rows.append((trial, math.nan, math.nan, math.nan, math.nan, False))
             continue
         q = res.posterior
-        # the train term is scored on the loss model the fit ran on
+        # scored on the fit's own loss model, not on a second copy of the inputs
         train_term = (_clipped_loss(model, q, train, mc_eval, seed * 17 + trial)
                       if train.n else 0.0)
         report = pac_bayes_bound(train_term, res.kl, train.n, beta, delta)

@@ -5,8 +5,13 @@ output. Losses are totals in NATS (sums over the dataset, not means), so
 they plug directly into the complexity Lagrangians. Everything is plain
 numpy with explicit backpropagation in one blocked kernel,
 _block_loss_and_grad, which serves the MC evaluator, the lockstep optimizer,
-the Fisher diagonal, SGD and forward_batch. Training is a deterministic
-function of (data, architecture, config, init).
+the Fisher diagonal, SGD and forward_batch. The flat parameter row stores
+each layer's weights W (fan_in, fan_out) and then its bias b, so the kernel
+reads each layer as one (fan_in + 1, fan_out) block, and every layer input
+carries a ones row (the inputs after _augment, each hidden activation in an
+(S, d + 1, n) buffer): each bias rides in its layer's GEMM, forward and
+backward. The label gradient is one subtraction of a label one-hot.
+Training is a deterministic function of (data, architecture, config, init).
 """
 
 from __future__ import annotations

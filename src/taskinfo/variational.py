@@ -16,7 +16,10 @@ with rng._normal_into and hands all S draws as one (S, P) array to
 ``loss_and_grad`` (_mc_losses for a loss-only pass, _mc_grads with
 gradients): one forward and one backward pass per block of draws
 (reparameterized, as in Blundell et al. 2015), or a loss-only forward pass.
-A block keeps n * (widest non-input layer) * draws within _BLOCK_CELLS, so
+A loss-only pass forms its draws mu + sigma * eps in the noise's buffer.
+MlpLossModel keeps its inputs as the kernel takes them, with a ones column
+that carries each first-layer bias inside the GEMM: xa (n, d0 + 1) and its
+contiguous transpose xt (d0 + 1, n); x is a view of xa. A block keeps n * (widest non-input layer) * draws within _BLOCK_CELLS, so
 activations and deltas take O(_BLOCK_CELLS) memory, not O(S).
 fisher_diagonal asks the same blocks (_runs_loss_and_grad) for sum_i w_i
 g_i^2 of the per-sample gradients, one run of one draw per label: each
@@ -29,12 +32,13 @@ each with its own beta, start and seed, on one (R, 2, P) state array of
 means and log-variances (moment updates, gradient clip, log_var clamp,
 finiteness check, trace snapshots), updated in place in the order of
 operations of a run alone. Network runs of one architecture form a batch,
-and the runs of a batch that share n go through the kernel together: x
-stacked as (R, n, d0) and, for the forward matmul, as a contiguous (R, d0,
-n) copy (a one-run span reads its model's own x and xt), draws run-major
-as (R * S, P). Each span's kernel calls, with their label offsets and layer
-views, are bound once per set of live runs to preallocated draw, loss and
-gradient buffers. Each run draws its step noise from its own stream
+and the runs of a batch that share n go through the kernel together: xa
+stacked as (R, n, d0 + 1) and xt as (R, d0 + 1, n) (a one-run span reads
+its model's own xa and xt), draws run-major as (R * S, P). Each span's
+kernel calls, with their label offsets, label one-hot and layer blocks,
+are bound once per set of live runs to preallocated draw, loss and
+gradient buffers. Each result copies its run's row of the state, so it
+does not keep the batch's state alive. Each run draws its step noise from its own stream
 (seed, "vi-step", step), so it ends where it would alone, bit for bit; a run
 that diverges leaves the batch and is reported by itself. optimize_gaussian
 is the R = 1 case. A batch holds at most _LOCKSTEP_CELLS / (S * P) runs, so
