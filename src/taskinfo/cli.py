@@ -71,10 +71,13 @@ def _stamp(hash_: str) -> str:
 # Task specs
 
 
-def _number(spec: dict, key: str, path: str, kind=int):
+def _number(spec: dict, key: str, path: str, kind=int, default=None):
     """spec[key], a JSON integer (kind int) or number (kind float), as
-    ``kind``; anything else is a ConfigError naming the field."""
+    ``kind``, or ``default`` if given and the key is absent; anything else
+    is a ConfigError naming the field."""
     if key not in spec:
+        if default is not None:
+            return default
         raise ConfigError(f"{path}: missing keys {[key]}")
     value = spec[key]
     if not isinstance(value, bool) and isinstance(
@@ -137,7 +140,7 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
             raise ConfigError(f"{path}.rule: expected a rule name") from None
         return tasks_mod.generate_planted_task(
             _number(spec, "n", path), rule,
-            _number(spec, "noise", path, float) if "noise" in spec else 0.0,
+            _number(spec, "noise", path, float, 0.0),
             _number(spec, "seed", path))
     if t == "union":
         _check_keys(spec, path, ("type", "left", "right"))
@@ -345,13 +348,13 @@ def cmd_distance_matrix(cfg, hash_) -> dict:
     ks = {d.num_labels for _, d in named}
     if len(dims) != 1:
         raise ConfigError("tasks: distance-matrix tasks must share input dim")
-    beta = float(cfg["beta"])
+    beta = _number(cfg, "beta", "config", float)
     dcfg = distance_mod.DistanceConfig(
-        replicates=int(cfg.get("replicates", 2)),
+        replicates=_number(cfg, "replicates", "config", int, 2),
         opt=_variational_config(cfg.get("opt", {}), "opt"),
-        prior=vi.IsotropicPrior(float(cfg["prior_scale"])),
-        lagrangian_slack=float(cfg.get("lagrangian_slack", 0.05)),
-        tau_fraction=float(cfg.get("tau_fraction", 0.05)),
+        prior=vi.IsotropicPrior(_number(cfg, "prior_scale", "config", float)),
+        lagrangian_slack=_number(cfg, "lagrangian_slack", "config", float, 0.05),
+        tau_fraction=_number(cfg, "tau_fraction", "config", float, 0.05),
     )
     arch = _arch(cfg["arch_hidden"], dims.pop() + 2, max(ks))
     seeds = [int(cfg["seed"]) * 131 + r for r in range(dcfg.replicates)]
@@ -386,14 +389,17 @@ def cmd_pac_bayes(cfg, hash_) -> dict:
                  "n_train", "n_test", "trials", "arch_hidden", "prior_scale",
                  "opt"))
     rows = []
+
+    def num(key, kind=float, default=None):
+        return _number(cfg, key, "config", kind, default)
+
     if cfg["mode"] == "bound":
-        rep = bounds_mod.pac_bayes_bound(
-            float(cfg["train_loss_total"]), float(cfg["kl"]), int(cfg["n"]),
-            float(cfg["beta"]), float(cfg["delta"]))
+        rep = bounds_mod.pac_bayes_bound(num("train_loss_total"), num("kl"),
+                                         num("n", int), num("beta"), num("delta"))
         rows.append(f"0,{rep.train_term!r},{rep.kl!r},{rep.bound_value!r},,")
     elif cfg["mode"] == "trials":
         spec = cfg["task"]
-        n_train, n_test = int(cfg["n_train"]), int(cfg["n_test"])
+        n_train, n_test = num("n_train", int), num("n_test", int)
         families = {}
 
         def generator(trial_seed):
@@ -408,9 +414,8 @@ def cmd_pac_bayes(cfg, hash_) -> dict:
         arch = _arch(cfg.get("arch_hidden", ()), probe.space.dim,
                      probe.num_labels)
         report = bounds_mod.bound_validation_trial(
-            generator, arch, float(cfg["beta"]), float(cfg["delta"]),
-            int(cfg["trials"]), int(cfg["seed"]),
-            prior=vi.IsotropicPrior(float(cfg.get("prior_scale", 1.0))),
+            generator, arch, num("beta"), num("delta"), num("trials", int),
+            int(cfg["seed"]), prior=vi.IsotropicPrior(num("prior_scale", default=1.0)),
             cfg=_variational_config(cfg.get("opt", {}), "opt"))
         for row in report.rows:
             trial, train_term, kl, bound, test_loss, covered = row
@@ -441,13 +446,15 @@ def cmd_anneal(cfg, hash_) -> dict:
     sspec = cfg["schedule"]
     _check_keys(sspec, "schedule", ("betas", "epsilon"))
     schedule = anneal_mod.AnnealSchedule(tuple(float(b) for b in sspec["betas"]),
-                                         float(sspec["epsilon"]))
+                                         _number(sspec, "epsilon", "schedule", float))
     start = cfg["start"]
     if isinstance(start, str):
         if start not in grid.node_ids:
             raise ConfigError(f"start: unknown node id {start!r}")
         start = grid.node_ids.index(start)
-    result = anneal_mod.anneal(grid, schedule, int(start))
+    else:
+        start = _number(cfg, "start", "config")
+    result = anneal_mod.anneal(grid, schedule, start)
     return {"anneal_trajectory.csv": _csv(
         "anneal", hash_, "step,beta,node_id,lagrangian_nats",
         (f"{step},{beta!r},{grid.node_ids[node]},{lagr!r}"

@@ -5,12 +5,15 @@ output. Losses are totals in NATS (sums over the dataset, not means), so
 they plug directly into the complexity Lagrangians. Everything is plain
 numpy with explicit backpropagation in one blocked kernel,
 _block_loss_and_grad, which serves the MC evaluator, the lockstep optimizer,
-the Fisher diagonal, SGD and forward_batch. The flat parameter row stores
-each layer's weights W (fan_in, fan_out) and then its bias b, so the kernel
-reads each layer as one (fan_in + 1, fan_out) block, and every layer input
-carries a ones row (the inputs after _augment, each hidden activation in an
-(S, d + 1, n) buffer): each bias rides in its layer's GEMM, forward and
-backward. The label gradient is one subtraction of a label one-hot.
+the Fisher diagonal and SGD; forward_batch runs its forward half, _forward.
+The flat parameter row stores each layer's weights W (fan_in, fan_out) and
+then its bias b, so the kernel reads each layer as one (fan_in + 1,
+fan_out) block, and every layer input carries a ones row (the inputs after
+_augment, each hidden activation in an (S, d + 1, n) buffer): each bias
+rides in its layer's GEMM, forward and backward. The kernel takes one
+operand form, the augmented inputs with their contiguous transpose and the
+call's _block_constants; dataset_loss, gradient and sgd_train reach it
+through _one_draw. The label gradient is one subtraction of a label one-hot.
 Training is a deterministic function of (data, architecture, config, init).
 """
 
@@ -121,14 +124,8 @@ def flatten_params(p: MlpParams) -> np.ndarray:
 def unflatten_params(vec: np.ndarray, arch: Architecture) -> MlpParams:
     if vec.size != arch.num_params:
         raise ValueError("parameter vector length does not match architecture")
-    layers = _layer_views(vec.reshape(1, -1), arch.layer_widths)
-    return MlpParams(tuple(w[0] for w, _ in layers), tuple(b[0] for _, b in layers))
-
-
-def _layer_views(ws: np.ndarray, widths) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer views (weights (S, fan_in, fan_out), biases (S, fan_out)) of
-    S flat parameter vectors ws (S, P)."""
-    return [(block[:, :-1], block[:, -1]) for block in _layer_blocks(ws, widths)]
+    blocks = _layer_blocks(vec.reshape(1, -1), arch.layer_widths)
+    return MlpParams(tuple(b[0, :-1] for b in blocks), tuple(b[0, -1] for b in blocks))
 
 
 def _layer_blocks(ws: np.ndarray, widths) -> list[np.ndarray]:
@@ -181,8 +178,17 @@ def _as_xy(d: Dataset, arch=None) -> tuple[np.ndarray, np.ndarray]:
 def dataset_loss(p: MlpParams, d: Dataset) -> float:
     """Total cross-entropy over the dataset in NATS."""
     x, y = _as_xy(d)
-    return float(_block_loss_and_grad(p.architecture.layer_widths, x, y,
-                                      flatten_params(p)[None, :])[0])
+    return _one_draw(p.architecture.layer_widths, *_augment(x), y,
+                     flatten_params(p)[None])
+
+
+def _one_draw(widths, xa, xt, y, w, grads=None) -> float:
+    """The kernel on one run of one flat parameter row w (1, P): the total
+    loss on augmented inputs xa (n, d0 + 1), their contiguous transpose xt
+    (d0 + 1, n) and labels y (n,); fills grads (1, P) unless it is None."""
+    xa, xt, y = xa[None], xt[None], y[None]
+    return float(_block_loss_and_grad(widths, xa, y, w, xt,
+                                      _block_constants(widths, y, w, grads))[0])
 
 
 def _block_constants(widths, y, ws, grads=None):
@@ -224,30 +230,18 @@ def _forward(widths, xt, ws, layers):
     return z, hs
 
 
-def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None, sq_weight=None,
-                         xt=None, consts=None):
-    """Total cross-entropy (S,) of S flat parameter vectors ws (S, P) on (x, y).
-
-    x and y may carry a leading run axis, x (R, n, d0) and y (R, n): then ws
-    holds S / R draws per run, ordered run-major, and each draw is scored on
-    its own run's data. x may come augmented, (R, n, d0 + 1) with a ones
-    last column (see _augment), with xt its contiguous (R, d0 + 1, n)
-    transpose (built here when None); plain x is augmented here. Per-sample
-    losses are clipped at clip. Fills grads (S, P) unless it is None, or
-    with sq_weight (R, n) the squared per-sample gradients sum_i w_i g_i^2:
-    g_i is linear in sample i's delta, so the delta is scaled by sqrt(w_i)
-    and both factors of each product squared. consts is
-    _block_constants(widths, y, ws, grads), built here when None; a caller
-    that calls again on the same arrays builds it once.
+def _block_loss_and_grad(widths, x, y, ws, xt, consts, clip=None, sq_weight=None):
+    """Total cross-entropy (S,) of S flat parameter vectors ws (S, P) on R
+    runs' data: augmented inputs x (R, n, d0 + 1) with xt their contiguous
+    (R, d0 + 1, n) transpose (see _augment), and labels y (R, n). ws holds
+    S / R draws per run, ordered run-major, and each draw is scored on its
+    own run's data. consts is _block_constants(widths, y, ws, grads): the
+    call fills grads (S, P) unless it is None, or with sq_weight (R, n) the
+    squared per-sample gradients sum_i w_i g_i^2: g_i is linear in sample
+    i's delta, so the delta is scaled by sqrt(w_i) and both factors of each
+    product squared. Per-sample losses are clipped at clip.
     """
-    if x.ndim == 2:
-        x, y = x[None], y[None]
-    if x.shape[2] == widths[0]:
-        x, xt = _augment(x)
-    elif xt is None:
-        xt = np.ascontiguousarray(x.transpose(0, 2, 1))
-    at, onehot, layers, out = (_block_constants(widths, y, ws, grads)
-                               if consts is None else consts)
+    at, onehot, layers, out = consts
     r, n = x.shape[:2]
     s, d1 = ws.shape[0], widths[1]
     z, hs = _forward(widths, xt, ws, layers)
@@ -257,7 +251,7 @@ def _block_loss_and_grad(widths, x, y, ws, grads=None, clip=None, sq_weight=None
     else:
         nll = np.negative(logp, out=logp)
         losses = np.add.reduce(np.minimum(nll, clip), axis=1)
-    if grads is None:
+    if out is None:
         return losses
     delta = np.subtract(np.exp(z, out=z), onehot, out=z)   # d loss / d logits
     if clip is not None:
@@ -285,7 +279,7 @@ def gradient(p: MlpParams, batch) -> MlpParams:
         raise ValueError("gradient needs a nonempty batch")
     arch = p.architecture
     grads = np.empty((1, arch.num_params))
-    _block_loss_and_grad(arch.layer_widths, x, y, flatten_params(p)[None], grads)
+    _one_draw(arch.layer_widths, *_augment(x), y, flatten_params(p)[None], grads)
     return unflatten_params(grads[0], arch)
 
 
@@ -353,15 +347,16 @@ def sgd_train(d: Dataset, arch: Architecture, cfg: SgdConfig,
             order = stream(cfg.seed, "sgd-shuffle", epoch).permutation(d.n)
             for start in range(0, d.n, batch):
                 idx = order[start:start + batch]
-                _block_loss_and_grad(arch.layer_widths, xa[idx], y[idx], w, grads)
+                xb = xa[idx]         # not xt[:, idx]: a strided GEMM gives other bits
+                _one_draw(arch.layer_widths, xb, np.ascontiguousarray(xb.T), y[idx],
+                          w, grads)
                 stepped = w - lr * (grads + cfg.weight_decay * w)
                 if not np.isfinite(stepped).all():
                     raise TrainingDiverged(
                         f"training diverged at epoch {epoch}",
                         last_params=unflatten_params(w[0], arch), trace=trace)
                 w = stepped
-            loss = float(_block_loss_and_grad(arch.layer_widths, xa, y, w,
-                                              xt=xt[None])[0])
+            loss = _one_draw(arch.layer_widths, xa, xt, y, w)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}",

@@ -17,14 +17,16 @@ with rng._normal_into and hands all S draws as one (S, P) array to
 gradients): one forward and one backward pass per block of draws
 (reparameterized, as in Blundell et al. 2015), or a loss-only forward pass.
 A loss-only pass forms its draws mu + sigma * eps in the noise's buffer.
-MlpLossModel keeps its inputs as the kernel takes them, with a ones column
-that carries each first-layer bias inside the GEMM: xa (n, d0 + 1) and its
-contiguous transpose xt (d0 + 1, n); x is a view of xa. A block keeps n * (widest non-input layer) * draws within _BLOCK_CELLS, so
+MlpLossModel keeps its inputs in the one form the kernel takes, with a
+ones column that carries each first-layer bias inside the GEMM: xa (n, d0 +
+1) and its contiguous transpose xt (d0 + 1, n); x is a view of xa.
+_run_blocks binds a pass's kernel calls to the caller's arrays; a call
+keeps n * (widest non-input layer) * draws within _BLOCK_CELLS, so
 activations and deltas take O(_BLOCK_CELLS) memory, not O(S).
-fisher_diagonal asks the same blocks (_runs_loss_and_grad) for sum_i w_i
-g_i^2 of the per-sample gradients, one run of one draw per label: each
-label c with w_i = p_w(c|x_i) (exact), or the labels drawn from the model
-with w_i = 1 (sampled).
+fisher_diagonal reads its label probabilities off the model's own xt, then
+asks the same blocks for sum_i w_i g_i^2 of the per-sample gradients, one
+run of one draw per label: each label c with w_i = p_w(c|x_i) (exact), or
+the labels drawn from the model with w_i = 1 (sampled).
 
 Independent fits (distance replicates, PAC-Bayes trials) run in lockstep
 through the private _optimize_many: one optimizer loop steps R posteriors,
@@ -38,12 +40,12 @@ its model's own xa and xt), draws run-major as (R * S, P). Each span's
 kernel calls, with their label offsets, label one-hot and layer blocks,
 are bound once per set of live runs to preallocated draw, loss and
 gradient buffers. Each result copies its run's row of the state, so it
-does not keep the batch's state alive. Each run draws its step noise from its own stream
-(seed, "vi-step", step), so it ends where it would alone, bit for bit; a run
-that diverges leaves the batch and is reported by itself. optimize_gaussian
-is the R = 1 case. A batch holds at most _LOCKSTEP_CELLS / (S * P) runs, so
-its per-step draws, weights and gradients take O(_LOCKSTEP_CELLS) memory on
-top of the kernel's blocks.
+does not keep the batch's state alive. Each run draws its step noise from
+its own stream (seed, "vi-step", step), so it ends where it would alone,
+bit for bit; a run that diverges leaves the batch and is reported by
+itself. optimize_gaussian is the R = 1 case. A batch holds at most
+_LOCKSTEP_CELLS / (S * P) runs, so its per-step draws, weights and
+gradients take O(_LOCKSTEP_CELLS) memory on top of the kernel's blocks.
 
 Curvature conventions: quadratic surrogates are written loss(w) =
 sum_i h_i (w_i - w0_i)^2, i.e. the expected-loss gap under N(mu, Sigma) is
@@ -68,9 +70,10 @@ from .models import (
     _augment,
     _block_constants,
     _block_loss_and_grad,
+    _forward,
+    _layer_blocks,
     _read_params,
     flatten_params,
-    forward_batch,
     unflatten_params,
 )
 from .rng import _normal_into, stream
@@ -204,30 +207,21 @@ class MlpLossModel:
         weight draws ws (S, P); per-sample losses are clipped at ``clip``."""
         if ws.ndim != 2 or ws.shape[1] != self.k:
             raise ValueError(f"expected weight draws of shape (S, {self.k})")
-        return _runs_loss_and_grad(self.arch.layer_widths, self.xa[None],
-                                   self.xt[None], self.y[None], ws, self.block,
-                                   grad, clip)
-
-
-def _runs_loss_and_grad(widths, x, xt, y, ws, block, grad=True, clip=None,
-                        sq_weight=None):
-    """Losses (R*S,) and gradients (R*S, P), or None if not grad, of the
-    run-major weight draws ws (R*S, P) of R runs on their augmented inputs x
-    (R, n, d0 + 1) and labels y (R, n), with xt x as a contiguous (R, d0 +
-    1, n) array; with sq_weight (R, n), the kernel's weighted squared
-    gradients."""
-    losses, grads = np.empty(ws.shape[0]), (np.empty(ws.shape) if grad else None)
-    _run_blocks(widths, x, xt, y, ws, block, losses, grads, clip, sq_weight)()
-    return losses, grads
+        return _run_blocks(self.arch.layer_widths, self.xa[None], self.xt[None],
+                           self.y[None], ws, self.block, np.empty(len(ws)),
+                           np.empty(ws.shape) if grad else None, clip)()
 
 
 def _run_blocks(widths, x, xt, y, ws, block, losses, grads=None, clip=None,
                 sq_weight=None):
-    """The kernel calls of _runs_loss_and_grad bound to the caller's arrays:
-    returns a function that fills losses (R*S,) and, unless None, grads
-    (R*S, P) from what ws holds when it is called. A kernel call takes at
-    most ``block`` draws: whole runs while a run's S draws fit, else a slice
-    of one run's draws. Each call's constants are built here, once."""
+    """The kernel calls on R runs' run-major weight draws ws (R*S, P),
+    augmented inputs x (R, n, d0 + 1) with contiguous transpose xt (R, d0 +
+    1, n), and labels y (R, n), bound to the caller's arrays: returns a
+    function that fills losses (R*S,) and, unless None, grads (R*S, P) (with
+    sq_weight (R, n), the kernel's weighted squares) from what ws holds when
+    it is called, and returns (losses, grads). A call takes at most
+    ``block`` draws: whole runs while a run's S draws fit, else a slice of
+    one run's draws. Each call's constants are built here, once."""
     r = x.shape[0]
     s = ws.shape[0] // r
     calls, per = [], max(1, block // max(s, 1))
@@ -238,13 +232,14 @@ def _run_blocks(widths, x, xt, y, ws, block, losses, grads=None, clip=None,
             rows = slice(lo, min(lo + step, r1 * s))
             g = None if grads is None else grads[rows]
             calls.append((rows, (
-                x[r0:r1], y[r0:r1], ws[rows], g, clip,
-                None if sq_weight is None else sq_weight[r0:r1], xt[r0:r1],
-                _block_constants(widths, y[r0:r1], ws[rows], g))))
+                x[r0:r1], y[r0:r1], ws[rows], xt[r0:r1],
+                _block_constants(widths, y[r0:r1], ws[rows], g), clip,
+                None if sq_weight is None else sq_weight[r0:r1])))
 
     def run():
         for rows, args in calls:
             losses[rows] = _block_loss_and_grad(widths, *args)
+        return losses, grads
     return run
 
 
@@ -626,7 +621,9 @@ def fisher_diagonal(p: MlpParams, d: Dataset, mode: str = "exact",
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown fisher mode {mode!r}")
     model = MlpLossModel(p.architecture, d)        # validates d against p
-    probs = forward_batch(p, model.x).T            # (K, n)
+    widths, w = model.arch.layer_widths, flatten_params(p)[None]
+    z, _ = _forward(widths, model.xt[None], w, _layer_blocks(w, widths))
+    probs = np.exp(z[0])                           # (K, n)
     if mode == "sampled":
         u = stream(seed, "fisher-sample").random(d.n)
         draws = (u > np.cumsum(probs, axis=0)).sum(axis=0)
@@ -634,9 +631,9 @@ def fisher_diagonal(p: MlpParams, d: Dataset, mode: str = "exact",
     else:
         labels, weights = np.repeat(np.arange(len(probs))[:, None], d.n, axis=1), probs
     x, xt = (np.broadcast_to(a, (len(labels),) + a.shape) for a in (model.xa, model.xt))
-    ws = np.broadcast_to(flatten_params(p), (len(labels), p.num_params))
-    _, sq = _runs_loss_and_grad(model.arch.layer_widths, x, xt, labels, ws,
-                                model.block, sq_weight=weights)  # one draw a run
+    ws = np.broadcast_to(w, (len(labels), p.num_params))    # one draw a run
+    _, sq = _run_blocks(widths, x, xt, labels, ws, model.block, np.empty(len(ws)),
+                        np.empty(ws.shape), sq_weight=weights)()
     return FisherDiagonal(entries=sq.sum(axis=0) / max(d.n, 1), n=d.n)  # 0 if n = 0
 
 

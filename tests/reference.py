@@ -14,10 +14,8 @@ from taskinfo import finite_oracle as fo
 from taskinfo.models import (
     MlpParams,
     TrainingDiverged,
-    _block_loss_and_grad,
-    _layer_views,
     dataset_loss,
-    flatten_params,
+    gradient,
     init_params,
     unflatten_params,
 )
@@ -691,12 +689,10 @@ def reference_fisher_diagonal(p, d, mode="exact", seed=0):
 
 
 def _gradient_arrays(p, x, y):
-    """Backprop gradient of the summed cross-entropy over (x, y) (one draw)."""
-    widths = p.architecture.layer_widths
-    grads = np.empty((1, p.num_params))
-    _block_loss_and_grad(widths, x, y, flatten_params(p)[None, :], grads)
-    layers = _layer_views(grads, widths)
-    return tuple(w[0] for w, _ in layers), tuple(b[0] for _, b in layers)
+    """Backprop gradient of the summed cross-entropy over (x, y), as weight
+    and bias arrays (models.gradient)."""
+    g = gradient(p, (x, y))
+    return g.weights, g.biases
 
 
 def reference_sgd_train(d, arch, cfg, init=0):
@@ -716,7 +712,14 @@ def reference_sgd_train(d, arch, cfg, init=0):
             order = stream(cfg.seed, "sgd-shuffle", epoch).permutation(d.n)
             for start in range(0, d.n, batch):
                 idx = order[start:start + batch]
-                gws, gbs = _gradient_arrays(params, x[idx], y[idx])
+                # gradient refuses a non-finite gradient, which would make
+                # the step non-finite too
+                try:
+                    gws, gbs = _gradient_arrays(params, x[idx], y[idx])
+                except ValueError as exc:
+                    raise TrainingDiverged(
+                        f"training diverged at epoch {epoch}",
+                        last_params=params, trace=trace) from exc
                 ws = tuple(w - lr * (gw + cfg.weight_decay * w)
                            for w, gw in zip(params.weights, gws))
                 bs = tuple(b - lr * (gb + cfg.weight_decay * b)

@@ -518,3 +518,49 @@ def test_runtime_failure_exits_one_and_writes_nothing(tmp_path, capsys,
     assert code == 1
     assert "error: RuntimeError: planted failure" in capsys.readouterr().err
     assert not out.exists()
+
+
+PAC_BOUND = RERUNS["pac-bayes"][0]
+PAC_TRIALS = {"version": 1, "seed": 0, "mode": "trials",
+              "task": {"type": "planted", "n": 0, "k": 2, "domain_size": 16,
+                       "rule": "bit0", "noise": 0.1, "seed": 0},
+              "n_train": 12, "n_test": 12, "trials": 3, "beta": 1.0, "delta": 0.05,
+              "opt": {"steps": 3, "mc_samples": 2, "report_mc": 4}}
+DISTANCE, ANNEAL = RERUNS["distance-matrix"][0], RERUNS["anneal"][0]
+
+
+@pytest.mark.parametrize("command, config, field, why", [
+    ("pac-bayes", dict(PAC_BOUND, n=[50]), "config.n", "expected an integer"),
+    ("pac-bayes", dict(PAC_BOUND, n=50.5), "config.n", "expected an integer"),
+    ("pac-bayes", dict(PAC_BOUND, train_loss_total="3.0"), "config.train_loss_total",
+     "expected a number"),
+    ("pac-bayes", dict(PAC_BOUND, kl=None), "config.kl", "expected a number"),
+    ("pac-bayes", dict(PAC_BOUND, beta=[1.0]), "config.beta", "expected a number"),
+    ("pac-bayes", dict(PAC_BOUND, delta=True), "config.delta", "expected a number"),
+    ("pac-bayes", dict(PAC_TRIALS, n_train="12"), "config.n_train",
+     "expected an integer"),
+    ("pac-bayes", dict(PAC_TRIALS, n_test=[12]), "config.n_test", "expected an integer"),
+    ("pac-bayes", dict(PAC_TRIALS, trials=3.5), "config.trials", "expected an integer"),
+    ("pac-bayes", dict(PAC_TRIALS, prior_scale="1"), "config.prior_scale",
+     "expected a number"),
+    ("distance-matrix", dict(DISTANCE, beta=[0.5]), "config.beta", "expected a number"),
+    ("distance-matrix", dict(DISTANCE, prior_scale=None), "config.prior_scale",
+     "expected a number"),
+    ("distance-matrix", dict(DISTANCE, replicates=[2]), "config.replicates",
+     "expected an integer"),
+    ("distance-matrix", dict(DISTANCE, lagrangian_slack={}), "config.lagrangian_slack",
+     "expected a number"),
+    ("distance-matrix", dict(DISTANCE, tau_fraction=[0.05]), "config.tau_fraction",
+     "expected a number"),
+    ("anneal", dict(ANNEAL, schedule={"betas": [10.0, 2.0, 0.25], "epsilon": [1.0]}),
+     "schedule.epsilon", "expected a number"),
+    ("anneal", dict(ANNEAL, start=0.5), "config.start", "expected an integer"),
+    ("anneal", dict(ANNEAL, start=[0]), "config.start", "expected an integer"),
+    ("anneal", dict(ANNEAL, start=True), "config.start", "expected an integer"),
+])
+def test_wrong_typed_config_number_is_config_error_naming_it(tmp_path, capsys, command,
+                                                             config, field, why):
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 2
+    assert f"config error: {field}: {why}" in capsys.readouterr().err
+    assert not out.exists()

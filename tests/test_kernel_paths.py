@@ -2,12 +2,14 @@
 blocked kernel (models._block_loss_and_grad); each is checked here against
 its own per-layer implementation in reference.py."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskinfo import tasks
+from taskinfo import models, tasks, variational
 from taskinfo.models import (
     Architecture,
     MlpParams,
@@ -16,10 +18,13 @@ from taskinfo.models import (
     _augment,
     _block_constants,
     _block_loss_and_grad,
+    dataset_loss,
+    flatten_params,
     forward_batch,
     gradient,
     init_params,
     sgd_train,
+    unflatten_params,
 )
 from taskinfo.variational import fisher_diagonal
 
@@ -135,28 +140,44 @@ def _bits(a):
 
 @pytest.mark.parametrize("d0", [1, 7, 512])
 @pytest.mark.parametrize("hidden", [(), (3, 5)])
-@pytest.mark.parametrize("mode", ["clip", "sq_weight", "loss", "grad"])
-def test_plain_and_augmented_inputs_give_identical_kernel_outputs(d0, hidden, mode):
-    # two runs of three draws each; the kernel augments plain x itself
+def test_plain_and_augmented_inputs_give_identical_kernel_outputs(d0, hidden):
+    # dataset_loss and gradient take plain inputs, the kernel _augment's
     rng = np.random.default_rng(d0 + len(hidden))
-    widths, r, s, n = (d0, *hidden, 3), 2, 3, 11
+    widths, r, n = (d0, *hidden, 3), 2, 11
+    arch = Architecture(widths)
     x, y = rng.normal(size=(r, n, d0)), rng.integers(0, 3, size=(r, n))
-    ws = rng.normal(size=(r * s, Architecture(widths).num_params))
-    kw = {"clip": dict(clip=0.7), "sq_weight": dict(sq_weight=rng.random((r, n))),
-          "loss": {}, "grad": {}}[mode]
+    ws = rng.normal(size=(r, arch.num_params))
     xa, xt = _augment(x)
     assert xa.shape == (r, n, d0 + 1) and xt.shape == (r, d0 + 1, n)
     assert np.array_equal(xa[..., -1], np.ones((r, n)))
     assert np.array_equal(xt, xa.transpose(0, 2, 1)) and xt.flags.c_contiguous
     before = [a.copy() for a in (x, y, ws)]
-    outs = []
-    for xs, extra in ((x, {}), (xa, {}), (xa, {"xt": xt})):
-        grads = None if mode == "loss" else np.empty(ws.shape)
-        losses = _block_loss_and_grad(widths, xs, y, ws, grads, **kw, **extra)
-        outs.append((_bits(losses), _bits(grads)))
-    assert outs[0] == outs[1] == outs[2]
+    for i in range(r):
+        run, w, grads = slice(i, i + 1), ws[i:i + 1], np.empty((1, arch.num_params))
+        args = (widths, xa[run], y[run], w, xt[run])
+        losses = _block_loss_and_grad(*args, _block_constants(widths, y[run], w))
+        _block_loss_and_grad(*args, _block_constants(widths, y[run], w, grads))
+        p = unflatten_params(ws[i], arch)
+        d = tasks.Dataset(x[i], y[i], 3, tasks.RealSpace(d0))
+        assert _bits(np.array([dataset_loss(p, d)])) == _bits(losses)
+        assert _bits(flatten_params(gradient(p, (x[i], y[i])))) == _bits(grads[0])
     for a, b in zip((x, y, ws), before):
         assert a.flags.writeable and np.array_equal(a, b)
+
+
+def test_fisher_diagonal_augments_its_inputs_once():
+    _, p, d, _, _ = _setup([4], 3, 2, 40, 1.0, 5)
+    shapes = []
+
+    def spy(x):
+        shapes.append(x.shape)
+        return _augment(x)
+
+    with mock.patch.object(models, "_augment", spy), \
+            mock.patch.object(variational, "_augment", spy):
+        for mode in ("exact", "sampled"):
+            fisher_diagonal(p, d, mode=mode)
+    assert shapes == [(40, 3), (40, 3)]
 
 
 @settings(max_examples=40, deadline=None)
