@@ -184,15 +184,25 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
     raise ConfigError(f"{path}.type: unknown task type {t!r}")
 
 
+_OPT_FIELDS = {"steps": int, "learning_rate": float, "logvar_learning_rate": float,
+               "mc_samples": int, "report_mc": int, "grad_clip": float,
+               "trace_every": int}
+
+
 def _variational_config(spec, path) -> vi.VariationalConfig:
-    _check_keys(spec, path, (), ("steps", "learning_rate", "logvar_learning_rate",
-                                 "mc_samples", "report_mc", "grad_clip",
-                                 "trace_every"))
-    return vi.VariationalConfig(**{k: v for k, v in spec.items()})
+    """The optimizer fields at ``path``, each read by `_number`; grad_clip
+    and logvar_learning_rate also take null (no clip; the learning rate)."""
+    _check_keys(spec, path, (), tuple(_OPT_FIELDS))
+    return vi.VariationalConfig(**{
+        key: None if spec[key] is None and key in ("grad_clip", "logvar_learning_rate")
+        else _number(spec, key, path, kind)
+        for key, kind in _OPT_FIELDS.items() if key in spec})
 
 
-def _arch(hidden, input_dim: int, k: int) -> Architecture:
-    return Architecture((input_dim, *[int(h) for h in hidden], k))
+def _arch(spec, path, input_dim: int, k: int) -> Architecture:
+    """input_dim, the widths listed in spec["arch_hidden"] (JSON integers), k."""
+    hidden = {f"arch_hidden[{i}]": h for i, h in enumerate(spec.get("arch_hidden", ()))}
+    return Architecture((input_dim, *[_number(hidden, key, path) for key in hidden], k))
 
 
 def _named_tasks(cfg) -> list:
@@ -208,7 +218,7 @@ def _variational_sweep(d, betas, vcfg, seed: int) -> vi.SweepResult:
     """structure_sweep of d as real vectors under the ``variational``
     config's architecture, prior and optimizer."""
     dd = tasks_mod.as_real_vectors(d)
-    arch = _arch(vcfg["arch_hidden"], dd.space.dim, dd.num_labels)
+    arch = _arch(vcfg, "variational", dd.space.dim, dd.num_labels)
     return vi.structure_sweep(
         dd, arch, betas, vi.IsotropicPrior(float(vcfg["prior_scale"])),
         _variational_config(vcfg.get("opt", {}), "variational.opt"), seed=seed)
@@ -356,7 +366,7 @@ def cmd_distance_matrix(cfg, hash_) -> dict:
         lagrangian_slack=_number(cfg, "lagrangian_slack", "config", float, 0.05),
         tau_fraction=_number(cfg, "tau_fraction", "config", float, 0.05),
     )
-    arch = _arch(cfg["arch_hidden"], dims.pop() + 2, max(ks))
+    arch = _arch(cfg, "config", dims.pop() + 2, max(ks))
     seeds = [int(cfg["seed"]) * 131 + r for r in range(dcfg.replicates)]
     matrix = distance_mod.distance_matrix(named, beta, arch, dcfg, seeds)
 
@@ -411,8 +421,7 @@ def cmd_pac_bayes(cfg, hash_) -> dict:
                                           seed=trial_seed)
 
         probe = generator(0)[0]
-        arch = _arch(cfg.get("arch_hidden", ()), probe.space.dim,
-                     probe.num_labels)
+        arch = _arch(cfg, "config", probe.space.dim, probe.num_labels)
         report = bounds_mod.bound_validation_trial(
             generator, arch, num("beta"), num("delta"), num("trials", int),
             int(cfg["seed"]), prior=vi.IsotropicPrior(num("prior_scale", default=1.0)),

@@ -17,12 +17,13 @@ Code lengths satisfy the Kraft budget sum exp(-len) <= 1, which is what
 makes the memorization price exactly one NAT of description per NAT of loss
 removed and puts the critical trade-off at beta = 1 for random labels.
 
-Union families are factored: a pair rule is kept as its two children, never
-as a table. Screening evaluates each part's family once on its half of the
-inputs, and every query gathers rows, by child index, only for the pair
-rules that a lower bound from their children cannot rule out. Table values
-are built per rule as a query needs them, the stacked (R, M, K)
-``HypothesisFamily.tables`` only when read.
+Every family keeps one read-only table array for its base rules. A union
+family adds its pair rules after them, factored: a pair rule is kept as its
+two children, never as a table. Screening evaluates each part's family once
+on its half of the inputs, and every query gathers rows, by child index,
+only for the pair rules that a lower bound from their children cannot rule
+out. A union's table values are built per rule as a query needs them, the
+stacked (R, M, K) ``HypothesisFamily.tables`` only when read.
 
 All reported losses and minima are exact: candidates are screened with fast
 vectorized arithmetic, then every near-minimal candidate is re-evaluated with
@@ -202,20 +203,21 @@ class HypothesisFamily:
 
     Build with :meth:`for_space` (structured rules as described in the
     module docstring) or :meth:`from_rules` (explicit custom rules). The
-    family exposes ``costs`` (R,), ``names``, ``is_constant`` and
-    ``is_deterministic``; list position is the enumeration order used for
-    tie-breaking.
+    family exposes ``costs`` (R,), ``names``, ``tables`` (R, space.size,
+    K), ``is_constant`` and ``is_deterministic``; list position is the
+    enumeration order used for tie-breaking.
 
-    A flat family (and a custom one) stores its ``tables`` (R, space.size,
-    K) and ``names``. A union from :meth:`for_space` is factored: it stores
-    neither, and answers every table-valued query from its children. Its
-    first rules are its ``_flat`` block; the rest are pair rules, and row i
-    of ``_kids`` (R - len(_flat), 2) gives pair rule len(_flat) + i's left
-    child as a rule of ``_parts[0]``, the left part's family, and its right
-    child as a rule of ``_parts[1]`` (a back-referenced child lies in the
-    right part's space, so it has the same enumeration there). The pair
-    rules come fresh (every left child with every right child), then
-    ``_n_same`` pair(a|=), then the back-references, ``_back_w`` naming
+    Every family stores the tables of its first F rules as the read-only
+    (F, space.size, K) array ``_flat``, their names as ``_flat_names``. A
+    flat or custom family is the case F = R with no parts: its ``tables``
+    and ``names`` are that array and list. A union from :meth:`for_space`
+    adds pair rules after them, factored: it answers every table-valued
+    query from its children. Row i of ``_kids`` (R - F, 2) gives pair rule
+    F + i's left child as a rule of ``_parts[0]``, the left part's family,
+    and its right child as a rule of ``_parts[1]`` (a back-referenced child
+    lies in the right part's space, so it has the same enumeration there).
+    The pair rules come fresh (every left child with every right child),
+    then ``_n_same`` pair(a|=), then the back-references, ``_back_w`` naming
     which child of the left pair each one points at; ``_pair_costs`` holds
     the distinct pair costs and each pair's index into them. The left child
     fills rows [0, mmax), the right child rows [mmax, 2 mmax), mmax =
@@ -225,15 +227,15 @@ class HypothesisFamily:
     MAX_RULES = 400_000
 
     def __init__(self, space: DiscreteSpace, num_labels: int, costs: np.ndarray,
-                 tables: np.ndarray | None = None, names: list | None = None, *,
-                 noise_grid=(), custom=False, flat=None, parts=(), kids=None,
-                 n_same=0, back_w=None, pair_costs=()):
+                 tables: np.ndarray, names: list, *, noise_grid=(), custom=False,
+                 parts=(), kids=None, n_same=0, back_w=None, pair_costs=()):
         self.space, self.num_labels, self.costs = space, num_labels, costs
         self.noise_grid, self.custom = tuple(noise_grid), custom
-        if tables is not None:
-            tables.flags.writeable = False
+        tables.flags.writeable = False
+        self._flat, self._flat_names = tables, names
+        if not parts:
             self.tables, self.names = tables, names
-        self._flat, self._parts, self._kids = flat, parts, kids
+        self._parts, self._kids = parts, kids
         self._n_same, self._back_w, self._pair_costs = n_same, back_w, pair_costs
 
     def _checked(self) -> "HypothesisFamily":
@@ -292,13 +294,12 @@ class HypothesisFamily:
 
     def _name(self, i: int) -> str:
         """names[i], built alone."""
-        if self._kids is None:
-            return self.names[i]
-        if i < len(self._flat):
-            return f"flat[{self._flat._name(i)}]"
+        nf = len(self._flat)
+        if i < nf:
+            return self._flat_names[i]
         left, right = self._parts
-        a, b = self._kids[i - len(self._flat)].tolist()
-        back = i - len(self._flat) - len(left) * len(right) - self._n_same
+        a, b = self._kids[i - nf].tolist()
+        back = i - nf - len(left) * len(right) - self._n_same
         tail = (right._name(b) if back < -self._n_same else "=" if back < 0
                 else f"<{self._back_w[back]}]")
         return f"pair({left._name(a)}|{tail})"
@@ -306,13 +307,11 @@ class HypothesisFamily:
     def _cells(self, rules: np.ndarray, xs: np.ndarray, ys: np.ndarray
                ) -> np.ndarray:
         """(len(rules), len(xs)) table values p(ys[j] | xs[j]) of each rule."""
-        if self._kids is None:
-            return self.tables[rules[:, None], xs, ys]
+        nf = len(self._flat)
         out = np.empty((len(rules), len(xs)))
-        flat = rules < len(self._flat)
-        out[flat] = self._flat._cells(rules[flat], xs, ys)
+        flat = rules < nf
+        out[flat] = self._flat[rules[flat][:, None], xs, ys]
         pair = np.flatnonzero(~flat)
-        kids = self._kids[rules[pair] - len(self._flat)]
         mmax = self.space.size // 2
         for side, child in enumerate(self._parts):
             at = np.flatnonzero((xs >= mmax) == bool(side))
@@ -320,41 +319,28 @@ class HypothesisFamily:
             inside = local < child.space.size
             out[np.ix_(pair, at[~inside])] = 1.0 / self.num_labels
             out[np.ix_(pair, at[inside])] = child._cells(
-                kids[:, side], local[inside], ys[at[inside]])
+                self._kids[rules[pair] - nf, side], local[inside], ys[at[inside]])
         return out
 
-    def _group_loss(self, xs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """(R, g) losses of every rule on the groups with sorted distinct
-        inputs ``xs`` and label counts ``counts`` (g, K): the values of
-        `_dense_group_loss` over the full tables, bit for bit."""
-        if self._kids is None:
-            return _dense_group_loss(self.tables[:, xs, :], counts)
-        return self._group_rows(self._group_parts(xs, counts), np.arange(len(self)))
-
     def _group_parts(self, xs: np.ndarray, counts: np.ndarray) -> tuple:
-        """(flat, sides): what `_group_rows` reads for the groups (xs, counts).
-
-        ``flat`` holds the group losses of the rules with tables: the flat
-        block of a union, every rule otherwise. A union evaluates each
-        part's family once on its half of the groups: ``sides`` holds, per
-        part, (the columns of that half, the part's group losses there).
-        """
-        if self._kids is None:
-            return self._group_loss(xs, counts), ()
+        """(flat, sides): what `_group_rows` reads for the groups with sorted
+        distinct inputs ``xs`` and label counts ``counts`` (g, K). ``flat``
+        holds the group losses of the ``_flat`` block; ``sides``, per part of
+        a union (none for a flat family), (the columns of its half of the
+        groups, the part's group losses there), each part evaluated once."""
         mmax = self.space.size // 2
         split = int(np.searchsorted(xs, mmax))
         halves = (slice(0, split), slice(split, None))
-        return self._flat._group_loss(xs, counts), tuple(
+        return _dense_group_loss(self._flat[:, xs, :], counts), tuple(
             (cols, child._padded_group_loss(xs[cols] - side * mmax, counts[cols],
                                             self.num_labels))
             for side, (child, cols) in enumerate(zip(self._parts, halves)))
 
     def _group_rows(self, parts: tuple, rules: np.ndarray) -> np.ndarray:
-        """Rows ``rules`` of `_group_loss`, from `_group_parts`: a pair rule's
-        row is gathered from its children's rows by child index."""
+        """(len(rules), g) losses of ``rules`` on the groups of `_group_parts`,
+        bit for bit those of `_dense_group_loss` over the full tables; a pair
+        rule's row is gathered from its children's rows by child index."""
         flat_loss, sides = parts
-        if not sides:
-            return flat_loss[rules]
         nf = len(flat_loss)
         out = np.empty((len(rules), flat_loss.shape[1]))
         flat = rules < nf
@@ -368,19 +354,19 @@ class HypothesisFamily:
         return out
 
     def _padded_group_loss(self, xs, counts, k) -> np.ndarray:
-        """_group_loss where inputs past this space read the uniform row."""
+        """(R, g) group losses; inputs past this space read the uniform row."""
         inside = int(np.searchsorted(xs, self.space.size))
         out = np.empty((len(self), len(xs)))
-        out[:, :inside] = self._group_loss(xs[:inside], counts[:inside])
+        out[:, :inside] = self._group_rows(
+            self._group_parts(xs[:inside], counts[:inside]), np.arange(len(self)))
         out[:, inside:] = _dense_group_loss(
             np.full((1, len(xs) - inside, k), 1.0 / k), counts[inside:])
         return out
 
     def _peak(self) -> float:
         """Largest table value of any rule (a union's padding is 1/K)."""
-        if self._kids is None:
-            return float(self.tables.max(initial=0.0))
-        return max(self._flat._peak(), *(child._peak() for child in self._parts))
+        return max([float(self._flat.max(initial=0.0))]
+                   + [child._peak() for child in self._parts])
 
     def _kraft(self) -> tuple[float, float]:
         """(sum of exp(-cost), a bound on its relative float error). A union's
@@ -388,7 +374,7 @@ class HypothesisFamily:
         their block is a product of the parts' sums, whose bound adds the
         parts' bounds, the roundings of exp, of two products and of each
         fresh cost's two additions (each within u of the largest cost)."""
-        if self._kids is None:
+        if not self._parts:
             return _exp_fsum(self.costs), 3 * _U
         (left, (kl, el)), (right, (kr, er)) = ((p, p._kraft()) for p in self._parts)
         base = PAIR_FLAG + PAIR_KIND
@@ -400,11 +386,11 @@ class HypothesisFamily:
 
     def _facts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(is_constant, is_deterministic, first row (R, K)) of every rule."""
-        if self._kids is None:
-            t = self.tables
-            return ((t == t[:, :1, :]).all(axis=(1, 2)),
-                    ((t == 0.0) | (t == 1.0)).all(axis=(1, 2)), t[:, 0, :])
-        const, det, row = self._flat._facts()
+        t = self._flat
+        const, det, row = ((t == t[:, :1, :]).all(axis=(1, 2)),
+                           ((t == 0.0) | (t == 1.0)).all(axis=(1, 2)), t[:, 0, :])
+        if not self._parts:
+            return const, det, row
         sides = []
         for child in self._parts:
             c, d, r = child._facts()
@@ -464,7 +450,7 @@ class HypothesisFamily:
         # child back-references: (a, which) for every pair rule a of the left
         # part whose child `which` lies in the right part's space, a-major
         back_a = back_w = np.zeros(0, dtype=np.int64)
-        if left._flat is not None:
+        if left._parts:
             which = np.flatnonzero([p.space == right_part.space
                                     for p in left_part.space.parts])
             pairs = np.arange(len(left._flat), n_left)
@@ -490,7 +476,8 @@ class HypothesisFamily:
                                              lc + PAIR_CHILD]), return_inverse=True)
         group = at.astype(np.min_scalar_type(len(cost)))[np.concatenate(group)]
         return cls(space, k, np.concatenate([flat.costs + PAIR_FLAG, cost[group]]),
-                   noise_grid=noise_grid, flat=flat, parts=(left, right),
+                   flat._flat, [f"flat[{n}]" for n in flat.names],
+                   noise_grid=noise_grid, parts=(left, right),
                    kids=np.concatenate(kids), n_same=n_same, back_w=back_w,
                    pair_costs=(cost, group))
 

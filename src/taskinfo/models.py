@@ -280,6 +280,8 @@ def gradient(p: MlpParams, batch) -> MlpParams:
     arch = p.architecture
     grads = np.empty((1, arch.num_params))
     _one_draw(arch.layer_widths, *_augment(x), y, flatten_params(p)[None], grads)
+    if not np.isfinite(grads).all():
+        raise ValueError("gradient is not finite")
     return unflatten_params(grads[0], arch)
 
 

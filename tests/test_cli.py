@@ -527,6 +527,13 @@ PAC_TRIALS = {"version": 1, "seed": 0, "mode": "trials",
               "n_train": 12, "n_test": 12, "trials": 3, "beta": 1.0, "delta": 0.05,
               "opt": {"steps": 3, "mc_samples": 2, "report_mc": 4}}
 DISTANCE, ANNEAL = RERUNS["distance-matrix"][0], RERUNS["anneal"][0]
+VI_SWEEP = {"version": 1, "seed": 2, "engine": "variational",
+            "tasks": [{"name": "rand", "task": {
+                "type": "random_labels", "n": 8, "k": 2,
+                "domain": {"kind": "real", "dim": 4}, "seed": 3}}],
+            "betas": [1.0],
+            "variational": {"arch_hidden": [], "prior_scale": 1.0,
+                            "opt": {"steps": 5, "learning_rate": 0.5}}}
 
 
 @pytest.mark.parametrize("command, config, field, why", [
@@ -557,6 +564,27 @@ DISTANCE, ANNEAL = RERUNS["distance-matrix"][0], RERUNS["anneal"][0]
     ("anneal", dict(ANNEAL, start=0.5), "config.start", "expected an integer"),
     ("anneal", dict(ANNEAL, start=[0]), "config.start", "expected an integer"),
     ("anneal", dict(ANNEAL, start=True), "config.start", "expected an integer"),
+    ("pac-bayes", dict(PAC_TRIALS, opt={"steps": "10"}), "opt.steps",
+     "expected an integer"),
+    ("pac-bayes", dict(PAC_TRIALS, opt={"steps": 2.5}), "opt.steps",
+     "expected an integer"),
+    ("pac-bayes", dict(PAC_TRIALS, arch_hidden=[2.7]), "config.arch_hidden[0]",
+     "expected an integer"),
+    ("distance-matrix", dict(DISTANCE, opt={"learning_rate": "1.0"}),
+     "opt.learning_rate", "expected a number"),
+    ("distance-matrix", dict(DISTANCE, opt={"report_mc": None}), "opt.report_mc",
+     "expected an integer"),
+    ("distance-matrix", dict(DISTANCE, arch_hidden=[2, "3"]), "config.arch_hidden[1]",
+     "expected an integer"),
+    ("beta-sweep", dict(VI_SWEEP, variational=dict(
+        VI_SWEEP["variational"], opt={"mc_samples": 2.0})),
+     "variational.opt.mc_samples", "expected an integer"),
+    ("beta-sweep", dict(VI_SWEEP, variational=dict(
+        VI_SWEEP["variational"], opt={"grad_clip": [10.0]})),
+     "variational.opt.grad_clip", "expected a number"),
+    ("beta-sweep", dict(VI_SWEEP, variational=dict(
+        VI_SWEEP["variational"], arch_hidden=[True])),
+     "variational.arch_hidden[0]", "expected an integer"),
 ])
 def test_wrong_typed_config_number_is_config_error_naming_it(tmp_path, capsys, command,
                                                              config, field, why):
@@ -564,3 +592,11 @@ def test_wrong_typed_config_number_is_config_error_naming_it(tmp_path, capsys, c
     assert code == 2
     assert f"config error: {field}: {why}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_null_grad_clip_and_logvar_learning_rate_are_accepted(tmp_path):
+    opt = dict(VI_SWEEP["variational"]["opt"], grad_clip=None,
+               logvar_learning_rate=None)
+    code, out = run_cli(tmp_path, "beta-sweep", dict(
+        VI_SWEEP, variational=dict(VI_SWEEP["variational"], opt=opt)))
+    assert code == 0 and (out / "beta_sweep.csv").exists()

@@ -146,6 +146,15 @@ def test_gradient_empty_batch_rejected():
         gradient(p, (np.zeros((0, 2)), np.zeros(0, dtype=np.int64)))
 
 
+def test_gradient_overflow_names_the_gradient_not_the_parameters():
+    # finite parameters whose gradient overflows: the error is about the
+    # gradient, not a complaint that the (finite) parameters are not finite
+    p = MlpParams((np.full((1, 2), 1e300),), (np.zeros(2),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="gradient is not finite"):
+            gradient(p, (np.array([[1e10]]), np.array([0])))
+
+
 def test_sgd_zero_epochs_returns_init():
     arch = Architecture((3, 2))
     p = init_params(arch, seed=1)

@@ -29,6 +29,7 @@ from .reference import (
     candidate_costs,
     naive_candidates,
     naive_min,
+    reference_critical_beta,
     reference_minimize,
     screen_margin,
     screened_beta_sufficient_statistics,
@@ -388,3 +389,51 @@ def test_statistics_at_a_beta_where_the_cost_term_swamps_the_loss(beta):
         fam = HypothesisFamily.for_space(DiscreteSpace(2), 2, noise_grid)
         stats = fo.beta_sufficient_statistics(d, fam, beta, tol=0.0)
         assert {x.hypothesis.identity() for x in stats} == naive_min(d, fam, beta)[1]
+
+
+def test_realized_shortcut_keeps_the_slack_of_the_least_pair_floor(monkeypatch):
+    # A pair's least floor may lie a few ulps above the pair's screened
+    # value, which `_pair_slack` covers. critical_beta's "realized" shortcut
+    # may skip the exact minimum only where the floor less that slack clears
+    # the best constant by the screen margin. The margin is 1000 times the
+    # slack, so no result tells a shortcut without the slack apart; the
+    # midpoints it skips do. At each midpoint, plant as the least floor the
+    # least float F with F - margin(F) >= v_const, where that lies at or
+    # below the real least floor (a lower floor is still a floor): F less
+    # its slack is short of the edge, so the exact minimum must run.
+    d = disjoint_union(
+        Dataset(np.array([0, 1, 1, 2, 3, 3]), np.array([0, 1, 0, 1, 1, 0]), 2,
+                DiscreteSpace(4)),
+        Dataset(np.array([0, 1, 2, 2]), np.array([1, 1, 0, 1]), 2, DiscreteSpace(3)))
+    fam = HypothesisFamily.for_space(d.space, 2, (0.1, 0.2))
+    want = reference_critical_beta(d, fam)
+    least_pair_floor, minimize = fo._Candidates._least_pair_floor, fo._Candidates.minimize
+    planted, exact = [], []
+
+    def edge(vconst):
+        f = (vconst + fo.TIE_ATOL + SCREEN_REL) / (1.0 - SCREEN_REL)
+        while f - screen_margin(f) < vconst:
+            f = _step(f, 1, math.inf)
+        while _step(f, 1, 0.0) - screen_margin(_step(f, 1, 0.0)) >= vconst:
+            f = _step(f, 1, 0.0)
+        return f
+
+    def planted_floor(cand, beta):
+        const = np.flatnonzero(fam.is_constant)
+        loss = cand.exact_losses(const, np.zeros_like(const)).tolist()
+        cost = (fam.costs[const] + cand.ext[0]).tolist()
+        floor = edge(min(a + beta * c for a, c in zip(loss, cost)))
+        real = least_pair_floor(cand, beta)
+        if floor > real:
+            return real
+        planted.append(beta)
+        return floor
+
+    def spy(cand, beta):
+        exact.append(beta)
+        return minimize(cand, beta)
+
+    monkeypatch.setattr(fo._Candidates, "_least_pair_floor", planted_floor)
+    monkeypatch.setattr(fo._Candidates, "minimize", spy)
+    assert fo.critical_beta(d, fam) == want
+    assert planted and set(planted) <= set(exact)
