@@ -26,6 +26,7 @@ import numpy as np
 
 from . import textio
 from .rng import stream
+from .tasks import _freeze
 
 __all__ = [
     "PosteriorGrid",
@@ -63,9 +64,8 @@ class PosteriorGrid:
     node_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        losses = np.array(self.losses, dtype=np.float64)
-        kls = np.array(self.kls, dtype=np.float64)
-        metric = np.array(self.metric, dtype=np.float64)
+        losses, kls, metric = (_freeze(a, np.float64)
+                               for a in (self.losses, self.kls, self.metric))
         m = losses.shape[0]
         if kls.shape != (m,) or metric.shape != (m, m):
             raise ValueError("grid arrays must be (m,), (m,), (m, m)")
@@ -89,8 +89,6 @@ class PosteriorGrid:
                 f"metric violates the triangle inequality: d({i!r}, {j!r}) "
                 f"exceeds d({i!r}, {k!r}) + d({k!r}, {j!r}) by {hit[3]:.6g}",
                 row=hit[0])
-        for arr in (losses, kls, metric):
-            arr.flags.writeable = False
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "kls", kls)
         object.__setattr__(self, "metric", metric)
@@ -389,9 +387,8 @@ def save_grid(g: PosteriorGrid, path, metric_path) -> None:
     load_grid would not read back as the same string, or as a distinct one.
     """
     seen = set()
-    for node in map(str, g.node_ids):    # splitlines: textio's line rule
-        if (node in seen or "," in node or "".join(node.splitlines()) != node
-                or node.startswith(("#", "node_id"))):
+    for node in map(str, g.node_ids):
+        if node in seen or not textio.is_cell(node) or node.startswith("node_id"):
             raise ValueError(f"node id {node!r} does not survive a save/load "
                              "round trip (comma, line break, leading '#' or "
                              "'node_id', or a repeat as text)")

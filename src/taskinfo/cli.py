@@ -90,6 +90,19 @@ def _number(spec: dict, key: str, path: str, kind=int, default=None):
     raise ConfigError(f"{path}.{key}: expected {what}")
 
 
+def _list(spec: dict, key: str, path: str) -> list:
+    """spec[key], which must be a JSON list; else a ConfigError naming it."""
+    if not isinstance(spec[key], list):
+        raise ConfigError(f"{path}.{key}: expected a list")
+    return spec[key]
+
+
+def _numbers(spec: dict, key: str, path: str, kind=float) -> list:
+    """spec[key], a JSON list, each entry read by `_number` as ``kind``."""
+    entries = {f"{key}[{i}]": v for i, v in enumerate(_list(spec, key, path))}
+    return [_number(entries, at, path, kind) for at in entries]
+
+
 def _build_domain(spec, path) -> tasks_mod.DiscreteSpace | tasks_mod.RealSpace:
     _check_keys(spec, path, ("kind",), ("size", "dim"))
     if spec["kind"] == "discrete":
@@ -201,16 +214,22 @@ def _variational_config(spec, path) -> vi.VariationalConfig:
 
 def _arch(spec, path, input_dim: int, k: int) -> Architecture:
     """input_dim, the widths listed in spec["arch_hidden"] (JSON integers), k."""
-    hidden = {f"arch_hidden[{i}]": h for i, h in enumerate(spec.get("arch_hidden", ()))}
-    return Architecture((input_dim, *[_number(hidden, key, path) for key in hidden], k))
+    hidden = _numbers(spec, "arch_hidden", path, int) if "arch_hidden" in spec else ()
+    return Architecture((input_dim, *hidden, k))
 
 
 def _named_tasks(cfg) -> list:
-    """(name, task) for every entry of the config's ``tasks`` list."""
+    """(name, task) for every entry of the config's ``tasks`` list. A name
+    is a string that the CSV outputs can carry as one cell: no comma, no
+    line break, no leading '#'."""
     named = []
-    for i, entry in enumerate(cfg["tasks"]):
+    for i, entry in enumerate(_list(cfg, "tasks", "config")):
         _check_keys(entry, f"tasks[{i}]", ("name", "task"))
-        named.append((entry["name"], build_task(entry["task"], f"tasks[{i}].task")))
+        name = entry["name"]
+        if not (isinstance(name, str) and textio.is_cell(name)):
+            raise ConfigError(f"tasks[{i}].name: {name!r} must be a string with no "
+                              "comma, no line break and no leading '#'")
+        named.append((name, build_task(entry["task"], f"tasks[{i}].task")))
     return named
 
 
@@ -273,7 +292,7 @@ def cmd_structure_fn(cfg, hash_) -> dict:
         vcfg = cfg.get("variational", {})
         _check_keys(vcfg, "variational", ("betas", "arch_hidden", "prior_scale"),
                     ("opt",))
-        betas = [float(b) for b in vcfg["betas"]]
+        betas = _numbers(vcfg, "betas", "variational")
         if not betas:
             raise ConfigError("variational.betas: must be nonempty")
         sweep = _variational_sweep(d, betas, vcfg, int(cfg["seed"]))
@@ -305,7 +324,7 @@ def cmd_structure_fn(cfg, hash_) -> dict:
 def cmd_beta_sweep(cfg, hash_) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "engine", "tasks", "betas"),
                 ("variational", "oracle"))
-    betas = [float(b) for b in cfg["betas"]]
+    betas = _numbers(cfg, "betas", "config")
     if not betas:
         raise ConfigError("betas: must be nonempty")
     named = _named_tasks(cfg)
@@ -440,9 +459,11 @@ def cmd_pac_bayes(cfg, hash_) -> dict:
 def cmd_anneal(cfg, hash_) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "grid", "schedule", "start"))
     gspec = cfg["grid"]
-    _check_keys(gspec, "grid", (), ("path", "metric_path", "losses", "kls",
-                                    "metric"))
-    if "path" in gspec:
+    files = isinstance(gspec, dict) and "path" in gspec
+    _check_keys(gspec, "grid", ("path", "metric_path") if files
+                else ("losses", "kls", "metric"),
+                ("path", "metric_path", "losses", "kls", "metric"))
+    if files:
         try:
             grid = anneal_mod.load_grid(gspec["path"], gspec["metric_path"])
         except (FileNotFoundError, ValueError) as exc:
@@ -454,7 +475,7 @@ def cmd_anneal(cfg, hash_) -> dict:
             np.asarray(gspec["metric"], dtype=float))
     sspec = cfg["schedule"]
     _check_keys(sspec, "schedule", ("betas", "epsilon"))
-    schedule = anneal_mod.AnnealSchedule(tuple(float(b) for b in sspec["betas"]),
+    schedule = anneal_mod.AnnealSchedule(tuple(_numbers(sspec, "betas", "schedule")),
                                          _number(sspec, "epsilon", "schedule", float))
     start = cfg["start"]
     if isinstance(start, str):

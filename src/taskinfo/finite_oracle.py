@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import textio
-from .tasks import (Dataset, DiscreteSpace, _parse_union_spec, _union_spec,
-                    disjoint_union, generate_planted_task)
+from .tasks import (Dataset, DiscreteSpace, _freeze, _parse_union_spec,
+                    _union_spec, disjoint_union, generate_planted_task)
 
 __all__ = [
     "INF_NATS",
@@ -126,7 +126,9 @@ class Hypothesis:
 
     ``pins`` records the memorized (input, label) pairs when the hypothesis
     is a pinned variant of a base rule; ``rule_index`` is the base rule's
-    position in its family (-1 for hypotheses built outside a family).
+    position in its family (-1 for hypotheses built outside a family). The
+    table is kept as a private read-only copy, so the caller's array stays
+    writeable.
     """
 
     table: np.ndarray
@@ -136,8 +138,7 @@ class Hypothesis:
     pins: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        # a private copy: freezing must not reach the caller's array
-        table = np.array(self.table, dtype=np.float64, order="C")
+        table = _freeze(self.table, np.float64)
         if table.ndim != 2:
             raise ValueError("hypothesis table must be (M, K)")
         if (table < 0).any():
@@ -146,7 +147,6 @@ class Hypothesis:
             raise ValueError("hypothesis rows must sum to 1 within 1e-12")
         if not (math.isfinite(self.code_length) and self.code_length >= 0):
             raise ValueError("code_length must be finite and >= 0")
-        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property
@@ -171,15 +171,12 @@ class Curve:
     complexity: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.abscissa, dtype=np.float64)
-        l = np.array(self.loss, dtype=np.float64)
-        c = np.array(self.complexity, dtype=np.float64)
+        a, l, c = (_freeze(v, np.float64)
+                   for v in (self.abscissa, self.loss, self.complexity))
         if not (a.shape == l.shape == c.shape) or a.ndim != 1:
             raise ValueError("curve columns must be equal-length 1-d arrays")
         if a.size > 1 and not (np.diff(a) > 0).all():
             raise ValueError("curve abscissas must be strictly increasing")
-        for arr in (a, l, c):
-            arr.flags.writeable = False
         object.__setattr__(self, "abscissa", a)
         object.__setattr__(self, "loss", l)
         object.__setattr__(self, "complexity", c)
@@ -225,13 +222,14 @@ class HypothesisFamily:
     """
 
     MAX_RULES = 400_000
+    MAX_CELLS = 2 ** 27       # table cells of the base rules: 1 GiB of float64
 
     def __init__(self, space: DiscreteSpace, num_labels: int, costs: np.ndarray,
                  tables: np.ndarray, names: list, *, noise_grid=(), custom=False,
                  parts=(), kids=None, n_same=0, back_w=None, pair_costs=()):
         self.space, self.num_labels, self.costs = space, num_labels, costs
         self.noise_grid, self.custom = tuple(noise_grid), custom
-        tables.flags.writeable = False
+        tables.flags.writeable = False    # built here: frozen in place, not copied
         self._flat, self._flat_names = tables, names
         if not parts:
             self.tables, self.names = tables, names
@@ -438,7 +436,6 @@ class HypothesisFamily:
     def _build(cls, space, k, noise_grid) -> "HypothesisFamily":
         flat = cls._flat_rules(space, k, noise_grid)
         if space.parts is None:
-            cls._check_size(len(flat))
             return flat
 
         left_part, right_part = space.parts
@@ -456,7 +453,7 @@ class HypothesisFamily:
             pairs = np.arange(len(left._flat), n_left)
             back_a, back_w = pairs.repeat(len(which)), np.tile(which, len(pairs))
         total = n_flat + n_left * n_right + n_same + len(back_a)
-        cls._check_size(total)
+        cls._check_size(space, total, flat._flat.size)
 
         # few distinct pair costs (kind + children's): group[i] is pair i's
         left_idx = np.arange(n_left)
@@ -482,22 +479,26 @@ class HypothesisFamily:
                    pair_costs=(cost, group))
 
     @classmethod
-    def _check_size(cls, rules: int) -> None:
-        if rules > cls.MAX_RULES:
+    def _check_size(cls, space, rules: int, cells: int) -> None:
+        if rules > cls.MAX_RULES or cells > cls.MAX_CELLS:
             raise ValueError(
-                f"family too large to enumerate ({rules} rules); "
-                "use smaller domains")
+                f"family too large to enumerate ({rules} rules, {cells} table "
+                f"cells over a domain of {space.size} inputs); use smaller domains")
 
     @classmethod
     def _flat_rules(cls, space, k, noise_grid) -> "HypothesisFamily":
         m, bits = space.size, space.bits
+        rules = 1 + (k + 2 * bits + 2 ** (bits + 1)) * (1 + len(noise_grid))
+        cls._check_size(space, rules, rules * m * k)     # before any array
         q = np.array(noise_grid, dtype=np.float64).reshape(-1, 1, 1)
         smooth_tag = math.log(1 + len(q)) if len(q) else 0.0
         # deterministic rules: constants, bits and parities, each bit and
-        # parity also inverted; parity[mask, x] is that of popcount(x & mask)
+        # parity also inverted; parity[mask, x] is that of popcount(x & mask),
+        # built by doubling: the masks with bit j set follow those without
         xs, shifts, inv = np.arange(m), np.arange(bits), np.array([[0], [1]])
-        parity = np.bitwise_xor.reduce(
-            (xs & np.arange(2 ** bits)[:, None])[..., None] >> shifts & 1, axis=2)
+        parity = np.zeros((1, m), dtype=np.int64)
+        for j in range(bits):
+            parity = np.concatenate([parity, parity ^ (xs >> j & 1)])
         labels = np.concatenate([
             np.repeat(np.arange(k)[:, None], m, axis=1),
             ((xs >> shifts[:, None] & 1)[:, None] ^ inv).reshape(-1, m),

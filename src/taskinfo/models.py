@@ -26,7 +26,7 @@ import numpy as np
 
 from . import textio
 from .rng import stream
-from .tasks import Dataset, RealSpace
+from .tasks import Dataset, RealSpace, _freeze
 
 __all__ = [
     "Architecture",
@@ -83,8 +83,8 @@ class MlpParams:
     biases: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ws = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
-        bs = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
+        ws = tuple(_freeze(w, np.float64) for w in self.weights)
+        bs = tuple(_freeze(b, np.float64) for b in self.biases)
         if len(ws) != len(bs):
             raise ValueError("one bias vector per weight matrix")
         for w, b in zip(ws, bs):

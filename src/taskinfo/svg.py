@@ -2,6 +2,7 @@
 
 Output is deterministic for identical inputs (fixed float formatting), so
 CLI reruns produce byte-identical images up to the embedded tool version.
+Titles, axis labels and names are XML-escaped (&, <, >).
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 36, 56
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
+
+
+def _escape(text) -> str:
+    """Text as XML character data. xml.sax.saxutils.escape does the same,
+    but its import loads urllib.request and http.client, about 2 MB of
+    resident memory and 40 ms per process."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -52,6 +60,7 @@ def _scale(lo, hi, log):
 def line_plot(series, title: str, xlabel: str, ylabel: str,
               logx: bool = False, comment: str = "") -> str:
     """series: list of (name, xs, ys). Non-finite points are skipped."""
+    title, xlabel, ylabel = map(_escape, (title, xlabel, ylabel))
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
            if math.isfinite(x) and math.isfinite(y) and (not logx or x > 0)]
     if not pts:
@@ -104,6 +113,7 @@ def line_plot(series, title: str, xlabel: str, ylabel: str,
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 16 {(_MT+_H-_MB)/2:.1f})">{ylabel}</text>')
     for i, (name, xs, ys) in enumerate(series):
+        name = _escape(name)
         color = _COLORS[i % len(_COLORS)]
         coords = [
             f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys)
@@ -125,6 +135,9 @@ def line_plot(series, title: str, xlabel: str, ylabel: str,
 def heatmap(values, row_labels, col_labels, title: str,
             comment: str = "") -> str:
     """Matrix heatmap (white = low, dark blue = high); NaN cells hatched grey."""
+    title = _escape(title)
+    row_labels, col_labels = ([_escape(lab) for lab in labels]
+                              for labels in (row_labels, col_labels))
     n_rows, n_cols = len(row_labels), len(col_labels)
     cell = max(24, min(64, 360 // max(n_rows, n_cols)))
     left, top = 120, 90

@@ -90,7 +90,8 @@ Space = DiscreteSpace | RealSpace
 
 
 def _freeze(a, dtype) -> np.ndarray:
-    """A read-only copy; the caller's own array stays writeable."""
+    """A C-ordered read-only copy; the caller's own array stays writeable.
+    Every validated value type takes each array it is given through here."""
     a = np.array(a, dtype=dtype, order="C")
     a.flags.writeable = False
     return a

@@ -8,7 +8,7 @@ outputs are UTF-8 text; each format's loader and writer keep only their rows.
 - Lines: ``str.splitlines()`` splits the text, so ``\\r``, ``\\x0c``,
   ``\\x1c``, ``\\x85`` and the other Unicode line breaks end a line as
   ``\\n`` does. Lines are numbered from 1 in that split, and a writer
-  refuses a value that it would break (``annealing.save_grid``).
+  refuses a name that one cell of a data row cannot carry (``is_cell``).
 - Blank lines are skipped anywhere. After the header, a line that starts
   with ``#`` is a comment: ``read`` keeps it for a format that reads one
   (the dataset's ``# union=``), and the formats skip the rest.
@@ -27,7 +27,7 @@ import os
 import secrets
 from typing import NoReturn
 
-__all__ = ["header", "read", "fields", "fail", "at", "join", "write"]
+__all__ = ["header", "read", "fields", "fail", "at", "join", "write", "is_cell"]
 
 
 def header(kind: str, *fields: str) -> str:
@@ -76,6 +76,13 @@ def fields(path, rows) -> dict[str, tuple[int, str]]:
             fail(path, no, f"repeats {key}= of line {out[key][0]}")
         out[key] = (no, value)
     return out
+
+
+def is_cell(text: str) -> bool:
+    """True when ``text`` reads back as one cell of a data row: it holds no
+    comma and no line break, and does not start with '#'."""
+    return not ("," in text or "".join(text.splitlines()) != text
+                or text.startswith("#"))
 
 
 def join(lines) -> str:

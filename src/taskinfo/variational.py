@@ -39,11 +39,12 @@ stacked as (R, n, d0 + 1) and xt as (R, d0 + 1, n) (a one-run span reads
 its model's own xa and xt), draws run-major as (R * S, P). Each span's
 kernel calls, with their label offsets, label one-hot and layer blocks,
 are bound once per set of live runs to preallocated draw, loss and
-gradient buffers. Each result copies its run's row of the state, so it
-does not keep the batch's state alive. Each run draws its step noise from
-its own stream (seed, "vi-step", step), so it ends where it would alone,
-bit for bit; a run that diverges leaves the batch and is reported by
-itself. optimize_gaussian is the R = 1 case. A batch holds at most
+gradient buffers. A result's posterior keeps a private copy of its run's
+row of the state, as every value type does, so it does not keep the
+batch's state alive. Each run draws its step noise from its own stream
+(seed, "vi-step", step), so it ends where it would alone, bit for bit; a
+run that diverges leaves the batch and is reported by itself.
+optimize_gaussian is the R = 1 case. A batch holds at most
 _LOCKSTEP_CELLS / (S * P) runs, so its per-step draws, weights and
 gradients take O(_LOCKSTEP_CELLS) memory on top of the kernel's blocks.
 
@@ -77,7 +78,7 @@ from .models import (
     unflatten_params,
 )
 from .rng import _normal_into, stream
-from .tasks import Dataset
+from .tasks import Dataset, _freeze
 from .finite_oracle import Curve
 
 __all__ = [
@@ -130,8 +131,7 @@ class GaussianPosterior:
     arch: Architecture
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        log_var = np.asarray(self.log_var, dtype=np.float64)
+        mean, log_var = (_freeze(a, np.float64) for a in (self.mean, self.log_var))
         if mean.shape != log_var.shape or mean.ndim != 1:
             raise ValueError("mean and log_var must be equal-length vectors")
         if mean.shape[0] != self.arch.num_params:
@@ -158,7 +158,7 @@ class FisherDiagonal:
     n: int
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
+        entries = _freeze(self.entries, np.float64)
         if (entries < 0).any():
             raise ValueError("Fisher entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
@@ -560,8 +560,7 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
                 ws, eps, g, sigma, var, tmp, evaluate = bind(live)
                 mu, lv, gmu, glv = state[:, 0], state[:, 1], g[:, 0], g[:, 1]
     for row, i in enumerate(live):
-        # copies, so a kept posterior does not hold the batch's state
-        q = GaussianPosterior(mu[row].copy(), lv[row].copy(), inits[i].arch)
+        q = GaussianPosterior(mu[row], lv[row], inits[i].arch)
         if exact:
             final, se = models[i].expected_loss(q.mean, np.exp(q.log_var)), 0.0
         else:

@@ -1,11 +1,15 @@
 import json
 import math
+import tracemalloc
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 from taskinfo.cli import main
 from taskinfo.tasks import load_dataset_csv
+
+SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def run_cli(tmp_path, command, config, out="out", extra=()):
@@ -534,6 +538,9 @@ VI_SWEEP = {"version": 1, "seed": 2, "engine": "variational",
             "betas": [1.0],
             "variational": {"arch_hidden": [], "prior_scale": 1.0,
                             "opt": {"steps": 5, "learning_rate": 0.5}}}
+VI_TASK = VI_SWEEP["tasks"][0]["task"]
+VI_STRUCTURE = {"version": 1, "seed": 2, "engine": "variational", "task": VI_TASK,
+                "variational": dict(VI_SWEEP["variational"], betas=[1.0])}
 
 
 @pytest.mark.parametrize("command, config, field, why", [
@@ -585,6 +592,26 @@ VI_SWEEP = {"version": 1, "seed": 2, "engine": "variational",
     ("beta-sweep", dict(VI_SWEEP, variational=dict(
         VI_SWEEP["variational"], arch_hidden=[True])),
      "variational.arch_hidden[0]", "expected an integer"),
+    ("beta-sweep", dict(VI_SWEEP, betas=5), "config.betas", "expected a list"),
+    ("beta-sweep", dict(VI_SWEEP, betas=[1.0, "2"]), "config.betas[1]",
+     "expected a number"),
+    ("beta-sweep", dict(VI_SWEEP, tasks=5), "config.tasks", "expected a list"),
+    ("beta-sweep", dict(VI_SWEEP, variational=dict(
+        VI_SWEEP["variational"], arch_hidden=5)),
+     "variational.arch_hidden", "expected a list"),
+    ("distance-matrix", dict(DISTANCE, arch_hidden=5), "config.arch_hidden",
+     "expected a list"),
+    ("structure-fn", dict(VI_STRUCTURE, variational=dict(
+        VI_STRUCTURE["variational"], betas=5)), "variational.betas", "expected a list"),
+    ("anneal", dict(ANNEAL, schedule={"betas": 5, "epsilon": 1.0}),
+     "schedule.betas", "expected a list"),
+    ("anneal", dict(ANNEAL, grid={"path": "grid.csv"}), "grid",
+     "missing keys ['metric_path']"),
+    ("anneal", dict(ANNEAL, grid={"losses": [0.0]}), "grid",
+     "missing keys ['kls', 'metric']"),
+    *[("beta-sweep", dict(VI_SWEEP, tasks=[{"name": name, "task": VI_TASK}]),
+       "tasks[0].name", f"{name!r} must be a string with no comma, no line break "
+       "and no leading '#'") for name in ("a,b", "c\nd", "e\rf", "#g", 5)],
 ])
 def test_wrong_typed_config_number_is_config_error_naming_it(tmp_path, capsys, command,
                                                              config, field, why):
@@ -592,6 +619,36 @@ def test_wrong_typed_config_number_is_config_error_naming_it(tmp_path, capsys, c
     assert code == 2
     assert f"config error: {field}: {why}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_task_names_with_xml_characters_give_parseable_svg(tmp_path):
+    cfg = dict(RERUNS["beta-sweep"][0])
+    cfg["tasks"] = [{"name": "a&b", "task": RANDOM_TASK},
+                    {"name": "<c>", "task": RANDOM_TASK}]
+    code, out = run_cli(tmp_path, "beta-sweep", cfg)
+    assert code == 0
+    root = ElementTree.parse(out / "beta_sweep.svg").getroot()
+    assert {"a&b", "<c>"} <= {el.text for el in root.iter(f"{SVG_NS}text")}
+    rows = read(out / "beta_sweep.csv").splitlines()[2:]
+    assert len(rows) == 6 and all(len(r.split(",")) == 5 for r in rows)
+
+
+def test_oracle_family_too_large_exits_2_without_allocating(tmp_path, capsys):
+    # 262,181 rules over 100,000 inputs: 5.2e10 table cells, and a parity
+    # temporary of 131,072 x 100,000; the bound must fire before either
+    cfg = {"version": 1, "seed": 0, "engine": "oracle",
+           "task": {"type": "random_labels", "n": 10, "k": 2,
+                    "domain": {"kind": "discrete", "size": 100_000}, "seed": 1},
+           "oracle": {"t_grid": [5.0], "noise_grid": []}}
+    tracemalloc.start()
+    try:
+        code, out = run_cli(tmp_path, "structure-fn", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and not out.exists()
+    assert "domain of 100000 inputs" in capsys.readouterr().err
+    assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_null_grad_clip_and_logvar_learning_rate_are_accepted(tmp_path):

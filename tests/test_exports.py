@@ -1,7 +1,7 @@
 """Every name that a taskinfo module lists in ``__all__`` exists, so a
-deleted function cannot leave a dangling export behind; and every private
+deleted function cannot leave a dangling export behind; every private
 function, method and class is used, so a refactor cannot leave a helper
-behind that nothing calls."""
+behind that nothing calls; and arrays are frozen in one place only."""
 
 import ast
 import collections
@@ -46,3 +46,23 @@ def test_every_private_definition_is_referenced():
                        for text in SOURCES.values()) for _, name in defs}
     defined = collections.Counter(name for _, name in defs)
     assert [f"{at} {name}" for at, name in defs if count[name] <= defined[name]] == []
+
+
+def test_arrays_are_frozen_only_by_freeze_and_the_family():
+    # a value type copies and freezes through tasks._freeze; only the
+    # hypothesis family freezes, in place, the tables it builds itself
+    where = []
+    for path, text in SOURCES.items():
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = scope + (node.name,)
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Attribute) and t.attr == "writeable"
+                    and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
+                    for t in node.targets):
+                where.append((path.name, scope[0] if scope else ""))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+        visit(ast.parse(text), ())
+    assert where and set(where) <= {("tasks.py", "_freeze"),
+                                    ("finite_oracle.py", "HypothesisFamily")}, where
