@@ -72,9 +72,9 @@ def _stamp(hash_: str) -> str:
 
 
 def _number(spec: dict, key: str, path: str, kind=int, default=None):
-    """spec[key], a JSON integer (kind int) or number (kind float), as
-    ``kind``, or ``default`` if given and the key is absent; anything else
-    is a ConfigError naming the field."""
+    """spec[key], a JSON integer (kind int) or finite number (kind float),
+    as ``kind``, or ``default`` if given and the key is absent; anything
+    else is a ConfigError naming the field."""
     if key not in spec:
         if default is not None:
             return default
@@ -83,9 +83,13 @@ def _number(spec: dict, key: str, path: str, kind=int, default=None):
     if not isinstance(value, bool) and isinstance(
             value, numbers.Integral if kind is int else numbers.Real):
         try:
-            return kind(value)
+            number = kind(value)
         except OverflowError:
             pass
+        else:
+            if kind is int or math.isfinite(number):
+                return number
+            raise ConfigError(f"{path}.{key}: {number!r} is not a finite number")
     what = "an integer" if kind is int else "a number"
     raise ConfigError(f"{path}.{key}: expected {what}")
 
@@ -112,9 +116,13 @@ def _build_domain(spec, path) -> tasks_mod.DiscreteSpace | tasks_mod.RealSpace:
     raise ConfigError(f"{path}.kind: unknown domain kind {spec['kind']!r}")
 
 
-def _family(space, k, obj, path, families=None) -> oracle.HypothesisFamily:
-    """The oracle family for ``space`` at the noise grid of ``obj``, taken
-    from or put into ``families`` when given."""
+def _family(space, k, obj, path, families=None, task="task") -> oracle.HypothesisFamily:
+    """The oracle family for ``space``, the domain of the config's ``task``,
+    at the noise grid of ``obj``, taken from or put into ``families`` when
+    given."""
+    if not isinstance(space, tasks_mod.DiscreteSpace):
+        raise ConfigError(f"{task}: the oracle engine needs a discrete domain, "
+                          "not real vectors")
     try:
         noise_grid = tuple(obj.get("noise_grid", (0.05, 0.1, 0.2)))
         oracle._check_noise_grid(noise_grid)
@@ -247,7 +255,7 @@ def _variational_sweep(d, betas, vcfg, seed: int) -> vi.SweepResult:
 # Commands: each returns {filename: content}; caller writes atomically.
 
 
-def cmd_gen_task(cfg, hash_) -> dict:
+def cmd_gen_task(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "task"), ("filename",))
     lines = tasks_mod._dataset_lines(build_task(cfg["task"]))
     lines.insert(1, f"# {_stamp(hash_)}")
@@ -276,7 +284,7 @@ def _t_grid(grid, path) -> list[float]:
     return [float(t) for t in grid]
 
 
-def cmd_structure_fn(cfg, hash_) -> dict:
+def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "engine", "task"),
                 ("oracle", "variational"))
     d = build_task(cfg["task"])
@@ -295,7 +303,7 @@ def cmd_structure_fn(cfg, hash_) -> dict:
         betas = _numbers(vcfg, "betas", "variational")
         if not betas:
             raise ConfigError("variational.betas: must be nonempty")
-        sweep = _variational_sweep(d, betas, vcfg, int(cfg["seed"]))
+        sweep = _variational_sweep(d, betas, vcfg, seed)
         pts = []
         for kl, loss in sweep.tradeoff_points():
             if not pts or kl > pts[-1][0]:     # Curve wants strict increase
@@ -321,7 +329,7 @@ def cmd_structure_fn(cfg, hash_) -> dict:
     return out
 
 
-def cmd_beta_sweep(cfg, hash_) -> dict:
+def cmd_beta_sweep(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "engine", "tasks", "betas"),
                 ("variational", "oracle"))
     betas = _numbers(cfg, "betas", "config")
@@ -334,7 +342,7 @@ def cmd_beta_sweep(cfg, hash_) -> dict:
         vcfg = cfg.get("variational", {})
         _check_keys(vcfg, "variational", ("arch_hidden", "prior_scale"), ("opt",))
         for name, d in named:
-            sweep = _variational_sweep(d, betas, vcfg, int(cfg["seed"]))
+            sweep = _variational_sweep(d, betas, vcfg, seed)
             for b, lo, kl in zip(sweep.betas, sweep.losses, sweep.kls):
                 rows.append((name, b, lo, lo / max(d.n, 1), kl))
             series.append((name, list(sweep.betas),
@@ -342,8 +350,8 @@ def cmd_beta_sweep(cfg, hash_) -> dict:
     elif cfg["engine"] == "oracle":
         ocfg = cfg.get("oracle", {})
         _check_keys(ocfg, "oracle", (), ("noise_grid",))
-        for name, d in named:
-            fam = _family(d.space, d.num_labels, ocfg, "oracle")
+        for i, (name, d) in enumerate(named):
+            fam = _family(d.space, d.num_labels, ocfg, "oracle", task=f"tasks[{i}].task")
             per_loss, per_beta = [], []
             for b, (_, h) in zip(betas, oracle.lagrangian_sweep(d, fam, betas)):
                 loss = oracle.empirical_loss(h, d)
@@ -365,7 +373,7 @@ def cmd_beta_sweep(cfg, hash_) -> dict:
     }
 
 
-def cmd_distance_matrix(cfg, hash_) -> dict:
+def cmd_distance_matrix(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config",
                 ("version", "seed", "beta", "tasks", "arch_hidden",
                  "prior_scale"),
@@ -386,7 +394,7 @@ def cmd_distance_matrix(cfg, hash_) -> dict:
         tau_fraction=_number(cfg, "tau_fraction", "config", float, 0.05),
     )
     arch = _arch(cfg, "config", dims.pop() + 2, max(ks))
-    seeds = [int(cfg["seed"]) * 131 + r for r in range(dcfg.replicates)]
+    seeds = [seed * 131 + r for r in range(dcfg.replicates)]
     matrix = distance_mod.distance_matrix(named, beta, arch, dcfg, seeds)
 
     names = matrix.names
@@ -412,7 +420,7 @@ def cmd_distance_matrix(cfg, hash_) -> dict:
     }
 
 
-def cmd_pac_bayes(cfg, hash_) -> dict:
+def cmd_pac_bayes(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "mode"),
                 ("train_loss_total", "kl", "n", "beta", "delta", "task",
                  "n_train", "n_test", "trials", "arch_hidden", "prior_scale",
@@ -443,7 +451,7 @@ def cmd_pac_bayes(cfg, hash_) -> dict:
         arch = _arch(cfg, "config", probe.space.dim, probe.num_labels)
         report = bounds_mod.bound_validation_trial(
             generator, arch, num("beta"), num("delta"), num("trials", int),
-            int(cfg["seed"]), prior=vi.IsotropicPrior(num("prior_scale", default=1.0)),
+            seed, prior=vi.IsotropicPrior(num("prior_scale", default=1.0)),
             cfg=_variational_config(cfg.get("opt", {}), "opt"))
         for row in report.rows:
             trial, train_term, kl, bound, test_loss, covered = row
@@ -456,7 +464,7 @@ def cmd_pac_bayes(cfg, hash_) -> dict:
         "pac-bayes", hash_, "trial,train_term,kl_nats,bound,test_loss,covered", rows)}
 
 
-def cmd_anneal(cfg, hash_) -> dict:
+def cmd_anneal(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "grid", "schedule", "start"))
     gspec = cfg["grid"]
     files = isinstance(gspec, dict) and "path" in gspec
@@ -532,9 +540,10 @@ def main(argv=None) -> int:
         if "seed" not in cfg:
             raise ConfigError("config must carry an explicit top-level seed")
         if args.seed_override is not None:
-            cfg = dict(cfg, seed=int(args.seed_override))
+            cfg = dict(cfg, seed=args.seed_override)
+        seed = _number(cfg, "seed", "config")
         hash_ = _config_hash(cfg)
-        outputs = _COMMANDS[args.command](cfg, hash_)
+        outputs = _COMMANDS[args.command](cfg, hash_, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -490,7 +490,7 @@ class HypothesisFamily:
         m, bits = space.size, space.bits
         rules = 1 + (k + 2 * bits + 2 ** (bits + 1)) * (1 + len(noise_grid))
         cls._check_size(space, rules, rules * m * k)     # before any array
-        q = np.array(noise_grid, dtype=np.float64).reshape(-1, 1, 1)
+        q = np.array(noise_grid, dtype=np.float64)
         smooth_tag = math.log(1 + len(q)) if len(q) else 0.0
         # deterministic rules: constants, bits and parities, each bit and
         # parity also inverted; parity[mask, x] is that of popcount(x & mask),
@@ -510,12 +510,18 @@ class HypothesisFamily:
                            _GROUP_TAG + math.log(bits) + LN2 + smooth_tag,
                            _GROUP_TAG + bits * LN2 + LN2 + smooth_tag],
                           [k, 2 * bits, 2 ** (bits + 1)])
-        det = np.zeros((len(names), m, k))
-        det[np.arange(len(names))[:, None], xs, labels] = 1.0
-        noisy = det[:, None] * (1.0 - q) + (1.0 - det[:, None]) * (q / (k - 1))
+        # the one (R, M, K) table, filled in place: uniform, the one-hot
+        # rules (noise level 0), then each rule at each noise level q, rule-
+        # major: 1 - q at the rule's label and q / (k - 1) elsewhere
+        table, nd = np.empty((rules, m, k)), len(names)
+        table[0] = 1.0 / k
+        noisy = table[1 + nd:].reshape(nd, len(q), m, k)
+        at = (np.arange(nd)[:, None], xs, labels)
+        for block, p in [(table[1:1 + nd], 0.0), *zip(noisy.swapaxes(0, 1), q)]:
+            block[...] = p / (k - 1)
+            block[at] = 1.0 - p
         return cls(
-            space, k, np.concatenate([[_GROUP_TAG], costs, costs.repeat(len(q))]),
-            np.concatenate([np.full((1, m, k), 1.0 / k), det, noisy.reshape(-1, m, k)]),
+            space, k, np.concatenate([[_GROUP_TAG], costs, costs.repeat(len(q))]), table,
             ["uniform"] + names + [f"{n}~q{v:g}" for n in names for v in noise_grid],
             noise_grid=noise_grid)
 

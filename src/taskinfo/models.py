@@ -12,8 +12,11 @@ fan_out) block, and every layer input carries a ones row (the inputs after
 _augment, each hidden activation in an (S, d + 1, n) buffer): each bias
 rides in its layer's GEMM, forward and backward. The kernel takes one
 operand form, the augmented inputs with their contiguous transpose and the
-call's _block_constants; dataset_loss, gradient and sgd_train reach it
-through _one_draw. The label gradient is one subtraction of a label one-hot.
+call's _block_constants, and _run_blocks, its one caller, binds a pass's
+calls to the caller's arrays: the lockstep optimizer binds each span of
+runs once per batch, the MC evaluator and the Fisher diagonal once per
+pass, and dataset_loss, gradient and sgd_train call it on one draw. The
+label gradient is one subtraction of a label one-hot.
 Training is a deterministic function of (data, architecture, config, init).
 """
 
@@ -178,17 +181,39 @@ def _as_xy(d: Dataset, arch=None) -> tuple[np.ndarray, np.ndarray]:
 def dataset_loss(p: MlpParams, d: Dataset) -> float:
     """Total cross-entropy over the dataset in NATS."""
     x, y = _as_xy(d)
-    return _one_draw(p.architecture.layer_widths, *_augment(x), y,
-                     flatten_params(p)[None])
+    return float(_run_blocks(p.architecture.layer_widths, *_augment(x[None]), y[None],
+                             flatten_params(p)[None], 1, np.empty(1))()[0][0])
 
 
-def _one_draw(widths, xa, xt, y, w, grads=None) -> float:
-    """The kernel on one run of one flat parameter row w (1, P): the total
-    loss on augmented inputs xa (n, d0 + 1), their contiguous transpose xt
-    (d0 + 1, n) and labels y (n,); fills grads (1, P) unless it is None."""
-    xa, xt, y = xa[None], xt[None], y[None]
-    return float(_block_loss_and_grad(widths, xa, y, w, xt,
-                                      _block_constants(widths, y, w, grads))[0])
+def _run_blocks(widths, x, xt, y, ws, block, losses, grads=None, clip=None,
+                sq_weight=None):
+    """The kernel calls on R runs' run-major weight draws ws (R*S, P),
+    augmented inputs x (R, n, d0 + 1) with contiguous transpose xt (R, d0 +
+    1, n), and labels y (R, n), bound to the caller's arrays: returns a
+    function that fills losses (R*S,) and, unless None, grads (R*S, P) (with
+    sq_weight (R, n), the kernel's weighted squares) from what ws holds when
+    it is called, and returns (losses, grads). A call takes at most
+    ``block`` draws: whole runs while a run's S draws fit, else a slice of
+    one run's draws. Each call's constants are built here, once."""
+    r = x.shape[0]
+    s = ws.shape[0] // r
+    calls, per = [], max(1, block // max(s, 1))
+    for r0 in range(0, r, per):
+        r1 = min(r, r0 + per)
+        step = max(1, min(s, block) * (r1 - r0))
+        for lo in range(r0 * s, r1 * s, step):
+            rows = slice(lo, min(lo + step, r1 * s))
+            g = None if grads is None else grads[rows]
+            calls.append((rows, (
+                x[r0:r1], y[r0:r1], ws[rows], xt[r0:r1],
+                _block_constants(widths, y[r0:r1], ws[rows], g), clip,
+                None if sq_weight is None else sq_weight[r0:r1])))
+
+    def run():
+        for rows, args in calls:
+            losses[rows] = _block_loss_and_grad(widths, *args)
+        return losses, grads
+    return run
 
 
 def _block_constants(widths, y, ws, grads=None):
@@ -278,8 +303,9 @@ def gradient(p: MlpParams, batch) -> MlpParams:
     if len(y) == 0:
         raise ValueError("gradient needs a nonempty batch")
     arch = p.architecture
-    grads = np.empty((1, arch.num_params))
-    _one_draw(arch.layer_widths, *_augment(x), y, flatten_params(p)[None], grads)
+    _, grads = _run_blocks(arch.layer_widths, *_augment(x[None]), y[None],
+                           flatten_params(p)[None], 1, np.empty(1),
+                           np.empty((1, arch.num_params)))()
     if not np.isfinite(grads).all():
         raise ValueError("gradient is not finite")
     return unflatten_params(grads[0], arch)
@@ -337,7 +363,8 @@ def sgd_train(d: Dataset, arch: Architecture, cfg: SgdConfig,
         raise ValueError(f"init has architecture {params.architecture.layer_widths}, "
                          f"not {arch.layer_widths}")
     w = flatten_params(params)[None]       # the state: one flat (1, P) row
-    grads = np.empty_like(w)
+    grads, loss = np.empty_like(w), np.empty(1)
+    full_pass = _run_blocks(arch.layer_widths, xa[None], xt[None], y[None], w, 1, loss)
     batch = min(cfg.batch_size, max(1, d.n))
     lr = cfg.learning_rate
     trace = []
@@ -350,20 +377,20 @@ def sgd_train(d: Dataset, arch: Architecture, cfg: SgdConfig,
             for start in range(0, d.n, batch):
                 idx = order[start:start + batch]
                 xb = xa[idx]         # not xt[:, idx]: a strided GEMM gives other bits
-                _one_draw(arch.layer_widths, xb, np.ascontiguousarray(xb.T), y[idx],
-                          w, grads)
+                _run_blocks(arch.layer_widths, xb[None], np.ascontiguousarray(xb.T)[None],
+                            y[idx][None], w, 1, loss, grads)()
                 stepped = w - lr * (grads + cfg.weight_decay * w)
                 if not np.isfinite(stepped).all():
                     raise TrainingDiverged(
                         f"training diverged at epoch {epoch}",
                         last_params=unflatten_params(w[0], arch), trace=trace)
-                w = stepped
-            loss = _one_draw(arch.layer_widths, xa, xt, y, w)
-            if not math.isfinite(loss):
+                w[...] = stepped             # in place: full_pass is bound to w
+            full_pass()
+            if not math.isfinite(loss[0]):
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}",
                     last_params=unflatten_params(w[0], arch), trace=trace)
-            trace.append(loss)
+            trace.append(float(loss[0]))
     return TrainResult(params=unflatten_params(w[0], arch), loss_trace=tuple(trace))
 
 

@@ -20,8 +20,8 @@ A loss-only pass forms its draws mu + sigma * eps in the noise's buffer.
 MlpLossModel keeps its inputs in the one form the kernel takes, with a
 ones column that carries each first-layer bias inside the GEMM: xa (n, d0 +
 1) and its contiguous transpose xt (d0 + 1, n); x is a view of xa.
-_run_blocks binds a pass's kernel calls to the caller's arrays; a call
-keeps n * (widest non-input layer) * draws within _BLOCK_CELLS, so
+models._run_blocks binds a pass's kernel calls to the caller's arrays; a
+call keeps n * (widest non-input layer) * draws within _BLOCK_CELLS, so
 activations and deltas take O(_BLOCK_CELLS) memory, not O(S).
 fisher_diagonal reads its label probabilities off the model's own xt, then
 asks the same blocks for sum_i w_i g_i^2 of the per-sample gradients, one
@@ -38,12 +38,14 @@ and the runs of a batch that share n go through the kernel together: xa
 stacked as (R, n, d0 + 1) and xt as (R, d0 + 1, n) (a one-run span reads
 its model's own xa and xt), draws run-major as (R * S, P). Each span's
 kernel calls, with their label offsets, label one-hot and layer blocks,
-are bound once per set of live runs to preallocated draw, loss and
-gradient buffers. A result's posterior keeps a private copy of its run's
-row of the state, as every value type does, so it does not keep the
-batch's state alive. Each run draws its step noise from its own stream
-(seed, "vi-step", step), so it ends where it would alone, bit for bit; a
-run that diverges leaves the batch and is reported by itself.
+are bound once per batch to preallocated draw, loss and gradient buffers.
+A result's posterior keeps a private copy of its run's row of the state,
+as every value type does, so it does not keep the batch's state alive.
+Each run draws its step noise from its own stream (seed, "vi-step",
+step), so it ends where it would alone, bit for bit. A run that diverges
+is reported at that step and leaves the list of live runs, but its rows
+stay in place: they still ride in the kernel calls, undrawn, and are no
+longer traced or reported.
 optimize_gaussian is the R = 1 case. A batch holds at most
 _LOCKSTEP_CELLS / (S * P) runs, so its per-step draws, weights and
 gradients take O(_LOCKSTEP_CELLS) memory on top of the kernel's blocks.
@@ -69,11 +71,10 @@ from .models import (
     TrainingDiverged,
     _as_xy,
     _augment,
-    _block_constants,
-    _block_loss_and_grad,
     _forward,
     _layer_blocks,
     _read_params,
+    _run_blocks,
     flatten_params,
     unflatten_params,
 )
@@ -211,36 +212,6 @@ class MlpLossModel:
                            self.y[None], ws, self.block, np.empty(len(ws)),
                            np.empty(ws.shape) if grad else None, clip)()
 
-
-def _run_blocks(widths, x, xt, y, ws, block, losses, grads=None, clip=None,
-                sq_weight=None):
-    """The kernel calls on R runs' run-major weight draws ws (R*S, P),
-    augmented inputs x (R, n, d0 + 1) with contiguous transpose xt (R, d0 +
-    1, n), and labels y (R, n), bound to the caller's arrays: returns a
-    function that fills losses (R*S,) and, unless None, grads (R*S, P) (with
-    sq_weight (R, n), the kernel's weighted squares) from what ws holds when
-    it is called, and returns (losses, grads). A call takes at most
-    ``block`` draws: whole runs while a run's S draws fit, else a slice of
-    one run's draws. Each call's constants are built here, once."""
-    r = x.shape[0]
-    s = ws.shape[0] // r
-    calls, per = [], max(1, block // max(s, 1))
-    for r0 in range(0, r, per):
-        r1 = min(r, r0 + per)
-        step = max(1, min(s, block) * (r1 - r0))
-        for lo in range(r0 * s, r1 * s, step):
-            rows = slice(lo, min(lo + step, r1 * s))
-            g = None if grads is None else grads[rows]
-            calls.append((rows, (
-                x[r0:r1], y[r0:r1], ws[rows], xt[r0:r1],
-                _block_constants(widths, y[r0:r1], ws[rows], g), clip,
-                None if sq_weight is None else sq_weight[r0:r1])))
-
-    def run():
-        for rows, args in calls:
-            losses[rows] = _block_loss_and_grad(widths, *args)
-        return losses, grads
-    return run
 
 
 class QuadraticLossModel:
@@ -415,13 +386,18 @@ def _optimize_many(models, betas, prior: IsotropicPrior, cfg: VariationalConfig,
     Run i descends the Lagrangian of models[i] at betas[i] from inits[i]
     (default: the prior) with the step draws of stream(seeds[i], "vi-step",
     step), as it would alone. Returns, per run, its VariationalResult or the
-    TrainingDiverged that stopped it; a diverged run leaves its batch and
-    the others go on. Network runs of one architecture step as one batch of
-    at most _LOCKSTEP_CELLS / (mc_samples * P) runs, and the runs of a
-    batch that share n share each kernel call; any other model runs alone.
+    TrainingDiverged that stopped it; a diverged run stays in its batch,
+    masked, and the others go on. Network runs of one architecture step as
+    one batch of at most _LOCKSTEP_CELLS / (mc_samples * P) runs, and the
+    runs of a batch that share n share each kernel call; an exact-Gaussian
+    model runs alone, and any other model is a ValueError.
     """
     if any(b < 0 for b in betas):
         raise ValueError("beta must be >= 0")
+    for m in models:
+        if not (isinstance(m, MlpLossModel) or getattr(m, "exact_gaussian", False)):
+            raise ValueError(f"cannot optimize a {type(m).__name__}: "
+                             "neither an MlpLossModel nor exact-Gaussian")
     if inits is None:
         inits = [prior_matched_posterior(m.arch, prior) for m in models]
     batches = {}
@@ -446,8 +422,10 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
     """One batch of _optimize_many, its network runs in order of n. The
     state (run, mu or log_var, parameter) carries a leading run axis, and
     each span of runs with equal n goes through the kernel as one run-axis
-    batch. Every per-step array is allocated once per set of live runs and
-    updated in place, in the order of operations of a run alone."""
+    batch, its calls bound to the draws ws. Every per-step array is made
+    once per batch and updated in place, in the order of operations of a
+    run alone; a run that diverges keeps its rows but leaves ``live``."""
+    r, s, k = len(models), cfg.mc_samples, models[0].k
     state = np.array([(q.mean, q.log_var) for q in inits])
     beta = np.array(betas, dtype=np.float64)[:, None]
     half_beta = beta * 0.5
@@ -461,44 +439,26 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
     # sigma far above the prior scale is never optimal; clamping log_var
     # keeps bad MC draws from running away
     lv_lo, lv_hi = math.log(lam2) - 46.0, math.log(lam2) + 4.6
-    exact, net = models[0].exact_gaussian, isinstance(models[0], MlpLossModel)
-    s, k = cfg.mc_samples, state.shape[2]
-
-    def bind(live):
-        """The step arrays of the live runs, and their loss and gradient
-        function: for networks, the kernel calls of each span of equal n,
-        bound to the draw buffer ws."""
-        r = len(live)
-        ws, eps = np.empty((r, s, k)), np.empty((r, s, k))
-        arrays = (ws, eps, np.empty((r, 2, k)), np.empty((r, k)),
-                  np.empty((r, k)), np.empty((r, k)))
-        if not net:
-            return arrays + (models[0].loss_and_grad,)
-        losses, grads, runs, lo = np.empty(r * s), np.empty((r * s, k)), [], 0
-        for _, rows in itertools.groupby(live, key=lambda i: models[i].n):
-            span = [models[i] for i in rows]
-            m, hi = span[0], lo + len(span) * s
-            if len(span) == 1:
-                x, xt, y = m.xa[None], m.xt[None], m.y[None]
-            else:
-                x, xt, y = (np.stack([getattr(mi, a) for mi in span])
-                            for a in ("xa", "xt", "y"))
-            runs.append(_run_blocks(m.arch.layer_widths, x, xt, y,
-                                    ws.reshape(-1, k)[lo:hi], m.block,
-                                    losses[lo:hi], grads[lo:hi]))
-            lo = hi
-
-        def evaluate(_):
-            for run in runs:
-                run()
-            return losses, grads
-        return arrays + (evaluate,)
-
-    live = list(range(len(models)))          # batch index of each row
-    ws, eps, g, sigma, var, tmp, evaluate = bind(live)
+    exact = models[0].exact_gaussian
+    ws, eps, g = np.empty((r, s, k)), np.empty((r, s, k)), np.empty((r, 2, k))
+    sigma, var, tmp = np.empty((r, k)), np.empty((r, k)), np.empty((r, k))
+    losses, grads, runs, lo = np.empty(r * s), np.empty((r * s, k)), [], 0
+    for _, span in itertools.groupby([] if exact else models, key=lambda m: m.n):
+        span = list(span)
+        m, hi = span[0], lo + len(span) * s
+        if len(span) == 1:
+            x, xt, y = m.xa[None], m.xt[None], m.y[None]
+        else:
+            x, xt, y = (np.stack([getattr(mi, a) for mi in span])
+                        for a in ("xa", "xt", "y"))
+        runs.append(_run_blocks(m.arch.layer_widths, x, xt, y,
+                                ws.reshape(-1, k)[lo:hi], m.block,
+                                losses[lo:hi], grads[lo:hi]))
+        lo = hi
     mu, lv, gmu, glv = state[:, 0], state[:, 1], g[:, 0], g[:, 1]
+    live = list(range(r))                 # the runs not diverged; row i is run i
     traces = [[] for _ in models]
-    out = [None] * len(models)
+    out = [None] * r
     # overflow on a diverging run shows up as non-finite state and is
     # reported as TrainingDiverged
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -510,13 +470,14 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
                 eloss = np.array([models[0].expected_loss(mu[0], var[0])])
                 g[0] = models[0].expected_grads(mu[0], var[0])
             else:
-                for row, i in enumerate(live):
-                    _normal_into(eps[row], seeds[i], "vi-step", step)
+                for i in live:
+                    _normal_into(eps[i], seeds[i], "vi-step", step)
                 np.multiply(sigma[:, None], eps, out=ws)
                 ws += mu[:, None]
-                losses, grads = evaluate(ws.reshape(-1, k))
+                for run in runs:
+                    run()
                 _mc_grads(grads.reshape(ws.shape), eps, sigma, g)
-                eloss = np.add.reduce(losses.reshape(len(live), s), axis=1) / s
+                eloss = np.add.reduce(losses.reshape(r, s), axis=1) / s
             np.multiply(beta, mu, out=tmp)
             tmp /= lam2
             gmu += tmp
@@ -537,30 +498,21 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
             np.minimum(lv, lv_hi, out=lv)
             ok = _finite_rows(state, eloss)
             if ok is not None:
-                for row in np.flatnonzero(~ok):
-                    i = live[row]
+                dead, live = [i for i in live if not ok[i]], [i for i in live if ok[i]]
+                for i in dead:
                     out[i] = TrainingDiverged(
                         f"posterior optimization diverged at step {step}",
                         last_params=GaussianPosterior(
-                            np.nan_to_num(mu[row]),
-                            np.clip(np.nan_to_num(lv[row]), -60, 60),
+                            np.nan_to_num(mu[i]), np.clip(np.nan_to_num(lv[i]), -60, 60),
                             inits[i].arch),
                         trace=traces[i])
-            if step % cfg.trace_every == 0 or step == cfg.steps - 1:
-                for row, i in enumerate(live):
-                    if ok is None or ok[row]:
-                        traces[i].append((float(eloss[row]),
-                                          _kl(mu[row], lv[row], lam2)))
-            if ok is not None:
-                state, beta, half_beta, denom = (
-                    a[ok] for a in (state, beta, half_beta, denom))
-                live = [i for row, i in enumerate(live) if ok[row]]
                 if not live:
                     break
-                ws, eps, g, sigma, var, tmp, evaluate = bind(live)
-                mu, lv, gmu, glv = state[:, 0], state[:, 1], g[:, 0], g[:, 1]
-    for row, i in enumerate(live):
-        q = GaussianPosterior(mu[row], lv[row], inits[i].arch)
+            if step % cfg.trace_every == 0 or step == cfg.steps - 1:
+                for i in live:
+                    traces[i].append((float(eloss[i]), _kl(mu[i], lv[i], lam2)))
+    for i in live:
+        q = GaussianPosterior(mu[i], lv[i], inits[i].arch)
         if exact:
             final, se = models[i].expected_loss(q.mean, np.exp(q.log_var)), 0.0
         else:

@@ -612,6 +612,24 @@ VI_STRUCTURE = {"version": 1, "seed": 2, "engine": "variational", "task": VI_TAS
     *[("beta-sweep", dict(VI_SWEEP, tasks=[{"name": name, "task": VI_TASK}]),
        "tasks[0].name", f"{name!r} must be a string with no comma, no line break "
        "and no leading '#'") for name in ("a,b", "c\nd", "e\rf", "#g", 5)],
+    ("pac-bayes", dict(PAC_BOUND, train_loss_total=math.nan), "config.train_loss_total",
+     "nan is not a finite number"),
+    ("pac-bayes", dict(PAC_BOUND, kl=-math.inf), "config.kl",
+     "-inf is not a finite number"),
+    ("anneal", dict(ANNEAL, schedule={"betas": [10.0, math.nan], "epsilon": 1.0}),
+     "schedule.betas[1]", "nan is not a finite number"),
+    ("distance-matrix", dict(DISTANCE, lagrangian_slack=math.nan),
+     "config.lagrangian_slack", "nan is not a finite number"),
+    ("gen-task", dict(RERUNS["gen-task"][0], seed=1.5), "config.seed",
+     "expected an integer"),
+    ("beta-sweep", dict(VI_SWEEP, seed=[1]), "config.seed", "expected an integer"),
+    ("beta-sweep", dict(RERUNS["beta-sweep"][0], seed=[1]), "config.seed",
+     "expected an integer"),
+    ("structure-fn", dict(RERUNS["structure-fn"][0], task=VI_TASK), "task",
+     "the oracle engine needs a discrete domain, not real vectors"),
+    ("beta-sweep", dict(RERUNS["beta-sweep"][0], tasks=[
+        {"name": "a", "task": RANDOM_TASK}, {"name": "b", "task": VI_TASK}]),
+     "tasks[1].task", "the oracle engine needs a discrete domain, not real vectors"),
 ])
 def test_wrong_typed_config_number_is_config_error_naming_it(tmp_path, capsys, command,
                                                              config, field, why):

@@ -1,7 +1,8 @@
 """Every name that a taskinfo module lists in ``__all__`` exists, so a
 deleted function cannot leave a dangling export behind; every private
 function, method and class is used, so a refactor cannot leave a helper
-behind that nothing calls; and arrays are frozen in one place only."""
+behind that nothing calls; arrays are frozen in one place only; and one
+function calls the network kernel."""
 
 import ast
 import collections
@@ -48,21 +49,37 @@ def test_every_private_definition_is_referenced():
     assert [f"{at} {name}" for at, name in defs if count[name] <= defined[name]] == []
 
 
-def test_arrays_are_frozen_only_by_freeze_and_the_family():
-    # a value type copies and freezes through tasks._freeze; only the
-    # hypothesis family freezes, in place, the tables it builds itself
-    where = []
+def _sites(match) -> set:
+    """(file, enclosing top-level definition) of every node of the package
+    sources for which match(node) holds."""
+    where = set()
     for path, text in SOURCES.items():
         def visit(node, scope):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                scope = scope + (node.name,)
-            if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Attribute) and t.attr == "writeable"
-                    and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
-                    for t in node.targets):
-                where.append((path.name, scope[0] if scope else ""))
+                scope = scope or node.name
+            if match(node):
+                where.add((path.name, scope))
             for child in ast.iter_child_nodes(node):
                 visit(child, scope)
-        visit(ast.parse(text), ())
-    assert where and set(where) <= {("tasks.py", "_freeze"),
-                                    ("finite_oracle.py", "HypothesisFamily")}, where
+        visit(ast.parse(text), "")
+    return where
+
+
+def test_arrays_are_frozen_only_by_freeze_and_the_family():
+    # a value type copies and freezes through tasks._freeze; only the
+    # hypothesis family freezes, in place, the tables it builds itself
+    where = _sites(lambda node: isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Attribute) and t.attr == "writeable"
+        and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
+        for t in node.targets))
+    assert where and where <= {("tasks.py", "_freeze"),
+                               ("finite_oracle.py", "HypothesisFamily")}, where
+
+
+@pytest.mark.parametrize("kernel", ["_block_loss_and_grad", "_block_constants"])
+def test_only_run_blocks_calls_the_network_kernel(kernel):
+    # one function knows the kernel's calling convention: models._run_blocks
+    # builds each call's constants and binds the calls to its caller's arrays
+    where = _sites(lambda node: isinstance(node, ast.Call) and kernel in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    assert where == {("models.py", "_run_blocks")}, where

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskinfo import distance, tasks, variational
+from taskinfo import distance, models as models_mod, tasks, variational
 from taskinfo.distance import DistanceConfig, distance_matrix, task_distance
 from taskinfo.models import Architecture, TrainingDiverged
 from taskinfo.rng import _key_from, _normal_into, stream
@@ -95,14 +95,14 @@ def test_optimize_many_matches_per_run_loop(hidden, d_in, k, data, size, mc,
                             report_mc=int(rng.integers(2, 9)), grad_clip=clip,
                             trace_every=trace_every)
     cells = variational._LOCKSTEP_CELLS if lockstep_cells is None else lockstep_cells
-    calls, kernel = [], variational._block_loss_and_grad
+    calls, kernel = [], models_mod._block_loss_and_grad
 
     def spy(widths, x, y, ws, *args, **kwargs):
         calls.append(ws.shape[0])
         return kernel(widths, x, y, ws, *args, **kwargs)
 
     with mock.patch.object(variational, "_LOCKSTEP_CELLS", cells), \
-            mock.patch.object(variational, "_block_loss_and_grad", spy):
+            mock.patch.object(models_mod, "_block_loss_and_grad", spy):
         got = _optimize_many(models, betas, prior, cfg, seeds)
     assert len(got) == r and max(calls, default=0) <= block
     for model, beta, s, res in zip(models, betas, seeds, got):
@@ -148,6 +148,43 @@ def test_one_diverging_run_leaves_the_others_as_solo_runs():
     for row in (0, 2, 3):
         assert not isinstance(got[row], TrainingDiverged)
         _assert_same_fit(got[row], _solo(models[row], 0.5, prior, cfg, row))
+
+
+def test_a_run_diverging_mid_fit_stays_in_place_with_no_rebind():
+    # three runs of one n form one span: its kernel calls are bound once,
+    # and the two runs that go on still equal their solo runs
+    rng = np.random.default_rng(3)
+    arch = Architecture((3, 4, 2))
+    ds = [_task(rng, 10, 3, 2), _task(rng, 10, 3, 2, scale=1e4), _task(rng, 10, 3, 2)]
+    models = [MlpLossModel(arch, d) for d in ds]
+    prior = IsotropicPrior(1.0)
+    cfg = VariationalConfig(steps=50, learning_rate=3.0, mc_samples=2, report_mc=16,
+                            grad_clip=None, trace_every=3)
+    bound, bind = [], variational._run_blocks
+
+    def spy(widths, x, xt, y, ws, *args, **kwargs):
+        bound.append(len(ws))
+        return bind(widths, x, xt, y, ws, *args, **kwargs)
+
+    with mock.patch.object(variational, "_run_blocks", spy):
+        got = _optimize_many(models, [0.5] * 3, prior, cfg, [0, 1, 2])
+    assert isinstance(got[1], TrainingDiverged)
+    assert 0 < int(str(got[1]).rsplit(" ", 1)[1]) < cfg.steps - 5     # mid-fit
+    assert bound == [3 * cfg.mc_samples] + [cfg.report_mc] * 2   # one span, two reports
+    _assert_same_outcome(got[1], _solo(models[1], 0.5, prior, cfg, 1))
+    for row in (0, 2):
+        _assert_same_fit(got[row], _solo(models[row], 0.5, prior, cfg, row))
+
+
+def test_optimize_many_rejects_a_model_with_no_kernel_and_no_exact_gaussian():
+    class Sampled(QuadraticLossModel):
+        exact_gaussian = False
+
+    with pytest.raises(ValueError, match="cannot optimize a Sampled"):
+        _optimize_many([Sampled(np.ones(3))], [1.0], IsotropicPrior(1.0),
+                       VariationalConfig(steps=2), [0],
+                       [variational.prior_matched_posterior(
+                           variational.vector_architecture(3), IsotropicPrior(1.0))])
 
 
 def _assert_same_outcome(got, want):
