@@ -12,9 +12,11 @@ Commands (all driven by a versioned JSON config):
 Common flag: --seed-override replaces the config's top-level seed. Every
 output embeds the effective config hash and tool version in a comment
 header; writes are atomic (temp file + rename) and nothing is written if
-the run fails.
-Unknown config keys are rejected, and all randomness flows from explicit
-config seeds through named counter-based (Philox) streams.
+the run fails. Exit codes: 0 success, 2 config error (any ValueError), 1
+runtime error. Unknown config keys are rejected; every config number,
+alone or in a list, is read by `_number`, and a boolean, string or
+non-finite one is an error naming the field (``oracle.t_grid[0]``). All
+randomness flows from explicit seeds through named Philox streams.
 """
 
 from __future__ import annotations
@@ -123,10 +125,11 @@ def _family(space, k, obj, path, families=None, task="task") -> oracle.Hypothesi
     if not isinstance(space, tasks_mod.DiscreteSpace):
         raise ConfigError(f"{task}: the oracle engine needs a discrete domain, "
                           "not real vectors")
+    noise_grid = (tuple(_numbers(obj, "noise_grid", path)) if "noise_grid" in obj
+                  else (0.05, 0.1, 0.2))
     try:
-        noise_grid = tuple(obj.get("noise_grid", (0.05, 0.1, 0.2)))
         oracle._check_noise_grid(noise_grid)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}.noise_grid: {exc}") from None
     if families is None:
         return oracle.HypothesisFamily.for_space(space, k, noise_grid)
@@ -134,6 +137,10 @@ def _family(space, k, obj, path, families=None, task="task") -> oracle.Hypothesi
     if key not in families:
         families[key] = oracle.HypothesisFamily.for_space(space, k, noise_grid)
     return families[key]
+
+
+_TRANSFORM_FIELDS = {"fraction": float, "seed": int, "width": float,
+                     "permutation": tuple}          # a list of integers
 
 
 def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
@@ -170,14 +177,15 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
             build_task(spec["right"], f"{path}.right", families))
     if t == "transform":
         _check_keys(spec, path, ("type", "base", "transform"))
-        if not isinstance(spec["transform"], dict):
-            raise ConfigError(f"{path}.transform: expected an object")
-        tspec = dict(spec["transform"])
-        kind = tspec.pop("kind", None)
+        tspec, tpath = spec["transform"], f"{path}.transform"
+        _check_keys(tspec, tpath, ("kind",), tuple(_TRANSFORM_FIELDS))
+        fields = {key: tuple(_numbers(tspec, key, tpath, int)) if kind is tuple
+                  else _number(tspec, key, tpath, kind)
+                  for key, kind in _TRANSFORM_FIELDS.items() if key in tspec}
         try:
-            tr = tasks_mod.TaskTransform(kind=kind, **tspec)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.transform: {exc}") from None
+            tr = tasks_mod.TaskTransform(kind=tspec["kind"], **fields)
+        except ValueError as exc:
+            raise ConfigError(f"{tpath}: {exc}") from None
         return tasks_mod.apply_transform(
             build_task(spec["base"], f"{path}.base", families), tr)
     if t == "as_real":
@@ -186,11 +194,7 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
             build_task(spec["base"], f"{path}.base", families))
     if t == "subset_classes":
         _check_keys(spec, path, ("type", "base", "labels"))
-        labels = spec["labels"]
-        if not (isinstance(labels, list) and all(
-                isinstance(c, numbers.Integral) and not isinstance(c, bool)
-                for c in labels)):
-            raise ConfigError(f"{path}.labels: expected a list of integers")
+        labels = _numbers(spec, "labels", path, int)
         base = build_task(spec["base"], f"{path}.base", families)
         keep = np.isin(base.labels, [c for c in labels if 0 <= c < base.num_labels])
         return tasks_mod.Dataset(base.inputs[keep], base.labels[keep],
@@ -201,7 +205,10 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
             raise ConfigError(f"{path}.path: expected a file name")
         if not os.path.exists(spec["path"]):
             raise ConfigError(f"{path}.path: no such task file {spec['path']!r}")
-        return tasks_mod.load_dataset_csv(spec["path"])
+        try:
+            return tasks_mod.load_dataset_csv(spec["path"])
+        except ValueError as exc:         # "path:line: ..." from the loader
+            raise ConfigError(f"{path}.path: {exc}") from None
     raise ConfigError(f"{path}.type: unknown task type {t!r}")
 
 
@@ -247,7 +254,8 @@ def _variational_sweep(d, betas, vcfg, seed: int) -> vi.SweepResult:
     dd = tasks_mod.as_real_vectors(d)
     arch = _arch(vcfg, "variational", dd.space.dim, dd.num_labels)
     return vi.structure_sweep(
-        dd, arch, betas, vi.IsotropicPrior(float(vcfg["prior_scale"])),
+        dd, arch, betas,
+        vi.IsotropicPrior(_number(vcfg, "prior_scale", "variational", float)),
         _variational_config(vcfg.get("opt", {}), "variational.opt"), seed=seed)
 
 
@@ -268,22 +276,6 @@ def _csv(kind: str, hash_, columns: str, rows, *fields: str) -> str:
     return textio.join([textio.header(kind, _stamp(hash_), *fields), columns, *rows])
 
 
-def _t_grid(grid, path) -> list[float]:
-    """A nonempty, strictly increasing list of finite numbers."""
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError(f"{path}: must be a nonempty increasing list")
-    for t in grid:
-        try:
-            finite = not isinstance(t, bool) and math.isfinite(t)
-        except (TypeError, OverflowError):       # a string, list, huge int ...
-            finite = False
-        if not finite:
-            raise ConfigError(f"{path}: {t!r} is not a finite number")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"{path}: must be strictly increasing")
-    return [float(t) for t in grid]
-
-
 def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "engine", "task"),
                 ("oracle", "variational"))
@@ -292,7 +284,9 @@ def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
     if cfg["engine"] == "oracle":
         ocfg = cfg.get("oracle", {})
         _check_keys(ocfg, "oracle", ("t_grid",), ("noise_grid",))
-        t_grid = _t_grid(ocfg["t_grid"], "oracle.t_grid")
+        t_grid = _numbers(ocfg, "t_grid", "oracle")
+        if not t_grid or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+            raise ConfigError("oracle.t_grid: must be strictly increasing and nonempty")
         fam = _family(d.space, d.num_labels, ocfg, "oracle")
         curve = oracle.structure_function(d, fam, t_grid)
         xlabel = "code length budget t (NATS)"
@@ -435,14 +429,14 @@ def cmd_pac_bayes(cfg, hash_, seed: int) -> dict:
                                          num("n", int), num("beta"), num("delta"))
         rows.append(f"0,{rep.train_term!r},{rep.kl!r},{rep.bound_value!r},,")
     elif cfg["mode"] == "trials":
-        spec = cfg["task"]
+        spec = cfg.get("task")
+        if not isinstance(spec, dict):
+            raise ConfigError("task: expected a task object with a 'type'")
         n_train, n_test = num("n_train", int), num("n_test", int)
         families = {}
 
         def generator(trial_seed):
-            full_spec = dict(spec)
-            full_spec["n"] = n_train + n_test
-            full_spec["seed"] = trial_seed
+            full_spec = dict(spec, n=n_train + n_test, seed=trial_seed)
             d = tasks_mod.as_real_vectors(build_task(full_spec, families=families))
             return tasks_mod.subset_split(d, n_train / (n_train + n_test),
                                           seed=trial_seed)
@@ -477,10 +471,11 @@ def cmd_anneal(cfg, hash_, seed: int) -> dict:
         except (FileNotFoundError, ValueError) as exc:
             raise ConfigError(f"grid: {exc}") from None
     else:
+        rows = {f"metric[{i}]": r for i, r in enumerate(_list(gspec, "metric", "grid"))}
         grid = anneal_mod.PosteriorGrid(
-            np.asarray(gspec["losses"], dtype=float),
-            np.asarray(gspec["kls"], dtype=float),
-            np.asarray(gspec["metric"], dtype=float))
+            np.array(_numbers(gspec, "losses", "grid")),
+            np.array(_numbers(gspec, "kls", "grid")),
+            np.array([_numbers(rows, at, "grid") for at in rows]))
     sspec = cfg["schedule"]
     _check_keys(sspec, "schedule", ("betas", "epsilon"))
     schedule = anneal_mod.AnnealSchedule(tuple(_numbers(sspec, "betas", "schedule")),
@@ -535,19 +530,14 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if not isinstance(cfg, dict) or cfg.get("version") != 1:
+        if not isinstance(cfg, dict) or _number(cfg, "version", "config") != 1:
             raise ConfigError("config must be an object with version = 1")
-        if "seed" not in cfg:
-            raise ConfigError("config must carry an explicit top-level seed")
+        seed = _number(cfg, "seed", "config")     # the config's own, even if overridden
         if args.seed_override is not None:
-            cfg = dict(cfg, seed=args.seed_override)
-        seed = _number(cfg, "seed", "config")
+            cfg, seed = dict(cfg, seed=args.seed_override), args.seed_override
         hash_ = _config_hash(cfg)
         outputs = _COMMANDS[args.command](cfg, hash_, seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:             # a ConfigError or a library ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # runtime failures: nothing written

@@ -233,6 +233,10 @@ class QuadraticLossModel:
     def k(self) -> int:
         return self.h.shape[0]
 
+    @property
+    def arch(self) -> Architecture:
+        return vector_architecture(self.k)
+
     def loss_and_grad(self, ws: np.ndarray, grad: bool = True):
         delta = ws - self.w0
         return (delta * delta) @ self.h, (2.0 * self.h * delta if grad else None)
@@ -370,9 +374,8 @@ def optimize_gaussian(model, beta: float, prior: IsotropicPrior,
     models use reparameterized MC gradients with per-step seeded draws.
     Raises TrainingDiverged if the state leaves the finite range.
     """
-    arch = getattr(model, "arch", None) or vector_architecture(model.k)
-    q = (prior_matched_posterior(arch, prior) if init is None
-         else GaussianPosterior(init.mean, init.log_var, arch))
+    q = (prior_matched_posterior(model.arch, prior) if init is None
+         else GaussianPosterior(init.mean, init.log_var, model.arch))
     res = _optimize_many([model], [beta], prior, cfg, [seed], [q])[0]
     if isinstance(res, TrainingDiverged):
         raise res

@@ -147,10 +147,10 @@ def test_structure_fn_empty_grid_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid, why", [
-    (["a"], "'a' is not a finite number"),
-    ([math.nan], "nan is not a finite number"),
-    ([math.inf], "inf is not a finite number"),
-    ([3.0, 1.0], "must be strictly increasing"),
+    (["a"], "[0]: expected a number"),
+    ([math.nan], "[0]: nan is not a finite number"),
+    ([math.inf], "[0]: inf is not a finite number"),
+    ([3.0, 1.0], ": must be strictly increasing"),
 ])
 def test_structure_fn_bad_grid_is_config_error(tmp_path, capsys, grid, why):
     code, out = run_cli(tmp_path, "structure-fn", {
@@ -158,20 +158,22 @@ def test_structure_fn_bad_grid_is_config_error(tmp_path, capsys, grid, why):
         "oracle": {"t_grid": grid},
     })
     assert code == 2
-    assert f"config error: oracle.t_grid: {why}" in capsys.readouterr().err
+    assert f"config error: oracle.t_grid{why}" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("level", [1.5, -0.5, math.nan])
+@pytest.mark.parametrize("level, why", [
+    (1.5, ": noise level 1.5"), (-0.5, ": noise level -0.5"),
+    (math.nan, "[1]: nan is not a finite number")])
 def test_oracle_noise_level_outside_unit_interval_is_config_error(
-        tmp_path, capsys, level):
+        tmp_path, capsys, level, why):
     code, _ = run_cli(tmp_path, "structure-fn", {
         "version": 1, "seed": 3, "engine": "oracle", "task": RANDOM_TASK,
         "oracle": {"t_grid": [1.0, 2.0], "noise_grid": [0.1, level]},
     })
     assert code == 2
     err = capsys.readouterr().err
-    assert "oracle.noise_grid" in err and f"noise level {level!r}" in err
+    assert f"oracle.noise_grid{why}" in err
     code, _ = run_cli(tmp_path, "beta-sweep", {
         "version": 1, "seed": 3, "engine": "oracle", "betas": [1.0],
         "tasks": [{"name": "a", "task": RANDOM_TASK}],
@@ -418,6 +420,14 @@ def test_bad_task_file_is_config_error_naming_path_and_line(tmp_path, capsys,
     assert not (out / "task.csv").exists()
 
 
+def test_bad_task_file_error_names_the_path_field(tmp_path, capsys):
+    path = tmp_path / "task.csv"
+    path.write_text("# taskinfo-dataset v1, K=2, input=discrete:4\n0,1\nx,0\n")
+    code, _ = _gen_task(tmp_path, {"type": "union", "left": RANDOM_TASK,
+                                   "right": {"type": "file", "path": str(path)}})
+    assert code == 2
+    assert f"config error: task.right.path: {path}:3: " in capsys.readouterr().err
+
 
 def _gen_task(tmp_path, task, out="out"):
     code, out_dir = run_cli(tmp_path, "gen-task",
@@ -471,9 +481,25 @@ PLANTED_TASK = {"type": "planted", "n": 20, "k": 2, "domain_size": 8,
     ({"type": "transform", "base": RANDOM_TASK, "transform": [1]},
      "task.transform", "expected an object"),
     ({"type": "subset_classes", "base": RANDOM_TASK, "labels": None},
-     "task.labels", "expected a list of integers"),
+     "task.labels", "expected a list"),
     ({"type": "subset_classes", "base": RANDOM_TASK, "labels": [0.5]},
-     "task.labels", "expected a list of integers"),
+     "task.labels[0]", "expected an integer"),
+    ({"type": "transform", "base": RANDOM_TASK,
+      "transform": {"kind": "subset", "fraction": 0.5, "seed": 1.5}},
+     "task.transform.seed", "expected an integer"),
+    ({"type": "transform", "base": RANDOM_TASK,
+      "transform": {"kind": "subset", "fraction": True, "seed": True}},
+     "task.transform.fraction", "expected a number"),
+    ({"type": "transform", "base": RANDOM_TASK,
+      "transform": {"kind": "label_permutation", "permutation": [1, "0"]}},
+     "task.transform.permutation[1]", "expected an integer"),
+    ({"type": "transform", "base": RANDOM_TASK,
+      "transform": {"kind": "input_blur", "width": "1"}},
+     "task.transform.width", "expected a number"),
+    ({"type": "transform", "base": RANDOM_TASK, "transform": {"seed": 1}},
+     "task.transform", "missing keys ['kind']"),
+    (dict(PLANTED_TASK, noise_grid=[0.1, False]), "task.noise_grid[1]",
+     "expected a number"),
     ({"type": "file", "path": 7}, "task.path", "expected a file name"),
 ])
 def test_wrong_typed_task_field_is_config_error_naming_it(tmp_path, capsys, task,
@@ -510,17 +536,18 @@ def test_unknown_engine_is_config_error(tmp_path, capsys, command, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error", [RuntimeError, KeyError])
 def test_runtime_failure_exits_one_and_writes_nothing(tmp_path, capsys,
-                                                      monkeypatch):
-    # a library error that is not a ValueError or a KeyError is a runtime
-    # failure, not a config error
+                                                      monkeypatch, error):
+    # a library error that is not a ValueError is a runtime failure, not a
+    # config error: every config error is raised as a ConfigError
     def fail(*args):
-        raise RuntimeError("planted failure")
+        raise error("planted failure")
 
     monkeypatch.setattr("taskinfo.finite_oracle.structure_function", fail)
     code, out = run_cli(tmp_path, "structure-fn", RERUNS["structure-fn"][0])
     assert code == 1
-    assert "error: RuntimeError: planted failure" in capsys.readouterr().err
+    assert f"error: {error.__name__}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -630,6 +657,32 @@ VI_STRUCTURE = {"version": 1, "seed": 2, "engine": "variational", "task": VI_TAS
     ("beta-sweep", dict(RERUNS["beta-sweep"][0], tasks=[
         {"name": "a", "task": RANDOM_TASK}, {"name": "b", "task": VI_TASK}]),
      "tasks[1].task", "the oracle engine needs a discrete domain, not real vectors"),
+    ("structure-fn", dict(RERUNS["structure-fn"][0],
+                          oracle={"t_grid": [5.0], "noise_grid": [True]}),
+     "oracle.noise_grid[0]", "expected a number"),
+    ("beta-sweep", dict(RERUNS["beta-sweep"][0], oracle={"noise_grid": 0.1}),
+     "oracle.noise_grid", "expected a list"),
+    ("anneal", dict(ANNEAL, grid=dict(ANNEAL["grid"], losses=[True, 0.0, 0.0])),
+     "grid.losses[0]", "expected a number"),
+    ("anneal", dict(ANNEAL, grid=dict(ANNEAL["grid"], losses=["x", 0.0, 0.0])),
+     "grid.losses[0]", "expected a number"),
+    ("anneal", dict(ANNEAL, grid=dict(ANNEAL["grid"], kls=[0.0, math.nan, 8.0])),
+     "grid.kls[1]", "nan is not a finite number"),
+    ("anneal", dict(ANNEAL, grid=dict(ANNEAL["grid"], metric=[[0, 1, 2], [1, 0, "1"],
+                                                             [2, 1, 0]])),
+     "grid.metric[1][2]", "expected a number"),
+    ("anneal", dict(ANNEAL, grid=dict(ANNEAL["grid"], metric=[[0, 1, 2], 5, [2, 1]])),
+     "grid.metric[1]", "expected a list"),
+    ("beta-sweep", dict(VI_SWEEP, variational=dict(
+        VI_SWEEP["variational"], prior_scale="2")),
+     "variational.prior_scale", "expected a number"),
+    ("structure-fn", dict(VI_STRUCTURE, variational=dict(
+        VI_STRUCTURE["variational"], prior_scale=True)),
+     "variational.prior_scale", "expected a number"),
+    ("gen-task", dict(RERUNS["gen-task"][0], version=True), "config.version",
+     "expected an integer"),
+    ("pac-bayes", {k: v for k, v in PAC_TRIALS.items() if k != "task"}, "task",
+     "expected a task object with a 'type'"),
 ])
 def test_wrong_typed_config_number_is_config_error_naming_it(tmp_path, capsys, command,
                                                              config, field, why):

@@ -1,8 +1,9 @@
 """Every name that a taskinfo module lists in ``__all__`` exists, so a
 deleted function cannot leave a dangling export behind; every private
 function, method and class is used, so a refactor cannot leave a helper
-behind that nothing calls; arrays are frozen in one place only; and one
-function calls the network kernel."""
+behind that nothing calls; arrays are frozen in one place only; the CLI
+converts no config value outside its reader; and one function calls the
+network kernel."""
 
 import ast
 import collections
@@ -74,6 +75,27 @@ def test_arrays_are_frozen_only_by_freeze_and_the_family():
         for t in node.targets))
     assert where and where <= {("tasks.py", "_freeze"),
                                ("finite_oracle.py", "HypothesisFamily")}, where
+
+
+def _raw_config_read(arg) -> bool:
+    """arg is spec["key"] or spec.get("key", ...): a config value as JSON gave it."""
+    if isinstance(arg, ast.Subscript):
+        return isinstance(arg.slice, ast.Constant) and isinstance(arg.slice.value, str)
+    return (isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "get"
+            and bool(arg.args) and isinstance(arg.args[0], ast.Constant)
+            and isinstance(arg.args[0].value, str))
+
+
+def test_cli_converts_no_config_value_outside_its_reader():
+    # a config number or list goes through cli._number/_numbers/_list, which
+    # name the field and refuse booleans, strings and non-finite numbers; a
+    # bare float(spec["key"]) or np.asarray(spec.get("key")) would let one by
+    converters = {"float", "int", "tuple", "np.asarray", "np.array"}
+    tree = ast.parse(SOURCES[pathlib.Path(taskinfo.__file__).parent / "cli.py"])
+    lines = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and ast.unparse(node.func) in converters
+                   and any(_raw_config_read(a) for a in node.args))
+    assert lines == []
 
 
 @pytest.mark.parametrize("kernel", ["_block_loss_and_grad", "_block_constants"])

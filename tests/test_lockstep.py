@@ -275,6 +275,21 @@ def test_optimize_gaussian_raises_what_the_runner_reports():
                        IsotropicPrior(1.0), cfg, [0])
 
 
+def test_optimize_many_starts_an_exact_gaussian_run_at_the_prior():
+    # with no inits, each run starts at the prior over its model's own
+    # architecture: a quadratic model's too, bit for bit as optimize_gaussian
+    rng = np.random.default_rng(6)
+    model = QuadraticLossModel(rng.random(4), rng.normal(size=4))
+    prior, cfg = IsotropicPrior(1.5), VariationalConfig(steps=3)
+    got = _optimize_many([model], [1.0], prior, cfg, [0])[0]
+    want = optimize_gaussian(model, 1.0, prior, cfg, seed=0)
+    assert got.posterior.arch == want.posterior.arch == model.arch
+    assert np.array_equal(got.posterior.mean, want.posterior.mean)
+    assert np.array_equal(got.posterior.log_var, want.posterior.log_var)
+    assert (got.expected_loss, got.kl, got.expected_loss_se, got.trace) == (
+        want.expected_loss, want.kl, want.expected_loss_se, want.trace)
+
+
 def test_caller_arrays_stay_writeable_and_unchanged():
     rng = np.random.default_rng(2)
     arch = Architecture((3, 2))
