@@ -547,7 +547,8 @@ def test_runtime_failure_exits_one_and_writes_nothing(tmp_path, capsys,
     monkeypatch.setattr("taskinfo.finite_oracle.structure_function", fail)
     code, out = run_cli(tmp_path, "structure-fn", RERUNS["structure-fn"][0])
     assert code == 1
-    assert f"error: {error.__name__}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {error.__name__}: " in err and "planted failure" in err
     assert not out.exists()
 
 
