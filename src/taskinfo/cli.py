@@ -15,8 +15,9 @@ header; writes are atomic (temp file + rename) and nothing is written if
 the run fails. Exit codes: 0 success, 2 config error (any ValueError), 1
 runtime error. Unknown config keys are rejected; every config number,
 alone or in a list, is read by `_number`, and a boolean, string or
-non-finite one is an error naming the field (``oracle.t_grid[0]``). All
-randomness flows from explicit seeds through named Philox streams.
+non-finite one is an error naming the field (``oracle.t_grid[0]``); a file
+name is read by `_file_name`, and must be a string. All randomness flows
+from explicit seeds through named Philox streams.
 """
 
 from __future__ import annotations
@@ -109,6 +110,13 @@ def _numbers(spec: dict, key: str, path: str, kind=float) -> list:
     return [_number(entries, at, path, kind) for at in entries]
 
 
+def _file_name(spec: dict, key: str, path: str) -> str:
+    """spec[key], which must be a JSON string; else a ConfigError naming it."""
+    if not isinstance(spec[key], str):
+        raise ConfigError(f"{path}.{key}: expected a file name")
+    return spec[key]
+
+
 def _build_domain(spec, path) -> tasks_mod.DiscreteSpace | tasks_mod.RealSpace:
     _check_keys(spec, path, ("kind",), ("size", "dim"))
     if spec["kind"] == "discrete":
@@ -179,15 +187,15 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
         _check_keys(spec, path, ("type", "base", "transform"))
         tspec, tpath = spec["transform"], f"{path}.transform"
         _check_keys(tspec, tpath, ("kind",), tuple(_TRANSFORM_FIELDS))
+        base = build_task(spec["base"], f"{path}.base", families)
         fields = {key: tuple(_numbers(tspec, key, tpath, int)) if kind is tuple
                   else _number(tspec, key, tpath, kind)
                   for key, kind in _TRANSFORM_FIELDS.items() if key in tspec}
         try:
-            tr = tasks_mod.TaskTransform(kind=tspec["kind"], **fields)
+            return tasks_mod.apply_transform(
+                base, tasks_mod.TaskTransform(kind=tspec["kind"], **fields))
         except ValueError as exc:
             raise ConfigError(f"{tpath}: {exc}") from None
-        return tasks_mod.apply_transform(
-            build_task(spec["base"], f"{path}.base", families), tr)
     if t == "as_real":
         _check_keys(spec, path, ("type", "base"))
         return tasks_mod.as_real_vectors(
@@ -201,12 +209,11 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
                                  base.num_labels, base.space)
     if t == "file":
         _check_keys(spec, path, ("type", "path"))
-        if not isinstance(spec["path"], str):
-            raise ConfigError(f"{path}.path: expected a file name")
-        if not os.path.exists(spec["path"]):
-            raise ConfigError(f"{path}.path: no such task file {spec['path']!r}")
+        name = _file_name(spec, "path", path)
+        if not os.path.exists(name):
+            raise ConfigError(f"{path}.path: no such task file {name!r}")
         try:
-            return tasks_mod.load_dataset_csv(spec["path"])
+            return tasks_mod.load_dataset_csv(name)
         except ValueError as exc:         # "path:line: ..." from the loader
             raise ConfigError(f"{path}.path: {exc}") from None
     raise ConfigError(f"{path}.type: unknown task type {t!r}")
@@ -264,10 +271,10 @@ def _variational_sweep(d, betas, vcfg, seed: int) -> vi.SweepResult:
 
 
 def cmd_gen_task(cfg, hash_, seed: int) -> dict:
-    _check_keys(cfg, "config", ("version", "seed", "task"), ("filename",))
+    _check_keys(cfg, "config", ("version", "seed", "task"))
     lines = tasks_mod._dataset_lines(build_task(cfg["task"]))
     lines.insert(1, f"# {_stamp(hash_)}")
-    return {cfg.get("filename", "task.csv"): textio.join(lines)}
+    return {"task.csv": textio.join(lines)}
 
 
 def _csv(kind: str, hash_, columns: str, rows, *fields: str) -> str:
@@ -466,8 +473,9 @@ def cmd_anneal(cfg, hash_, seed: int) -> dict:
                 else ("losses", "kls", "metric"),
                 ("path", "metric_path", "losses", "kls", "metric"))
     if files:
+        names = [_file_name(gspec, key, "grid") for key in ("path", "metric_path")]
         try:
-            grid = anneal_mod.load_grid(gspec["path"], gspec["metric_path"])
+            grid = anneal_mod.load_grid(*names)
         except (FileNotFoundError, ValueError) as exc:
             raise ConfigError(f"grid: {exc}") from None
     else:

@@ -285,9 +285,6 @@ class HypothesisFamily:
                           code_length=float(self.costs[i]),
                           name=self._name(i), rule_index=i)
 
-    def hypotheses(self) -> list[Hypothesis]:
-        return [self.hypothesis(i) for i in range(len(self))]
-
     # -- the rule store -----------------------------------------------------
 
     def _name(self, i: int) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import numpy as np
 
@@ -287,6 +287,8 @@ class TaskTransform:
       input_blur           1-d gaussian blur of real input vectors (width)
       sign_inversion       negate real inputs (color-inversion analogue)
       label_randomization  replace all labels with uniform draws (seed)
+
+    A kind takes exactly its fields in _FIELDS; every other must be None.
     """
 
     kind: str
@@ -295,31 +297,28 @@ class TaskTransform:
     permutation: tuple[int, ...] | None = None
     width: float | None = None
 
-    _KINDS = (
-        "subset",
-        "label_permutation",
-        "input_blur",
-        "sign_inversion",
-        "label_randomization",
-    )
+    _FIELDS = {"subset": ("fraction", "seed"), "label_permutation": ("permutation",),
+               "input_blur": ("width",), "sign_inversion": (),
+               "label_randomization": ("seed",)}
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self._FIELDS:
             raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "subset":
-            if self.fraction is None or not (0.0 <= self.fraction <= 1.0):
-                raise ValueError("subset needs fraction in [0, 1]")
-            if self.seed is None:
-                raise ValueError("subset needs a seed")
-        if self.kind == "label_permutation" and self.permutation is None:
-            raise ValueError("label_permutation needs a permutation")
-        if self.kind == "input_blur" and (self.width is None or self.width <= 0):
+        for f in dataclass_fields(self)[1:]:          # all but kind
+            taken, value = f.name in self._FIELDS[self.kind], getattr(self, f.name)
+            if taken and value is None:
+                raise ValueError(f"{self.kind} needs {f.name}")
+            if not taken and value is not None:
+                raise ValueError(f"{self.kind} takes no {f.name}")
+        if self.fraction is not None and not 0.0 <= self.fraction <= 1.0:
+            raise ValueError("subset needs fraction in [0, 1]")
+        if self.width is not None and not self.width > 0:
             raise ValueError("input_blur needs width > 0")
-        if self.kind == "label_randomization" and self.seed is None:
-            raise ValueError("label_randomization needs a seed")
 
 
 def apply_transform(d: Dataset, t: TaskTransform) -> Dataset:
+    if t.kind in ("input_blur", "sign_inversion") and not isinstance(d.space, RealSpace):
+        raise ValueError(f"incompatible transform: {t.kind} needs real inputs")
     if t.kind == "subset":
         keep = int(math.ceil(t.fraction * d.n))
         order = stream(t.seed, "transform-subset").permutation(d.n)[:keep]
@@ -331,8 +330,6 @@ def apply_transform(d: Dataset, t: TaskTransform) -> Dataset:
             raise ValueError("permutation must reorder 0..K-1")
         return replace(d, labels=perm[d.labels])
     if t.kind == "input_blur":
-        if not isinstance(d.space, RealSpace):
-            raise ValueError("incompatible transform: blur needs real inputs")
         radius = max(1, int(round(2 * t.width)))
         offsets = np.arange(-radius, radius + 1)
         kernel = np.exp(-0.5 * (offsets / t.width) ** 2)
@@ -344,8 +341,6 @@ def apply_transform(d: Dataset, t: TaskTransform) -> Dataset:
             blurred += w * d.inputs[:, cols]
         return replace(d, inputs=blurred)
     if t.kind == "sign_inversion":
-        if not isinstance(d.space, RealSpace):
-            raise ValueError("incompatible transform: sign inversion needs real inputs")
         return replace(d, inputs=-d.inputs)
     if t.kind == "label_randomization":
         labels = stream(t.seed, "transform-randomize").integers(

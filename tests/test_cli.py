@@ -461,6 +461,41 @@ def test_bad_transform_is_config_error(tmp_path, capsys, transform, why):
     assert not path.exists()
 
 
+REAL_TASK = dict(RANDOM_TASK, domain={"kind": "real", "dim": 4})
+
+
+@pytest.mark.parametrize("base, transform, why", [
+    (REAL_TASK, {"kind": "sign_inversion", "seed": 3, "width": 2.0},
+     "sign_inversion takes no seed"),
+    (REAL_TASK, {"kind": "subset", "fraction": 0.5, "seed": 1, "width": 2.0},
+     "subset takes no width"),
+    (REAL_TASK, {"kind": "label_randomization", "seed": 1, "fraction": 0.5},
+     "label_randomization takes no fraction"),
+    (RANDOM_TASK, {"kind": "label_permutation", "permutation": [0, 0]},
+     "permutation must reorder 0..K-1"),
+    (RANDOM_TASK, {"kind": "input_blur", "width": 1.0},
+     "incompatible transform: input_blur needs real inputs"),
+    (RANDOM_TASK, {"kind": "sign_inversion"},
+     "incompatible transform: sign_inversion needs real inputs"),
+])
+def test_transform_error_names_the_transform_field(tmp_path, capsys, base,
+                                                   transform, why):
+    code, path = _gen_task(tmp_path, {"type": "transform", "base": base,
+                                      "transform": transform})
+    assert code == 2
+    assert f"config error: task.transform: {why}" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("filename", ["../escaped.csv", 5, "task.csv"])
+def test_gen_task_takes_no_filename(tmp_path, capsys, filename):
+    code, out = run_cli(tmp_path, "gen-task",
+                        dict(RERUNS["gen-task"][0], filename=filename))
+    assert code == 2
+    assert "config error: config: unknown keys ['filename']" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "escaped.csv").exists()
+
+
 PLANTED_TASK = {"type": "planted", "n": 20, "k": 2, "domain_size": 8,
                 "rule": "bit0", "seed": 1}
 
@@ -729,3 +764,74 @@ def test_null_grad_clip_and_logvar_learning_rate_are_accepted(tmp_path):
     code, out = run_cli(tmp_path, "beta-sweep", dict(
         VI_SWEEP, variational=dict(VI_SWEEP["variational"], opt=opt)))
     assert code == 0 and (out / "beta_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("anneal", dict(ANNEAL, grid={"path": 0, "metric_path": "metric.csv"}),
+     "grid.path"),
+    ("anneal", dict(ANNEAL, grid={"path": "grid.csv", "metric_path": 0}),
+     "grid.metric_path"),
+    ("anneal", dict(ANNEAL, grid={"path": None, "metric_path": "metric.csv"}),
+     "grid.path"),
+    ("anneal", dict(ANNEAL, grid={"path": ["grid.csv"], "metric_path": "m.csv"}),
+     "grid.path"),
+    ("gen-task", dict(RERUNS["gen-task"][0], task={"type": "file", "path": 0}),
+     "task.path"),
+])
+def test_file_names_must_be_strings_before_any_file_is_opened(
+        tmp_path, capsys, monkeypatch, command, config, field):
+    # an integer would be opened as a file descriptor: 0 reads standard input
+    opened = []
+    for loader in ("annealing.load_grid", "tasks.load_dataset_csv"):
+        monkeypatch.setattr(f"taskinfo.{loader}", lambda *names: opened.append(names))
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 2
+    assert f"config error: {field}: expected a file name" in capsys.readouterr().err
+    assert opened == [] and not out.exists()
+
+
+def test_anneal_start_node_id_gives_the_trajectory_of_its_index(tmp_path):
+    runs = [run_cli(tmp_path, "anneal", dict(ANNEAL, start=start), out=f"o{i}")
+            for i, start in enumerate((1, "1"))]
+    assert [code for code, _ in runs] == [0, 0]
+    by_index, by_id = (read(out / "anneal_trajectory.csv").splitlines()
+                       for _, out in runs)
+    assert by_index[2].split(",")[2] == "1"     # step 0 sits at the start node
+    assert by_index[1:] == by_id[1:]            # line 0 carries the config hash
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("gen-task", None, "error: config file not found: "),
+    ("gen-task", "{not json", "error: config is not valid JSON: "),
+    ("gen-task", dict(RERUNS["gen-task"][0], task=dict(
+        RANDOM_TASK, domain={"kind": "complex"})),
+     "config error: task.domain.kind: unknown domain kind 'complex'"),
+    ("gen-task", dict(RERUNS["gen-task"][0], task=5),
+     "config error: task: expected a task object with a 'type'"),
+    ("gen-task", dict(RERUNS["gen-task"][0], task={"type": "mystery"}),
+     "config error: task.type: unknown task type 'mystery'"),
+    ("beta-sweep", dict(RERUNS["beta-sweep"][0], betas=[]),
+     "config error: betas: must be nonempty"),
+    ("structure-fn", dict(VI_STRUCTURE, variational=dict(
+        VI_STRUCTURE["variational"], betas=[])),
+     "config error: variational.betas: must be nonempty"),
+    ("distance-matrix", dict(DISTANCE, tasks=DISTANCE["tasks"][:1]),
+     "config error: tasks: distance matrix needs at least two tasks"),
+    ("distance-matrix", dict(DISTANCE, tasks=[DISTANCE["tasks"][0],
+                                              {"name": "c", "task": VI_TASK}]),
+     "config error: tasks: distance-matrix tasks must share input dim"),
+    ("pac-bayes", dict(PAC_BOUND, mode="x"), "config error: mode: unknown mode 'x'"),
+    ("pac-bayes", dict(PAC_BOUND, beta=10 ** 400),
+     "config error: config.beta: expected a number"),
+    ("anneal", dict(ANNEAL, start="zz"), "config error: start: unknown node id 'zz'"),
+])
+def test_config_branch_exits_2_with_its_message(tmp_path, capsys, command, config,
+                                                message):
+    # config None: no config file; a string: the file's text as it stands
+    cfg_path, out = tmp_path / "config.json", tmp_path / "out"
+    if config is not None:
+        cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
+    code = main([command, "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -89,8 +89,12 @@ def _raw_config_read(arg) -> bool:
 def test_cli_converts_no_config_value_outside_its_reader():
     # a config number or list goes through cli._number/_numbers/_list, which
     # name the field and refuse booleans, strings and non-finite numbers; a
-    # bare float(spec["key"]) or np.asarray(spec.get("key")) would let one by
-    converters = {"float", "int", "tuple", "np.asarray", "np.array"}
+    # bare float(spec["key"]) or np.asarray(spec.get("key")) would let one by.
+    # A file name goes through cli._file_name: a raw integer would be opened
+    # as a file descriptor
+    converters = {"float", "int", "tuple", "np.asarray", "np.array",
+                  "os.path.exists", "open", "anneal_mod.load_grid",
+                  "tasks_mod.load_dataset_csv"}
     tree = ast.parse(SOURCES[pathlib.Path(taskinfo.__file__).parent / "cli.py"])
     lines = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                    and ast.unparse(node.func) in converters

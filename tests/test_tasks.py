@@ -182,6 +182,33 @@ def test_transform_label_randomization_deterministic():
     assert 0 < a.labels.sum() < 50  # actually randomized
 
 
+@pytest.mark.parametrize("kwargs, why", [
+    (dict(kind="subset", fraction=0.5, seed=1, width=2.0), "subset takes no width"),
+    (dict(kind="sign_inversion", seed=3), "sign_inversion takes no seed"),
+    (dict(kind="label_randomization", permutation=(0, 1), seed=3),
+     "label_randomization takes no permutation"),
+    (dict(kind="input_blur", width=1.0, fraction=1.0), "input_blur takes no fraction"),
+    (dict(kind="subset", fraction=0.5), "subset needs seed"),
+    (dict(kind="label_randomization"), "label_randomization needs seed"),
+    (dict(kind="label_permutation"), "label_permutation needs permutation"),
+    (dict(kind="subset", fraction=1.5, seed=0), "subset needs fraction in [0, 1]"),
+    (dict(kind="subset", fraction=math.nan, seed=0), "subset needs fraction in [0, 1]"),
+    (dict(kind="input_blur", width=0.0), "input_blur needs width > 0"),
+    (dict(kind="input_blur", width=math.nan), "input_blur needs width > 0"),
+])
+def test_transform_takes_exactly_the_fields_of_its_kind(kwargs, why):
+    with pytest.raises(ValueError, match=re.escape(why)):
+        TaskTransform(**kwargs)
+
+
+@pytest.mark.parametrize("kind", ["input_blur", "sign_inversion"])
+def test_transform_needing_real_inputs_names_its_kind(kind):
+    d = generate_random_label_task(5, DiscreteSpace(8), 2, seed=0)
+    t = TaskTransform(kind=kind, width=1.0 if kind == "input_blur" else None)
+    with pytest.raises(ValueError, match=f"incompatible transform: {kind} needs real"):
+        apply_transform(d, t)
+
+
 def test_as_real_vectors_bits():
     d = generate_random_label_task(6, DiscreteSpace(8), 2, seed=1)
     r = as_real_vectors(d)
