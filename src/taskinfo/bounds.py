@@ -53,7 +53,7 @@ class BoundReport:
 def pac_bayes_bound(train_loss_total: float, kl: float, n: int, beta: float,
                     delta: float) -> BoundReport:
     """Evaluate the bound; losses must already be clipped-rescaled to [0, 1]."""
-    if beta <= 0.5:
+    if not beta > 0.5:
         raise ValueError(f"invalid beta: bound needs beta > 1/2, got {beta}")
     if not (0.0 < delta <= 1.0):
         raise ValueError(f"invalid confidence: delta must be in (0, 1], got {delta}")

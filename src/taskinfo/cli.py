@@ -204,7 +204,11 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
         _check_keys(spec, path, ("type", "base", "labels"))
         labels = _numbers(spec, "labels", path, int)
         base = build_task(spec["base"], f"{path}.base", families)
-        keep = np.isin(base.labels, [c for c in labels if 0 <= c < base.num_labels])
+        for i, c in enumerate(labels):
+            if not 0 <= c < base.num_labels:
+                raise ConfigError(f"{path}.labels[{i}]: label {c} is outside "
+                                  f"0..{base.num_labels - 1}")
+        keep = np.isin(base.labels, labels)
         return tasks_mod.Dataset(base.inputs[keep], base.labels[keep],
                                  base.num_labels, base.space)
     if t == "file":

@@ -610,7 +610,8 @@ def load_family(path) -> HypothesisFamily:
 # is re-evaluated exactly with fsum over per-sample terms.
 
 _APPROX_MARGIN = 1e-6
-_BLOCK = 1 << 22          # (candidate, sample) cells per exact re-check block
+_BLOCK = 1 << 22          # (candidate, sample) or (beta, pair) cells per block
+_CELLS = 1 << 17          # (beta, rule[, pin count]) cells per multi-beta block
 
 
 def _screen_margin(vmin: float) -> float:
@@ -671,7 +672,8 @@ class _Candidates:
     Rows of group and approximate losses are built for the rules a query
     asks for, never for every rule of a union. Every query screens the
     rules with tables, then only the pair rules that a bound from their
-    children cannot rule out (`_pair_floor`, `_pairs_within`).
+    children cannot rule out (`_pair_floor`, `_pairs_within`), for all of
+    its betas at once: a screened block's values carry a beta axis.
     """
 
     def __init__(self, d: Dataset, fam: HypothesisFamily):
@@ -740,100 +742,147 @@ class _Candidates:
     @functools.cached_property
     def _kid_rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per side of a union: (the approximate loss rows of the side's part
-        family over the side's groups, ln C(u_side, s) + s ln K)."""
+        family over the side's groups, transposed to (pin count, rule), and
+        ln C(u_side, s) + s ln K)."""
         out = []
         for cols, loss in self._parts[1]:
             pure = self.pure[cols]
             u = len(pure)
             ext = np.array([extension_cost(u, s, self.k) - math.log(u + 1)
                             for s in range(int(pure.sum()) + 1)])
-            out.append((_suffix_losses(loss, np.flatnonzero(pure),
-                                       np.flatnonzero(~pure)), ext))
+            out.append((np.ascontiguousarray(_suffix_losses(
+                loss, np.flatnonzero(pure), np.flatnonzero(~pure)).T), ext))
         return out
 
-    def _pair_floor(self, beta: float, pairs=slice(None), caps=(math.inf,)
+    def _pair_floor(self, betas, pairs=slice(None), caps=(math.inf,)
                     ) -> np.ndarray:
-        """(len(pairs), len(caps)) lower bounds on approx + beta * cost over
-        the candidates of the pair rules ``pairs`` under each cap, NaN where
-        a cap admits none. Pair p = (a, b) pins the top sa of its left
-        child's side and the top sb of its right's, sa + sb = s, so approx(p,
-        s) = A_a(sa) + B_b(sb), and C(u, s) >= C(u_L, sa) C(u_R, sb). For
-        beta >= 0 and s <= S, approx + beta * cost >= beta * (cost_p +
-        ln(u+1)) + f_a(S) + g_b(S), f_a(S) the least A_a(sa) + beta * (ln
-        C(u_L, sa) + sa ln K) over sa <= S, g_b alike. S is the largest s
-        with cost_p + ext(s) <= cap, as the buckets test it; ext is not
-        monotone, so an s below S may be unadmitted, but none above is.
+        """Lower bounds on approx + beta * cost over the candidates of the
+        pair rules ``pairs`` under each cap, NaN where a cap admits none, of
+        shape betas.shape + (len(pairs), caps.shape[-1]); ``caps`` holds an
+        ascending row per beta (one row for a lone beta). Pair p = (a, b)
+        pins the top sa of its left child's side and the top sb of its
+        right's, sa + sb = s, so approx(p, s) = A_a(sa) + B_b(sb), and C(u,
+        s) >= C(u_L, sa) C(u_R, sb). For beta >= 0 and s <= S, approx + beta
+        * cost >= beta * (cost_p + ln(u+1)) + f_a(S) + g_b(S), f_a(S) the
+        least A_a(sa) + beta * (ln C(u_L, sa) + sa ln K) over sa <= S, g_b
+        alike. S is the largest s with cost_p + ext(s) <= cap, as the
+        buckets test it; ext is not monotone, so an s below S may be
+        unadmitted, but none above is.
         """
         ucost, cls = self.fam._pair_costs
-        key = (beta, tuple(np.ravel(caps)))
+        shape, beta = np.shape(betas), np.ravel(betas)
+        caps = np.reshape(caps, (len(beta), -1))
+        key = (beta.tobytes(), caps.tobytes(), caps.shape)
         if self._floor_tables[0] != key:        # tables kept for the last key
-            fits = ucost[:, None] + self.ext <= np.reshape(caps, (-1, 1, 1))
-            top = (fits * np.arange(1, self.n_pure + 2)).max(axis=2).T - 1  # S, -1
-            f, g = (np.minimum.accumulate(rows + beta * ext, axis=1)
-                    [:, np.clip(top, 0, len(ext) - 1)] for rows, ext in self._kid_rows)
-            f += beta * (ucost[:, None] + math.log(self.u + 1))
+            fits = ucost[:, None] + self.ext <= caps[:, :, None, None]
+            top = (fits * np.arange(1, self.n_pure + 2)).max(axis=3).transpose(2, 0, 1) - 1
+            # (side rule, cost, beta, cap): the least at S (top, -1 where none)
+            f, g = (np.minimum.accumulate(rows + beta[:, None, None] * ext[:, None], axis=1)
+                    .reshape(-1, rows.shape[1]).T[:, np.arange(len(beta))[:, None] * len(ext)
+                                                  + np.minimum(np.maximum(top, 0), len(ext) - 1)]
+                    for rows, ext in self._kid_rows)
+            f += beta[:, None] * (ucost[:, None, None] + math.log(self.u + 1))
             f[:, top < 0] = np.nan
-            self._floor_tables = key, [t.reshape(-1, len(key[1])) for t in (f, g)]
+            self._floor_tables = key, [t.reshape(-1, len(beta), caps.shape[1])
+                                       for t in (f, g)]
         (f, g), kids = self._floor_tables[1], self.fam._kids[pairs]
         at = kids[:, 0] * len(ucost) + cls[pairs]   # row child * len(ucost) + cost
         floor = np.take(f, at, axis=0)
         floor += np.take(g, np.add(kids[:, 1] * len(ucost), cls[pairs], out=at), axis=0)
-        return floor
+        return floor.transpose(1, 0, 2).reshape(shape + floor.shape[::2])
 
-    def _least_pair_floor(self, beta: float) -> float:
-        """min(_pair_floor(beta)) up to float rounding, which `_pair_slack`
-        covers. The fresh pairs, every left child with every right child,
-        cost PAIR_FLAG + PAIR_KIND plus their children's costs, so the least
-        floor among them is the sum of each side's least term."""
+    def _least_pair_floor(self, betas) -> np.ndarray:
+        """min(_pair_floor(beta)) for each beta of betas, in betas' shape, up
+        to float rounding, which `_pair_slack` covers. The fresh pairs, every
+        left child with every right child, cost PAIR_FLAG + PAIR_KIND plus
+        their children's costs, so the least floor among them is the sum of
+        each side's least term; the other pairs' floors under no cap are
+        summed as `_pair_floor` sums them."""
+        beta = np.reshape(betas, (-1, 1))
         left, right = self.fam._parts
-        f, g = ((rows + beta * ext).min(axis=1) for rows, ext in self._kid_rows)
-        least = (beta * (PAIR_FLAG + PAIR_KIND + math.log(self.u + 1))
-                 + (beta * left.costs + f).min() + (beta * right.costs + g).min())
-        rest = self._pair_floor(beta, slice(len(left) * len(right), None))
-        return float(min(least, rest.min(initial=np.inf)))
+        f, g = ((rows + beta[:, :, None] * ext[:, None]).min(axis=1)
+                for rows, ext in self._kid_rows)
+        least = (beta[:, 0] * (PAIR_FLAG + PAIR_KIND + math.log(self.u + 1))
+                 + (beta * left.costs + f).min(axis=1)
+                 + (beta * right.costs + g).min(axis=1))
+        (ucost, cls), fresh = self.fam._pair_costs, len(left) * len(right)
+        kids = self.fam._kids[fresh:]
+        rest = f[:, kids[:, 0]] + beta * (ucost[cls[fresh:]] + math.log(self.u + 1))
+        rest += g[:, kids[:, 1]]
+        return np.minimum(least, rest.min(axis=1, initial=np.inf)).reshape(np.shape(betas))
 
-    def _pairs_within(self, beta: float, caps, bounds):
+    def _pairs_within(self, betas: np.ndarray, caps: np.ndarray, bounds):
         """Blocks of the pair rules whose `_pair_floor` less its slack is
-        within the live bound, bounds(), of some cap (caps ascend): those
-        whose least floor is within the bound of the first cap admitting
-        their s = 0, by ascending floor, re-tested cap by cap per block."""
-        caps = np.asarray(caps, dtype=np.float64)
-        if self._n_flat == len(self.fam) or not len(caps):
+        within the live bound, bounds() (a row per beta), of some beta and
+        cap (caps: an ascending row per beta). A beta takes part only when
+        its `_least_pair_floor` less its slack is within its loosest bound.
+        A pair is kept when, under one of those betas, its least floor is
+        within the bound of the first cap admitting its s = 0; its key is
+        the least height of such a floor above its beta's least pair floor.
+        Kept pairs go by ascending key, in blocks re-tested beta by beta and
+        cap by cap. The least floors go in chunks of at most _CELLS (beta,
+        pair) cells."""
+        nf = self._n_flat
+        n_pairs = len(self.fam) - nf
+        if not n_pairs or not caps.shape[1]:
             return
-        least = self._pair_floor(beta, slice(None), caps[-1:])[:, 0]
-        least -= _pair_slack(least)
-        bound = bounds()
-        if len(caps) > 1:
-            bound = np.append(bound, -np.inf)[np.searchsorted(
-                caps, self.fam.costs[self._n_flat:] + self.ext[0])]
-        kept = np.flatnonzero(least <= bound)
-        kept = kept[np.argsort(least[kept], kind="stable")]
+        bound = np.hstack([bounds(), np.full((len(betas), 1), -np.inf)])
+        base = self._least_pair_floor(betas)
+        live = np.flatnonzero(base - _pair_slack(base) <= bound.max(axis=1))
+        if not len(live):
+            return
+        betas, caps, base, bound = betas[live], caps[live], base[live], bound[live]
+        ucost, cls = self.fam._pair_costs
+        bound = np.take_along_axis(bound, _buckets(caps, ucost + self.ext[0]), axis=1)
+        loosest = bound.max(axis=1, keepdims=True)
+        near = [(np.zeros(0, np.intp), np.zeros(0))]    # (pair, height above base)
+        step = max(_CELLS // len(live), 1)
+        for lo in range(0, n_pairs, step):
+            least = self._pair_floor(betas, slice(lo, lo + step), caps[:, -1:])[..., 0]
+            least -= _pair_slack(least)
+            b, p = np.divmod(np.flatnonzero(least <= loosest), least.shape[1])
+            least = least[b, p]
+            within = least <= bound[b, cls[lo + p]]
+            near.append((lo + p[within], least[within] - base[b[within]]))
+        p, height = (np.concatenate(x) for x in zip(*near))
+        kept, which = np.unique(p, return_inverse=True)
+        key = np.full(len(kept), np.inf)
+        np.minimum.at(key, which, height)
+        order = np.argsort(key, kind="stable")
+        kept, key = kept[order], key[order]
         lo, step = 0, 64          # blocks double: the first ones lower the bounds
         while lo < len(kept):
+            first = key[lo]
             at, lo, step = kept[lo:lo + step], lo + step, min(2 * step, _ROWS)
-            if least[at[0]] > np.max(bounds()):
+            bound = bounds()[live]
+            # a later pair's key, its floor less base rounded, is no less, so
+            # its floor is above every bound
+            if (first > bound.max(axis=1) - base).all():
                 return
-            f = self._pair_floor(beta, at, caps)
-            yield self._n_flat + at[(f - _pair_slack(f) <= bounds()).any(axis=1)]
+            f = self._pair_floor(betas, at, caps)
+            f -= _pair_slack(f)
+            yield nf + at[(f <= bound[:, None]).any(axis=(0, 2))]
 
-    def _screens(self, beta: float, caps, bounds, visit) -> None:
+    def _screens(self, betas: np.ndarray, caps: np.ndarray, bounds, visit) -> None:
         """`_screen` the rules with tables, then the pairs that `_pairs_within`
         keeps under the live bounds(); a block is freed when visit returns."""
-        self._screen(np.arange(self._n_flat), self._flat_approx, beta, visit)
-        for pairs in self._pairs_within(beta, caps, bounds):
-            self._screen(pairs, None, beta, visit)
+        self._screen(np.arange(self._n_flat), self._flat_approx, betas, visit)
+        for pairs in self._pairs_within(betas, caps, bounds):
+            self._screen(pairs, None, betas, visit)
 
-    def _screen(self, rules, approx, beta: float, visit) -> None:
-        """visit(rules, values) per block of _ROWS of ``rules`` in stable cost
-        order, values = approx + beta * cost; the approximate loss rows are
+    def _screen(self, rules, approx, betas: np.ndarray, visit) -> None:
+        """visit(rules, values) per block of ``rules`` in stable cost order,
+        values[i] = approx + betas[i] * cost, at most _CELLS (beta, rule, pin
+        count) cells or one row of each beta; the approximate loss rows are
         ``approx`` (aligned with ``rules``) or, when None, built per block."""
         order = np.argsort(self.fam.costs[rules], kind="stable")
-        for lo in range(0, len(rules), _ROWS):
-            at = rules[order[lo:lo + _ROWS]]
+        step = max(_CELLS // (len(betas) * len(self.ext)), 1)
+        for lo in range(0, len(rules), step):
+            at = rules[order[lo:lo + step]]
             values = self.fam.costs[at, None] + self.ext[None, :]
-            values *= beta
+            values = values * betas[:, None, None]
             values += (self._approx_rows(at) if approx is None
-                       else approx[order[lo:lo + _ROWS]])
+                       else approx[order[lo:lo + step]])
             visit(at, values)
 
     # -- exact evaluation ---------------------------------------------------
@@ -895,30 +944,39 @@ class _Candidates:
 
     def minimize(self, beta: float):
         """Exact min of loss + beta * cost, beta >= 0: capped_minima at inf."""
-        return self.capped_minima(beta, [math.inf])[0]
+        return self.capped_minima([beta], [math.inf])[0][0]
 
-    def capped_minima(self, beta: float, t_grid) -> list:
-        """The exact min of loss + beta * cost under cost <= t, for each t
-        of t_grid (strictly increasing, no NaN), from one screen and one
-        exact re-check. Each is (value, (cost, r, s)): the first candidate,
-        by the tie-break key (cost, r, s), among those whose exact value is
-        within TIE_ATOL of the minimum; (inf, None) when none is under t.
+    def capped_minima(self, betas, t_grid) -> list:
+        """For each beta of betas (each >= 0, in any order), the exact min
+        of loss + beta * cost under cost <= t for each t of t_grid (strictly
+        increasing, no NaN): a list per beta, from one screen and one exact
+        re-check of the union of the betas' shortlists. Each is (value,
+        (cost, r, s)): the first candidate, by the tie-break key (cost, r,
+        s), among those whose exact value is within TIE_ATOL of the
+        minimum; (inf, None) when none is under t.
 
-        A candidate's bucket, searchsorted(caps, cost, "left"), is the
-        first j with cost <= caps[j]. The minimum under t_grid[j] runs over
-        buckets 0..j, so its threshold vmin + margin falls with j, and from
-        block to block: a block keeps the candidates under their bucket's
-        threshold so far, a superset of every t's shortlist. The rules with
-        tables go first, then the pairs whose capped floor reaches some
-        cap's live threshold (`_pairs_within`). caps = min(t_grid, c*) at
-        beta = 0 with no table value above 1, else t_grid; c*, the least
-        cost of a candidate with a table and approximate loss exactly 0.0,
-        has exact loss 0 (see the zero cap), the least there is, so from c*
-        on the minimum is 0 and dearer candidates lose the tie.
+        A candidate's bucket under a beta, searchsorted(caps, cost,
+        "left"), is the first j with cost <= caps[j]. The minimum under
+        t_grid[j] runs over buckets 0..j, so its threshold vmin + margin
+        falls with j, and from block to block: a block keeps the candidates
+        under their bucket's threshold so far, a superset of every t's
+        shortlist. So a beta's final shortlist is every candidate within
+        the margin of its minimum, whatever the order of the blocks. The
+        rules with tables go first, then the pairs whose capped floor
+        reaches some cap's live threshold (`_pairs_within`). A beta's caps
+        are min(t_grid, c*) at beta = 0 with no table value above 1, else
+        t_grid; c*, the least cost of a candidate with a table and
+        approximate loss exactly 0.0, has exact loss 0 (see the zero cap),
+        the least there is, so from c* on the minimum is 0 and dearer
+        candidates lose the tie.
         """
+        betas = np.asarray(betas, dtype=np.float64)
         t_grid = np.asarray(t_grid, dtype=np.float64)
-        n, caps = len(t_grid), t_grid
-        if beta == 0 and self.unit_bounded:
+        nb, n = len(betas), len(t_grid)
+        if not nb:
+            return []
+        caps = np.tile(t_grid, (nb, 1))
+        if self.unit_bounded and (betas == 0).any():
             # The zero cap. With no table value above 1, an approximate loss
             # is a float sum of terms count * -ln p >= 0 (INF_NATS at p ==
             # 0), 0.0 only when every term is. A kept pure group's term is 0
@@ -928,44 +986,62 @@ class _Candidates:
             # 1.0, and the exact loss, an fsum of -ln 1.0 terms, is 0.0.
             r, s = np.nonzero(self._flat_approx == 0.0)
             c_zero = (self.fam.costs[r] + self.ext[s]).min(initial=np.inf)
-            caps = np.minimum(caps, c_zero)
-        bmin = np.full(n + 1, np.inf)     # minimum value per bucket
+            caps[betas == 0] = np.minimum(t_grid, c_zero)
+        bmin = np.full((nb, n + 1), np.inf)     # minimum value per beta and bucket
+        thr = np.full((nb, n + 1), np.inf)      # their thresholds, kept current
+        thr[:, n] = -np.inf                     # bucket n, over every cap
+        near = [(np.zeros(0, np.intp),) * 4 + (np.zeros(0),)]
 
-        def thresholds():                 # bucket n, over every cap: -inf
-            vmin = np.minimum.accumulate(bmin[:n])
-            return np.append(vmin + _screen_margin(vmin), -np.inf)
-
-        thr = thresholds()
-        near = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
-
-        def keep(at, values):
-            nonlocal thr
+        def keep(lo, at, values):
             # a block in cost order: each distinct cost is one run of rows
             ucost, first, cls = np.unique(self.fam.costs[at], return_index=True,
                                           return_inverse=True)
-            bucket = np.searchsorted(caps, ucost[:, None] + self.ext[None, :])
-            np.minimum.at(bmin, bucket, np.minimum.reduceat(values, first))
-            thr = thresholds()
-            r, s = np.nonzero(values <= thr[bucket][cls])
-            near.append((at[r], s, bucket[cls[r], s], values[r, s]))
+            rows, each = slice(lo, lo + len(values)), np.arange(len(values))[:, None, None]
+            bucket = _buckets(caps[rows], ucost[:, None] + self.ext[None, :])
+            np.minimum.at(bmin[rows], (each, bucket),
+                          np.minimum.reduceat(values, first, axis=1))
+            vmin = np.minimum.accumulate(bmin[rows, :n], axis=1)
+            thr[rows, :n] = vmin + _screen_margin(vmin)
+            b, r, s = np.unravel_index(
+                np.flatnonzero(values <= thr[rows][each, bucket][:, cls]), values.shape)
+            near.append((lo + b, at[r], s, bucket[b, cls[r], s], values[b, r, s]))
 
-        self._screens(beta, caps, lambda: thr[:n], keep)
-        r, s, b, v = (np.concatenate(x) for x in zip(*near))
-        close = v <= thr[b]
-        r, s, b, v = r[close], s[close], b[close], v[close]
+        # betas go in chunks of at most _BLOCK (beta, pair rule) cells
+        step = max(_BLOCK // max(len(self.fam) - self._n_flat, 1), 1)
+        for lo in range(0, nb, step):
+            rows = slice(lo, lo + step)
+            self._screens(betas[rows], caps[rows], lambda: thr[rows, :n],
+                          functools.partial(keep, lo))
+        b, r, s, k, v = (np.concatenate(x) for x in zip(*near))
+        close = v <= thr[b, k]
+        b, r, s, k, v = b[close], r[close], s[close], k[close], v[close]
         cost = self.fam.costs[r] + self.ext[s]
-        exact = self.exact_losses(r, s) + beta * cost
+        # each distinct candidate is re-checked once, whichever betas keep it
+        distinct, which = np.unique(r * len(self.ext) + s, return_inverse=True)
+        loss = self.exact_losses(*np.divmod(distinct, len(self.ext)))
+        exact = loss[which] + betas[b] * cost
         out = []
-        for j in range(n):
-            at = np.flatnonzero((b <= j) & (v <= thr[j]))
-            if not len(at):
-                out.append((math.inf, None))
-                continue
-            best = float(exact[at].min())
-            tie = at[exact[at] <= best + TIE_ATOL]
-            k = tie[np.lexsort((s[tie], r[tie], cost[tie]))[0]]
-            out.append((best, (float(cost[k]), int(r[k]), int(s[k]))))
+        for i in range(nb):
+            mine, row = b == i, []
+            for j in range(n):
+                at = np.flatnonzero(mine & (k <= j) & (v <= thr[i, j]))
+                if not len(at):
+                    row.append((math.inf, None))
+                    continue
+                best = float(exact[at].min())
+                tie = at[exact[at] <= best + TIE_ATOL]
+                c = tie[np.lexsort((s[tie], r[tie], cost[tie]))[0]]
+                row.append((best, (float(cost[c]), int(r[c]), int(s[c]))))
+            out.append(row)
         return out
+
+
+def _buckets(caps: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Per row of caps (ascending), each cost's bucket: the first j with
+    cost <= caps[j], the row's length past every cap; the number of caps
+    below the cost, as searchsorted(row, cost, "left") counts them."""
+    below = caps.reshape(caps.shape[:1] + (1,) * costs.ndim + caps.shape[1:])
+    return (below < costs[..., None]).sum(axis=-1)
 
 
 def _report(value: float) -> float:
@@ -1015,15 +1091,18 @@ def lagrangian_complexity(d: Dataset, fam: HypothesisFamily, beta: float
 
 def lagrangian_sweep(d: Dataset, fam: HypothesisFamily, betas
                      ) -> list[tuple[float, Hypothesis]]:
-    """lagrangian_complexity at every beta, from one screening of d."""
+    """lagrangian_complexity at every beta, in any order: one screen of d's
+    candidates for every beta, one exact re-check of their shortlists and
+    one Hypothesis per distinct minimizer (`_Candidates.capped_minima`)."""
     betas = [float(b) for b in betas]
-    if any(b < 0 for b in betas):
+    if any(not b >= 0 for b in betas):
         raise ValueError("beta must be >= 0")
     cand = _Candidates(d, fam)
-    out = []
-    for beta in betas:
-        value, (_, r, s) = cand.minimize(beta)
-        out.append((_report(value), cand.hypothesis_for(r, s)))
+    hypotheses, out = {}, []
+    for [(value, (_, r, s))] in cand.capped_minima(betas, [math.inf]):
+        if (r, s) not in hypotheses:
+            hypotheses[r, s] = cand.hypothesis_for(r, s)
+        out.append((_report(value), hypotheses[r, s]))
     return out
 
 
@@ -1049,7 +1128,7 @@ def structure_function(d: Dataset, fam: HypothesisFamily, t_grid) -> Curve:
     if t_grid.size > 1 and not (np.diff(t_grid) > 0).all():
         raise ValueError("t_grid must be strictly increasing")
     losses, complexities = [], []
-    for best, where in _Candidates(d, fam).capped_minima(0.0, t_grid):
+    for best, where in _Candidates(d, fam).capped_minima([0.0], t_grid)[0]:
         losses.append(math.inf if where is None else _report(best))
         complexities.append(math.inf if where is None else where[0])
     return Curve(t_grid, np.array(losses), np.array(complexities))
@@ -1071,7 +1150,7 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
     exactly the argmin set (up to the TIE_ATOL float-tie window). The
     beta-minimal members (smallest code length) are flagged.
     """
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be >= 0")
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -1083,7 +1162,7 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
     found = []
 
     def keep(at, values):
-        for j, s in zip(*np.nonzero(values <= bound)):
+        for j, s in zip(*np.nonzero(values[0] <= bound)):
             r, s = int(at[j]), int(s)
             cost = float(cand.fam.costs[r] + cand.ext[s])
             # the max loss a variant may have; limit holds loss + beta * cost
@@ -1099,7 +1178,8 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
                         raise NoHypothesisError(
                             "too many sufficient statistics to enumerate")
 
-    cand._screens(beta, [math.inf], lambda: bound, keep)
+    cand._screens(np.array([beta]), np.full((1, 1), np.inf),
+                  lambda: np.full((1, 1), bound), keep)
     found.sort(key=lambda e: (e[1], e[2], e[3]))
     min_cost = min(e[0] for e in found)
     return [BetaStatistic(cand.hypothesis_for(r, s, np.array(pins, dtype=np.int64)),
@@ -1234,7 +1314,7 @@ def oracle_distance(d1: Dataset, d2: Dataset, fam: HypothesisFamily,
     zero. ``fam`` is the family for d1; the union family is derived with
     the same pricing.
     """
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be >= 0")
     c1 = _Candidates(d1, fam).minimize(beta)[1][0]
     du = disjoint_union(d1, d2)

@@ -289,7 +289,7 @@ def expected_loss(q: GaussianPosterior, d: Dataset, mc_samples: int,
 def lagrangian(q: GaussianPosterior, d: Dataset, beta: float,
                p: IsotropicPrior, mc: int, seed: int) -> float:
     """expected_loss + beta * kl_gaussian."""
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be >= 0")
     return expected_loss(q, d, mc, seed) + beta * kl_gaussian(q, p)
 
@@ -395,7 +395,7 @@ def _optimize_many(models, betas, prior: IsotropicPrior, cfg: VariationalConfig,
     runs of a batch that share n share each kernel call; an exact-Gaussian
     model runs alone, and any other model is a ValueError.
     """
-    if any(b < 0 for b in betas):
+    if any(not b >= 0 for b in betas):
         raise ValueError("beta must be >= 0")
     for m in models:
         if not (isinstance(m, MlpLossModel) or getattr(m, "exact_gaussian", False)):

@@ -98,7 +98,7 @@ def test_capped_minima_match_per_t_references(task, data):
     t_grid = _crossing_grid(cand, data)
     for beta in (0.0, data.draw(st.sampled_from([0.3, 1.0]))):
         want = _references(cand, beta, t_grid)
-        assert cand.capped_minima(beta, t_grid) == want
+        assert cand.capped_minima([beta], t_grid)[0] == want
         if beta == 0.0:
             assert _curve_rows(structure_function(d, fam, t_grid)) == \
                 _reference_rows(want)
@@ -165,7 +165,7 @@ def test_pair_candidate_priced_at_the_zero_cap():
     t_grid = [np.nextafter(c_zero, -np.inf), c_zero, np.nextafter(c_zero, np.inf),
               c_zero + 1.0]
     for beta in (0.0, 0.5):
-        assert cand.capped_minima(beta, t_grid) == _references(cand, beta, t_grid)
+        assert cand.capped_minima([beta], t_grid)[0] == _references(cand, beta, t_grid)
     assert _curve_rows(structure_function(d, fam, t_grid)) == \
         _reference_rows(_references(cand, 0.0, t_grid))
 
@@ -187,7 +187,7 @@ def test_zero_cap_needs_table_values_at_most_one():
     cand = fo._Candidates(d, fam)
     assert not cand.unit_bounded and zero_cost(cand) == 1.0 + cand.ext[0]
     t_grid = [1.0 + cand.ext[0], 2.0 + cand.ext[0]]
-    got = cand.capped_minima(0.0, t_grid)
+    got = cand.capped_minima([0.0], t_grid)[0]
     assert got == _references(cand, 0.0, t_grid)
     assert got[1][0] < -fo.TIE_ATOL and got[1][1][1] == 1
 
@@ -203,7 +203,7 @@ def test_zero_cap_takes_exact_zeros_only():
     assert fo.TIE_ATOL < loss <= fo._screen_margin(0.0)
     assert cand.unit_bounded and zero_cost(cand) == 1.5 + cand.ext[0]
     t_grid = [1.0 + cand.ext[0], 1.5 + cand.ext[0], np.inf]
-    got = cand.capped_minima(0.0, t_grid)
+    got = cand.capped_minima([0.0], t_grid)[0]
     assert got == _references(cand, 0.0, t_grid)
     assert [where[1] for _, where in got] == [0, 1, 1]
 

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+import taskinfo
 from taskinfo.cli import main
 from taskinfo.tasks import load_dataset_csv
 
@@ -99,6 +103,33 @@ def test_cli_rerun_is_byte_identical(tmp_path, command):
     assert files and files == sorted(p.name for p in out2.iterdir())
     for name in files:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_oracle_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # an oracle beta sweep over a planted and random-label union writes the
+    # same bytes on one BLAS thread and two (a variational run does not)
+    union = {"type": "union",
+             "left": {"type": "planted", "n": 32, "k": 2, "domain_size": 16,
+                      "rule": "parity011", "noise": 0.0, "seed": 31},
+             "right": dict(RANDOM_TASK, n=8, domain={"kind": "discrete", "size": 8})}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "version": 1, "seed": 3, "engine": "oracle",
+        "tasks": [{"name": "union", "task": union}],
+        "betas": [2.0 ** e for e in range(3, -7, -1)]}))
+    src = os.path.dirname(os.path.dirname(taskinfo.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "taskinfo.cli", "beta-sweep",
+                        "--config", str(cfg_path), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["beta_sweep.csv", "beta_sweep.svg"]
+    assert outputs[0] == outputs[1]
 
 
 def test_seed_override_changes_hash_and_data(tmp_path):
@@ -519,6 +550,10 @@ PLANTED_TASK = {"type": "planted", "n": 20, "k": 2, "domain_size": 8,
      "task.labels", "expected a list"),
     ({"type": "subset_classes", "base": RANDOM_TASK, "labels": [0.5]},
      "task.labels[0]", "expected an integer"),
+    ({"type": "subset_classes", "base": RANDOM_TASK, "labels": [1, 7]},
+     "task.labels[1]", "label 7 is outside 0..1"),
+    ({"type": "subset_classes", "base": RANDOM_TASK, "labels": [-1]},
+     "task.labels[0]", "label -1 is outside 0..1"),
     ({"type": "transform", "base": RANDOM_TASK,
       "transform": {"kind": "subset", "fraction": 0.5, "seed": 1.5}},
      "task.transform.seed", "expected an integer"),

@@ -104,9 +104,9 @@ def test_factored_union_screen_matches_dense(task, data):
         for cap in caps:
             # the full screen over the dense tables
             want = reference_minimize(dense, beta, cap)
-            assert dense.capped_minima(beta, [cap]) == [want]
-            assert cand.capped_minima(beta, [cap]) == [want]
-            assert custom.capped_minima(beta, [cap]) == [want]
+            assert dense.capped_minima([beta], [cap])[0] == [want]
+            assert cand.capped_minima([beta], [cap])[0] == [want]
+            assert custom.capped_minima([beta], [cap])[0] == [want]
     assert "tables" not in vars(fam)
 
     assert fam.tables.tobytes() == tables.tobytes()
@@ -200,7 +200,7 @@ def test_many_caps_keep_the_pairs_a_small_cap_needs():
     t = float(candidate_costs(cand)[31, 0])
     want = [reference_minimize(cand, 0.4, cap) for cap in (t, np.inf)]
     assert want[0][1][1:] == (31, 0) and 31 >= len(fam._flat)
-    assert cand.capped_minima(0.4, [t, np.inf]) == want
+    assert cand.capped_minima([0.4], [t, np.inf])[0] == want
 
 
 def test_union_queries_build_no_dense_tables():
@@ -373,6 +373,19 @@ def test_union_critical_beta_and_statistics_build_no_r_wide_rows(union2x32,
         assert peak <= 10e6, f"peak {peak / 1e6:.1f} MB"
         assert sum(built) == n_flat + sum(kept)
         assert sum(kept) < len(fam) // 50
+
+
+def test_union_sweep_matches_each_beta_alone(union2x32):
+    # eight of perfbench oracle-union's ten betas reach the pairs here, so
+    # the sweep takes their least floors in chunks of pairs, a lone beta in
+    # one; the sweep keeps within twice the 3.3 MB peak of one screen per beta
+    d, fam = union2x32
+    betas = [2.0 ** e for e in range(3, -7, -1)]
+    got, peak = _traced(lambda: fo.lagrangian_sweep(d, fam, betas))
+    assert peak <= 6.6e6, f"peak {peak / 1e6:.1f} MB"
+    assert [(value, h.identity()) for value, h in got] == [
+        (value, h.identity()) for value, h in
+        (fo.lagrangian_complexity(d, fam, beta) for beta in betas)]
 
 
 def test_union_critical_beta_and_statistics_match_the_r_wide_screen(union2x32):

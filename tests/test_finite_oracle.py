@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from taskinfo import finite_oracle as fo
 from taskinfo import tasks
+from taskinfo import variational as vi
+from taskinfo.bounds import pac_bayes_bound
 from taskinfo.finite_oracle import (
     Hypothesis,
     HypothesisFamily,
@@ -27,6 +29,7 @@ from taskinfo.finite_oracle import (
     save_family,
     structure_function,
 )
+from taskinfo.models import Architecture
 from taskinfo.tasks import Dataset, DiscreteSpace, disjoint_union
 
 from .reference import candidate_costs, naive_candidates, naive_family, naive_min
@@ -811,6 +814,32 @@ def test_negative_beta_is_rejected(plain_fam8):
         beta_sufficient_statistics(d, plain_fam8, -0.5, tol=0.0)
     with pytest.raises(ValueError, match="beta must be >= 0"):
         fo.lagrangian_sweep(d, plain_fam8, [1.0, -0.5])
+
+
+@pytest.mark.parametrize("call", [
+    "lagrangian_sweep", "lagrangian_complexity", "beta_sufficient_statistics",
+    "oracle_distance", "variational.lagrangian", "optimize_posterior",
+    "pac_bayes_bound"])
+def test_nan_beta_is_rejected(plain_fam8, call):
+    # each check is written so that NaN fails it; `beta < 0` let NaN through
+    # to a TypeError, a run diverged at step 0 or a NaN bound
+    d = tasks.generate_planted_task(20, plain_fam8.hypothesis("bit0"), 0.0, seed=3)
+    real = tasks.generate_random_label_task(8, tasks.RealSpace(2), 2, seed=4)
+    arch, prior, nan = Architecture((2, 2)), vi.IsotropicPrior(1.0), math.nan
+    calls = {
+        "lagrangian_sweep": lambda: lagrangian_sweep(d, plain_fam8, [1.0, nan]),
+        "lagrangian_complexity": lambda: lagrangian_complexity(d, plain_fam8, nan),
+        "beta_sufficient_statistics":
+            lambda: beta_sufficient_statistics(d, plain_fam8, nan, tol=0.0),
+        "oracle_distance": lambda: oracle_distance(d, d, plain_fam8, nan),
+        "variational.lagrangian": lambda: vi.lagrangian(
+            vi.prior_matched_posterior(arch, prior), real, nan, prior, 4, 0),
+        "optimize_posterior": lambda: vi.optimize_posterior(
+            real, arch, nan, prior, vi.VariationalConfig(steps=2)),
+        "pac_bayes_bound": lambda: pac_bayes_bound(1.0, 1.0, 10, nan, 0.05),
+    }
+    with pytest.raises(ValueError, match="beta must be >= 0|bound needs beta > 1/2"):
+        calls[call]()
 
 
 # ---------------------------------------------------------------------------

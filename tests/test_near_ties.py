@@ -213,7 +213,7 @@ def test_planted_near_ties_match_references(task):
     t_grid.append(math.inf)
     checked.clear()
     want = [reference_minimize(cand, beta, t) for t in t_grid]
-    assert cand.capped_minima(beta, t_grid) == want
+    assert cand.capped_minima([beta], t_grid)[0] == want
     values = _values(cand, beta)
     assert set(checked[0]) == unbeaten(cand, beta, set().union(
         *(_shortlist(values, candidate_costs(cand) <= t) for t in t_grid)))
@@ -419,6 +419,8 @@ def test_realized_shortcut_keeps_the_slack_of_the_least_pair_floor(monkeypatch):
         return f
 
     def planted_floor(cand, beta):
+        if np.ndim(beta):       # the screen's test of every beta at once
+            return least_pair_floor(cand, beta)
         const = np.flatnonzero(fam.is_constant)
         loss = cand.exact_losses(const, np.zeros_like(const)).tolist()
         cost = (fam.costs[const] + cand.ext[0]).tolist()

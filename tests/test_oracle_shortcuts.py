@@ -2,13 +2,16 @@
 
 `critical_beta` decides most bisection midpoints from the rules with
 tables and the pairs' least child floor, `beta_sufficient_statistics`
-shortlists from the pruned screen, and `structure_function` serves its
-whole t grid from one screen and one exact re-check, which at beta = 0
-skips every candidate dearer than the cheapest zero-loss one. The
-references in `reference.py` re-check every shortlisted row, run an exact
-minimum at every midpoint, scan the R-wide screen and its Pareto frontier,
-and screen every t on its own.
+shortlists from the pruned screen, `structure_function` serves its whole
+t grid from one screen and one exact re-check, which at beta = 0 skips
+every candidate dearer than the cheapest zero-loss one, and
+`lagrangian_sweep` serves every beta from one screen and one exact
+re-check. The references in `reference.py` re-check every shortlisted
+row, run an exact minimum at every midpoint, scan the R-wide screen and
+its Pareto frontier, and screen every t and every beta on its own.
 """
+
+import collections
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from taskinfo.finite_oracle import (
     HypothesisFamily,
     beta_sufficient_statistics,
     critical_beta,
+    lagrangian_complexity,
+    lagrangian_sweep,
     structure_function,
 )
 from taskinfo.tasks import Dataset, DiscreteSpace, disjoint_union
@@ -28,6 +33,7 @@ from taskinfo.tasks import Dataset, DiscreteSpace, disjoint_union
 from .reference import (
     approx_loss,
     candidate_costs,
+    frontier,
     frontier_critical_beta,
     reference_critical_beta,
     reference_exact_losses,
@@ -82,10 +88,42 @@ def test_shortcuts_match_exhaustive_references(task, beta):
     curve = structure_function(d, fam, t_grid)
     for t, loss, cost in zip(t_grid, curve.loss, curve.complexity):
         value, where = reference_minimize(cand, 0.0, cost_cap=t)
-        assert cand.capped_minima(0.0, [t]) == [(value, where)]
+        assert cand.capped_minima([0.0], [t])[0] == [(value, where)]
         assert (loss, cost) == ((np.inf, np.inf) if where is None
                                 else (fo._report(value), where[0]))
     assert critical_beta(d, fam) == reference_critical_beta(d, fam)
+
+
+def _first_breakpoint(cand):
+    """The least beta > 0 at which the least approx + beta * cost over the
+    Pareto frontier moves to a cheaper candidate; 1.0 when it never does."""
+    cost, approx = frontier(cand)
+    finite = approx < fo._INF_REPORT
+    cost, approx = cost[finite], approx[finite]
+    if not len(cost):
+        return 1.0
+    i = np.lexsort((cost, approx))[0]
+    cheaper = cost < cost[i]
+    beta = (approx[cheaper] - approx[i]) / (cost[i] - cost[cheaper])
+    return float(beta.min()) if len(beta) else 1.0
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_oracle_tasks(), st.data())
+def test_sweep_matches_each_beta_alone_and_the_reference(task, data):
+    # unsorted and repeated betas, 0 and a breakpoint of the envelope among
+    # them: one screen and one exact re-check for every beta give, bit for
+    # bit, each beta's own query and the R-wide reference
+    d, fam = task
+    cand = fo._Candidates(d, fam)
+    bstar = _first_breakpoint(cand)
+    betas = data.draw(st.permutations([0.0, bstar, 0.3, 2.5, 0.0, bstar]))
+    got = [(value, h.identity()) for value, h in lagrangian_sweep(d, fam, betas)]
+    assert got == [(value, h.identity()) for value, h in
+                   (lagrangian_complexity(d, fam, b) for b in betas)]
+    assert got == [(fo._report(value), (r, frozenset(cand.pins_for(r, s))))
+                   for value, (_, r, s) in (reference_minimize(cand, b) for b in betas)]
 
 
 def _statistics(stats):
@@ -158,12 +196,12 @@ def test_grid_screen_matches_per_t_references(task, data):
     for beta in (0.0, 0.4):
         want = _capped_references(cand, beta, t_grid)
         checked.clear()
-        assert cand.capped_minima(beta, t_grid) == want
+        assert cand.capped_minima([beta], t_grid)[0] == want
         # one exact re-check, of the union of the shortlists, each row once;
         # at beta = 0, none that a zero-loss candidate beats on cost
         assert len(checked) == 1 and len(set(checked[0])) == len(checked[0])
         assert set(checked[0]) == unbeaten(cand, beta, _shortlists(cand, beta, t_grid))
-        assert [cand.capped_minima(beta, [t])[0] for t in t_grid] == want
+        assert [cand.capped_minima([beta], [t])[0][0] for t in t_grid] == want
         if beta == 0.0:
             assert _curve_rows(structure_function(d, fam, t_grid)) == \
                 _reference_rows(want)
@@ -260,6 +298,36 @@ def test_zero_rule_off_when_a_table_value_exceeds_one():
 
 
 WORKLOAD_T_GRID = [3.0 * i for i in range(1, 13)]    # perfbench oracle-union
+WORKLOAD_BETAS = [2.0 ** e for e in range(3, -7, -1)]
+
+
+@pytest.mark.parametrize("per_screen", [len(WORKLOAD_BETAS), 3])
+def test_sweep_builds_its_candidates_once_and_rechecks_once(union3, monkeypatch,
+                                                            per_screen):
+    # all ten betas in one screen, or three to a screen under a smaller
+    # _BLOCK: one candidate build, one exact re-check, each beta's answer
+    d, fam = union3
+    want = [(value, h.identity()) for value, h in
+            (lagrangian_complexity(d, fam, beta) for beta in WORKLOAD_BETAS)]
+    monkeypatch.setattr(fo, "_BLOCK", per_screen * (len(fam) - len(fam._flat)))
+    calls = collections.Counter()
+
+    def count(name):
+        real = getattr(fo._Candidates, name)
+
+        def spy(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(fo._Candidates, name, spy)
+
+    for name in ("__init__", "exact_losses", "hypothesis_for"):
+        count(name)
+    out = lagrangian_sweep(d, fam, WORKLOAD_BETAS)
+    assert [(value, h.identity()) for value, h in out] == want
+    assert calls["__init__"] == 1 and calls["exact_losses"] == 1
+    # one Hypothesis per distinct minimizer, shared by the betas it wins
+    assert calls["hypothesis_for"] == len({h.identity() for _, h in out}) < len(out)
 
 
 def test_grid_screen_matches_references_on_planted_random_union(union3):
@@ -268,7 +336,7 @@ def test_grid_screen_matches_references_on_planted_random_union(union3):
     want = _capped_references(cand, 0.0, WORKLOAD_T_GRID)
     assert _curve_rows(structure_function(d, fam, WORKLOAD_T_GRID)) == \
         _reference_rows(want)
-    assert cand.capped_minima(0.4, WORKLOAD_T_GRID) == \
+    assert cand.capped_minima([0.4], WORKLOAD_T_GRID)[0] == \
         _capped_references(cand, 0.4, WORKLOAD_T_GRID)
 
 
