@@ -36,7 +36,6 @@ __all__ = [
     "epsilon_local_step",
     "anneal",
     "check_epsilon_connected",
-    "effective_potential_delta",
     "shannon_information_estimate",
     "ShannonEstimate",
     "gaussian_lattice_grid",
@@ -293,17 +292,6 @@ def check_epsilon_connected(g: PosteriorGrid, s: AnnealSchedule
         reachable = nxt[g.metric[chain[-1], nxt] <= s.epsilon]
         chain.append(int(reachable[0]))
     return ConnectivityReport(True, witness_chain=tuple(chain))
-
-
-def effective_potential_delta(g: PosteriorGrid, q0: int, qf: int,
-                              beta: float) -> float:
-    """Static effective-potential gap Delta(L + beta KL) between two nodes.
-
-    The static transition weight at temperature T is exp(-Delta / (2T)),
-    computed by the caller.
-    """
-    values = g.lagrangian(beta)
-    return float(values[qf] - values[q0])
 
 
 @dataclass(frozen=True)

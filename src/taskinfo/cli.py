@@ -12,8 +12,10 @@ Commands (all driven by a versioned JSON config):
 Common flag: --seed-override replaces the config's top-level seed. Every
 output embeds the effective config hash and tool version in a comment
 header; writes are atomic (temp file + rename) and nothing is written if
-the run fails. Exit codes: 0 success, 2 config error (any ValueError), 1
-runtime error. Unknown config keys are rejected; every config number,
+the run fails. Exit codes: 0 success, 2 config error (a ConfigError, which
+names the config field at fault), 1 any other error. A library ValueError
+about a value the config gave is reported as a ConfigError naming that
+value's field. Unknown config keys are rejected; every config number,
 alone or in a list, is read by `_number`, and a boolean, string or
 non-finite one is an error naming the field (``oracle.t_grid[0]``); a file
 name is read by `_file_name`, and must be a string. All randomness flows
@@ -23,6 +25,8 @@ from explicit seeds through named Philox streams.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -48,6 +52,18 @@ __all__ = ["main", "ConfigError"]
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _blame(path: str):
+    """Report a library ValueError raised in the block as a ConfigError
+    naming ``path``, the config field whose values the block checks."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()):
@@ -119,10 +135,11 @@ def _file_name(spec: dict, key: str, path: str) -> str:
 
 def _build_domain(spec, path) -> tasks_mod.DiscreteSpace | tasks_mod.RealSpace:
     _check_keys(spec, path, ("kind",), ("size", "dim"))
-    if spec["kind"] == "discrete":
-        return tasks_mod.DiscreteSpace(_number(spec, "size", path))
-    if spec["kind"] == "real":
-        return tasks_mod.RealSpace(_number(spec, "dim", path))
+    with _blame(path):
+        if spec["kind"] == "discrete":
+            return tasks_mod.DiscreteSpace(_number(spec, "size", path))
+        if spec["kind"] == "real":
+            return tasks_mod.RealSpace(_number(spec, "dim", path))
     raise ConfigError(f"{path}.kind: unknown domain kind {spec['kind']!r}")
 
 
@@ -135,15 +152,13 @@ def _family(space, k, obj, path, families=None, task="task") -> oracle.Hypothesi
                           "not real vectors")
     noise_grid = (tuple(_numbers(obj, "noise_grid", path)) if "noise_grid" in obj
                   else (0.05, 0.1, 0.2))
-    try:
+    with _blame(f"{path}.noise_grid"):
         oracle._check_noise_grid(noise_grid)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.noise_grid: {exc}") from None
-    if families is None:
-        return oracle.HypothesisFamily.for_space(space, k, noise_grid)
+    families = {} if families is None else families
     key = (space.size, k, noise_grid)
     if key not in families:
-        families[key] = oracle.HypothesisFamily.for_space(space, k, noise_grid)
+        with _blame(task):
+            families[key] = oracle.HypothesisFamily.for_space(space, k, noise_grid)
     return families[key]
 
 
@@ -160,29 +175,33 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
     t = spec["type"]
     if t == "random_labels":
         _check_keys(spec, path, ("type", "n", "k", "domain", "seed"))
-        return tasks_mod.generate_random_label_task(
-            _number(spec, "n", path), _build_domain(spec["domain"], f"{path}.domain"),
-            _number(spec, "k", path), _number(spec, "seed", path))
+        with _blame(path):
+            return tasks_mod.generate_random_label_task(
+                _number(spec, "n", path), _build_domain(spec["domain"], f"{path}.domain"),
+                _number(spec, "k", path), _number(spec, "seed", path))
     if t == "planted":
         _check_keys(spec, path, ("type", "n", "k", "domain_size", "rule", "seed"),
                     ("noise", "noise_grid"))
-        fam = _family(tasks_mod.DiscreteSpace(_number(spec, "domain_size", path)),
-                      _number(spec, "k", path), spec, path, families)
+        with _blame(path):
+            fam = _family(tasks_mod.DiscreteSpace(_number(spec, "domain_size", path)),
+                          _number(spec, "k", path), spec, path, families, path)
         try:
             rule = fam.hypothesis(spec["rule"])
         except (KeyError, IndexError):
             raise ConfigError(f"{path}.rule: no family rule {spec['rule']!r}") from None
         except (TypeError, ValueError):
             raise ConfigError(f"{path}.rule: expected a rule name") from None
-        return tasks_mod.generate_planted_task(
-            _number(spec, "n", path), rule,
-            _number(spec, "noise", path, float, 0.0),
-            _number(spec, "seed", path))
+        with _blame(path):
+            return tasks_mod.generate_planted_task(
+                _number(spec, "n", path), rule,
+                _number(spec, "noise", path, float, 0.0),
+                _number(spec, "seed", path))
     if t == "union":
         _check_keys(spec, path, ("type", "left", "right"))
-        return tasks_mod.disjoint_union(
-            build_task(spec["left"], f"{path}.left", families),
-            build_task(spec["right"], f"{path}.right", families))
+        with _blame(path):
+            return tasks_mod.disjoint_union(
+                build_task(spec["left"], f"{path}.left", families),
+                build_task(spec["right"], f"{path}.right", families))
     if t == "transform":
         _check_keys(spec, path, ("type", "base", "transform"))
         tspec, tpath = spec["transform"], f"{path}.transform"
@@ -191,11 +210,9 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
         fields = {key: tuple(_numbers(tspec, key, tpath, int)) if kind is tuple
                   else _number(tspec, key, tpath, kind)
                   for key, kind in _TRANSFORM_FIELDS.items() if key in tspec}
-        try:
+        with _blame(tpath):
             return tasks_mod.apply_transform(
                 base, tasks_mod.TaskTransform(kind=tspec["kind"], **fields))
-        except ValueError as exc:
-            raise ConfigError(f"{tpath}: {exc}") from None
     if t == "as_real":
         _check_keys(spec, path, ("type", "base"))
         return tasks_mod.as_real_vectors(
@@ -216,10 +233,8 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
         name = _file_name(spec, "path", path)
         if not os.path.exists(name):
             raise ConfigError(f"{path}.path: no such task file {name!r}")
-        try:
+        with _blame(f"{path}.path"):      # "path:line: ..." from the loader
             return tasks_mod.load_dataset_csv(name)
-        except ValueError as exc:         # "path:line: ..." from the loader
-            raise ConfigError(f"{path}.path: {exc}") from None
     raise ConfigError(f"{path}.type: unknown task type {t!r}")
 
 
@@ -232,16 +247,24 @@ def _variational_config(spec, path) -> vi.VariationalConfig:
     """The optimizer fields at ``path``, each read by `_number`; grad_clip
     and logvar_learning_rate also take null (no clip; the learning rate)."""
     _check_keys(spec, path, (), tuple(_OPT_FIELDS))
-    return vi.VariationalConfig(**{
-        key: None if spec[key] is None and key in ("grad_clip", "logvar_learning_rate")
-        else _number(spec, key, path, kind)
-        for key, kind in _OPT_FIELDS.items() if key in spec})
+    with _blame(path):
+        return vi.VariationalConfig(**{
+            key: None if spec[key] is None and key in ("grad_clip", "logvar_learning_rate")
+            else _number(spec, key, path, kind)
+            for key, kind in _OPT_FIELDS.items() if key in spec})
 
 
 def _arch(spec, path, input_dim: int, k: int) -> Architecture:
     """input_dim, the widths listed in spec["arch_hidden"] (JSON integers), k."""
     hidden = _numbers(spec, "arch_hidden", path, int) if "arch_hidden" in spec else ()
-    return Architecture((input_dim, *hidden, k))
+    with _blame(f"{path}.arch_hidden"):
+        return Architecture((input_dim, *hidden, k))
+
+
+def _prior(spec, path, default=None) -> vi.IsotropicPrior:
+    """The isotropic prior of scale spec["prior_scale"]."""
+    with _blame(f"{path}.prior_scale"):
+        return vi.IsotropicPrior(_number(spec, "prior_scale", path, float, default))
 
 
 def _named_tasks(cfg) -> list:
@@ -265,8 +288,7 @@ def _variational_sweep(d, betas, vcfg, seed: int) -> vi.SweepResult:
     dd = tasks_mod.as_real_vectors(d)
     arch = _arch(vcfg, "variational", dd.space.dim, dd.num_labels)
     return vi.structure_sweep(
-        dd, arch, betas,
-        vi.IsotropicPrior(_number(vcfg, "prior_scale", "variational", float)),
+        dd, arch, betas, _prior(vcfg, "variational"),
         _variational_config(vcfg.get("opt", {}), "variational.opt"), seed=seed)
 
 
@@ -391,13 +413,14 @@ def cmd_distance_matrix(cfg, hash_, seed: int) -> dict:
     if len(dims) != 1:
         raise ConfigError("tasks: distance-matrix tasks must share input dim")
     beta = _number(cfg, "beta", "config", float)
-    dcfg = distance_mod.DistanceConfig(
-        replicates=_number(cfg, "replicates", "config", int, 2),
-        opt=_variational_config(cfg.get("opt", {}), "opt"),
-        prior=vi.IsotropicPrior(_number(cfg, "prior_scale", "config", float)),
-        lagrangian_slack=_number(cfg, "lagrangian_slack", "config", float, 0.05),
-        tau_fraction=_number(cfg, "tau_fraction", "config", float, 0.05),
-    )
+    with _blame("config"):
+        dcfg = distance_mod.DistanceConfig(
+            replicates=_number(cfg, "replicates", "config", int, 2),
+            opt=_variational_config(cfg.get("opt", {}), "opt"),
+            prior=_prior(cfg, "config"),
+            lagrangian_slack=_number(cfg, "lagrangian_slack", "config", float, 0.05),
+            tau_fraction=_number(cfg, "tau_fraction", "config", float, 0.05),
+        )
     arch = _arch(cfg, "config", dims.pop() + 2, max(ks))
     seeds = [seed * 131 + r for r in range(dcfg.replicates)]
     matrix = distance_mod.distance_matrix(named, beta, arch, dcfg, seeds)
@@ -425,6 +448,19 @@ def cmd_distance_matrix(cfg, hash_, seed: int) -> dict:
     }
 
 
+def _redrawn(spec, n: int, seed: int, path="task"):
+    """``spec`` with its generator leaf drawing ``n`` samples from ``seed``,
+    through any wrappers; a transform keeps its own seed."""
+    t = spec.get("type") if isinstance(spec, dict) else None
+    if t in ("random_labels", "planted"):
+        return dict(spec, n=n, seed=seed)
+    if t in ("as_real", "transform", "subset_classes") and "base" in spec:
+        return dict(spec, base=_redrawn(spec["base"], n, seed, f"{path}.base"))
+    if t in ("union", "file"):
+        raise ConfigError(f"{path}: a {t} task cannot be redrawn for each trial")
+    return spec                     # build_task names what is wrong with it
+
+
 def cmd_pac_bayes(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "mode"),
                 ("train_loss_total", "kl", "n", "beta", "delta", "task",
@@ -435,19 +471,22 @@ def cmd_pac_bayes(cfg, hash_, seed: int) -> dict:
     def num(key, kind=float, default=None):
         return _number(cfg, key, "config", kind, default)
 
+    def bound(train_loss_total, kl, n):     # its checks name beta, delta and n
+        with _blame("config"):
+            return bounds_mod.pac_bayes_bound(train_loss_total, kl, n, num("beta"),
+                                              num("delta"))
+
     if cfg["mode"] == "bound":
-        rep = bounds_mod.pac_bayes_bound(num("train_loss_total"), num("kl"),
-                                         num("n", int), num("beta"), num("delta"))
+        rep = bound(num("train_loss_total"), num("kl"), num("n", int))
         rows.append(f"0,{rep.train_term!r},{rep.kl!r},{rep.bound_value!r},,")
     elif cfg["mode"] == "trials":
         spec = cfg.get("task")
-        if not isinstance(spec, dict):
-            raise ConfigError("task: expected a task object with a 'type'")
         n_train, n_test = num("n_train", int), num("n_test", int)
+        bound(0.0, 0.0, n_train)                # before any fit
         families = {}
 
         def generator(trial_seed):
-            full_spec = dict(spec, n=n_train + n_test, seed=trial_seed)
+            full_spec = _redrawn(spec, n_train + n_test, trial_seed)
             d = tasks_mod.as_real_vectors(build_task(full_spec, families=families))
             return tasks_mod.subset_split(d, n_train / (n_train + n_test),
                                           seed=trial_seed)
@@ -456,7 +495,7 @@ def cmd_pac_bayes(cfg, hash_, seed: int) -> dict:
         arch = _arch(cfg, "config", probe.space.dim, probe.num_labels)
         report = bounds_mod.bound_validation_trial(
             generator, arch, num("beta"), num("delta"), num("trials", int),
-            seed, prior=vi.IsotropicPrior(num("prior_scale", default=1.0)),
+            seed, prior=_prior(cfg, "config", 1.0),
             cfg=_variational_config(cfg.get("opt", {}), "opt"))
         for row in report.rows:
             trial, train_term, kl, bound, test_loss, covered = row
@@ -484,14 +523,17 @@ def cmd_anneal(cfg, hash_, seed: int) -> dict:
             raise ConfigError(f"grid: {exc}") from None
     else:
         rows = {f"metric[{i}]": r for i, r in enumerate(_list(gspec, "metric", "grid"))}
-        grid = anneal_mod.PosteriorGrid(
-            np.array(_numbers(gspec, "losses", "grid")),
-            np.array(_numbers(gspec, "kls", "grid")),
-            np.array([_numbers(rows, at, "grid") for at in rows]))
+        with _blame("grid"):
+            grid = anneal_mod.PosteriorGrid(
+                np.array(_numbers(gspec, "losses", "grid")),
+                np.array(_numbers(gspec, "kls", "grid")),
+                np.array([_numbers(rows, at, "grid") for at in rows]))
     sspec = cfg["schedule"]
     _check_keys(sspec, "schedule", ("betas", "epsilon"))
-    schedule = anneal_mod.AnnealSchedule(tuple(_numbers(sspec, "betas", "schedule")),
-                                         _number(sspec, "epsilon", "schedule", float))
+    with _blame("schedule"):
+        schedule = anneal_mod.AnnealSchedule(
+            tuple(_numbers(sspec, "betas", "schedule")),
+            _number(sspec, "epsilon", "schedule", float))
     start = cfg["start"]
     if isinstance(start, str):
         if start not in grid.node_ids:
@@ -499,7 +541,8 @@ def cmd_anneal(cfg, hash_, seed: int) -> dict:
         start = grid.node_ids.index(start)
     else:
         start = _number(cfg, "start", "config")
-    result = anneal_mod.anneal(grid, schedule, start)
+    with _blame("start"):
+        result = anneal_mod.anneal(grid, schedule, start)
     return {"anneal_trajectory.csv": _csv(
         "anneal", hash_, "step,beta,node_id,lagrangian_nats",
         (f"{step},{beta!r},{grid.node_ids[node]},{lagr!r}"
@@ -519,7 +562,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use."""
     parser = argparse.ArgumentParser(
         prog="taskinfo",
         description="task complexity and distance experiments")
@@ -529,7 +574,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed-override", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -549,7 +598,7 @@ def main(argv=None) -> int:
             cfg, seed = dict(cfg, seed=args.seed_override), args.seed_override
         hash_ = _config_hash(cfg)
         outputs = _COMMANDS[args.command](cfg, hash_, seed)
-    except ValueError as exc:             # a ConfigError or a library ValueError
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # runtime failures: nothing written

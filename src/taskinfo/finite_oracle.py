@@ -43,9 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textio
-from .tasks import (Dataset, DiscreteSpace, _freeze, _parse_union_spec,
-                    _union_spec, disjoint_union, generate_planted_task)
+from .tasks import (Dataset, DiscreteSpace, _freeze, disjoint_union,
+                    generate_planted_task)
 
 __all__ = [
     "INF_NATS",
@@ -68,8 +67,6 @@ __all__ = [
     "oracle_distance",
     "expected_complexity_trial",
     "ExpectedComplexityTrial",
-    "save_family",
-    "load_family",
 ]
 
 INF_NATS = 1e30          # saturating stand-in for an infinite loss
@@ -225,10 +222,10 @@ class HypothesisFamily:
     MAX_CELLS = 2 ** 27       # table cells of the base rules: 1 GiB of float64
 
     def __init__(self, space: DiscreteSpace, num_labels: int, costs: np.ndarray,
-                 tables: np.ndarray, names: list, *, noise_grid=(), custom=False,
-                 parts=(), kids=None, n_same=0, back_w=None, pair_costs=()):
+                 tables: np.ndarray, names: list, *, noise_grid=(), parts=(),
+                 kids=None, n_same=0, back_w=None, pair_costs=()):
         self.space, self.num_labels, self.costs = space, num_labels, costs
-        self.noise_grid, self.custom = tuple(noise_grid), custom
+        self.noise_grid = tuple(noise_grid)
         tables.flags.writeable = False    # built here: frozen in place, not copied
         self._flat, self._flat_names = tables, names
         if not parts:
@@ -426,8 +423,7 @@ class HypothesisFamily:
         return cls(space or DiscreteSpace(m), num_labels or k,
                    np.array([float(h.code_length) for h in hs]),
                    np.stack([h.table for h in hs]),
-                   [h.name or f"rule{i}" for i, h in enumerate(hs)],
-                   custom=True)._checked()
+                   [h.name or f"rule{i}" for i, h in enumerate(hs)])._checked()
 
     @classmethod
     def _build(cls, space, k, noise_grid) -> "HypothesisFamily":
@@ -521,81 +517,6 @@ class HypothesisFamily:
             space, k, np.concatenate([[_GROUP_TAG], costs, costs.repeat(len(q))]), table,
             ["uniform"] + names + [f"{n}~q{v:g}" for n in names for v in noise_grid],
             noise_grid=noise_grid)
-
-
-def save_family(fam: HypothesisFamily, path) -> None:
-    """Write the versioned family description file."""
-    lines = [
-        textio.header("family"),
-        f"space={_union_spec(fam.space)}",
-        f"labels={fam.num_labels}",
-        "noise_grid=" + ",".join(repr(q) for q in fam.noise_grid),
-        f"custom={int(fam.custom)}",
-        f"rules={len(fam)}",
-    ]
-    for i in range(len(fam)):
-        cells = ["rule", str(i), repr(float(fam.costs[i])), fam.names[i]]
-        if fam.custom:
-            cells.append(";".join(repr(float(v)) for v in fam.tables[i].ravel()))
-        lines.append("\t".join(cells))
-    textio.write(path, textio.join(lines))
-
-
-def load_family(path) -> HypothesisFamily:
-    """Read a family file; malformed input raises ValueError("path:line: ...")."""
-    head, _, rows = textio.read(path, "family")
-    rule_lines = [(no, ln.split("\t")) for no, ln in rows if ln.startswith("rule\t")]
-    header = textio.fields(path, [r for r in rows if not r[1].startswith("rule\t")])
-    for key in ("space", "labels", "noise_grid"):
-        if key not in header:
-            textio.fail(path, head, f"header has no {key}= line")
-    no, value = header["space"]
-    with textio.at(path, no):
-        space, _ = _parse_union_spec(value)
-        if not isinstance(space, DiscreteSpace):
-            raise ValueError("a family needs a discrete space")
-    no, value = header["labels"]
-    with textio.at(path, no):
-        k = int(value)
-        if k < 1:
-            raise ValueError("labels must be >= 1")
-    no, value = header["noise_grid"]
-    with textio.at(path, no):
-        noise_grid = tuple(float(q) for q in value.split(",") if q)
-        _check_noise_grid(noise_grid)
-    custom = header.get("custom", (0, "0"))[1] == "1"
-    width = 5 if custom else 4
-    for no, cells in rule_lines:
-        if len(cells) < width:
-            textio.fail(path, no, f"a rule line needs {width} tab-separated "
-                                  f"fields, got {len(cells)}")
-
-    if custom:
-        hyps = []
-        for no, cells in rule_lines:
-            with textio.at(path, no):
-                flat = np.array([float(v) for v in cells[4].split(";")])
-                hyps.append(Hypothesis(flat.reshape(flat.size // k, k),
-                                       float(cells[2]), cells[3]))
-        with textio.at(path, head):
-            return HypothesisFamily.from_rules(hyps, space, k)
-    with textio.at(path, header["space"][0]):
-        fam = HypothesisFamily.for_space(space, k, noise_grid)
-    if "rules" not in header:
-        textio.fail(path, head, "header has no rules= line")
-    no, value = header["rules"]
-    with textio.at(path, no):
-        if len(fam) != int(value):
-            raise ValueError("rule count mismatch with reconstruction")
-    for no, cells in rule_lines:    # try, not textio.at: 94k rules in a 2x32 union
-        try:
-            i = int(cells[1])
-            if not (0 <= i < len(fam) and fam.names[i] == cells[3]
-                    and float(cells[2]) == float(fam.costs[i])):
-                raise ValueError(f"rule {i} does not match reconstruction")
-        except ValueError as exc:
-            textio.fail(path, no, exc)
-    return fam
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Minimal feed-forward network: manual gradients, SGD, checkpoints.
+"""Minimal feed-forward network: manual gradients and SGD.
 
 The model class p_w(y|x) is an MLP with ReLU hidden layers and a softmax
 output. Losses are totals in NATS (sums over the dataset, not means), so
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textio
 from .rng import stream
 from .tasks import Dataset, RealSpace, _freeze
 
@@ -45,9 +44,6 @@ __all__ = [
     "dataset_loss",
     "gradient",
     "sgd_train",
-    "save_loss_trace_csv",
-    "save_params",
-    "load_params",
 ]
 
 
@@ -392,61 +388,3 @@ def sgd_train(d: Dataset, arch: Architecture, cfg: SgdConfig,
                     last_params=unflatten_params(w[0], arch), trace=trace)
             trace.append(float(loss[0]))
     return TrainResult(params=unflatten_params(w[0], arch), loss_trace=tuple(trace))
-
-
-def save_loss_trace_csv(trace, path) -> None:
-    """Per-epoch loss trace as CSV (epoch, loss_nats)."""
-    lines = [textio.header("loss-trace"), "epoch,loss_nats"]
-    for epoch, loss in enumerate(trace):
-        lines.append(f"{epoch},{float(loss)!r}")
-    textio.write(path, textio.join(lines))
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints: versioned text, layer shapes then row-major entries.
-
-
-def save_params(p: MlpParams, path, extra: dict | None = None) -> None:
-    lines = [textio.header("params"),
-             "widths=" + ",".join(str(w) for w in p.architecture.layer_widths)]
-    for key, vec in (extra or {}).items():
-        lines.append(f"{key}=" + ";".join(repr(float(v)) for v in vec))
-    for layer, (w, b) in enumerate(zip(p.weights, p.biases)):
-        lines.append(f"W{layer}=" + ";".join(repr(float(v)) for v in w.ravel()))
-        lines.append(f"b{layer}=" + ";".join(repr(float(v)) for v in b))
-    textio.write(path, textio.join(lines))
-
-
-def load_params(path) -> tuple[MlpParams, dict]:
-    """Read a checkpoint; malformed input raises ValueError("path:line: ...")."""
-    return _read_params(path)
-
-
-def _read_params(path, sized=()) -> tuple[MlpParams, dict]:
-    """load_params; each extra key in ``sized`` must hold one value per parameter."""
-    head, _, rows = textio.read(path, "params")
-    fields = textio.fields(path, rows)
-    if "widths" not in fields:
-        textio.fail(path, head, "no widths= line")
-    no, value = fields.pop("widths")
-    with textio.at(path, no):
-        arch = Architecture(tuple(int(w) for w in value.split(",")))
-    widths = arch.layer_widths
-    shapes = {}
-    for layer, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-        shapes[f"W{layer}"], shapes[f"b{layer}"] = (n_in, n_out), n_out
-    shapes.update((key, arch.num_params) for key in sized)
-    shapes.update((key, None) for key in fields if key not in shapes)
-    values = {}
-    for key, shape in shapes.items():
-        if key not in fields:
-            textio.fail(path, head, f"no {key}= line")
-        no, value = fields[key]
-        with textio.at(path, no):
-            vec = np.array([float(v) for v in value.split(";")])
-            if not np.isfinite(vec).all():
-                raise ValueError("values must be finite")
-            values[key] = vec if shape is None else vec.reshape(shape)
-    layers = range(len(widths) - 1)
-    return (MlpParams(tuple(values.pop(f"W{i}") for i in layers),
-                      tuple(values.pop(f"b{i}") for i in layers)), values)

@@ -1,7 +1,7 @@
 """The envelope every taskinfo text file shares, read and written here.
 
-Datasets, families, checkpoints, loss traces, statistic grids and the CLI's
-outputs are UTF-8 text; each format's loader and writer keep only their rows.
+Datasets, statistic grids and the CLI's outputs are UTF-8 text; each
+format's loader and writer keep only their rows.
 
 - Header: the first non-blank line is ``# taskinfo-<kind> v1``, alone or
   followed by ``, `` and the format's own header fields (``header``).
@@ -27,7 +27,7 @@ import os
 import secrets
 from typing import NoReturn
 
-__all__ = ["header", "read", "fields", "fail", "at", "join", "write", "is_cell"]
+__all__ = ["header", "read", "fail", "at", "join", "write", "is_cell"]
 
 
 def header(kind: str, *fields: str) -> str:
@@ -62,20 +62,6 @@ def read(path, kind: str) -> tuple[int, str, list[tuple[int, str]]]:
         fail(path, lines[0][0] if lines else 1,
              f"expected a '{tag}' header; not a taskinfo-{kind} v1 file")
     return lines[0][0], lines[0][1], lines[1:]
-
-
-def fields(path, rows) -> dict[str, tuple[int, str]]:
-    """key -> (line number, value) of the ``key=value`` rows, comments left
-    out; a key given twice fails on its second line."""
-    out: dict[str, tuple[int, str]] = {}
-    for no, ln in rows:
-        if ln.startswith("#"):
-            continue
-        key, _, value = ln.partition("=")
-        if key in out:
-            fail(path, no, f"repeats {key}= of line {out[key][0]}")
-        out[key] = (no, value)
-    return out
 
 
 def is_cell(text: str) -> bool:

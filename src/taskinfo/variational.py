@@ -73,10 +73,8 @@ from .models import (
     _augment,
     _forward,
     _layer_blocks,
-    _read_params,
     _run_blocks,
     flatten_params,
-    unflatten_params,
 )
 from .rng import _normal_into, stream
 from .tasks import Dataset, _freeze
@@ -105,10 +103,6 @@ __all__ = [
     "fim_trace",
     "structure_sweep",
     "crossing_beta",
-    "save_posterior",
-    "load_posterior",
-    "beta_from_sgd",
-    "sgd_temperature",
 ]
 
 
@@ -327,7 +321,7 @@ class VariationalConfig:
 
     def __post_init__(self):
         if self.steps < 0 or self.learning_rate <= 0 or self.mc_samples < 1:
-            raise ValueError("invalid variational config")
+            raise ValueError("need steps >= 0, learning_rate > 0 and mc_samples >= 1")
         if self.report_mc < 1 or self.trace_every < 1:
             raise ValueError("report_mc and trace_every must be >= 1")
         if self.grad_clip is not None and not self.grad_clip > 0:
@@ -669,33 +663,3 @@ def crossing_beta(betas, losses_per_sample, level: float) -> float | None:
     if l[0] < level:
         return float(b[0])
     return None
-
-
-# ---------------------------------------------------------------------------
-# Posterior checkpoints: the models format plus a log_var array.
-
-
-def save_posterior(q: GaussianPosterior, path) -> None:
-    from .models import save_params
-    save_params(unflatten_params(q.mean, q.arch), path,
-                extra={"log_var": q.log_var})
-
-
-def load_posterior(path) -> GaussianPosterior:
-    params, extra = _read_params(path, sized=("log_var",))
-    return GaussianPosterior(flatten_params(params), extra["log_var"],
-                             params.architecture)
-
-
-# ---------------------------------------------------------------------------
-# SGD hyperparameter mapping (exposed as a conversion only)
-
-
-def sgd_temperature(learning_rate: float, batch_size: int) -> float:
-    """T proportional to eta / B (proportionality constant taken as 1)."""
-    return learning_rate / batch_size
-
-
-def beta_from_sgd(lam: float, weight_decay: float, temperature: float) -> float:
-    """beta = 2 lambda^2 gamma T."""
-    return 2.0 * lam * lam * weight_decay * temperature

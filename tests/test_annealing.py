@@ -14,7 +14,6 @@ from taskinfo.annealing import (
     PosteriorGrid,
     anneal,
     check_epsilon_connected,
-    effective_potential_delta,
     epsilon_local_step,
     gaussian_lattice_grid,
     load_grid,
@@ -395,29 +394,6 @@ def test_check_connected_single_node():
     g = PosteriorGrid(np.array([1.0]), np.array([0.5]), np.zeros((1, 1)))
     rep = check_epsilon_connected(g, AnnealSchedule((2.0, 1.0), 0.5))
     assert rep.connected
-
-
-def test_effective_potential_delta():
-    g = staircase_grid()
-    assert effective_potential_delta(g, 1, 1, 0.7) == 0.0
-    beta = 0.7
-    values = g.lagrangian(beta)
-    deltas = [effective_potential_delta(g, 0, q, beta) for q in range(3)]
-    assert np.argsort(deltas).tolist() == np.argsort(values).tolist()
-
-
-def test_effective_potential_softmax_matches_bruteforce():
-    rng = np.random.default_rng(9)
-    g = line_grid(rng.uniform(0, 5, 10), rng.uniform(0, 3, 10),
-                  positions=rng.uniform(0, 3, 10))
-    beta, temp = 0.8, 0.5
-    deltas = np.array([effective_potential_delta(g, 3, q, beta)
-                       for q in range(10)])
-    weights = np.exp(-deltas / (2 * temp))
-    probs = weights / weights.sum()
-    values = g.lagrangian(beta)
-    direct = np.exp(-(values - values[3]) / (2 * temp))
-    assert np.allclose(probs, direct / direct.sum(), rtol=1e-12)
 
 
 def test_gaussian_lattice_grid_builds_valid_metric():

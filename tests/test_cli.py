@@ -11,6 +11,7 @@ import pytest
 
 import taskinfo
 from taskinfo.cli import main
+from taskinfo.finite_oracle import NoHypothesisError
 from taskinfo.tasks import load_dataset_csv
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -870,3 +871,110 @@ def test_config_branch_exits_2_with_its_message(tmp_path, capsys, command, confi
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("wrap", ["as_real", "transform"])
+def test_pac_bayes_trials_redraw_the_leaf_under_wrappers(tmp_path, wrap):
+    # each trial's n and seed go to the planted leaf; the transform keeps
+    # its own fields, and as_real changes nothing the trials do not do
+    task = ({"type": "as_real", "base": PAC_TRIALS["task"]} if wrap == "as_real"
+            else {"type": "transform", "base": PAC_TRIALS["task"], "transform": {
+                "kind": "label_permutation", "permutation": [1, 0]}})
+    runs = [run_cli(tmp_path, "pac-bayes", dict(PAC_TRIALS, task=spec), out=out)
+            for spec, out in ((PAC_TRIALS["task"], "bare"), (task, wrap))]
+    assert [code for code, _ in runs] == [0, 0]
+    bare, wrapped = (read(out / "pac_bayes.csv").splitlines() for _, out in runs)
+    assert len(wrapped) == 6 and wrapped[-1].startswith("# coverage=")
+    assert (wrapped[1:] == bare[1:]) == (wrap == "as_real")
+
+
+@pytest.mark.parametrize("kind", ["union", "file"])
+def test_pac_bayes_trials_refuse_a_task_with_no_one_leaf(tmp_path, capsys, kind):
+    leaf = PAC_TRIALS["task"]
+    if kind == "union":
+        task, path = {"type": "union", "left": leaf, "right": leaf}, "task"
+    else:
+        assert run_cli(tmp_path, "gen-task", RERUNS["gen-task"][0], out="gen")[0] == 0
+        task = {"type": "as_real", "base": {"type": "file",
+                                            "path": str(tmp_path / "gen" / "task.csv")}}
+        path = "task.base"
+    code, out = run_cli(tmp_path, "pac-bayes", dict(PAC_TRIALS, task=task))
+    assert code == 2
+    assert (f"config error: {path}: a {kind} task cannot be redrawn for each trial"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+_EXHAUSTED = dict(RANDOM_TASK, n=33)
+_SMALL_GRID = {"losses": [1.0, 0.0], "kls": [0.0, 1.0], "metric": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("gen-task", dict(RERUNS["gen-task"][0], task=_EXHAUSTED),
+     "task: domain exhausted: cannot draw 33 distinct inputs from 32"),
+    ("gen-task", dict(RERUNS["gen-task"][0], task={
+        "type": "union", "left": RANDOM_TASK, "right": {"type": "as_real",
+                                                        "base": RANDOM_TASK}}),
+     "task: disjoint union requires a shared input kind"),
+    ("gen-task", dict(RERUNS["gen-task"][0], task=dict(
+        PAC_TRIALS["task"], n=4, noise=1.5)),
+     "task: invalid parameter: noise must be in [0, 1], got 1.5"),
+    ("gen-task", dict(RERUNS["gen-task"][0], task={
+        "type": "as_real", "base": dict(PAC_TRIALS["task"], k=1)}),
+     "task.base: family needs num_labels >= 2"),
+    ("gen-task", dict(RERUNS["gen-task"][0], task=dict(
+        RANDOM_TASK, domain={"kind": "discrete", "size": 0})),
+     "task.domain: discrete space needs size >= 1, got 0"),
+    ("beta-sweep", dict(RERUNS["beta-sweep"][0], tasks=[
+        {"name": "a", "task": RANDOM_TASK}, {"name": "b", "task": _EXHAUSTED}]),
+     "tasks[1].task: domain exhausted"),
+    ("beta-sweep", dict(VI_SWEEP, variational=dict(
+        VI_SWEEP["variational"], opt={"steps": -1})),
+     "variational.opt: need steps >= 0"),
+    ("beta-sweep", dict(VI_SWEEP, variational=dict(
+        VI_SWEEP["variational"], arch_hidden=[0])),
+     "variational.arch_hidden: layer widths must be positive"),
+    ("structure-fn", dict(VI_STRUCTURE, variational=dict(
+        VI_STRUCTURE["variational"], prior_scale=0.0)),
+     "variational.prior_scale: prior scale must be positive"),
+    ("distance-matrix", dict(DISTANCE, replicates=0),
+     "config: need at least one replicate"),
+    ("pac-bayes", dict(PAC_BOUND, kl=-1.0), "config: kl must be >= 0"),
+    ("pac-bayes", dict(PAC_TRIALS, delta=0.0), "config: invalid confidence"),
+    ("anneal", dict(ANNEAL, grid=dict(_SMALL_GRID, metric=[[0, 1], [2, 0]])),
+     "grid: metric must be symmetric"),
+    ("anneal", dict(ANNEAL, grid=_SMALL_GRID, start=2),
+     "start: q_init outside the grid"),
+    ("anneal", dict(ANNEAL, schedule={"betas": [1.0], "epsilon": 0.0}),
+     "schedule: epsilon must be > 0"),
+])
+def test_library_check_of_a_config_value_names_its_field(tmp_path, capsys, command,
+                                                          config, message):
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [ValueError, NoHypothesisError])
+def test_library_value_error_of_the_run_exits_one(tmp_path, capsys, monkeypatch,
+                                                  error):
+    # only a ConfigError exits 2: a ValueError that no call site reports as a
+    # config value's error is a failure of the run
+    def fail(*args):
+        raise error("planted failure")
+
+    monkeypatch.setattr("taskinfo.finite_oracle.structure_function", fail)
+    code, out = run_cli(tmp_path, "structure-fn", RERUNS["structure-fn"][0])
+    assert code == 1
+    assert f"error: {error.__name__}: planted failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    import argparse
+
+    # built on first use, then kept: a second run builds none
+    assert run_cli(tmp_path, "gen-task", RERUNS["gen-task"][0], out="first")[0] == 0
+    monkeypatch.setattr(argparse, "ArgumentParser", None)
+    assert run_cli(tmp_path, "gen-task", RERUNS["gen-task"][0], out="again")[0] == 0

@@ -1,5 +1,7 @@
 """Every name that a taskinfo module lists in ``__all__`` exists, so a
-deleted function cannot leave a dangling export behind; every private
+deleted function cannot leave a dangling export behind, and is reached by
+the package, a demo, an acceptance criterion or a benchmark workload, so
+no export lives on for its own tests alone; every private
 function, method and class is used, so a refactor cannot leave a helper
 behind that nothing calls; arrays are frozen in one place only; the CLI
 converts no config value outside its reader; and one function calls the
@@ -29,6 +31,69 @@ def test_every_exported_name_exists(name):
 
 SOURCES = {path: path.read_text()
            for path in sorted(pathlib.Path(taskinfo.__file__).parent.glob("*.py"))}
+
+# what reaches the package from outside it: the demos, the acceptance
+# criteria and the benchmark's workloads (not the unit tests)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+READERS = [*sorted((ROOT / "demos").glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+           ROOT / "perfbench" / "workloads.py"]
+
+# exported, and reached by none of the above, on purpose
+UNREACHED = {
+    "finite_oracle.mle": "tests use it as a reference",
+    "models.forward": "tests use it as a reference",
+    "tasks.split_union": "checks the union property: a union splits back "
+                         "into its parts",
+    "tasks.save_dataset_csv": "writes the dataset format that a file task reads",
+    "annealing.save_grid": "writes the grid format that anneal reads",
+    "finite_oracle.beta_sufficient_statistics": "a paper quantity, checked "
+                                                "against a brute-force reference",
+    "finite_oracle.deterministic_complexity": "a paper quantity, checked "
+                                              "against a brute-force reference",
+    "distance.finetune_correlate": "the transfer test decides whether it stays",
+}
+
+
+def _references(node) -> set:
+    """Identifiers that node reads: loaded names, attributes, and the names
+    and module paths of imports."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            found.update(*(a.name.split(".") for a in n.names))
+            found.update((getattr(n, "module", None) or "").split("."))
+    return found
+
+
+def _binds(node, name: str) -> bool:
+    """node is the top-level statement that defines name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name == name
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any((a.asname or a.name) == name for a in node.names)
+    return any(isinstance(t, ast.Name) and t.id == name
+               for t in getattr(node, "targets", [getattr(node, "target", None)]))
+
+
+def test_every_exported_name_is_reached():
+    trees = {path.stem: ast.parse(text) for path, text in SOURCES.items()}
+    outside = set().union(*(_references(ast.parse(path.read_text()))
+                            for path in READERS))
+    unreached = []
+    for stem, tree in trees.items():
+        module = "taskinfo" if stem == "__init__" else f"taskinfo.{stem}"
+        others = set().union(*(_references(t) for s, t in trees.items() if s != stem))
+        for name in importlib.import_module(module).__all__:
+            own = set().union(*(_references(node) for node in tree.body
+                                if not _binds(node, name)))
+            if name not in outside | others | own:
+                unreached.append(f"{module.removeprefix('taskinfo.')}.{name}")
+    # every stated exception is still exported and still needed
+    assert sorted(unreached) == sorted(UNREACHED)
 
 
 def _private_definitions():

@@ -23,10 +23,8 @@ from taskinfo.finite_oracle import (
     extension_cost,
     lagrangian_complexity,
     lagrangian_sweep,
-    load_family,
     mle,
     oracle_distance,
-    save_family,
     structure_function,
 )
 from taskinfo.models import Architecture
@@ -246,27 +244,6 @@ def test_hypothesis_invariants():
         Hypothesis(np.array([[0.5, 0.5]]), -1.0)
     with pytest.raises(ValueError, match="code_length"):
         Hypothesis(np.array([[0.5, 0.5]]), math.inf)
-
-
-def test_family_file_roundtrip(tmp_path, fam8):
-    path = tmp_path / "fam.txt"
-    save_family(fam8, path)
-    back = load_family(path)
-    assert back.names == fam8.names
-    assert np.array_equal(back.costs, fam8.costs)
-    assert np.array_equal(back.tables, fam8.tables)
-
-
-def test_family_file_roundtrip_custom(tmp_path):
-    fam = HypothesisFamily.from_rules([
-        Hypothesis(np.array([[0.5, 0.5], [0.1, 0.9]]), 1.25, "a"),
-        Hypothesis(np.array([[1.0, 0.0], [0.0, 1.0]]), 2.5, "b"),
-    ])
-    path = tmp_path / "fam.txt"
-    save_family(fam, path)
-    back = load_family(path)
-    assert back.names == ["a", "b"]
-    assert np.array_equal(back.tables, fam.tables)
 
 
 # ---------------------------------------------------------------------------
@@ -639,79 +616,6 @@ def test_critical_beta_rejects_tolerance_that_never_ends(fam8, tol):
     fam = HypothesisFamily.for_space(d.space, 2)
     with pytest.raises(ValueError, match="tol_bisect"):
         critical_beta(d, fam, tol_bisect=tol)
-
-
-def test_family_load_missing_header_key_names_file_and_line(tmp_path, fam8):
-    path = tmp_path / "fam.txt"
-    save_family(fam8, path)
-    path.write_text("".join(ln for ln in path.read_text().splitlines(True)
-                            if not ln.startswith("space=")))
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: .*space="):
-        load_family(path)
-
-
-def test_family_load_short_rule_line_names_file_and_line(tmp_path, fam8):
-    path = tmp_path / "fam.txt"
-    save_family(fam8, path)
-    lines = path.read_text().splitlines()
-    assert lines[7].startswith("rule\t")
-    lines[7] = "rule\t1"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:8: .*fields"):
-        load_family(path)
-
-
-def test_family_load_bad_values_name_file_and_line(tmp_path, fam8):
-    path = tmp_path / "fam.txt"
-    save_family(fam8, path)
-    good = path.read_text()
-    for old, new, line in (("labels=2", "labels=two", 3),
-                           ("noise_grid=0.05", "noise_grid=1.05", 4),
-                           ("\t0\t", "\tzero\t", 7),
-                           ("space=discrete:8",
-                            "space=(discrete:2,K=2|real:2,K=2)", 2),
-                           ("labels=2", "labels=2\nlabels=2", 4)):
-        path.write_text(good.replace(old, new, 1))
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "):
-            load_family(path)
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(st.integers(0, 10 ** 6),
-                          st.sampled_from(["del", "put", "ins"]),
-                          st.sampled_from(list("0123456789=.;,\t-:()|Kr\n"))),
-                min_size=1, max_size=4))
-def test_family_load_malformed_rules_raise_value_error_with_line(tmp_path, edits):
-    # edits stay in the rule lines: a digit typed into the header could ask
-    # for a domain whose family does not fit in memory
-    path = tmp_path / "fam.txt"
-    save_family(HypothesisFamily.for_space(DiscreteSpace(2), 2), path)
-    good = path.read_text()
-    start = good.index("\nrule\t") + 1
-    text = list(good[start:])
-    for pos, op, ch in edits:
-        i = pos % len(text)
-        if op == "del":
-            del text[i]
-        elif op == "put":
-            text[i] = ch
-        else:
-            text.insert(i, ch)
-    path.write_text(good[:start] + "".join(text))
-    try:
-        load_family(path)
-    except ValueError as exc:
-        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc))
-
-
-def test_family_load_rejects_tampered_file(tmp_path, fam8):
-    path = tmp_path / "fam.txt"
-    save_family(fam8, path)
-    text = path.read_text().replace("\tuniform", "\tUNIFORM", 1)
-    path.write_text(text)
-    with pytest.raises(ValueError, match="does not match"):
-        load_family(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,7 @@
 import math
-import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from taskinfo import tasks
 from taskinfo.models import (
@@ -17,8 +14,6 @@ from taskinfo.models import (
     forward,
     gradient,
     init_params,
-    load_params,
-    save_params,
     sgd_train,
     unflatten_params,
 )
@@ -212,95 +207,6 @@ def test_sgd_divergence_carries_last_state():
         sgd_train(d, arch, SgdConfig(learning_rate=1e9, batch_size=20,
                                      epochs=50, seed=0), init=2)
     assert info.value.last_params is not None
-
-
-def test_loss_trace_csv(tmp_path):
-    from taskinfo.models import save_loss_trace_csv
-    path = tmp_path / "trace.csv"
-    save_loss_trace_csv((3.5, 2.25, 1.125), path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# taskinfo-loss-trace v1"
-    assert lines[1] == "epoch,loss_nats"
-    assert lines[2] == "0,3.5" and lines[4] == "2,1.125"
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    p = init_params(Architecture((3, 5, 2)), seed=9)
-    path = tmp_path / "params.txt"
-    save_params(p, path, extra={"log_var": np.array([-1.5, 2.25])})
-    back, extra = load_params(path)
-    assert all(np.array_equal(a, b) for a, b in zip(back.weights, p.weights))
-    assert all(np.array_equal(a, b) for a, b in zip(back.biases, p.biases))
-    assert np.array_equal(extra["log_var"], np.array([-1.5, 2.25]))
-
-
-
-def _posterior_file(path):
-    """A (2, 2) posterior: header, widths, log_var, W0, b0 on lines 1-5."""
-    from taskinfo.variational import GaussianPosterior, save_posterior
-    arch = Architecture((2, 2))
-    q = GaussianPosterior(np.arange(6) / 7.0, -np.arange(6) / 3.0, arch)
-    save_posterior(q, path)
-    return path.read_text().splitlines()
-
-
-@pytest.mark.parametrize("edit, line, message", [
-    (lambda ls: ["# taskinfo-params v2"] + ls[1:], 1, "not a taskinfo-params v1"),
-    (lambda ls: [ls[0]] + ls[2:], 1, "no widths= line"),
-    (lambda ls: ls[:3] + ls[4:], 1, "no W0= line"),
-    (lambda ls: ls[:1] + ["widths=2"] + ls[2:], 2, "at least input and output"),
-    (lambda ls: ls[:3] + [ls[3].rsplit(";", 1)[0]] + ls[4:], 4, "cannot reshape"),
-    (lambda ls: ls[:4] + ["b0=0.5;x"], 5, "could not convert"),
-    (lambda ls: ls[:4] + ["b0=0.5;1e999"], 5, "finite"),
-    (lambda ls: ls + ["W0=9;9;9;9"], 6, "repeats W0= of line 4"),
-], ids=["header", "no-widths", "no-W0", "one-width", "short-W0", "not-a-number",
-        "overflow", "repeated-W0"])
-def test_params_load_errors_name_file_and_line(tmp_path, edit, line, message):
-    path = tmp_path / "q.txt"
-    path.write_text("\n".join(edit(_posterior_file(path))) + "\n")
-    with pytest.raises(ValueError,
-                       match=rf"^{re.escape(str(path))}:{line}: .*{message}"):
-        load_params(path)
-
-
-@pytest.mark.parametrize("edit, line, message", [
-    (lambda ls: ls[:2] + ls[3:], 1, "no log_var= line"),
-    (lambda ls: ls[:2] + ["log_var=0.5;0.25"] + ls[3:], 3, "cannot reshape"),
-    (lambda ls: ls + [ls[2]], 6, "repeats log_var= of line 3"),
-], ids=["no-log_var", "short-log_var", "repeated-log_var"])
-def test_posterior_load_errors_name_file_and_line(tmp_path, edit, line, message):
-    from taskinfo.variational import load_posterior
-    path = tmp_path / "q.txt"
-    path.write_text("\n".join(edit(_posterior_file(path))) + "\n")
-    with pytest.raises(ValueError,
-                       match=rf"^{re.escape(str(path))}:{line}: .*{message}"):
-        load_posterior(path)
-
-
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(st.integers(0, 10 ** 6),
-                          st.sampled_from(["del", "put", "ins"]),
-                          st.sampled_from(list("0123456789=.;,-e\nWbwidthslog_vr"))),
-                min_size=1, max_size=4))
-def test_params_load_fuzzed_lines_raise_value_error_with_line(tmp_path, edits):
-    from taskinfo.variational import load_posterior
-    path = tmp_path / "q.txt"
-    text = list("\n".join(_posterior_file(path)) + "\n")
-    for pos, op, ch in edits:
-        i = pos % len(text)
-        if op == "del":
-            del text[i]
-        elif op == "put":
-            text[i] = ch
-        else:
-            text.insert(i, ch)
-    path.write_text("".join(text))
-    for load in (load_params, load_posterior):
-        try:
-            load(path)
-        except ValueError as exc:
-            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
 
 
 def test_flatten_unflatten_roundtrip():

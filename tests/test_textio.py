@@ -1,37 +1,40 @@
-"""Every library writer goes through the atomic writer: a failed write
-leaves the target's old bytes and no temporary file."""
+"""Every writer, the library's and the CLI's, goes through the atomic
+writer: a failed write leaves the target's old bytes and no temporary file."""
 
+import json
 import os
 
-import numpy as np
 import pytest
 
-from taskinfo import annealing, finite_oracle, models, tasks, variational
+from taskinfo import annealing, cli, tasks
 
-ARCH = models.Architecture((2, 2))
-PARAMS = models.init_params(ARCH, seed=0)
+
+def _gen_task(path):
+    """The CLI's gen-task, writing task.csv into path's directory."""
+    config = path.parent.with_name("config.json")
+    config.write_text(json.dumps({"version": 1, "seed": 0, "task": {
+        "type": "random_labels", "n": 4, "k": 2,
+        "domain": {"kind": "discrete", "size": 4}, "seed": 0}}))
+    cli.main(["gen-task", "--config", str(config), "--out", str(path.parent)])
+
 
 WRITERS = {
     "save_dataset_csv": lambda path: tasks.save_dataset_csv(
         tasks.generate_random_label_task(4, tasks.DiscreteSpace(4), 2, seed=0),
         path),
-    "save_family": lambda path: finite_oracle.save_family(
-        finite_oracle.HypothesisFamily.for_space(tasks.DiscreteSpace(2), 2), path),
-    "save_params": lambda path: models.save_params(PARAMS, path),
-    "save_posterior": lambda path: variational.save_posterior(
-        variational.GaussianPosterior(models.flatten_params(PARAMS),
-                                      np.zeros(ARCH.num_params), ARCH), path),
-    "save_loss_trace_csv": lambda path: models.save_loss_trace_csv([1.0, 0.5], path),
     "save_grid": lambda path: annealing.save_grid(
         annealing.gaussian_lattice_grid(1.0, 1.0, [0.0, 1.0], [0.0]),
         path, path.with_name("metric.csv")),
+    "cli": _gen_task,
 }
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_library_writer_is_atomic(tmp_path, monkeypatch, writer):
-    target = tmp_path / "target.txt"
-    targets = [target, tmp_path / "metric.csv"]
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "task.csv"
+    targets = [target, out / "metric.csv"]
     for path in targets:
         path.write_bytes(b"old bytes\n")
 
@@ -42,4 +45,4 @@ def test_library_writer_is_atomic(tmp_path, monkeypatch, writer):
     with pytest.raises(OSError, match="replace failed"):
         WRITERS[writer](target)
     assert [path.read_bytes() for path in targets] == [b"old bytes\n"] * 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["metric.csv", "target.txt"]
+    assert sorted(p.name for p in out.iterdir()) == ["metric.csv", "task.csv"]

@@ -12,7 +12,6 @@ from taskinfo.variational import (
     MlpLossModel,
     QuadraticLossModel,
     VariationalConfig,
-    beta_from_sgd,
     closed_form_sigma,
     crossing_beta,
     expected_loss,
@@ -25,7 +24,6 @@ from taskinfo.variational import (
     optimize_gaussian,
     optimize_posterior,
     prior_matched_posterior,
-    sgd_temperature,
     structure_sweep,
     vector_architecture,
 )
@@ -483,31 +481,3 @@ def test_crossing_beta_interpolates():
     assert 2.0 < got < 4.0
     assert crossing_beta(betas, losses, 2.0) == 8.0   # already below at start
     assert crossing_beta(betas, [1.0, 0.9, 0.8, 0.7], 0.5) is None
-
-
-def test_posterior_checkpoint_roundtrip(tmp_path):
-    from taskinfo.variational import load_posterior, save_posterior
-    arch = Architecture((3, 4, 2))
-    rng = np.random.default_rng(1)
-    q = GaussianPosterior(rng.normal(size=arch.num_params),
-                          rng.normal(size=arch.num_params), arch)
-    path = tmp_path / "posterior.txt"
-    save_posterior(q, path)
-    back = load_posterior(path)
-    assert np.array_equal(back.mean, q.mean)
-    assert np.array_equal(back.log_var, q.log_var)
-    assert back.arch == arch
-
-
-# ---------------------------------------------------------------------------
-# SGD hyperparameter mapping (dimensional consistency only)
-
-
-def test_beta_from_sgd_scalings():
-    base = beta_from_sgd(1.0, 0.1, sgd_temperature(0.1, 10))
-    assert beta_from_sgd(2.0, 0.1, sgd_temperature(0.1, 10)) == \
-        pytest.approx(4 * base)
-    assert beta_from_sgd(1.0, 0.2, sgd_temperature(0.1, 10)) == \
-        pytest.approx(2 * base)
-    assert beta_from_sgd(1.0, 0.1, sgd_temperature(0.2, 10)) == \
-        pytest.approx(2 * base)
