@@ -873,19 +873,53 @@ def test_config_branch_exits_2_with_its_message(tmp_path, capsys, command, confi
     assert not out.exists()
 
 
-@pytest.mark.parametrize("wrap", ["as_real", "transform"])
+def _permuted(base):
+    return {"type": "transform", "base": base, "transform": {
+        "kind": "label_permutation", "permutation": [1, 0]}}
+
+
+def _both_classes(base):
+    return {"type": "subset_classes", "base": base, "labels": [0, 1]}
+
+
+# each wrapper around a task, and whether the trials' rows match the bare task's
+_WRAPS = {
+    "as_real": (lambda base: {"type": "as_real", "base": base}, True),
+    "transform": (_permuted, False),
+    "subset_classes": (_both_classes, True),
+    "nested": (lambda base: {"type": "as_real", "base": _both_classes(_permuted(base))},
+               False),
+}
+
+
+@pytest.mark.parametrize("wrap", list(_WRAPS))
 def test_pac_bayes_trials_redraw_the_leaf_under_wrappers(tmp_path, wrap):
     # each trial's n and seed go to the planted leaf; the transform keeps
-    # its own fields, and as_real changes nothing the trials do not do
-    task = ({"type": "as_real", "base": PAC_TRIALS["task"]} if wrap == "as_real"
-            else {"type": "transform", "base": PAC_TRIALS["task"], "transform": {
-                "kind": "label_permutation", "permutation": [1, 0]}})
+    # its own fields, and as_real and an all-label subset_classes change
+    # nothing the trials do not do
+    wrapper, same = _WRAPS[wrap]
     runs = [run_cli(tmp_path, "pac-bayes", dict(PAC_TRIALS, task=spec), out=out)
-            for spec, out in ((PAC_TRIALS["task"], "bare"), (task, wrap))]
+            for spec, out in ((PAC_TRIALS["task"], "bare"),
+                              (wrapper(PAC_TRIALS["task"]), wrap))]
     assert [code for code, _ in runs] == [0, 0]
     bare, wrapped = (read(out / "pac_bayes.csv").splitlines() for _, out in runs)
     assert len(wrapped) == 6 and wrapped[-1].startswith("# coverage=")
-    assert (wrapped[1:] == bare[1:]) == (wrap == "as_real")
+    assert (wrapped[1:] == bare[1:]) == same
+
+
+@pytest.mark.parametrize("leaf", [RANDOM_TASK, PAC_TRIALS["task"]],
+                         ids=["random_labels", "planted"])
+def test_redrawn_sets_only_the_leafs_n_and_seed(leaf):
+    from taskinfo.cli import _redrawn
+
+    transform = {"kind": "label_randomization", "seed": 7}
+    spec = {"type": "as_real", "base": {"type": "transform", "transform": transform,
+                                        "base": _both_classes(leaf)}}
+    got = _redrawn(spec, 24, 3)
+    assert got == {"type": "as_real", "base": {
+        "type": "transform", "transform": transform,
+        "base": _both_classes(dict(leaf, n=24, seed=3))}}
+    assert spec["base"]["base"]["base"] is leaf      # the config is left as it was
 
 
 @pytest.mark.parametrize("kind", ["union", "file"])
@@ -947,6 +981,9 @@ _SMALL_GRID = {"losses": [1.0, 0.0], "kls": [0.0, 1.0], "metric": [[0, 1], [1, 0
      "start: q_init outside the grid"),
     ("anneal", dict(ANNEAL, schedule={"betas": [1.0], "epsilon": 0.0}),
      "schedule: epsilon must be > 0"),
+    ("pac-bayes", dict(PAC_BOUND, beta=0.5), "config: invalid beta"),
+    ("pac-bayes", dict(PAC_BOUND, n=0), "config: n must be >= 1"),
+    ("pac-bayes", dict(PAC_TRIALS, n_train=0), "config: n must be >= 1"),
 ])
 def test_library_check_of_a_config_value_names_its_field(tmp_path, capsys, command,
                                                           config, message):
@@ -978,3 +1015,14 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     assert run_cli(tmp_path, "gen-task", RERUNS["gen-task"][0], out="first")[0] == 0
     monkeypatch.setattr(argparse, "ArgumentParser", None)
     assert run_cli(tmp_path, "gen-task", RERUNS["gen-task"][0], out="again")[0] == 0
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built by the first main(), not at import
+    src = os.path.dirname(os.path.dirname(taskinfo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", "import argparse\n"
+                    "argparse.ArgumentParser = None\n"
+                    "import taskinfo.cli"],
+                   env=env, check=True, capture_output=True, timeout=120)
