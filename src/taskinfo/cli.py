@@ -143,10 +143,11 @@ def _build_domain(spec, path) -> tasks_mod.DiscreteSpace | tasks_mod.RealSpace:
     raise ConfigError(f"{path}.kind: unknown domain kind {spec['kind']!r}")
 
 
-def _family(space, k, obj, path, families=None, task="task") -> oracle.HypothesisFamily:
+def _family(space, k, obj, path, families, task="task") -> oracle.HypothesisFamily:
     """The oracle family for ``space``, the domain of the config's ``task``,
-    at the noise grid of ``obj``, taken from or put into ``families`` when
-    given."""
+    at the noise grid of ``obj``. ``families``, one dict per command, maps
+    (space, K, noise grid) to a family: the family of the space, and of each
+    part of a union, is taken from it or built and put into it."""
     if not isinstance(space, tasks_mod.DiscreteSpace):
         raise ConfigError(f"{task}: the oracle engine needs a discrete domain, "
                           "not real vectors")
@@ -154,12 +155,8 @@ def _family(space, k, obj, path, families=None, task="task") -> oracle.Hypothesi
                   else (0.05, 0.1, 0.2))
     with _blame(f"{path}.noise_grid"):
         oracle._check_noise_grid(noise_grid)
-    families = {} if families is None else families
-    key = (space.size, k, noise_grid)
-    if key not in families:
-        with _blame(task):
-            families[key] = oracle.HypothesisFamily.for_space(space, k, noise_grid)
-    return families[key]
+    with _blame(task):
+        return oracle.HypothesisFamily._for_space(space, k, noise_grid, families)
 
 
 _TRANSFORM_FIELDS = {"fraction": float, "seed": int, "width": float,
@@ -167,9 +164,10 @@ _TRANSFORM_FIELDS = {"fraction": float, "seed": int, "width": float,
 
 
 def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
-    """Recursive task builder shared by every command. A command that builds
-    many tasks passes one ``families`` dict, so that each planted rule's
+    """Recursive task builder shared by every command. A command passes its
+    one ``families`` dict (see `_family`), so that each planted rule's
     family is built once per command."""
+    families = {} if families is None else families
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"{path}: expected a task object with a 'type'")
     t = spec["type"]
@@ -267,10 +265,11 @@ def _prior(spec, path, default=None) -> vi.IsotropicPrior:
         return vi.IsotropicPrior(_number(spec, "prior_scale", path, float, default))
 
 
-def _named_tasks(cfg) -> list:
-    """(name, task) for every entry of the config's ``tasks`` list. A name
-    is a string that the CSV outputs can carry as one cell: no comma, no
-    line break, no leading '#'."""
+def _named_tasks(cfg, families) -> list:
+    """(name, task) for every entry of the config's ``tasks`` list, built
+    with ``families`` (see `_family`). A name is a string that the CSV
+    outputs can carry as one cell: no comma, no line break, no leading
+    '#'."""
     named = []
     for i, entry in enumerate(_list(cfg, "tasks", "config")):
         _check_keys(entry, f"tasks[{i}]", ("name", "task"))
@@ -278,8 +277,20 @@ def _named_tasks(cfg) -> list:
         if not (isinstance(name, str) and textio.is_cell(name)):
             raise ConfigError(f"tasks[{i}].name: {name!r} must be a string with no "
                               "comma, no line break and no leading '#'")
-        named.append((name, build_task(entry["task"], f"tasks[{i}].task")))
+        named.append((name, build_task(entry["task"], f"tasks[{i}].task", families)))
     return named
+
+
+def _betas(spec, path, name) -> list:
+    """spec["betas"], read by `_numbers`: nonempty, else a ConfigError naming
+    ``name``, and each beta >= 0, else one naming that entry."""
+    betas = _numbers(spec, "betas", path)
+    if not betas:
+        raise ConfigError(f"{name}: must be nonempty")
+    for i, beta in enumerate(betas):
+        if beta < 0:
+            raise ConfigError(f"{path}.betas[{i}]: beta must be >= 0, got {beta!r}")
+    return betas
 
 
 def _variational_sweep(d, betas, vcfg, seed: int) -> vi.SweepResult:
@@ -312,7 +323,8 @@ def _csv(kind: str, hash_, columns: str, rows, *fields: str) -> str:
 def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "engine", "task"),
                 ("oracle", "variational"))
-    d = build_task(cfg["task"])
+    families = {}
+    d = build_task(cfg["task"], families=families)
     out = {}
     if cfg["engine"] == "oracle":
         ocfg = cfg.get("oracle", {})
@@ -320,16 +332,14 @@ def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
         t_grid = _numbers(ocfg, "t_grid", "oracle")
         if not t_grid or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
             raise ConfigError("oracle.t_grid: must be strictly increasing and nonempty")
-        fam = _family(d.space, d.num_labels, ocfg, "oracle")
+        fam = _family(d.space, d.num_labels, ocfg, "oracle", families)
         curve = oracle.structure_function(d, fam, t_grid)
         xlabel = "code length budget t (NATS)"
     elif cfg["engine"] == "variational":
         vcfg = cfg.get("variational", {})
         _check_keys(vcfg, "variational", ("betas", "arch_hidden", "prior_scale"),
                     ("opt",))
-        betas = _numbers(vcfg, "betas", "variational")
-        if not betas:
-            raise ConfigError("variational.betas: must be nonempty")
+        betas = _betas(vcfg, "variational", "variational.betas")
         sweep = _variational_sweep(d, betas, vcfg, seed)
         pts = []
         for kl, loss in sweep.tradeoff_points():
@@ -359,10 +369,9 @@ def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
 def cmd_beta_sweep(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "engine", "tasks", "betas"),
                 ("variational", "oracle"))
-    betas = _numbers(cfg, "betas", "config")
-    if not betas:
-        raise ConfigError("betas: must be nonempty")
-    named = _named_tasks(cfg)
+    betas = _betas(cfg, "config", "betas")
+    families = {}
+    named = _named_tasks(cfg, families)
     rows = []
     series = []
     if cfg["engine"] == "variational":
@@ -378,7 +387,8 @@ def cmd_beta_sweep(cfg, hash_, seed: int) -> dict:
         ocfg = cfg.get("oracle", {})
         _check_keys(ocfg, "oracle", (), ("noise_grid",))
         for i, (name, d) in enumerate(named):
-            fam = _family(d.space, d.num_labels, ocfg, "oracle", task=f"tasks[{i}].task")
+            fam = _family(d.space, d.num_labels, ocfg, "oracle", families,
+                          f"tasks[{i}].task")
             per_loss, per_beta = [], []
             for b, (_, h) in zip(betas, oracle.lagrangian_sweep(d, fam, betas)):
                 loss = oracle.empirical_loss(h, d)
@@ -405,14 +415,16 @@ def cmd_distance_matrix(cfg, hash_, seed: int) -> dict:
                 ("version", "seed", "beta", "tasks", "arch_hidden",
                  "prior_scale"),
                 ("replicates", "opt", "lagrangian_slack", "tau_fraction"))
-    named = [(name, tasks_mod.as_real_vectors(d)) for name, d in _named_tasks(cfg)]
+    beta = _number(cfg, "beta", "config", float)
+    if beta < 0:
+        raise ConfigError(f"config.beta: beta must be >= 0, got {beta!r}")
+    named = [(name, tasks_mod.as_real_vectors(d)) for name, d in _named_tasks(cfg, {})]
     if len(named) < 2:
         raise ConfigError("tasks: distance matrix needs at least two tasks")
     dims = {d.space.dim for _, d in named}
     ks = {d.num_labels for _, d in named}
     if len(dims) != 1:
         raise ConfigError("tasks: distance-matrix tasks must share input dim")
-    beta = _number(cfg, "beta", "config", float)
     with _blame("config"):
         dcfg = distance_mod.DistanceConfig(
             replicates=_number(cfg, "replicates", "config", int, 2),
@@ -482,7 +494,10 @@ def cmd_pac_bayes(cfg, hash_, seed: int) -> dict:
     elif cfg["mode"] == "trials":
         spec = cfg.get("task")
         n_train, n_test = num("n_train", int), num("n_test", int)
+        trials = num("trials", int)
         bound(0.0, 0.0, n_train)                # before any fit
+        if trials < 1:
+            raise ConfigError(f"config.trials: need at least one trial, got {trials}")
         families = {}
 
         def generator(trial_seed):
@@ -494,7 +509,7 @@ def cmd_pac_bayes(cfg, hash_, seed: int) -> dict:
         probe = generator(0)[0]
         arch = _arch(cfg, "config", probe.space.dim, probe.num_labels)
         report = bounds_mod.bound_validation_trial(
-            generator, arch, num("beta"), num("delta"), num("trials", int),
+            generator, arch, num("beta"), num("delta"), trials,
             seed, prior=_prior(cfg, "config", 1.0),
             cfg=_variational_config(cfg.get("opt", {}), "opt"))
         for row in report.rows:

@@ -18,12 +18,13 @@ makes the memorization price exactly one NAT of description per NAT of loss
 removed and puts the critical trade-off at beta = 1 for random labels.
 
 Every family keeps one read-only table array for its base rules. A union
-family adds its pair rules after them, factored: a pair rule is kept as its
-two children, never as a table. Screening evaluates each part's family once
-on its half of the inputs, and every query gathers rows, by child index,
-only for the pair rules that a lower bound from their children cannot rule
-out. A union's table values are built per rule as a query needs them, the
-stacked (R, M, K) ``HypothesisFamily.tables`` only when read.
+family adds its pair rules after them, factored: a pair rule is its two
+children, never a table, and most pairs' children and costs follow from
+their position. Screening evaluates each part's family once on its half
+of the inputs, and every query gathers rows, by child index, only for the
+pair rules that a lower bound from their children cannot rule out. A
+union's table values are built per rule as a query needs them, the stacked
+(R, M, K) ``HypothesisFamily.tables`` only when read.
 
 All reported losses and minima are exact: candidates are screened with fast
 vectorized arithmetic, then every near-minimal candidate is re-evaluated with
@@ -186,9 +187,13 @@ class Curve:
 # Family construction
 
 
-def _dense_group_loss(tables: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(R, g) sum_k counts[g, k] * -ln tables[r, g, k]; INF_NATS where p = 0."""
-    nl = np.where(tables > 0, -np.log(np.maximum(tables, 1e-300)), INF_NATS)
+def _neg_log(p: np.ndarray) -> np.ndarray:
+    """-ln p, cell by cell; INF_NATS where p = 0."""
+    return np.where(p > 0, -np.log(np.maximum(p, 1e-300)), INF_NATS)
+
+
+def _dense_group_loss(nl: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(R, g) sum_k counts[g, k] * nl[r, g, k], nl the `_neg_log` of tables."""
     return np.einsum("gk,rgk->rg", counts, nl)
 
 
@@ -202,18 +207,26 @@ class HypothesisFamily:
     enumeration order used for tie-breaking.
 
     Every family stores the tables of its first F rules as the read-only
-    (F, space.size, K) array ``_flat``, their names as ``_flat_names``. A
-    flat or custom family is the case F = R with no parts: its ``tables``
-    and ``names`` are that array and list. A union from :meth:`for_space`
-    adds pair rules after them, factored: it answers every table-valued
-    query from its children. Row i of ``_kids`` (R - F, 2) gives pair rule
-    F + i's left child as a rule of ``_parts[0]``, the left part's family,
-    and its right child as a rule of ``_parts[1]`` (a back-referenced child
-    lies in the right part's space, so it has the same enumeration there).
-    The pair rules come fresh (every left child with every right child),
-    then ``_n_same`` pair(a|=), then the back-references, ``_back_w`` naming
-    which child of the left pair each one points at; ``_pair_costs`` holds
-    the distinct pair costs and each pair's index into them. The left child
+    (F, space.size, K) array ``_flat``, their names and costs as
+    ``_flat_names`` and ``_flat_costs``; one built by `_flat_rules` also
+    keeps its few distinct table values and its deterministic rules'
+    labels as ``_labels``, from which `_neg_log_at` places -ln values. A
+    flat or custom family is the case F = R with no parts: its ``costs``,
+    ``tables`` and ``names`` are that array and list. A union from :meth:`for_space` adds pair rules
+    after them, factored: it answers every table-valued query from its
+    children, and builds its R-wide ``costs``, ``names``, ``tables`` and
+    rule facts only when they are read. A pair rule has a left child, a
+    rule of ``_parts[0]``, the left part's family, and a right child, a
+    rule of ``_parts[1]`` (a back-referenced child lies in the right
+    part's space, so it has the same enumeration there). The pair rules
+    come fresh, then ``_n_same`` pair(a|=), then the back-references.
+    Fresh pair i, every left child with every right child, has the
+    children divmod(i, len(_parts[1])); only the pair(a|=) and back-
+    references store theirs, as rows of ``_tail_kids``, with ``_back_w``
+    naming which child of the left pair each back-reference points at.
+    Pair costs are few: ``_pair_cost`` holds the distinct ones, a fresh
+    pair's index into it is ``_fresh_group`` at its children's cost
+    classes ``_classes``, a stored pair's ``_tail_group``. The left child
     fills rows [0, mmax), the right child rows [mmax, 2 mmax), mmax =
     space.size // 2; rows past a child's own space are uniform.
     """
@@ -222,20 +235,26 @@ class HypothesisFamily:
     MAX_CELLS = 2 ** 27       # table cells of the base rules: 1 GiB of float64
 
     def __init__(self, space: DiscreteSpace, num_labels: int, costs: np.ndarray,
-                 tables: np.ndarray, names: list, *, noise_grid=(), parts=(),
-                 kids=None, n_same=0, back_w=None, pair_costs=()):
-        self.space, self.num_labels, self.costs = space, num_labels, costs
+                 tables: np.ndarray, names: list, *, noise_grid=(), labels=None,
+                 parts=(), classes=(), pair_cost=None, fresh_group=None,
+                 tail_kids=None, tail_group=None, n_same=0, back_w=None):
+        self.space, self.num_labels = space, num_labels
         self.noise_grid = tuple(noise_grid)
         tables.flags.writeable = False    # built here: frozen in place, not copied
-        self._flat, self._flat_names = tables, names
+        self._flat, self._flat_names, self._flat_costs = tables, names, costs
+        self._labels = labels     # (values, labels) of `_flat_rules`, if built there
         if not parts:
-            self.tables, self.names = tables, names
-        self._parts, self._kids = parts, kids
-        self._n_same, self._back_w, self._pair_costs = n_same, back_w, pair_costs
+            self.costs, self.tables, self.names = costs, tables, names
+        self._parts, self._classes, self._pair_cost = parts, classes, pair_cost
+        self._fresh_group, self._tail_kids, self._tail_group = (
+            fresh_group, tail_kids, tail_group)
+        self._n_same, self._back_w = n_same, back_w
+        self._n_fresh = len(parts[0]) * len(parts[1]) if parts else 0
+        self._n_pairs = self._n_fresh + (len(tail_kids) if parts else 0)
+        self._key = None        # (space, K, noise grid) of a for_space family
 
     def _checked(self) -> "HypothesisFamily":
-        """Set the rule facts and check the Kraft budget (not for the parts)."""
-        self.is_constant, self.is_deterministic, _ = self._facts()
+        """Check the Kraft budget (not for the parts)."""
         kraft, rel = self._kraft()    # kraft_sum() decides where the bound spans 1
         if (kraft * (1.0 + 2 * (rel + 3 * _U)) > 1.0 + 1e-9
                 and self.kraft_sum() > 1.0 + 1e-9):
@@ -244,7 +263,15 @@ class HypothesisFamily:
         return self
 
     def __len__(self) -> int:
-        return len(self.costs)
+        return len(self._flat) + self._n_pairs
+
+    @functools.cached_property
+    def costs(self) -> np.ndarray:
+        """Code length of every rule; a union's built on first read."""
+        li, ri = self._classes
+        fresh = self._pair_cost[self._fresh_group[li[:, None], ri]]
+        return np.concatenate([self._flat_costs, fresh.ravel(),
+                               self._pair_cost[self._tail_group]])
 
     @functools.cached_property
     def names(self) -> list[str]:
@@ -257,6 +284,20 @@ class HypothesisFamily:
         tables = self._tables_of(np.arange(len(self)))
         tables.flags.writeable = False
         return tables
+
+    @functools.cached_property
+    def is_constant(self) -> np.ndarray:
+        """Whether each rule gives every input the same row; built on first read."""
+        out = np.zeros(len(self), dtype=bool)
+        out[self._constants()[0]] = True
+        return out
+
+    @functools.cached_property
+    def is_deterministic(self) -> np.ndarray:
+        """Whether each rule's table is one-hot; built on first read."""
+        out = np.zeros(len(self), dtype=bool)
+        out[self._deterministic()] = True
+        return out
 
     def kraft_sum(self) -> float:
         """sum of exp(-cost), rule by rule."""
@@ -277,9 +318,9 @@ class HypothesisFamily:
             except ValueError:
                 raise KeyError(index_or_name) from None
         else:
-            i = int(index_or_name)
+            i = range(len(self))[int(index_or_name)]
         return Hypothesis(table=self._tables_of([i])[0],
-                          code_length=float(self.costs[i]),
+                          code_length=float(self._costs_of(np.array([i]))[0]),
                           name=self._name(i), rule_index=i)
 
     # -- the rule store -----------------------------------------------------
@@ -290,11 +331,40 @@ class HypothesisFamily:
         if i < nf:
             return self._flat_names[i]
         left, right = self._parts
-        a, b = self._kids[i - nf].tolist()
-        back = i - nf - len(left) * len(right) - self._n_same
-        tail = (right._name(b) if back < -self._n_same else "=" if back < 0
-                else f"<{self._back_w[back]}]")
-        return f"pair({left._name(a)}|{tail})"
+        p = i - nf - self._n_fresh
+        if p < 0:
+            a, b = divmod(i - nf, len(right))
+            return f"pair({left._name(a)}|{right._name(b)})"
+        tail = "=" if p < self._n_same else f"<{self._back_w[p - self._n_same]}]"
+        return f"pair({left._name(int(self._tail_kids[p, 0]))}|{tail})"
+
+    def _children(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(left child, right child, cost group) of each pair rule, the pairs
+        numbered from 0 after the flat block: a fresh pair's from its number,
+        a stored pair's from ``_tail_kids`` and ``_tail_group``."""
+        a, b = np.divmod(pairs, len(self._parts[1]))
+        stored = pairs >= self._n_fresh
+        tail = pairs[stored] - self._n_fresh
+        if len(tail):
+            a[stored], b[stored] = self._tail_kids[tail].T
+        li, ri = self._classes
+        group = self._fresh_group[li[a], ri[b]]
+        if len(tail):
+            group[stored] = self._tail_group[tail]
+        return a, b, group
+
+    def _costs_of(self, rules: np.ndarray) -> np.ndarray:
+        """costs[rules], read from the children of a union's pair rules."""
+        if not self._parts:
+            return self.costs[rules]
+        nf = len(self._flat)
+        flat = rules < nf
+        if flat.all():
+            return self._flat_costs[rules]
+        out = np.empty(len(rules))
+        out[flat] = self._flat_costs[rules[flat]]
+        out[~flat] = self._pair_cost[self._children(rules[~flat] - nf)[2]]
+        return out
 
     def _cells(self, rules: np.ndarray, xs: np.ndarray, ys: np.ndarray
                ) -> np.ndarray:
@@ -303,7 +373,10 @@ class HypothesisFamily:
         out = np.empty((len(rules), len(xs)))
         flat = rules < nf
         out[flat] = self._flat[rules[flat][:, None], xs, ys]
+        if not self._parts:
+            return out
         pair = np.flatnonzero(~flat)
+        kids = self._children(rules[pair] - nf)
         mmax = self.space.size // 2
         for side, child in enumerate(self._parts):
             at = np.flatnonzero((xs >= mmax) == bool(side))
@@ -311,7 +384,7 @@ class HypothesisFamily:
             inside = local < child.space.size
             out[np.ix_(pair, at[~inside])] = 1.0 / self.num_labels
             out[np.ix_(pair, at[inside])] = child._cells(
-                self._kids[rules[pair] - nf, side], local[inside], ys[at[inside]])
+                kids[side], local[inside], ys[at[inside]])
         return out
 
     def _group_parts(self, xs: np.ndarray, counts: np.ndarray) -> tuple:
@@ -323,7 +396,7 @@ class HypothesisFamily:
         mmax = self.space.size // 2
         split = int(np.searchsorted(xs, mmax))
         halves = (slice(0, split), slice(split, None))
-        return _dense_group_loss(self._flat[:, xs, :], counts), tuple(
+        return _dense_group_loss(self._neg_log_at(xs), counts), tuple(
             (cols, child._padded_group_loss(xs[cols] - side * mmax, counts[cols],
                                             self.num_labels))
             for side, (child, cols) in enumerate(zip(self._parts, halves)))
@@ -340,9 +413,9 @@ class HypothesisFamily:
         pair = np.flatnonzero(~flat)
         for lo in range(0, len(pair), _ROWS):
             at = pair[lo:lo + _ROWS]
-            kids = self._kids[rules[at] - nf]
+            kids = self._children(rules[at] - nf)
             for side, (cols, loss) in enumerate(sides):
-                out[at, cols] = loss[kids[:, side]]
+                out[at, cols] = loss[kids[side]]
         return out
 
     def _padded_group_loss(self, xs, counts, k) -> np.ndarray:
@@ -352,8 +425,32 @@ class HypothesisFamily:
         out[:, :inside] = self._group_rows(
             self._group_parts(xs[:inside], counts[:inside]), np.arange(len(self)))
         out[:, inside:] = _dense_group_loss(
-            np.full((1, len(xs) - inside, k), 1.0 / k), counts[inside:])
+            _neg_log(np.full((1, len(xs) - inside, k), 1.0 / k)), counts[inside:])
         return out
+
+    def _neg_log_at(self, xs) -> np.ndarray:
+        """`_neg_log` of the flat rules' tables at the inputs xs, (F,
+        len(xs), K). A family from `_flat_rules` has few distinct table
+        values: each -ln is taken once (elementwise, so with the same bits)
+        and placed by the deterministic rules' labels at xs."""
+        if self._labels is None:
+            return _neg_log(self._flat[:, xs, :])
+        values, labels = self._labels
+        nl, k = _neg_log(values), self.num_labels
+        hot = labels[:, xs, None] == np.arange(k)       # (rule, input, label)
+        # (rule, noise level, input, label): 1 - q at the label, q / (k - 1) off it
+        levels = np.where(hot[:, None], nl[2::2, None, None], nl[1::2, None, None])
+        out = np.empty((len(self._flat), len(xs), k))
+        out[0] = nl[0]
+        out[1:1 + len(labels)] = levels[:, 0]
+        out[1 + len(labels):].reshape(levels[:, 1:].shape)[...] = levels[:, 1:]
+        return out
+
+    @functools.cached_property
+    def _class_rules(self) -> tuple[list, list]:
+        """Per part of a union, its rules of each cost class, ascending."""
+        return tuple([np.flatnonzero(c == j) for j in range(n)]
+                     for c, n in zip(self._classes, self._fresh_group.shape))
 
     def _peak(self) -> float:
         """Largest table value of any rule (a union's padding is 1/K)."""
@@ -370,37 +467,58 @@ class HypothesisFamily:
             return _exp_fsum(self.costs), 3 * _U
         (left, (kl, el)), (right, (kr, er)) = ((p, p._kraft()) for p in self._parts)
         base = PAIR_FLAG + PAIR_KIND
-        n = len(self._flat)
-        rest = np.delete(self.costs, slice(n, n + len(left) * len(right)))
+        rest = np.concatenate([self._flat_costs, self._pair_cost[self._tail_group]])
         err = el + er + (4 + 2 * (base + left.costs.max() + right.costs.max())) * _U
         return (math.fsum([_exp_fsum(rest), math.exp(-base) * kl * kr]),
                 max(3 * _U, err) + _U)
 
-    def _facts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(is_constant, is_deterministic, first row (R, K)) of every rule."""
+    def _constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rules, rows): the constant rules, ascending, and the one row (K,)
+        of each. A pair rule is constant when both children are, with the
+        same row; a child smaller than its half is padded with 1/K."""
         t = self._flat
-        const, det, row = ((t == t[:, :1, :]).all(axis=(1, 2)),
-                           ((t == 0.0) | (t == 1.0)).all(axis=(1, 2)), t[:, 0, :])
+        rules = np.flatnonzero((t == t[:, :1, :]).all(axis=(1, 2)))
+        rows = t[rules, 0, :]
         if not self._parts:
-            return const, det, row
+            return rules, rows
         sides = []
         for child in self._parts:
-            c, d, r = child._facts()
+            r, w = child._constants()
             if child.space.size < self.space.size // 2:   # uniform padding
-                c = c & (r == 1.0 / self.num_labels).all(axis=1)
-                d = np.zeros_like(d)
-            sides.append((c, d, r))
-        (c0, d0, r0), (c1, d1, r1) = sides
-        # the fresh pairs, every left child with every right child, come as
-        # outer products of their children's facts; the rest by child index
-        ia, ib = np.flatnonzero(c0), np.flatnonzero(c1)
-        fresh_c = np.zeros((len(c0), len(c1)), dtype=bool)
-        fresh_c[np.ix_(ia, ib)] = (r0[ia, None, :] == r1[ib]).all(axis=2)
-        a, b = self._kids[len(c0) * len(c1):].T
-        return (np.concatenate([const, fresh_c.ravel(),
-                                c0[a] & c1[b] & (r0[a] == r1[b]).all(axis=1)]),
-                np.concatenate([det, (d0[:, None] & d1).ravel(), d0[a] & d1[b]]),
-                np.concatenate([row, r0.repeat(len(c1), axis=0), r0[a]]))
+                keep = (w == 1.0 / self.num_labels).all(axis=1)
+                r, w = r[keep], w[keep]
+            full = np.full((len(child), self.num_labels), np.nan)  # NaN: not constant
+            full[r] = w
+            sides.append((r, w, full))
+        (ra, wa, full_a), (rb, wb, full_b) = sides
+        # the fresh pairs, every left child with every right child, from the
+        # constant children's rows; the stored pairs by child index
+        ia, ib = np.nonzero((wa[:, None, :] == wb).all(axis=2))
+        a, b = self._tail_kids.T
+        tail = np.flatnonzero((full_a[a] == full_b[b]).all(axis=1))
+        nf = len(t)
+        return (np.concatenate([rules, nf + ra[ia] * len(self._parts[1]) + rb[ib],
+                                nf + self._n_fresh + tail]),
+                np.concatenate([rows, wa[ia], full_a[a[tail]]]))
+
+    def _deterministic(self) -> np.ndarray:
+        """The rules whose tables hold only 0 and 1, ascending; a child
+        padded with 1/K has none."""
+        t = self._flat
+        rules = np.flatnonzero(((t == 0.0) | (t == 1.0)).all(axis=(1, 2)))
+        if not self._parts:
+            return rules
+        sides = []
+        for child in self._parts:
+            det = np.zeros(len(child), dtype=bool)
+            if child.space.size == self.space.size // 2:
+                det[child._deterministic()] = True
+            sides.append(det)
+        (da, db), (a, b) = sides, self._tail_kids.T
+        nf = len(t)
+        fresh = np.flatnonzero(da)[:, None] * len(db) + np.flatnonzero(db)
+        return np.concatenate([rules, nf + fresh.ravel(),
+                               nf + self._n_fresh + np.flatnonzero(da[a] & db[b])])
 
     # -- construction -------------------------------------------------------
 
@@ -408,10 +526,23 @@ class HypothesisFamily:
     def for_space(cls, space: DiscreteSpace, num_labels: int,
                   noise_grid: tuple[float, ...] = (0.05, 0.1, 0.2)
                   ) -> "HypothesisFamily":
-        if num_labels < 2:
-            raise ValueError("family needs num_labels >= 2")
-        _check_noise_grid(noise_grid)
-        return cls._build(space, num_labels, tuple(noise_grid))._checked()
+        return cls._for_space(space, num_labels, tuple(noise_grid), {})
+
+    @classmethod
+    def _for_space(cls, space, k: int, noise_grid: tuple, built: dict
+                   ) -> "HypothesisFamily":
+        """for_space, with ``built`` a dict from (space, K, noise grid) to
+        family: the family of ``space``, and of each part of a union, is
+        taken from it or built and put into it."""
+        key = (space, k, noise_grid)
+        if key not in built:
+            if k < 2:
+                raise ValueError("family needs num_labels >= 2")
+            _check_noise_grid(noise_grid)
+            fam = cls._build(space, k, noise_grid, built)._checked()
+            fam._key = key
+            built[key] = fam
+        return built[key]
 
     @classmethod
     def from_rules(cls, hypotheses, space: DiscreteSpace | None = None,
@@ -426,50 +557,48 @@ class HypothesisFamily:
                    [h.name or f"rule{i}" for i, h in enumerate(hs)])._checked()
 
     @classmethod
-    def _build(cls, space, k, noise_grid) -> "HypothesisFamily":
+    def _build(cls, space, k, noise_grid, built: dict) -> "HypothesisFamily":
         flat = cls._flat_rules(space, k, noise_grid)
         if space.parts is None:
             return flat
 
         left_part, right_part = space.parts
-        left = cls._build(left_part.space, k, noise_grid)
-        right = (left if right_part.space == left_part.space
-                 else cls._build(right_part.space, k, noise_grid))
+        left, right = (cls._for_space(p.space, k, noise_grid, built)
+                       for p in space.parts)
         n_flat, n_left, n_right = len(flat), len(left), len(right)
         n_same = n_left if left_part.space == right_part.space else 0
         # child back-references: (a, which) for every pair rule a of the left
         # part whose child `which` lies in the right part's space, a-major
-        back_a = back_w = np.zeros(0, dtype=np.int64)
+        back_a = back_w = back_b = np.zeros(0, dtype=np.int64)
         if left._parts:
             which = np.flatnonzero([p.space == right_part.space
                                     for p in left_part.space.parts])
-            pairs = np.arange(len(left._flat), n_left)
+            pairs = np.arange(left._n_pairs)
             back_a, back_w = pairs.repeat(len(which)), np.tile(which, len(pairs))
+            kids = left._children(back_a)
+            back_a, back_b = back_a + len(left._flat), np.where(back_w == 0, *kids[:2])
         total = n_flat + n_left * n_right + n_same + len(back_a)
         cls._check_size(space, total, flat._flat.size)
 
-        # few distinct pair costs (kind + children's): group[i] is pair i's
-        left_idx = np.arange(n_left)
+        # few distinct pair costs (kind + children's): the cost class of
+        # every rule of each part, the fresh pairs' group per pair of classes
         lc, li = np.unique(PAIR_FLAG + PAIR_KIND + left.costs, return_inverse=True)
         rc, ri = np.unique(right.costs, return_inverse=True)
-        group = [(li[:, None] * len(rc) + ri).ravel()]  # fresh: pair(a|b)
-        kids = [np.stack([left_idx.repeat(n_right),
-                          np.tile(np.arange(n_right), n_left)], axis=1)]
-        if n_same:                                       # same: pair(a|=)
-            group.append(li + len(lc) * len(rc))
-            kids.append(np.stack([left_idx, left_idx], axis=1))
-        if len(back_a):                                  # back: pair(a|<w])
-            group.append(li[back_a] + len(lc) * (len(rc) + 1))
-            kids.append(np.stack([back_a, left._kids[back_a - len(left._flat),
-                                                     back_w]], axis=1))
         cost, at = np.unique(np.concatenate([(lc[:, None] + rc).ravel(), lc,
                                              lc + PAIR_CHILD]), return_inverse=True)
-        group = at.astype(np.min_scalar_type(len(cost)))[np.concatenate(group)]
-        return cls(space, k, np.concatenate([flat.costs + PAIR_FLAG, cost[group]]),
-                   flat._flat, [f"flat[{n}]" for n in flat.names],
-                   noise_grid=noise_grid, parts=(left, right),
-                   kids=np.concatenate(kids), n_same=n_same, back_w=back_w,
-                   pair_costs=(cost, group))
+        at = at.astype(np.min_scalar_type(len(cost)))
+        fresh = len(lc) * len(rc)
+        same = np.arange(n_same)            # pair(a|=), then pair(a|<w])
+        return cls(space, k, flat.costs + PAIR_FLAG, flat._flat,
+                   [f"flat[{n}]" for n in flat.names], noise_grid=noise_grid,
+                   labels=flat._labels,
+                   parts=(left, right), classes=(li, ri), pair_cost=cost,
+                   fresh_group=at[:fresh].reshape(len(lc), len(rc)),
+                   tail_kids=np.stack([np.concatenate([same, back_a]),
+                                       np.concatenate([same, back_b])], axis=1),
+                   tail_group=np.concatenate([at[fresh + li[same]],
+                                              at[fresh + len(lc) + li[back_a]]]),
+                   n_same=n_same, back_w=back_w)
 
     @classmethod
     def _check_size(cls, space, rules: int, cells: int) -> None:
@@ -499,24 +628,29 @@ class HypothesisFamily:
         names = [f"const{c}" for c in range(k)] + [
             f"{rule}{t}" for rule in [f"bit{j}" for j in range(bits)]
             + [f"parity{mask:03d}" for mask in range(2 ** bits)] for t in ("", "~inv")]
+        suffixes = [f"~q{v:g}" for v in noise_grid]
         costs = np.repeat([_GROUP_TAG + math.log(k) + smooth_tag,
                            _GROUP_TAG + math.log(bits) + LN2 + smooth_tag,
                            _GROUP_TAG + bits * LN2 + LN2 + smooth_tag],
                           [k, 2 * bits, 2 ** (bits + 1)])
         # the one (R, M, K) table, filled in place: uniform, the one-hot
         # rules (noise level 0), then each rule at each noise level q, rule-
-        # major: 1 - q at the rule's label and q / (k - 1) elsewhere
+        # major: 1 - q at the rule's label and q / (k - 1) elsewhere. Its
+        # values, 1 / k then (q / (k - 1), 1 - q) per level, go with the labels
+        levels = np.concatenate([[0.0], q])
+        values = np.concatenate([[1.0 / k], np.stack([levels / (k - 1), 1.0 - levels],
+                                                     axis=1).ravel()])
         table, nd = np.empty((rules, m, k)), len(names)
-        table[0] = 1.0 / k
+        table[0] = values[0]
         noisy = table[1 + nd:].reshape(nd, len(q), m, k)
         at = (np.arange(nd)[:, None], xs, labels)
-        for block, p in [(table[1:1 + nd], 0.0), *zip(noisy.swapaxes(0, 1), q)]:
-            block[...] = p / (k - 1)
-            block[at] = 1.0 - p
+        for j, block in enumerate([table[1:1 + nd], *noisy.swapaxes(0, 1)]):
+            block[...] = values[2 * j + 1]
+            block[at] = values[2 * j + 2]
         return cls(
             space, k, np.concatenate([[_GROUP_TAG], costs, costs.repeat(len(q))]), table,
-            ["uniform"] + names + [f"{n}~q{v:g}" for n in names for v in noise_grid],
-            noise_grid=noise_grid)
+            ["uniform"] + names + [n + q for n in names for q in suffixes],
+            noise_grid=noise_grid, labels=(values, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +678,28 @@ def _pair_slack(floor: np.ndarray) -> np.ndarray:
     """Float slack of a child floor: summation order can put a screened
     value a few ulps below its exact lower bound, never 1e-9 relative."""
     return 1e-9 * (1.0 + np.abs(floor))
+
+
+def _within(floor: np.ndarray, loose: np.ndarray, bound: np.ndarray) -> tuple:
+    """(index, floor less its `_pair_slack`) of each floor whose floor less
+    slack is within bound, index a tuple of arrays into floor; only the
+    floors within ``loose`` (`_loose` of bound) get their slack. loose and
+    bound broadcast to floor's shape."""
+    shape = floor.shape
+    at = np.unravel_index(np.flatnonzero(floor <= loose), shape)
+    floor = floor[at]
+    floor -= _pair_slack(floor)
+    keep = floor <= np.broadcast_to(bound, shape)[at]
+    return tuple(i[keep] for i in at), floor[keep]
+
+
+def _loose(bound: np.ndarray) -> np.ndarray:
+    """bound widened so that no floor x whose x - `_pair_slack`(x) is within
+    bound lies above it: that needs x <= bound + 1e-9 (1 + |bound|), up to
+    rounding, which the factor 4 covers; an infinite bound stays as it is."""
+    out, finite = bound.copy(), np.isfinite(bound)
+    out[finite] += 4e-9 * (1.0 + np.abs(bound[finite]))
+    return out
 
 
 def _suffix_losses(group: np.ndarray, pure_idx: np.ndarray,
@@ -640,7 +796,7 @@ class _Candidates:
             [extension_cost(u, s, self.k) for s in range(self.n_pure + 1)])
         # the zero cap needs every term -ln p to be >= 0
         self.unit_bounded = fam._peak() <= 1.0
-        self._floor_tables = (None, None)
+        self._floor_key = (None, None)
 
     def _group_rows(self, rules: np.ndarray) -> np.ndarray:
         """(len(rules), u) loss of the given rules on every input group."""
@@ -690,11 +846,25 @@ class _Candidates:
         buckets test it; ext is not monotone, so an s below S may be
         unadmitted, but none above is.
         """
-        ucost, cls = self.fam._pair_costs
         shape, beta = np.shape(betas), np.ravel(betas)
         caps = np.reshape(caps, (len(beta), -1))
+        f, g = self._floor_tables(beta, caps)
+        n = len(self.fam._pair_cost)
+        if isinstance(pairs, slice):
+            pairs = np.arange(self.fam._n_pairs)[pairs]
+        a, b, group = self.fam._children(pairs)
+        at = a * n + group                      # row: child * len(_pair_cost) + group
+        floor = np.take(f, at, axis=0)
+        floor += np.take(g, np.add(b * n, group, out=at), axis=0)
+        return floor.transpose(1, 0, 2).reshape(shape + floor.shape[::2])
+
+    def _floor_tables(self, beta: np.ndarray, caps: np.ndarray) -> list:
+        """[f, g] of `_pair_floor` for the left and the right children, each
+        (side rule * len(_pair_cost) + cost group, beta, cap), f with the
+        pair's own cost term; kept for the last (beta, caps) asked for."""
+        ucost = self.fam._pair_cost
         key = (beta.tobytes(), caps.tobytes(), caps.shape)
-        if self._floor_tables[0] != key:        # tables kept for the last key
+        if self._floor_key[0] != key:
             fits = ucost[:, None] + self.ext <= caps[:, :, None, None]
             top = (fits * np.arange(1, self.n_pure + 2)).max(axis=3).transpose(2, 0, 1) - 1
             # (side rule, cost, beta, cap): the least at S (top, -1 where none)
@@ -704,33 +874,70 @@ class _Candidates:
                     for rows, ext in self._kid_rows)
             f += beta[:, None] * (ucost[:, None, None] + math.log(self.u + 1))
             f[:, top < 0] = np.nan
-            self._floor_tables = key, [t.reshape(-1, len(beta), caps.shape[1])
-                                       for t in (f, g)]
-        (f, g), kids = self._floor_tables[1], self.fam._kids[pairs]
-        at = kids[:, 0] * len(ucost) + cls[pairs]   # row child * len(ucost) + cost
-        floor = np.take(f, at, axis=0)
-        floor += np.take(g, np.add(kids[:, 1] * len(ucost), cls[pairs], out=at), axis=0)
-        return floor.transpose(1, 0, 2).reshape(shape + floor.shape[::2])
+            self._floor_key = key, [t.reshape(-1, len(beta), caps.shape[1])
+                                    for t in (f, g)]
+        return self._floor_key[1]
 
     def _least_pair_floor(self, betas) -> np.ndarray:
         """min(_pair_floor(beta)) for each beta of betas, in betas' shape, up
         to float rounding, which `_pair_slack` covers. The fresh pairs, every
         left child with every right child, cost PAIR_FLAG + PAIR_KIND plus
         their children's costs, so the least floor among them is the sum of
-        each side's least term; the other pairs' floors under no cap are
+        each side's least term; the stored pairs' floors under no cap are
         summed as `_pair_floor` sums them."""
         beta = np.reshape(betas, (-1, 1))
-        left, right = self.fam._parts
+        fam = self.fam
+        left, right = fam._parts
         f, g = ((rows + beta[:, :, None] * ext[:, None]).min(axis=1)
                 for rows, ext in self._kid_rows)
         least = (beta[:, 0] * (PAIR_FLAG + PAIR_KIND + math.log(self.u + 1))
                  + (beta * left.costs + f).min(axis=1)
                  + (beta * right.costs + g).min(axis=1))
-        (ucost, cls), fresh = self.fam._pair_costs, len(left) * len(right)
-        kids = self.fam._kids[fresh:]
-        rest = f[:, kids[:, 0]] + beta * (ucost[cls[fresh:]] + math.log(self.u + 1))
-        rest += g[:, kids[:, 1]]
+        a, b = fam._tail_kids.T
+        rest = f[:, a] + beta * (fam._pair_cost[fam._tail_group] + math.log(self.u + 1))
+        rest += g[:, b]
         return np.minimum(least, rest.min(axis=1, initial=np.inf)).reshape(np.shape(betas))
+
+    def _floors_within(self, betas: np.ndarray, caps: np.ndarray, bound: np.ndarray):
+        """(b, pair, floor) per chunk of the pair rules: every floor under the
+        largest cap of beta b, caps[b, -1], less its slack, that is within
+        bound[b, the pair's cost group]; the floor tables are built for all
+        the caps, as the kept pairs' blocks use them. Only the floors within
+        `_loose` of the bound get their slack. The fresh pairs go a block per
+        (left cost class, right cost class), one cost group each, as outer
+        sums of the children's floors; a block whose least floor, the sum of
+        the least on each side, is above the loose bound of every beta is
+        skipped. The stored pairs go as `_pair_floor` sums them. Each chunk
+        holds at most _CELLS (beta, pair) cells."""
+        fam, nb = self.fam, len(betas)
+        f, g = (t[..., -1].reshape(len(side), -1, nb)     # (side rule, group, beta)
+                for t, side in zip(self._floor_tables(betas, caps), fam._parts))
+        loose, n_right = _loose(bound), len(fam._parts[1])
+        groups = fam._fresh_group
+        # per side, the least floor of each (cost class, group, beta); then
+        # of each block, (left class, right class, beta)
+        least = [np.minimum.reduceat(t[np.concatenate(by_class)],
+                                     np.cumsum([0] + [len(r) for r in by_class[:-1]]))
+                 for t, by_class in zip((f, g), fam._class_rules)]
+        least = (least[0][np.arange(len(groups))[:, None], groups]
+                 + least[1][np.arange(groups.shape[1]), groups])
+        live = (least <= loose.T[groups]).any(axis=2)
+        for (a, c), group in zip(np.argwhere(live).tolist(), groups[live].tolist()):
+            left, right = fam._class_rules[0][a], fam._class_rules[1][c]
+            fa, gb = f[left, group].T[:, :, None], g[right, group].T[:, None, :]
+            step = max(_CELLS // (nb * len(right)), 1)
+            for lo in range(0, len(left), step):
+                (b, i, j), floor = _within(fa[:, lo:lo + step] + gb,
+                                           loose[:, group, None, None],
+                                           bound[:, group, None, None])
+                yield b, left[lo + i] * n_right + right[j], floor
+        step = max(_CELLS // nb, 1)
+        for lo in range(fam._n_fresh, fam._n_pairs, step):
+            pairs = np.arange(lo, min(lo + step, fam._n_pairs))
+            a, c, group = fam._children(pairs)
+            (b, p), floor = _within((f[a, group] + g[c, group]).T, loose[:, group],
+                                    bound[:, group])
+            yield b, pairs[p], floor
 
     def _pairs_within(self, betas: np.ndarray, caps: np.ndarray, bounds):
         """Blocks of the pair rules whose `_pair_floor` less its slack is
@@ -738,14 +945,12 @@ class _Candidates:
         cap (caps: an ascending row per beta). A beta takes part only when
         its `_least_pair_floor` less its slack is within its loosest bound.
         A pair is kept when, under one of those betas, its least floor is
-        within the bound of the first cap admitting its s = 0; its key is
-        the least height of such a floor above its beta's least pair floor.
-        Kept pairs go by ascending key, in blocks re-tested beta by beta and
-        cap by cap. The least floors go in chunks of at most _CELLS (beta,
-        pair) cells."""
+        within the bound of the first cap admitting its s = 0
+        (`_floors_within`); its key is the least height of such a floor
+        above its beta's least pair floor. Kept pairs go by ascending key,
+        in blocks re-tested beta by beta and cap by cap."""
         nf = self._n_flat
-        n_pairs = len(self.fam) - nf
-        if not n_pairs or not caps.shape[1]:
+        if not self.fam._n_pairs or not caps.shape[1]:
             return
         bound = np.hstack([bounds(), np.full((len(betas), 1), -np.inf)])
         base = self._least_pair_floor(betas)
@@ -753,18 +958,11 @@ class _Candidates:
         if not len(live):
             return
         betas, caps, base, bound = betas[live], caps[live], base[live], bound[live]
-        ucost, cls = self.fam._pair_costs
-        bound = np.take_along_axis(bound, _buckets(caps, ucost + self.ext[0]), axis=1)
-        loosest = bound.max(axis=1, keepdims=True)
+        bound = np.take_along_axis(
+            bound, _buckets(caps, self.fam._pair_cost + self.ext[0]), axis=1)
         near = [(np.zeros(0, np.intp), np.zeros(0))]    # (pair, height above base)
-        step = max(_CELLS // len(live), 1)
-        for lo in range(0, n_pairs, step):
-            least = self._pair_floor(betas, slice(lo, lo + step), caps[:, -1:])[..., 0]
-            least -= _pair_slack(least)
-            b, p = np.divmod(np.flatnonzero(least <= loosest), least.shape[1])
-            least = least[b, p]
-            within = least <= bound[b, cls[lo + p]]
-            near.append((lo + p[within], least[within] - base[b[within]]))
+        for b, p, least in self._floors_within(betas, caps, bound):
+            near.append((p, least - base[b]))
         p, height = (np.concatenate(x) for x in zip(*near))
         kept, which = np.unique(p, return_inverse=True)
         key = np.full(len(kept), np.inf)
@@ -796,11 +994,12 @@ class _Candidates:
         values[i] = approx + betas[i] * cost, at most _CELLS (beta, rule, pin
         count) cells or one row of each beta; the approximate loss rows are
         ``approx`` (aligned with ``rules``) or, when None, built per block."""
-        order = np.argsort(self.fam.costs[rules], kind="stable")
+        costs = self.fam._costs_of(rules)
+        order = np.argsort(costs, kind="stable")
         step = max(_CELLS // (len(betas) * len(self.ext)), 1)
         for lo in range(0, len(rules), step):
             at = rules[order[lo:lo + step]]
-            values = self.fam.costs[at, None] + self.ext[None, :]
+            values = costs[order[lo:lo + step], None] + self.ext[None, :]
             values = values * betas[:, None, None]
             values += (self._approx_rows(at) if approx is None
                        else approx[order[lo:lo + step]])
@@ -856,7 +1055,7 @@ class _Candidates:
         for x, label in pins:
             table[x, :] = 0.0
             table[x, label] = 1.0
-        cost = float(self.fam.costs[r] + self.ext[s])
+        cost = float(self.fam._costs_of(np.array([r]))[0] + self.ext[s])
         name = self.fam._name(r) + (f"+pin{len(pins)}" if pins else "")
         return Hypothesis(table=table, code_length=cost, name=name,
                           rule_index=r, pins=pins)
@@ -906,7 +1105,7 @@ class _Candidates:
             # So an approximate loss of 0.0 means every kept sample has p ==
             # 1.0, and the exact loss, an fsum of -ln 1.0 terms, is 0.0.
             r, s = np.nonzero(self._flat_approx == 0.0)
-            c_zero = (self.fam.costs[r] + self.ext[s]).min(initial=np.inf)
+            c_zero = (self.fam._costs_of(r) + self.ext[s]).min(initial=np.inf)
             caps[betas == 0] = np.minimum(t_grid, c_zero)
         bmin = np.full((nb, n + 1), np.inf)     # minimum value per beta and bucket
         thr = np.full((nb, n + 1), np.inf)      # their thresholds, kept current
@@ -915,7 +1114,7 @@ class _Candidates:
 
         def keep(lo, at, values):
             # a block in cost order: each distinct cost is one run of rows
-            ucost, first, cls = np.unique(self.fam.costs[at], return_index=True,
+            ucost, first, cls = np.unique(self.fam._costs_of(at), return_index=True,
                                           return_inverse=True)
             rows, each = slice(lo, lo + len(values)), np.arange(len(values))[:, None, None]
             bucket = _buckets(caps[rows], ucost[:, None] + self.ext[None, :])
@@ -936,7 +1135,7 @@ class _Candidates:
         b, r, s, k, v = (np.concatenate(x) for x in zip(*near))
         close = v <= thr[b, k]
         b, r, s, k, v = b[close], r[close], s[close], k[close], v[close]
-        cost = self.fam.costs[r] + self.ext[s]
+        cost = self.fam._costs_of(r) + self.ext[s]
         # each distinct candidate is re-checked once, whichever betas keep it
         distinct, which = np.unique(r * len(self.ext) + s, return_inverse=True)
         loss = self.exact_losses(*np.divmod(distinct, len(self.ext)))
@@ -1083,9 +1282,10 @@ def beta_sufficient_statistics(d: Dataset, fam: HypothesisFamily, beta: float,
     found = []
 
     def keep(at, values):
+        costs = cand.fam._costs_of(at)
         for j, s in zip(*np.nonzero(values[0] <= bound)):
             r, s = int(at[j]), int(s)
-            cost = float(cand.fam.costs[r] + cand.ext[s])
+            cost = float(costs[j] + cand.ext[s])
             # the max loss a variant may have; limit holds loss + beta * cost
             # rounded to its ulp, which the subtraction cannot give back
             budget = limit - beta * cost + math.ulp(limit)
@@ -1158,16 +1358,16 @@ def critical_beta(d: Dataset, fam: HypothesisFamily, tol_bisect: float = 1e-3
     """
     if not (math.isfinite(tol_bisect) and tol_bisect > 0):
         raise ValueError(f"tol_bisect must be finite and > 0, got {tol_bisect!r}")
-    if not fam.is_constant.any():
+    const_rules = fam._constants()[0]
+    if not len(const_rules):
         raise ValueError("family contains no constant distributions")
     cand = _Candidates(d, fam)
-    const_rules = np.flatnonzero(fam.is_constant)
     const_loss = cand.exact_losses(const_rules, np.zeros_like(const_rules)).tolist()
-    const_cost = (fam.costs[const_rules] + cand.ext[0]).tolist()
+    const_cost = (fam._costs_of(const_rules) + cand.ext[0]).tolist()
     nf = cand._n_flat
-    flat_cost = fam.costs[:nf, None] + cand.ext[None, :]
+    flat_cost = fam._costs_of(np.arange(nf))[:, None] + cand.ext[None, :]
     flat_approx = cand._flat_approx.copy()
-    flat_approx[fam.is_constant[:nf], 0] = np.inf      # the unpinned constants
+    flat_approx[const_rules[const_rules < nf], 0] = np.inf   # the unpinned constants
 
     def constant_realized(beta: float) -> bool:
         vconst = min(loss + beta * cost for loss, cost in zip(const_loss, const_cost))
@@ -1211,13 +1411,13 @@ def deterministic_complexity(d: Dataset, fam: HypothesisFamily) -> float | None:
         return None
     u = cand.u
     best = None
-    det = np.flatnonzero(fam.is_deterministic)
+    det = fam._deterministic()
     if len(det):
         # a rule must pin every input it misses and may pin more: its best
         # price is the cheapest extension from its miss count up
         misses = (fam._cells(det, cand.xs, cand.majority) != 1.0).sum(axis=1)
         cheapest_from = np.minimum.accumulate(cand.ext[::-1])[::-1]
-        best = float((fam.costs[det] + cheapest_from[misses]).min())
+        best = float((fam._costs_of(det) + cheapest_from[misses]).min())
     if u == d.space.size and u > 0:
         # every domain row is a training input: pinning all of them makes
         # any base rule one-hot and zero-loss
@@ -1239,7 +1439,9 @@ def oracle_distance(d1: Dataset, d2: Dataset, fam: HypothesisFamily,
         raise ValueError("beta must be >= 0")
     c1 = _Candidates(d1, fam).minimize(beta)[1][0]
     du = disjoint_union(d1, d2)
-    fam_u = HypothesisFamily.for_space(du.space, du.num_labels, fam.noise_grid)
+    # a part of the union on fam's own space has fam as its family
+    fam_u = HypothesisFamily._for_space(du.space, du.num_labels, fam.noise_grid,
+                                        {fam._key: fam} if fam._key else {})
     c12 = _Candidates(du, fam_u).minimize(beta)[1][0]
     return max(0.0, c12 - c1)
 

@@ -59,14 +59,13 @@ def _scale(lo, hi, log):
 
 def line_plot(series, title: str, xlabel: str, ylabel: str,
               logx: bool = False, comment: str = "") -> str:
-    """series: list of (name, xs, ys). Non-finite points are skipped."""
+    """series: list of (name, xs, ys). Non-finite points are skipped; with
+    none left, the chart has no ticks and notes that it has no points."""
     title, xlabel, ylabel = map(_escape, (title, xlabel, ylabel))
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
            if math.isfinite(x) and math.isfinite(y) and (not logx or x > 0)]
-    if not pts:
-        raise ValueError("nothing finite to plot")
-    xlo, xhi = min(p[0] for p in pts), max(p[0] for p in pts)
-    ylo, yhi = min(p[1] for p in pts), max(p[1] for p in pts)
+    x_all, y_all = [p[0] for p in pts] or [1.0], [p[1] for p in pts] or [0.0]
+    xlo, xhi, ylo, yhi = min(x_all), max(x_all), min(y_all), max(y_all)
     if yhi == ylo:
         yhi = ylo + 1.0
     sx = _scale(xlo, xhi, logx)
@@ -88,19 +87,25 @@ def line_plot(series, title: str, xlabel: str, ylabel: str,
         'stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H-_MB}" stroke="black"/>',
     ]
-    if logx:
+    if not pts:
+        xticks = yticks = []
+        parts.append(f'<text x="{(_ML+_W-_MR)/2:.1f}" y="{(_MT+_H-_MB)/2:.1f}" '
+                     'text-anchor="middle" font-family="sans-serif" '
+                     'font-size="12">no finite points</text>')
+    elif logx:
         e_lo = math.ceil(math.log10(xlo) - 1e-9)
         e_hi = math.floor(math.log10(xhi) + 1e-9)
         xticks = [10.0 ** e for e in range(e_lo, e_hi + 1)] or [xlo]
+        yticks = _ticks(ylo, yhi)
     else:
-        xticks = _ticks(xlo, xhi)
+        xticks, yticks = _ticks(xlo, xhi), _ticks(ylo, yhi)
     for t in xticks:
         x = px(t)
         parts.append(f'<line x1="{x:.1f}" y1="{_H-_MB}" x2="{x:.1f}" '
                      f'y2="{_H-_MB+5}" stroke="black"/>')
         parts.append(f'<text x="{x:.1f}" y="{_H-_MB+18}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>')
-    for t in _ticks(ylo, yhi):
+    for t in yticks:
         y = py(t)
         parts.append(f'<line x1="{_ML-5}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" '
                      'stroke="black"/>')

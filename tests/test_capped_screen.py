@@ -256,3 +256,21 @@ def test_workload_union_structure_function_screens_few_pairs(seed, monkeypatch):
     cand = fo._Candidates(d, fam)
     assert math.isfinite(zero_cost(cand)) and zero_cost(cand) <= t_grid[-1]
     assert _curve_rows(curve) == _reference_rows(_references(cand, 0.0, t_grid))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e31, 1e31), max_size=20),
+       st.one_of(st.floats(-1e31, 1e31), st.sampled_from([np.inf, -np.inf, 0.0])))
+def test_loose_bound_keeps_every_floor_the_slack_test_keeps(floors, bound):
+    # the pair screen gives a floor its slack only where it lies within the
+    # loose bound: it must keep exactly the floors the slack test keeps,
+    # those a few ulps either side of the threshold and NaN (no admitted
+    # pin count) included
+    near = [bound + 1e-9 * (1.0 + abs(bound)) if np.isfinite(bound) else 0.0]
+    for _ in range(3):
+        near = [np.nextafter(near[0], -np.inf), *near, np.nextafter(near[-1], np.inf)]
+    x = np.array(floors + near + [np.nan])
+    want = np.flatnonzero(x - fo._pair_slack(x) <= bound)
+    (at,), kept = fo._within(x, fo._loose(np.full(1, bound)), np.full(1, bound))
+    assert at.tolist() == want.tolist()
+    assert kept.tobytes() == (x[want] - fo._pair_slack(x[want])).tobytes()

@@ -305,18 +305,24 @@ def test_pac_bayes_bound_mode_zero(tmp_path):
     assert ",0.0," in read(out / "pac_bayes.csv").splitlines()[2]
 
 
-def test_pac_bayes_trials_build_the_planted_family_once(tmp_path, monkeypatch):
-    # the probe and every trial plant the same rule: one family per command
+def _spy_builds(monkeypatch) -> list:
+    """The spaces of the oracle families built from now on, in build order."""
     from taskinfo import finite_oracle
 
     built = []
-    for_space = finite_oracle.HypothesisFamily.for_space.__func__
+    build = finite_oracle.HypothesisFamily._build.__func__
 
-    def spy(cls, *args, **kwargs):
-        built.append(args)
-        return for_space(cls, *args, **kwargs)
+    def spy(cls, space, *args):
+        built.append(space)
+        return build(cls, space, *args)
 
-    monkeypatch.setattr(finite_oracle.HypothesisFamily, "for_space", classmethod(spy))
+    monkeypatch.setattr(finite_oracle.HypothesisFamily, "_build", classmethod(spy))
+    return built
+
+
+def test_pac_bayes_trials_build_the_planted_family_once(tmp_path, monkeypatch):
+    # the probe and every trial plant the same rule: one family per command
+    built = _spy_builds(monkeypatch)
     code, out = run_cli(tmp_path, "pac-bayes", {
         "version": 1, "seed": 0, "mode": "trials",
         "task": {"type": "planted", "n": 0, "k": 2, "domain_size": 16,
@@ -1026,3 +1032,94 @@ def test_importing_the_cli_builds_no_parser():
                     "argparse.ArgumentParser = None\n"
                     "import taskinfo.cli"],
                    env=env, check=True, capture_output=True, timeout=120)
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("the computation started")
+
+
+@pytest.mark.parametrize("command, config, computation, message", [
+    ("beta-sweep", dict(RERUNS["beta-sweep"][0], betas=[0.5, -1.0]),
+     "taskinfo.finite_oracle.lagrangian_sweep",
+     "config.betas[1]: beta must be >= 0, got -1.0"),
+    ("beta-sweep", dict(VI_SWEEP, betas=[-0.5]), "taskinfo.variational.structure_sweep",
+     "config.betas[0]: beta must be >= 0, got -0.5"),
+    ("structure-fn", dict(VI_STRUCTURE, variational=dict(
+        VI_STRUCTURE["variational"], betas=[1.0, -2.0])),
+     "taskinfo.variational.structure_sweep",
+     "variational.betas[1]: beta must be >= 0, got -2.0"),
+    ("distance-matrix", dict(DISTANCE, beta=-0.5), "taskinfo.distance.distance_matrix",
+     "config.beta: beta must be >= 0, got -0.5"),
+    ("pac-bayes", dict(PAC_TRIALS, trials=0), "taskinfo.bounds.bound_validation_trial",
+     "config.trials: need at least one trial, got 0"),
+])
+def test_config_value_a_computation_refuses_is_checked_before_it(
+        tmp_path, capsys, monkeypatch, command, config, computation, message):
+    # the library refuses these values too, but with a ValueError from
+    # inside the run: the CLI names the field before anything is computed
+    monkeypatch.setattr(computation, _fail)
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_structure_fn_with_no_budget_reaching_a_rule_writes_infinite_losses(tmp_path):
+    # every rule of the 8-input family costs more than 0.5 NATS: S(0.5) is
+    # inf, a correct answer, and the chart notes that it has no points
+    code, out = run_cli(tmp_path, "structure-fn", {
+        "version": 1, "seed": 3, "engine": "oracle",
+        "task": dict(RANDOM_TASK, n=6, domain={"kind": "discrete", "size": 8}),
+        "oracle": {"t_grid": [0.5]}})
+    assert code == 0
+    assert read(out / "structure_fn.csv").splitlines()[2:] == ["0.5,inf,inf"]
+    root = ElementTree.fromstring(read(out / "structure_fn.svg"))
+    assert "no finite points" in [el.text for el in root.iter(f"{SVG_NS}text")]
+
+
+
+def test_beta_sweep_at_beta_zero_alone_writes_its_row(tmp_path):
+    # a log axis cannot place beta = 0: the chart has no point, the CSV its row
+    code, out = run_cli(tmp_path, "beta-sweep", dict(RERUNS["beta-sweep"][0], betas=[0.0]))
+    assert code == 0
+    assert len(read(out / "beta_sweep.csv").splitlines()) == 3
+    assert "no finite points" in read(out / "beta_sweep.svg")
+
+
+_UNION_16_8 = {"type": "union",
+               "left": {"type": "planted", "n": 32, "k": 2, "domain_size": 16,
+                        "rule": "parity011", "seed": 31},
+               "right": dict(RANDOM_TASK, n=8, domain={"kind": "discrete", "size": 8})}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("structure-fn", {"version": 1, "seed": 3, "engine": "oracle", "task": _UNION_16_8,
+                      "oracle": {"t_grid": [5.0, 20.0]}}),
+    ("beta-sweep", {"version": 1, "seed": 3, "engine": "oracle", "betas": [1.0],
+                    "tasks": [{"name": "u", "task": _UNION_16_8},
+                              {"name": "p", "task": _UNION_16_8["left"]}]}),
+])
+def test_union_family_takes_the_planted_part_from_the_command(tmp_path, monkeypatch,
+                                                              command, config):
+    # the planted task's family is the union family's left part
+    built = _spy_builds(monkeypatch)
+    code, _ = run_cli(tmp_path, command, config)
+    assert code == 0
+    assert len(built) == len(set(built)) == 3
+    assert {space.size for space in built} == {16, 32, 8}
+
+
+def test_union_and_flat_space_of_one_size_get_their_own_families(tmp_path):
+    # the 16+8 union and a flat task both have 32 inputs: a family store
+    # keyed by the size would give the second task the first one's family
+    flat = {"name": "flat", "task": RANDOM_TASK}
+    union = {"name": "union", "task": _UNION_16_8}
+    rows = {}
+    for tasks in ([union, flat], [union], [flat]):
+        code, out = run_cli(tmp_path, "beta-sweep", {
+            "version": 1, "seed": 3, "engine": "oracle", "betas": [0.25, 1.0],
+            "tasks": tasks})
+        assert code == 0
+        rows[len(tasks), tasks[0]["name"]] = \
+            read(out / "beta_sweep.csv").splitlines()[2:]
+    assert rows[2, "union"] == rows[1, "union"] + rows[1, "flat"]

@@ -395,3 +395,78 @@ def test_union_critical_beta_and_statistics_match_the_r_wide_screen(union2x32):
     want = screened_beta_sufficient_statistics(d, fam, 1.0, tol=0.0)
     assert [(x.hypothesis.identity(), x.value, x.is_minimal) for x in stats] == \
         [(x.hypothesis.identity(), x.value, x.is_minimal) for x in want]
+
+
+def _arrays(fam, seen=None):
+    """Every array that a family and its part families hold, in attributes,
+    tuples or lists, each family walked once."""
+    seen = set() if seen is None else seen
+    if id(fam) in seen:
+        return []
+    seen.add(id(fam))
+    out, stack = [], list(vars(fam).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            out.append(value)
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif isinstance(value, fo.HypothesisFamily):
+            out += _arrays(value, seen)
+    return out
+
+
+def test_union_build_keeps_nothing_per_pair():
+    # the 2x32 union's 93,330 pair rules come from its parts: no array holds
+    # an entry per pair, and the build peaks at a fraction of the 6.4 MB it
+    # took when it stored each pair's children, cost group and facts
+    plant, rand, _ = _distance_tasks()
+    space = tasks.disjoint_union(plant, rand).space
+    fam, peak = _traced(lambda: fo.HypothesisFamily.for_space(space, 2))
+    pairs = len(fam) - len(fam._flat)
+    assert (len(fam), pairs) == (93_899, 93_330)
+    assert max(a.size for a in _arrays(fam)) < pairs
+    assert peak <= 1.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("space", [
+    _union(_union(DiscreteSpace(2), DiscreteSpace(3)), DiscreteSpace(3)),
+    _union(DiscreteSpace(3), _union(DiscreteSpace(2), DiscreteSpace(1))),
+    _union(DiscreteSpace(4), DiscreteSpace(4)),
+    _union(DiscreteSpace(4), DiscreteSpace(2)),
+], ids=["left-union", "right-union", "same", "padded"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_union_rule_arrays_are_built_on_first_read(space, k):
+    fam = fo.HypothesisFamily.for_space(space, k, (0.1,))
+    lazy = {"costs", "is_constant", "is_deterministic", "names", "tables"}
+    assert not lazy & set(vars(fam))
+    names, costs, tables = naive_family(space, k, (0.1,))
+    assert fam.costs.tobytes() == costs.tobytes()
+    assert np.array_equal(fam.is_constant,
+                          (tables == tables[:, :1, :]).all(axis=(1, 2)))
+    assert np.array_equal(fam.is_deterministic,
+                          ((tables == 0.0) | (tables == 1.0)).all(axis=(1, 2)))
+    assert fam.names == names
+    assert fam.tables.tobytes() == tables.tobytes()
+    assert lazy <= set(vars(fam))
+    if space.parts[0].space.parts:          # pair(a|<w]) back-references
+        assert any("<" in name for name in names)
+
+
+def test_oracle_distance_takes_both_parts_from_the_given_family(monkeypatch):
+    # both tasks lie in the family's space: the union builds its own flat
+    # rules and nothing else, and measures what a fresh union family does
+    plant, rand, fam = _distance_tasks()
+    d = tasks.disjoint_union(plant, rand)
+    c12 = fo._Candidates(d, fo.HypothesisFamily.for_space(d.space, 2)).minimize(1.0)
+    want = max(0.0, c12[1][0] - fo._Candidates(plant, fam).minimize(1.0)[1][0])
+    built = []
+    build = fo.HypothesisFamily._build.__func__
+
+    def spy(cls, space, *args):
+        built.append(space.size)
+        return build(cls, space, *args)
+
+    monkeypatch.setattr(fo.HypothesisFamily, "_build", classmethod(spy))
+    assert fo.oracle_distance(plant, rand, fam, 1.0) == want
+    assert built == [64]

@@ -54,11 +54,12 @@ def test_non_finite_points_are_skipped():
     assert len(list(root.iter(f"{NS}circle"))) == 2
 
 
-def test_line_plot_with_nothing_finite_raises():
-    with pytest.raises(ValueError, match="nothing finite"):
-        svg.line_plot([("s", [1.0, math.nan], [math.inf, 2.0])], "t", "x", "y")
-    with pytest.raises(ValueError, match="nothing finite"):
-        svg.line_plot([("s", [0.0, -1.0], [1.0, 2.0])], "t", "x", "y", logx=True)
+@pytest.mark.parametrize("xs, ys, logx", [([1.0, math.nan], [math.inf, 2.0], False),
+                                          ([0.0, -1.0], [1.0, 2.0], True)])
+def test_line_plot_with_nothing_finite_notes_it(xs, ys, logx):
+    root = _parse(svg.line_plot([("s", xs, ys)], "t", "x", "y", logx=logx))
+    assert not list(root.iter(f"{NS}circle")) and not list(root.iter(f"{NS}polyline"))
+    assert _texts(root) == ["t", "no finite points", "x", "y", "s"]
 
 
 def test_nan_heatmap_cell_is_grey_and_reads_nan():
