@@ -204,7 +204,8 @@ class HypothesisFamily:
     module docstring) or :meth:`from_rules` (explicit custom rules). The
     family exposes ``costs`` (R,), ``names``, ``tables`` (R, space.size,
     K), ``is_constant`` and ``is_deterministic``; list position is the
-    enumeration order used for tie-breaking.
+    enumeration order used for tie-breaking. ``_facts`` finds the
+    constant and the deterministic rules once, on first read.
 
     Every family stores the tables of its first F rules as the read-only
     (F, space.size, K) array ``_flat``, their names and costs as
@@ -212,13 +213,14 @@ class HypothesisFamily:
     keeps its few distinct table values and its deterministic rules'
     labels as ``_labels``, from which `_neg_log_at` places -ln values. A
     flat or custom family is the case F = R with no parts: its ``costs``,
-    ``tables`` and ``names`` are that array and list. A union from :meth:`for_space` adds pair rules
-    after them, factored: it answers every table-valued query from its
-    children, and builds its R-wide ``costs``, ``names``, ``tables`` and
-    rule facts only when they are read. A pair rule has a left child, a
-    rule of ``_parts[0]``, the left part's family, and a right child, a
-    rule of ``_parts[1]`` (a back-referenced child lies in the right
-    part's space, so it has the same enumeration there). The pair rules
+    ``tables`` and ``names`` are that array and list. A union from
+    :meth:`for_space` adds pair rules after them, factored: it answers
+    every table-valued query from its children, and builds its R-wide
+    ``costs``, ``names``, ``tables`` and rule facts only when they are
+    read. A pair rule has a left child, a rule of ``_parts[0]``, the left
+    part's family, and a right child, a rule of ``_parts[1]`` (a back-
+    referenced child lies in the right part's space, so it has the same
+    enumeration there); a part may be a family of either kind. The pair rules
     come fresh, then ``_n_same`` pair(a|=), then the back-references.
     Fresh pair i, every left child with every right child, has the
     children divmod(i, len(_parts[1])); only the pair(a|=) and back-
@@ -251,7 +253,6 @@ class HypothesisFamily:
         self._n_same, self._back_w = n_same, back_w
         self._n_fresh = len(parts[0]) * len(parts[1]) if parts else 0
         self._n_pairs = self._n_fresh + (len(tail_kids) if parts else 0)
-        self._key = None        # (space, K, noise grid) of a for_space family
 
     def _checked(self) -> "HypothesisFamily":
         """Check the Kraft budget (not for the parts)."""
@@ -268,10 +269,7 @@ class HypothesisFamily:
     @functools.cached_property
     def costs(self) -> np.ndarray:
         """Code length of every rule; a union's built on first read."""
-        li, ri = self._classes
-        fresh = self._pair_cost[self._fresh_group[li[:, None], ri]]
-        return np.concatenate([self._flat_costs, fresh.ravel(),
-                               self._pair_cost[self._tail_group]])
+        return self._costs_of(np.arange(len(self)))
 
     @functools.cached_property
     def names(self) -> list[str]:
@@ -289,14 +287,14 @@ class HypothesisFamily:
     def is_constant(self) -> np.ndarray:
         """Whether each rule gives every input the same row; built on first read."""
         out = np.zeros(len(self), dtype=bool)
-        out[self._constants()[0]] = True
+        out[self._facts[0]] = True
         return out
 
     @functools.cached_property
     def is_deterministic(self) -> np.ndarray:
         """Whether each rule's table is one-hot; built on first read."""
         out = np.zeros(len(self), dtype=bool)
-        out[self._deterministic()] = True
+        out[self._facts[2]] = True
         return out
 
     def kraft_sum(self) -> float:
@@ -472,53 +470,41 @@ class HypothesisFamily:
         return (math.fsum([_exp_fsum(rest), math.exp(-base) * kl * kr]),
                 max(3 * _U, err) + _U)
 
-    def _constants(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rules, rows): the constant rules, ascending, and the one row (K,)
-        of each. A pair rule is constant when both children are, with the
-        same row; a child smaller than its half is padded with 1/K."""
-        t = self._flat
-        rules = np.flatnonzero((t == t[:, :1, :]).all(axis=(1, 2)))
-        rows = t[rules, 0, :]
+    @functools.cached_property
+    def _facts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(constant rules, the one row (K,) of each, deterministic rules),
+        the rules ascending. A pair rule is constant when both children are,
+        with the same row, and deterministic when both are; a child smaller
+        than its half is padded with 1/K, so only its uniform constants
+        count and none of its rules is deterministic."""
+        t = self._flat            # rows equal in turn are all equal: == is transitive
+        const = np.flatnonzero((t[:, 1:] == t[:, :-1]).all(axis=(1, 2)))
+        det = np.flatnonzero(((t == 0.0) | (t == 1.0)).all(axis=(1, 2)))
         if not self._parts:
-            return rules, rows
+            return const, t[const, 0, :], det
         sides = []
         for child in self._parts:
-            r, w = child._constants()
+            r, w, d = child._facts
             if child.space.size < self.space.size // 2:   # uniform padding
                 keep = (w == 1.0 / self.num_labels).all(axis=1)
-                r, w = r[keep], w[keep]
+                r, w, d = r[keep], w[keep], d[:0]
             full = np.full((len(child), self.num_labels), np.nan)  # NaN: not constant
             full[r] = w
-            sides.append((r, w, full))
-        (ra, wa, full_a), (rb, wb, full_b) = sides
+            is_det = np.zeros(len(child), dtype=bool)
+            is_det[d] = True
+            sides.append((r, w, full, is_det))
+        (ra, wa, full_a, da), (rb, wb, full_b, db) = sides
         # the fresh pairs, every left child with every right child, from the
-        # constant children's rows; the stored pairs by child index
+        # children's facts; the stored pairs by child index
         ia, ib = np.nonzero((wa[:, None, :] == wb).all(axis=2))
+        fresh_det = np.flatnonzero(da)[:, None] * len(db) + np.flatnonzero(db)
         a, b = self._tail_kids.T
         tail = np.flatnonzero((full_a[a] == full_b[b]).all(axis=1))
-        nf = len(t)
-        return (np.concatenate([rules, nf + ra[ia] * len(self._parts[1]) + rb[ib],
-                                nf + self._n_fresh + tail]),
-                np.concatenate([rows, wa[ia], full_a[a[tail]]]))
-
-    def _deterministic(self) -> np.ndarray:
-        """The rules whose tables hold only 0 and 1, ascending; a child
-        padded with 1/K has none."""
-        t = self._flat
-        rules = np.flatnonzero(((t == 0.0) | (t == 1.0)).all(axis=(1, 2)))
-        if not self._parts:
-            return rules
-        sides = []
-        for child in self._parts:
-            det = np.zeros(len(child), dtype=bool)
-            if child.space.size == self.space.size // 2:
-                det[child._deterministic()] = True
-            sides.append(det)
-        (da, db), (a, b) = sides, self._tail_kids.T
-        nf = len(t)
-        fresh = np.flatnonzero(da)[:, None] * len(db) + np.flatnonzero(db)
-        return np.concatenate([rules, nf + fresh.ravel(),
-                               nf + self._n_fresh + np.flatnonzero(da[a] & db[b])])
+        nf, ns = len(t), len(t) + self._n_fresh
+        return (np.concatenate([const, nf + ra[ia] * len(db) + rb[ib], ns + tail]),
+                np.concatenate([t[const, 0, :], wa[ia], full_a[a[tail]]]),
+                np.concatenate([det, nf + fresh_det.ravel(),
+                                ns + np.flatnonzero(da[a] & db[b])]))
 
     # -- construction -------------------------------------------------------
 
@@ -539,9 +525,7 @@ class HypothesisFamily:
             if k < 2:
                 raise ValueError("family needs num_labels >= 2")
             _check_noise_grid(noise_grid)
-            fam = cls._build(space, k, noise_grid, built)._checked()
-            fam._key = key
-            built[key] = fam
+            built[key] = cls._build(space, k, noise_grid, built)._checked()
         return built[key]
 
     @classmethod
@@ -1358,7 +1342,7 @@ def critical_beta(d: Dataset, fam: HypothesisFamily, tol_bisect: float = 1e-3
     """
     if not (math.isfinite(tol_bisect) and tol_bisect > 0):
         raise ValueError(f"tol_bisect must be finite and > 0, got {tol_bisect!r}")
-    const_rules = fam._constants()[0]
+    const_rules = fam._facts[0]
     if not len(const_rules):
         raise ValueError("family contains no constant distributions")
     cand = _Candidates(d, fam)
@@ -1411,7 +1395,7 @@ def deterministic_complexity(d: Dataset, fam: HypothesisFamily) -> float | None:
         return None
     u = cand.u
     best = None
-    det = fam._deterministic()
+    det = fam._facts[2]
     if len(det):
         # a rule must pin every input it misses and may pin more: its best
         # price is the cheapest extension from its miss count up
@@ -1432,16 +1416,20 @@ def oracle_distance(d1: Dataset, d2: Dataset, fam: HypothesisFamily,
     """Asymmetric distance d(d1 -> d2) through the disjoint union.
 
     Minimal-statistic code length of d1 u d2 minus that of d1, floored at
-    zero. ``fam`` is the family for d1; the union family is derived with
-    the same pricing.
+    zero. ``fam`` is the family for d1. The union family takes ``fam``
+    itself, whichever way it was built, as each part on fam's space,
+    number of labels and noise grid; the rest of it, its own flat rules
+    included, comes from :meth:`HypothesisFamily.for_space` with fam's
+    noise grid.
     """
     if not beta >= 0:
         raise ValueError("beta must be >= 0")
     c1 = _Candidates(d1, fam).minimize(beta)[1][0]
     du = disjoint_union(d1, d2)
     # a part of the union on fam's own space has fam as its family
-    fam_u = HypothesisFamily._for_space(du.space, du.num_labels, fam.noise_grid,
-                                        {fam._key: fam} if fam._key else {})
+    fam_u = HypothesisFamily._for_space(
+        du.space, du.num_labels, fam.noise_grid,
+        {(fam.space, fam.num_labels, fam.noise_grid): fam})
     c12 = _Candidates(du, fam_u).minimize(beta)[1][0]
     return max(0.0, c12 - c1)
 

@@ -89,7 +89,6 @@ __all__ = [
     "SweepResult",
     "kl_gaussian",
     "expected_loss",
-    "lagrangian",
     "mc_lagrangian_and_grads",
     "MlpLossModel",
     "QuadraticLossModel",
@@ -278,14 +277,6 @@ def expected_loss(q: GaussianPosterior, d: Dataset, mc_samples: int,
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
     return float(_mc_losses(MlpLossModel(q.arch, d), q, mc_samples, seed).mean())
-
-
-def lagrangian(q: GaussianPosterior, d: Dataset, beta: float,
-               p: IsotropicPrior, mc: int, seed: int) -> float:
-    """expected_loss + beta * kl_gaussian."""
-    if not beta >= 0:
-        raise ValueError("beta must be >= 0")
-    return expected_loss(q, d, mc, seed) + beta * kl_gaussian(q, p)
 
 
 def mc_lagrangian_and_grads(model, q: GaussianPosterior, beta: float,

@@ -9,6 +9,8 @@ rules that a bound from their children cannot rule out; it must still
 return what a full screen returns.
 """
 
+import collections
+import functools
 import gc
 import timeit
 import tracemalloc
@@ -218,15 +220,16 @@ def test_union_queries_build_no_dense_tables():
     assert "tables" not in vars(fam)
 
 
-def _distance_tasks():
-    """perfbench oracle-union's oracle_distance tasks at seed 3 and their
+def _distance_tasks(seed=3):
+    """perfbench oracle-union's oracle_distance tasks at ``seed`` and their
     family: parity011 on all 32 inputs, random labels on 32 inputs."""
     space = DiscreteSpace(32)
     fam = fo.HypothesisFamily.for_space(space, 2)
-    xs = np.random.default_rng(33).permutation(32)
+    xs = np.random.default_rng(10 * seed + 3).permutation(32)
     plant = Dataset(xs, fam.hypothesis("parity011").table[xs].argmax(axis=1),
                     2, space)
-    return plant, tasks.generate_random_label_task(32, space, 2, seed=34), fam
+    rand = tasks.generate_random_label_task(32, space, 2, seed=10 * seed + 4)
+    return plant, rand, fam
 
 
 def test_union_distance_memory_guard():
@@ -285,6 +288,26 @@ def test_union_distance_builds_rows_only_for_unpruned_pairs(monkeypatch):
     assert "approx_loss" not in vars(cand) and "group_loss" not in vars(cand)
     assert "names" not in vars(cand.fam)
     assert sum(n for c, n in rows if c is cand) < len(cand.fam) // 20
+
+
+@pytest.mark.parametrize("seed", [3, 7, 40])
+def test_union_distance_screens_the_lowest_pair_floors_first(seed, monkeypatch):
+    # the pairs a child floor keeps go by the height of their floor above
+    # the least, in doubling blocks, each re-tested under the bounds that
+    # the blocks before it lowered: 64 of the 938 approximate-loss rows the
+    # distance builds are pair rules'. Re-testing the kept pairs once, in
+    # index order, built 969 pair rows
+    pair_rows = []
+    approx_rows = fo._Candidates._approx_rows
+
+    def rows_spy(self, rules):
+        pair_rows.append(int((rules >= self._n_flat).sum()))
+        return approx_rows(self, rules)
+
+    monkeypatch.setattr(fo._Candidates, "_approx_rows", rows_spy)
+    plant, rand, fam = _distance_tasks(seed)
+    fo.oracle_distance(plant, rand, fam, 1.0)
+    assert sum(pair_rows) <= 128
 
 
 def test_union_structure_function_memory_guard(union2x32, monkeypatch):
@@ -470,3 +493,50 @@ def test_oracle_distance_takes_both_parts_from_the_given_family(monkeypatch):
     monkeypatch.setattr(fo.HypothesisFamily, "_build", classmethod(spy))
     assert fo.oracle_distance(plant, rand, fam, 1.0) == want
     assert built == [64]
+
+
+def test_oracle_distance_takes_a_custom_family_as_its_own_parts(monkeypatch):
+    # a from_rules family is the part of its own space in the union, so
+    # d(D -> D) prices both parts with the family's own two rules; the
+    # standard rules of DiscreteSpace(4) gave 4.4398
+    space = DiscreteSpace(4)
+    fam = fo.HypothesisFamily.from_rules(
+        [fo.Hypothesis(np.full((4, 2), 0.5), 1.0, "uniform"),
+         fo.Hypothesis(np.eye(2)[[0, 1, 1, 0]], 1.0, "xor")], space)
+    xs = np.tile(np.arange(4), 3)
+    d = Dataset(xs, np.array([0, 1, 1, 0])[xs], 2, space)
+    families = []
+    init = fo._Candidates.__init__
+
+    def init_spy(self, d, fam):
+        families.append(fam)
+        init(self, d, fam)
+
+    monkeypatch.setattr(fo._Candidates, "__init__", init_spy)
+    assert fo.oracle_distance(d, d, fam, 1.0) == pytest.approx(2.3795461341, abs=1e-9)
+    union = families[-1]
+    assert union._parts[0] is fam and union._parts[1] is fam
+
+
+def test_two_critical_beta_calls_find_the_facts_once(monkeypatch):
+    # the constant rules of a union, and of each part, are found on the
+    # first read and kept; every bisection step and every later call
+    # reads them
+    calls = collections.Counter()
+    facts = fo.HypothesisFamily._facts.func
+
+    def facts_spy(self):
+        calls[id(self)] += 1
+        return facts(self)
+
+    spy = functools.cached_property(facts_spy)
+    spy.__set_name__(fo.HypothesisFamily, "_facts")
+    monkeypatch.setattr(fo.HypothesisFamily, "_facts", spy)
+    rule = fo.HypothesisFamily.for_space(DiscreteSpace(16), 2).hypothesis("parity011")
+    d = tasks.disjoint_union(
+        tasks.generate_planted_task(32, rule, 0.0, seed=31),
+        tasks.generate_random_label_task(8, DiscreteSpace(8), 2, seed=32))
+    fam = fo.HypothesisFamily.for_space(d.space, 2)
+    assert fo.critical_beta(d, fam) == fo.critical_beta(d, fam) > 0.0
+    left, right = fam._parts
+    assert calls == {id(fam): 1, id(left): 1, id(right): 1}

@@ -722,8 +722,7 @@ def test_negative_beta_is_rejected(plain_fam8):
 
 @pytest.mark.parametrize("call", [
     "lagrangian_sweep", "lagrangian_complexity", "beta_sufficient_statistics",
-    "oracle_distance", "variational.lagrangian", "optimize_posterior",
-    "pac_bayes_bound"])
+    "oracle_distance", "optimize_posterior", "pac_bayes_bound"])
 def test_nan_beta_is_rejected(plain_fam8, call):
     # each check is written so that NaN fails it; `beta < 0` let NaN through
     # to a TypeError, a run diverged at step 0 or a NaN bound
@@ -736,8 +735,6 @@ def test_nan_beta_is_rejected(plain_fam8, call):
         "beta_sufficient_statistics":
             lambda: beta_sufficient_statistics(d, plain_fam8, nan, tol=0.0),
         "oracle_distance": lambda: oracle_distance(d, d, plain_fam8, nan),
-        "variational.lagrangian": lambda: vi.lagrangian(
-            vi.prior_matched_posterior(arch, prior), real, nan, prior, 4, 0),
         "optimize_posterior": lambda: vi.optimize_posterior(
             real, arch, nan, prior, vi.VariationalConfig(steps=2)),
         "pac_bayes_bound": lambda: pac_bayes_bound(1.0, 1.0, 10, nan, 0.05),

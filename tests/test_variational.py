@@ -19,7 +19,6 @@ from taskinfo.variational import (
     fisher_diagonal,
     fisher_information_nats,
     kl_gaussian,
-    lagrangian,
     mc_lagrangian_and_grads,
     optimize_gaussian,
     optimize_posterior,
@@ -87,7 +86,7 @@ def test_kl_nonnegative_random():
 
 
 # ---------------------------------------------------------------------------
-# expected loss / Lagrangian
+# expected loss
 
 
 @pytest.fixture(scope="module")
@@ -128,35 +127,12 @@ def test_expected_loss_mc_convergence(small_task):
     assert abs(a - b) < 3 * sigma_diff
 
 
-def test_lagrangian_recomposition(small_task):
-    arch = Architecture((3, 2))
-    rng = np.random.default_rng(3)
-    q = GaussianPosterior(rng.normal(size=arch.num_params) * 0.3,
-                          rng.normal(size=arch.num_params) - 1.0, arch)
-    prior = IsotropicPrior(1.0)
-    for beta in (0.0, 0.7, 2.0):
-        got = lagrangian(q, small_task, beta, prior, 128, seed=5)
-        want = expected_loss(q, small_task, 128, seed=5) + \
-            beta * kl_gaussian(q, prior)
-        assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_lagrangian_beta_zero_equals_expected_loss(small_task):
-    arch = Architecture((3, 2))
-    q = prior_matched_posterior(arch, IsotropicPrior(1.0))
-    assert lagrangian(q, small_task, 0.0, IsotropicPrior(1.0), 64, seed=7) == \
-        expected_loss(q, small_task, 64, seed=7)
-
-
-def test_lagrangian_prior_matched_posterior_has_zero_kl_term(small_task):
-    # KL(Q||P) = 0 exactly, so the Lagrangian equals the expected loss at
-    # any beta
-    arch = Architecture((3, 2))
-    prior = IsotropicPrior(1.4)
-    q = prior_matched_posterior(arch, prior)
-    for beta in (0.5, 3.0, 100.0):
-        assert lagrangian(q, small_task, beta, prior, 32, seed=9) == \
-            expected_loss(q, small_task, 32, seed=9)
+def test_prior_matched_posterior_has_zero_kl():
+    for scale in (1.0, 1.4):
+        for widths in ((3, 2), (3, 4, 2)):
+            prior = IsotropicPrior(scale)
+            q = prior_matched_posterior(Architecture(widths), prior)
+            assert kl_gaussian(q, prior) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
