@@ -19,7 +19,8 @@ value's field. Unknown config keys are rejected; every config number,
 alone or in a list, is read by `_number`, and a boolean, string or
 non-finite one is an error naming the field (``oracle.t_grid[0]``); a file
 name is read by `_file_name`, and must be a string. All randomness flows
-from explicit seeds through named Philox streams.
+from explicit seeds through named Philox streams. A command imports only
+the engine modules it runs, in the functions that call them.
 """
 
 from __future__ import annotations
@@ -37,15 +38,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import annealing as anneal_mod
-from . import bounds as bounds_mod
-from . import distance as distance_mod
-from . import finite_oracle as oracle
 from . import svg
 from . import tasks as tasks_mod
 from . import textio
-from . import variational as vi
-from .models import Architecture
 
 __all__ = ["main", "ConfigError"]
 
@@ -148,6 +143,7 @@ def _family(space, k, obj, path, families, task="task") -> oracle.HypothesisFami
     at the noise grid of ``obj``. ``families``, one dict per command, maps
     (space, K, noise grid) to a family: the family of the space, and of each
     part of a union, is taken from it or built and put into it."""
+    from . import finite_oracle as oracle
     if not isinstance(space, tasks_mod.DiscreteSpace):
         raise ConfigError(f"{task}: the oracle engine needs a discrete domain, "
                           "not real vectors")
@@ -244,6 +240,7 @@ _OPT_FIELDS = {"steps": int, "learning_rate": float, "logvar_learning_rate": flo
 def _variational_config(spec, path) -> vi.VariationalConfig:
     """The optimizer fields at ``path``, each read by `_number`; grad_clip
     and logvar_learning_rate also take null (no clip; the learning rate)."""
+    from . import variational as vi
     _check_keys(spec, path, (), tuple(_OPT_FIELDS))
     with _blame(path):
         return vi.VariationalConfig(**{
@@ -254,6 +251,7 @@ def _variational_config(spec, path) -> vi.VariationalConfig:
 
 def _arch(spec, path, input_dim: int, k: int) -> Architecture:
     """input_dim, the widths listed in spec["arch_hidden"] (JSON integers), k."""
+    from .models import Architecture
     hidden = _numbers(spec, "arch_hidden", path, int) if "arch_hidden" in spec else ()
     with _blame(f"{path}.arch_hidden"):
         return Architecture((input_dim, *hidden, k))
@@ -261,6 +259,7 @@ def _arch(spec, path, input_dim: int, k: int) -> Architecture:
 
 def _prior(spec, path, default=None) -> vi.IsotropicPrior:
     """The isotropic prior of scale spec["prior_scale"]."""
+    from . import variational as vi
     with _blame(f"{path}.prior_scale"):
         return vi.IsotropicPrior(_number(spec, "prior_scale", path, float, default))
 
@@ -296,6 +295,7 @@ def _betas(spec, path, name) -> list:
 def _variational_sweep(d, betas, vcfg, seed: int) -> vi.SweepResult:
     """structure_sweep of d as real vectors under the ``variational``
     config's architecture, prior and optimizer."""
+    from . import variational as vi
     dd = tasks_mod.as_real_vectors(d)
     arch = _arch(vcfg, "variational", dd.space.dim, dd.num_labels)
     return vi.structure_sweep(
@@ -327,6 +327,7 @@ def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
     d = build_task(cfg["task"], families=families)
     out = {}
     if cfg["engine"] == "oracle":
+        from . import finite_oracle as oracle
         ocfg = cfg.get("oracle", {})
         _check_keys(ocfg, "oracle", ("t_grid",), ("noise_grid",))
         t_grid = _numbers(ocfg, "t_grid", "oracle")
@@ -334,6 +335,7 @@ def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
             raise ConfigError("oracle.t_grid: must be strictly increasing and nonempty")
         fam = _family(d.space, d.num_labels, ocfg, "oracle", families)
         curve = oracle.structure_function(d, fam, t_grid)
+        columns = curve.abscissa, curve.loss, curve.complexity
         xlabel = "code length budget t (NATS)"
     elif cfg["engine"] == "variational":
         vcfg = cfg.get("variational", {})
@@ -343,11 +345,10 @@ def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
         sweep = _variational_sweep(d, betas, vcfg, seed)
         pts = []
         for kl, loss in sweep.tradeoff_points():
-            if not pts or kl > pts[-1][0]:     # Curve wants strict increase
+            if not pts or kl > pts[-1][0]:     # t = KL strictly increasing
                 pts.append((kl, loss))
-        curve = oracle.Curve(
-            np.array([p[0] for p in pts]), np.array([p[1] for p in pts]),
-            np.array([p[0] for p in pts]))
+        kls, losses = (np.array(column) for column in zip(*pts))
+        columns = kls, losses, kls
         out["sweep.csv"] = _csv(
             "sweep", hash_, "beta,expected_loss_nats,kl_nats,loss_per_sample_nats",
             (f"{float(sweep.betas[i])!r},{float(sweep.losses[i])!r},"
@@ -359,9 +360,9 @@ def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
     out["structure_fn.csv"] = _csv(
         "curve", hash_, "t_or_beta,loss_nats,complexity_nats",
         (f"{float(a)!r},{float(l)!r},{float(c)!r}"
-         for a, l, c in zip(curve.abscissa, curve.loss, curve.complexity)))
+         for a, l, c in zip(*columns)))
     out["structure_fn.svg"] = svg.line_plot(
-        [("S(t)", curve.abscissa.tolist(), curve.loss.tolist())],
+        [("S(t)", columns[0].tolist(), columns[1].tolist())],
         "structure function", xlabel, "loss (NATS)", comment=_stamp(hash_))
     return out
 
@@ -384,6 +385,7 @@ def cmd_beta_sweep(cfg, hash_, seed: int) -> dict:
             series.append((name, list(sweep.betas),
                            list(sweep.losses / max(d.n, 1))))
     elif cfg["engine"] == "oracle":
+        from . import finite_oracle as oracle
         ocfg = cfg.get("oracle", {})
         _check_keys(ocfg, "oracle", (), ("noise_grid",))
         for i, (name, d) in enumerate(named):
@@ -411,6 +413,7 @@ def cmd_beta_sweep(cfg, hash_, seed: int) -> dict:
 
 
 def cmd_distance_matrix(cfg, hash_, seed: int) -> dict:
+    from . import distance as distance_mod
     _check_keys(cfg, "config",
                 ("version", "seed", "beta", "tasks", "arch_hidden",
                  "prior_scale"),
@@ -474,6 +477,7 @@ def _redrawn(spec, n: int, seed: int, path="task"):
 
 
 def cmd_pac_bayes(cfg, hash_, seed: int) -> dict:
+    from . import bounds as bounds_mod
     _check_keys(cfg, "config", ("version", "seed", "mode"),
                 ("train_loss_total", "kl", "n", "beta", "delta", "task",
                  "n_train", "n_test", "trials", "arch_hidden", "prior_scale",
@@ -524,6 +528,7 @@ def cmd_pac_bayes(cfg, hash_, seed: int) -> dict:
 
 
 def cmd_anneal(cfg, hash_, seed: int) -> dict:
+    from . import annealing as anneal_mod
     _check_keys(cfg, "config", ("version", "seed", "grid", "schedule", "start"))
     gspec = cfg["grid"]
     files = isinstance(gspec, dict) and "path" in gspec

@@ -139,6 +139,8 @@ class Hypothesis:
         table = _freeze(self.table, np.float64)
         if table.ndim != 2:
             raise ValueError("hypothesis table must be (M, K)")
+        if not np.isfinite(table).all():
+            raise ValueError("hypothesis table entries must be finite")
         if (table < 0).any():
             raise ValueError("hypothesis table must be nonnegative")
         if table.size and np.abs(table.sum(axis=1) - 1.0).max() > 1e-12:
@@ -1416,11 +1418,11 @@ def oracle_distance(d1: Dataset, d2: Dataset, fam: HypothesisFamily,
     """Asymmetric distance d(d1 -> d2) through the disjoint union.
 
     Minimal-statistic code length of d1 u d2 minus that of d1, floored at
-    zero. ``fam`` is the family for d1. The union family takes ``fam``
-    itself, whichever way it was built, as each part on fam's space,
-    number of labels and noise grid; the rest of it, its own flat rules
-    included, comes from :meth:`HypothesisFamily.for_space` with fam's
-    noise grid.
+    zero. ``fam`` is the family for d1. The union family has fam's number
+    of labels, or the union's if that is more; at fam's, it takes ``fam``
+    itself, whichever way it was built, as each part on fam's space and
+    noise grid. The rest of it, its own flat rules included, comes from
+    :meth:`HypothesisFamily.for_space` with fam's noise grid.
     """
     if not beta >= 0:
         raise ValueError("beta must be >= 0")
@@ -1428,7 +1430,7 @@ def oracle_distance(d1: Dataset, d2: Dataset, fam: HypothesisFamily,
     du = disjoint_union(d1, d2)
     # a part of the union on fam's own space has fam as its family
     fam_u = HypothesisFamily._for_space(
-        du.space, du.num_labels, fam.noise_grid,
+        du.space, max(du.num_labels, fam.num_labels), fam.noise_grid,
         {(fam.space, fam.num_labels, fam.noise_grid): fam})
     c12 = _Candidates(du, fam_u).minimize(beta)[1][0]
     return max(0.0, c12 - c1)

@@ -78,7 +78,6 @@ from .models import (
 )
 from .rng import _normal_into, stream
 from .tasks import Dataset, _freeze
-from .finite_oracle import Curve
 
 __all__ = [
     "IsotropicPrior",
@@ -604,12 +603,6 @@ class SweepResult:
     kls: np.ndarray
     n: int
     results: tuple[VariationalResult, ...]
-
-    @property
-    def curve(self) -> Curve:
-        """(beta ascending, loss, KL) as a Curve."""
-        order = np.argsort(self.betas, kind="stable")
-        return Curve(self.betas[order], self.losses[order], self.kls[order])
 
     def tradeoff_points(self) -> list[tuple[float, float]]:
         """Implied (t = KL, loss) structure-function samples."""

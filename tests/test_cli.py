@@ -29,6 +29,13 @@ def read(path):
     return path.read_text()
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a child Python that imports this taskinfo."""
+    src = os.path.dirname(os.path.dirname(taskinfo.__file__))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 RANDOM_TASK = {"type": "random_labels", "n": 20, "k": 2,
                "domain": {"kind": "discrete", "size": 32}, "seed": 5}
 
@@ -118,16 +125,13 @@ def test_oracle_output_does_not_depend_on_the_blas_thread_count(tmp_path):
         "version": 1, "seed": 3, "engine": "oracle",
         "tasks": [{"name": "union", "task": union}],
         "betas": [2.0 ** e for e in range(3, -7, -1)]}))
-    src = os.path.dirname(os.path.dirname(taskinfo.__file__))
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
         subprocess.run([sys.executable, "-m", "taskinfo.cli", "beta-sweep",
                         "--config", str(cfg_path), "--out", str(out)],
-                       env=env, check=True, capture_output=True, timeout=120)
+                       env=_child_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True, timeout=120)
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert sorted(outputs[0]) == ["beta_sweep.csv", "beta_sweep.svg"]
     assert outputs[0] == outputs[1]
@@ -1025,13 +1029,54 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
 
 def test_importing_the_cli_builds_no_parser():
     # the parser is built by the first main(), not at import
-    src = os.path.dirname(os.path.dirname(taskinfo.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", "import argparse\n"
                     "argparse.ArgumentParser = None\n"
                     "import taskinfo.cli"],
-                   env=env, check=True, capture_output=True, timeout=120)
+                   env=_child_env(), check=True, capture_output=True, timeout=120)
+
+
+_VARIATIONAL = {"arch_hidden": [], "prior_scale": 1.0,
+                "opt": {"steps": 5, "mc_samples": 1, "report_mc": 4}}
+_SHARED = {"tasks", "rng", "textio"}
+_CLI = _SHARED | {"cli", "svg"}
+
+# a fresh process, then the command it runs (none: `import taskinfo`
+# alone), and the taskinfo modules it has loaded when it is done
+LOADED = {
+    "import": (None, None, _SHARED),
+    "gen-task": ("gen-task", RERUNS["gen-task"][0], _CLI),
+    "anneal": ("anneal", RERUNS["anneal"][0], _CLI | {"annealing"}),
+    "oracle structure-fn": ("structure-fn", RERUNS["structure-fn"][0],
+                            _CLI | {"finite_oracle"}),
+    "variational beta-sweep": (
+        "beta-sweep", {"version": 1, "seed": 2, "engine": "variational",
+                       "tasks": [{"name": "rand", "task": RANDOM_TASK}],
+                       "betas": [1.0], "variational": _VARIATIONAL},
+        _CLI | {"models", "variational"}),
+    "variational structure-fn": (
+        "structure-fn", {"version": 1, "seed": 3, "engine": "variational",
+                         "task": RANDOM_TASK,
+                         "variational": dict(_VARIATIONAL, betas=[1.0])},
+        _CLI | {"models", "variational"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADED))
+def test_a_process_loads_only_the_engine_it_runs(tmp_path, case):
+    # the package loads the shared task layer; each engine module is
+    # imported by the first command that runs it
+    command, cfg, want = LOADED[case]
+    script = "import json, sys\nimport taskinfo\n"
+    if command:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        script += f"from taskinfo.cli import main\nassert main({argv!r}) == 0\n"
+    script += "print(json.dumps(sorted(m for m in sys.modules if m.startswith('taskinfo'))))"
+    run = subprocess.run([sys.executable, "-c", script], env=_child_env(), check=True,
+                         capture_output=True, text=True, timeout=120)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded == sorted({"taskinfo"} | {f"taskinfo.{m}" for m in want})
 
 
 def _fail(*args, **kwargs):

@@ -58,18 +58,34 @@ UNREACHED = {
 
 def _aliases(tree) -> dict:
     """Each name that an import in tree binds, to the dotted path it
-    stands for; a relative import is one of taskinfo's modules."""
+    stands for; a relative import is one of taskinfo's modules. The
+    imports of every scope share one dict (a function may import an
+    engine itself), so a name that two imports bind to different paths
+    is an error: its uses could not be resolved."""
     out = {}
+
+    def bind(name, path):
+        if out.setdefault(name, path) != path:
+            raise ValueError(f"{name!r} is bound to both {out[name]} and {path}")
+
     for n in ast.walk(tree):
         if isinstance(n, ast.Import):
             for a in n.names:       # `import a.b` binds a, `import a.b as c` a.b
                 path = a.name if a.asname else a.name.partition(".")[0]
-                out[a.asname or path] = path
+                bind(a.asname or path, path)
         elif isinstance(n, ast.ImportFrom):
             base = ".".join(filter(None, ["taskinfo"] * (n.level > 0) + [n.module]))
             for a in n.names:
-                out[a.asname or a.name] = f"{base}.{a.name}"
+                bind(a.asname or a.name, f"{base}.{a.name}")
     return out
+
+
+def test_aliases_refuse_a_name_bound_to_two_paths():
+    same = "from . import variational as vi\ndef f():\n    from . import variational as vi\n"
+    assert _aliases(ast.parse(same)) == {"vi": "taskinfo.variational"}
+    clash = "from . import variational as vi\ndef f():\n    from . import models as vi\n"
+    with pytest.raises(ValueError, match="'vi' is bound to both"):
+        _aliases(ast.parse(clash))
 
 
 def _references(node, aliases: dict, module: str | None = None) -> set:

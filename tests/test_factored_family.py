@@ -498,11 +498,9 @@ def test_oracle_distance_takes_both_parts_from_the_given_family(monkeypatch):
 def test_oracle_distance_takes_a_custom_family_as_its_own_parts(monkeypatch):
     # a from_rules family is the part of its own space in the union, so
     # d(D -> D) prices both parts with the family's own two rules; the
-    # standard rules of DiscreteSpace(4) gave 4.4398
+    # standard rules of DiscreteSpace(4) gave 4.4398. A family with more
+    # labels (3 columns) than its two-label tasks is still the union's part
     space = DiscreteSpace(4)
-    fam = fo.HypothesisFamily.from_rules(
-        [fo.Hypothesis(np.full((4, 2), 0.5), 1.0, "uniform"),
-         fo.Hypothesis(np.eye(2)[[0, 1, 1, 0]], 1.0, "xor")], space)
     xs = np.tile(np.arange(4), 3)
     d = Dataset(xs, np.array([0, 1, 1, 0])[xs], 2, space)
     families = []
@@ -513,9 +511,15 @@ def test_oracle_distance_takes_a_custom_family_as_its_own_parts(monkeypatch):
         init(self, d, fam)
 
     monkeypatch.setattr(fo._Candidates, "__init__", init_spy)
-    assert fo.oracle_distance(d, d, fam, 1.0) == pytest.approx(2.3795461341, abs=1e-9)
-    union = families[-1]
-    assert union._parts[0] is fam and union._parts[1] is fam
+    for k in (2, 3):
+        fam = fo.HypothesisFamily.from_rules(
+            [fo.Hypothesis(np.full((4, k), 1 / k), 1.0, "uniform"),
+             fo.Hypothesis(np.eye(k)[[0, 1, 1, 0]], 1.0, "xor")], space)
+        assert fo.oracle_distance(d, d, fam, 1.0) == pytest.approx(
+            2.3795461341, abs=1e-9)
+        union = families[-1]
+        assert union.num_labels == k
+        assert union._parts[0] is fam and union._parts[1] is fam
 
 
 def test_two_critical_beta_calls_find_the_facts_once(monkeypatch):

@@ -246,6 +246,17 @@ def test_hypothesis_invariants():
         Hypothesis(np.array([[0.5, 0.5]]), math.inf)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hypothesis_rejects_non_finite_entries(bad):
+    # NaN passes both the sign and the row-sum checks, so it is refused first
+    table = np.array([[bad, bad], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="must be finite"):
+        Hypothesis(table, 1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        HypothesisFamily.from_rules([Hypothesis(np.full((2, 2), 0.5), 1.0),
+                                     Hypothesis(table, 1.0)])
+
+
 # ---------------------------------------------------------------------------
 # complexity / structure function / Lagrangian
 

@@ -438,16 +438,16 @@ def test_sweep_requires_decreasing_schedule(small_task):
                         VariationalConfig(steps=1), seed=0)
 
 
-def test_sweep_curve_and_tradeoff_points():
+def test_sweep_tradeoff_points():
     d = tasks.generate_random_label_task(20, tasks.RealSpace(8), 2, seed=5)
     arch = Architecture((8, 2))
     cfg = VariationalConfig(steps=50, learning_rate=0.5, mc_samples=2,
                             report_mc=32)
     sweep = structure_sweep(d, arch, [4.0, 1.0], IsotropicPrior(1.0), cfg,
                             seed=6)
-    curve = sweep.curve
-    assert list(curve.abscissa) == [1.0, 4.0]
-    assert len(sweep.tradeoff_points()) == 2
+    points = sweep.tradeoff_points()            # (KL, loss), KL ascending
+    assert len(points) == 2 and points == sorted(points)
+    assert set(points) == set(zip(sweep.kls.tolist(), sweep.losses.tolist()))
 
 
 def test_crossing_beta_interpolates():
