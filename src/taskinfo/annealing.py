@@ -373,6 +373,8 @@ def save_grid(g: PosteriorGrid, path, metric_path) -> None:
 
     Raises ValueError, before writing either file, for a node id that
     load_grid would not read back as the same string, or as a distinct one.
+    Both files go through one `textio.write`: neither is renamed over its
+    target until both are written.
     """
     seen = set()
     for node in map(str, g.node_ids):
@@ -386,8 +388,7 @@ def save_grid(g: PosteriorGrid, path, metric_path) -> None:
     for i in range(len(g)):
         lines.append(f"{g.node_ids[i]},{float(g.losses[i])!r},{float(g.kls[i])!r}")
         rows.append(",".join(repr(float(v)) for v in g.metric[i]))
-    textio.write(path, textio.join(lines))
-    textio.write(metric_path, textio.join(rows))
+    textio.write({path: textio.join(lines), metric_path: textio.join(rows)})
 
 
 def load_grid(path, metric_path) -> PosteriorGrid:

@@ -11,16 +11,20 @@ Commands (all driven by a versioned JSON config):
 
 Common flag: --seed-override replaces the config's top-level seed. Every
 output embeds the effective config hash and tool version in a comment
-header; writes are atomic (temp file + rename) and nothing is written if
-the run fails. Exit codes: 0 success, 2 config error (a ConfigError, which
-names the config field at fault), 1 any other error. A library ValueError
-about a value the config gave is reported as a ConfigError naming that
-value's field. Unknown config keys are rejected; every config number,
-alone or in a list, is read by `_number`, and a boolean, string or
-non-finite one is an error naming the field (``oracle.t_grid[0]``); a file
-name is read by `_file_name`, and must be a string. All randomness flows
-from explicit seeds through named Philox streams. A command imports only
-the engine modules it runs, in the functions that call them.
+header. Every output goes to a temporary file before any is renamed over
+its target (`textio.write`), so a run that fails before the renames writes
+nothing. Exit codes: 0 success, 2 config error (a ConfigError, which names
+the config field at fault, or a config file that cannot be read as JSON), 1
+any other error, an ``--out`` that cannot take the outputs included. A
+library ValueError about a value the config gave is reported as a
+ConfigError naming that value's field. Unknown config keys are rejected;
+every config number, alone or in a list, is read by `_number`, and a
+boolean, string or non-finite one is an error naming the field
+(``oracle.t_grid[0]``); a file name is read by `_file_name`, and must be a
+string. A generated task's size is checked by `_task_size` before it is
+drawn. All randomness flows from explicit seeds through named Philox
+streams. A command imports only the engine modules it runs, in the
+functions that call them.
 """
 
 from __future__ import annotations
@@ -155,6 +159,20 @@ def _family(space, k, obj, path, families, task="task") -> oracle.HypothesisFami
         return oracle.HypothesisFamily._for_space(space, k, noise_grid, families)
 
 
+_MAX_TASK_CELLS = 2 ** 27      # n x input width of one generated task: 1 GiB of float64
+
+
+def _task_size(n: int, width: int, path: str) -> int:
+    """n, the sample count of a generated task whose inputs are ``width``
+    numbers each (1 for a discrete domain); a ConfigError naming
+    ``path.n`` when n x width exceeds _MAX_TASK_CELLS, before the
+    generator allocates anything."""
+    if n * width > _MAX_TASK_CELLS:
+        raise ConfigError(f"{path}.n: {n} samples x {width} input values exceed "
+                          f"the task bound of 2^27 = {_MAX_TASK_CELLS} cells")
+    return n
+
+
 _TRANSFORM_FIELDS = {"fraction": float, "seed": int, "width": float,
                      "permutation": tuple}          # a list of integers
 
@@ -170,12 +188,16 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
     if t == "random_labels":
         _check_keys(spec, path, ("type", "n", "k", "domain", "seed"))
         with _blame(path):
+            n = _number(spec, "n", path)
+            domain = _build_domain(spec["domain"], f"{path}.domain")
             return tasks_mod.generate_random_label_task(
-                _number(spec, "n", path), _build_domain(spec["domain"], f"{path}.domain"),
+                _task_size(n, domain.dim if isinstance(domain, tasks_mod.RealSpace)
+                           else 1, path), domain,
                 _number(spec, "k", path), _number(spec, "seed", path))
     if t == "planted":
         _check_keys(spec, path, ("type", "n", "k", "domain_size", "rule", "seed"),
                     ("noise", "noise_grid"))
+        n = _task_size(_number(spec, "n", path), 1, path)
         with _blame(path):
             fam = _family(tasks_mod.DiscreteSpace(_number(spec, "domain_size", path)),
                           _number(spec, "k", path), spec, path, families, path)
@@ -187,7 +209,7 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
             raise ConfigError(f"{path}.rule: expected a rule name") from None
         with _blame(path):
             return tasks_mod.generate_planted_task(
-                _number(spec, "n", path), rule,
+                n, rule,
                 _number(spec, "noise", path, float, 0.0),
                 _number(spec, "seed", path))
     if t == "union":
@@ -609,6 +631,11 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        # a directory, a file that is not UTF-8, JSON nested past the decoder
+        print(f"error: cannot read config {args.config}: {type(exc).__name__}: "
+              f"{exc.strerror if isinstance(exc, OSError) else exc}", file=sys.stderr)
+        return 2
 
     try:
         if not isinstance(cfg, dict) or _number(cfg, "version", "config") != 1:
@@ -625,10 +652,18 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(args.out, exist_ok=True)
-    for filename, content in sorted(outputs.items()):
-        textio.write(os.path.join(args.out, filename), content)
-        print(os.path.join(args.out, filename))
+    files = {os.path.join(args.out, name): text
+             for name, text in sorted(outputs.items())}
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        textio.write(files)
+    except (FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
+        # --out or one of its output names is not a place for the file
+        print(f"error: cannot write to --out {args.out}: {type(exc).__name__}: "
+              f"{exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 1
+    for path in files:
+        print(path)
     return 0
 
 

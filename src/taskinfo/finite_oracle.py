@@ -17,14 +17,14 @@ Code lengths satisfy the Kraft budget sum exp(-len) <= 1, which is what
 makes the memorization price exactly one NAT of description per NAT of loss
 removed and puts the critical trade-off at beta = 1 for random labels.
 
-Every family keeps one read-only table array for its base rules. A union
-family adds its pair rules after them, factored: a pair rule is its two
-children, never a table, and most pairs' children and costs follow from
-their position. Screening evaluates each part's family once on its half
-of the inputs, and every query gathers rows, by child index, only for the
-pair rules that a lower bound from their children cannot rule out. A
-union's table values are built per rule as a query needs them, the stacked
-(R, M, K) ``HypothesisFamily.tables`` only when read.
+Every family codes its base rules' tables: the sorted distinct values and
+a read-only integer code per (rule, input, label) cell. A union family adds
+its pair rules after them, factored: a pair rule is its two children, never
+a table, and most pairs' children and costs follow from their position.
+Screening evaluates each part's family once on its half of the inputs, and
+every query gathers rows, by child index, only for the pair rules that a
+lower bound from their children cannot rule out. Values are read per rule
+as a query needs them, the float64 ``HypothesisFamily.tables`` only when read.
 
 All reported losses and minima are exact: candidates are screened with fast
 vectorized arithmetic, then every near-minimal candidate is re-evaluated with
@@ -209,46 +209,47 @@ class HypothesisFamily:
     enumeration order used for tie-breaking. ``_facts`` finds the
     constant and the deterministic rules once, on first read.
 
-    Every family stores the tables of its first F rules as the read-only
-    (F, space.size, K) array ``_flat``, their names and costs as
-    ``_flat_names`` and ``_flat_costs``; one built by `_flat_rules` also
-    keeps its few distinct table values and its deterministic rules'
-    labels as ``_labels``, from which `_neg_log_at` places -ln values. A
-    flat or custom family is the case F = R with no parts: its ``costs``,
-    ``tables`` and ``names`` are that array and list. A union from
-    :meth:`for_space` adds pair rules after them, factored: it answers
-    every table-valued query from its children, and builds its R-wide
-    ``costs``, ``names``, ``tables`` and rule facts only when they are
-    read. A pair rule has a left child, a rule of ``_parts[0]``, the left
-    part's family, and a right child, a rule of ``_parts[1]`` (a back-
-    referenced child lies in the right part's space, so it has the same
-    enumeration there); a part may be a family of either kind. The pair rules
-    come fresh, then ``_n_same`` pair(a|=), then the back-references.
-    Fresh pair i, every left child with every right child, has the
-    children divmod(i, len(_parts[1])); only the pair(a|=) and back-
+    Every family stores the tables of its first F rules coded: ``_values``,
+    the sorted distinct table values (-0.0 and 0.0 share one, 0.0), and
+    ``_flat``, the read-only (F, space.size, K) array of each cell's index
+    into it, of dtype min_scalar_type(len(_values)): equal codes mean equal
+    cells. Their names and costs are ``_flat_names`` and ``_flat_costs``;
+    ``tables`` is built from the codes on first read. A flat or custom
+    family is the case F = R with no parts: its ``costs`` and ``names`` are
+    that array and list. A union from :meth:`for_space` adds pair rules
+    after them, factored: it answers every table-valued query from its
+    children, and builds its R-wide ``costs``, ``names`` and rule facts only
+    when they are read. A pair rule has a left child, a rule of
+    ``_parts[0]``, the left part's family, and a right child, a rule of
+    ``_parts[1]`` (a back-referenced child lies in the right part's space,
+    so it has the same enumeration there); a part may be a family of either
+    kind. The pair rules come fresh, then ``_n_same`` pair(a|=), then the
+    back-references. Fresh pair i, every left child with every right child,
+    has the children divmod(i, len(_parts[1])); only the pair(a|=) and back-
     references store theirs, as rows of ``_tail_kids``, with ``_back_w``
-    naming which child of the left pair each back-reference points at.
-    Pair costs are few: ``_pair_cost`` holds the distinct ones, a fresh
-    pair's index into it is ``_fresh_group`` at its children's cost
-    classes ``_classes``, a stored pair's ``_tail_group``. The left child
-    fills rows [0, mmax), the right child rows [mmax, 2 mmax), mmax =
-    space.size // 2; rows past a child's own space are uniform.
+    naming which child of the left pair each back-reference points at. Pair
+    costs are few: ``_pair_cost`` holds the distinct ones, a fresh pair's
+    index into it is ``_fresh_group`` at its children's cost classes
+    ``_classes``, a stored pair's ``_tail_group``. The left child fills rows
+    [0, mmax), the right child rows [mmax, 2 mmax), mmax = space.size // 2;
+    rows past a child's own space are uniform.
     """
 
     MAX_RULES = 400_000
-    MAX_CELLS = 2 ** 27       # table cells of the base rules: 1 GiB of float64
+    MAX_CELLS = 2 ** 27       # coded cells of the base rules (1 GiB as float64 tables)
 
     def __init__(self, space: DiscreteSpace, num_labels: int, costs: np.ndarray,
-                 tables: np.ndarray, names: list, *, noise_grid=(), labels=None,
-                 parts=(), classes=(), pair_cost=None, fresh_group=None,
-                 tail_kids=None, tail_group=None, n_same=0, back_w=None):
+                 values: np.ndarray, codes: np.ndarray, names: list, *,
+                 noise_grid=(), parts=(), classes=(), pair_cost=None,
+                 fresh_group=None, tail_kids=None, tail_group=None, n_same=0,
+                 back_w=None):
         self.space, self.num_labels = space, num_labels
         self.noise_grid = tuple(noise_grid)
-        tables.flags.writeable = False    # built here: frozen in place, not copied
-        self._flat, self._flat_names, self._flat_costs = tables, names, costs
-        self._labels = labels     # (values, labels) of `_flat_rules`, if built there
+        codes.flags.writeable = False    # built here: frozen in place, not copied
+        self._values, self._flat = values, codes
+        self._flat_names, self._flat_costs = names, costs
         if not parts:
-            self.costs, self.tables, self.names = costs, tables, names
+            self.costs, self.names = costs, names
         self._parts, self._classes, self._pair_cost = parts, classes, pair_cost
         self._fresh_group, self._tail_kids, self._tail_group = (
             fresh_group, tail_kids, tail_group)
@@ -280,7 +281,7 @@ class HypothesisFamily:
 
     @functools.cached_property
     def tables(self) -> np.ndarray:
-        """Stacked (R, M, K) tables, read-only; a union's built on first read."""
+        """Stacked (R, M, K) float64 tables, read-only, built on first read."""
         tables = self._tables_of(np.arange(len(self)))
         tables.flags.writeable = False
         return tables
@@ -372,7 +373,7 @@ class HypothesisFamily:
         nf = len(self._flat)
         out = np.empty((len(rules), len(xs)))
         flat = rules < nf
-        out[flat] = self._flat[rules[flat][:, None], xs, ys]
+        out[flat] = self._values[self._flat[rules[flat][:, None], xs, ys]]
         if not self._parts:
             return out
         pair = np.flatnonzero(~flat)
@@ -429,22 +430,9 @@ class HypothesisFamily:
         return out
 
     def _neg_log_at(self, xs) -> np.ndarray:
-        """`_neg_log` of the flat rules' tables at the inputs xs, (F,
-        len(xs), K). A family from `_flat_rules` has few distinct table
-        values: each -ln is taken once (elementwise, so with the same bits)
-        and placed by the deterministic rules' labels at xs."""
-        if self._labels is None:
-            return _neg_log(self._flat[:, xs, :])
-        values, labels = self._labels
-        nl, k = _neg_log(values), self.num_labels
-        hot = labels[:, xs, None] == np.arange(k)       # (rule, input, label)
-        # (rule, noise level, input, label): 1 - q at the label, q / (k - 1) off it
-        levels = np.where(hot[:, None], nl[2::2, None, None], nl[1::2, None, None])
-        out = np.empty((len(self._flat), len(xs), k))
-        out[0] = nl[0]
-        out[1:1 + len(labels)] = levels[:, 0]
-        out[1 + len(labels):].reshape(levels[:, 1:].shape)[...] = levels[:, 1:]
-        return out
+        """`_neg_log` of the flat rules' tables at the inputs xs, (F, len(xs), K): each
+        value's -ln taken once elementwise (the bits of a log per cell), gathered by code."""
+        return np.take(_neg_log(self._values), np.take(self._flat, xs, axis=1))
 
     @functools.cached_property
     def _class_rules(self) -> tuple[list, list]:
@@ -454,7 +442,7 @@ class HypothesisFamily:
 
     def _peak(self) -> float:
         """Largest table value of any rule (a union's padding is 1/K)."""
-        return max([float(self._flat.max(initial=0.0))]
+        return max([float(self._values.max(initial=0.0))]
                    + [child._peak() for child in self._parts])
 
     def _kraft(self) -> tuple[float, float]:
@@ -478,12 +466,16 @@ class HypothesisFamily:
         the rules ascending. A pair rule is constant when both children are,
         with the same row, and deterministic when both are; a child smaller
         than its half is padded with 1/K, so only its uniform constants
-        count and none of its rules is deterministic."""
-        t = self._flat            # rows equal in turn are all equal: == is transitive
+        count and none of its rules is deterministic. The flat rules'
+        cells are compared by code."""
+        t, values = self._flat, self._values   # rows equal in turn are all equal
         const = np.flatnonzero((t[:, 1:] == t[:, :-1]).all(axis=(1, 2)))
-        det = np.flatnonzero(((t == 0.0) | (t == 1.0)).all(axis=(1, 2)))
+        zero, one = (int(np.searchsorted(values, v)) if v in values
+                     else len(values) for v in (0.0, 1.0))   # len: no cell's code
+        det = np.flatnonzero(((t == zero) | (t == one)).all(axis=(1, 2)))
+        rows = values[t[const, 0, :]]
         if not self._parts:
-            return const, t[const, 0, :], det
+            return const, rows, det
         sides = []
         for child in self._parts:
             r, w, d = child._facts
@@ -504,7 +496,7 @@ class HypothesisFamily:
         tail = np.flatnonzero((full_a[a] == full_b[b]).all(axis=1))
         nf, ns = len(t), len(t) + self._n_fresh
         return (np.concatenate([const, nf + ra[ia] * len(db) + rb[ib], ns + tail]),
-                np.concatenate([t[const, 0, :], wa[ia], full_a[a[tail]]]),
+                np.concatenate([rows, wa[ia], full_a[a[tail]]]),
                 np.concatenate([det, nf + fresh_det.ravel(),
                                 ns + np.flatnonzero(da[a] & db[b])]))
 
@@ -536,10 +528,11 @@ class HypothesisFamily:
         hs = list(hypotheses)
         if not hs:
             raise NoHypothesisError("no hypothesis: family is empty")
-        m, k = hs[0].table.shape
-        return cls(space or DiscreteSpace(m), num_labels or k,
-                   np.array([float(h.code_length) for h in hs]),
-                   np.stack([h.table for h in hs]),
+        tables = np.stack([h.table for h in hs])
+        values, codes = np.unique(tables + 0.0, return_inverse=True)  # -0.0 reads 0.0
+        return cls(space or DiscreteSpace(tables.shape[1]), num_labels or tables.shape[2],
+                   np.array([float(h.code_length) for h in hs]), values,
+                   codes.reshape(tables.shape).astype(np.min_scalar_type(len(values))),
                    [h.name or f"rule{i}" for i, h in enumerate(hs)])._checked()
 
     @classmethod
@@ -575,9 +568,8 @@ class HypothesisFamily:
         at = at.astype(np.min_scalar_type(len(cost)))
         fresh = len(lc) * len(rc)
         same = np.arange(n_same)            # pair(a|=), then pair(a|<w])
-        return cls(space, k, flat.costs + PAIR_FLAG, flat._flat,
+        return cls(space, k, flat.costs + PAIR_FLAG, flat._values, flat._flat,
                    [f"flat[{n}]" for n in flat.names], noise_grid=noise_grid,
-                   labels=flat._labels,
                    parts=(left, right), classes=(li, ri), pair_cost=cost,
                    fresh_group=at[:fresh].reshape(len(lc), len(rc)),
                    tail_kids=np.stack([np.concatenate([same, back_a]),
@@ -603,14 +595,15 @@ class HypothesisFamily:
         # deterministic rules: constants, bits and parities, each bit and
         # parity also inverted; parity[mask, x] is that of popcount(x & mask),
         # built by doubling: the masks with bit j set follow those without
-        xs, shifts, inv = np.arange(m), np.arange(bits), np.array([[0], [1]])
-        parity = np.zeros((1, m), dtype=np.int64)
+        small = np.min_scalar_type(k)
+        xs, inv = np.arange(m), np.array([[0], [1]], dtype=small)
+        bit = (xs >> np.arange(bits)[:, None] & 1).astype(small)
+        parity = np.zeros((1, m), dtype=small)
         for j in range(bits):
-            parity = np.concatenate([parity, parity ^ (xs >> j & 1)])
+            parity = np.concatenate([parity, parity ^ bit[j]])
         labels = np.concatenate([
-            np.repeat(np.arange(k)[:, None], m, axis=1),
-            ((xs >> shifts[:, None] & 1)[:, None] ^ inv).reshape(-1, m),
-            (parity[:, None] ^ inv).reshape(-1, m)])
+            np.repeat(np.arange(k, dtype=small)[:, None], m, axis=1),
+            (bit[:, None] ^ inv).reshape(-1, m), (parity[:, None] ^ inv).reshape(-1, m)])
         names = [f"const{c}" for c in range(k)] + [
             f"{rule}{t}" for rule in [f"bit{j}" for j in range(bits)]
             + [f"parity{mask:03d}" for mask in range(2 ** bits)] for t in ("", "~inv")]
@@ -619,24 +612,29 @@ class HypothesisFamily:
                            _GROUP_TAG + math.log(bits) + LN2 + smooth_tag,
                            _GROUP_TAG + bits * LN2 + LN2 + smooth_tag],
                           [k, 2 * bits, 2 ** (bits + 1)])
-        # the one (R, M, K) table, filled in place: uniform, the one-hot
+        # the one (R, M, K) code table, filled in place: uniform, the one-hot
         # rules (noise level 0), then each rule at each noise level q, rule-
         # major: 1 - q at the rule's label and q / (k - 1) elsewhere. Its
-        # values, 1 / k then (q / (k - 1), 1 - q) per level, go with the labels
-        levels = np.concatenate([[0.0], q])
-        values = np.concatenate([[1.0 / k], np.stack([levels / (k - 1), 1.0 - levels],
-                                                     axis=1).ravel()])
-        table, nd = np.empty((rules, m, k)), len(names)
-        table[0] = values[0]
-        noisy = table[1 + nd:].reshape(nd, len(q), m, k)
-        at = (np.arange(nd)[:, None], xs, labels)
-        for j, block in enumerate([table[1:1 + nd], *noisy.swapaxes(0, 1)]):
-            block[...] = values[2 * j + 1]
-            block[at] = values[2 * j + 2]
+        # slots, 1 / k then (q / (k - 1), 1 - q) per level, are coded by value
+        # (+ 0.0 turns -0.0 into 0.0; a set, as np.unique pages in 0.45 MB of code)
+        slot = [1.0 / k] + [v + 0.0 for x in [0.0, *q.tolist()] for v in (x / (k - 1), 1 - x)]
+        values = np.array(sorted(set(slot)))
+        codes, nd = np.empty((rules, m, k), dtype=np.min_scalar_type(len(values))), len(names)
+        slot = np.searchsorted(values, slot).astype(codes.dtype)
+        codes[0] = slot[0]
+        noisy = codes[1 + nd:].reshape(nd, len(q), m, k)
+        hot = np.empty((nd, m, k), dtype=np.uint8)      # 1 at the rule's label, else 0
+        for c in range(k):
+            np.equal(labels, c, out=hot[..., c], casting="unsafe")
+        # off + hot * (on - off), modulo the code dtype's range: on at the label
+        delta = slot[2::2] - slot[1::2]
+        for j, block in enumerate([codes[1:1 + nd], *noisy.swapaxes(0, 1)]):
+            np.multiply(hot, delta[j], out=block)
+            block += slot[2 * j + 1]
         return cls(
-            space, k, np.concatenate([[_GROUP_TAG], costs, costs.repeat(len(q))]), table,
-            ["uniform"] + names + [n + q for n in names for q in suffixes],
-            noise_grid=noise_grid, labels=(values, labels))
+            space, k, np.concatenate([[_GROUP_TAG], costs, costs.repeat(len(q))]),
+            values, codes, ["uniform"] + names + [n + q for n in names for q in suffixes],
+            noise_grid=noise_grid)
 
 
 # ---------------------------------------------------------------------------

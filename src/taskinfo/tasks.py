@@ -451,7 +451,7 @@ def _dataset_lines(d: Dataset) -> list[str]:
 
 
 def save_dataset_csv(d: Dataset, path) -> None:
-    textio.write(path, textio.join(_dataset_lines(d)))
+    textio.write({path: textio.join(_dataset_lines(d))})
 
 
 def load_dataset_csv(path) -> Dataset:

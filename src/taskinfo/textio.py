@@ -15,14 +15,19 @@ format's loader and writer keep only their rows.
 - Errors: a malformed line raises ``ValueError("path:line: message")``
   (``fail``); a fault of the whole file names the path alone.
 - Writes: lines are joined by ``\\n`` with one after the last (``join``).
-  ``write`` puts the text in a new ``.taskinfo-*`` file beside the target
-  and renames it over the target, so the target holds its old bytes or all
-  of the new ones, and a failed write leaves no temporary file.
+  ``write`` takes every file of a run. It puts each text in a new
+  ``.taskinfo-*`` file beside its target, and only when all are written
+  renames them over their targets, one by one. So a failure before the
+  first rename, a target that is a directory included, leaves every target
+  as it was and no temporary file. A rename that fails leaves the targets
+  renamed before it with all of their new bytes, the rest with their old
+  ones, and no temporary file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import secrets
 from typing import NoReturn
@@ -76,16 +81,26 @@ def join(lines) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write(path, text: str) -> None:
-    """Write text to path atomically: a new ``.taskinfo-*`` file beside it,
-    made as open() makes one (mode 0o666 less the umask), then os.replace."""
-    tmp = os.path.join(os.path.dirname(path), f".taskinfo-{secrets.token_hex(8)}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def write(files: dict) -> None:
+    """Write each text of ``files``, a dict from path to text, to its path
+    as the module docstring says: every temporary file first, each made as
+    open() makes one (mode 0o666 less the umask), then os.replace per file
+    in the dict's order."""
+    pending = []            # (temporary file, target), not yet renamed
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            tmp = os.path.join(os.path.dirname(path), f".taskinfo-{secrets.token_hex(8)}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            pending.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        while pending:
+            os.replace(*pending[0])
+            pending.pop(0)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in pending:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise

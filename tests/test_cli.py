@@ -1168,3 +1168,72 @@ def test_union_and_flat_space_of_one_size_get_their_own_families(tmp_path):
         rows[len(tasks), tasks[0]["name"]] = \
             read(out / "beta_sweep.csv").splitlines()[2:]
     assert rows[2, "union"] == rows[1, "union"] + rows[1, "flat"]
+
+
+@pytest.mark.parametrize("make, why", [
+    (lambda path: path.mkdir(), "IsADirectoryError: Is a directory"),
+    (lambda path: path.write_bytes(b'{"version": 1, "seed": 0, "task": "\xff"}'),
+     "UnicodeDecodeError: 'utf-8' codec can't decode"),
+    (lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+     "RecursionError: maximum recursion depth exceeded"),
+], ids=["directory", "not-utf-8", "nested-too-deep"])
+def test_unreadable_config_exits_2_naming_its_path(tmp_path, capsys, make, why):
+    cfg_path, out = tmp_path / "config.json", tmp_path / "out"
+    make(cfg_path)
+    code = main(["gen-task", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith(f"error: cannot read config {cfg_path}: {why}")
+    assert err.count("\n") == 1
+
+
+def test_out_naming_a_regular_file_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"old bytes\n")
+    code, _ = run_cli(tmp_path, "gen-task", RERUNS["gen-task"][0])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write to --out {out}: FileExistsError")
+    assert out.read_bytes() == b"old bytes\n"
+
+
+def test_multi_file_run_that_fails_before_its_renames_writes_nothing(tmp_path, capsys):
+    # structure_fn.svg is a directory: structure_fn.csv, the first output,
+    # must not be renamed into place either, and no temporary file is left
+    out = tmp_path / "out"
+    (out / "structure_fn.svg").mkdir(parents=True)
+    code, _ = run_cli(tmp_path, "structure-fn", RERUNS["structure-fn"][0])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert "IsADirectoryError" in err and "structure_fn.svg" in err
+    assert [p.name for p in out.iterdir()] == ["structure_fn.svg"]
+    assert not any((out / "structure_fn.svg").iterdir())
+
+
+@pytest.mark.parametrize("task, width", [
+    (dict(REAL_TASK, n=10 ** 12), 4),
+    (dict(RANDOM_TASK, n=10 ** 12, domain={"kind": "discrete", "size": 10 ** 12}), 1),
+    (dict(PLANTED_TASK, n=10 ** 12), 1),
+], ids=["real", "discrete", "planted"])
+def test_task_size_is_a_config_error_before_any_allocation(tmp_path, capsys, task, width):
+    # a 4-dim real task of 10**12 samples once asked numpy for 29.1 TiB
+    tracemalloc.start()
+    try:
+        code, out = run_cli(tmp_path, "gen-task", dict(RERUNS["gen-task"][0], task=task))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"config error: task.n: {10 ** 12} samples x {width} input values exceed "
+        "the task bound of 2^27 = 134217728 cells\n")
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_task_size_bound_counts_samples_times_input_width():
+    from taskinfo import cli
+    assert cli._task_size(2 ** 27, 1, "task") == 2 ** 27
+    assert cli._task_size(2 ** 25, 4, "task") == 2 ** 25
+    for n, width in ((2 ** 27 + 1, 1), (2 ** 25 + 1, 4)):
+        with pytest.raises(cli.ConfigError, match=r"^task\.n: "):
+            cli._task_size(n, width, "task")

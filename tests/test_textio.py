@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from taskinfo import annealing, cli, tasks
+from taskinfo import annealing, cli, tasks, textio
 
 
 def _gen_task(path):
@@ -46,3 +46,40 @@ def test_library_writer_is_atomic(tmp_path, monkeypatch, writer):
         WRITERS[writer](target)
     assert [path.read_bytes() for path in targets] == [b"old bytes\n"] * 2
     assert sorted(p.name for p in out.iterdir()) == ["metric.csv", "task.csv"]
+
+
+def test_write_renames_nothing_until_every_file_is_written(tmp_path):
+    # the second file cannot be made: the first keeps its old bytes
+    first, second = tmp_path / "a.csv", tmp_path / "missing" / "b.csv"
+    first.write_bytes(b"old bytes\n")
+    with pytest.raises(FileNotFoundError):
+        textio.write({first: "new\n", second: "new\n"})
+    assert first.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+
+def test_failed_rename_leaves_the_earlier_targets_new_and_no_temporary(
+        tmp_path, monkeypatch):
+    targets = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
+    for path in targets:
+        path.write_bytes(b"old bytes\n")
+    replace, renamed = os.replace, []
+
+    def second_fails(src, dst):
+        if len(renamed) == 1:
+            raise OSError("replace failed")
+        renamed.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    with pytest.raises(OSError, match="replace failed"):
+        textio.write({path: "new\n" for path in targets})
+    assert [p.read_bytes() for p in targets] == [b"new\n", b"old bytes\n", b"old bytes\n"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "c.csv"]
+
+
+def test_save_grid_writes_neither_file_when_one_cannot_be_written(tmp_path):
+    grid = annealing.gaussian_lattice_grid(1.0, 1.0, [0.0, 1.0], [0.0])
+    with pytest.raises(FileNotFoundError):
+        annealing.save_grid(grid, tmp_path / "grid.csv", tmp_path / "missing" / "m.csv")
+    assert list(tmp_path.iterdir()) == []
