@@ -101,7 +101,8 @@ def _fit(datasets, arch: Architecture, beta: float, cfg: DistanceConfig,
     """Per dataset, its replicate fits (VariationalResult or TrainingDiverged).
 
     Datasets of equal content share their fits: each distinct (content,
-    seed) is fitted once, and all of them in one lockstep optimizer call.
+    seed) is fitted once, and all of them in one lockstep optimizer call,
+    with one loss model per distinct content.
     """
     index, unique, rows = {}, [], []
     for d in datasets:
@@ -110,7 +111,8 @@ def _fit(datasets, arch: Architecture, beta: float, cfg: DistanceConfig,
             index[key] = len(unique)
             unique.append(d)
         rows.append(index[key] * len(seeds))
-    fits = _optimize_many([MlpLossModel(arch, d) for d in unique for _ in seeds],
+    models = [MlpLossModel(arch, d) for d in unique]
+    fits = _optimize_many([m for m in models for _ in seeds],
                           [beta] * (len(unique) * len(seeds)), cfg.prior,
                           cfg.opt, [seed for _ in unique for seed in seeds])
     return [fits[row:row + len(seeds)] for row in rows]

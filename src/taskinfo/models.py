@@ -15,8 +15,12 @@ operand form, the augmented inputs with their contiguous transpose and the
 call's _block_constants, and _run_blocks, its one caller, binds a pass's
 calls to the caller's arrays: the lockstep optimizer binds each span of
 runs once per batch, the MC evaluator and the Fisher diagonal once per
-pass, and dataset_loss, gradient and sgd_train call it on one draw. The
-label gradient is one subtraction of a label one-hot.
+pass, and dataset_loss, gradient and sgd_train call it on one draw. Equal
+calls on one run's draws share their label index and one-hot. The label
+gradient is one subtraction of a label one-hot. _forward leaves the
+logits max-shifted beside their log-sum-exp: a loss-only call takes each
+label's entry and subtracts its sample's log-sum-exp, and only a call with
+gradients forms the full log-softmax; both give the same bits.
 Training is a deterministic function of (data, architecture, config, init).
 """
 
@@ -153,7 +157,8 @@ def forward_batch(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Probabilities (N, K) for a batch of inputs (N, d)."""
     widths, ws = p.architecture.layer_widths, flatten_params(p)[None]
     _, xt = _augment(np.asarray(x, np.float64)[None])
-    z, _ = _forward(widths, xt, ws, _layer_blocks(ws, widths))
+    z, lse, _ = _forward(widths, xt, ws, _layer_blocks(ws, widths))
+    z -= lse
     return np.exp(z[0].T)
 
 
@@ -190,19 +195,26 @@ def _run_blocks(widths, x, xt, y, ws, block, losses, grads=None, clip=None,
     sq_weight (R, n), the kernel's weighted squares) from what ws holds when
     it is called, and returns (losses, grads). A call takes at most
     ``block`` draws: whole runs while a run's S draws fit, else a slice of
-    one run's draws. Each call's constants are built here, once."""
+    one run's draws. Each call's constants are built here, once, and the
+    equal calls on one run's draws share their label constants."""
     r = x.shape[0]
     s = ws.shape[0] // r
     calls, per = [], max(1, block // max(s, 1))
     for r0 in range(0, r, per):
         r1 = min(r, r0 + per)
         step = max(1, min(s, block) * (r1 - r0))
+        sized = {}          # call size on runs r0:r1 -> its first call's constants
         for lo in range(r0 * s, r1 * s, step):
             rows = slice(lo, min(lo + step, r1 * s))
             g = None if grads is None else grads[rows]
+            size = rows.stop - lo
+            if size in sized:           # an equal call's label index and one-hot
+                consts = (*sized[size][:2], _layer_blocks(ws[rows], widths),
+                          None if g is None else _layer_blocks(g, widths))
+            else:
+                consts = sized[size] = _block_constants(widths, y[r0:r1], ws[rows], g)
             calls.append((rows, (
-                x[r0:r1], y[r0:r1], ws[rows], xt[r0:r1],
-                _block_constants(widths, y[r0:r1], ws[rows], g), clip,
+                x[r0:r1], y[r0:r1], ws[rows], xt[r0:r1], consts, clip,
                 None if sq_weight is None else sq_weight[r0:r1])))
 
     def run():
@@ -217,7 +229,8 @@ def _block_constants(widths, y, ws, grads=None):
     beside the data, for a caller that calls it on the same arrays again:
     the flat index (draw, sample) of each sample's label logit in an (S, K,
     n) array, the (S, K, n) one-hot of the labels (None without grads), and
-    the layer blocks of ws and of grads (or None)."""
+    the layer blocks of ws and of grads (or None). The index and the one-hot
+    depend on y and S only, and the kernel only reads them."""
     (r, n), s, k = y.shape, ws.shape[0], widths[-1]
     at = (np.repeat(y * n, s // r, axis=0)
           + np.arange(s)[:, None] * (k * n) + np.arange(n))
@@ -229,12 +242,13 @@ def _block_constants(widths, y, ws, grads=None):
 
 
 def _forward(widths, xt, ws, layers):
-    """Log-softmax (S, K, n) and the input of each layer, as (draw, unit,
-    sample) arrays with a ones row after the units, of the S rows ws (S, P)
-    with layer blocks ``layers`` on the augmented inputs xt (R, d0 + 1, n):
-    each layer's bias row rides in its GEMM. The first layer is one matmul
-    over runs of each run's stacked weight blocks with its contiguous xt,
-    deeper layers matmul per draw."""
+    """Max-shifted logits z (S, K, n), their log-sum-exp over labels lse
+    (S, 1, n), so that z - lse is the log-softmax, and the input of each
+    layer, as (draw, unit, sample) arrays with a ones row after the units,
+    of the S rows ws (S, P) with layer blocks ``layers`` on the augmented
+    inputs xt (R, d0 + 1, n): each layer's bias row rides in its GEMM. The
+    first layer is one matmul over runs of each run's stacked weight blocks
+    with its contiguous xt, deeper layers matmul per draw."""
     r, n = xt.shape[0], xt.shape[2]
     s, d1 = ws.shape[0], widths[1]
     z = np.matmul(layers[0].transpose(0, 2, 1).reshape(r, s // r * d1, widths[0] + 1),
@@ -246,9 +260,8 @@ def _forward(widths, xt, ws, layers):
         h[:, d] = 1.0
         hs.append(h)
         z = np.matmul(block.transpose(0, 2, 1), h)
-    z -= np.maximum.reduce(z, axis=1, keepdims=True)       # log-softmax
-    z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
-    return z, hs
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    return z, np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True)), hs
 
 
 def _block_loss_and_grad(widths, x, y, ws, xt, consts, clip=None, sq_weight=None):
@@ -265,8 +278,9 @@ def _block_loss_and_grad(widths, x, y, ws, xt, consts, clip=None, sq_weight=None
     at, onehot, layers, out = consts
     r, n = x.shape[:2]
     s, d1 = ws.shape[0], widths[1]
-    z, hs = _forward(widths, xt, ws, layers)
-    logp = z.reshape(-1).take(at)
+    z, lse, hs = _forward(widths, xt, ws, layers)
+    logp = z.reshape(-1).take(at)          # the label entries of z - lse
+    logp -= lse.reshape(s, n)
     if clip is None:
         losses = np.negative(np.add.reduce(logp, axis=1))
     else:
@@ -274,6 +288,7 @@ def _block_loss_and_grad(widths, x, y, ws, xt, consts, clip=None, sq_weight=None
         losses = np.add.reduce(np.minimum(nll, clip), axis=1)
     if out is None:
         return losses
+    z -= lse                                               # log-softmax
     delta = np.subtract(np.exp(z, out=z), onehot, out=z)   # d loss / d logits
     if clip is not None:
         delta *= (nll <= clip)[:, None, :]                 # clipped: flat

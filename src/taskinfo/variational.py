@@ -10,13 +10,14 @@ log_var). The KL term is closed form; the expected loss is a Monte-Carlo
 mean over w = mu + sigma * eps with a seeded stream, so every estimate is a
 deterministic function of its seed.
 
-Every Monte-Carlo pass (optimizer steps, reports, expected_loss,
-mc_lagrangian_and_grads, bounds.clipped_expected_loss) draws its normals
-with rng._normal_into and hands all S draws as one (S, P) array to
-``loss_and_grad`` (_mc_losses for a loss-only pass, _mc_grads with
-gradients): one forward and one backward pass per block of draws
-(reparameterized, as in Blundell et al. 2015), or a loss-only forward pass.
-A loss-only pass forms its draws mu + sigma * eps in the noise's buffer.
+Every Monte-Carlo pass (optimizer steps, reports, mc_lagrangian_and_grads,
+bounds.clipped_expected_loss) draws its normals with rng._normal_into and
+hands all S draws as one (S, P) array to ``loss_and_grad`` (_losses_at for
+a loss-only pass, _mc_grads with gradients): one forward and one backward
+pass per block of draws (reparameterized, as in Blundell et al. 2015), or
+a loss-only forward pass. A loss-only pass forms its draws mu + sigma * eps
+in the noise's buffer, or, when several posteriors share the noise, in one
+buffer that they take in turn.
 MlpLossModel keeps its inputs in the one form the kernel takes, with a
 ones column that carries each first-layer bias inside the GEMM: xa (n, d0 +
 1) and its contiguous transpose xt (d0 + 1, n); x is a view of xa.
@@ -29,7 +30,7 @@ run of one draw per label: each label c with w_i = p_w(c|x_i) (exact), or
 the labels drawn from the model with w_i = 1 (sampled).
 
 Independent fits (distance replicates, PAC-Bayes trials) run in lockstep
-through the private _optimize_many: one optimizer loop steps R posteriors,
+through the private _fit_many: one optimizer loop steps R posteriors,
 each with its own beta, start and seed, on one (R, 2, P) state array of
 means and log-variances (moment updates, gradient clip, log_var clamp,
 finiteness check, trace snapshots), updated in place in the order of
@@ -41,14 +42,22 @@ kernel calls, with their label offsets, label one-hot and layer blocks,
 are bound once per batch to preallocated draw, loss and gradient buffers.
 A result's posterior keeps a private copy of its run's row of the state,
 as every value type does, so it does not keep the batch's state alive.
-Each run draws its step noise from its own stream (seed, "vi-step",
-step), so it ends where it would alone, bit for bit. A run that diverges
-is reported at that step and leaves the list of live runs, but its rows
-stay in place: they still ride in the kernel calls, undrawn, and are no
-longer traced or reported.
-optimize_gaussian is the R = 1 case. A batch holds at most
-_LOCKSTEP_CELLS / (S * P) runs, so its per-step draws, weights and
-gradients take O(_LOCKSTEP_CELLS) memory on top of the kernel's blocks.
+Each run's step noise is its own stream (seed, "vi-step", step), so it
+ends where it would alone, bit for bit. Runs that share a seed share that
+noise (common random numbers: the distance replicates of every statistic
+use the same seeds), so each step draws each live seed's stream once, into
+the rows of its first live run, and the seed's other live runs copy them.
+A run that diverges is reported at that step and leaves the list of live
+runs, but its rows stay in place: they still ride in the kernel calls,
+undrawn, and are no longer traced or reported.
+_optimize_many is _fit_many followed by each live run's report: the mean
+loss of report_mc draws of its stream (seed, "vi-report"), drawn once per
+distinct seed and parameter count, after the batches' buffers are freed.
+A caller that reads only the posteriors (bounds.bound_validation_trial)
+calls _fit_many and runs no report. optimize_gaussian is the R = 1 case.
+A batch holds at most _LOCKSTEP_CELLS / (S * P) runs, so its per-step
+draws, weights and gradients take O(_LOCKSTEP_CELLS) memory on top of the
+kernel's blocks.
 
 Curvature conventions: quadratic surrogates are written loss(w) =
 sum_i h_i (w_i - w0_i)^2, i.e. the expected-loss gap under N(mu, Sigma) is
@@ -87,7 +96,6 @@ __all__ = [
     "VariationalResult",
     "SweepResult",
     "kl_gaussian",
-    "expected_loss",
     "mc_lagrangian_and_grads",
     "MlpLossModel",
     "QuadraticLossModel",
@@ -250,8 +258,15 @@ def _mc_losses(model, q: GaussianPosterior, mc: int, seed: int, label="vi-mc",
                clip=None):
     """Per-draw losses of mc reparameterized draws of Q (loss-only pass),
     per-sample losses clipped at ``clip``."""
-    ws = _normal_into(np.empty((mc, q.k)), seed, label)
-    ws *= q.sigma          # the draws mean + sigma * eps, in the noise's buffer
+    eps = _normal_into(np.empty((mc, q.k)), seed, label)
+    return _losses_at(model, q, eps, eps, clip)
+
+
+def _losses_at(model, q: GaussianPosterior, eps: np.ndarray, ws: np.ndarray,
+               clip=None):
+    """Per-draw losses of the draws mean + sigma * eps of Q, eps (S, P),
+    formed in ws (S, P), which may be eps itself (the noise's buffer)."""
+    np.multiply(eps, q.sigma, out=ws)
     ws += q.mean
     return model.loss_and_grad(ws, grad=False, clip=clip)[0]
 
@@ -268,14 +283,6 @@ def _mc_grads(grads: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
     g /= eps.shape[1]
     g[:, 1] *= sigma
     g[:, 1] *= 0.5
-
-
-def expected_loss(q: GaussianPosterior, d: Dataset, mc_samples: int,
-                  seed: int) -> float:
-    """Reparameterized MC mean of the total dataset loss under Q."""
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    return float(_mc_losses(MlpLossModel(q.arch, d), q, mc_samples, seed).mean())
 
 
 def mc_lagrangian_and_grads(model, q: GaussianPosterior, beta: float,
@@ -368,12 +375,49 @@ def optimize_gaussian(model, beta: float, prior: IsotropicPrior,
 
 def _optimize_many(models, betas, prior: IsotropicPrior, cfg: VariationalConfig,
                    seeds, inits=None) -> list:
-    """Fit R independent posteriors in lockstep.
+    """Fit R independent posteriors in lockstep (_fit_many) and report each.
+
+    Returns, per run, its VariationalResult or the TrainingDiverged that
+    stopped it. A network run reports the mean loss of cfg.report_mc draws
+    of stream(seeds[i], "vi-report"), as it would alone. Runs with one seed
+    and parameter count share one draw of that stream and form their
+    weights in one buffer in turn; a run whose seed is its own forms them in
+    the noise's buffer. An exact-Gaussian run reports its exact loss.
+    """
+    fits = _fit_many(models, betas, prior, cfg, seeds, inits)
+    reports, shared = {}, {}          # run -> (expected loss, its SE)
+    for i, (m, fit) in enumerate(zip(models, fits)):
+        if isinstance(fit, TrainingDiverged):
+            continue
+        if m.exact_gaussian:
+            reports[i] = m.expected_loss(fit[0].mean, np.exp(fit[0].log_var)), 0.0
+        else:
+            shared.setdefault((int(seeds[i]), m.k), []).append(i)
+    for (seed, k), runs in shared.items():
+        eps = _normal_into(np.empty((cfg.report_mc, k)), seed, "vi-report")
+        ws = eps if len(runs) == 1 else np.empty_like(eps)
+        for i in runs:
+            losses = _losses_at(models[i], fits[i][0], eps, ws)
+            reports[i] = float(losses.mean()), (
+                float(losses.std(ddof=1)) / math.sqrt(cfg.report_mc)
+                if cfg.report_mc > 1 else math.nan)
+    out = list(fits)
+    for i, (loss, se) in reports.items():
+        q, trace = fits[i]
+        out[i] = VariationalResult(posterior=q, expected_loss=loss,
+                                   kl=kl_gaussian(q, prior), trace=tuple(trace),
+                                   expected_loss_se=se)
+    return out
+
+
+def _fit_many(models, betas, prior: IsotropicPrior, cfg: VariationalConfig,
+              seeds, inits=None) -> list:
+    """Fit R independent posteriors in lockstep, with no report.
 
     Run i descends the Lagrangian of models[i] at betas[i] from inits[i]
     (default: the prior) with the step draws of stream(seeds[i], "vi-step",
-    step), as it would alone. Returns, per run, its VariationalResult or the
-    TrainingDiverged that stopped it; a diverged run stays in its batch,
+    step), as it would alone. Returns, per run, its (posterior, trace) or
+    the TrainingDiverged that stopped it; a diverged run stays in its batch,
     masked, and the others go on. Network runs of one architecture step as
     one batch of at most _LOCKSTEP_CELLS / (mc_samples * P) runs, and the
     runs of a batch that share n share each kernel call; an exact-Gaussian
@@ -406,12 +450,14 @@ def _optimize_many(models, betas, prior: IsotropicPrior, cfg: VariationalConfig,
 
 
 def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
-    """One batch of _optimize_many, its network runs in order of n. The
+    """One batch of _fit_many, its network runs in order of n. The
     state (run, mu or log_var, parameter) carries a leading run axis, and
     each span of runs with equal n goes through the kernel as one run-axis
     batch, its calls bound to the draws ws. Every per-step array is made
     once per batch and updated in place, in the order of operations of a
-    run alone; a run that diverges keeps its rows but leaves ``live``."""
+    run alone; a run that diverges keeps its rows but leaves ``live``. Each
+    step draws each seed's stream once, into the rows of its first live
+    run, and the other live runs of that seed copy them."""
     r, s, k = len(models), cfg.mc_samples, models[0].k
     state = np.array([(q.mean, q.log_var) for q in inits])
     beta = np.array(betas, dtype=np.float64)[:, None]
@@ -444,6 +490,7 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
         lo = hi
     mu, lv, gmu, glv = state[:, 0], state[:, 1], g[:, 0], g[:, 1]
     live = list(range(r))                 # the runs not diverged; row i is run i
+    draws = _draw_groups(live, seeds)
     traces = [[] for _ in models]
     out = [None] * r
     # overflow on a diverging run shows up as non-finite state and is
@@ -457,8 +504,10 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
                 eloss = np.array([models[0].expected_loss(mu[0], var[0])])
                 g[0] = models[0].expected_grads(mu[0], var[0])
             else:
-                for i in live:
+                for i, rest in draws:
                     _normal_into(eps[i], seeds[i], "vi-step", step)
+                    if rest:
+                        eps[rest] = eps[i]
                 np.multiply(sigma[:, None], eps, out=ws)
                 ws += mu[:, None]
                 for run in runs:
@@ -495,22 +544,22 @@ def _lockstep(models, betas, prior, cfg, seeds, inits) -> list:
                         trace=traces[i])
                 if not live:
                     break
+                draws = _draw_groups(live, seeds)
             if step % cfg.trace_every == 0 or step == cfg.steps - 1:
                 for i in live:
                     traces[i].append((float(eloss[i]), _kl(mu[i], lv[i], lam2)))
     for i in live:
-        q = GaussianPosterior(mu[i], lv[i], inits[i].arch)
-        if exact:
-            final, se = models[i].expected_loss(q.mean, np.exp(q.log_var)), 0.0
-        else:
-            losses = _mc_losses(models[i], q, cfg.report_mc, seeds[i], "vi-report")
-            final = float(losses.mean())
-            se = (float(losses.std(ddof=1)) / math.sqrt(cfg.report_mc)
-                  if cfg.report_mc > 1 else math.nan)
-        out[i] = VariationalResult(posterior=q, expected_loss=final,
-                                   kl=kl_gaussian(q, prior),
-                                   trace=tuple(traces[i]), expected_loss_se=se)
+        out[i] = (GaussianPosterior(mu[i], lv[i], inits[i].arch), traces[i])
     return out
+
+
+def _draw_groups(live, seeds) -> list:
+    """Per distinct seed among the live runs: its first run, which draws
+    the seed's step stream, and the list of the others, which copy it."""
+    groups = {}
+    for i in live:
+        groups.setdefault(int(seeds[i]), []).append(i)
+    return [(runs[0], runs[1:]) for runs in groups.values()]
 
 
 def _finite_rows(state: np.ndarray, eloss: np.ndarray):
@@ -560,7 +609,8 @@ def fisher_diagonal(p: MlpParams, d: Dataset, mode: str = "exact",
         raise ValueError(f"unknown fisher mode {mode!r}")
     model = MlpLossModel(p.architecture, d)        # validates d against p
     widths, w = model.arch.layer_widths, flatten_params(p)[None]
-    z, _ = _forward(widths, model.xt[None], w, _layer_blocks(w, widths))
+    z, lse, _ = _forward(widths, model.xt[None], w, _layer_blocks(w, widths))
+    z -= lse
     probs = np.exp(z[0])                           # (K, n)
     if mode == "sampled":
         u = stream(seed, "fisher-sample").random(d.n)

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from taskinfo import bounds, tasks
+from taskinfo import bounds, tasks, variational
 from taskinfo.bounds import (
     bound_validation_trial,
     clipped_expected_loss,
@@ -141,8 +141,27 @@ def test_bound_validation_scores_the_train_term_on_the_fit_model():
         assert row == (t, train_term, res.kl, bound, test_loss, test_loss <= bound)
 
 
+def test_bound_validation_draws_no_report_stream():
+    # the bound reads each fit's posterior and KL, never the optimizer's
+    # expected-loss report, so no trial draws the "vi-report" stream
+    cfg = VariationalConfig(steps=5, learning_rate=0.5, mc_samples=2, report_mc=8)
+    labels, draw = [], variational._normal_into
+
+    def spy(out, seed, *names):
+        labels.append(names[0])
+        return draw(out, seed, *names)
+
+    with mock.patch.object(variational, "_normal_into", spy):
+        report = bound_validation_trial(_generator, Architecture((24, 2)), 1.0,
+                                        0.5, trials=3, seed=2, cfg=cfg, mc_eval=16)
+    assert len(report.rows) == 3
+    assert labels.count("vi-step") == 3 * cfg.steps
+    assert labels.count("clipped-loss") == 2 * 3      # train and test terms
+    assert len(labels) == 3 * cfg.steps + 2 * 3
+
+
 def test_bound_validation_rejects_no_eval_draws_before_fitting():
-    with mock.patch.object(bounds, "_optimize_many", side_effect=AssertionError), \
+    with mock.patch.object(bounds, "_fit_many", side_effect=AssertionError), \
             pytest.raises(ValueError, match="mc"):
         bound_validation_trial(_generator, Architecture((24, 2)), 1.0, 0.5,
                                trials=2, seed=0, mc_eval=0)

@@ -93,6 +93,14 @@ RERUNS = {
     "pac-bayes": ({"version": 1, "seed": 0, "mode": "bound",
                    "train_loss_total": 3.0, "kl": 2.0, "n": 50, "beta": 1.0,
                    "delta": 0.1}, ()),
+    "pac-bayes trials": ({"version": 1, "seed": 2, "mode": "trials",
+                          "task": {"type": "planted", "n": 0, "k": 2,
+                                   "domain_size": 16, "rule": "bit0",
+                                   "noise": 0.1, "seed": 0},
+                          "n_train": 12, "n_test": 12, "trials": 3, "beta": 1.0,
+                          "delta": 0.05, "arch_hidden": [2],
+                          "opt": {"steps": 20, "learning_rate": 0.5,
+                                  "mc_samples": 2, "report_mc": 8}}, ()),
     "anneal": ({"version": 1, "seed": 0,
                 "grid": {"losses": [10.0, 4.0, 0.0], "kls": [0.0, 2.0, 8.0],
                          "metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
@@ -101,9 +109,10 @@ RERUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(RERUNS))
-def test_cli_rerun_is_byte_identical(tmp_path, command):
-    cfg, extra = RERUNS[command]
+@pytest.mark.parametrize("case", sorted(RERUNS))
+def test_cli_rerun_is_byte_identical(tmp_path, case):
+    # a case is a command, or a command and the mode its config runs
+    (cfg, extra), command = RERUNS[case], case.split()[0]
     code1, out1 = run_cli(tmp_path, command, cfg, out="o1")
     code2, out2 = run_cli(tmp_path, command, cfg, out="o2", extra=extra)
     assert code1 == code2 == 0

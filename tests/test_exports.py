@@ -51,8 +51,6 @@ UNREACHED = {
     "finite_oracle.deterministic_complexity": "a paper quantity, checked "
                                               "against a brute-force reference",
     "distance.finetune_correlate": "the transfer test decides whether it stays",
-    "variational.expected_loss": "a paper quantity, the Lagrangian's loss term; "
-                                 "tests check its Monte-Carlo estimate",
 }
 
 

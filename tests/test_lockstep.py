@@ -176,6 +176,70 @@ def test_a_run_diverging_mid_fit_stays_in_place_with_no_rebind():
         _assert_same_fit(got[row], _solo(models[row], 0.5, prior, cfg, row))
 
 
+def _spied_draws(fn, *args):
+    """fn(*args) and the (seed, labels) of every variational draw it made."""
+    draws, draw = [], variational._normal_into
+
+    def spy(out, seed, *labels):
+        draws.append((seed, labels))
+        return draw(out, seed, *labels)
+
+    with mock.patch.object(variational, "_normal_into", spy):
+        return fn(*args), draws
+
+
+def _assert_bit_equal(got, want):
+    if isinstance(want, TrainingDiverged):
+        _assert_same_outcome(got, want)
+        return
+    assert np.array_equal(got.posterior.mean, want.posterior.mean)
+    assert np.array_equal(got.posterior.log_var, want.posterior.log_var)
+    assert (got.expected_loss, got.kl, got.trace) == (want.expected_loss, want.kl,
+                                                      want.trace)
+    assert got.expected_loss_se == want.expected_loss_se
+
+
+def _diverged_at(res):
+    return (int(str(res).rsplit(" ", 1)[1]) if isinstance(res, TrainingDiverged)
+            else math.inf)
+
+
+@pytest.mark.parametrize("scales, seeds", [
+    ([1.0, 1.0, 1.0, 1.0, 1.0], [7, 7, 8, 7, 8]),      # two seeds, none diverges
+    ([1e4, 1.0, 1.0, 1.0], [5, 5, 6, 5]),             # a shared seed's first run
+    ([1e4, 1e4, 1.0], [5, 5, 6]),                     # every run of a seed
+])
+def test_runs_that_share_a_seed_share_its_draws(scales, seeds):
+    # each step draws each live seed's "vi-step" stream once and each seed's
+    # "vi-report" stream once; the runs that share a seed copy its draw, so
+    # every run ends bit for bit as it does alone
+    rng = np.random.default_rng(3)
+    arch = Architecture((3, 4, 2))
+    ns = [10, 10, 7, 10, 10][:len(scales)]
+    models = [MlpLossModel(arch, _task(rng, n, 3, 2, scale))
+              for n, scale in zip(ns, scales)]
+    betas = rng.uniform(0.2, 1.0, size=len(models)).tolist()
+    prior = IsotropicPrior(1.0)
+    cfg = VariationalConfig(steps=50, learning_rate=3.0, mc_samples=2, report_mc=16,
+                            grad_clip=None, trace_every=3)
+    got, draws = _spied_draws(_optimize_many, models, betas, prior, cfg, seeds)
+    alone = [_optimize_many([m], [b], prior, cfg, [s])[0]
+             for m, b, s in zip(models, betas, seeds)]
+    for res, want in zip(got, alone):
+        _assert_bit_equal(res, want)
+    dead = [_diverged_at(res) for res in got]
+    assert [math.isfinite(t) for t in dead] == [s > 1 for s in scales]
+    assert all(0 < t < cfg.steps - 5 for t in dead if math.isfinite(t))  # mid-fit
+    # a run that diverges at step t drew at step t
+    for step in range(cfg.steps):
+        want = sorted({s for s, t in zip(seeds, dead) if t >= step})
+        assert sorted(s for s, labels in draws if labels == ("vi-step", step)) == want
+    kept = sorted({s for s, t in zip(seeds, dead) if math.isinf(t)})
+    assert sorted(s for s, labels in draws if labels == ("vi-report",)) == kept
+    assert len(draws) == sum(1 for _, labels in draws
+                             if labels[0] in ("vi-step", "vi-report"))
+
+
 def test_optimize_many_rejects_a_model_with_no_kernel_and_no_exact_gaussian():
     class Sampled(QuadraticLossModel):
         exact_gaussian = False
@@ -364,6 +428,19 @@ def test_distance_matrix_fits_each_statistic_once():
                    matrix.kl_union[i, j], matrix.kl_source[i, j], matrix.tau[i, j])
             assert got == (want.value, want.pre_floor, want.kl_union,
                            want.kl_source, want.tau)
+
+
+def test_distance_matrix_draws_each_seed_once_per_step():
+    # 3 tasks name 18 statistics, 9 of them distinct, fitted for 2 seeds:
+    # one step draw per seed and step, and one report draw per seed
+    named = [("a", _four_class(1, 12)), ("b", _four_class(2, 10)),
+             ("c", _four_class(3, 12))]
+    cfg, seeds = _small_cfg(steps=6), [3, 4]
+    _, draws = _spied_draws(distance_matrix, named, 0.5, Architecture((10, 4)),
+                            cfg, seeds)
+    assert sorted(draws) == sorted(
+        [(s, ("vi-step", step)) for s in seeds for step in range(6)]
+        + [(s, ("vi-report",)) for s in seeds])
 
 
 def test_distance_matrix_cells_are_nan_when_all_replicates_diverge():

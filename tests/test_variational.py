@@ -12,9 +12,9 @@ from taskinfo.variational import (
     MlpLossModel,
     QuadraticLossModel,
     VariationalConfig,
+    _mc_losses,
     closed_form_sigma,
     crossing_beta,
-    expected_loss,
     fim_trace,
     fisher_diagonal,
     fisher_information_nats,
@@ -87,6 +87,11 @@ def test_kl_nonnegative_random():
 
 # ---------------------------------------------------------------------------
 # expected loss
+
+
+def expected_loss(q, d, mc_samples, seed):
+    """Reparameterized MC mean of the total dataset loss under Q."""
+    return float(_mc_losses(MlpLossModel(q.arch, d), q, mc_samples, seed).mean())
 
 
 @pytest.fixture(scope="module")
