@@ -11,11 +11,11 @@ planted tasks, trains a posterior on each, and counts how often the
 held-out loss stays under the bound.
 """
 
-import numpy as np
-
 from taskinfo.bounds import bound_validation_trial, pac_bayes_bound
 from taskinfo.models import Architecture
-from taskinfo.tasks import as_real_vectors, generate_planted_task, subset_split
+from taskinfo.rules import flat_rule
+from taskinfo.tasks import (DiscreteSpace, as_real_vectors, generate_planted_task,
+                            subset_split)
 from taskinfo.variational import IsotropicPrior, VariationalConfig
 
 rep = pac_bayes_bound(train_loss_total=10.0, kl=5.0, n=100, beta=1.0,
@@ -23,10 +23,7 @@ rep = pac_bayes_bound(train_loss_total=10.0, kl=5.0, n=100, beta=1.0,
 print("hand example: train=10, KL=5, n=100, beta=1, delta=0.05 ->",
       f"bound = {rep.bound_value:.4f}")
 
-xs = np.arange(64)
-table = np.zeros((64, 2))
-table[xs, xs & 1] = 1.0
-rule = type("Rule", (), {"table": table})()
+rule = flat_rule(DiscreteSpace(64), 2, "bit0")     # the label is the input's bit 0
 
 
 def generator(trial_seed):

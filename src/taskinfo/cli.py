@@ -142,6 +142,17 @@ def _build_domain(spec, path) -> tasks_mod.DiscreteSpace | tasks_mod.RealSpace:
     raise ConfigError(f"{path}.kind: unknown domain kind {spec['kind']!r}")
 
 
+def _noise_grid(obj, path) -> tuple:
+    """The checked ``noise_grid`` of ``obj``, a family's noise levels; the
+    default grid if it has none."""
+    from . import rules as rules_mod
+    noise_grid = (tuple(_numbers(obj, "noise_grid", path)) if "noise_grid" in obj
+                  else (0.05, 0.1, 0.2))
+    with _blame(f"{path}.noise_grid"):
+        rules_mod.check_noise_grid(noise_grid)
+    return noise_grid
+
+
 def _family(space, k, obj, path, families, task="task") -> oracle.HypothesisFamily:
     """The oracle family for ``space``, the domain of the config's ``task``,
     at the noise grid of ``obj``. ``families``, one dict per command, maps
@@ -151,10 +162,7 @@ def _family(space, k, obj, path, families, task="task") -> oracle.HypothesisFami
     if not isinstance(space, tasks_mod.DiscreteSpace):
         raise ConfigError(f"{task}: the oracle engine needs a discrete domain, "
                           "not real vectors")
-    noise_grid = (tuple(_numbers(obj, "noise_grid", path)) if "noise_grid" in obj
-                  else (0.05, 0.1, 0.2))
-    with _blame(f"{path}.noise_grid"):
-        oracle._check_noise_grid(noise_grid)
+    noise_grid = _noise_grid(obj, path)
     with _blame(task):
         return oracle.HypothesisFamily._for_space(space, k, noise_grid, families)
 
@@ -177,11 +185,10 @@ _TRANSFORM_FIELDS = {"fraction": float, "seed": int, "width": float,
                      "permutation": tuple}          # a list of integers
 
 
-def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
-    """Recursive task builder shared by every command. A command passes its
-    one ``families`` dict (see `_family`), so that each planted rule's
-    family is built once per command."""
-    families = {} if families is None else families
+def build_task(spec, path="task") -> tasks_mod.Dataset:
+    """Recursive task builder shared by every command. A planted rule is
+    taken from `rules.flat_rule`, by name or index into the oracle family
+    of its domain, without building that family."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"{path}: expected a task object with a 'type'")
     t = spec["type"]
@@ -197,12 +204,15 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
     if t == "planted":
         _check_keys(spec, path, ("type", "n", "k", "domain_size", "rule", "seed"),
                     ("noise", "noise_grid"))
+        from . import rules as rules_mod
         n = _task_size(_number(spec, "n", path), 1, path)
         with _blame(path):
-            fam = _family(tasks_mod.DiscreteSpace(_number(spec, "domain_size", path)),
-                          _number(spec, "k", path), spec, path, families, path)
+            space = tasks_mod.DiscreteSpace(_number(spec, "domain_size", path))
+            k = _number(spec, "k", path)
+            noise_grid = _noise_grid(spec, path)
+            rules_mod.check_family(space, k, noise_grid)
         try:
-            rule = fam.hypothesis(spec["rule"])
+            rule = rules_mod.flat_rule(space, k, spec["rule"], noise_grid)
         except (KeyError, IndexError):
             raise ConfigError(f"{path}.rule: no family rule {spec['rule']!r}") from None
         except (TypeError, ValueError):
@@ -216,13 +226,13 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
         _check_keys(spec, path, ("type", "left", "right"))
         with _blame(path):
             return tasks_mod.disjoint_union(
-                build_task(spec["left"], f"{path}.left", families),
-                build_task(spec["right"], f"{path}.right", families))
+                build_task(spec["left"], f"{path}.left"),
+                build_task(spec["right"], f"{path}.right"))
     if t == "transform":
         _check_keys(spec, path, ("type", "base", "transform"))
         tspec, tpath = spec["transform"], f"{path}.transform"
         _check_keys(tspec, tpath, ("kind",), tuple(_TRANSFORM_FIELDS))
-        base = build_task(spec["base"], f"{path}.base", families)
+        base = build_task(spec["base"], f"{path}.base")
         fields = {key: tuple(_numbers(tspec, key, tpath, int)) if kind is tuple
                   else _number(tspec, key, tpath, kind)
                   for key, kind in _TRANSFORM_FIELDS.items() if key in tspec}
@@ -232,11 +242,11 @@ def build_task(spec, path="task", families=None) -> tasks_mod.Dataset:
     if t == "as_real":
         _check_keys(spec, path, ("type", "base"))
         return tasks_mod.as_real_vectors(
-            build_task(spec["base"], f"{path}.base", families))
+            build_task(spec["base"], f"{path}.base"))
     if t == "subset_classes":
         _check_keys(spec, path, ("type", "base", "labels"))
         labels = _numbers(spec, "labels", path, int)
-        base = build_task(spec["base"], f"{path}.base", families)
+        base = build_task(spec["base"], f"{path}.base")
         for i, c in enumerate(labels):
             if not 0 <= c < base.num_labels:
                 raise ConfigError(f"{path}.labels[{i}]: label {c} is outside "
@@ -286,11 +296,10 @@ def _prior(spec, path, default=None) -> vi.IsotropicPrior:
         return vi.IsotropicPrior(_number(spec, "prior_scale", path, float, default))
 
 
-def _named_tasks(cfg, families) -> list:
-    """(name, task) for every entry of the config's ``tasks`` list, built
-    with ``families`` (see `_family`). A name is a string that the CSV
-    outputs can carry as one cell: no comma, no line break, no leading
-    '#'."""
+def _named_tasks(cfg) -> list:
+    """(name, task) for every entry of the config's ``tasks`` list. A name
+    is a string that the CSV outputs can carry as one cell: no comma, no
+    line break, no leading '#'."""
     named = []
     for i, entry in enumerate(_list(cfg, "tasks", "config")):
         _check_keys(entry, f"tasks[{i}]", ("name", "task"))
@@ -298,7 +307,7 @@ def _named_tasks(cfg, families) -> list:
         if not (isinstance(name, str) and textio.is_cell(name)):
             raise ConfigError(f"tasks[{i}].name: {name!r} must be a string with no "
                               "comma, no line break and no leading '#'")
-        named.append((name, build_task(entry["task"], f"tasks[{i}].task", families)))
+        named.append((name, build_task(entry["task"], f"tasks[{i}].task")))
     return named
 
 
@@ -345,8 +354,7 @@ def _csv(kind: str, hash_, columns: str, rows, *fields: str) -> str:
 def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "engine", "task"),
                 ("oracle", "variational"))
-    families = {}
-    d = build_task(cfg["task"], families=families)
+    d = build_task(cfg["task"])
     out = {}
     if cfg["engine"] == "oracle":
         from . import finite_oracle as oracle
@@ -355,7 +363,7 @@ def cmd_structure_fn(cfg, hash_, seed: int) -> dict:
         t_grid = _numbers(ocfg, "t_grid", "oracle")
         if not t_grid or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
             raise ConfigError("oracle.t_grid: must be strictly increasing and nonempty")
-        fam = _family(d.space, d.num_labels, ocfg, "oracle", families)
+        fam = _family(d.space, d.num_labels, ocfg, "oracle", {})
         curve = oracle.structure_function(d, fam, t_grid)
         columns = curve.abscissa, curve.loss, curve.complexity
         xlabel = "code length budget t (NATS)"
@@ -393,8 +401,7 @@ def cmd_beta_sweep(cfg, hash_, seed: int) -> dict:
     _check_keys(cfg, "config", ("version", "seed", "engine", "tasks", "betas"),
                 ("variational", "oracle"))
     betas = _betas(cfg, "config", "betas")
-    families = {}
-    named = _named_tasks(cfg, families)
+    named = _named_tasks(cfg)
     rows = []
     series = []
     if cfg["engine"] == "variational":
@@ -410,6 +417,7 @@ def cmd_beta_sweep(cfg, hash_, seed: int) -> dict:
         from . import finite_oracle as oracle
         ocfg = cfg.get("oracle", {})
         _check_keys(ocfg, "oracle", (), ("noise_grid",))
+        families = {}
         for i, (name, d) in enumerate(named):
             fam = _family(d.space, d.num_labels, ocfg, "oracle", families,
                           f"tasks[{i}].task")
@@ -443,7 +451,7 @@ def cmd_distance_matrix(cfg, hash_, seed: int) -> dict:
     beta = _number(cfg, "beta", "config", float)
     if beta < 0:
         raise ConfigError(f"config.beta: beta must be >= 0, got {beta!r}")
-    named = [(name, tasks_mod.as_real_vectors(d)) for name, d in _named_tasks(cfg, {})]
+    named = [(name, tasks_mod.as_real_vectors(d)) for name, d in _named_tasks(cfg)]
     if len(named) < 2:
         raise ConfigError("tasks: distance matrix needs at least two tasks")
     dims = {d.space.dim for _, d in named}
@@ -524,11 +532,10 @@ def cmd_pac_bayes(cfg, hash_, seed: int) -> dict:
         bound(0.0, 0.0, n_train)                # before any fit
         if trials < 1:
             raise ConfigError(f"config.trials: need at least one trial, got {trials}")
-        families = {}
 
         def generator(trial_seed):
             full_spec = _redrawn(spec, n_train + n_test, trial_seed)
-            d = tasks_mod.as_real_vectors(build_task(full_spec, families=families))
+            d = tasks_mod.as_real_vectors(build_task(full_spec))
             return tasks_mod.subset_split(d, n_train / (n_train + n_test),
                                           seed=trial_seed)
 

@@ -5,7 +5,8 @@ by an explicit prefix-code length over a structured family of hypotheses:
 
 * base rules over a discrete domain: the uniform distribution, one-hot
   constant rules, single-bit rules, and parity rules over the input bits,
-  plus label-noise-smoothed copies of every deterministic rule;
+  plus label-noise-smoothed copies of every deterministic rule, as
+  `taskinfo.rules` enumerates, names and prices them;
 * for datasets composed by disjoint union, pair rules that apply one rule
   per origin tag, with "same rule" and "child back-reference" encodings so
   that re-describing an already-described component is nearly free;
@@ -44,6 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rules as rules_mod
+from .rules import LN2
 from .tasks import (Dataset, DiscreteSpace, _freeze, disjoint_union,
                     generate_planted_task)
 
@@ -76,8 +79,6 @@ TIE_ATOL = 1e-9          # argmin tie window (documented tie-break rule)
 _ROWS = 1 << 13          # rules per block when screening, bounds temporaries
 
 _U = 2.0 ** -53           # unit roundoff of a float
-LN2 = math.log(2.0)
-_GROUP_TAG = math.log(4.0)   # four base-rule groups share the budget equally
 PAIR_FLAG = LN2              # union families: flat rules vs pair rules
 PAIR_KIND = math.log(3.0)    # pair encodings: fresh | same | child back-ref
 PAIR_CHILD = LN2             # which child a back-reference points at
@@ -94,14 +95,6 @@ def _ln_choose(n: int, k: int) -> float:
 def _exp_fsum(costs: np.ndarray) -> float:
     """math.fsum of math.exp(-c) over the costs."""
     return float(math.fsum(map(math.exp, (-costs).tolist())))
-
-
-def _check_noise_grid(noise_grid) -> None:
-    """Raise ValueError naming the first noise level that is not a finite
-    number in [0, 1]."""
-    for q in noise_grid:
-        if not (math.isfinite(q) and 0.0 <= q <= 1.0):
-            raise ValueError(f"noise level {q!r} is not a number in [0, 1]")
 
 
 def extension_cost(u: int, s: int, k: int) -> float:
@@ -234,9 +227,6 @@ class HypothesisFamily:
     [0, mmax), the right child rows [mmax, 2 mmax), mmax = space.size // 2;
     rows past a child's own space are uniform.
     """
-
-    MAX_RULES = 400_000
-    MAX_CELLS = 2 ** 27       # coded cells of the base rules (1 GiB as float64 tables)
 
     def __init__(self, space: DiscreteSpace, num_labels: int, costs: np.ndarray,
                  values: np.ndarray, codes: np.ndarray, names: list, *,
@@ -516,9 +506,6 @@ class HypothesisFamily:
         taken from it or built and put into it."""
         key = (space, k, noise_grid)
         if key not in built:
-            if k < 2:
-                raise ValueError("family needs num_labels >= 2")
-            _check_noise_grid(noise_grid)
             built[key] = cls._build(space, k, noise_grid, built)._checked()
         return built[key]
 
@@ -557,7 +544,7 @@ class HypothesisFamily:
             kids = left._children(back_a)
             back_a, back_b = back_a + len(left._flat), np.where(back_w == 0, *kids[:2])
         total = n_flat + n_left * n_right + n_same + len(back_a)
-        cls._check_size(space, total, flat._flat.size)
+        rules_mod.check_size(space, total, flat._flat.size)
 
         # few distinct pair costs (kind + children's): the cost class of
         # every rule of each part, the fresh pairs' group per pair of classes
@@ -579,50 +566,22 @@ class HypothesisFamily:
                    n_same=n_same, back_w=back_w)
 
     @classmethod
-    def _check_size(cls, space, rules: int, cells: int) -> None:
-        if rules > cls.MAX_RULES or cells > cls.MAX_CELLS:
-            raise ValueError(
-                f"family too large to enumerate ({rules} rules, {cells} table "
-                f"cells over a domain of {space.size} inputs); use smaller domains")
-
-    @classmethod
     def _flat_rules(cls, space, k, noise_grid) -> "HypothesisFamily":
+        """The flat rules of `rules_mod`, their names, costs and labels
+        coded in one (R, M, K) table."""
+        rules = rules_mod.check_family(space, k, noise_grid)    # before any array
         m, bits = space.size, space.bits
-        rules = 1 + (k + 2 * bits + 2 ** (bits + 1)) * (1 + len(noise_grid))
-        cls._check_size(space, rules, rules * m * k)     # before any array
-        q = np.array(noise_grid, dtype=np.float64)
-        smooth_tag = math.log(1 + len(q)) if len(q) else 0.0
-        # deterministic rules: constants, bits and parities, each bit and
-        # parity also inverted; parity[mask, x] is that of popcount(x & mask),
-        # built by doubling: the masks with bit j set follow those without
-        small = np.min_scalar_type(k)
-        xs, inv = np.arange(m), np.array([[0], [1]], dtype=small)
-        bit = (xs >> np.arange(bits)[:, None] & 1).astype(small)
-        parity = np.zeros((1, m), dtype=small)
-        for j in range(bits):
-            parity = np.concatenate([parity, parity ^ bit[j]])
-        labels = np.concatenate([
-            np.repeat(np.arange(k, dtype=small)[:, None], m, axis=1),
-            (bit[:, None] ^ inv).reshape(-1, m), (parity[:, None] ^ inv).reshape(-1, m)])
-        names = [f"const{c}" for c in range(k)] + [
-            f"{rule}{t}" for rule in [f"bit{j}" for j in range(bits)]
-            + [f"parity{mask:03d}" for mask in range(2 ** bits)] for t in ("", "~inv")]
-        suffixes = [f"~q{v:g}" for v in noise_grid]
-        costs = np.repeat([_GROUP_TAG + math.log(k) + smooth_tag,
-                           _GROUP_TAG + math.log(bits) + LN2 + smooth_tag,
-                           _GROUP_TAG + bits * LN2 + LN2 + smooth_tag],
-                          [k, 2 * bits, 2 ** (bits + 1)])
-        # the one (R, M, K) code table, filled in place: uniform, the one-hot
-        # rules (noise level 0), then each rule at each noise level q, rule-
-        # major: 1 - q at the rule's label and q / (k - 1) elsewhere. Its
-        # slots, 1 / k then (q / (k - 1), 1 - q) per level, are coded by value
-        # (+ 0.0 turns -0.0 into 0.0; a set, as np.unique pages in 0.45 MB of code)
-        slot = [1.0 / k] + [v + 0.0 for x in [0.0, *q.tolist()] for v in (x / (k - 1), 1 - x)]
+        labels = rules_mod.labels(m, k, bits)
+        # the code table, filled in place: uniform, the one-hot rules (noise
+        # level 0), then each rule at each noise level, rule-major. Its
+        # slots, 1 / k then (off, on) per level, are coded by value (a set,
+        # as np.unique pages in 0.45 MB of code)
+        slot = [1.0 / k] + [v for pair in rules_mod.levels(k, noise_grid) for v in pair]
         values = np.array(sorted(set(slot)))
-        codes, nd = np.empty((rules, m, k), dtype=np.min_scalar_type(len(values))), len(names)
+        codes, nd = np.empty((rules, m, k), dtype=np.min_scalar_type(len(values))), len(labels)
         slot = np.searchsorted(values, slot).astype(codes.dtype)
         codes[0] = slot[0]
-        noisy = codes[1 + nd:].reshape(nd, len(q), m, k)
+        noisy = codes[1 + nd:].reshape(nd, len(noise_grid), m, k)
         hot = np.empty((nd, m, k), dtype=np.uint8)      # 1 at the rule's label, else 0
         for c in range(k):
             np.equal(labels, c, out=hot[..., c], casting="unsafe")
@@ -631,10 +590,8 @@ class HypothesisFamily:
         for j, block in enumerate([codes[1:1 + nd], *noisy.swapaxes(0, 1)]):
             np.multiply(hot, delta[j], out=block)
             block += slot[2 * j + 1]
-        return cls(
-            space, k, np.concatenate([[_GROUP_TAG], costs, costs.repeat(len(q))]),
-            values, codes, ["uniform"] + names + [n + q for n in names for q in suffixes],
-            noise_grid=noise_grid)
+        return cls(space, k, rules_mod.costs(k, bits, len(noise_grid)), values, codes,
+                   rules_mod.names(k, bits, noise_grid), noise_grid=noise_grid)
 
 
 # ---------------------------------------------------------------------------

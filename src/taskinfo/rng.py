@@ -9,7 +9,9 @@ byte-reproducible.
 ``_normal_into`` draws the same standard normals as ``stream(seed, *labels)``
 without building a Generator: it sets the key of one reused Philox and
 zeroes its counter, which is all a fresh stream holds, from one state
-template that only its key changes in.
+template that only its key changes in. The template holds Python lists and
+the key two Python integers, which the state setter reads faster than
+numpy arrays.
 """
 
 import hashlib
@@ -20,10 +22,12 @@ import numpy as np
 __all__ = ["stream"]
 
 
+def _digest(seed: int, labels: tuple) -> bytes:
+    return hashlib.sha256(repr((int(seed),) + tuple(labels)).encode("utf-8")).digest()
+
+
 def _key_from(seed: int, labels: tuple) -> np.ndarray:
-    text = repr((int(seed),) + tuple(labels)).encode("utf-8")
-    digest = hashlib.sha256(text).digest()
-    return np.frombuffer(digest[:16], dtype=np.uint64)
+    return np.frombuffer(_digest(seed, labels)[:16], dtype=np.uint64)
 
 
 def stream(seed: int, *labels) -> np.random.Generator:
@@ -42,15 +46,16 @@ def stream(seed: int, *labels) -> np.random.Generator:
 _PHILOX = np.random.Philox(0)
 _GENERATOR = np.random.Generator(_PHILOX)
 _FRESH = {"bit_generator": "Philox",
-          "state": {"counter": np.zeros(4, np.uint64), "key": None},
-          "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+          "state": {"counter": [0, 0, 0, 0], "key": None},
+          "buffer": [0, 0, 0, 0], "buffer_pos": 4,
           "has_uint32": 0, "uinteger": 0}
 _LOCK = threading.Lock()
 
 
 def _normal_into(out: np.ndarray, seed: int, *labels) -> np.ndarray:
     """Fill ``out`` with ``stream(seed, *labels).standard_normal(out.shape)``."""
-    key = _key_from(seed, labels)
+    # the two native-order 64-bit words of the digest: _key_from's key
+    key = memoryview(_digest(seed, labels))[:16].cast("Q").tolist()
     with _LOCK:
         _FRESH["state"]["key"] = key
         _PHILOX.state = _FRESH

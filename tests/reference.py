@@ -20,6 +20,7 @@ from taskinfo.models import (
     unflatten_params,
 )
 from taskinfo.rng import stream
+from taskinfo.rules import GROUP_TAG
 from taskinfo.variational import (
     FisherDiagonal,
     GaussianPosterior,
@@ -409,13 +410,13 @@ def _naive_flat(m, k, noise_grid):
     for c in range(k):
         table = np.zeros((m, k))
         table[:, c] = 1.0
-        det.append([f"const{c}", fo._GROUP_TAG + math.log(k) + smooth_tag, table, None])
+        det.append([f"const{c}", GROUP_TAG + math.log(k) + smooth_tag, table, None])
     for j in range(bits):
         for inv in (0, 1):
             table = np.zeros((m, k))
             table[xs, ((xs >> j) & 1) ^ inv] = 1.0
             det.append([f"bit{j}" + ("~inv" if inv else ""),
-                        fo._GROUP_TAG + math.log(bits) + fo.LN2 + smooth_tag,
+                        GROUP_TAG + math.log(bits) + fo.LN2 + smooth_tag,
                         table, None])
     for mask in range(2 ** bits):
         for inv in (0, 1):
@@ -427,9 +428,9 @@ def _naive_flat(m, k, noise_grid):
             table = np.zeros((m, k))
             table[xs, par ^ inv] = 1.0
             det.append([f"parity{mask:03d}" + ("~inv" if inv else ""),
-                        fo._GROUP_TAG + bits * fo.LN2 + fo.LN2 + smooth_tag,
+                        GROUP_TAG + bits * fo.LN2 + fo.LN2 + smooth_tag,
                         table, None])
-    rules = [["uniform", fo._GROUP_TAG, np.full((m, k), 1.0 / k), None]] + det
+    rules = [["uniform", GROUP_TAG, np.full((m, k), 1.0 / k), None]] + det
     for name, cost, table, _ in det:
         for q in noise_grid:
             rules.append([f"{name}~q{q:g}", cost,
@@ -447,12 +448,12 @@ def loop_flat_rules(space, k, noise_grid):
     names, costs, labels = [], [], []     # deterministic rules
     for c in range(k):
         names.append(f"const{c}")
-        costs.append(fo._GROUP_TAG + math.log(k) + smooth_tag)
+        costs.append(GROUP_TAG + math.log(k) + smooth_tag)
         labels.append(np.full(m, c))
     for j in range(bits):
         for inv in (0, 1):
             names.append(f"bit{j}" + ("~inv" if inv else ""))
-            costs.append(fo._GROUP_TAG + math.log(bits) + fo.LN2 + smooth_tag)
+            costs.append(GROUP_TAG + math.log(bits) + fo.LN2 + smooth_tag)
             labels.append(((xs >> j) & 1) ^ inv)
     for mask in range(2 ** bits):
         par = np.zeros(m, dtype=np.int64)
@@ -460,7 +461,7 @@ def loop_flat_rules(space, k, noise_grid):
             par ^= ((xs & mask) >> j) & 1
         for inv in (0, 1):
             names.append(f"parity{mask:03d}" + ("~inv" if inv else ""))
-            costs.append(fo._GROUP_TAG + bits * fo.LN2 + fo.LN2 + smooth_tag)
+            costs.append(GROUP_TAG + bits * fo.LN2 + fo.LN2 + smooth_tag)
             labels.append(par ^ inv)
     det = np.zeros((len(names), m, k))
     det[np.arange(len(names))[:, None], xs, np.array(labels)] = 1.0
@@ -469,8 +470,50 @@ def loop_flat_rules(space, k, noise_grid):
         [np.full((1, m, k), 1.0 / k), det]
         + ([np.stack(noisy, axis=1).reshape(-1, m, k)] if nq else []))
     return (["uniform"] + names + [f"{n}~q{q:g}" for n in names for q in noise_grid],
-            np.array([fo._GROUP_TAG] + costs + [c for c in costs for _ in noise_grid]),
+            np.array([GROUP_TAG] + costs + [c for c in costs for _ in noise_grid]),
             tables)
+
+
+def coded_flat_rules(space, k, noise_grid):
+    """HypothesisFamily's flat rules as the family built them before the rule
+    table moved to ``taskinfo.rules``: (names, costs, values, codes), with
+    the parity labels built by doubling and the codes filled in place."""
+    m, bits = space.size, space.bits
+    q = np.array(noise_grid, dtype=np.float64)
+    smooth_tag = math.log(1 + len(q)) if len(q) else 0.0
+    small = np.min_scalar_type(k)
+    xs, inv = np.arange(m), np.array([[0], [1]], dtype=small)
+    bit = (xs >> np.arange(bits)[:, None] & 1).astype(small)
+    parity = np.zeros((1, m), dtype=small)
+    for j in range(bits):
+        parity = np.concatenate([parity, parity ^ bit[j]])
+    labels = np.concatenate([
+        np.repeat(np.arange(k, dtype=small)[:, None], m, axis=1),
+        (bit[:, None] ^ inv).reshape(-1, m), (parity[:, None] ^ inv).reshape(-1, m)])
+    names = [f"const{c}" for c in range(k)] + [
+        f"{rule}{t}" for rule in [f"bit{j}" for j in range(bits)]
+        + [f"parity{mask:03d}" for mask in range(2 ** bits)] for t in ("", "~inv")]
+    suffixes = [f"~q{v:g}" for v in noise_grid]
+    costs = np.repeat([GROUP_TAG + math.log(k) + smooth_tag,
+                       GROUP_TAG + math.log(bits) + fo.LN2 + smooth_tag,
+                       GROUP_TAG + bits * fo.LN2 + fo.LN2 + smooth_tag],
+                      [k, 2 * bits, 2 ** (bits + 1)])
+    rules = 1 + len(names) * (1 + len(q))
+    slot = [1.0 / k] + [v + 0.0 for x in [0.0, *q.tolist()] for v in (x / (k - 1), 1 - x)]
+    values = np.array(sorted(set(slot)))
+    codes, nd = np.empty((rules, m, k), dtype=np.min_scalar_type(len(values))), len(names)
+    slot = np.searchsorted(values, slot).astype(codes.dtype)
+    codes[0] = slot[0]
+    noisy = codes[1 + nd:].reshape(nd, len(q), m, k)
+    hot = np.empty((nd, m, k), dtype=np.uint8)
+    for c in range(k):
+        np.equal(labels, c, out=hot[..., c], casting="unsafe")
+    delta = slot[2::2] - slot[1::2]
+    for j, block in enumerate([codes[1:1 + nd], *noisy.swapaxes(0, 1)]):
+        np.multiply(hot, delta[j], out=block)
+        block += slot[2 * j + 1]
+    return (["uniform"] + names + [n + q for n in names for q in suffixes],
+            np.concatenate([[GROUP_TAG], costs, costs.repeat(len(q))]), values, codes)
 
 
 def finite_difference_gradient(fn, vec, step=1e-5):

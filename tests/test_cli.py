@@ -333,8 +333,9 @@ def _spy_builds(monkeypatch) -> list:
     return built
 
 
-def test_pac_bayes_trials_build_the_planted_family_once(tmp_path, monkeypatch):
-    # the probe and every trial plant the same rule: one family per command
+def test_pac_bayes_trials_build_no_planted_family(tmp_path, monkeypatch):
+    # the probe and every trial plant their rule from the rule table, not
+    # from an oracle family
     built = _spy_builds(monkeypatch)
     code, out = run_cli(tmp_path, "pac-bayes", {
         "version": 1, "seed": 0, "mode": "trials",
@@ -343,7 +344,7 @@ def test_pac_bayes_trials_build_the_planted_family_once(tmp_path, monkeypatch):
         "n_train": 12, "n_test": 12, "trials": 3, "beta": 1.0, "delta": 0.05,
         "opt": {"steps": 3, "mc_samples": 2, "report_mc": 4}})
     assert code == 0
-    assert len(built) == 1
+    assert built == []
     assert len(read(out / "pac_bayes.csv").splitlines()) == 6
 
 
@@ -598,6 +599,35 @@ def test_wrong_typed_task_field_is_config_error_naming_it(tmp_path, capsys, task
     assert code == 2
     assert f"config error: {field}: {why}" in capsys.readouterr().err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"rule": "parity5"}, "task.rule: no family rule 'parity5'"),
+    ({"rule": -10 ** 6}, "task.rule: no family rule -1000000"),
+    ({"noise_grid": [], "rule": "bit0~q0.1"}, "task.rule: no family rule 'bit0~q0.1'"),
+    ({"domain_size": 4096, "rule": "nope"}, "task: family too large to enumerate "
+     "(32873 rules, 269295616 table cells over a domain of 4096 inputs); use smaller "
+     "domains"),
+])
+def test_a_planted_rule_of_no_family_is_a_config_error(tmp_path, capsys, change, message):
+    # the rule table refuses what building the family refused, the family's
+    # size before the rule
+    code, path = _gen_task(tmp_path, dict(PLANTED_TASK, **change))
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not path.exists()
+
+
+def test_a_planted_rule_by_index_is_the_rule_by_name(tmp_path):
+    # over 8 inputs and K = 2 there are D = 2 + 2 * 3 + 2 ** 4 = 24
+    # deterministic rules, 97 in all; bit1~inv is the sixth, and at the
+    # second noise level it is rule 1 + D + 3 * 5 + 1 = 41
+    tasks = [load_dataset_csv(_gen_task(tmp_path, dict(PLANTED_TASK, rule=rule),
+                                        f"out{i}")[1])
+             for i, rule in enumerate(["bit1~inv~q0.1", 41, 41 - 97])]
+    for d in tasks[1:]:
+        assert np.array_equal(d.inputs, tasks[0].inputs)
+        assert np.array_equal(d.labels, tasks[0].labels)
 
 
 def test_subset_classes_task_keeps_the_listed_labels(tmp_path):
@@ -1056,7 +1086,12 @@ LOADED = {
     "gen-task": ("gen-task", RERUNS["gen-task"][0], _CLI),
     "anneal": ("anneal", RERUNS["anneal"][0], _CLI | {"annealing"}),
     "oracle structure-fn": ("structure-fn", RERUNS["structure-fn"][0],
-                            _CLI | {"finite_oracle"}),
+                            _CLI | {"finite_oracle", "rules"}),
+    # a planted task takes its rule from the rule table, not the oracle
+    "planted gen-task": ("gen-task", {"version": 1, "seed": 1, "task": PLANTED_TASK},
+                         _CLI | {"rules"}),
+    "planted pac-bayes trials": ("pac-bayes", RERUNS["pac-bayes trials"][0],
+                                 _CLI | {"rules", "bounds", "models", "variational"}),
     "variational beta-sweep": (
         "beta-sweep", {"version": 1, "seed": 2, "engine": "variational",
                        "tasks": [{"name": "rand", "task": RANDOM_TASK}],
