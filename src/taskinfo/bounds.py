@@ -84,7 +84,7 @@ def _clipped_loss(model: MlpLossModel, q: GaussianPosterior, d: Dataset, mc: int
                   seed: int) -> float:
     """clipped_expected_loss on the loss model of a nonempty d."""
     lmax = math.log(d.num_labels)
-    totals = _mc_losses(model, q, mc, seed, "clipped-loss", lmax)
+    totals = _mc_losses([model], [q], mc, seed, "clipped-loss", lmax)[0]
     return float((totals / lmax).mean())
 
 

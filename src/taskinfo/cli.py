@@ -211,8 +211,11 @@ def build_task(spec, path="task") -> tasks_mod.Dataset:
             k = _number(spec, "k", path)
             noise_grid = _noise_grid(spec, path)
             rules_mod.check_family(space, k, noise_grid)
+        key = spec["rule"]
+        if isinstance(key, numbers.Number):     # an index, read as every integer is
+            key = _number(spec, "rule", path)
         try:
-            rule = rules_mod.flat_rule(space, k, spec["rule"], noise_grid)
+            rule = rules_mod.flat_rule(space, k, key, noise_grid)
         except (KeyError, IndexError):
             raise ConfigError(f"{path}.rule: no family rule {spec['rule']!r}") from None
         except (TypeError, ValueError):

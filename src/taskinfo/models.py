@@ -14,8 +14,9 @@ rides in its layer's GEMM, forward and backward. The kernel takes one
 operand form, the augmented inputs with their contiguous transpose and the
 call's _block_constants, and _run_blocks, its one caller, binds a pass's
 calls to the caller's arrays: the lockstep optimizer binds each span of
-runs once per batch, the MC evaluator and the Fisher diagonal once per
-pass, and dataset_loss, gradient and sgd_train call it on one draw. Equal
+runs once per batch, a loss-only Monte-Carlo pass each posterior once per
+size of its blocks of draws, the Fisher diagonal once per call, and
+dataset_loss, gradient and sgd_train call it on one draw. Equal
 calls on one run's draws share their label index and one-hot. The label
 gradient is one subtraction of a label one-hot. _forward leaves the
 logits max-shifted beside their log-sum-exp: a loss-only call takes each
@@ -192,8 +193,9 @@ def _run_blocks(widths, x, xt, y, ws, block, losses, grads=None, clip=None,
     augmented inputs x (R, n, d0 + 1) with contiguous transpose xt (R, d0 +
     1, n), and labels y (R, n), bound to the caller's arrays: returns a
     function that fills losses (R*S,) and, unless None, grads (R*S, P) (with
-    sq_weight (R, n), the kernel's weighted squares) from what ws holds when
-    it is called, and returns (losses, grads). A call takes at most
+    sq_weight (R, n), the kernel's weighted squares, and x the squared
+    augmented inputs) from what ws holds when it is called, and returns
+    (losses, grads). A call takes at most
     ``block`` draws: whole runs while a run's S draws fit, else a slice of
     one run's draws. Each call's constants are built here, once, and the
     equal calls on one run's draws share their label constants."""
@@ -273,7 +275,9 @@ def _block_loss_and_grad(widths, x, y, ws, xt, consts, clip=None, sq_weight=None
     call fills grads (S, P) unless it is None, or with sq_weight (R, n) the
     squared per-sample gradients sum_i w_i g_i^2: g_i is linear in sample
     i's delta, so the delta is scaled by sqrt(w_i) and both factors of each
-    product squared. Per-sample losses are clipped at clip.
+    product squared; x then holds the squares of the augmented inputs,
+    which only the first layer's gradient reads. Per-sample losses are
+    clipped at clip.
     """
     at, onehot, layers, out = consts
     r, n = x.shape[:2]
@@ -301,7 +305,7 @@ def _block_loss_and_grad(widths, x, y, ws, xt, consts, clip=None, sq_weight=None
         delta = np.matmul(layers[layer][:, :-1], delta)
         delta *= hs[layer][:, :-1] > 0
     out[0].transpose(0, 2, 1)[...] = np.matmul(
-        sq(delta).reshape(r, s // r * d1, n), sq(x)).reshape(s, d1, widths[0] + 1)
+        sq(delta).reshape(r, s // r * d1, n), x).reshape(s, d1, widths[0] + 1)
     return losses
 
 

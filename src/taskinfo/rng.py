@@ -11,7 +11,9 @@ without building a Generator: it sets the key of one reused Philox and
 zeroes its counter, which is all a fresh stream holds, from one state
 template that only its key changes in. The template holds Python lists and
 the key two Python integers, which the state setter reads faster than
-numpy arrays.
+numpy arrays. ``_normal_blocks`` streams the same draw in consecutive
+blocks of rows through one buffer, from one keyed Philox, for a consumer
+that never holds the whole draw.
 """
 
 import hashlib
@@ -60,3 +62,14 @@ def _normal_into(out: np.ndarray, seed: int, *labels) -> np.ndarray:
         _FRESH["state"]["key"] = key
         _PHILOX.state = _FRESH
         return _GENERATOR.standard_normal(out=out)
+
+
+def _normal_blocks(out: np.ndarray, rows: int, seed: int, *labels):
+    """Yield the (rows, P) draw of ``_normal_into`` in consecutive blocks
+    of rows, each filled into the head of out (B, P): len(out) rows at a
+    time, then the rest. One Philox keyed to (seed, labels) draws them in
+    turn, so the blocks concatenate to that draw bit for bit; each block
+    is overwritten by the next."""
+    gen = stream(seed, *labels)
+    for lo in range(0, rows, len(out)):
+        yield gen.standard_normal(out=out[:min(len(out), rows - lo)])

@@ -10,14 +10,20 @@ log_var). The KL term is closed form; the expected loss is a Monte-Carlo
 mean over w = mu + sigma * eps with a seeded stream, so every estimate is a
 deterministic function of its seed.
 
-Every Monte-Carlo pass (optimizer steps, reports, mc_lagrangian_and_grads,
-bounds.clipped_expected_loss) draws its normals with rng._normal_into and
-hands all S draws as one (S, P) array to ``loss_and_grad`` (_losses_at for
-a loss-only pass, _mc_grads with gradients): one forward and one backward
-pass per block of draws (reparameterized, as in Blundell et al. 2015), or
-a loss-only forward pass. A loss-only pass forms its draws mu + sigma * eps
-in the noise's buffer, or, when several posteriors share the noise, in one
-buffer that they take in turn.
+Every Monte-Carlo pass draws its normals from its (seed, label) stream
+through rng. A pass with gradients (optimizer steps, mc_lagrangian_and_grads)
+holds all S draws as one (S, P) array, because its gradients reduce over the
+draws: one forward and one backward pass per kernel block of draws
+(reparameterized, as in Blundell et al. 2015). A loss-only pass (_mc_losses:
+reports and bounds.clipped_expected_loss) streams its draws in blocks of
+whole kernel blocks, as many as keep a block's draws * P within
+_BLOCK_CELLS: one _normal_into draw when they all fit, else
+rng._normal_blocks, whose blocks are that draw's rows. It forms each block's
+weights mu + sigma * eps in the noise's buffer, or, when several posteriors
+share the noise, in one buffer that they take in turn, and runs each
+posterior's kernel calls, bound once, on every block. So its memory does
+not grow with S, and every kernel call sees the rows, and gives the bits,
+of the whole draw.
 MlpLossModel keeps its inputs in the one form the kernel takes, with a
 ones column that carries each first-layer bias inside the GEMM: xa (n, d0 +
 1) and its contiguous transpose xt (d0 + 1, n); x is a view of xa.
@@ -27,7 +33,9 @@ activations and deltas take O(_BLOCK_CELLS) memory, not O(S).
 fisher_diagonal reads its label probabilities off the model's own xt, then
 asks the same blocks for sum_i w_i g_i^2 of the per-sample gradients, one
 run of one draw per label: each label c with w_i = p_w(c|x_i) (exact), or
-the labels drawn from the model with w_i = 1 (sampled).
+the labels drawn from the model with w_i = 1 (sampled). It squares the
+model's inputs once for the first layer's squares, which every label run
+reads.
 
 Independent fits (distance replicates, PAC-Bayes trials) run in lockstep
 through the private _fit_many: one optimizer loop steps R posteriors,
@@ -51,8 +59,9 @@ A run that diverges is reported at that step and leaves the list of live
 runs, but its rows stay in place: they still ride in the kernel calls,
 undrawn, and are no longer traced or reported.
 _optimize_many is _fit_many followed by each live run's report: the mean
-loss of report_mc draws of its stream (seed, "vi-report"), drawn once per
-distinct seed and parameter count, after the batches' buffers are freed.
+loss of report_mc draws of its stream (seed, "vi-report"), one _mc_losses
+pass per distinct seed, parameter count and block of draws, after the
+batches' buffers are freed.
 A caller that reads only the posteriors (bounds.bound_validation_trial)
 calls _fit_many and runs no report. optimize_gaussian is the R = 1 case.
 A batch holds at most _LOCKSTEP_CELLS / (S * P) runs, so its per-step
@@ -85,7 +94,7 @@ from .models import (
     _run_blocks,
     flatten_params,
 )
-from .rng import _normal_into, stream
+from .rng import _normal_blocks, _normal_into, stream
 from .tasks import Dataset, _freeze
 
 __all__ = [
@@ -254,21 +263,40 @@ class QuadraticLossModel:
 # Monte-Carlo estimates
 
 
-def _mc_losses(model, q: GaussianPosterior, mc: int, seed: int, label="vi-mc",
-               clip=None):
-    """Per-draw losses of mc reparameterized draws of Q (loss-only pass),
-    per-sample losses clipped at ``clip``."""
-    eps = _normal_into(np.empty((mc, q.k)), seed, label)
-    return _losses_at(model, q, eps, eps, clip)
+def _stream_rows(model, mc: int) -> int:
+    """Draws per block of a loss-only pass of mc draws on ``model``: all mc
+    when they fit, else the most whole kernel blocks (model.block draws
+    each) whose draws keep rows * P within _BLOCK_CELLS, and at least one."""
+    return min(mc, model.block * max(1, _BLOCK_CELLS // (model.block * model.k)))
 
 
-def _losses_at(model, q: GaussianPosterior, eps: np.ndarray, ws: np.ndarray,
-               clip=None):
-    """Per-draw losses of the draws mean + sigma * eps of Q, eps (S, P),
-    formed in ws (S, P), which may be eps itself (the noise's buffer)."""
-    np.multiply(eps, q.sigma, out=ws)
-    ws += q.mean
-    return model.loss_and_grad(ws, grad=False, clip=clip)[0]
+def _mc_losses(models, qs, mc: int, seed: int, label="vi-mc", clip=None):
+    """Per-draw losses (R, mc) of R posteriors qs of one parameter count on
+    their loss models, loss-only, at the same mc draws of stream(seed,
+    label), per-sample losses clipped at ``clip``. The draws stream in
+    blocks of _stream_rows(models[0], mc), which every model must share:
+    one _normal_into call when they fit, else rng._normal_blocks. Each
+    block's weights mean + sigma * eps are formed in the noise's buffer for
+    one posterior, or in one buffer that the posteriors take in turn, and
+    each model's kernel calls on a block are bound once per block size."""
+    rows = _stream_rows(models[0], mc)
+    eps = np.empty((rows, qs[0].k))
+    ws = eps if len(qs) == 1 else np.empty_like(eps)
+    losses, bound = np.empty((len(qs), mc)), {}
+    blocks = ([_normal_into(eps, seed, label)] if rows == mc
+              else _normal_blocks(eps, mc, seed, label))
+    for lo, block in zip(range(0, mc, rows), blocks):
+        w = ws[:len(block)]
+        for i, (m, q) in enumerate(zip(models, qs)):
+            np.multiply(block, q.sigma, out=w)
+            w += q.mean
+            run = bound.get((i, len(w))) or _run_blocks(
+                m.arch.layer_widths, m.xa[None], m.xt[None], m.y[None], w, m.block,
+                np.empty(len(w)), None, clip)
+            if rows < mc:       # a streamed pass calls it again on the next block
+                bound[i, len(w)] = run
+            losses[i, lo:lo + len(w)] = run()[0]
+    return losses
 
 
 def _mc_grads(grads: np.ndarray, eps: np.ndarray, sigma: np.ndarray,
@@ -379,10 +407,10 @@ def _optimize_many(models, betas, prior: IsotropicPrior, cfg: VariationalConfig,
 
     Returns, per run, its VariationalResult or the TrainingDiverged that
     stopped it. A network run reports the mean loss of cfg.report_mc draws
-    of stream(seeds[i], "vi-report"), as it would alone. Runs with one seed
-    and parameter count share one draw of that stream and form their
-    weights in one buffer in turn; a run whose seed is its own forms them in
-    the noise's buffer. An exact-Gaussian run reports its exact loss.
+    of stream(seeds[i], "vi-report"), as it would alone. Runs with one seed,
+    parameter count and block of draws (_stream_rows) share one _mc_losses
+    pass, so they draw that stream once. An exact-Gaussian run reports its
+    exact loss.
     """
     fits = _fit_many(models, betas, prior, cfg, seeds, inits)
     reports, shared = {}, {}          # run -> (expected loss, its SE)
@@ -392,14 +420,14 @@ def _optimize_many(models, betas, prior: IsotropicPrior, cfg: VariationalConfig,
         if m.exact_gaussian:
             reports[i] = m.expected_loss(fit[0].mean, np.exp(fit[0].log_var)), 0.0
         else:
-            shared.setdefault((int(seeds[i]), m.k), []).append(i)
-    for (seed, k), runs in shared.items():
-        eps = _normal_into(np.empty((cfg.report_mc, k)), seed, "vi-report")
-        ws = eps if len(runs) == 1 else np.empty_like(eps)
-        for i in runs:
-            losses = _losses_at(models[i], fits[i][0], eps, ws)
-            reports[i] = float(losses.mean()), (
-                float(losses.std(ddof=1)) / math.sqrt(cfg.report_mc)
+            key = int(seeds[i]), m.k, _stream_rows(m, cfg.report_mc)
+            shared.setdefault(key, []).append(i)
+    for (seed, _, _), runs in shared.items():
+        losses = _mc_losses([models[i] for i in runs], [fits[i][0] for i in runs],
+                            cfg.report_mc, seed, "vi-report")
+        for i, run_losses in zip(runs, losses):
+            reports[i] = float(run_losses.mean()), (
+                float(run_losses.std(ddof=1)) / math.sqrt(cfg.report_mc)
                 if cfg.report_mc > 1 else math.nan)
     out = list(fits)
     for i, (loss, se) in reports.items():
@@ -618,9 +646,12 @@ def fisher_diagonal(p: MlpParams, d: Dataset, mode: str = "exact",
         labels, weights = np.minimum(draws, len(probs) - 1)[None], np.ones((1, d.n))
     else:
         labels, weights = np.repeat(np.arange(len(probs))[:, None], d.n, axis=1), probs
-    x, xt = (np.broadcast_to(a, (len(labels),) + a.shape) for a in (model.xa, model.xt))
+    # the kernel takes the squared inputs for the first layer's squares,
+    # squared here once for every label run
+    x2, xt = (np.broadcast_to(a, (len(labels),) + a.shape)
+              for a in (np.square(model.xa), model.xt))
     ws = np.broadcast_to(w, (len(labels), p.num_params))    # one draw a run
-    _, sq = _run_blocks(widths, x, xt, labels, ws, model.block, np.empty(len(ws)),
+    _, sq = _run_blocks(widths, x2, xt, labels, ws, model.block, np.empty(len(ws)),
                         np.empty(ws.shape), sq_weight=weights)()
     return FisherDiagonal(entries=sq.sum(axis=0) / max(d.n, 1), n=d.n)  # 0 if n = 0
 

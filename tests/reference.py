@@ -680,14 +680,26 @@ def reference_optimize(model, beta, prior, cfg, init=None, seed=0, arch=None):
     if model.exact_gaussian:
         final, se = model.expected_loss(mu, np.exp(lv)), 0.0
     else:
-        eps = stream(seed, "vi-report").standard_normal((cfg.report_mc, out.k))
-        losses = model.loss_and_grad(out.mean + out.sigma * eps, grad=False)[0]
-        final = float(losses.mean())
-        se = (float(losses.std(ddof=1)) / math.sqrt(cfg.report_mc)
-              if cfg.report_mc > 1 else math.nan)
+        final, se = reference_report(model, out, cfg.report_mc, seed)
     return VariationalResult(posterior=out, expected_loss=final,
                              kl=kl_gaussian(out, prior), trace=tuple(trace),
                              expected_loss_se=se)
+
+
+def reference_mc_losses(model, q, mc, seed, label, clip=None):
+    """variational._mc_losses on one posterior as one whole (mc, P) draw of
+    stream(seed, label) and one loss_and_grad call on all its weights: the
+    loss-only pass before it streamed its draws in blocks."""
+    eps = stream(seed, label).standard_normal((mc, q.k))
+    return model.loss_and_grad(q.mean + q.sigma * eps, grad=False, clip=clip)[0]
+
+
+def reference_report(model, q, mc, seed):
+    """The optimizer's report on q: the mean loss of mc draws of stream(seed,
+    "vi-report") and its standard error (ddof = 1)."""
+    losses = reference_mc_losses(model, q, mc, seed, "vi-report")
+    return float(losses.mean()), (float(losses.std(ddof=1)) / math.sqrt(mc)
+                                  if mc > 1 else math.nan)
 
 
 def reference_fisher_diagonal(p, d, mode="exact", seed=0):

@@ -592,6 +592,10 @@ PLANTED_TASK = {"type": "planted", "n": 20, "k": 2, "domain_size": 8,
     (dict(PLANTED_TASK, noise_grid=[0.1, False]), "task.noise_grid[1]",
      "expected a number"),
     ({"type": "file", "path": 7}, "task.path", "expected a file name"),
+    # a planted rule index is read as every integer field is
+    (dict(PLANTED_TASK, rule=3.7), "task.rule", "expected an integer"),
+    (dict(PLANTED_TASK, rule=True), "task.rule", "expected an integer"),
+    (dict(PLANTED_TASK, rule=math.inf), "task.rule", "expected an integer"),
 ])
 def test_wrong_typed_task_field_is_config_error_naming_it(tmp_path, capsys, task,
                                                           field, why):

@@ -7,13 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taskinfo import distance, models as models_mod, tasks, variational
 from taskinfo.distance import DistanceConfig, distance_matrix, task_distance
 from taskinfo.models import Architecture, TrainingDiverged
-from taskinfo.rng import _key_from, _normal_into, stream
+from taskinfo.rng import _key_from, _normal_blocks, _normal_into, stream
 from taskinfo.variational import (
     GaussianPosterior,
     IsotropicPrior,
@@ -386,6 +386,25 @@ def test_normal_into_equals_a_fresh_philox_stream(seed, labels, shape):
     assert np.array_equal(got, fresh.standard_normal(shape))
     assert np.array_equal(np.concatenate([first, live.standard_normal(3)]),
                           stream(seed, *labels).standard_normal(6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(-2 ** 40, 2 ** 63),
+       labels=st.lists(st.one_of(st.text(max_size=8), st.integers(-10 ** 6, 10 ** 6)),
+                       max_size=3),
+       rows=st.integers(0, 40), p=st.integers(1, 9), block=st.integers(1, 45))
+@example(seed=0, labels=["vi-report"], rows=7, p=3, block=1)     # one-row blocks
+@example(seed=1, labels=["vi-report"], rows=11, p=4, block=5)    # a one-row tail
+@example(seed=2, labels=["vi-report"], rows=9, p=2, block=9)     # one whole block
+def test_normal_blocks_concatenate_to_the_whole_draw(seed, labels, rows, p, block):
+    # a loss-only pass streams its draw through one (block, P) buffer: the
+    # blocks, block rows each and then the rest, are the whole draw's rows
+    out = np.empty((block, p))
+    got = [b.copy() for b in _normal_blocks(out, rows, seed, *labels)]
+    assert [len(b) for b in got] == [min(block, rows - lo) for lo in range(0, rows, block)]
+    assert all(np.shares_memory(b, out) for b in _normal_blocks(out, rows, seed, *labels))
+    whole = _normal_into(np.empty((rows, p)), seed, *labels)
+    assert np.concatenate(got or [np.empty((0, p))]).tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_kl_nonnegative_random():
 
 def expected_loss(q, d, mc_samples, seed):
     """Reparameterized MC mean of the total dataset loss under Q."""
-    return float(_mc_losses(MlpLossModel(q.arch, d), q, mc_samples, seed).mean())
+    return float(_mc_losses([MlpLossModel(q.arch, d)], [q], mc_samples, seed)[0].mean())
 
 
 @pytest.fixture(scope="module")
